@@ -8,7 +8,7 @@ package sspubsub
 //	go test -bench=. -benchmem
 //
 // regenerates every series. Micro-benchmarks for the hot data structures
-// (label algebra, Patricia trie, scheduler) follow at the end.
+// (label algebra, Patricia trie) follow at the end.
 
 import (
 	"fmt"
@@ -63,14 +63,14 @@ func BenchmarkE3_ConfigRequestRate(b *testing.B) {
 	for _, n := range []int{16, 64, 256} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			c := benchConverge(b, n, 100+int64(n))
-			c.Sched.ResetCounters()
+			c.ResetCounters()
 			b.ResetTimer()
 			rounds := 0
 			for i := 0; i < b.N; i++ {
-				c.Sched.RunRounds(1)
+				c.RunRounds(1)
 				rounds++
 			}
-			b.ReportMetric(float64(c.Sched.CountByType("proto.GetConfiguration"))/float64(rounds), "requests/round")
+			b.ReportMetric(float64(c.CountByType("proto.GetConfiguration"))/float64(rounds), "requests/round")
 		})
 	}
 }
@@ -89,7 +89,7 @@ func BenchmarkE4_SubscribeOverhead(b *testing.B) {
 			b.Fatalf("join %d did not converge", i)
 		}
 	}
-	b.ReportMetric(float64(c.Sched.SentBy(cluster.SupervisorID))/float64(b.N), "sup-msgs/join(total)")
+	b.ReportMetric(float64(c.SentBy(cluster.SupervisorID))/float64(b.N), "sup-msgs/join(total)")
 }
 
 // BenchmarkE5_Convergence measures rounds-to-legitimacy per initial-state
@@ -114,12 +114,12 @@ func BenchmarkE5_Convergence(b *testing.B) {
 
 func benchScenario(sc experiments.E5Scenario, n int, seed int64) (int, bool) {
 	if sc == experiments.ScenarioFresh {
-		c := cluster.New(cluster.Options{Seed: seed})
+		c := cluster.NewSim(cluster.Options{Seed: seed})
 		c.AddClients(n)
 		c.JoinAll(benchTopic)
 		return c.RunUntilConverged(benchTopic, n, 5000)
 	}
-	c := cluster.New(cluster.Options{Seed: seed})
+	c := cluster.NewSim(cluster.Options{Seed: seed})
 	c.AddClients(n)
 	c.JoinAll(benchTopic)
 	if _, ok := c.RunUntilConverged(benchTopic, n, 5000); !ok {
@@ -127,13 +127,13 @@ func benchScenario(sc experiments.E5Scenario, n int, seed int64) (int, bool) {
 	}
 	switch sc {
 	case experiments.ScenarioCorrupt:
-		c.CorruptSubscriberStates(benchTopic)
+		c.CorruptSubscriberStates(benchTopic, c.Rand())
 	case experiments.ScenarioPartition:
 		c.PartitionStates(benchTopic, 3)
 	case experiments.ScenarioBadDB:
-		c.CorruptSupervisorDB(benchTopic)
+		c.CorruptSupervisorDB(benchTopic, c.Rand())
 	case experiments.ScenarioGarbageMsg:
-		c.InjectGarbageMessages(benchTopic, 5*n)
+		c.SendGarbageMessages(benchTopic, 5*n, c.Rand())
 	}
 	return c.RunUntilConverged(benchTopic, n, 20000)
 }
@@ -142,15 +142,15 @@ func benchScenario(sc experiments.E5Scenario, n int, seed int64) (int, bool) {
 // maintenance message rate (Theorem 13's quiet state).
 func BenchmarkE6_Closure(b *testing.B) {
 	c := benchConverge(b, 64, 13)
-	c.Sched.ResetCounters()
+	c.ResetCounters()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Sched.RunRounds(1)
+		c.RunRounds(1)
 	}
 	if !c.ConvergedWith(benchTopic, 64) {
 		b.Fatal("legitimacy lost during closure run")
 	}
-	b.ReportMetric(float64(c.Sched.Delivered())/float64(b.N)/64, "msgs/node/round")
+	b.ReportMetric(float64(c.Delivered())/float64(b.N)/64, "msgs/node/round")
 }
 
 // BenchmarkE7_PublicationConvergence measures anti-entropy-only
@@ -160,7 +160,7 @@ func BenchmarkE7_PublicationConvergence(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			totalRounds := 0
 			for i := 0; i < b.N; i++ {
-				c := cluster.New(cluster.Options{
+				c := cluster.NewSim(cluster.Options{
 					Seed:       int64(i)*7 + int64(n),
 					ClientOpts: core.Options{DisableFlooding: true},
 				})
@@ -173,7 +173,7 @@ func BenchmarkE7_PublicationConvergence(b *testing.B) {
 				for p := 0; p < 10; p++ {
 					c.Publish(members[p%len(members)], benchTopic, fmt.Sprintf("p%d", p))
 				}
-				rounds, ok := c.Sched.RunRoundsUntil(20000, func() bool {
+				rounds, ok := c.RunUntil(20000, func() bool {
 					return c.AllHavePubs(benchTopic, 10) && c.TriesEqual(benchTopic)
 				})
 				if !ok {
@@ -279,7 +279,7 @@ func BenchmarkAblationActionIV(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			totalRounds := 0
 			for i := 0; i < b.N; i++ {
-				c := cluster.New(cluster.Options{
+				c := cluster.NewSim(cluster.Options{
 					Seed:       int64(i)*3 + 41,
 					ClientOpts: core.Options{DisableActionIV: disable},
 				})
@@ -311,7 +311,7 @@ func BenchmarkAblationFlooding(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			totalRounds := 0
 			for i := 0; i < b.N; i++ {
-				c := cluster.New(cluster.Options{
+				c := cluster.NewSim(cluster.Options{
 					Seed:       int64(i)*5 + 43,
 					ClientOpts: core.Options{DisableFlooding: disable},
 				})
@@ -321,7 +321,7 @@ func BenchmarkAblationFlooding(b *testing.B) {
 					b.Fatal("setup failed")
 				}
 				c.Publish(c.Members(benchTopic)[0], benchTopic, "x")
-				rounds, ok := c.Sched.RunRoundsUntil(20000, func() bool {
+				rounds, ok := c.RunUntil(20000, func() bool {
 					return c.AllHavePubs(benchTopic, 1)
 				})
 				if !ok {
@@ -376,81 +376,6 @@ func BenchmarkTrieSyncRound(b *testing.B) {
 	}
 }
 
-// BenchmarkSchedulerThroughput measures raw event throughput of the
-// deterministic kernel with the full protocol running.
-func BenchmarkSchedulerThroughput(b *testing.B) {
-	c := benchConverge(b, 128, 99)
-	b.ResetTimer()
-	start := c.Sched.Delivered()
-	for i := 0; i < b.N; i++ {
-		c.Sched.Step()
-	}
-	b.ReportMetric(float64(c.Sched.Delivered()-start)/float64(b.N), "deliveries/op")
-}
-
-// BenchmarkLiveSystemPublish measures end-to-end publish latency on the
-// goroutine runtime (8 subscribers).
-func BenchmarkLiveSystemPublish(b *testing.B) {
-	sys := NewSystem(Options{Seed: 7})
-	defer sys.Close()
-	pubber := sys.MustClient("pub")
-	sub := pubber.Subscribe("t")
-	recv := sys.MustClient("recv")
-	rsub := recv.Subscribe("t")
-	if !sys.WaitStable("t", 2, 10*time.Second) {
-		b.Fatal("no stability")
-	}
-	_ = sub
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := pubber.Publish("t", fmt.Sprintf("m%d", i)); err != nil {
-			b.Fatal(err)
-		}
-		<-rsub.Events()
-	}
-}
-
-// ---- cross-substrate benches (sim scheduler vs concurrent vs net) ----
-
-// crossSubstrateKinds are the three execution substrates every hot-path
-// benchmark covers: the deterministic scheduler, the goroutine runtime,
-// and the loopback TCP transport (every message through the wire codec).
-var crossSubstrateKinds = []RuntimeKind{RuntimeSim, RuntimeConcurrent, RuntimeNet}
-
-// BenchmarkCrossSubstratePublishThroughput measures end-to-end publish
-// fan-out on all three substrates: b.N publications are issued into a
-// converged 16-node ring and the benchmark runs until every subscriber
-// holds every publication (flooding + anti-entropy). pubs/s is the
-// sustained system throughput; allocs/op and B/op are the whole-system
-// allocation cost per publication, the series the zero-allocation hot
-// path is pinned against.
-func BenchmarkCrossSubstratePublishThroughput(b *testing.B) {
-	for _, kind := range crossSubstrateKinds {
-		b.Run(string(kind), func(b *testing.B) {
-			s := NewSimulation(SimOptions{Runtime: kind, Seed: 11, Interval: time.Millisecond})
-			defer s.Close()
-			const n = 16
-			s.AddSubscribers(n)
-			s.JoinAll(benchTopic)
-			if _, ok := s.RunUntilConverged(benchTopic, n, 5000); !ok {
-				b.Fatalf("setup: no convergence: %s", s.Explain(benchTopic))
-			}
-			members := s.Members(benchTopic)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.Publish(members[i%len(members)], benchTopic, fmt.Sprintf("p%d", i))
-			}
-			if _, ok := s.RunUntil(200000, func() bool {
-				return s.AllHavePubs(benchTopic, b.N) && s.TriesEqual(benchTopic)
-			}); !ok {
-				b.Fatal("publications never fully disseminated")
-			}
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "pubs/s")
-		})
-	}
-}
-
 // BenchmarkHotPathPublishFanout isolates the publish fan-out hot path —
 // the O(log n) delivery layer of Section 4.3 — on all three substrates.
 // Anti-entropy is disabled so every measured allocation belongs to
@@ -460,7 +385,7 @@ func BenchmarkCrossSubstratePublishThroughput(b *testing.B) {
 // here is the whole-system allocation cost of delivering one publication
 // to all 16 subscribers.
 func BenchmarkHotPathPublishFanout(b *testing.B) {
-	for _, kind := range crossSubstrateKinds {
+	for _, kind := range []RuntimeKind{RuntimeSim, RuntimeConcurrent, RuntimeNet} {
 		b.Run(string(kind), func(b *testing.B) {
 			benchHotPathFanout(b, SimOptions{
 				Runtime: kind, Seed: 11, Interval: time.Millisecond,
@@ -523,7 +448,7 @@ func BenchmarkOrderedFanout(b *testing.B) {
 		b.Run(mode.String(), func(b *testing.B) {
 			const n = 16
 			delivered := make(map[sim.NodeID]int, n)
-			c := cluster.New(cluster.Options{
+			c := cluster.NewSim(cluster.Options{
 				Seed: 11,
 				ClientOpts: core.Options{
 					DisableAntiEntropy: true,
@@ -546,7 +471,7 @@ func BenchmarkOrderedFanout(b *testing.B) {
 				c.Publish(members[i%len(members)], benchTopic, fmt.Sprintf("p%d", i))
 				if (i+1)%32 == 0 || i == b.N-1 {
 					want := i + 1
-					rounds, ok := c.Sched.RunRoundsUntil(200000, func() bool {
+					rounds, ok := c.RunUntil(200000, func() bool {
 						for _, id := range members {
 							if delivered[id] < want {
 								return false
@@ -567,33 +492,9 @@ func BenchmarkOrderedFanout(b *testing.B) {
 	}
 }
 
-// BenchmarkCrossSubstrateStabilization measures wall-time from a fresh
-// join burst to the unique legitimate SR(n) on all three substrates
-// (ns/op is the stabilization time).
-func BenchmarkCrossSubstrateStabilization(b *testing.B) {
-	for _, kind := range crossSubstrateKinds {
-		b.Run(string(kind), func(b *testing.B) {
-			b.ReportAllocs()
-			const n = 24
-			for i := 0; i < b.N; i++ {
-				s := NewSimulation(SimOptions{Runtime: kind, Seed: int64(i)*31 + 7, Interval: time.Millisecond})
-				s.AddSubscribers(n)
-				s.JoinAll(benchTopic)
-				if _, ok := s.RunUntilConverged(benchTopic, n, 10000); !ok {
-					s.Close()
-					b.Fatalf("no convergence: %s", s.Explain(benchTopic))
-				}
-				s.Close()
-			}
-		})
-	}
-}
-
-// ---- helpers ----
-
-func benchConverge(b *testing.B, n int, seed int64) *cluster.Cluster {
+func benchConverge(b *testing.B, n int, seed int64) *cluster.Live {
 	b.Helper()
-	c := cluster.New(cluster.Options{Seed: seed})
+	c := cluster.NewSim(cluster.Options{Seed: seed})
 	c.AddClients(n)
 	c.JoinAll(benchTopic)
 	if _, ok := c.RunUntilConverged(benchTopic, n, 5000); !ok {

@@ -29,8 +29,8 @@ func runFailover(args []string) {
 	cull := fs.Int("cull", 0, "supervisor cull budget per timeout (0 = auto, n/64)")
 	maxRounds := fs.Int("maxrounds", 0, "max rounds per convergence wait (0 = default)")
 	bench := fs.Bool("bench", false, "emit go-bench result lines (pipe into cmd/benchjson)")
-	workers := fs.Int("workers", scale.DefaultWorkers(), "lane workers for the parallel engine (results are identical for every value); 0 = legacy serial scheduler")
-	lanes := fs.Int("lanes", 0, "parallel engine lane count (part of the schedule identity; 0 = default 16)")
+	workers := fs.Int("workers", 0, "lane workers executing the engine (results are identical for every value); 0 = engine default, one per CPU")
+	lanes := fs.Int("lanes", 0, "engine lane count (part of the schedule identity; 0 = default 16)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile covering the whole sweep to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile (taken after the sweep) to this file")
 	fs.Parse(args)
@@ -83,15 +83,10 @@ func runFailover(args []string) {
 			fmt.Printf("# n=%d: DID NOT CONVERGE — curve below excludes it\n", n)
 		}
 		if *bench {
-			// Parallel-engine runs get a /p= suffix: a different engine is a
-			// different schedule, so it must not land in the legacy gated
-			// series.
-			suffix := ""
-			if *workers > 0 {
-				suffix = fmt.Sprintf("/p=%d", *workers)
-			}
-			fmt.Printf("BenchmarkFailoverConvergence/rf=%d/n=%d%s 1 %d failover-rounds %d relabelled %d setup-rounds\n",
-				res.RepFactor, res.N, suffix, res.FailoverRounds, res.Relabelled, res.SetupRounds)
+			// The rounds are schedule-determined — identical for every
+			// -workers value — so the series name carries no worker count.
+			fmt.Printf("BenchmarkFailoverConvergence/rf=%d/n=%d 1 %d failover-rounds %d relabelled %d setup-rounds\n",
+				res.RepFactor, res.N, res.FailoverRounds, res.Relabelled, res.SetupRounds)
 		}
 	}
 

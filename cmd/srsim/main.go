@@ -14,17 +14,18 @@
 //
 //	srsim scale -ns 1000,10000,100000       # sweep, table + exponent fits
 //	srsim scale -ns 1000000 -bench          # emit benchjson-ready series
-//	srsim scale -ns 100000 -workers 8       # lane-sharded parallel engine (bit-identical for any -workers)
-//	srsim scale -ns 10000 -workers 0        # legacy serial scheduler
+//	srsim scale -ns 100000 -workers 8       # eight lane workers (bit-identical for any -workers)
 //	srsim failover -ns 1000,10000 -rf 2     # supervisor failover-to-convergence sweep
 //
-// Scale and failover sweeps default to the parallel deterministic engine
-// (internal/psim) with one worker per CPU; results are bit-identical for
-// every -workers value, so parallelism never costs reproducibility.
+// Scale and failover sweeps run the deterministic engine (internal/psim)
+// with one lane worker per CPU by default (-workers 0); results are
+// bit-identical for every -workers value, so parallelism never costs
+// reproducibility.
 // -cpuprofile/-memprofile write pprof profiles of a sweep.
 //
 // With -runtime=sim (the default) the run is a deterministic
-// discrete-event simulation and every corruption scenario is available.
+// discrete-event simulation (the same engine, run inline) and every
+// corruption scenario is available.
 // With -runtime=concurrent the same protocol code runs on the live
 // goroutine-per-node runtime; -churn additionally runs a crash/restart
 // fault injector. With -runtime=net the live nodes exchange every message
@@ -50,6 +51,7 @@ import (
 	"sspubsub/internal/cluster"
 	"sspubsub/internal/core"
 	"sspubsub/internal/experiments"
+	"sspubsub/internal/psim"
 	"sspubsub/internal/runtime/concurrent"
 	"sspubsub/internal/runtime/nettransport"
 	"sspubsub/internal/sim"
@@ -104,7 +106,7 @@ func runOneShot() {
 	churn := flag.Bool("churn", false, "run a crash/restart injector during stabilization (concurrent runtime)")
 	scenario := flag.String("scenario", "fresh-join-burst", "initial state scenario")
 	rounds := flag.Int("rounds", 20000, "max rounds before giving up")
-	trace := flag.Bool("trace", false, "print every delivered message and timeout (sim runtime)")
+	trace := flag.Bool("trace", false, "print every delivered message and timeout in execution order: time-sorted per lane, lane after lane within each lookahead window (sim runtime)")
 	list := flag.Bool("scenarios", false, "list scenarios and exit")
 	pubs := flag.Int("pubs", 0, "publish this many items after convergence and wait for full dissemination")
 	crash := flag.Float64("crash", 0, "crash this fraction of nodes after convergence")
@@ -143,7 +145,7 @@ func runOneShot() {
 	switch *runtime {
 	case "sim":
 		if *churn {
-			fail("-churn requires -runtime=concurrent (the deterministic scheduler has its own scripted fault scenarios; see -scenarios)")
+			fail("-churn requires -runtime=concurrent (the deterministic engine has its own scripted fault scenarios; see -scenarios)")
 		}
 	case "concurrent":
 		if sc != experiments.ScenarioFresh {
@@ -166,148 +168,91 @@ func runOneShot() {
 		fail("unknown -runtime %q (use sim, concurrent or net)", *runtime)
 	}
 
-	if *runtime == "sim" {
-		runSim(*n, *supervisors, *seed, *scenario, *rounds, *trace, *pubs, *crash)
-		return
-	}
-	runLive(*runtime, *n, *supervisors, *seed, *interval, *rounds, *churn, *pubs, *crash)
-}
-
-func runSim(n, supervisors int, seed int64, scenario string, rounds int, trace bool, pubs int, crash float64) {
-	opts := cluster.Options{Seed: seed, Supervisors: supervisors}
-	if trace {
-		opts.Sched.Trace = func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
+	var tr cluster.Substrate
+	if *trace {
+		tr = traced{psim.New(psim.Options{Seed: *seed, Workers: 1})}
+	} else {
+		var err error
+		if tr, err = cluster.NewSubstrate(*runtime, *seed, *interval); err != nil {
+			fatalf("%v", err)
 		}
 	}
-	c := cluster.New(opts)
-	c.AddClients(n)
-	c.JoinAll(topic)
+	defer tr.Close()
+	run(cluster.NewLiveN(tr, core.Options{}, *supervisors), *n, sc, *seed, *rounds, *churn, *pubs, *crash)
+}
 
-	sc := experiments.E5Scenario(scenario)
+// traced decorates the deterministic engine for -trace: every handler
+// registered through it prints its deliveries and timeouts to stderr, in
+// the order the inline engine executes them.
+type traced struct{ *psim.Engine }
+
+func (t traced) AddNode(id sim.NodeID, h sim.Handler) { t.Engine.AddNode(id, tracedHandler{h}) }
+
+type tracedHandler struct{ sim.Handler }
+
+func (h tracedHandler) OnMessage(ctx sim.Context, m sim.Message) {
+	fmt.Fprintf(os.Stderr, "%.3f deliver %s\n", ctx.Now(), m)
+	h.Handler.OnMessage(ctx, m)
+}
+
+func (h tracedHandler) OnTimeout(ctx sim.Context) {
+	fmt.Fprintf(os.Stderr, "%.3f timeout %d\n", ctx.Now(), ctx.Self())
+	h.Handler.OnTimeout(ctx)
+}
+
+// run executes the one-shot scenario on whatever substrate l was built on:
+// a round is virtual time on the deterministic engine and one -interval of
+// wall clock on the live runtimes, and every state read is a frozen
+// snapshot — l's driver surface hides the difference.
+func run(l *cluster.Live, n int, sc experiments.E5Scenario, seed int64, rounds int, churn bool, pubs int, crash float64) {
+	explain := func() string {
+		out := "system did not quiesce"
+		l.Freeze(func() { out = l.Explain(topic) })
+		return out
+	}
+	l.AddClients(n)
+	l.JoinAll(topic)
+
 	if sc != experiments.ScenarioFresh {
-		if _, ok := c.RunUntilConverged(topic, n, 5000); !ok {
-			fatalf("setup convergence failed: %s", c.Explain(topic))
+		if _, ok := l.RunUntilConverged(topic, n, 5000); !ok {
+			fatalf("setup convergence failed: %s", explain())
 		}
 		fmt.Printf("setup: legitimate SR(%d) built; injecting %s\n", n, sc)
 		switch sc {
 		case experiments.ScenarioCorrupt:
-			c.CorruptSubscriberStates(topic)
+			l.CorruptSubscriberStates(topic, l.Rand())
 		case experiments.ScenarioPartition:
-			c.PartitionStates(topic, 3)
+			l.PartitionStates(topic, 3)
 		case experiments.ScenarioBadDB:
-			c.CorruptSupervisorDB(topic)
+			l.CorruptSupervisorDB(topic, l.Rand())
 		case experiments.ScenarioGarbageMsg:
-			c.InjectGarbageMessages(topic, 5*n)
-		default:
-			fail("unknown scenario %q (use -scenarios)", scenario)
+			l.SendGarbageMessages(topic, 5*n, l.Rand())
 		}
 	}
 
-	start := c.Sched.Now()
-	r, ok := c.RunUntilConverged(topic, n, rounds)
-	if !ok {
-		fatalf("NOT converged after %d rounds: %s", r, c.Explain(topic))
-	}
-	fmt.Printf("converged to legitimate SR(%d) in %d rounds (%.0f messages, %.1f per node per round)\n",
-		n, r, float64(c.Sched.Delivered()),
-		float64(c.Sched.Delivered())/float64(n)/(c.Sched.Now()-start+1))
-
-	if crash > 0 {
-		members := c.Members(topic)
-		k := int(crash * float64(n))
-		for i := 0; i < k; i++ {
-			c.Crash(members[i*len(members)/k])
-		}
-		fmt.Printf("crashed %d nodes; waiting for recovery…\n", k)
-		r, ok := c.RunUntilConverged(topic, n-k, rounds)
-		if !ok {
-			fatalf("no recovery: %s", c.Explain(topic))
-		}
-		fmt.Printf("recovered to legitimate SR(%d) in %d rounds\n", n-k, r)
-	}
-
-	if pubs > 0 {
-		members := c.Members(topic)
-		for i := 0; i < pubs; i++ {
-			c.Publish(members[i%len(members)], topic, fmt.Sprintf("pub-%d", i))
-		}
-		r, ok := c.Sched.RunRoundsUntil(rounds, func() bool {
-			return c.AllHavePubs(topic, pubs) && c.TriesEqual(topic)
-		})
-		if !ok {
-			fatalf("publications never converged")
-		}
-		fmt.Printf("%d publications disseminated to all %d subscribers in %d rounds\n",
-			pubs, len(members), r)
-	}
-
-	fmt.Println("\nfinal state:")
-	printStates(c.Members(topic), func(id sim.NodeID) (st stateLike, ok bool) {
-		s, ok2 := c.Clients[id].StateOf(topic)
-		return stateLike{s.Label.String(), s.Left.String(), s.Right.String(), s.Ring.String(), len(s.Shortcuts)}, ok2
-	})
-}
-
-// quiescer is the live-substrate surface runLive needs beyond
-// sim.Transport; both the concurrent runtime and the net transport
-// provide it.
-type quiescer interface {
-	Quiesce(timeout time.Duration, f func()) bool
-	Delivered() int64
-}
-
-// runLive executes the fresh-join scenario on a live substrate:
-// goroutine nodes exchanging Go values (concurrent) or wire frames over
-// loopback TCP (net).
-func runLive(kind string, n, supervisors int, seed int64, interval time.Duration, rounds int, churn bool, pubs int, crash float64) {
-	var (
-		tr sim.Transport
-		q  quiescer
-		rt *concurrent.Runtime
-		nt *nettransport.Transport
-	)
-	switch kind {
-	case "concurrent":
-		rt = concurrent.NewRuntime(concurrent.Options{Interval: interval, Seed: seed})
-		tr, q = rt, rt
-	case "net":
-		var err error
-		nt, err = nettransport.NewLoopback(nettransport.Options{Interval: interval, Seed: seed})
-		if err != nil {
-			fatalf("loopback transport: %v", err)
-		}
-		tr, q = nt, nt
-	}
-	defer tr.Close()
-	l := cluster.NewLiveN(tr, core.Options{}, supervisors)
-	l.AddClients(n)
-	l.JoinAll(topic)
-
-	start := time.Now()
-	if churn {
+	start := l.Now()
+	if rt, ok := l.Tr.(*concurrent.Runtime); ok && churn {
 		// Let the fault injector interleave crashes and restarts with the
 		// join burst for a fixed window, then require re-convergence. The
 		// whole supervisor plane is protected: the injector exercises
 		// subscriber churn (supervisor crashes have their own chaos
 		// scenarios).
 		in := rt.NewInjector(concurrent.InjectorOptions{
-			Period:   10 * interval,
-			Downtime: 4 * interval,
+			Period:   10 * rt.Interval(),
+			Downtime: 4 * rt.Interval(),
 			Seed:     seed,
 			Protect:  l.IsSupervisor,
 		})
-		time.Sleep(100 * interval)
+		l.RunRounds(100)
 		in.Stop()
 		fmt.Printf("churn: %d crashes, %d restarts survived\n", in.Crashes(), in.Restarts())
 	}
-	ok := waitConverged(q, l, n, time.Duration(rounds)*interval, interval)
-	if !ok {
-		fatalf("NOT converged within %d intervals: %s", rounds, quietExplain(q, l))
+	if r, ok := l.RunUntilConverged(topic, n, rounds); !ok {
+		fatalf("NOT converged after %d rounds: %s", r, explain())
 	}
-	elapsed := time.Since(start)
-	fmt.Printf("converged to legitimate SR(%d) in %s (%.1f intervals, %d messages delivered)\n",
-		n, elapsed.Round(time.Millisecond), float64(elapsed)/float64(interval), q.Delivered())
+	elapsed := l.Now() - start
+	fmt.Printf("converged to legitimate SR(%d) in %.0f rounds (%d messages, %.1f per node per round)\n",
+		n, elapsed, l.Delivered(), float64(l.Delivered())/float64(n)/(elapsed+1))
 
 	if crash > 0 {
 		members := l.Members(topic)
@@ -316,10 +261,11 @@ func runLive(kind string, n, supervisors int, seed int64, interval time.Duration
 			l.Crash(members[i*len(members)/k])
 		}
 		fmt.Printf("crashed %d nodes; waiting for recovery…\n", k)
-		if !waitConverged(q, l, n-k, time.Duration(rounds)*interval, interval) {
-			fatalf("no recovery: %s", quietExplain(q, l))
+		r, ok := l.RunUntilConverged(topic, n-k, rounds)
+		if !ok {
+			fatalf("no recovery: %s", explain())
 		}
-		fmt.Printf("recovered to legitimate SR(%d)\n", n-k)
+		fmt.Printf("recovered to legitimate SR(%d) in %d rounds\n", n-k, r)
 	}
 
 	if pubs > 0 {
@@ -327,54 +273,28 @@ func runLive(kind string, n, supervisors int, seed int64, interval time.Duration
 		for i := 0; i < pubs; i++ {
 			l.Publish(members[i%len(members)], topic, fmt.Sprintf("pub-%d", i))
 		}
-		deadline := time.Now().Add(time.Duration(rounds) * interval)
-		for {
-			done := false
-			q.Quiesce(time.Second, func() { done = l.AllHavePubs(topic, pubs) && l.TriesEqual(topic) })
-			if done {
-				break
-			}
-			if time.Now().After(deadline) {
-				fatalf("publications never converged")
-			}
-			time.Sleep(interval)
+		r, ok := l.RunUntil(rounds, func() bool {
+			return l.AllHavePubs(topic, pubs) && l.TriesEqual(topic)
+		})
+		if !ok {
+			fatalf("publications never converged")
 		}
-		fmt.Printf("%d publications disseminated to all %d subscribers\n", pubs, len(members))
+		fmt.Printf("%d publications disseminated to all %d subscribers in %d rounds\n",
+			pubs, len(members), r)
 	}
 
-	if nt != nil {
+	if nt, ok := l.Tr.(*nettransport.Transport); ok {
 		fmt.Printf("wire: %d frames garbage, %d frames lost\n", nt.GarbageFrames(), nt.LostFrames())
 	}
 	fmt.Println("\nfinal state:")
-	q.Quiesce(time.Second, func() {
-		printStates(l.Members(topic), func(id sim.NodeID) (stateLike, bool) {
-			s, ok2 := l.Clients[id].StateOf(topic)
-			return stateLike{s.Label.String(), s.Left.String(), s.Right.String(), s.Ring.String(), len(s.Shortcuts)}, ok2
-		})
+	l.Freeze(func() {
+		for _, id := range l.Members(topic) {
+			if st, ok := l.Clients[id].StateOf(topic); ok {
+				fmt.Printf("  node %-4d label %-8s left %-12s right %-12s ring %-12s shortcuts %d\n",
+					id, st.Label, st.Left, st.Right, st.Ring, len(st.Shortcuts))
+			}
+		}
 	})
-}
-
-// quietExplain reads the first legitimacy violation under the quiesce
-// barrier, so the report is an exact snapshot rather than a torn one.
-func quietExplain(q quiescer, l *cluster.Live) string {
-	out := "system did not quiesce"
-	q.Quiesce(time.Second, func() { out = l.Explain(topic) })
-	return out
-}
-
-func waitConverged(q quiescer, l *cluster.Live, n int, timeout, interval time.Duration) bool {
-	deadline := time.Now().Add(timeout)
-	for {
-		ok := false
-		q.Quiesce(time.Second, func() { ok = l.ConvergedWith(topic, n) })
-		if ok {
-			return true
-		}
-		if time.Now().After(deadline) {
-			return false
-		}
-		time.Sleep(interval)
-	}
 }
 
 // fatalf reports a runtime failure (as opposed to a usage error) and
@@ -382,21 +302,4 @@ func waitConverged(q quiescer, l *cluster.Live, n int, timeout, interval time.Du
 func fatalf(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "srsim: "+format+"\n", args...)
 	os.Exit(1)
-}
-
-// stateLike is the subset of a subscriber state the summary prints.
-type stateLike struct {
-	label, left, right, ring string
-	shortcuts                int
-}
-
-func printStates(members []sim.NodeID, state func(sim.NodeID) (stateLike, bool)) {
-	for _, id := range members {
-		st, ok := state(id)
-		if !ok {
-			continue
-		}
-		fmt.Printf("  node %-4d label %-8s left %-12s right %-12s ring %-12s shortcuts %d\n",
-			id, st.label, st.left, st.right, st.ring, st.shortcuts)
-	}
 }

@@ -20,11 +20,10 @@ import (
 //
 //	srsim scale -ns 1000,10000,100000 -bench | go run ./cmd/benchjson
 //
-// The sweep runs on the lane-sharded parallel engine by default (-workers
-// = GOMAXPROCS); any -workers >= 1 produces bit-identical results, and
-// -workers=0 selects the legacy serial scheduler (a different, equally
-// deterministic, schedule). -digest prints a canonical per-point DIGEST
-// line — CI diffs those lines across worker counts to enforce the
+// The sweep runs on the deterministic lane-sharded engine; -workers only
+// chooses how many goroutines execute it (0 = one per CPU) and every value
+// produces bit-identical results. -digest prints a canonical per-point
+// DIGEST line — CI diffs those lines across worker counts to enforce the
 // P-independence invariant.
 func runScale(args []string) {
 	fs := flag.NewFlagSet("scale", flag.ExitOnError)
@@ -35,11 +34,11 @@ func runScale(args []string) {
 	cull := fs.Int("cull", 0, "supervisor cull budget per timeout (0 = auto, n/64)")
 	maxRounds := fs.Int("maxrounds", 512, "max rounds per convergence wait")
 	crash := fs.Float64("crash", 0.01, "fraction of subscribers crashed for the stabilization probe")
-	maxEvents := fs.Int("maxevents", 0, "scheduler event-queue ceiling (0 = unbounded; sheds load past it)")
+	maxEvents := fs.Int("maxevents", 0, "engine event-queue ceiling (0 = unbounded; sheds load past it)")
 	bench := fs.Bool("bench", false, "emit go-bench result lines (pipe into cmd/benchjson)")
 	mode := fs.String("mode", "besteffort", "delivery mode: besteffort | fifo | causal (ordered modes time fan-out on actual deliveries)")
-	workers := fs.Int("workers", scale.DefaultWorkers(), "lane workers for the parallel engine (results are identical for every value); 0 = legacy serial scheduler")
-	lanes := fs.Int("lanes", 0, "parallel engine lane count (part of the schedule identity; 0 = default 16)")
+	workers := fs.Int("workers", 0, "lane workers executing the engine (results are identical for every value); 0 = engine default, one per CPU")
+	lanes := fs.Int("lanes", 0, "engine lane count (part of the schedule identity; 0 = default 16)")
 	digest := fs.Bool("digest", false, "print a DIGEST line per point (canonical schedule-determined fields, for divergence diffing)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile covering the whole sweep to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile (taken after the sweep) to this file")
@@ -152,16 +151,15 @@ func runScale(args []string) {
 // (name, iterations, then value-unit pairs — the even-field format
 // cmd/benchjson parses).
 func printBenchLines(r scale.Result) {
-	// Ordered sweeps and parallel-engine runs get their own series names
-	// so they never collide with the legacy best-effort/serial baselines
-	// in benchjson (a new series is informational, not a regression).
+	// Ordered sweeps get their own series names so they never collide with
+	// the best-effort baselines in benchjson (a new series is
+	// informational, not a regression); /p= names the worker count the
+	// wall-clock fields were measured at.
 	suffix := ""
 	if r.Mode != "" && r.Mode != "besteffort" {
 		suffix = "/mode=" + r.Mode
 	}
-	if r.Workers > 0 {
-		suffix += fmt.Sprintf("/p=%d", r.Workers)
-	}
+	suffix += fmt.Sprintf("/p=%d", r.Workers)
 	fmt.Printf("BenchmarkScaleJoin/n=%d%s 1 %.2f p50-rounds %.2f p95-rounds %.2f max-rounds %.0f joins/s %.3f wall-sec\n",
 		r.N, suffix, r.JoinRounds.P50, r.JoinRounds.P95, r.JoinRounds.Max, r.JoinsPerSec, r.JoinWallSec)
 	fmt.Printf("BenchmarkScaleFanout/n=%d%s 1 %.2f p50-rounds %.2f p95-rounds %.2f max-rounds\n",
@@ -171,8 +169,6 @@ func printBenchLines(r scale.Result) {
 		r.N, suffix, r.SupDBBytes, r.SubTrieBytes, r.QueueBytes)
 	// Wall-clock per phase: the series the parallel-speedup claims are
 	// measured on (P on the x-axis, one line per n).
-	if r.Workers > 0 {
-		fmt.Printf("BenchmarkScaleWallClock/n=%d/p=%d 1 %.0f joins/s %.3f join-sec %.3f fanout-sec %.3f stabilize-sec\n",
-			r.N, r.Workers, r.JoinsPerSec, r.JoinWallSec, r.FanoutWallSec, r.StabilizeWallSec)
-	}
+	fmt.Printf("BenchmarkScaleWallClock/n=%d/p=%d 1 %.0f joins/s %.3f join-sec %.3f fanout-sec %.3f stabilize-sec\n",
+		r.N, r.Workers, r.JoinsPerSec, r.JoinWallSec, r.FanoutWallSec, r.StabilizeWallSec)
 }

@@ -31,10 +31,11 @@
 // against sim.Context, and any sim.Transport can execute them. Three
 // transports ship with the package:
 //
-//   - RuntimeSim, the deterministic discrete-event scheduler
-//     (internal/sim): virtual time, seeded randomness, bit-identical
-//     equal-seed replay, exact message accounting. Use it for research,
-//     regression tests and anything that must be reproducible.
+//   - RuntimeSim, the deterministic discrete-event engine
+//     (internal/psim, run inline on the calling goroutine): virtual
+//     time, seeded randomness, bit-identical equal-seed replay, exact
+//     message accounting. Use it for research, regression tests and
+//     anything that must be reproducible.
 //   - RuntimeConcurrent, the production goroutine-per-node runtime
 //     (internal/runtime/concurrent): buffered mailbox channels with a
 //     loss-free overflow tier, real-time jittered Timeout ticks, a
@@ -68,9 +69,9 @@
 // # Performance
 //
 // The message hot path is effectively allocation-free on every
-// substrate. The deterministic scheduler schedules and delivers with
-// zero allocations per message (slice-backed event heap, reused handler
-// context, cached type-name accounting shared with the wire registry);
+// substrate. The deterministic engine schedules and delivers with zero
+// allocations per message (slice-backed event heaps, reused handler
+// contexts, cached type-name accounting shared with the wire registry);
 // the wire codec encodes frames append-only into pooled or caller-held
 // buffers (wire.AppendFrame, wire.WriteFrame) and decodes through a
 // per-connection wire.DecodeState whose arena bump-allocates payload
@@ -114,17 +115,17 @@
 // history is the difference between a flat and a linearly growing
 // per-node footprint.
 //
-// The sweeps run on internal/psim, a conservative parallel discrete-event
-// engine: nodes are sharded across lanes by a deterministic NodeID hash,
+// The sweeps run on the same engine as everything else, internal/psim, a
+// conservative parallel discrete-event executor: nodes are sharded across lanes by a deterministic NodeID hash,
 // lanes execute concurrently inside lookahead windows of width MinDelay
 // (a message sent at t cannot deliver before t+MinDelay, so intra-window
 // events never causally interact), and cross-lane sends merge at window
 // barriers in a fixed (deliverTime, srcLane, seq) order. Results are
 // bit-identical for every -workers value — parallelism buys wall-clock,
 // never reproducibility — which CI enforces by diffing full result
-// digests between serial and 4-worker runs. -workers=0 selects the
-// legacy serial scheduler. See the README's Scale section for measured
-// curves and the speedup table.
+// digests between serial and 4-worker runs. -workers 0 is the engine
+// default, one worker per CPU; everything but the sweeps runs it with one
+// worker, inline. See the README's Scale section for measured curves.
 //
 // # Supervisor plane
 //

@@ -106,7 +106,7 @@ func TestSimulationSupervisorFailover(t *testing.T) {
 	}
 	// Crash the topic's owner, so convergence proves an actual ownership
 	// migration (crashing a bystander would exercise nothing).
-	owner, ok := s.harness().ExpectedOwner(1)
+	owner, ok := s.h.ExpectedOwner(1)
 	if !ok {
 		t.Fatal("no owner on a 3-supervisor plane")
 	}

@@ -10,7 +10,6 @@ import (
 	"sspubsub/internal/core"
 	"sspubsub/internal/metrics"
 	"sspubsub/internal/ordering"
-	"sspubsub/internal/runtime/concurrent"
 	"sspubsub/internal/runtime/nettransport"
 	"sspubsub/internal/sim"
 )
@@ -19,7 +18,7 @@ import (
 type Substrate string
 
 const (
-	// SubstrateSim is the deterministic discrete-event scheduler; runs are
+	// SubstrateSim is the deterministic discrete-event engine; runs are
 	// bit-for-bit reproducible from the seed.
 	SubstrateSim Substrate = "sim"
 	// SubstrateConcurrent is the goroutine-per-node live runtime.
@@ -179,84 +178,6 @@ func (r Result) String() string {
 		sub, r.Scenario, r.Seed, r.N, r.FaultActions, status)
 }
 
-// liveSubstrate is the surface the engine needs from a live transport
-// beyond sim.Transport.
-type liveSubstrate interface {
-	sim.Transport
-	Quiesce(timeout time.Duration, f func()) bool
-	Delivered() int64
-	Now() float64
-	SetFault(f sim.FaultFunc)
-}
-
-// driver is the substrate-facing surface shared by the database-stack env
-// and the token-stack env: time, pacing, predicate polling and the freeze
-// barrier, each dispatched to the deterministic scheduler or a live
-// transport.
-type driver struct {
-	cfg   Config
-	sched *sim.Scheduler // non-nil on SubstrateSim
-	lrt   liveSubstrate  // non-nil on the live substrates
-}
-
-// now returns substrate time in timeout intervals.
-func (d *driver) now() float64 {
-	if d.sched != nil {
-		return d.sched.Now()
-	}
-	return d.lrt.Now()
-}
-
-func (d *driver) delivered() int64 {
-	if d.sched != nil {
-		return d.sched.Delivered()
-	}
-	return d.lrt.Delivered()
-}
-
-// runRounds advances k timeout intervals.
-func (d *driver) runRounds(k int) {
-	if d.sched != nil {
-		d.sched.RunRounds(k)
-		return
-	}
-	time.Sleep(time.Duration(k) * d.cfg.Interval)
-}
-
-// runUntil advances until pred holds (evaluated against a frozen snapshot)
-// or maxRounds elapse; it returns rounds taken and success.
-func (d *driver) runUntil(maxRounds int, pred func() bool) (int, bool) {
-	if d.sched != nil {
-		return d.sched.RunRoundsUntil(maxRounds, pred)
-	}
-	start := time.Now()
-	deadline := start.Add(time.Duration(maxRounds) * d.cfg.Interval)
-	for {
-		ok := false
-		d.lrt.Quiesce(100*d.cfg.Interval, func() { ok = pred() })
-		if ok {
-			return int(time.Since(start) / d.cfg.Interval), true
-		}
-		if time.Now().After(deadline) {
-			return maxRounds, false
-		}
-		time.Sleep(d.cfg.Interval)
-	}
-}
-
-// freeze runs f against a consistent cross-node snapshot: directly on the
-// deterministic scheduler (nothing runs between events), under the quiesce
-// barrier on the live substrates. It reports whether f ran — a false
-// return means the system never drained, which callers must treat as a
-// violation in its own right.
-func (d *driver) freeze(f func()) bool {
-	if d.sched != nil {
-		f()
-		return true
-	}
-	return d.lrt.Quiesce(200*d.cfg.Interval, f)
-}
-
 // finish is the measured endgame shared by both stacks: poll until the
 // violation clears or the budget expires, then take one final frozen
 // snapshot for the report — a timed-out freeze is itself a violation (the
@@ -264,31 +185,30 @@ func (d *driver) freeze(f func()) bool {
 // the system converged between the last poll and now (a flaky pass is
 // still a pass). res.Rounds must be preset to -1; it is overwritten with
 // the stopwatch measurement only on convergence.
-func (d *driver) finish(res *Result, watch *metrics.Stopwatch, budget int, violation func() string) {
-	if _, ok := d.runUntil(budget, func() bool { return violation() == "" }); ok {
+func finish(d cluster.Driver, res *Result, watch *metrics.Stopwatch, budget int, violation func() string) {
+	if _, ok := sim.RunRoundsUntil(d, budget, func() bool { return violation() == "" }); ok {
 		res.Converged = true
 	} else {
 		v := "system did not quiesce for the final probe snapshot"
-		d.freeze(func() { v = violation() })
+		d.Freeze(func() { v = violation() })
 		res.Violation = v
 		res.Converged = v == ""
 	}
 	if res.Converged {
 		res.Violation = ""
-		watch.Converge(d.now())
+		watch.Converge(d.Now())
 		res.Rounds = watch.Rounds()
 	}
 }
 
-// env is one scenario execution: the harness, the substrate-specific
-// driving surface, and the scenario bookkeeping.
+// env is one scenario execution: the harness (which carries the
+// substrate's driving surface) and the scenario bookkeeping.
 type env struct {
-	driver
 	cfg   Config
 	topic sim.Topic
 	l     *cluster.Live
 
-	nt *nettransport.Transport
+	nt *nettransport.Transport // non-nil on SubstrateNet (frame faults)
 
 	// rng drives every scenario-level choice (victims, corruption,
 	// partitions); it is distinct from the substrate's own randomness so
@@ -314,50 +234,28 @@ type env struct {
 func newEnv(cfg Config) (*env, error) {
 	e := &env{cfg: cfg, topic: cfg.Topic, rng: rand.New(rand.NewSource(cfg.Seed)),
 		askedToLeave: make(map[sim.NodeID]bool)}
-	e.driver.cfg = cfg
 	co := core.Options{DeliveryMode: cfg.DeliveryMode}
 	if cfg.DeliveryMode != ordering.BestEffort || cfg.ForceOrderingProbe {
 		e.rec = newTraceRec(cfg.Topic)
 		co.OnDeliverTrace = e.rec.record
 	}
-	switch cfg.Substrate {
-	case SubstrateSim:
-		c := cluster.New(cluster.Options{Seed: cfg.Seed, ClientOpts: co,
-			Supervisors: cfg.Supervisors, ReplicationFactor: cfg.ReplicationFactor})
-		e.l, e.sched = c.Live, c.Sched
-	case SubstrateConcurrent:
-		rt := concurrent.NewRuntime(concurrent.Options{Interval: cfg.Interval, Seed: cfg.Seed})
-		e.l, e.lrt = cluster.NewLiveRF(rt, co, cfg.Supervisors, cfg.ReplicationFactor), rt
-	case SubstrateNet:
-		nt, err := nettransport.NewLoopback(nettransport.Options{Interval: cfg.Interval, Seed: cfg.Seed})
-		if err != nil {
-			return nil, fmt.Errorf("chaos: loopback transport: %w", err)
-		}
-		e.l, e.lrt, e.nt = cluster.NewLiveRF(nt, co, cfg.Supervisors, cfg.ReplicationFactor), nt, nt
-	default:
-		return nil, fmt.Errorf("chaos: unknown substrate %q", cfg.Substrate)
+	tr, err := cluster.NewSubstrate(string(cfg.Substrate), cfg.Seed, cfg.Interval)
+	if err != nil {
+		return nil, fmt.Errorf("chaos: %w", err)
 	}
+	e.l = cluster.NewLiveRF(tr, co, cfg.Supervisors, cfg.ReplicationFactor)
+	e.nt, _ = tr.(*nettransport.Transport)
 	return e, nil
 }
 
 func (e *env) close() {
 	e.clearFaults()
-	if e.lrt != nil {
-		e.lrt.Close()
-	}
-}
-
-func (e *env) setFault(f sim.FaultFunc) {
-	if e.sched != nil {
-		e.sched.SetFault(f)
-		return
-	}
-	e.lrt.SetFault(f)
+	e.l.Tr.Close()
 }
 
 // clearFaults removes every installed channel fault.
 func (e *env) clearFaults() {
-	e.setFault(nil)
+	e.l.SetFault(nil)
 	if e.nt != nil {
 		e.nt.SetFrameFault(nil)
 	}
@@ -396,11 +294,11 @@ func (e *env) rateFault(verdict sim.FaultAction, rate float64, salt int64) sim.F
 // apply executes one action.
 func (e *env) apply(a Action) {
 	if a.isFault() {
-		e.watch.Fault(e.now())
+		e.watch.Fault(e.l.Now())
 	}
 	switch a.Kind {
 	case Settle:
-		e.runRounds(max(1, a.Rounds))
+		e.l.RunRounds(max(1, a.Rounds))
 
 	case CrashBurst:
 		members := e.l.Members(e.topic)
@@ -433,19 +331,19 @@ func (e *env) apply(a Action) {
 		}
 
 	case Partition:
-		e.setFault(e.partitionFault(max(2, a.K)))
+		e.l.SetFault(e.partitionFault(max(2, a.K)))
 
 	case Heal:
 		e.clearFaults()
 
 	case Loss:
-		e.setFault(e.rateFault(sim.FaultDrop, a.Rate, 0x10af))
+		e.l.SetFault(e.rateFault(sim.FaultDrop, a.Rate, 0x10af))
 
 	case Duplicate:
-		e.setFault(e.rateFault(sim.FaultDup, a.Rate, 0x2d0b))
+		e.l.SetFault(e.rateFault(sim.FaultDup, a.Rate, 0x2d0b))
 
 	case Reorder:
-		e.setFault(e.rateFault(sim.FaultDelay, a.Rate, 0x3e0c))
+		e.l.SetFault(e.rateFault(sim.FaultDelay, a.Rate, 0x3e0c))
 
 	case WireGarbage:
 		if e.nt != nil {
@@ -462,7 +360,7 @@ func (e *env) apply(a Action) {
 			if count == 0 {
 				count = 5 * e.cfg.N
 			}
-			e.freeze(func() { e.l.SendGarbageMessages(e.topic, count, e.rng) })
+			e.l.Freeze(func() { e.l.SendGarbageMessages(e.topic, count, e.rng) })
 		}
 
 	case GarbageTraffic:
@@ -470,20 +368,20 @@ func (e *env) apply(a Action) {
 		if count == 0 {
 			count = 5 * e.cfg.N
 		}
-		e.freeze(func() { e.l.SendGarbageMessages(e.topic, count, e.rng) })
+		e.l.Freeze(func() { e.l.SendGarbageMessages(e.topic, count, e.rng) })
 
 	case CorruptStates:
-		e.freeze(func() { e.l.CorruptSubscriberStatesRand(e.topic, e.rng) })
+		e.l.Freeze(func() { e.l.CorruptSubscriberStates(e.topic, e.rng) })
 
 	case CorruptDB:
-		e.freeze(func() { e.l.CorruptSupervisorDBRand(e.topic, e.rng) })
+		e.l.Freeze(func() { e.l.CorruptSupervisorDB(e.topic, e.rng) })
 
 	case CorruptTries:
 		count := max(1, a.Count)
-		e.freeze(func() { e.l.CorruptTries(e.topic, count, e.rng) })
+		e.l.Freeze(func() { e.l.CorruptTries(e.topic, count, e.rng) })
 
 	case SplitStates:
-		e.freeze(func() { e.l.PartitionStates(e.topic, max(2, a.K)) })
+		e.l.Freeze(func() { e.l.PartitionStates(e.topic, max(2, a.K)) })
 
 	case Publish:
 		members := e.l.Members(e.topic)
@@ -496,7 +394,7 @@ func (e *env) apply(a Action) {
 		// Only meaningful on the token-passing stack (see token.go); on the
 		// database stack corrupt the supervisor DB instead, so random
 		// scenarios containing it still perturb something.
-		e.freeze(func() { e.l.CorruptSupervisorDBRand(e.topic, e.rng) })
+		e.l.Freeze(func() { e.l.CorruptSupervisorDB(e.topic, e.rng) })
 
 	case CrashSupervisor:
 		live := e.l.LiveSupervisors()
@@ -532,7 +430,7 @@ func (e *env) apply(a Action) {
 		live := e.l.LiveSupervisors()
 		if len(e.l.SupIDs) > 1 && len(live) > 0 {
 			id := live[e.rng.Intn(len(live))]
-			e.freeze(func() { e.l.Sups[id].CorruptPlane(e.topic, e.rng) })
+			e.l.Freeze(func() { e.l.Sups[id].CorruptPlane(e.topic, e.rng) })
 		}
 
 	case CorruptReplica:
@@ -542,7 +440,7 @@ func (e *env) apply(a Action) {
 		// safe no-op, so random scenarios stay valid on every configuration.
 		if targets := e.l.ExpectedReplicas(e.topic); len(targets) > 0 {
 			id := targets[e.rng.Intn(len(targets))]
-			e.freeze(func() { e.l.Sups[id].CorruptReplica(e.topic, e.rng) })
+			e.l.Freeze(func() { e.l.Sups[id].CorruptReplica(e.topic, e.rng) })
 		}
 
 	case CorruptOrdering:
@@ -551,7 +449,7 @@ func (e *env) apply(a Action) {
 		// restarts in a fresh trace epoch (bumped under the same freeze,
 		// before any post-corruption delivery can be recorded). A no-op in
 		// best-effort mode — the engines hold no ordering state.
-		e.freeze(func() {
+		e.l.Freeze(func() {
 			e.l.CorruptOrderingState(e.topic, e.rng)
 			if e.rec != nil {
 				e.rec.bumpEpoch()
@@ -599,7 +497,7 @@ func Run(sc Scenario, cfg Config) Result {
 	// point (Definition 2's legitimate state).
 	e.l.AddClients(cfg.N)
 	e.l.JoinAll(e.topic)
-	if _, ok := e.runUntil(cfg.SetupRounds, func() bool { return e.l.ConvergedWith(e.topic, cfg.N) }); !ok {
+	if _, ok := e.l.RunUntilConverged(e.topic, cfg.N, cfg.SetupRounds); !ok {
 		res.Violation = "setup: " + e.explain()
 		return res
 	}
@@ -618,7 +516,7 @@ func Run(sc Scenario, cfg Config) Result {
 	// Faults cease here (the paper's convergence premise); the stopwatch
 	// measures from this instant.
 	e.clearFaults()
-	e.watch.Fault(e.now())
+	e.watch.Fault(e.l.Now())
 
 	// Post-fault delivery wave: fresh publications that must reach every
 	// member (publication completeness in a self-stabilized system). The
@@ -657,10 +555,10 @@ func Run(sc Scenario, cfg Config) Result {
 		}
 	}
 
-	e.driver.finish(&res, &e.watch, cfg.ConvergeRounds, e.violation)
-	res.Delivered = e.delivered()
+	finish(e.l, &res, &e.watch, cfg.ConvergeRounds, e.violation)
+	res.Delivered = e.l.Delivered()
 	if cfg.TraceSink != nil && e.rec != nil {
-		e.freeze(func() { cfg.TraceSink(e.rec.clone()) })
+		e.l.Freeze(func() { cfg.TraceSink(e.rec.clone()) })
 	}
 	cfg.logf("chaos: %s", res)
 	return res
@@ -669,7 +567,7 @@ func Run(sc Scenario, cfg Config) Result {
 // explain renders the current first legitimacy violation under freeze.
 func (e *env) explain() string {
 	out := "system did not quiesce"
-	e.freeze(func() { out = e.l.Explain(e.topic) })
+	e.l.Freeze(func() { out = e.l.Explain(e.topic) })
 	if out == "" {
 		out = "converged"
 	}

@@ -47,7 +47,7 @@
 // # Substrates
 //
 // Every scenario runs unchanged on all three execution substrates via the
-// sim.Transport abstraction: the deterministic discrete-event scheduler
+// sim.Transport abstraction: the deterministic discrete-event engine
 // (fully reproducible: a failing seed replays bit-for-bit), the concurrent
 // goroutine runtime, and the networked loopback transport where every
 // message crosses the wire codec and a real TCP socket. State corruption on

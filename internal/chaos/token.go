@@ -9,8 +9,6 @@ import (
 	"sspubsub/internal/label"
 	"sspubsub/internal/metrics"
 	"sspubsub/internal/proto"
-	"sspubsub/internal/runtime/concurrent"
-	"sspubsub/internal/runtime/nettransport"
 	"sspubsub/internal/sim"
 	"sspubsub/internal/tokenring"
 )
@@ -21,7 +19,7 @@ import (
 // are meaningful; everything else is skipped — because membership in token
 // mode is repaired by the rebuild machinery rather than a database.
 type tokenEnv struct {
-	driver
+	tr    cluster.Substrate
 	cfg   Config
 	topic sim.Topic
 	sup   *tokenring.Supervisor
@@ -39,24 +37,11 @@ func newTokenEnv(cfg Config) (*tokenEnv, error) {
 		nodes: make(map[sim.NodeID]*tokenring.Node),
 		rng:   rand.New(rand.NewSource(cfg.Seed)),
 	}
-	e.driver.cfg = cfg
-	var tr sim.Transport
-	switch cfg.Substrate {
-	case SubstrateSim:
-		e.sched = sim.NewScheduler(sim.SchedulerOptions{Seed: cfg.Seed})
-		tr = e.sched
-	case SubstrateConcurrent:
-		rt := concurrent.NewRuntime(concurrent.Options{Interval: cfg.Interval, Seed: cfg.Seed})
-		e.lrt, tr = rt, rt
-	case SubstrateNet:
-		nt, err := nettransport.NewLoopback(nettransport.Options{Interval: cfg.Interval, Seed: cfg.Seed})
-		if err != nil {
-			return nil, fmt.Errorf("chaos: loopback transport: %w", err)
-		}
-		e.lrt, tr = nt, nt
-	default:
-		return nil, fmt.Errorf("chaos: unknown substrate %q", cfg.Substrate)
+	tr, err := cluster.NewSubstrate(string(cfg.Substrate), cfg.Seed, cfg.Interval)
+	if err != nil {
+		return nil, fmt.Errorf("chaos: %w", err)
 	}
+	e.tr = tr
 	e.sup = tokenring.NewSupervisor(cluster.SupervisorID)
 	tr.AddNode(cluster.SupervisorID, e.sup)
 	for i := 0; i < cfg.N; i++ {
@@ -78,11 +63,7 @@ func newTokenEnv(cfg Config) (*tokenEnv, error) {
 	return e, nil
 }
 
-func (e *tokenEnv) close() {
-	if e.lrt != nil {
-		e.lrt.Close()
-	}
-}
+func (e *tokenEnv) close() { e.tr.Close() }
 
 // violation checks the token-mode invariants: supervisor O(1)-state
 // integrity, committed ring size = live membership, exact overlay
@@ -164,9 +145,9 @@ func runToken(sc Scenario, cfg Config) Result {
 	}
 	defer e.close()
 
-	if _, ok := e.runUntil(cfg.SetupRounds, func() bool { return e.violation() == "" }); !ok {
+	if _, ok := sim.RunRoundsUntil(e.tr, cfg.SetupRounds, func() bool { return e.violation() == "" }); !ok {
 		setupViolation := "system did not quiesce"
-		e.freeze(func() { setupViolation = e.violation() })
+		e.tr.Freeze(func() { setupViolation = e.violation() })
 		res.Violation = "setup: " + setupViolation
 		return res
 	}
@@ -178,7 +159,7 @@ func runToken(sc Scenario, cfg Config) Result {
 	for _, a := range sc.Actions {
 		switch a.Kind {
 		case Settle:
-			e.runRounds(max(1, a.Rounds))
+			e.tr.RunRounds(max(1, a.Rounds))
 		case Publish:
 			for i := 0; i < max(1, a.Count); i++ {
 				id := e.ids[e.rng.Intn(len(e.ids))]
@@ -186,15 +167,15 @@ func runToken(sc Scenario, cfg Config) Result {
 			}
 		case CorruptToken, CorruptStates, CorruptDB:
 			cfg.logf("chaos:   %s", a)
-			watch.Fault(e.now())
-			e.freeze(e.corrupt)
+			watch.Fault(e.tr.Now())
+			e.tr.Freeze(e.corrupt)
 			res.FaultActions++
 		default:
 			cfg.logf("chaos:   %s (skipped in token mode)", a)
 		}
 	}
 
-	watch.Fault(e.now())
+	watch.Fault(e.tr.Now())
 	for i := 0; i < cfg.DeliveryWave; i++ {
 		payload := fmt.Sprintf("wave-%d", i)
 		id := e.ids[e.rng.Intn(len(e.ids))]
@@ -202,17 +183,12 @@ func runToken(sc Scenario, cfg Config) Result {
 		e.send(id, core.PublishCmd{Payload: payload})
 	}
 
-	e.driver.finish(&res, &watch, cfg.ConvergeRounds, e.violation)
+	finish(e.tr, &res, &watch, cfg.ConvergeRounds, e.violation)
 	cfg.logf("chaos: %s", res)
 	return res
 }
 
 // send issues a control command to a node through the transport.
 func (e *tokenEnv) send(id sim.NodeID, body any) {
-	m := sim.Message{To: id, From: id, Topic: e.topic, Body: body}
-	if e.sched != nil {
-		e.sched.Send(m)
-		return
-	}
-	e.lrt.Send(m)
+	e.tr.Send(sim.Message{To: id, From: id, Topic: e.topic, Body: body})
 }

@@ -20,7 +20,7 @@ func TestPropertyRandomChurnConverges(t *testing.T) {
 		if len(script) > 24 {
 			script = script[:24]
 		}
-		c := New(Options{Seed: seed})
+		c := NewSim(Options{Seed: seed})
 		c.AddClients(6)
 		c.JoinAll(topicA)
 		if _, ok := c.RunUntilConverged(topicA, 6, 2000); !ok {
@@ -64,11 +64,11 @@ func TestPropertyRandomChurnConverges(t *testing.T) {
 				c.Publish(members[int(op/6)%len(members)], topicA, fmt.Sprintf("p-%d-%d", seed, i))
 				pubs++
 			case 4: // corrupt a node state mid-flight
-				c.CorruptSubscriberStates(topicA)
+				c.CorruptSubscriberStates(topicA, c.Rand())
 			case 5: // garbage into channels
-				c.InjectGarbageMessages(topicA, 5)
+				c.SendGarbageMessages(topicA, 5, c.Rand())
 			}
-			c.Sched.RunRounds(int(op%3) + 1)
+			c.RunRounds(int(op%3) + 1)
 		}
 		rounds, ok := c.RunUntilConverged(topicA, live, 30000)
 		if !ok {
@@ -77,7 +77,7 @@ func TestPropertyRandomChurnConverges(t *testing.T) {
 			return false
 		}
 		// Publications survive on all remaining members: all tries equal.
-		if _, ok := c.Sched.RunRoundsUntil(30000, func() bool { return c.TriesEqual(topicA) }); !ok {
+		if _, ok := c.RunUntil(30000, func() bool { return c.TriesEqual(topicA) }); !ok {
 			t.Logf("seed %d: tries never reconciled", seed)
 			return false
 		}
@@ -92,7 +92,7 @@ func TestPropertyRandomChurnConverges(t *testing.T) {
 // the union of all publication sets never shrinks (no publication is ever
 // lost once any live member stores it).
 func TestPublicationsNeverLost(t *testing.T) {
-	c := New(Options{Seed: 404})
+	c := NewSim(Options{Seed: 404})
 	c.AddClients(10)
 	c.JoinAll(topicA)
 	if _, ok := c.RunUntilConverged(topicA, 10, 2000); !ok {
@@ -102,7 +102,7 @@ func TestPublicationsNeverLost(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		c.Publish(members[i%len(members)], topicA, fmt.Sprintf("pub-%d", i))
 	}
-	c.Sched.RunRounds(10)
+	c.RunRounds(10)
 	union := func() map[string]bool {
 		set := map[string]bool{}
 		for _, id := range c.Members(topicA) {
@@ -117,10 +117,10 @@ func TestPublicationsNeverLost(t *testing.T) {
 	}
 	// Corrupt the topology (not the tries — the protocol never deletes
 	// publications) and churn; the union must stay intact throughout.
-	c.CorruptSubscriberStates(topicA)
-	c.CorruptSupervisorDB(topicA)
+	c.CorruptSubscriberStates(topicA, c.Rand())
+	c.CorruptSupervisorDB(topicA, c.Rand())
 	for r := 0; r < 50; r++ {
-		c.Sched.RunRounds(10)
+		c.RunRounds(10)
 		if got := len(union()); got != 12 {
 			t.Fatalf("round %d: union shrank to %d publications", r*10, got)
 		}
@@ -128,7 +128,7 @@ func TestPublicationsNeverLost(t *testing.T) {
 	if _, ok := c.RunUntilConverged(topicA, 10, 20000); !ok {
 		t.Fatalf("no re-convergence: %s", c.Explain(topicA))
 	}
-	if _, ok := c.Sched.RunRoundsUntil(20000, func() bool { return c.TriesEqual(topicA) }); !ok {
+	if _, ok := c.RunUntil(20000, func() bool { return c.TriesEqual(topicA) }); !ok {
 		t.Fatal("tries never equalized after corruption")
 	}
 	for _, id := range c.Members(topicA) {
@@ -143,7 +143,7 @@ func TestPublicationsNeverLost(t *testing.T) {
 // every member is unrecorded must still merge via actions (iii)/(iv).
 // Here: half the ring is wiped from the database while keeping its links.
 func TestHalfRingWipedFromDatabase(t *testing.T) {
-	c := New(Options{Seed: 808})
+	c := NewSim(Options{Seed: 808})
 	c.AddClients(12)
 	c.JoinAll(topicA)
 	if _, ok := c.RunUntilConverged(topicA, 12, 2000); !ok {
@@ -166,7 +166,7 @@ func TestHalfRingWipedFromDatabase(t *testing.T) {
 
 // Simultaneous mass leave: half the members unsubscribe at once.
 func TestMassLeave(t *testing.T) {
-	c := New(Options{Seed: 909})
+	c := NewSim(Options{Seed: 909})
 	c.AddClients(16)
 	c.JoinAll(topicA)
 	if _, ok := c.RunUntilConverged(topicA, 16, 2000); !ok {
@@ -193,7 +193,7 @@ func TestMassLeave(t *testing.T) {
 // Rejoin after leave: a departed client can subscribe again and is treated
 // as a fresh member.
 func TestRejoinAfterLeave(t *testing.T) {
-	c := New(Options{Seed: 111})
+	c := NewSim(Options{Seed: 111})
 	c.AddClients(6)
 	c.JoinAll(topicA)
 	if _, ok := c.RunUntilConverged(topicA, 6, 2000); !ok {
@@ -217,7 +217,7 @@ func TestRejoinAfterLeave(t *testing.T) {
 // The supervisor's failure detector must never evict live nodes even under
 // heavy concurrent crash load elsewhere.
 func TestDetectorNeverEvictsLive(t *testing.T) {
-	c := New(Options{Seed: 212})
+	c := NewSim(Options{Seed: 212})
 	c.AddClients(20)
 	c.JoinAll(topicA)
 	if _, ok := c.RunUntilConverged(topicA, 20, 2000); !ok {

@@ -13,7 +13,7 @@ const topicA sim.Topic = 1
 // converge to the legitimate SR(n) (Theorem 8, benign initial state).
 func TestConvergenceFreshJoin(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 4, 5, 8, 13, 16, 32} {
-		c := New(Options{Seed: int64(n) * 11})
+		c := NewSim(Options{Seed: int64(n) * 11})
 		c.AddClients(n)
 		c.JoinAll(topicA)
 		rounds, ok := c.RunUntilConverged(topicA, n, 200)
@@ -25,10 +25,10 @@ func TestConvergenceFreshJoin(t *testing.T) {
 }
 
 // converge is a helper: join n fresh clients and reach legitimacy.
-func converge(t *testing.T, n int, seed int64, opts Options) *Cluster {
+func converge(t *testing.T, n int, seed int64, opts Options) *Live {
 	t.Helper()
 	opts.Seed = seed
-	c := New(opts)
+	c := NewSim(opts)
 	c.AddClients(n)
 	c.JoinAll(topicA)
 	if _, ok := c.RunUntilConverged(topicA, n, 300); !ok {
@@ -43,7 +43,7 @@ func TestConvergenceCorruptedStates(t *testing.T) {
 	for _, n := range []int{4, 8, 16, 24} {
 		for seed := int64(0); seed < 3; seed++ {
 			c := converge(t, n, 100+seed+int64(n), Options{})
-			c.CorruptSubscriberStates(topicA)
+			c.CorruptSubscriberStates(topicA, c.Rand())
 			rounds, ok := c.RunUntilConverged(topicA, n, 3000)
 			if !ok {
 				t.Fatalf("n=%d seed=%d: no re-convergence: %s\n%s", n, seed, c.Explain(topicA), c.DumpStates(topicA))
@@ -57,7 +57,7 @@ func TestConvergenceCorruptedStates(t *testing.T) {
 func TestConvergenceCorruptedDatabase(t *testing.T) {
 	for _, n := range []int{5, 12, 16} {
 		c := converge(t, n, 200+int64(n), Options{})
-		c.CorruptSupervisorDB(topicA)
+		c.CorruptSupervisorDB(topicA, c.Rand())
 		if !c.Sup.Corrupted(topicA) {
 			t.Fatal("injection did not corrupt the database")
 		}
@@ -74,7 +74,7 @@ func TestConvergenceCorruptedDatabase(t *testing.T) {
 func TestConvergenceGarbageMessages(t *testing.T) {
 	for _, n := range []int{6, 16} {
 		c := converge(t, n, 300+int64(n), Options{})
-		c.InjectGarbageMessages(topicA, 5*n)
+		c.SendGarbageMessages(topicA, 5*n, c.Rand())
 		rounds, ok := c.RunUntilConverged(topicA, n, 3000)
 		if !ok {
 			t.Fatalf("n=%d: no re-convergence: %s", n, c.Explain(topicA))
@@ -108,7 +108,7 @@ func TestClosure(t *testing.T) {
 		st, _ := cl.StateOf(topicA)
 		versions[id] = st.Version
 	}
-	c.Sched.RunRounds(300)
+	c.RunRounds(300)
 	if !c.ConvergedWith(topicA, 16) {
 		t.Fatalf("legitimacy lost: %s", c.Explain(topicA))
 	}
@@ -231,7 +231,7 @@ func TestCrashMinimumNode(t *testing.T) {
 // converge independently.
 func TestMultiTopic(t *testing.T) {
 	const n = 10
-	c := New(Options{Seed: 55})
+	c := NewSim(Options{Seed: 55})
 	ids := c.AddClients(n)
 	c.JoinAll(topicA)
 	for i, id := range ids {
@@ -259,7 +259,7 @@ func TestPublicationDissemination(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		c.Publish(members[i%len(members)], topicA, "msg-"+string(rune('a'+i)))
 	}
-	c.Sched.RunRounds(5)
+	c.RunRounds(5)
 	if !c.AllHavePubs(topicA, 5) || !c.TriesEqual(topicA) {
 		t.Fatal("flooding did not deliver to all members")
 	}
@@ -269,7 +269,7 @@ func TestPublicationDissemination(t *testing.T) {
 	if _, ok := c.RunUntilConverged(topicA, n+1, 1000); !ok {
 		t.Fatalf("late joiner never integrated: %s", c.Explain(topicA))
 	}
-	if _, ok := c.Sched.RunRoundsUntil(500, func() bool {
+	if _, ok := c.RunUntil(500, func() bool {
 		return len(c.Clients[late].Publications(topicA)) == 5
 	}); !ok {
 		t.Fatalf("late joiner got %d/5 publications", len(c.Clients[late].Publications(topicA)))
@@ -285,7 +285,7 @@ func TestAntiEntropyOnly(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		c.Publish(members[i%len(members)], topicA, "p"+string(rune('0'+i)))
 	}
-	rounds, ok := c.Sched.RunRoundsUntil(2000, func() bool {
+	rounds, ok := c.RunUntil(2000, func() bool {
 		return c.AllHavePubs(topicA, 8) && c.TriesEqual(topicA)
 	})
 	if !ok {
@@ -301,18 +301,18 @@ func TestPublicationClosure(t *testing.T) {
 	c := converge(t, n, 33, Options{})
 	members := c.Members(topicA)
 	c.Publish(members[0], topicA, "only")
-	c.Sched.RunRounds(10)
+	c.RunRounds(10)
 	if !c.TriesEqual(topicA) {
 		t.Fatal("setup: tries not equal")
 	}
-	c.Sched.ResetCounters()
-	c.Sched.RunRounds(50)
+	c.ResetCounters()
+	c.RunRounds(50)
 	// CheckTrie probes continue (they are the periodic action) but no
 	// CheckAndPublish or PublishBatch may ever be triggered.
-	if got := c.Sched.CountByType("proto.CheckAndPublish"); got != 0 {
+	if got := c.CountByType("proto.CheckAndPublish"); got != 0 {
 		t.Errorf("%d CheckAndPublish messages in a stable system", got)
 	}
-	if got := c.Sched.CountByType("proto.PublishBatch"); got != 0 {
+	if got := c.CountByType("proto.PublishBatch"); got != 0 {
 		t.Errorf("%d PublishBatch messages in a stable system", got)
 	}
 }

@@ -9,19 +9,20 @@ import (
 	"sspubsub/internal/trie"
 )
 
-// Substrate-generic corruption injectors. Each takes the random source
-// driving the corruption explicitly, so the chaos engine can derive it
-// from the scenario seed and replay an injection bit-for-bit. On the
-// deterministic scheduler they may be called at any point between events;
-// on a live substrate the caller must hold the quiesce barrier (no handler
+// Substrate-generic corruption injectors (arbitrary initial states,
+// Theorem 8). Each takes the random source driving the corruption
+// explicitly — the chaos engine derives it from the scenario seed and
+// replays an injection bit-for-bit; deterministic harnesses pass l.Rand().
+// On the deterministic engine they may be called at any point between
+// Run* calls; on a live substrate the caller must hold Freeze (no handler
 // may be executing while explicit state is overwritten).
 
-// CorruptSubscriberStatesRand overwrites every member's explicit state
+// CorruptSubscriberStates overwrites every member's explicit state
 // with pseudo-random garbage: random labels (possibly duplicated, possibly
 // malformed), neighbour pointers to random members (or self), and random
 // shortcut slots. The result is still a weakly connected graph because
 // every node keeps its read-only edge to the supervisor.
-func (l *Live) CorruptSubscriberStatesRand(t sim.Topic, rng *rand.Rand) {
+func (l *Live) CorruptSubscriberStates(t sim.Topic, rng *rand.Rand) {
 	members := l.Members(t)
 	randTuple := func() proto.Tuple {
 		if rng.Intn(4) == 0 || len(members) == 0 {
@@ -57,10 +58,10 @@ func (l *Live) CorruptSubscriberStatesRand(t sim.Topic, rng *rand.Rand) {
 	}
 }
 
-// CorruptSupervisorDBRand injects all four database corruption cases of
+// CorruptSupervisorDB injects all four database corruption cases of
 // Section 3.1: a ⊥ tuple, a duplicated subscriber, a deleted label and an
 // out-of-range label.
-func (l *Live) CorruptSupervisorDBRand(t sim.Topic, rng *rand.Rand) {
+func (l *Live) CorruptSupervisorDB(t sim.Topic, rng *rand.Rand) {
 	sup := l.SupFor(t) // the topic's owner holds the database of record
 	if sup == nil {
 		return
@@ -123,13 +124,11 @@ func (l *Live) PartitionStates(t sim.Topic, k int) {
 }
 
 // garbageMessage draws one corrupted protocol message aimed at a random
-// member: stale tuples, wrong labels, bogus trie summaries. Shared by the
-// scheduler-side channel injector (Cluster.InjectGarbageMessages) and the
-// transport-side sender (Live.SendGarbageMessages), so the garbage
-// vocabulary cannot diverge between the two. Garbage SetData travels with
-// From ⊥: a forged member sender would be screened out by the
-// subscriber's deposed-owner protection, while ⊥ models the paper's
-// "arbitrary channel contents" and is processed like any configuration.
+// member: stale tuples, wrong labels, bogus trie summaries. Garbage
+// SetData travels with From ⊥: a forged member sender would be screened
+// out by the subscriber's deposed-owner protection, while ⊥ models the
+// paper's "arbitrary channel contents" and is processed like any
+// configuration.
 func garbageMessage(t sim.Topic, members []sim.NodeID, rng *rand.Rand) sim.Message {
 	pick := func() sim.NodeID { return members[rng.Intn(len(members))] }
 	to := pick()
@@ -157,9 +156,10 @@ func garbageMessage(t sim.Topic, members []sim.NodeID, rng *rand.Rand) sim.Messa
 }
 
 // SendGarbageMessages sends corrupted protocol messages to random members
-// through the transport. Unlike the scheduler-only channel injection,
-// this works on every substrate (the garbage travels like any other
-// message — over the wire codec on the networked transport).
+// through the transport — the paper's arbitrary channel contents. The
+// garbage travels like any other message on every substrate (over the wire
+// codec on the networked transport), each copy with a fresh delay drawn
+// from the current time, so a burst spreads over the following round.
 func (l *Live) SendGarbageMessages(t sim.Topic, count int, rng *rand.Rand) {
 	members := l.Members(t)
 	if len(members) == 0 {

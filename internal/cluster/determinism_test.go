@@ -6,22 +6,28 @@ import (
 	"strings"
 	"testing"
 
+	"sspubsub/internal/psim"
 	"sspubsub/internal/sim"
 )
+
+// engine returns the deterministic engine under a NewSim harness, for the
+// accessors that are not part of the cross-substrate Driver surface.
+func engine(c *Live) *psim.Engine { return c.Tr.(*psim.Engine) }
 
 // fingerprint reduces an entire run — virtual time, message accounting by
 // type and by node, and every member's explicit state — to one string.
 // Bit-identical runs produce identical fingerprints.
-func fingerprint(c *Cluster, t sim.Topic) string {
+func fingerprint(c *Live, t sim.Topic) string {
 	var sb strings.Builder
+	eng := engine(c)
 	fmt.Fprintf(&sb, "now=%.6f delivered=%d dropped=%d inflight=%d\n",
-		c.Sched.Now(), c.Sched.Delivered(), c.Sched.Dropped(), c.Sched.InFlight())
-	for _, name := range c.Sched.TypeNames() {
-		fmt.Fprintf(&sb, "type %s=%d\n", name, c.Sched.CountByType(name))
+		c.Now(), c.Delivered(), eng.Dropped(), eng.InFlight())
+	for _, name := range eng.TypeNames() {
+		fmt.Fprintf(&sb, "type %s=%d\n", name, c.CountByType(name))
 	}
-	ids := c.Sched.NodeIDs()
+	ids := eng.NodeIDs()
 	for _, id := range ids {
-		fmt.Fprintf(&sb, "node %d sent=%d recv=%d\n", id, c.Sched.SentBy(id), c.Sched.ReceivedBy(id))
+		fmt.Fprintf(&sb, "node %d sent=%d recv=%d\n", id, c.SentBy(id), eng.ReceivedBy(id))
 	}
 	members := c.Members(t)
 	sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
@@ -41,16 +47,16 @@ func fingerprint(c *Cluster, t sim.Topic) string {
 // the run is a pure function of seed.
 func runScripted(seed int64, n int) (string, int, bool) {
 	const topic sim.Topic = 1
-	c := New(Options{Seed: seed})
+	c := NewSim(Options{Seed: seed})
 	ids := c.AddClients(n)
 	c.JoinAll(topic)
 	r1, ok := c.RunUntilConverged(topic, n, 5000)
 	if !ok {
 		return "", 0, false
 	}
-	c.CorruptSubscriberStates(topic)
-	c.CorruptSupervisorDB(topic)
-	c.InjectGarbageMessages(topic, 3*n)
+	c.CorruptSubscriberStates(topic, c.Rand())
+	c.CorruptSupervisorDB(topic, c.Rand())
+	c.SendGarbageMessages(topic, 3*n, c.Rand())
 	r2, ok := c.RunUntilConverged(topic, n, 20000)
 	if !ok {
 		return "", 0, false
@@ -66,7 +72,7 @@ func runScripted(seed int64, n int) (string, int, bool) {
 	for p := 0; p < 5; p++ {
 		c.Publish(members[p%len(members)], topic, fmt.Sprintf("pub-%d", p))
 	}
-	rp, ok := c.Sched.RunRoundsUntil(20000, func() bool {
+	rp, ok := c.RunUntil(20000, func() bool {
 		return c.AllHavePubs(topic, 5) && c.TriesEqual(topic)
 	})
 	if !ok {

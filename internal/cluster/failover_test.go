@@ -11,9 +11,9 @@ import (
 // failoverCluster builds a converged multi-supervisor cluster: n members
 // on one topic, sharded over k supervisors, legitimacy (including
 // ownership agreement) established.
-func failoverCluster(t *testing.T, seed int64, k, n int) *Cluster {
+func failoverCluster(t *testing.T, seed int64, k, n int) *Live {
 	t.Helper()
-	c := New(Options{Seed: seed, Supervisors: k})
+	c := NewSim(Options{Seed: seed, Supervisors: k})
 	c.AddClients(n)
 	c.JoinAll(topicA)
 	if _, ok := c.RunUntilConverged(topicA, n, 8000); !ok {
@@ -135,7 +135,7 @@ func TestEpochStaleOwnerIgnored(t *testing.T) {
 	// The deposed owner speaks from the grave: a stale configuration with
 	// a nonsense label at its old (lower) epoch. From, label and neighbours
 	// are all plausible — only the epoch gives it away.
-	c.Sched.Send(sim.Message{
+	c.Tr.Send(sim.Message{
 		To: victim, From: owner, Topic: topicA,
 		Body: proto.SetData{
 			Label: label.FromIndex(uint64(n + 3)),
@@ -143,7 +143,7 @@ func TestEpochStaleOwnerIgnored(t *testing.T) {
 			Epoch: st.Epoch - 1,
 		},
 	})
-	c.Sched.RunRounds(3)
+	c.RunRounds(3)
 
 	now, _ := c.Clients[victim].StateOf(topicA)
 	if now.Label != st.Label || now.Sup != st.Sup || now.Epoch != st.Epoch {
@@ -171,7 +171,7 @@ func TestFailoverDeliveryContinues(t *testing.T) {
 	}
 	c.Publish(members[2], topicA, "after")
 
-	if _, ok := c.Sched.RunRoundsUntil(4000, func() bool {
+	if _, ok := c.RunUntil(4000, func() bool {
 		return c.AllHavePubs(topicA, 3) && c.TriesEqual(topicA)
 	}); !ok {
 		t.Fatalf("publications never reached every survivor: %s", c.Explain(topicA))
@@ -202,7 +202,7 @@ func TestJoinDuringOwnerOutage(t *testing.T) {
 // converges in the same number of rounds.
 func TestFailoverDeterministicReplay(t *testing.T) {
 	run := func() (int, int64) {
-		c := New(Options{Seed: 21, Supervisors: 4})
+		c := NewSim(Options{Seed: 21, Supervisors: 4})
 		c.AddClients(9)
 		c.JoinAll(topicA)
 		if _, ok := c.RunUntilConverged(topicA, 9, 8000); !ok {
@@ -214,7 +214,7 @@ func TestFailoverDeterministicReplay(t *testing.T) {
 		if !ok {
 			t.Fatalf("failover: %s", c.Explain(topicA))
 		}
-		return r, c.Sched.Delivered()
+		return r, c.Delivered()
 	}
 	r1, d1 := run()
 	r2, d2 := run()

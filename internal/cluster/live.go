@@ -12,20 +12,25 @@ import (
 	"sspubsub/internal/supervisor"
 )
 
-// Live assembles the same supervised publish-subscribe stack as Cluster on
-// an arbitrary sim.Transport — in practice the concurrent goroutine
-// runtime. It mirrors Cluster's driver and legitimacy API so scenarios can
-// run unchanged on either substrate (the cross-substrate conformance
+// Live is the supervised publish-subscribe stack on an arbitrary
+// sim.Transport: the deterministic engine (NewSim), the concurrent
+// goroutine runtime or the networked transport. Scenarios written against
+// it run unchanged on every substrate (the cross-substrate conformance
 // tests do exactly that).
 //
 // All methods must be called from a single driver goroutine; the protocol
 // nodes themselves run wherever the transport puts them. On a live
 // transport the state-reading predicates (Converged, Explain, TriesEqual,
-// AllHavePubs) see each node at a slightly different instant — wrap them
-// in the runtime's quiesce barrier when an exact cross-node snapshot is
+// AllHavePubs) see each node at a slightly different instant — evaluate
+// them under Freeze (RunUntil does) when an exact cross-node snapshot is
 // required.
 type Live struct {
 	Tr sim.Transport
+	// Driver is Tr's stepping, fault and accounting surface. It is nil when
+	// Tr is a bare decorated sim.Transport (a tracing wrapper): such a
+	// harness hosts and commands nodes, and its owner drives the wrapped
+	// substrate itself.
+	Driver
 	// Sup is the supervisor at SupervisorID — the whole plane on a classic
 	// single-supervisor harness. Multi-supervisor call sites use Sups and
 	// SupFor.
@@ -91,8 +96,10 @@ func NewLiveRF(tr sim.Transport, clientOpts core.Options, supervisors, repFactor
 		}
 		return SupervisorID
 	}
+	drv, _ := tr.(Driver)
 	l := &Live{
 		Tr:         tr,
+		Driver:     drv,
 		Sups:       make(map[sim.NodeID]*supervisor.Supervisor, supervisors),
 		SupIDs:     ids,
 		Clients:    make(map[sim.NodeID]*core.Client),
@@ -418,8 +425,8 @@ func (l *Live) CorruptOrderingState(t sim.Topic, rng *rand.Rand) {
 	}
 }
 
-// Converged reports whether topic t is in a legitimate state (see
-// Cluster.Converged for the predicate).
+// Converged reports whether topic t is in a legitimate state (see Explain
+// for the predicate).
 func (l *Live) Converged(t sim.Topic) bool { return l.Explain(t) == "" }
 
 // Explain returns a human-readable description of the first legitimacy

@@ -20,7 +20,7 @@ import (
 // non-⊥ configuration answers with Unsubscribe until the database
 // forgets it again.
 func TestStaleSubscribeAfterDeparture(t *testing.T) {
-	c := New(Options{Seed: 99})
+	c := NewSim(Options{Seed: 99})
 	const n = 5
 	c.AddClients(n)
 	c.JoinAll(topicA)
@@ -38,14 +38,14 @@ func TestStaleSubscribeAfterDeparture(t *testing.T) {
 	}
 
 	// The stale message: v's Subscribe arrives after the departure grant.
-	// Step event-by-event to observe the stale entry the moment it lands
-	// (the repair round-trip removes it again within a round or two).
-	c.Sched.Send(sim.Message{To: SupervisorID, From: v, Topic: topicA, Body: proto.Subscribe{V: v}})
+	// Step one lookahead window (MinDelay) at a time to observe the stale
+	// entry the moment it lands: the repair needs a round trip of at least
+	// two channel delays, so it cannot hide inside the same window.
+	c.Tr.Send(sim.Message{To: SupervisorID, From: v, Topic: topicA, Body: proto.Subscribe{V: v}})
+	eng := engine(c)
 	recorded := false
-	for i := 0; i < 100000 && !recorded; i++ {
-		if !c.Sched.Step() {
-			break
-		}
+	for i := 0; i < 1000 && !recorded; i++ {
+		eng.RunUntil(eng.Now() + 0.05)
 		recorded = !c.Sup.LabelOf(topicA, v).IsBottom()
 	}
 	if !recorded {

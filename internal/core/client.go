@@ -14,7 +14,7 @@ import (
 
 // Control messages a client sends to itself (through the ordinary message
 // channel, so application commands work identically under the deterministic
-// scheduler and the live runtime).
+// engine and the live runtimes).
 
 // JoinTopic starts a BuildSR instance for the envelope's topic.
 type JoinTopic struct{}

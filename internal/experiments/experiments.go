@@ -16,6 +16,7 @@ import (
 	"sspubsub/internal/cluster"
 	"sspubsub/internal/core"
 	"sspubsub/internal/metrics"
+	"sspubsub/internal/psim"
 	"sspubsub/internal/sim"
 	"sspubsub/internal/topology"
 )
@@ -104,9 +105,9 @@ func E3ConfigRate(ns []int, rounds int, seed int64) ([]E3Row, *metrics.Table) {
 	var rows []E3Row
 	for _, n := range ns {
 		c := mustConverge(n, seed+int64(n))
-		c.Sched.ResetCounters()
-		c.Sched.RunRounds(rounds)
-		req := c.Sched.CountByType("proto.GetConfiguration")
+		c.ResetCounters()
+		c.RunRounds(rounds)
+		req := c.CountByType("proto.GetConfiguration")
 		row := E3Row{
 			N: n, Rounds: rounds, Requests: req,
 			PerRound:  float64(req) / float64(rounds),
@@ -159,22 +160,22 @@ func E4Overhead(n, ops int, seed int64) (E4Result, *metrics.Table) {
 
 	// Background supervisor rate per round in the legitimate state.
 	const bgWindow = 300
-	startSends := c.Sched.SentBy(cluster.SupervisorID)
-	startNow := c.Sched.Now()
-	c.Sched.RunRounds(bgWindow)
-	bgRate := float64(c.Sched.SentBy(cluster.SupervisorID)-startSends) / (c.Sched.Now() - startNow)
+	startSends := c.SentBy(cluster.SupervisorID)
+	startNow := c.Now()
+	c.RunRounds(bgWindow)
+	bgRate := float64(c.SentBy(cluster.SupervisorID)-startSends) / (c.Now() - startNow)
 
 	marginal := func(op func() (newN int)) float64 {
 		var total float64
 		for i := 0; i < ops; i++ {
-			before := c.Sched.SentBy(cluster.SupervisorID)
-			beforeNow := c.Sched.Now()
+			before := c.SentBy(cluster.SupervisorID)
+			beforeNow := c.Now()
 			newN := op()
 			if _, ok := c.RunUntilConverged(Topic, newN, 2000); !ok {
 				return -1
 			}
-			sends := float64(c.Sched.SentBy(cluster.SupervisorID) - before)
-			total += sends - bgRate*(c.Sched.Now()-beforeNow)
+			sends := float64(c.SentBy(cluster.SupervisorID) - before)
+			total += sends - bgRate*(c.Now()-beforeNow)
 		}
 		return total / float64(ops)
 	}
@@ -190,7 +191,7 @@ func E4Overhead(n, ops int, seed int64) (E4Result, *metrics.Table) {
 	})
 	var subJoin int64
 	for _, id := range joiners {
-		subJoin += c.Sched.SentBy(id)
+		subJoin += c.SentBy(id)
 	}
 	// Joiner messages include their share of steady-state maintenance after
 	// integration; still O(1) per op at this scale.
@@ -265,7 +266,7 @@ func E5Convergence(ns []int, seeds int, base int64) ([]E5Row, *metrics.Table) {
 
 func runScenario(sc E5Scenario, n int, seed int64) (int, bool) {
 	if sc == ScenarioFresh {
-		c := cluster.New(cluster.Options{Seed: seed})
+		c := cluster.NewSim(cluster.Options{Seed: seed})
 		c.AddClients(n)
 		c.JoinAll(Topic)
 		return c.RunUntilConverged(Topic, n, 5000)
@@ -273,13 +274,13 @@ func runScenario(sc E5Scenario, n int, seed int64) (int, bool) {
 	c := mustConverge(n, seed)
 	switch sc {
 	case ScenarioCorrupt:
-		c.CorruptSubscriberStates(Topic)
+		c.CorruptSubscriberStates(Topic, c.Rand())
 	case ScenarioPartition:
 		c.PartitionStates(Topic, 2+int(seed%3))
 	case ScenarioBadDB:
-		c.CorruptSupervisorDB(Topic)
+		c.CorruptSupervisorDB(Topic, c.Rand())
 	case ScenarioGarbageMsg:
-		c.InjectGarbageMessages(Topic, 5*n)
+		c.SendGarbageMessages(Topic, 5*n, c.Rand())
 	}
 	return c.RunUntilConverged(Topic, n, 20000)
 }
@@ -304,15 +305,15 @@ func E6Closure(n, rounds int, seed int64) (E6Result, *metrics.Table) {
 		st, _ := cl.StateOf(Topic)
 		versions[id] = st.Version
 	}
-	c.Sched.ResetCounters()
-	c.Sched.RunRounds(rounds)
+	c.ResetCounters()
+	c.RunRounds(rounds)
 	res := E6Result{N: n, Rounds: rounds}
 	for id, cl := range c.Clients {
 		st, _ := cl.StateOf(Topic)
 		res.Mutations += int(st.Version - versions[id])
 	}
-	res.MsgsPerNodeRnd = float64(c.Sched.Delivered()) / float64(rounds) / float64(n)
-	res.SupMsgsPerRound = float64(c.Sched.SentBy(cluster.SupervisorID)) / float64(rounds)
+	res.MsgsPerNodeRnd = float64(c.Delivered()) / float64(rounds) / float64(n)
+	res.SupMsgsPerRound = float64(c.SentBy(cluster.SupervisorID)) / float64(rounds)
 	tb := metrics.NewTable("n", "rounds", "state mutations", "msgs/node/round", "supervisor msgs/round")
 	tb.AddRow(n, rounds, res.Mutations, res.MsgsPerNodeRnd, res.SupMsgsPerRound)
 	return res, tb
@@ -334,7 +335,7 @@ func E7PublicationConvergence(ns []int, pubs int, seed int64) ([]E7Row, *metrics
 	tb := metrics.NewTable("n", "publications", "rounds to equal tries", "converged")
 	var rows []E7Row
 	for _, n := range ns {
-		c := cluster.New(cluster.Options{
+		c := cluster.NewSim(cluster.Options{
 			Seed:       seed + int64(n),
 			ClientOpts: core.Options{DisableFlooding: true},
 		})
@@ -346,11 +347,11 @@ func E7PublicationConvergence(ns []int, pubs int, seed int64) ([]E7Row, *metrics
 			continue
 		}
 		members := c.Members(Topic)
-		rng := c.Sched.Rand()
+		rng := c.Rand()
 		for i := 0; i < pubs; i++ {
 			c.Publish(members[rng.Intn(len(members))], Topic, fmt.Sprintf("pub-%d", i))
 		}
-		rounds, ok := c.Sched.RunRoundsUntil(20000, func() bool {
+		rounds, ok := c.RunUntil(20000, func() bool {
 			return c.AllHavePubs(Topic, pubs) && c.TriesEqual(Topic)
 		})
 		rows = append(rows, E7Row{N: n, Pubs: pubs, Rounds: rounds, OK: ok})
@@ -389,7 +390,7 @@ func E8Flooding(ns []int, seed int64) ([]E8Row, *metrics.Table) {
 		// Live: publish once in a converged system, count rounds to full
 		// dissemination (flooding enabled, anti-entropy disabled so the
 		// measurement isolates PublishNew).
-		c := cluster.New(cluster.Options{
+		c := cluster.NewSim(cluster.Options{
 			Seed:       seed + int64(n),
 			ClientOpts: core.Options{DisableAntiEntropy: true},
 		})
@@ -398,7 +399,7 @@ func E8Flooding(ns []int, seed int64) ([]E8Row, *metrics.Table) {
 		if _, ok := c.RunUntilConverged(Topic, n, 2000); ok {
 			members := c.Members(Topic)
 			c.Publish(members[0], Topic, "flood")
-			rounds, _ := c.Sched.RunRoundsUntil(200, func() bool { return c.AllHavePubs(Topic, 1) })
+			rounds, _ := c.RunUntil(200, func() bool { return c.AllHavePubs(Topic, 1) })
 			row.LiveRounds = rounds
 		}
 		rows = append(rows, row)
@@ -552,17 +553,17 @@ type E13Result struct {
 func E13SupervisorVsBroker(n, pubs int, seed int64) (E13Result, *metrics.Table) {
 	// Supervised system.
 	c := mustConverge(n, seed)
-	c.Sched.ResetCounters()
+	c.ResetCounters()
 	members := c.Members(Topic)
-	rng := c.Sched.Rand()
+	rng := c.Rand()
 	for i := 0; i < pubs; i++ {
 		c.Publish(members[rng.Intn(len(members))], Topic, fmt.Sprintf("p%d", i))
 	}
-	c.Sched.RunRoundsUntil(2000, func() bool { return c.AllHavePubs(Topic, pubs) })
-	supMsgs := c.Sched.SentBy(cluster.SupervisorID)
+	c.RunUntil(2000, func() bool { return c.AllHavePubs(Topic, pubs) })
+	supMsgs := c.SentBy(cluster.SupervisorID)
 
 	// Broker system.
-	s := sim.NewScheduler(sim.SchedulerOptions{Seed: seed})
+	s := psim.New(psim.Options{Seed: seed, Workers: 1})
 	broker := baseline.NewBroker()
 	s.AddNode(1, broker)
 	for i := 0; i < n; i++ {
@@ -599,7 +600,7 @@ func AblationActionIV(n, seeds int, base int64) *metrics.Table {
 	for _, disable := range []bool{false, true} {
 		total, maxR, fail := 0, 0, 0
 		for s := 0; s < seeds; s++ {
-			c := cluster.New(cluster.Options{
+			c := cluster.NewSim(cluster.Options{
 				Seed:       base + int64(s),
 				ClientOpts: core.Options{DisableActionIV: disable},
 			})
@@ -638,7 +639,7 @@ func AblationActionIV(n, seeds int, base int64) *metrics.Table {
 func AblationFlooding(n int, seed int64) *metrics.Table {
 	tb := metrics.NewTable("mechanism", "n", "rounds to full delivery")
 	for _, mode := range []string{"flooding+anti-entropy", "anti-entropy only"} {
-		c := cluster.New(cluster.Options{
+		c := cluster.NewSim(cluster.Options{
 			Seed:       seed,
 			ClientOpts: core.Options{DisableFlooding: mode == "anti-entropy only"},
 		})
@@ -649,7 +650,7 @@ func AblationFlooding(n int, seed int64) *metrics.Table {
 			continue
 		}
 		c.Publish(c.Members(Topic)[0], Topic, "x")
-		rounds, _ := c.Sched.RunRoundsUntil(20000, func() bool { return c.AllHavePubs(Topic, 1) })
+		rounds, _ := c.RunUntil(20000, func() bool { return c.AllHavePubs(Topic, 1) })
 		tb.AddRow(mode, n, rounds)
 	}
 	return tb
@@ -668,7 +669,7 @@ func AblationProbeSchedule(n int, seed int64) *metrics.Table {
 		{"constant 1/4", func(int) float64 { return 0.25 }},
 	}
 	for _, sch := range schedules {
-		c := cluster.New(cluster.Options{
+		c := cluster.NewSim(cluster.Options{
 			Seed:       seed,
 			ClientOpts: core.Options{ProbeProb: sch.f},
 		})
@@ -678,9 +679,9 @@ func AblationProbeSchedule(n int, seed int64) *metrics.Table {
 			tb.AddRow(sch.name, n, -1, -1)
 			continue
 		}
-		c.Sched.ResetCounters()
-		c.Sched.RunRounds(500)
-		rate := float64(c.Sched.CountByType("proto.GetConfiguration")) / 500
+		c.ResetCounters()
+		c.RunRounds(500)
+		rate := float64(c.CountByType("proto.GetConfiguration")) / 500
 		// Drop one entry from the database; the probes must re-record it.
 		var victim sim.NodeID
 		for l, v := range c.Sup.Snapshot(Topic) {
@@ -689,7 +690,7 @@ func AblationProbeSchedule(n int, seed int64) *metrics.Table {
 			_ = l
 			break
 		}
-		rounds, ok := c.Sched.RunRoundsUntil(20000, func() bool {
+		rounds, ok := c.RunUntil(20000, func() bool {
 			return c.Sup.LabelOf(Topic, victim).Len > 0 && c.ConvergedWith(Topic, n)
 		})
 		if !ok {
@@ -704,8 +705,8 @@ func AblationProbeSchedule(n int, seed int64) *metrics.Table {
 
 // mustConverge builds a legitimate SR(n) cluster (panics on failure —
 // experiment preconditions).
-func mustConverge(n int, seed int64) *cluster.Cluster {
-	c := cluster.New(cluster.Options{Seed: seed})
+func mustConverge(n int, seed int64) *cluster.Live {
+	c := cluster.NewSim(cluster.Options{Seed: seed})
 	c.AddClients(n)
 	c.JoinAll(Topic)
 	if _, ok := c.RunUntilConverged(Topic, n, 5000); !ok {

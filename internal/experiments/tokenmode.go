@@ -5,6 +5,7 @@ import (
 	"sspubsub/internal/core"
 	"sspubsub/internal/label"
 	"sspubsub/internal/metrics"
+	"sspubsub/internal/psim"
 	"sspubsub/internal/sim"
 	"sspubsub/internal/tokenring"
 )
@@ -18,20 +19,20 @@ func A4TokenVsDatabase(n int, seed int64) *metrics.Table {
 	tb := metrics.NewTable("supervisor", "n", "join-burst rounds", "steady sup msgs/round", "sup state", "randomized")
 
 	// Database mode (the paper's main protocol).
-	c := cluster.New(cluster.Options{Seed: seed})
+	c := cluster.NewSim(cluster.Options{Seed: seed})
 	c.AddClients(n)
 	c.JoinAll(Topic)
 	dbRounds, ok := c.RunUntilConverged(Topic, n, 20000)
 	if !ok {
 		dbRounds = -1
 	}
-	c.Sched.ResetCounters()
-	c.Sched.RunRounds(300)
-	dbRate := float64(c.Sched.SentBy(cluster.SupervisorID)) / 300
+	c.ResetCounters()
+	c.RunRounds(300)
+	dbRate := float64(c.SentBy(cluster.SupervisorID)) / 300
 	tb.AddRow("database (Alg. 3)", n, dbRounds, dbRate, "O(n) tuples", "yes (probes)")
 
 	// Token mode (conclusion's future work).
-	sched := sim.NewScheduler(sim.SchedulerOptions{Seed: seed})
+	sched := psim.New(psim.Options{Seed: seed, Workers: 1})
 	sup := tokenring.NewSupervisor(1)
 	sched.AddNode(1, sup)
 	nodes := map[sim.NodeID]*tokenring.Node{}

@@ -6,7 +6,7 @@ import "fmt"
 // it: the interval between the moment the last fault was injected and the
 // moment every invariant probe holds again. Time is whatever monotonic
 // clock the substrate provides (virtual rounds on the deterministic
-// scheduler, wall-clock timeout intervals on the live runtimes).
+// engine, wall-clock timeout intervals on the live runtimes).
 type Stopwatch struct {
 	faultAt     float64
 	convergedAt float64

@@ -1,6 +1,7 @@
-// Package psim is a conservative parallel discrete-event engine for the
-// deterministic simulation substrate: the multi-core sibling of
-// sim.Scheduler, built for the million-subscriber scale sweeps.
+// Package psim is the deterministic simulation substrate: a conservative
+// parallel discrete-event engine that runs inline on one goroutine for the
+// tests, experiments and facades (Workers: 1) and across cores for the
+// million-subscriber scale sweeps.
 //
 // # Model
 //
@@ -38,9 +39,9 @@
 //
 // # Barrier operations
 //
-// Unlike sim.Scheduler there is no single-event Step; the unit of progress
-// is the window. Topology mutation (AddNode, AddListener, RemoveNode,
-// Crash), external Send/InjectAt, fault installation and the accounting
+// There is no single-event step; the unit of progress is the window.
+// Topology mutation (AddNode, AddListener, RemoveNode, Crash), Send with an
+// unregistered From, Freeze, fault installation and the accounting
 // accessors are barrier operations — call them between Run* calls, never
 // from inside a handler. Handlers interact with the engine only through
 // their Context.

@@ -37,16 +37,15 @@ type Options struct {
 	// clamped to [1, Lanes].
 	Workers int
 	// MinDelay and MaxDelay bound message delivery delay, in timeout
-	// intervals (defaults 0.05 and 0.95, as on sim.Scheduler). MinDelay is
+	// intervals (defaults 0.05 and 0.95). MinDelay is
 	// the engine's lookahead: a message sent at time t delivers no earlier
 	// than t+MinDelay, so events inside a window of width MinDelay cannot
 	// causally interact and lanes may execute them in parallel.
 	MinDelay, MaxDelay float64
 	// DetectorGrace is how long after a crash the failure detector keeps
 	// answering "alive". Suspicion flips at the window boundary at or after
-	// crashTime+DetectorGrace (the serial scheduler flips mid-window; the
-	// difference is below one lookahead width and identical for every
-	// Workers value). Default 2 intervals.
+	// crashTime+DetectorGrace (identical for every Workers value). Default
+	// 2 intervals.
 	DetectorGrace float64
 	// MaxQueuedEvents, when positive, caps queued events. The ceiling is
 	// split evenly across lanes and enforced at the sending lane, so
@@ -69,7 +68,7 @@ type Options struct {
 }
 
 // Engine is a conservative parallel discrete-event executor for
-// sim.Handlers: the multi-core sibling of sim.Scheduler.
+// sim.Handlers: the repository's one deterministic engine.
 //
 // Nodes (and their pool listeners) are partitioned across Lanes lanes by a
 // deterministic hash of NodeID. Each lane owns an event min-heap, its own
@@ -84,11 +83,11 @@ type Options struct {
 // produces one canonical schedule no matter how many workers executed the
 // window.
 //
-// The engine implements sim.Transport (and the scale harness' listener
-// seam), but unlike sim.Scheduler it has no single-event Step: the unit of
+// The engine implements sim.Transport and sim.Stepper (and the scale
+// harness' listener seam). There is no single-event step: the unit of
 // progress is the window. Topology mutations (AddNode, AddListener,
-// RemoveNode, Crash), Send with an unregistered From, InjectAt and the
-// accounting accessors are barrier operations: they must be called between
+// RemoveNode, Crash), Send with an unregistered From and the accounting
+// accessors are barrier operations: they must be called between
 // Run* calls, never from inside a handler. Handlers interact with the
 // engine only through their Context (and, transitively, Transport.Send
 // with their own From), which routes to their executing lane.
@@ -98,12 +97,15 @@ type Engine struct {
 	nodes    map[sim.NodeID]*pnode
 	crashed  map[sim.NodeID]float64
 	now      float64 // barrier time: start of the executing window
+	wend     float64 // end of the executing window (read by lane workers)
+	target   float64 // the RunUntil target of the executing window
 	gen      int64   // node-incarnation counter
 	laneCeil int
 
-	// extRNG serializes harness injections whose From is not a registered
-	// node (chaos garbage, InjectAt): they draw from a dedicated stream so
-	// they cannot perturb any lane's sequence.
+	// extRNG is the driver's stream: harness injections whose From is not a
+	// registered node draw their delays from it, and Rand hands it to
+	// workload generators and corruption helpers, so driver-side randomness
+	// cannot perturb any lane's sequence.
 	extRNG *rand.Rand
 	extSeq int64
 
@@ -136,7 +138,7 @@ const (
 )
 
 // extLane is the srcLane stamp of events injected from outside any lane
-// (harness sends with unregistered From, InjectAt). It orders such events
+// (harness sends with an unregistered From). It orders such events
 // before every lane's at equal times; any fixed rule would do.
 const extLane int32 = -1
 
@@ -164,8 +166,12 @@ func (e pevent) before(o pevent) bool {
 	return e.srcSeq < o.srcSeq
 }
 
-// pheap is a slice-backed binary min-heap (same layout trick as the serial
-// scheduler's: no container/heap, no per-event boxing).
+// pheap is a binary min-heap laid out directly in a slice. It deliberately
+// does not implement container/heap: that interface forces every Push and
+// Pop through an `any` conversion, which boxes the event struct once per
+// scheduled message. Operating on the slice in place keeps entries pooled
+// in the slice's capacity, so the steady-state schedule/deliver cycle
+// performs no allocations at all.
 type pheap []pevent
 
 func (h *pheap) push(e pevent) {
@@ -337,11 +343,17 @@ func (e *Engine) AddNode(id sim.NodeID, h sim.Handler) {
 	l.seq++
 }
 
-// AddListener registers id as a virtual alias of an existing owner node
-// (the scale harness' multiplexing seam, mirroring Scheduler.AddListener).
-// The listener executes — and its sends draw randomness — on its owner's
-// lane, so one pool and its thousands of virtual subscribers form one
-// sequential strand. Barrier operation.
+// AddListener registers id as a virtual alias of an existing owner node:
+// messages addressed to id are handled by the owner's handler (with
+// Message.To still naming id), and id owns no periodic timeout chain. This
+// is the scale harness' multiplexing seam: one pool node drives the
+// timeouts of thousands of virtual subscribers, each a listener costing one
+// map entry instead of one self-renewing timeout event. The listener
+// executes — and its sends draw randomness — on its owner's lane, so one
+// pool and its virtual subscribers form one sequential strand. The owner is
+// resolved at delivery time: messages to a listener whose owner has crashed
+// are dropped, like processes on a failed machine. Listeners can Crash, be
+// removed and be suspected like full nodes. Barrier operation.
 func (e *Engine) AddListener(id, owner sim.NodeID) {
 	e.assertBarrier("AddListener")
 	if id == sim.None {
@@ -388,9 +400,8 @@ func (e *Engine) Crashed(id sim.NodeID) bool {
 
 // Suspects implements sim.Detector with the configured grace period,
 // evaluated against the executing window's start time (identical for every
-// worker count; within one lookahead width of the serial scheduler's
-// event-time evaluation). Safe to call from handlers: the crash map and the
-// window clock only change at barriers.
+// worker count). Safe to call from handlers: the crash map and the window
+// clock only change at barriers.
 func (e *Engine) Suspects(id sim.NodeID) bool {
 	t, ok := e.crashed[id]
 	return ok && e.now >= t+e.opts.DetectorGrace
@@ -507,31 +518,16 @@ func (e *Engine) destLane(id sim.NodeID) int32 {
 }
 
 // externalSend queues a driver injection whose From is not a registered
-// node. Barrier operation: such sends draw from the dedicated external
-// stream (in driver call order) so they cannot perturb any lane.
+// node — the paper's arbitrary channel contents. Barrier operation: such
+// sends draw from the driver stream (in driver call order) so they cannot
+// perturb any lane.
 func (e *Engine) externalSend(m sim.Message) {
 	e.assertBarrier("Send with unregistered From")
 	dst := e.lanes[e.destLane(m.To)]
 	dst.sentBy[m.From]++
 	dst.byType[sim.TypeName(m.Body)]++
 	delay := e.opts.MinDelay + e.extRNG.Float64()*(e.opts.MaxDelay-e.opts.MinDelay)
-	e.enqueueExternal(pevent{t: e.now + delay, kind: evDeliver, msg: m}, dst)
-}
-
-// InjectAt places an arbitrary (possibly corrupted) message into the queue
-// at the given virtual time, clamped forward to the current barrier time
-// (the parallel engine cannot execute into the past). Barrier operation.
-func (e *Engine) InjectAt(t float64, m sim.Message) {
-	e.assertBarrier("InjectAt")
-	if t < e.now {
-		t = e.now
-	}
-	e.enqueueExternal(pevent{t: t, kind: evDeliver, msg: m}, e.lanes[e.destLane(m.To)])
-}
-
-func (e *Engine) enqueueExternal(ev pevent, dst *lane) {
-	ev.srcLane = extLane
-	ev.srcSeq = e.extSeq
+	ev := pevent{t: e.now + delay, kind: evDeliver, msg: m, srcLane: extLane, srcSeq: e.extSeq}
 	e.extSeq++
 	if e.laneCeil > 0 && len(dst.heap) >= e.laneCeil {
 		dst.dropped++
@@ -540,6 +536,19 @@ func (e *Engine) enqueueExternal(ev pevent, dst *lane) {
 	}
 	dst.heap.push(ev)
 	dst.inFlight++
+}
+
+// Rand exposes the driver's random stream for workload generation and the
+// corruption helpers. Barrier use only: it is not any lane's stream, so
+// draws never shift a handler's randomness.
+func (e *Engine) Rand() *rand.Rand { return e.extRNG }
+
+// Freeze implements sim.Stepper: between Run* calls nothing executes, so a
+// consistent cross-node snapshot is simply f().
+func (e *Engine) Freeze(f func()) bool {
+	e.assertBarrier("Freeze")
+	f()
+	return true
 }
 
 // Close stops the worker pool. Idempotent; safe on an engine that never
@@ -618,8 +627,11 @@ func (l *lane) ingest() {
 // runWindow executes this lane's slice of the window: every queued event
 // with t < wend (and t <= target). New same-lane events land in the heap
 // directly; cross-lane events go to the outboxes for the barrier merge.
-func (l *lane) runWindow(wend, target float64) {
+// The bounds travel through the engine, not a closure, so a window costs
+// no allocation.
+func (l *lane) runWindow() {
 	e := l.e
+	wend, target := e.wend, e.target
 	for len(l.heap) > 0 {
 		t := l.heap[0].t
 		if t >= wend || t > target {
@@ -694,7 +706,7 @@ func (e *Engine) RunUntil(target float64) {
 		// it. (After this phase outboxes and inboxes are empty, so heaps
 		// are the complete picture.)
 		e.running.Store(true)
-		e.runPhase(func(l *lane) { l.ingest() })
+		e.runPhase((*lane).ingest)
 		e.running.Store(false)
 		// Earliest pending event across all lanes.
 		min := math.Inf(1)
@@ -715,7 +727,7 @@ func (e *Engine) RunUntil(target float64) {
 		if wstart > min {
 			wstart -= W
 		}
-		wend := wstart + W
+		e.wend, e.target = wstart+W, target
 		if e.now < wstart {
 			e.now = wstart
 		}
@@ -727,12 +739,20 @@ func (e *Engine) RunUntil(target float64) {
 			e.highWater = total
 		}
 		e.running.Store(true)
-		e.runPhase(func(l *lane) { l.runWindow(wend, target) })
+		e.runPhase((*lane).runWindow)
 		e.running.Store(false)
 		e.swapOutboxes()
 	}
 	if e.now < target {
 		e.now = target
+	}
+	// Everything due has run: bring every lane's clock up to the barrier so
+	// a driver Send on behalf of a registered node draws its delay from the
+	// current time, not from the lane's last (possibly much older) event.
+	for _, l := range e.lanes {
+		if l.now < e.now {
+			l.now = e.now
+		}
 	}
 }
 
@@ -740,20 +760,13 @@ func (e *Engine) RunUntil(target float64) {
 func (e *Engine) RunRounds(k int) { e.RunUntil(e.now + float64(k)) }
 
 // RunRoundsUntil advances round by round until pred returns true or
-// maxRounds elapsed, returning the number of whole rounds executed and
-// whether pred held. pred runs at round barriers.
+// maxRounds elapsed (sim.RunRoundsUntil on this engine); pred runs at round
+// barriers.
 func (e *Engine) RunRoundsUntil(maxRounds int, pred func() bool) (rounds int, ok bool) {
-	if pred() {
-		return 0, true
-	}
-	for r := 1; r <= maxRounds; r++ {
-		e.RunRounds(1)
-		if pred() {
-			return r, true
-		}
-	}
-	return maxRounds, false
+	return sim.RunRoundsUntil(e, maxRounds, pred)
 }
+
+var _ sim.Stepper = (*Engine)(nil)
 
 // ---- accounting (barrier operations: they read every lane) ----
 
@@ -811,16 +824,6 @@ func (e *Engine) QueueHighWaterBytes() uint64 {
 	return uint64(e.highWater) * uint64(unsafe.Sizeof(pevent{}))
 }
 
-// QueueMemoryBytes estimates the resident footprint of all lane heaps
-// (slot capacity at the static event size, as on the serial scheduler).
-func (e *Engine) QueueMemoryBytes() uint64 {
-	var n uint64
-	for _, l := range e.lanes {
-		n += uint64(cap(l.heap)) * uint64(unsafe.Sizeof(pevent{}))
-	}
-	return n
-}
-
 // SentBy returns the number of messages node id has sent so far.
 func (e *Engine) SentBy(id sim.NodeID) int64 {
 	var n int64
@@ -862,6 +865,17 @@ func (e *Engine) TypeNames() []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// ResetCounters zeroes the message accounting (used to measure steady-state
+// rates after convergence).
+func (e *Engine) ResetCounters() {
+	for _, l := range e.lanes {
+		l.delivered, l.dropped, l.overflow = 0, 0, 0
+		clear(l.byType)
+		clear(l.sentBy)
+		clear(l.receivedBy)
+	}
 }
 
 // NodeIDs returns the IDs of all live registered nodes, sorted.

@@ -341,16 +341,17 @@ func TestRunRoundsUntil(t *testing.T) {
 	}
 }
 
-// TestExternalSendAndInjectAt: driver injections are deterministic and
-// InjectAt clamps to the present.
-func TestExternalSendAndInjectAt(t *testing.T) {
+// TestExternalSend: driver injections with a forged (unregistered) From —
+// the paper's arbitrary channel contents — are delivered, and identically
+// for every worker count.
+func TestExternalSend(t *testing.T) {
 	run := func(workers int) []sim.Message {
 		e := New(Options{Seed: 9, Lanes: 4, Workers: workers})
 		s := &sink{}
 		e.AddNode(3, s)
 		e.RunRounds(1)
 		e.Send(sim.Message{To: 3, From: 77, Topic: 1, Body: ping{Hop: 1}})
-		e.InjectAt(0 /* in the past */, sim.Message{To: 3, From: 78, Topic: 1, Body: ping{Hop: 2}})
+		e.Send(sim.Message{To: 3, From: 78, Topic: 1, Body: ping{Hop: 2}})
 		e.RunRounds(2)
 		e.Close()
 		return s.got

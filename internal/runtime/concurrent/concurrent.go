@@ -1,6 +1,6 @@
 // Package concurrent is the production execution substrate: a live,
 // goroutine-per-node runtime implementing sim.Transport. Compared to the
-// reference executions in package sim it adds
+// deterministic engine in internal/psim it adds
 //
 //   - buffered mailbox channels with a loss-free overflow queue (the
 //     paper's unbounded channels, but with a fast path that avoids a
@@ -195,7 +195,7 @@ func (r *Runtime) AddNode(id sim.NodeID, h sim.Handler) {
 // goroutine, mailbox or timer — which is what lets one pool node host
 // thousands of virtual subscribers. The owner is resolved per message, so
 // traffic to a listener whose owner crashed is dropped, exactly like the
-// deterministic Scheduler's semantics.
+// deterministic engine's semantics.
 func (r *Runtime) AddListener(id, owner sim.NodeID) {
 	if id == sim.None {
 		panic("concurrent: cannot add listener with ID 0")
@@ -276,7 +276,7 @@ func (r *Runtime) Send(m sim.Message) {
 	}
 	// Count every non-⊥ send — including ones that end up dropped — so the
 	// per-sender and per-type accounting means the same thing it does on
-	// the deterministic Scheduler (which also counts at send time and
+	// the deterministic engine (which also counts at send time and
 	// drops at delivery).
 	r.acctMu.Lock()
 	r.byType[sim.TypeName(m.Body)]++
@@ -436,6 +436,15 @@ func (r *Runtime) Quiesce(timeout time.Duration, f func()) bool {
 		time.Sleep(50 * time.Microsecond)
 	}
 }
+
+// Freeze implements sim.Stepper: f runs under the quiesce barrier, with
+// 100 intervals for the system to drain.
+func (r *Runtime) Freeze(f func()) bool { return r.Quiesce(100*r.opts.Interval, f) }
+
+// RunRounds implements sim.Stepper: a round is one wall-clock interval.
+func (r *Runtime) RunRounds(k int) { time.Sleep(time.Duration(k) * r.opts.Interval) }
+
+var _ sim.Stepper = (*Runtime)(nil)
 
 // Delivered returns the total number of messages handled by nodes.
 func (r *Runtime) Delivered() int64 { return r.delivered.Load() }

@@ -186,16 +186,11 @@ func (p *peer) readLoop(conn net.Conn) {
 			}
 			return
 		}
-		switch batch := m.Body.(type) {
-		case wire.Batch:
+		if batch, ok := m.Body.(wire.Batch2); ok {
 			for _, im := range batch.Msgs {
 				p.t.dispatch(im, p)
 			}
-		case wire.Batch2:
-			for _, im := range batch.Msgs {
-				p.t.dispatch(im, p)
-			}
-		default:
+		} else {
 			p.t.dispatch(m, p)
 		}
 		// Dispatch injects message values into mailboxes (copies), so the

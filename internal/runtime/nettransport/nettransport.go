@@ -451,6 +451,10 @@ func (t *Transport) Quiesce(timeout time.Duration, f func()) bool {
 	return t.rt.Quiesce(timeout, f)
 }
 
+// Freeze and RunRounds implement sim.Stepper through the embedded runtime.
+func (t *Transport) Freeze(f func()) bool { return t.rt.Freeze(f) }
+func (t *Transport) RunRounds(k int)      { t.rt.RunRounds(k) }
+
 // Delivered returns messages handled by local nodes.
 func (t *Transport) Delivered() int64 { return t.rt.Delivered() }
 

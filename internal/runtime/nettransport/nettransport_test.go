@@ -1,6 +1,7 @@
 package nettransport
 
 import (
+	"errors"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -172,6 +173,54 @@ func TestGarbageFramesDropped(t *testing.T) {
 	}
 	if _, ok := m.Body.(wire.Welcome); !ok {
 		t.Fatalf("expected Welcome after garbage, got %T", m.Body)
+	}
+}
+
+// TestRetiredBatchTagIsGarbage: tag 34 was wire.Batch, the first batching
+// envelope, retired for Batch2 and reserved forever. A peer that still
+// emits it must see its frame counted as garbage — a well-formed Batch of
+// one message, byte for byte what the old encoder produced — and keep its
+// connection: the next frame on the same socket is served.
+func TestRetiredBatchTagIsGarbage(t *testing.T) {
+	hub, err := NewHub(Options{Listen: "127.0.0.1:0", Interval: 5 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hub.Close()
+	hubNode := &echoNode{}
+	hub.AddNode(1, hubNode)
+
+	conn, err := net.Dial("tcp", hub.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	old := []byte{0, 0, 0, 12, 'S', 'R', wire.Version,
+		0, 0, 0, // envelope: To ⊥, From ⊥, topic 0
+		34, 1, // tag 34, one member
+		2, 10, 2, 17} // member: To 1, From 5, topic 1, core.JoinTopic
+	if _, err := wire.Unmarshal(old); !errors.Is(err, wire.ErrGarbage) {
+		t.Fatalf("Unmarshal(tag-34 frame) = %v, want ErrGarbage", err)
+	}
+	good, err := wire.Marshal(sim.Message{To: 1, From: 5, Topic: 1, Body: wire.Hello{Base: 1, Slots: 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range [][]byte{old, good} {
+		if _, err := conn.Write(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, 5*time.Second, "tag-34 frame counted as garbage", func() bool { return hub.GarbageFrames() == 1 })
+	m, err := wire.ReadFrame(conn)
+	if err != nil {
+		t.Fatalf("connection did not survive the tag-34 frame: %v", err)
+	}
+	if _, ok := m.Body.(wire.Welcome); !ok {
+		t.Fatalf("expected Welcome after the tag-34 frame, got %T", m.Body)
+	}
+	if got := hubNode.got.Load(); got != 0 {
+		t.Fatalf("a member of the retired envelope was delivered (%d deliveries)", got)
 	}
 }
 

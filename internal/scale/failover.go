@@ -4,6 +4,7 @@ import (
 	"sspubsub/internal/core"
 	"sspubsub/internal/hashdht"
 	"sspubsub/internal/label"
+	"sspubsub/internal/psim"
 	"sspubsub/internal/sim"
 	"sspubsub/internal/supervisor"
 )
@@ -18,7 +19,7 @@ type FailoverConfig struct {
 	// PoolSize is how many virtual subscribers share one pool node
 	// (default 1024).
 	PoolSize int
-	// Seed drives the deterministic scheduler.
+	// Seed drives the deterministic engine.
 	Seed int64
 	// Topic is the topic under measurement. Default 1.
 	Topic sim.Topic
@@ -39,12 +40,9 @@ type FailoverConfig struct {
 	// SettleRounds run after join convergence before the crash so the
 	// replica stream and anti-entropy reach steady state (default 64).
 	SettleRounds int
-	// Workers selects the engine, as on Config: 0 = legacy serial
-	// scheduler, >= 1 = parallel engine with that many workers.
+	// Workers and Lanes configure the engine as on Config (0 = default).
 	Workers int
-	// Lanes is the parallel engine's shard count (0 = default). Ignored
-	// when Workers == 0.
-	Lanes int
+	Lanes   int
 }
 
 func (c FailoverConfig) withDefaults() FailoverConfig {
@@ -97,7 +95,7 @@ type FailoverResult struct {
 // a driver-side view ring (mirroring cluster.NewLiveRF's client options).
 type failoverHarness struct {
 	cfg     FailoverConfig
-	sched   Sim
+	sched   *psim.Engine
 	sups    map[sim.NodeID]*supervisor.Supervisor
 	supIDs  []sim.NodeID
 	ring    *hashdht.Ring
@@ -106,7 +104,7 @@ type failoverHarness struct {
 }
 
 func newFailoverHarness(cfg FailoverConfig) *failoverHarness {
-	sched := newSim(cfg.Seed, cfg.Workers, cfg.Lanes, 0)
+	sched := psim.New(psim.Options{Seed: cfg.Seed, Workers: cfg.Workers, Lanes: cfg.Lanes})
 	ids := make([]sim.NodeID, cfg.Supervisors)
 	for i := range ids {
 		ids[i] = SupervisorID + sim.NodeID(i)

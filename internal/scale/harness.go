@@ -8,6 +8,7 @@ import (
 	"sspubsub/internal/metrics"
 	"sspubsub/internal/ordering"
 	"sspubsub/internal/proto"
+	"sspubsub/internal/psim"
 	"sspubsub/internal/sim"
 	"sspubsub/internal/supervisor"
 )
@@ -19,7 +20,7 @@ type Config struct {
 	// PoolSize is how many virtual subscribers share one pool node.
 	// Default 1024.
 	PoolSize int
-	// Seed drives the deterministic scheduler.
+	// Seed drives the deterministic engine.
 	Seed int64
 	// Topic is the single topic under measurement. Default 1.
 	Topic sim.Topic
@@ -34,8 +35,8 @@ type Config struct {
 	// (the round-robin sweep visits one entry per interval), which is a
 	// deployment parameter, not a protocol property.
 	CullPerTimeout int
-	// MaxQueuedEvents, if positive, caps the scheduler's event queue (see
-	// sim.SchedulerOptions.MaxQueuedEvents). Leave 0 for measurement runs:
+	// MaxQueuedEvents, if positive, caps the engine's event queue (see
+	// psim.Options.MaxQueuedEvents). Leave 0 for measurement runs:
 	// shed messages would distort latency curves. Result.OverflowDropped
 	// reports whether a cap interfered.
 	MaxQueuedEvents int
@@ -54,14 +55,12 @@ type Config struct {
 	// layer may buffer — rather than on trie arrival, so the sweep
 	// measures the ordering overhead end to end.
 	DeliveryMode ordering.Mode
-	// Workers selects the engine. 0 (the default) keeps the legacy serial
-	// sim.Scheduler; >= 1 runs the lane-sharded parallel psim.Engine with
-	// that many worker goroutines. The two engines execute different
-	// (each deterministic) schedules; within the parallel engine, every
-	// Workers value — including 1 — produces bit-identical results.
+	// Workers is how many goroutines execute the engine's lanes; 0 is the
+	// engine default (one per CPU, at most Lanes), 1 runs inline. Physical
+	// parallelism only: every value produces bit-identical results.
 	Workers int
-	// Lanes is the parallel engine's shard count (part of its schedule
-	// identity). 0 = psim's default (16). Ignored when Workers == 0.
+	// Lanes is the engine's shard count (part of its schedule identity).
+	// 0 = psim's default (16).
 	Lanes int
 }
 
@@ -94,12 +93,12 @@ func (c Config) withDefaults() Config {
 const SupervisorID sim.NodeID = 1
 
 // Harness hosts N real-protocol subscribers multiplexed into pools on the
-// deterministic scheduler, plus the probes the scaling curves are built
+// deterministic engine, plus the probes the scaling curves are built
 // from. All N subscribers run the unmodified core.Client state machine;
 // only their scheduling is shared (see Pool).
 type Harness struct {
 	Cfg     Config
-	Sched   Sim
+	Sched   *psim.Engine
 	Sup     *supervisor.Supervisor
 	Pools   []*Pool
 	subBase sim.NodeID
@@ -113,7 +112,12 @@ type Harness struct {
 // virtual subscribers (IDs contiguous from the first ID after the pools).
 func New(cfg Config) *Harness {
 	cfg = cfg.withDefaults()
-	sched := newSim(cfg.Seed, cfg.Workers, cfg.Lanes, cfg.MaxQueuedEvents)
+	sched := psim.New(psim.Options{
+		Seed:            cfg.Seed,
+		Workers:         cfg.Workers,
+		Lanes:           cfg.Lanes,
+		MaxQueuedEvents: cfg.MaxQueuedEvents,
+	})
 	sup := supervisor.New(SupervisorID, sched)
 	sup.CullPerTimeout = cfg.CullPerTimeout
 	sched.AddNode(SupervisorID, sup)
@@ -160,60 +164,44 @@ func (h *Harness) JoinAll() {
 	}
 }
 
-// AwaitLabelled advances rounds until every subscriber holds a label (or
-// MaxRounds elapse), returning the per-subscriber round at which its label
-// arrived. The poll is O(pending) per round: labelled subscribers leave
-// the scan set.
-func (h *Harness) AwaitLabelled() (rounds []int, ok bool) {
-	t := h.Cfg.Topic
+// await advances rounds until done(i) holds for every subscriber (or
+// MaxRounds elapse), returning the round at which each first satisfied it.
+// The poll is O(pending) per round: finished subscribers leave the scan
+// set.
+func (h *Harness) await(done func(i int) bool) (rounds []int, ok bool) {
 	rounds = make([]int, h.Cfg.N)
-	pending := make([]int, 0, h.Cfg.N)
-	for i := 0; i < h.Cfg.N; i++ {
-		if h.Client(i).Labelled(t) {
-			continue
-		}
-		pending = append(pending, i)
+	pending := make([]int, h.Cfg.N)
+	for i := range pending {
+		pending[i] = i
 	}
-	for r := 1; r <= h.Cfg.MaxRounds && len(pending) > 0; r++ {
-		h.Sched.RunRounds(1)
+	r := 0
+	_, ok = h.Sched.RunRoundsUntil(h.Cfg.MaxRounds, func() bool {
 		next := pending[:0]
 		for _, i := range pending {
-			if h.Client(i).Labelled(t) {
+			if done(i) {
 				rounds[i] = r
 			} else {
 				next = append(next, i)
 			}
 		}
 		pending = next
-	}
-	return rounds, len(pending) == 0
+		r++
+		return len(pending) == 0
+	})
+	return rounds, ok
+}
+
+// AwaitLabelled advances rounds until every subscriber holds a label,
+// returning the per-subscriber round at which its label arrived.
+func (h *Harness) AwaitLabelled() (rounds []int, ok bool) {
+	return h.await(func(i int) bool { return h.Client(i).Labelled(h.Cfg.Topic) })
 }
 
 // AwaitPublication advances rounds until every live subscriber knows at
 // least `want` publications, returning each subscriber's first round at or
 // past the threshold.
 func (h *Harness) AwaitPublication(want int) (rounds []int, ok bool) {
-	t := h.Cfg.Topic
-	rounds = make([]int, h.Cfg.N)
-	pending := make([]int, 0, h.Cfg.N)
-	for i := 0; i < h.Cfg.N; i++ {
-		if h.Client(i).PublicationCount(t) < want {
-			pending = append(pending, i)
-		}
-	}
-	for r := 1; r <= h.Cfg.MaxRounds && len(pending) > 0; r++ {
-		h.Sched.RunRounds(1)
-		next := pending[:0]
-		for _, i := range pending {
-			if h.Client(i).PublicationCount(t) >= want {
-				rounds[i] = r
-			} else {
-				next = append(next, i)
-			}
-		}
-		pending = next
-	}
-	return rounds, len(pending) == 0
+	return h.await(func(i int) bool { return h.Client(i).PublicationCount(h.Cfg.Topic) >= want })
 }
 
 // AwaitDelivered advances rounds until every live subscriber has observed
@@ -222,26 +210,7 @@ func (h *Harness) AwaitPublication(want int) (rounds []int, ok bool) {
 // AwaitPublication this sees the ordering layer's buffering: a reordered
 // publication counts only once the delivery callback actually fired.
 func (h *Harness) AwaitDelivered(want int) (rounds []int, ok bool) {
-	rounds = make([]int, h.Cfg.N)
-	pending := make([]int, 0, h.Cfg.N)
-	for i := 0; i < h.Cfg.N; i++ {
-		if h.delivered[i] < want {
-			pending = append(pending, i)
-		}
-	}
-	for r := 1; r <= h.Cfg.MaxRounds && len(pending) > 0; r++ {
-		h.Sched.RunRounds(1)
-		next := pending[:0]
-		for _, i := range pending {
-			if h.delivered[i] >= want {
-				rounds[i] = r
-			} else {
-				next = append(next, i)
-			}
-		}
-		pending = next
-	}
-	return rounds, len(pending) == 0
+	return h.await(func(i int) bool { return h.delivered[i] >= want })
 }
 
 // Publish makes subscriber i author a publication.
@@ -291,9 +260,9 @@ type Result struct {
 	// Mode is the delivery mode the sweep point ran with ("besteffort",
 	// "fifo", "causal").
 	Mode string
-	// Workers is the engine configuration the point ran on: 0 = legacy
-	// serial scheduler, >= 1 = parallel engine with that many workers.
-	// Physical parallelism only — never part of Digest.
+	// Workers is how many lane workers executed the point (the engine's
+	// resolved value, never 0). Physical parallelism only — never part of
+	// Digest.
 	Workers int
 	// Join: mass arrival of all N subscribers at t=0.
 	JoinRounds  metrics.Summary // rounds until a subscriber held its label
@@ -342,7 +311,7 @@ func Run(cfg Config) Result {
 	cfg = cfg.withDefaults()
 	h := New(cfg)
 	defer h.Sched.Close()
-	res := Result{N: cfg.N, Mode: cfg.DeliveryMode.String(), Workers: cfg.Workers, Converged: true}
+	res := Result{N: cfg.N, Mode: cfg.DeliveryMode.String(), Workers: h.Sched.Workers(), Converged: true}
 
 	start := time.Now()
 	h.JoinAll()

@@ -70,10 +70,9 @@ func TestFailoverPIndependence(t *testing.T) {
 	}
 }
 
-// TestSerialQueueHighWater pins satellite 1 on the legacy engine: the
-// reported queue footprint is a true high-water mark (it can only be
+// TestQueueHighWater: the reported queue footprint is a true high-water mark (it can only be
 // observed growing, never shrinks, and is positive after traffic).
-func TestSerialQueueHighWater(t *testing.T) {
+func TestQueueHighWater(t *testing.T) {
 	h := New(Config{N: 64, Seed: 3})
 	h.JoinAll()
 	h.Sched.RunRounds(4)

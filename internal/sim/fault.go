@@ -37,7 +37,8 @@ func (a FaultAction) String() string {
 // decides its fate. It must be fast and must not call back into the
 // substrate. A nil FaultFunc means a healthy channel.
 //
-// On the deterministic Scheduler the filter runs on the driver goroutine;
+// On the deterministic engine the filter runs on the lane executing the
+// sender (the driver goroutine when the engine is built with one worker);
 // on the live substrates it runs on whichever goroutine sends, so an
 // installed filter must be safe for concurrent use.
 type FaultFunc func(m Message) FaultAction

@@ -4,17 +4,16 @@
 // an eventually-correct failure detector (Sections 1.1 and 3.3 of Feldmann
 // et al.).
 //
-// Two interchangeable executions are provided:
-//
-//   - Scheduler: a deterministic discrete-event simulation (virtual time,
-//     seeded randomness, exact message accounting). All tests, experiments
-//     and benchmarks run on it.
-//   - Runtime: a live execution with one goroutine per protocol node,
-//     unbounded mailboxes and real tickers. The public API and the examples
-//     run on it.
-//
-// Protocol nodes implement Handler against Context and are oblivious to
-// which execution drives them.
+// The package holds only the model: the types protocol nodes are written
+// against (Handler, Context, Message), the contracts an execution substrate
+// fulfils (Transport, Stepper, FaultInjectable) and the one driver loop
+// over them (RunRoundsUntil). Three substrates execute the model:
+// internal/psim (the deterministic discrete-event engine: virtual time,
+// seeded randomness, exact message accounting — tests, experiments and
+// benchmarks run on it), internal/runtime/concurrent (one goroutine per
+// node, real tickers — the public System runs on it) and
+// internal/runtime/nettransport (the same nodes behind the wire codec and
+// TCP). Protocol nodes are oblivious to which one drives them.
 package sim
 
 import (
@@ -61,8 +60,8 @@ type Context interface {
 	// Rand returns the node's deterministic random source. It must only be
 	// used from within the executing handler.
 	Rand() *rand.Rand
-	// Now returns the current time in timeout intervals (virtual time under
-	// the Scheduler, wall-clock intervals under the Runtime).
+	// Now returns the current time in timeout intervals (virtual time on
+	// the deterministic engine, wall-clock intervals on the live runtimes).
 	Now() float64
 }
 
@@ -76,10 +75,10 @@ type Handler interface {
 // Transport is the execution-substrate contract: everything a protocol
 // driver (the public System/Simulation facades, the cluster harness, the
 // CLIs) needs in order to host Handlers, independent of whether they run on
-// the deterministic Scheduler, the in-package goroutine Runtime, or the
-// concurrent runtime in internal/runtime/concurrent. Handlers themselves
-// never see a Transport — they only see Context — so protocol code is
-// substrate-agnostic by construction.
+// the deterministic engine in internal/psim, the goroutine runtime in
+// internal/runtime/concurrent or the networked transport. Handlers
+// themselves never see a Transport — they only see Context — so protocol
+// code is substrate-agnostic by construction.
 type Transport interface {
 	// AddNode registers a handler and starts its periodic Timeout action.
 	AddNode(id NodeID, h Handler)
@@ -92,8 +91,9 @@ type Transport interface {
 	Crash(id NodeID)
 	// Send routes a well-formed message toward its destination mailbox.
 	Send(m Message)
-	// Close stops the substrate and releases its resources. Close is
-	// idempotent; on the deterministic Scheduler it is a no-op.
+	// Close stops the substrate and releases its resources (goroutines,
+	// sockets, the parallel engine's worker pool). Close is idempotent; a
+	// closed substrate must not be driven any further.
 	Close()
 
 	// Transports double as the system-wide failure detector of Section 3.3.
@@ -115,3 +115,43 @@ func (neverSuspects) Suspects(NodeID) bool { return false }
 
 // NeverSuspects returns a Detector that suspects no one.
 func NeverSuspects() Detector { return neverSuspects{} }
+
+// Stepper is how a driver advances a substrate and reads it consistently;
+// every substrate implements it next to Transport. It is the one place the
+// difference between virtual and wall-clock time lives: drivers written
+// against it run unchanged on all substrates.
+type Stepper interface {
+	// RunRounds advances k timeout intervals: virtual time on the
+	// deterministic engine, k·Interval of sleep on the live runtimes.
+	RunRounds(k int)
+	// Freeze runs f against a consistent cross-node snapshot: directly on
+	// the deterministic engine (nothing executes between events), under the
+	// quiesce barrier — timeouts paused, mailboxes drained, 100·Interval to
+	// get there — on the live runtimes. It reports whether f ran; false
+	// means the system never drained. A Freeze from inside f runs directly.
+	Freeze(f func()) bool
+	// Now returns the substrate's time in timeout intervals.
+	Now() float64
+}
+
+// RunRoundsUntil advances s round by round until pred holds on a frozen
+// snapshot or maxRounds have elapsed, returning the whole rounds elapsed
+// and whether pred held. pred is evaluated before the first round and after
+// each one; a snapshot that cannot be taken counts as "not yet".
+func RunRoundsUntil(s Stepper, maxRounds int, pred func() bool) (rounds int, ok bool) {
+	start := s.Now()
+	check := func() { ok = pred() } // one closure, not one per round
+	for {
+		s.Freeze(check)
+		// The epsilon absorbs the rounding of k additions of 1.0 to a
+		// fractional virtual time; on a wall clock it is a microround.
+		rounds = int(s.Now() - start + 1e-6)
+		if ok {
+			return rounds, true
+		}
+		if rounds >= maxRounds {
+			return maxRounds, false
+		}
+		s.RunRounds(1)
+	}
+}

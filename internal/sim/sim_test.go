@@ -1,276 +1,89 @@
 package sim
 
 import (
-	"sync"
-	"sync/atomic"
+	"fmt"
 	"testing"
-	"testing/quick"
-	"time"
 )
 
-// echoNode counts timeouts and bounces every message back to its sender.
-type echoNode struct {
-	timeouts int
-	got      []Message
-	bounce   bool
-}
+// testBody is deliberately NOT in the wire registry: it exercises the
+// lazily-cached branch of TypeName.
+type testBody struct{ X int }
 
-func (e *echoNode) OnMessage(ctx Context, m Message) {
-	e.got = append(e.got, m)
-	if e.bounce {
-		ctx.Send(m.From, m.Topic, "ack")
-	}
-}
-func (e *echoNode) OnTimeout(ctx Context) { e.timeouts++ }
-
-func TestSchedulerTimeoutsOncePerRound(t *testing.T) {
-	s := NewScheduler(SchedulerOptions{Seed: 7})
-	nodes := make([]*echoNode, 10)
-	for i := range nodes {
-		nodes[i] = &echoNode{}
-		s.AddNode(NodeID(i+1), nodes[i])
-	}
-	const rounds = 50
-	s.RunRounds(rounds)
-	for i, n := range nodes {
-		if n.timeouts != rounds {
-			t.Errorf("node %d fired %d timeouts in %d rounds", i+1, n.timeouts, rounds)
+// TestTypeNameMatchesReflection: TypeName must render exactly what
+// fmt.Sprintf("%T", …) renders, for registered and unregistered types,
+// pointers, and nil.
+func TestTypeNameMatchesReflection(t *testing.T) {
+	for _, body := range []any{testBody{}, &testBody{}, nil, "str", 42} {
+		want := fmt.Sprintf("%T", body)
+		if got := TypeName(body); got != want {
+			t.Errorf("TypeName(%v) = %q, want %q", body, got, want)
+		}
+		// Second call exercises the cached branch.
+		if got := TypeName(body); got != want {
+			t.Errorf("cached TypeName(%v) = %q, want %q", body, got, want)
 		}
 	}
 }
 
-func TestSchedulerDelivery(t *testing.T) {
-	s := NewScheduler(SchedulerOptions{Seed: 1})
-	a, b := &echoNode{}, &echoNode{bounce: true}
-	s.AddNode(1, a)
-	s.AddNode(2, b)
-	s.Send(Message{To: 2, From: 1, Topic: 3, Body: "hello"})
-	s.RunRounds(2)
-	if len(b.got) != 1 || b.got[0].Body != "hello" || b.got[0].Topic != 3 {
-		t.Fatalf("b received %v", b.got)
-	}
-	if len(a.got) != 1 || a.got[0].Body != "ack" {
-		t.Fatalf("a received %v", a.got)
-	}
-	if s.Delivered() != 2 || s.InFlight() != 0 {
-		t.Errorf("delivered=%d inFlight=%d", s.Delivered(), s.InFlight())
-	}
-	if s.CountByType("string") != 2 {
-		t.Errorf("CountByType(string) = %d", s.CountByType("string"))
+func TestMessageString(t *testing.T) {
+	m := Message{To: 2, From: 1, Topic: 3, Body: "hello"}
+	if got := m.String(); got != "1→2 t3 string" {
+		t.Errorf("String() = %q", got)
 	}
 }
 
-func TestSchedulerDeterminism(t *testing.T) {
-	run := func() []int {
-		s := NewScheduler(SchedulerOptions{Seed: 42})
-		nodes := make([]*pingAll, 8)
-		for i := range nodes {
-			nodes[i] = &pingAll{n: 8}
-			s.AddNode(NodeID(i+1), nodes[i])
-		}
-		s.RunRounds(20)
-		out := make([]int, 8)
-		for i, n := range nodes {
-			out[i] = n.received
-		}
-		return out
-	}
-	a, b := run(), run()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("nondeterministic: %v vs %v", a, b)
-		}
+func TestNeverSuspects(t *testing.T) {
+	if NeverSuspects().Suspects(5) {
+		t.Error("NeverSuspects suspected someone")
 	}
 }
 
-// pingAll sends one message to a random peer per timeout.
-type pingAll struct {
-	n        int
-	received int
+// clock is a scripted Stepper: a round adds `round` to the time (1 on a
+// virtual clock; a live runtime's wall clock overshoots), and the first
+// `stuck` Freeze calls time out without running f.
+type clock struct {
+	now, round float64
+	stuck      int
+	freezes    int
 }
 
-func (p *pingAll) OnMessage(ctx Context, m Message) { p.received++ }
-func (p *pingAll) OnTimeout(ctx Context) {
-	peer := NodeID(ctx.Rand().Intn(p.n) + 1)
-	if peer != ctx.Self() {
-		ctx.Send(peer, 0, "ping")
+func (c *clock) RunRounds(k int) { c.now += float64(k) * c.round }
+func (c *clock) Now() float64    { return c.now }
+func (c *clock) Freeze(f func()) bool {
+	c.freezes++
+	if c.freezes <= c.stuck {
+		return false
 	}
+	f()
+	return true
 }
 
-func TestSchedulerCrashAndDetector(t *testing.T) {
-	s := NewScheduler(SchedulerOptions{Seed: 3, DetectorGrace: 2})
-	a, b := &echoNode{}, &echoNode{}
-	s.AddNode(1, a)
-	s.AddNode(2, b)
-	s.RunRounds(1)
-	s.Crash(2)
-	if s.Suspects(2) {
-		t.Error("detector must not suspect within the grace period")
+func TestRunRoundsUntil(t *testing.T) {
+	cases := []struct {
+		name       string
+		c          clock
+		max        int
+		holdsAt    float64 // pred: now >= holdsAt
+		wantRounds int
+		wantOK     bool
+		wantPreds  int // Freeze calls
+	}{
+		{"already true costs no round", clock{now: 3, round: 1}, 10, 0, 0, true, 1},
+		{"virtual time counts rounds exactly", clock{now: 3, round: 1}, 100, 13, 10, true, 11},
+		{"fractional start does not lose a round to rounding", clock{now: 0.05, round: 1}, 100, 9.05, 9, true, 10},
+		{"budget exhausted", clock{round: 1}, 5, 1e9, 5, false, 6},
+		{"wall clock: rounds are elapsed time, not iterations", clock{round: 2.5}, 100, 5, 5, true, 3},
+		{"wall clock overshooting the budget stops", clock{round: 2.5}, 4, 1e9, 4, false, 3},
+		{"a snapshot that cannot be taken counts as not yet", clock{round: 1, stuck: 2}, 10, 0, 2, true, 3},
 	}
-	s.Send(Message{To: 2, From: 1, Body: "x"})
-	got := b.timeouts
-	s.RunRounds(3)
-	if b.timeouts != got {
-		t.Error("crashed node executed a timeout")
-	}
-	if len(b.got) != 0 {
-		t.Error("crashed node received a message")
-	}
-	if !s.Suspects(2) {
-		t.Error("detector should suspect after the grace period")
-	}
-	if s.Suspects(1) {
-		t.Error("detector must never suspect a live node")
-	}
-	if s.Dropped() == 0 {
-		t.Error("message to crashed node should count as dropped")
-	}
-}
-
-func TestSchedulerInjectCorrupted(t *testing.T) {
-	s := NewScheduler(SchedulerOptions{Seed: 9})
-	a := &echoNode{}
-	s.AddNode(1, a)
-	s.InjectAt(0.1, Message{To: 1, From: 99, Body: "garbage"})
-	s.InjectAt(0.2, Message{To: 55, From: 1, Body: "to nobody"})
-	s.RunRounds(1)
-	if len(a.got) != 1 || a.got[0].Body != "garbage" {
-		t.Fatalf("corrupted message not delivered: %v", a.got)
-	}
-	if s.Dropped() != 1 {
-		t.Errorf("dropped = %d, want 1", s.Dropped())
-	}
-}
-
-func TestSchedulerRunRoundsUntil(t *testing.T) {
-	s := NewScheduler(SchedulerOptions{Seed: 5})
-	a := &echoNode{}
-	s.AddNode(1, a)
-	rounds, ok := s.RunRoundsUntil(100, func() bool { return a.timeouts >= 10 })
-	if !ok || rounds != 10 {
-		t.Errorf("rounds=%d ok=%v, want 10,true", rounds, ok)
-	}
-	if _, ok := s.RunRoundsUntil(5, func() bool { return false }); ok {
-		t.Error("pred never true must report !ok")
-	}
-}
-
-// Mailbox property: n pushes from k goroutines are all popped exactly once.
-func TestMailboxNoLossNoDup(t *testing.T) {
-	f := func(counts []uint8) bool {
-		if len(counts) > 8 {
-			counts = counts[:8]
-		}
-		mb := NewMailbox()
-		var want int64
-		var wg sync.WaitGroup
-		for gi, c := range counts {
-			n := int(c%50) + 1
-			want += int64(n)
-			wg.Add(1)
-			go func(gi, n int) {
-				defer wg.Done()
-				for i := 0; i < n; i++ {
-					mb.Push(Message{From: NodeID(gi + 1), Body: i})
-				}
-			}(gi, n)
-		}
-		wg.Wait()
-		var got int64
-		for {
-			_, ok := mb.Pop()
-			if !ok {
-				break
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := tc.c
+			rounds, ok := RunRoundsUntil(&c, tc.max, func() bool { return c.now >= tc.holdsAt })
+			if rounds != tc.wantRounds || ok != tc.wantOK || c.freezes != tc.wantPreds {
+				t.Fatalf("got (%d, %v) after %d snapshots, want (%d, %v) after %d",
+					rounds, ok, c.freezes, tc.wantRounds, tc.wantOK, tc.wantPreds)
 			}
-			got++
-		}
-		return got == want && mb.Len() == 0
+		})
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMailboxClose(t *testing.T) {
-	mb := NewMailbox()
-	mb.Push(Message{Body: 1})
-	mb.Close()
-	if _, ok := mb.Pop(); ok {
-		t.Error("pop after close should fail")
-	}
-	mb.Push(Message{Body: 2}) // must not panic, silently dropped
-	if mb.Len() != 0 {
-		t.Error("push after close should drop")
-	}
-}
-
-// counterNode counts both callbacks atomically (live runtime is concurrent).
-type counterNode struct {
-	timeouts atomic.Int64
-	messages atomic.Int64
-	peer     NodeID
-}
-
-func (c *counterNode) OnMessage(ctx Context, m Message) {
-	c.messages.Add(1)
-	if c.peer != None && m.Body == "ping" {
-		ctx.Send(m.From, m.Topic, "pong")
-	}
-}
-func (c *counterNode) OnTimeout(ctx Context) {
-	c.timeouts.Add(1)
-	if c.peer != None {
-		ctx.Send(c.peer, 1, "ping")
-	}
-}
-
-func TestRuntimeLiveExchange(t *testing.T) {
-	rt := NewRuntime(RuntimeOptions{Interval: time.Millisecond, Seed: 11})
-	defer rt.Close()
-	a := &counterNode{peer: 2}
-	b := &counterNode{peer: 1}
-	rt.AddNode(1, a)
-	rt.AddNode(2, b)
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if a.messages.Load() > 5 && b.messages.Load() > 5 {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if a.messages.Load() == 0 || b.messages.Load() == 0 {
-		t.Fatalf("no live message exchange: a=%d b=%d", a.messages.Load(), b.messages.Load())
-	}
-	if a.timeouts.Load() == 0 {
-		t.Error("live timeouts did not fire")
-	}
-}
-
-func TestRuntimeRemoveNodeStopsDelivery(t *testing.T) {
-	rt := NewRuntime(RuntimeOptions{Interval: time.Millisecond})
-	defer rt.Close()
-	b := &counterNode{}
-	rt.AddNode(2, b)
-	rt.RemoveNode(2)
-	if !rt.Suspects(2) {
-		t.Error("runtime detector should suspect a removed node")
-	}
-	rt.Send(Message{To: 2, From: 1, Body: "x"})
-	time.Sleep(5 * time.Millisecond)
-	if b.messages.Load() != 0 {
-		t.Error("removed node received a message")
-	}
-	if rt.Dropped() == 0 {
-		t.Error("send to removed node should count as dropped")
-	}
-}
-
-func TestRuntimeCloseIdempotentAndQuiet(t *testing.T) {
-	rt := NewRuntime(RuntimeOptions{Interval: time.Millisecond})
-	for i := 1; i <= 20; i++ {
-		rt.AddNode(NodeID(i), &counterNode{peer: NodeID(i%20 + 1)})
-	}
-	time.Sleep(10 * time.Millisecond)
-	rt.Close()
-	rt.Close() // second close must not panic or deadlock
 }

@@ -9,7 +9,7 @@ import (
 // typeNames caches the display name of every message body type the
 // accounting layer has seen (reflect.Type → string). Formatting a type
 // name with fmt.Sprintf("%T", …) allocates on every call, which used to
-// be the single largest per-send cost of both the deterministic Scheduler
+// be the single largest per-send cost of both the deterministic engine
 // and the concurrent runtime; the cache makes the steady-state lookup
 // allocation-free. The wire codec's registry pre-populates it through
 // RegisterTypeName so the accounting names and the codec's canonical
@@ -31,7 +31,7 @@ func TypeName(body any) string {
 }
 
 // RegisterTypeName seeds the type-name cache. The wire registry calls it
-// for every registered message type so the scheduler's CountByType keys,
+// for every registered message type so the engine's CountByType keys,
 // the concurrent runtime's accounting and the codec's tag table all share
 // one canonical name per type. name must equal fmt.Sprintf("%T", zero);
 // TypeName would otherwise diverge from its documented contract.

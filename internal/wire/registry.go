@@ -59,9 +59,11 @@ const (
 	// Transport control (package nettransport): connection handshake.
 	tagHello   = 32
 	tagWelcome = 33
-	// Transport batching: one frame carrying many messages.
-	tagBatch = 34
-	// Transport batching, length-prefixed members (see Batch2).
+	// 34 is retired and must never be reassigned: it was Batch, the first
+	// batching envelope (no member length prefixes), which an old peer may
+	// still emit. It is deliberately absent from the registry, so such a
+	// frame is counted garbage and skipped like any unknown tag.
+	// Transport batching: one frame carrying many length-prefixed messages.
 	tagBatch2 = 35
 )
 
@@ -80,36 +82,27 @@ type Welcome struct {
 	Slots uint32
 }
 
-// Batch is the multi-message envelope the networked transport uses to
+// Batch2 is the multi-message envelope the networked transport uses to
 // carry one coalesced flush window as a single frame: one length prefix,
 // one header, then every message's own (To, From, Topic, tag, body)
-// encoding back to back. Batches do not nest — a Batch body inside a
-// Batch is rejected on both encode and decode — and a batch with any
-// undecodable member is garbage as a whole (its messages become counted
-// message loss, like any other garbage frame).
-type Batch struct {
-	Msgs []sim.Message
-}
-
-// Batch2 is Batch with length-prefixed members: each member's envelope,
-// tag and body are preceded by a uvarint byte length. The prefix lets a
+// encoding, each preceded by a uvarint byte length. The prefix lets a
 // reader know a member's exact byte range before decoding it — which is
 // what the per-connection intern cache (DecodeCache) keys on to
 // recognize a body it has already decoded — and lets a writer splice a
 // pre-encoded tagged body (AppendBody) into a batch without
-// re-encoding. Semantics otherwise match Batch: batches do not nest
-// (neither Batch nor Batch2 may be a member of either), a member whose
-// decoded size disagrees with its prefix is garbage, and any garbage
-// member poisons the whole frame.
+// re-encoding. Batches do not nest — a Batch2 body inside a Batch2 is
+// rejected on both encode and decode — a member whose decoded size
+// disagrees with its prefix is garbage, and a batch with any garbage
+// member is garbage as a whole (its messages become counted message
+// loss, like any other garbage frame).
 type Batch2 struct {
 	Msgs []sim.Message
 }
 
-// checkBatchable reports why a body may not ride inside a Batch or
-// Batch2: it must be a registered type and must not itself be a batch.
+// checkBatchable reports why a body may not ride inside a Batch2: it must
+// be a registered type and must not itself be a batch.
 func checkBatchable(body any) error {
-	switch body.(type) {
-	case Batch, Batch2:
+	if _, nested := body.(Batch2); nested {
 		return fmt.Errorf("wire: batch inside batch")
 	}
 	_, _, err := lookupBody(body)
@@ -117,7 +110,7 @@ func checkBatchable(body any) error {
 }
 
 // Encodable reports whether a message with this body can be encoded as a
-// frame of its own and inside a Batch. The transport uses it to shed
+// frame of its own and inside a Batch2. The transport uses it to shed
 // unencodable messages (as counted loss) before building a batch.
 func Encodable(body any) bool { return checkBatchable(body) == nil }
 
@@ -440,31 +433,14 @@ var registry = map[uint64]entry{
 // registry is complete.
 var tagOf map[reflect.Type]uint64
 
-// init completes the registry with the Batch entry (whose encoding
+// init completes the registry with the Batch2 entry (whose encoding
 // recurses through lookupBody, so defining it inside the registry literal
 // would be an initialization cycle), builds the type→tag table, and
 // mirrors the canonical type names into the accounting name cache
-// (sim.TypeName) so the scheduler's and runtimes' CountByType keys come
+// (sim.TypeName) so the engine's and runtimes' CountByType keys come
 // from this table instead of a per-send fmt.Sprintf. A registry test
 // asserts every name equals the %T rendering it replaces.
 func init() {
-	registry[tagBatch] = entry{"wire.Batch", Batch{},
-		func(e *enc, b any) {
-			m := b.(Batch)
-			e.uvarint(uint64(len(m.Msgs)))
-			for _, im := range m.Msgs {
-				e.message(im)
-			}
-		},
-		func(d *dec) any {
-			// Cheapest possible member: three 1-byte svarints + 1-byte tag.
-			n := d.sliceLen(4)
-			msgs := d.grabMsgs(n)
-			for i := 0; i < n && d.err == nil; i++ {
-				msgs = append(msgs, d.message())
-			}
-			return Batch{Msgs: msgs}
-		}}
 	registry[tagBatch2] = entry{"wire.Batch2", Batch2{},
 		func(e *enc, b any) {
 			m := b.(Batch2)
@@ -474,7 +450,8 @@ func init() {
 			}
 		},
 		func(d *dec) any {
-			// Cheapest member: 1-byte length prefix + Batch's 4-byte floor.
+			// Cheapest member: 1-byte length prefix, three 1-byte svarints
+			// and a 1-byte tag.
 			n := d.sliceLen(5)
 			msgs := d.grabMsgs(n)
 			for i := 0; i < n && d.err == nil; i++ {
@@ -643,13 +620,13 @@ func (d *dec) publication() proto.Publication {
 	return proto.Publication{Key: d.key(), Origin: d.node(), Payload: d.str()}
 }
 
-// message encodes one Batch member: the sim.Message envelope followed by
+// message encodes one batch member: the sim.Message envelope followed by
 // its tagged body, exactly as in a standalone frame but without the
 // length prefix and header. AppendFrame pre-validates every member with
 // checkBatchable, so the lookups here cannot fail.
 func (e *enc) message(m sim.Message) {
 	tag, ent, err := lookupBody(m.Body)
-	if err != nil || tag == tagBatch || tag == tagBatch2 {
+	if err != nil || tag == tagBatch2 {
 		// Unreachable by construction; panicking here would turn an
 		// internal invariant slip into a transport crash, so encode the
 		// member as a GetConfiguration to ⊥ instead — the receiver drops
@@ -665,7 +642,7 @@ func (e *enc) message(m sim.Message) {
 }
 
 // memberLP encodes one Batch2 member: the uvarint byte length, then the
-// member exactly as in a Batch. The length is unknown until the member
+// member itself. The length is unknown until the member
 // is encoded, so the member is written first and shifted right to make
 // room for the prefix (memmove on what was just written — still cheaper
 // than encoding twice).
@@ -680,33 +657,10 @@ func (e *enc) memberLP(m sim.Message) {
 	copy(e.b[start:], tmp[:ln])
 }
 
-// message decodes one Batch member. A nested batch or unknown tag fails
-// the whole frame: the stream is still aligned (the outer length prefix
-// delimits it), so the damage is bounded to this batch.
-func (d *dec) message() sim.Message {
-	var m sim.Message
-	m.To = sim.NodeID(d.svarint())
-	m.From = sim.NodeID(d.svarint())
-	m.Topic = sim.Topic(d.svarint())
-	tag := d.uvarint()
-	if d.err != nil {
-		return sim.Message{}
-	}
-	if tag == tagBatch || tag == tagBatch2 {
-		d.fail("nested batch")
-		return sim.Message{}
-	}
-	ent, ok := registry[tag]
-	if !ok {
-		d.fail("unknown type tag %d in batch", tag)
-		return sim.Message{}
-	}
-	m.Body = ent.dec(d)
-	return m
-}
-
 // memberLP decodes one Batch2 member whose bytes end at offset end (the
-// caller validated end against the input). When the member's tag is
+// caller validated end against the input). A nested batch or unknown tag
+// fails the whole frame: the stream is still aligned (the outer length
+// prefix delimits it), so the damage is bounded to this batch. When the member's tag is
 // shareable and this decode carries an intern cache, the tag+body byte
 // range is the cache key: a hit returns the previously decoded body
 // without touching the bytes again, a miss decodes and then interns.
@@ -724,7 +678,7 @@ func (d *dec) memberLP(end int) sim.Message {
 		d.fail("batch member envelope overruns its length")
 		return sim.Message{}
 	}
-	if tag == tagBatch || tag == tagBatch2 {
+	if tag == tagBatch2 {
 		d.fail("nested batch")
 		return sim.Message{}
 	}

@@ -32,8 +32,8 @@
 // The codec is built for an allocation-free steady state: AppendFrame
 // encodes into a caller-held buffer (and WriteFrame into a pooled one),
 // ReadFrameBuf reuses one frame buffer per connection, and the encoder/
-// decoder cursors are recycled through sync.Pools. The Batch envelope
-// (tag 34) lets a transport carry a whole coalescing window of messages
+// decoder cursors are recycled through sync.Pools. The Batch2 envelope
+// (tag 35) lets a transport carry a whole coalescing window of messages
 // in one frame; see the type's documentation for its layout and
 // garbage semantics.
 package wire
@@ -93,17 +93,10 @@ func AppendFrame(dst []byte, m sim.Message) ([]byte, error) {
 	if err != nil {
 		return dst, err
 	}
-	switch b := m.Body.(type) {
-	case Batch:
+	if b, ok := m.Body.(Batch2); ok {
 		// Validate every nested body up front: the per-type encoding funcs
 		// cannot fail mid-frame, so a batch with an unencodable or nested-
 		// batch member must be rejected before any byte is written.
-		for _, bm := range b.Msgs {
-			if err := checkBatchable(bm.Body); err != nil {
-				return dst, err
-			}
-		}
-	case Batch2:
 		for _, bm := range b.Msgs {
 			if err := checkBatchable(bm.Body); err != nil {
 				return dst, err

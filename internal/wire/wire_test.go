@@ -75,11 +75,6 @@ var sampleBodies = []any{
 	core.PublishCmd{Payload: "payload with\x00bytes"},
 	Hello{Base: sim.None, Slots: 1024},
 	Welcome{Base: 4096, Slots: 1024},
-	Batch{Msgs: []sim.Message{
-		{To: 5, From: 9, Topic: 1, Body: proto.Check{Sender: tup("011", 9), YourLabel: lbl("01"), Flag: proto.LIN}},
-		{To: 9, From: 1, Topic: 1, Body: proto.SetData{Pred: tup("01", 4), Label: lbl("011"), Succ: tup("11", 7)}},
-		{To: 2, From: 3, Topic: 2, Body: core.PublishCmd{Payload: "batched"}},
-	}},
 	Batch2{Msgs: []sim.Message{
 		// The same shareable body to two destinations (the encode-once
 		// multicast shape), plus a slice-bearing body that must bypass
@@ -224,7 +219,30 @@ func TestGarbageRejected(t *testing.T) {
 			e.svarint(1)
 			e.svarint(2)
 			e.svarint(3)
-			e.uvarint(tagBatch)
+			e.uvarint(tagBatch2)
+			e.uvarint(0)
+		}),
+		// Tag 34 was Batch, the retired first batching envelope: reserved
+		// forever, never decodable again — neither as a frame of its own
+		// nor as a batch member.
+		"retired tag 34 frame": mustFrame(t, func(e *enc) {
+			e.svarint(1)
+			e.svarint(2)
+			e.svarint(3)
+			e.uvarint(34)
+			e.uvarint(0)
+		}),
+		"retired tag 34 member": mustFrame(t, func(e *enc) {
+			e.svarint(0)
+			e.svarint(0)
+			e.svarint(0)
+			e.uvarint(tagBatch2)
+			e.uvarint(1)
+			e.uvarint(5)
+			e.svarint(1)
+			e.svarint(2)
+			e.svarint(3)
+			e.uvarint(34)
 			e.uvarint(0)
 		}),
 	}
@@ -394,8 +412,8 @@ func TestRawAssemblyMatchesAppendFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := AppendBody(nil, Batch{}); err == nil {
-		t.Error("AppendBody accepted a Batch body")
+	if _, err := AppendBody(nil, Batch2{}); err == nil {
+		t.Error("AppendBody accepted a batch body")
 	}
 
 	m := sim.Message{To: -3, From: 1 << 20, Topic: 5, Body: body}
@@ -459,7 +477,6 @@ func TestCanShare(t *testing.T) {
 		{proto.ReplicaSync{}, false},
 		{proto.CheckTrie{}, false},
 		{proto.Token{}, false},
-		{Batch{}, false},
 		{Batch2{}, false},
 		{nil, false},
 		{struct{ X int }{}, false}, // unregistered

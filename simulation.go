@@ -9,7 +9,6 @@ import (
 	"sspubsub/internal/ordering"
 	"sspubsub/internal/proto"
 	"sspubsub/internal/runtime/concurrent"
-	"sspubsub/internal/runtime/nettransport"
 	"sspubsub/internal/sim"
 )
 
@@ -17,8 +16,9 @@ import (
 type RuntimeKind string
 
 const (
-	// RuntimeSim is the deterministic discrete-event scheduler: virtual
-	// time, seeded randomness, exact reproducibility. The default.
+	// RuntimeSim is the deterministic discrete-event engine (internal/psim,
+	// run inline on the calling goroutine): virtual time, seeded
+	// randomness, exact reproducibility. The default.
 	RuntimeSim RuntimeKind = "sim"
 	// RuntimeConcurrent is the live goroutine-per-node runtime: real-time
 	// jittered timeouts, buffered mailboxes, true parallelism. Runs are
@@ -33,26 +33,12 @@ const (
 	RuntimeNet RuntimeKind = "net"
 )
 
-// liveSubstrate is what the Simulation facade needs from a non-deterministic
-// execution substrate: transport, quiesce barrier and message accounting.
-// Both concurrent.Runtime and nettransport.Transport satisfy it.
-type liveSubstrate interface {
-	sim.Transport
-	Quiesce(timeout time.Duration, f func()) bool
-	Delivered() int64
-	CountByType(name string) int64
-	SentBy(id sim.NodeID) int64
-	ResetCounters()
-	Now() float64
-	SetFault(f sim.FaultFunc)
-}
-
 // SimOptions configure a Simulation.
 type SimOptions struct {
 	// Runtime picks the substrate (default RuntimeSim). The corruption
 	// injectors (CorruptSubscriberStates, CorruptSupervisorDB,
 	// InjectGarbageMessages, PartitionStates) require RuntimeSim; all
-	// other controls work on both substrates.
+	// other controls work on every substrate.
 	Runtime RuntimeKind
 	// Interval is the real-time length of one timeout interval on
 	// RuntimeConcurrent and RuntimeNet (default 2ms). Ignored by
@@ -105,19 +91,15 @@ type Topic = sim.Topic
 
 // Simulation runs the full protocol stack (supervisor, subscribers,
 // publication engines) on a chosen substrate. On the default deterministic
-// scheduler it exposes the research controls used by the
-// paper-reproduction experiments: corrupted initial states, crashes,
-// convergence detection against the exact legitimate topology, and message
-// accounting. On the concurrent runtime the same scenario API drives real
-// goroutines, with convergence checks taken under a quiesce barrier; a
-// "round" is then one wall-clock timeout interval.
+// engine it exposes the research controls used by the paper-reproduction
+// experiments: corrupted initial states, crashes, convergence detection
+// against the exact legitimate topology, and message accounting. On the
+// live runtimes the same scenario API drives real goroutines, with every
+// state read taken under the quiesce barrier; a "round" is then one
+// wall-clock timeout interval.
 type Simulation struct {
-	c *cluster.Cluster // deterministic substrate (nil on concurrent/net)
-
-	live  *cluster.Live       // live substrate harness (nil on sim)
-	lrt   liveSubstrate       // live substrate (nil on sim)
-	crt   *concurrent.Runtime // non-nil only on RuntimeConcurrent (injectors)
-	ivl   time.Duration
+	h     *cluster.Live
+	kind  RuntimeKind
 	churn []*concurrent.Injector // injectors started via StartChurn
 }
 
@@ -142,229 +124,122 @@ func NewSimulation(opts SimOptions) *Simulation {
 	if ivl == 0 {
 		ivl = 2 * time.Millisecond
 	}
-	supers := opts.Supervisors
-	if supers < 1 {
-		supers = 1
+	kind := opts.Runtime
+	if kind == "" {
+		kind = RuntimeSim
 	}
-	switch opts.Runtime {
-	case RuntimeConcurrent:
-		crt := concurrent.NewRuntime(concurrent.Options{Interval: ivl, Seed: opts.Seed})
-		return &Simulation{live: cluster.NewLiveRF(crt, clientOpts, supers, opts.ReplicationFactor), lrt: crt, crt: crt, ivl: ivl}
-	case RuntimeNet:
-		nt, err := nettransport.NewLoopback(nettransport.Options{Interval: ivl, Seed: opts.Seed})
-		if err != nil {
-			panic(fmt.Sprintf("sspubsub: loopback transport: %v", err))
-		}
-		return &Simulation{live: cluster.NewLiveRF(nt, clientOpts, supers, opts.ReplicationFactor), lrt: nt, ivl: ivl}
-	case RuntimeSim, "":
-		return &Simulation{c: cluster.New(cluster.Options{Seed: opts.Seed, ClientOpts: clientOpts, Supervisors: supers, ReplicationFactor: opts.ReplicationFactor})}
-	default:
-		panic(fmt.Sprintf("sspubsub: unknown runtime %q", opts.Runtime))
+	tr, err := cluster.NewSubstrate(string(kind), opts.Seed, ivl)
+	if err != nil {
+		panic(fmt.Sprintf("sspubsub: %v", err))
 	}
+	return &Simulation{h: cluster.NewLiveRF(tr, clientOpts, opts.Supervisors, opts.ReplicationFactor), kind: kind}
 }
 
 // Close stops any running fault injectors and the substrate. It must be
-// called on RuntimeConcurrent to terminate the node goroutines; on
-// RuntimeSim it is a no-op.
+// called on the live runtimes to terminate the node goroutines; RuntimeSim
+// owns none, so there it releases nothing.
 func (s *Simulation) Close() {
 	for _, in := range s.churn {
 		in.Stop()
 	}
 	s.churn = nil
-	if s.lrt != nil {
-		s.lrt.Close()
-	}
+	s.h.Tr.Close()
 }
 
 // Runtime returns which substrate the simulation runs on.
-func (s *Simulation) Runtime() RuntimeKind {
-	switch {
-	case s.crt != nil:
-		return RuntimeConcurrent
-	case s.lrt != nil:
-		return RuntimeNet
-	default:
-		return RuntimeSim
-	}
-}
+func (s *Simulation) Runtime() RuntimeKind { return s.kind }
 
 // requireSim guards the deterministic-only research controls.
 func (s *Simulation) requireSim(op string) {
-	if s.c == nil {
+	if s.kind != RuntimeSim {
 		panic(fmt.Sprintf("sspubsub: %s requires Runtime == RuntimeSim", op))
 	}
 }
 
 // AddSubscribers creates n subscriber nodes and returns their IDs.
-func (s *Simulation) AddSubscribers(n int) []NodeID {
-	if s.lrt != nil {
-		return s.live.AddClients(n)
-	}
-	return s.c.AddClients(n)
-}
+func (s *Simulation) AddSubscribers(n int) []NodeID { return s.h.AddClients(n) }
 
 // Join subscribes a node to a topic.
-func (s *Simulation) Join(id NodeID, t Topic) {
-	if s.lrt != nil {
-		s.live.Join(id, t)
-		return
-	}
-	s.c.Join(id, t)
-}
+func (s *Simulation) Join(id NodeID, t Topic) { s.h.Join(id, t) }
 
 // JoinAll subscribes every node to the topic.
-func (s *Simulation) JoinAll(t Topic) {
-	if s.lrt != nil {
-		s.live.JoinAll(t)
-		return
-	}
-	s.c.JoinAll(t)
-}
+func (s *Simulation) JoinAll(t Topic) { s.h.JoinAll(t) }
 
 // Leave starts an unsubscribe handshake.
-func (s *Simulation) Leave(id NodeID, t Topic) {
-	if s.lrt != nil {
-		s.live.Leave(id, t)
-		return
-	}
-	s.c.Leave(id, t)
-}
+func (s *Simulation) Leave(id NodeID, t Topic) { s.h.Leave(id, t) }
 
 // Crash fails a node without warning (Section 3.3).
-func (s *Simulation) Crash(id NodeID) {
-	if s.lrt != nil {
-		s.live.Crash(id)
-		return
-	}
-	s.c.Crash(id)
-}
+func (s *Simulation) Crash(id NodeID) { s.h.Crash(id) }
 
 // Publish makes a node publish a payload.
-func (s *Simulation) Publish(id NodeID, t Topic, payload string) {
-	if s.lrt != nil {
-		s.live.Publish(id, t, payload)
-		return
-	}
-	s.c.Publish(id, t, payload)
-}
+func (s *Simulation) Publish(id NodeID, t Topic, payload string) { s.h.Publish(id, t, payload) }
 
 // RunRounds advances by k timeout intervals: virtual on RuntimeSim,
-// wall-clock on RuntimeConcurrent.
-func (s *Simulation) RunRounds(k int) {
-	if s.lrt != nil {
-		time.Sleep(time.Duration(k) * s.ivl)
-		return
-	}
-	s.c.Sched.RunRounds(k)
-}
+// wall-clock on the live runtimes.
+func (s *Simulation) RunRounds(k int) { s.h.RunRounds(k) }
 
 // RunUntilConverged advances until topic t is in its legitimate state with
-// exactly n members, returning the rounds taken and success. On
-// RuntimeConcurrent the legitimacy predicate is evaluated under the
-// quiesce barrier once per interval, so the snapshot is exact.
+// exactly n members, returning the rounds taken and success. On the live
+// runtimes the legitimacy predicate is evaluated under the quiesce barrier
+// once per interval, so the snapshot is exact.
 func (s *Simulation) RunUntilConverged(t Topic, n, maxRounds int) (int, bool) {
-	if s.lrt != nil {
-		start := time.Now()
-		deadline := start.Add(time.Duration(maxRounds) * s.ivl)
-		for {
-			if s.quiescedCheck(func() bool { return s.live.ConvergedWith(t, n) }) {
-				return s.elapsedRounds(start), true
-			}
-			if time.Now().After(deadline) {
-				return maxRounds, false
-			}
-			time.Sleep(s.ivl)
-		}
-	}
-	return s.c.RunUntilConverged(t, n, maxRounds)
+	return s.h.RunUntilConverged(t, n, maxRounds)
 }
 
 // RunUntil advances round by round until pred returns true or maxRounds
 // elapsed; pred is evaluated between rounds (under the quiesce barrier on
-// RuntimeConcurrent).
+// the live runtimes).
 func (s *Simulation) RunUntil(maxRounds int, pred func() bool) (int, bool) {
-	if s.lrt != nil {
-		start := time.Now()
-		deadline := start.Add(time.Duration(maxRounds) * s.ivl)
-		for {
-			if s.quiescedCheck(pred) {
-				return s.elapsedRounds(start), true
-			}
-			if time.Now().After(deadline) {
-				return maxRounds, false
-			}
-			time.Sleep(s.ivl)
-		}
-	}
-	return s.c.Sched.RunRoundsUntil(maxRounds, pred)
+	return s.h.RunUntil(maxRounds, pred)
 }
 
-// quiescedCheck evaluates pred with the concurrent runtime frozen. If the
-// system does not drain within a generous window (livelock, injector
-// churn), the check conservatively reports false.
-func (s *Simulation) quiescedCheck(pred func() bool) bool {
+// frozen evaluates pred on a consistent snapshot. If a live system does
+// not drain within a generous window (livelock, injector churn), the check
+// conservatively reports false.
+func (s *Simulation) frozen(pred func() bool) bool {
 	ok := false
-	s.lrt.Quiesce(100*s.ivl, func() { ok = pred() })
+	s.h.Freeze(func() { ok = pred() })
 	return ok
 }
 
-func (s *Simulation) elapsedRounds(start time.Time) int {
-	return int(time.Since(start) / s.ivl)
+// explained evaluates an Explain-style report on a consistent snapshot.
+func (s *Simulation) explained(report func() string) string {
+	out := "system did not quiesce"
+	s.h.Freeze(func() { out = report() })
+	return out
 }
 
 // Converged reports whether topic t is currently legitimate.
 func (s *Simulation) Converged(t Topic) bool {
-	if s.lrt != nil {
-		return s.quiescedCheck(func() bool { return s.live.Converged(t) })
-	}
-	return s.c.Converged(t)
+	return s.frozen(func() bool { return s.h.Converged(t) })
 }
 
 // Explain describes the first legitimacy violation, or returns "".
 func (s *Simulation) Explain(t Topic) string {
-	if s.lrt != nil {
-		out := "system did not quiesce"
-		s.lrt.Quiesce(100*s.ivl, func() { out = s.live.Explain(t) })
-		return out
-	}
-	return s.c.Explain(t)
+	return s.explained(func() string { return s.h.Explain(t) })
 }
 
 // ReplicasConverged reports whether every expected warm replica of t
 // matches the owner's directory digest (trivially true when
 // SimOptions.ReplicationFactor is 0).
 func (s *Simulation) ReplicasConverged(t Topic) bool {
-	if s.lrt != nil {
-		return s.quiescedCheck(func() bool { return s.live.ReplicasConverged(t) })
-	}
-	return s.c.ReplicasConverged(t)
+	return s.frozen(func() bool { return s.h.ReplicasConverged(t) })
 }
 
 // ExplainReplication describes the first replica-convergence violation
 // for t, or returns "" when all replicas are warm.
 func (s *Simulation) ExplainReplication(t Topic) string {
-	if s.lrt != nil {
-		out := "system did not quiesce"
-		s.lrt.Quiesce(100*s.ivl, func() { out = s.live.ExplainReplication(t) })
-		return out
-	}
-	return s.c.ExplainReplication(t)
+	return s.explained(func() string { return s.h.ExplainReplication(t) })
 }
 
 // TriesEqual reports whether all members hold identical publication sets.
 func (s *Simulation) TriesEqual(t Topic) bool {
-	if s.lrt != nil {
-		return s.quiescedCheck(func() bool { return s.live.TriesEqual(t) })
-	}
-	return s.c.TriesEqual(t)
+	return s.frozen(func() bool { return s.h.TriesEqual(t) })
 }
 
 // AllHavePubs reports whether every member knows at least k publications.
 func (s *Simulation) AllHavePubs(t Topic, k int) bool {
-	if s.lrt != nil {
-		return s.quiescedCheck(func() bool { return s.live.AllHavePubs(t, k) })
-	}
-	return s.c.AllHavePubs(t, k)
+	return s.frozen(func() bool { return s.h.AllHavePubs(t, k) })
 }
 
 // Publications returns the publication payloads known to a node.
@@ -404,11 +279,7 @@ func (s *Simulation) Label(id NodeID, t Topic) string {
 }
 
 func (s *Simulation) clientOf(id NodeID) (*core.Client, bool) {
-	if s.lrt != nil {
-		cl, ok := s.live.Clients[id]
-		return cl, ok
-	}
-	cl, ok := s.c.Clients[id]
+	cl, ok := s.h.Clients[id]
 	return cl, ok
 }
 
@@ -416,21 +287,21 @@ func (s *Simulation) clientOf(id NodeID) (*core.Client, bool) {
 // Requires RuntimeSim.
 func (s *Simulation) CorruptSubscriberStates(t Topic) {
 	s.requireSim("CorruptSubscriberStates")
-	s.c.CorruptSubscriberStates(t)
+	s.h.CorruptSubscriberStates(t, s.h.Rand())
 }
 
 // CorruptSupervisorDB injects the four database corruption cases.
 // Requires RuntimeSim.
 func (s *Simulation) CorruptSupervisorDB(t Topic) {
 	s.requireSim("CorruptSupervisorDB")
-	s.c.CorruptSupervisorDB(t)
+	s.h.CorruptSupervisorDB(t, s.h.Rand())
 }
 
-// InjectGarbageMessages seeds the channels with corrupted messages.
-// Requires RuntimeSim.
+// InjectGarbageMessages seeds the channels with corrupted messages, spread
+// over the following round. Requires RuntimeSim.
 func (s *Simulation) InjectGarbageMessages(t Topic, count int) {
 	s.requireSim("InjectGarbageMessages")
-	s.c.InjectGarbageMessages(t, count)
+	s.h.SendGarbageMessages(t, count, s.h.Rand())
 }
 
 // PartitionStates splits the members into k self-consistent, unrecorded
@@ -438,24 +309,19 @@ func (s *Simulation) InjectGarbageMessages(t Topic, count int) {
 // RuntimeSim.
 func (s *Simulation) PartitionStates(t Topic, k int) {
 	s.requireSim("PartitionStates")
-	s.c.PartitionStates(t, k)
+	s.h.PartitionStates(t, k)
 }
 
 // Restart brings a previously crashed subscriber back with exactly the
 // stale state it crashed with — an arbitrary initial state for the
 // self-stabilization machinery to repair. It reports false when the node
 // was never crashed (or was already restarted). Works on every substrate.
-func (s *Simulation) Restart(id NodeID) bool {
-	if s.lrt != nil {
-		return s.live.Restart(id)
-	}
-	return s.c.Restart(id)
-}
+func (s *Simulation) Restart(id NodeID) bool { return s.h.Restart(id) }
 
 // SupervisorIDs returns the static supervisor plane (node IDs
 // 1 … SimOptions.Supervisors), crashed or not.
 func (s *Simulation) SupervisorIDs() []NodeID {
-	return append([]NodeID(nil), s.harness().SupIDs...)
+	return append([]NodeID(nil), s.h.SupIDs...)
 }
 
 // CrashSupervisor fails a supervisor without warning (by node ID; see
@@ -467,7 +333,7 @@ func (s *Simulation) SupervisorIDs() []NodeID {
 // no live member owns nothing and cannot converge). Works on every
 // substrate.
 func (s *Simulation) CrashSupervisor(id NodeID) bool {
-	return s.harness().CrashSupervisor(id)
+	return s.h.CrashSupervisor(id)
 }
 
 // RestartSupervisor brings a crashed supervisor back with the stale plane
@@ -475,15 +341,7 @@ func (s *Simulation) CrashSupervisor(id NodeID) bool {
 // topics at a fresh epoch. It reports false when the supervisor was not
 // crashed.
 func (s *Simulation) RestartSupervisor(id NodeID) bool {
-	return s.harness().RestartSupervisor(id)
-}
-
-// harness returns the substrate-independent cluster harness.
-func (s *Simulation) harness() *cluster.Live {
-	if s.lrt != nil {
-		return s.live
-	}
-	return s.c.Live
+	return s.h.RestartSupervisor(id)
 }
 
 // FaultAction is the verdict a message-fault filter returns; see the
@@ -511,11 +369,7 @@ func (s *Simulation) SetMessageFault(f func(from, to NodeID, topic Topic) FaultA
 	if f != nil {
 		ff = func(m sim.Message) sim.FaultAction { return f(m.From, m.To, m.Topic) }
 	}
-	if s.lrt != nil {
-		s.lrt.SetFault(ff)
-		return
-	}
-	s.c.Sched.SetFault(ff)
+	s.h.SetFault(ff)
 }
 
 // StartChurn attaches a crash/restart fault injector to a concurrent run:
@@ -525,74 +379,44 @@ func (s *Simulation) SetMessageFault(f func(from, to NodeID, topic Topic) FaultA
 // idempotent, and Close stops any injector still running. Requires
 // RuntimeConcurrent.
 func (s *Simulation) StartChurn(seed int64) (stop func()) {
-	if s.crt == nil {
+	crt, ok := s.h.Tr.(*concurrent.Runtime)
+	if !ok {
 		panic("sspubsub: StartChurn requires Runtime == RuntimeConcurrent")
 	}
-	in := s.crt.NewInjector(concurrent.InjectorOptions{
+	in := crt.NewInjector(concurrent.InjectorOptions{
 		Seed:    seed,
-		Protect: s.live.IsSupervisor,
+		Protect: s.h.IsSupervisor,
 	})
 	s.churn = append(s.churn, in)
 	return in.Stop
 }
 
 // MessagesDelivered returns the total messages delivered so far.
-func (s *Simulation) MessagesDelivered() int64 {
-	if s.lrt != nil {
-		return s.lrt.Delivered()
-	}
-	return s.c.Sched.Delivered()
-}
+func (s *Simulation) MessagesDelivered() int64 { return s.h.Delivered() }
 
 // MessagesByType returns the count of sends for a protocol message type
 // name, e.g. "proto.GetConfiguration".
-func (s *Simulation) MessagesByType(name string) int64 {
-	if s.lrt != nil {
-		return s.lrt.CountByType(name)
-	}
-	return s.c.Sched.CountByType(name)
-}
+func (s *Simulation) MessagesByType(name string) int64 { return s.h.CountByType(name) }
 
 // SentBy returns the number of messages a node has sent.
-func (s *Simulation) SentBy(id NodeID) int64 {
-	if s.lrt != nil {
-		return s.lrt.SentBy(id)
-	}
-	return s.c.Sched.SentBy(id)
-}
+func (s *Simulation) SentBy(id NodeID) int64 { return s.h.SentBy(id) }
 
 // SupervisorSent returns the number of messages the supervisor has sent.
 func (s *Simulation) SupervisorSent() int64 { return s.SentBy(cluster.SupervisorID) }
 
 // ResetCounters zeroes the message accounting (measure steady states).
-func (s *Simulation) ResetCounters() {
-	if s.lrt != nil {
-		s.lrt.ResetCounters()
-		return
-	}
-	s.c.Sched.ResetCounters()
-}
+func (s *Simulation) ResetCounters() { s.h.ResetCounters() }
 
 // Members returns the nodes currently subscribed to t.
-func (s *Simulation) Members(t Topic) []NodeID {
-	if s.lrt != nil {
-		return s.live.Members(t)
-	}
-	return s.c.Members(t)
-}
+func (s *Simulation) Members(t Topic) []NodeID { return s.h.Members(t) }
 
 // Now returns the current time in timeout intervals: virtual on
-// RuntimeSim, wall-clock on RuntimeConcurrent.
-func (s *Simulation) Now() float64 {
-	if s.lrt != nil {
-		return s.lrt.Now()
-	}
-	return s.c.Sched.Now()
-}
+// RuntimeSim, wall-clock on the live runtimes.
+func (s *Simulation) Now() float64 { return s.h.Now() }
 
 // Cluster exposes the underlying deterministic harness for advanced
 // experiments. Requires RuntimeSim.
-func (s *Simulation) Cluster() *cluster.Cluster {
+func (s *Simulation) Cluster() *cluster.Live {
 	s.requireSim("Cluster")
-	return s.c
+	return s.h
 }
