@@ -403,7 +403,7 @@ func BenchmarkHotPathPublishFanout(b *testing.B) {
 	b.Run("sim-4sup", func(b *testing.B) {
 		benchHotPathFanout(b, SimOptions{
 			Runtime: RuntimeSim, Seed: 11, Interval: time.Millisecond,
-			DisableAntiEntropy: true, Supervisors: 4,
+			DisableAntiEntropy: true, Protocol: Protocol{Supervisors: 4},
 		})
 	})
 }

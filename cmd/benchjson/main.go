@@ -17,7 +17,10 @@
 // becomes one JSON object with the benchmark name, iteration count and a
 // metrics map keyed by unit (run benchmarks with -benchmem, or with
 // b.ReportAllocs() in the benchmark, so B/op and allocs/op are part of
-// every series). Non-benchmark lines are ignored, so raw `go test`
+// every series); the -<GOMAXPROCS> suffix go test appends to the name on
+// a multi-core run is dropped, so series recorded on machines with
+// different core counts (or with GOMAXPROCS=1, which appends none) carry
+// the same name. Non-benchmark lines are ignored, so raw `go test`
 // output can be piped in unfiltered. Inputs ending in .json are loaded
 // as previously written artifacts and merged, so two artifacts can be
 // compared directly. When the same benchmark name appears more than once
@@ -44,6 +47,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"regexp"
 	"sort"
 	"strconv"
 	"strings"
@@ -140,8 +144,19 @@ func loadReport(path string) (Report, error) {
 	if err := json.Unmarshal(b, &rep); err != nil {
 		return rep, fmt.Errorf("%s: %w", path, err)
 	}
+	for i := range rep.Results { // artifacts written before names were normalised
+		rep.Results[i].Name = seriesName(rep.Results[i].Name)
+	}
 	return rep, nil
 }
+
+// procsSuffix is the -<GOMAXPROCS> go test appends to a benchmark's name:
+// a trailing all-digit segment after the last '-'. "n=16", "/p=4" and
+// "sim-4sup" are parts of the name.
+var procsSuffix = regexp.MustCompile(`-[0-9]+$`)
+
+// seriesName strips procsSuffix (BenchmarkX/sim-8 → BenchmarkX/sim).
+func seriesName(name string) string { return procsSuffix.ReplaceAllString(name, "") }
 
 // unitDirection is the explicit improvement direction per metric unit:
 // true = higher is better (throughput rates), false = lower is better
@@ -302,7 +317,7 @@ func parse(r io.Reader, rep *Report) {
 		if err != nil {
 			continue
 		}
-		res := Result{Name: fields[0], Iterations: iters, Metrics: map[string]float64{}}
+		res := Result{Name: seriesName(fields[0]), Iterations: iters, Metrics: map[string]float64{}}
 		ok := true
 		for i := 2; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)

@@ -2,6 +2,8 @@ package main
 
 import (
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -26,7 +28,7 @@ some unrelated line
 		t.Fatalf("parsed %d results, want 1", len(r.Results))
 	}
 	got := r.Results[0]
-	if got.Name != "BenchmarkHotPathPublishFanout/net-8" || got.Iterations != 1000 {
+	if got.Name != "BenchmarkHotPathPublishFanout/net" || got.Iterations != 1000 {
 		t.Fatalf("parsed %+v", got)
 	}
 	for unit, want := range map[string]float64{
@@ -163,5 +165,45 @@ func TestCompareGatesScaleSeries(t *testing.T) {
 	}}}
 	if regs := compare(io.Discard, old, faster, 0.15, "all"); len(regs) != 0 {
 		t.Fatalf("improvements must not gate, got %v", regs)
+	}
+}
+
+// TestSeriesNameDropsGOMAXPROCSSuffix: a multi-core go-test run names its
+// series BenchmarkX/sim-8, a GOMAXPROCS=1 run BenchmarkX/sim; both must
+// land on one series, on ingest and when an artifact recorded with the
+// suffix is the -compare baseline — or the gate silently compares nothing.
+func TestSeriesNameDropsGOMAXPROCSSuffix(t *testing.T) {
+	for in, want := range map[string]string{
+		"BenchmarkHotPathPublishFanout/sim-8":      "BenchmarkHotPathPublishFanout/sim",
+		"BenchmarkHotPathPublishFanout/sim":        "BenchmarkHotPathPublishFanout/sim",
+		"BenchmarkHotPathPublishFanout/sim-4sup-2": "BenchmarkHotPathPublishFanout/sim-4sup",
+		"BenchmarkHotPathPublishFanout/sim-4sup":   "BenchmarkHotPathPublishFanout/sim-4sup",
+		"BenchmarkFailoverConvergence/rf=0/n=16":   "BenchmarkFailoverConvergence/rf=0/n=16",
+		"BenchmarkScaleJoin/n=2048/p=4":            "BenchmarkScaleJoin/n=2048/p=4",
+		"BenchmarkTrieInsert-16":                   "BenchmarkTrieInsert",
+		"BenchmarkOdd-":                            "BenchmarkOdd-",
+	} {
+		if got := seriesName(in); got != want {
+			t.Errorf("seriesName(%q) = %q, want %q", in, got, want)
+		}
+	}
+
+	var multi Report
+	parse(strings.NewReader("BenchmarkHotPathPublishFanout/sim-8 1000 5 ns/op 60 allocs/op\n"), &multi)
+	base := rep(res("BenchmarkHotPathPublishFanout/sim", map[string]float64{"allocs/op": 45}))
+	if hits := compare(io.Discard, base, multi, 0.15, "allocs/op"); len(hits) != 1 {
+		t.Errorf("8-core run against a 1-core baseline: %d regressions reported, want 1", len(hits))
+	}
+
+	path := filepath.Join(t.TempDir(), "old.json")
+	if err := os.WriteFile(path, []byte(`{"results":[{"name":"BenchmarkHotPathPublishFanout/sim-2","iterations":1,"metrics":{"allocs/op":45}}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	old, err := loadReport(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hits := compare(io.Discard, old, multi, 0.15, "allocs/op"); len(hits) != 1 {
+		t.Errorf("baseline recorded with a suffix: %d regressions reported, want 1", len(hits))
 	}
 }

@@ -3,8 +3,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"strconv"
-	"strings"
 
 	"sspubsub/internal/metrics"
 	"sspubsub/internal/scale"
@@ -21,68 +19,31 @@ import (
 //	srsim failover -ns 1000,10000,100000 -rf 2 -bench | go run ./cmd/benchjson
 func runFailover(args []string) {
 	fs := flag.NewFlagSet("failover", flag.ExitOnError)
-	nsFlag := fs.String("ns", "1000,10000,100000", "comma-separated subscriber counts to sweep")
-	rf := fs.Int("rf", 2, "directory replication factor (0 = cold Reregister rebuild baseline)")
-	supervisors := fs.Int("supervisors", 4, "supervisor-plane size")
-	seed := fs.Int64("seed", 1, "random seed (runs are reproducible)")
-	poolSize := fs.Int("poolsize", 1024, "virtual subscribers per pool node")
-	cull := fs.Int("cull", 0, "supervisor cull budget per timeout (0 = auto, n/64)")
-	maxRounds := fs.Int("maxrounds", 0, "max rounds per convergence wait (0 = default)")
-	bench := fs.Bool("bench", false, "emit go-bench result lines (pipe into cmd/benchjson)")
-	workers := fs.Int("workers", 0, "lane workers executing the engine (results are identical for every value); 0 = engine default, one per CPU")
-	lanes := fs.Int("lanes", 0, "engine lane count (part of the schedule identity; 0 = default 16)")
-	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile covering the whole sweep to this file")
-	memprofile := fs.String("memprofile", "", "write a heap profile (taken after the sweep) to this file")
+	sw := sweepFlags(fs)
+	fs.IntVar(&sw.cfg.ReplicationFactor, "rf", 2, "directory replication factor (0 = cold Reregister rebuild baseline)")
+	fs.IntVar(&sw.cfg.Supervisors, "supervisors", 4, "supervisor-plane size")
 	fs.Parse(args)
 
-	if *workers < 0 {
-		fail("failover: -workers must be >= 0, got %d", *workers)
+	ns, stop := sw.start("failover")
+	defer stop()
+	rf := sw.cfg.ReplicationFactor
+	if rf < 0 {
+		fail("failover: -rf must be non-negative, got %d", rf)
 	}
-	stopCPU := startCPUProfile(*cpuprofile)
-	defer stopCPU()
-	defer writeMemProfile(*memprofile)
-
-	var ns []int
-	for _, part := range strings.Split(*nsFlag, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		n, err := strconv.Atoi(part)
-		if err != nil || n <= 0 {
-			fail("failover: -ns entries must be positive integers, got %q", part)
-		}
-		ns = append(ns, n)
-	}
-	if len(ns) == 0 {
-		fail("failover: -ns is empty")
-	}
-	if *rf < 0 {
-		fail("failover: -rf must be non-negative, got %d", *rf)
-	}
-	if *supervisors < 2 {
-		fail("failover: -supervisors must be at least 2 (there must be a successor to fail over to), got %d", *supervisors)
+	if sw.cfg.Supervisors < 2 {
+		fail("failover: -supervisors must be at least 2 (there must be a successor to fail over to), got %d", sw.cfg.Supervisors)
 	}
 
 	results := make([]scale.FailoverResult, 0, len(ns))
 	for _, n := range ns {
-		fmt.Printf("# n=%d rf=%d: join → settle → crash owner → converge...\n", n, *rf)
-		res := scale.RunFailover(scale.FailoverConfig{
-			N:                 n,
-			PoolSize:          *poolSize,
-			Seed:              *seed,
-			Supervisors:       *supervisors,
-			ReplicationFactor: *rf,
-			CullPerTimeout:    *cull,
-			MaxRounds:         *maxRounds,
-			Workers:           *workers,
-			Lanes:             *lanes,
-		})
+		fmt.Printf("# n=%d rf=%d: join → settle → crash owner → converge...\n", n, rf)
+		sw.cfg.N = n
+		res := scale.RunFailover(sw.cfg)
 		results = append(results, res)
 		if !res.Converged {
 			fmt.Printf("# n=%d: DID NOT CONVERGE — curve below excludes it\n", n)
 		}
-		if *bench {
+		if sw.bench {
 			// The rounds are schedule-determined — identical for every
 			// -workers value — so the series name carries no worker count.
 			fmt.Printf("BenchmarkFailoverConvergence/rf=%d/n=%d 1 %d failover-rounds %d relabelled %d setup-rounds\n",
@@ -111,7 +72,7 @@ func runFailover(args []string) {
 	}
 	_, b := scale.FitPowerLaw(xs, fo)
 	fmt.Printf("\nPower-law fit failover-rounds = a·n^b: b = %+.3f", b)
-	if *rf > 0 {
+	if rf > 0 {
 		fmt.Printf("   (warm adoption: expected ≈ 0 — the replica ships no per-subscriber traffic)\n")
 	} else {
 		fmt.Printf("   (cold rebuild: grows with n — every survivor Reregisters)\n")

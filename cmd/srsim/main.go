@@ -49,7 +49,6 @@ import (
 	"time"
 
 	"sspubsub/internal/cluster"
-	"sspubsub/internal/core"
 	"sspubsub/internal/experiments"
 	"sspubsub/internal/psim"
 	"sspubsub/internal/runtime/concurrent"
@@ -178,7 +177,7 @@ func runOneShot() {
 		}
 	}
 	defer tr.Close()
-	run(cluster.NewLiveN(tr, core.Options{}, *supervisors), *n, sc, *seed, *rounds, *churn, *pubs, *crash)
+	run(cluster.New(tr, cluster.Options{Supervisors: *supervisors}), *n, sc, *seed, *rounds, *churn, *pubs, *crash)
 }
 
 // traced decorates the deterministic engine for -trace: every handler

@@ -3,8 +3,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"strconv"
-	"strings"
 
 	"sspubsub/internal/metrics"
 	"sspubsub/internal/ordering"
@@ -27,73 +25,32 @@ import (
 // P-independence invariant.
 func runScale(args []string) {
 	fs := flag.NewFlagSet("scale", flag.ExitOnError)
-	nsFlag := fs.String("ns", "1000,10000,100000", "comma-separated subscriber counts to sweep")
-	seed := fs.Int64("seed", 1, "random seed (runs are reproducible)")
-	poolSize := fs.Int("poolsize", 1024, "virtual subscribers per pool node")
-	historyCap := fs.Int("historycap", 0, "per-subscriber publication retention bound (0 = unlimited)")
-	cull := fs.Int("cull", 0, "supervisor cull budget per timeout (0 = auto, n/64)")
-	maxRounds := fs.Int("maxrounds", 512, "max rounds per convergence wait")
-	crash := fs.Float64("crash", 0.01, "fraction of subscribers crashed for the stabilization probe")
-	maxEvents := fs.Int("maxevents", 0, "engine event-queue ceiling (0 = unbounded; sheds load past it)")
-	bench := fs.Bool("bench", false, "emit go-bench result lines (pipe into cmd/benchjson)")
+	sw := sweepFlags(fs)
+	fs.IntVar(&sw.cfg.HistoryCap, "historycap", 0, "per-subscriber publication retention bound (0 = unlimited)")
+	fs.Float64Var(&sw.cfg.CrashFrac, "crash", 0.01, "fraction of subscribers crashed for the stabilization probe")
+	fs.IntVar(&sw.cfg.MaxQueuedEvents, "maxevents", 0, "engine event-queue ceiling (0 = unbounded; sheds load past it)")
 	mode := fs.String("mode", "besteffort", "delivery mode: besteffort | fifo | causal (ordered modes time fan-out on actual deliveries)")
-	workers := fs.Int("workers", 0, "lane workers executing the engine (results are identical for every value); 0 = engine default, one per CPU")
-	lanes := fs.Int("lanes", 0, "engine lane count (part of the schedule identity; 0 = default 16)")
 	digest := fs.Bool("digest", false, "print a DIGEST line per point (canonical schedule-determined fields, for divergence diffing)")
-	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile covering the whole sweep to this file")
-	memprofile := fs.String("memprofile", "", "write a heap profile (taken after the sweep) to this file")
 	fs.Parse(args)
 
-	if *workers < 0 {
-		fail("scale: -workers must be >= 0, got %d", *workers)
-	}
-	stopCPU := startCPUProfile(*cpuprofile)
-	defer stopCPU()
-	defer writeMemProfile(*memprofile)
-
-	dm, err := ordering.ParseMode(*mode)
-	if err != nil {
+	ns, stop := sw.start("scale")
+	defer stop()
+	var err error
+	if sw.cfg.DeliveryMode, err = ordering.ParseMode(*mode); err != nil {
 		fail("scale: %v", err)
 	}
-
-	var ns []int
-	for _, part := range strings.Split(*nsFlag, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		n, err := strconv.Atoi(part)
-		if err != nil || n <= 0 {
-			fail("scale: -ns entries must be positive integers, got %q", part)
-		}
-		ns = append(ns, n)
-	}
-	if len(ns) == 0 {
-		fail("scale: -ns is empty")
-	}
-	if *crash < 0 || *crash >= 1 {
-		fail("scale: -crash must be in [0, 1), got %g", *crash)
+	if sw.cfg.CrashFrac < 0 || sw.cfg.CrashFrac >= 1 {
+		fail("scale: -crash must be in [0, 1), got %g", sw.cfg.CrashFrac)
 	}
 
 	results := make([]scale.Result, 0, len(ns))
 	for _, n := range ns {
 		fmt.Printf("# n=%d: running join → fan-out → crash-burst scenario...\n", n)
-		res := scale.Run(scale.Config{
-			N:               n,
-			PoolSize:        *poolSize,
-			Seed:            *seed,
-			HistoryCap:      *historyCap,
-			CullPerTimeout:  *cull,
-			MaxRounds:       *maxRounds,
-			CrashFrac:       *crash,
-			MaxQueuedEvents: *maxEvents,
-			DeliveryMode:    dm,
-			Workers:         *workers,
-			Lanes:           *lanes,
-		})
+		sw.cfg.N = n
+		res := scale.Run(sw.cfg)
 		results = append(results, res)
 		if !res.Converged {
-			fmt.Printf("# n=%d: DID NOT CONVERGE within %d rounds — curves below exclude it\n", n, *maxRounds)
+			fmt.Printf("# n=%d: DID NOT CONVERGE — curves below exclude it\n", n)
 		}
 		if res.OverflowDropped > 0 {
 			fmt.Printf("# n=%d: event ceiling shed %d messages — latencies are load-shed, not protocol, numbers\n", n, res.OverflowDropped)
@@ -101,7 +58,7 @@ func runScale(args []string) {
 		if *digest {
 			fmt.Printf("DIGEST %s\n", res.Digest())
 		}
-		if *bench {
+		if sw.bench {
 			printBenchLines(res)
 		}
 	}

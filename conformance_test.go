@@ -119,7 +119,7 @@ func TestOrderedDeliveryConformance(t *testing.T) {
 				got := make(map[NodeID][]string)
 				s := NewSimulation(SimOptions{
 					Runtime: kind, Seed: 7, Interval: time.Millisecond,
-					DeliveryMode: mode,
+					Protocol: Protocol{DeliveryMode: mode},
 					OnDeliver: func(node NodeID, tp Topic, payload string) {
 						mu.Lock()
 						got[node] = append(got[node], payload)

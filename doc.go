@@ -110,8 +110,8 @@
 // memory at each point, and fits power-law growth exponents against the
 // paper's O(log n) bounds; -bench emits the series in benchjson form so
 // the nightly sweep accumulates a machine-readable scaling trajectory.
-// Options.HistoryCap (and SimOptions.HistoryCap) bound each subscriber's
-// retained publication history — at these populations an unbounded
+// Protocol.HistoryCap (set through Options or SimOptions, which both
+// embed Protocol) bounds each subscriber's retained publication history — at these populations an unbounded
 // history is the difference between a flat and a linearly growing
 // per-node footprint.
 //
@@ -129,8 +129,9 @@
 //
 // # Supervisor plane
 //
-// The paper assumes one reliable supervisor. With Options.Supervisors > 1
-// the system instead runs a crash-tolerant supervisor plane: topics are
+// The paper assumes one reliable supervisor. With Protocol.Supervisors > 1
+// (Options and SimOptions embed Protocol, the options the two facades
+// share) the system instead runs a crash-tolerant supervisor plane: topics are
 // sharded over the supervisors by consistent hashing (internal/hashdht),
 // the supervisors monitor each other through the system-wide failure
 // detector, a crashed supervisor's topics migrate to their hashing
@@ -145,8 +146,12 @@
 // takes none of these code paths — this is a deliberate departure from
 // the paper's reliable-supervisor assumption, extending the
 // self-stabilization guarantee to the one component the paper exempts.
+// The plane is assembled in one place, internal/cluster's Plane, which the
+// one harness (cluster.Live — a System is names, subscriptions and locking
+// over one, a Simulation a thin facade) embeds and the scale harness
+// builds its supervisors through.
 //
-// With Options.ReplicationFactor > 0 the plane additionally replicates
+// With Protocol.ReplicationFactor > 0 the plane additionally replicates
 // each topic's directory to the topic's hashdht successors: owners
 // stream bounded delta batches and run a periodic anti-entropy digest
 // exchange (mismatch triggers a bounded-chunk full sync, so an
@@ -161,7 +166,7 @@
 //
 // Delivery is best-effort by default: every publication reaches every
 // subscriber exactly once, in no promised order — the paper's semantics.
-// Options.DeliveryMode (and SimOptions.DeliveryMode, `srsim … -mode`)
+// Protocol.DeliveryMode (in Options and SimOptions; `srsim … -mode`)
 // selects a stronger discipline for the deployment. ModeFIFO delivers
 // each publisher's publications in publish order: publishers stamp a
 // per-topic sequence number, subscribers hold out-of-order arrivals in a

@@ -92,7 +92,7 @@ func TestSimulationRestartLive(t *testing.T) {
 // Simulation facade on the deterministic substrate: crash the owner of the
 // topic, converge under the successor, restart, converge again.
 func TestSimulationSupervisorFailover(t *testing.T) {
-	s := NewSimulation(SimOptions{Runtime: RuntimeSim, Seed: 31, Supervisors: 3})
+	s := NewSimulation(SimOptions{Runtime: RuntimeSim, Seed: 31, Protocol: Protocol{Supervisors: 3}})
 	defer s.Close()
 	sups := s.SupervisorIDs()
 	if len(sups) != 3 {

@@ -104,9 +104,6 @@ func (c *Config) fill() {
 	if c.N == 0 {
 		c.N = 12
 	}
-	if c.Supervisors < 1 {
-		c.Supervisors = 1
-	}
 	if c.Topic == 0 {
 		c.Topic = 1
 	}
@@ -243,7 +240,9 @@ func newEnv(cfg Config) (*env, error) {
 	if err != nil {
 		return nil, fmt.Errorf("chaos: %w", err)
 	}
-	e.l = cluster.NewLiveRF(tr, co, cfg.Supervisors, cfg.ReplicationFactor)
+	e.l = cluster.New(tr, cluster.Options{
+		ClientOpts: co, Supervisors: cfg.Supervisors, ReplicationFactor: cfg.ReplicationFactor,
+	})
 	e.nt, _ = tr.(*nettransport.Transport)
 	return e, nil
 }

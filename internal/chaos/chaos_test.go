@@ -277,3 +277,41 @@ func TestRandomGeneratorDrawsReplicaFault(t *testing.T) {
 	}
 	t.Fatal("400 seeds never drew a corrupt-replica action")
 }
+
+// scripted is a random source that replays fixed draws.
+type scripted []int
+
+func (s *scripted) Intn(n int) int {
+	v := (*s)[0]
+	*s = (*s)[1:]
+	return v % n
+}
+
+// TestReplicaProbeCatchesEraAboveOwner drives the one CorruptReplica draw a
+// seeded scenario cannot be made to hit on demand: the era of a warm
+// replica leaps above that of an owner that never failed over. The
+// replica-consistency probe must report it, and anti-entropy must repair it
+// (before the fix the replica dropped the owner's lower-era syncs forever).
+func TestReplicaProbeCatchesEraAboveOwner(t *testing.T) {
+	cfg := Config{Seed: 1, Supervisors: 4, ReplicationFactor: 1}
+	cfg.fill()
+	e, err := newEnv(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.close()
+	e.l.AddClients(cfg.N)
+	e.l.JoinAll(e.topic)
+	if _, ok := e.l.RunUntil(cfg.SetupRounds, func() bool { return e.violation() == "" }); !ok {
+		t.Fatalf("setup: %s", e.violation())
+	}
+	holder := e.l.ExpectedReplicas(e.topic)[0]
+	e.l.Sups[holder].CorruptReplica(e.topic, &scripted{2, 0, 0, 1}) // era poison, upward
+	want := fmt.Sprintf("replica-consistency: replica %d at epoch 1, owner at epoch 0", holder)
+	if got := e.violation(); got != want {
+		t.Fatalf("probe reports %q, want %q", got, want)
+	}
+	if _, ok := e.l.RunUntil(cfg.ConvergeRounds, func() bool { return e.violation() == "" }); !ok {
+		t.Fatalf("never repaired: %s", e.violation())
+	}
+}

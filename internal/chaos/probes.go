@@ -29,13 +29,23 @@ var ProbeNames = []string{
 // Callers on a live substrate must evaluate under the quiesce barrier
 // (runUntil and freeze do).
 func (e *env) violation() string {
-	if v := e.ownershipViolation(); v != "" {
+	// Supervisor-plane agreement: the topic's expected owner (consistent
+	// hashing over the live supervisors) — and only it — hosts the database,
+	// every member reports to it, and every epoch agrees with the owner's. On
+	// a single-supervisor plane this degenerates to "the supervisor hosts the
+	// topic and every member reports to it at epoch 0", so it is checked
+	// everywhere.
+	if v := e.l.ExplainOwnership(e.topic); v != "" {
 		return "ownership-convergence: " + v
 	}
 	if v := e.dbMembershipViolation(); v != "" {
 		return "supervisor-db: " + v
 	}
-	if v := e.replicaViolation(); v != "" {
+	// Warm-replica convergence: every expected replica holder's digest
+	// (era, entry count, content hash) matches the owner's database — an era
+	// above the owner's is as much a violation as one below. Trivially ""
+	// with ReplicationFactor 0.
+	if v := e.l.ExplainReplication(e.topic); v != "" {
 		return "replica-consistency: " + v
 	}
 	if v := e.connectivityViolation(); v != "" {
@@ -54,16 +64,6 @@ func (e *env) violation() string {
 		return "delivery-ordering: " + v
 	}
 	return ""
-}
-
-// ownershipViolation checks supervisor-plane agreement: the topic's
-// expected owner (consistent hashing over the live supervisors) — and
-// only it — hosts the database, every member reports to it, and every
-// epoch agrees with the owner's. On a single-supervisor plane this
-// degenerates to "the supervisor hosts the topic and every member reports
-// to it at epoch 0", so it is checked everywhere.
-func (e *env) ownershipViolation() string {
-	return e.l.ExplainOwnership(e.topic)
 }
 
 // dbMembershipViolation checks supervisor database ↔ live membership
@@ -92,15 +92,6 @@ func (e *env) dbMembershipViolation() string {
 		}
 	}
 	return ""
-}
-
-// replicaViolation checks warm-replica convergence when directory
-// replication is on: every expected replica holder's digest (era, entry
-// count, content hash) must match the owner's database. Trivially "" with
-// ReplicationFactor 0, so the probe chain is unchanged for the classic
-// configurations.
-func (e *env) replicaViolation() string {
-	return e.l.ExplainReplication(e.topic)
 }
 
 // connectivityViolation checks that the union graph of every member's

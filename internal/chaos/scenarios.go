@@ -251,6 +251,21 @@ var Registry = []Scenario{
 		},
 	},
 	{
+		Name:              "replica-corruption-at-rest",
+		Note:              "the replicas of an owner that never fails over (era 0) are corrupted again and again — entries, stored digest, and the era below or above the owner's; anti-entropy alone must repair each",
+		Supervisors:       4,
+		ReplicationFactor: 2,
+		Actions: []Action{
+			{Kind: Settle, Rounds: 12},
+			{Kind: CorruptReplica},
+			{Kind: Settle, Rounds: 6},
+			{Kind: CorruptReplica},
+			{Kind: CorruptReplica},
+			{Kind: Settle, Rounds: 6},
+			{Kind: CorruptReplica},
+		},
+	},
+	{
 		Name:         "fifo-reorder-storm",
 		Note:         "FIFO mode under heavy reordering: per-publisher delivery order must survive non-FIFO channels",
 		DeliveryMode: ordering.FIFO,

@@ -22,44 +22,27 @@ type tokenEnv struct {
 	tr    cluster.Substrate
 	cfg   Config
 	topic sim.Topic
-	sup   *tokenring.Supervisor
-	nodes map[sim.NodeID]*tokenring.Node
-	ids   []sim.NodeID
+	*tokenring.Stack
+	ids []sim.NodeID
 
 	rng  *rand.Rand
 	wave []wavePub
 }
 
 func newTokenEnv(cfg Config) (*tokenEnv, error) {
-	e := &tokenEnv{
-		cfg:   cfg,
-		topic: cfg.Topic,
-		nodes: make(map[sim.NodeID]*tokenring.Node),
-		rng:   rand.New(rand.NewSource(cfg.Seed)),
-	}
 	tr, err := cluster.NewSubstrate(string(cfg.Substrate), cfg.Seed, cfg.Interval)
 	if err != nil {
 		return nil, fmt.Errorf("chaos: %w", err)
 	}
-	e.tr = tr
-	e.sup = tokenring.NewSupervisor(cluster.SupervisorID)
-	tr.AddNode(cluster.SupervisorID, e.sup)
-	for i := 0; i < cfg.N; i++ {
-		id := cluster.SupervisorID + 1 + sim.NodeID(i)
-		// Token mode disables the randomized probe machinery: label refresh
-		// comes from the circulating token, not from database probes.
-		cl := core.NewClient(id, cluster.SupervisorID, core.Options{
-			DisableActionIV: true,
-			ProbeProb:       func(int) float64 { return 0 },
-		})
-		nd := tokenring.NewNode(cl, cluster.SupervisorID)
-		e.nodes[id] = nd
-		e.ids = append(e.ids, id)
-		tr.AddNode(id, nd)
+	e := &tokenEnv{
+		tr:    tr,
+		cfg:   cfg,
+		topic: cfg.Topic,
+		Stack: tokenring.NewStack(tr, cfg.N),
+		rng:   rand.New(rand.NewSource(cfg.Seed)),
 	}
-	for _, id := range e.ids {
-		tr.Send(sim.Message{To: id, From: id, Topic: e.topic, Body: core.JoinTopic{}})
-	}
+	e.ids = e.IDs()
+	e.JoinAll(e.topic)
 	return e, nil
 }
 
@@ -70,38 +53,24 @@ func (e *tokenEnv) close() { e.tr.Close() }
 // legitimacy of the label assignment the token derives, trie agreement and
 // wave delivery.
 func (e *tokenEnv) violation() string {
-	if msg := e.sup.CheckIntegrity(e.topic); msg != "" {
+	if msg := e.Sup.CheckIntegrity(e.topic); msg != "" {
 		return "token-integrity: " + msg
 	}
-	if n := e.sup.N(e.topic); n != len(e.ids) {
+	if n := e.Sup.N(e.topic); n != len(e.ids) {
 		return fmt.Sprintf("token-integrity: committed ring size %d, %d live nodes", n, len(e.ids))
 	}
-	states := make(map[sim.NodeID]core.State, len(e.ids))
-	db := make(map[label.Label]sim.NodeID, len(e.ids))
-	for _, id := range e.ids {
-		nd := e.nodes[id]
-		if !nd.Client.Joined(e.topic) {
-			return fmt.Sprintf("overlay-legitimacy: node %d not joined", id)
-		}
-		st, _ := nd.Client.StateOf(e.topic)
-		states[id] = st
-		if !st.Label.IsBottom() {
-			db[st.Label] = id
-		}
-	}
-	if len(db) != len(e.ids) {
-		return fmt.Sprintf("overlay-legitimacy: %d distinct labels over %d nodes", len(db), len(e.ids))
-	}
-	if msg := cluster.CheckLegitimacy(db, states); msg != "" {
+	if joined, msg := e.Explain(e.topic); joined != len(e.ids) {
+		return fmt.Sprintf("overlay-legitimacy: %d of %d nodes joined", joined, len(e.ids))
+	} else if msg != "" {
 		return "overlay-legitimacy: " + msg
 	}
 	if msg := trieAgreementViolation(e.ids, func(id sim.NodeID) [16]byte {
-		return e.nodes[id].Client.TrieRootHash(e.topic)
+		return e.Nodes[id].Client.TrieRootHash(e.topic)
 	}); msg != "" {
 		return "trie-consistency: " + msg
 	}
 	if msg := waveViolation(e.ids, e.wave, func(id sim.NodeID) []proto.Publication {
-		return e.nodes[id].Client.Publications(e.topic)
+		return e.Nodes[id].Client.Publications(e.topic)
 	}); msg != "" {
 		return "delivery-completeness: " + msg
 	}
@@ -111,12 +80,12 @@ func (e *tokenEnv) violation() string {
 // corrupt scrambles the token supervisor's O(1) state and a third of the
 // nodes' explicit overlay states.
 func (e *tokenEnv) corrupt() {
-	e.sup.CorruptTopicState(e.topic, e.rng)
+	e.Sup.CorruptTopicState(e.topic, e.rng)
 	for i, id := range e.ids {
 		if i%3 != 0 {
 			continue
 		}
-		in, ok := e.nodes[id].Client.Instance(e.topic)
+		in, ok := e.Nodes[id].Client.Instance(e.topic)
 		if !ok {
 			continue
 		}

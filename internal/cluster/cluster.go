@@ -2,7 +2,10 @@
 // — a supervisor plane plus any number of client nodes — on any execution
 // substrate, and is the one harness every driver shares: the public
 // System/Simulation facades, the chaos engine, the experiments, the CLIs
-// and the tests. It provides the legitimacy predicate used by every
+// and the tests. The supervisor plane is assembled in exactly one place,
+// NewPlane: Live embeds the Plane, and the scale harness, which pools its
+// clients instead of registering them one by one, builds its supervisors
+// through it. The package provides the legitimacy predicate used by every
 // convergence experiment (comparing live protocol state against the unique
 // legitimate SR(n) computed by package topology), corruption injectors for
 // arbitrary initial states, workload helpers, and the driver surface
@@ -44,9 +47,14 @@ type Driver interface {
 	ResetCounters()
 }
 
-// Options configure a deterministic harness.
+// Options describe the system a harness assembles.
 type Options struct {
-	Seed       int64
+	// Seed drives the deterministic engine NewSim builds; New, which is
+	// handed its substrate, ignores it.
+	Seed int64
+	// ClientOpts configure every client; its DeliveryMode is also recorded
+	// by the supervisors as the directory default. The plane fills in
+	// Supervisors and SupervisorFor.
 	ClientOpts core.Options
 	// Supervisors is the supervisor-plane size (default 1). With more than
 	// one, topics are sharded by consistent hashing and supervisor crashes
@@ -56,6 +64,16 @@ type Options struct {
 	// replicates its directory to (default 0: failover falls back to the
 	// Reregister rebuild). Only meaningful with Supervisors > 1.
 	ReplicationFactor int
+	// Remote means the supervisors live in another process, reachable
+	// through the transport: none is started here, clients are routed to
+	// the same IDs, and the supervisor-side predicates report "no live
+	// supervisor".
+	Remote bool
+	// FirstClientID is the first client node ID (default: the ID after the
+	// supervisor block). A harness joining a deployment spread over several
+	// processes sets it to the base of the ID block its transport was
+	// granted.
+	FirstClientID sim.NodeID
 }
 
 // Substrate is an execution substrate with its driver surface.
@@ -96,7 +114,7 @@ func newEngine(seed int64) *psim.Engine {
 // NewSim creates a harness on the deterministic engine: same seed, same
 // call sequence, bit-identical run.
 func NewSim(opts Options) *Live {
-	return NewLiveRF(newEngine(opts.Seed), opts.ClientOpts, opts.Supervisors, opts.ReplicationFactor)
+	return New(newEngine(opts.Seed), opts)
 }
 
 // RunUntil advances round by round until pred holds on a frozen snapshot

@@ -29,19 +29,16 @@ type PublishCmd struct{ Payload string }
 type Options struct {
 	// KeyLen is the publication key width m (default 64).
 	KeyLen uint8
-	// OnDeliver is invoked once per publication that becomes known for a
-	// topic the client subscribes to. It runs inside the protocol handler:
-	// it must not call back into the Client.
-	OnDeliver func(sim.Topic, proto.Publication)
-
 	// DeliveryMode selects the per-topic delivery discipline (best-effort,
 	// FIFO per publisher, or causal — see internal/ordering). It applies to
 	// every topic this client joins.
 	DeliveryMode ordering.Mode
 
-	// OnDeliverTrace, if non-nil, receives every delivery with its ordering
+	// OnDeliverTrace, if non-nil, is invoked once per publication that
+	// becomes known for a topic the client subscribes to, with its ordering
 	// provenance. Options are shared across a deployment's clients, so the
-	// delivering node is passed explicitly. Same constraints as OnDeliver.
+	// delivering node is passed explicitly. It runs inside the protocol
+	// handler: it must not call back into the Client.
 	OnDeliverTrace func(node sim.NodeID, t sim.Topic, p proto.Publication, m ordering.Meta)
 
 	// SupervisorFor, if non-nil, routes each topic to its responsible
@@ -120,10 +117,6 @@ func (c *Client) ensure(t sim.Topic) *Instance {
 		DisableAntiEntropy: c.opts.DisableAntiEntropy,
 		HistoryCap:         c.opts.HistoryCap,
 		Mode:               c.opts.DeliveryMode,
-	}
-	if c.opts.OnDeliver != nil {
-		topic := t
-		cfg.OnDeliver = func(p proto.Publication) { c.opts.OnDeliver(topic, p) }
 	}
 	if c.opts.OnDeliverTrace != nil {
 		topic := t

@@ -2,11 +2,8 @@ package experiments
 
 import (
 	"sspubsub/internal/cluster"
-	"sspubsub/internal/core"
-	"sspubsub/internal/label"
 	"sspubsub/internal/metrics"
 	"sspubsub/internal/psim"
-	"sspubsub/internal/sim"
 	"sspubsub/internal/tokenring"
 )
 
@@ -33,44 +30,18 @@ func A4TokenVsDatabase(n int, seed int64) *metrics.Table {
 
 	// Token mode (conclusion's future work).
 	sched := psim.New(psim.Options{Seed: seed, Workers: 1})
-	sup := tokenring.NewSupervisor(1)
-	sched.AddNode(1, sup)
-	nodes := map[sim.NodeID]*tokenring.Node{}
-	for i := 0; i < n; i++ {
-		id := sim.NodeID(i + 2)
-		cl := core.NewClient(id, 1, core.Options{
-			DisableActionIV: true,
-			ProbeProb:       func(int) float64 { return 0 },
-		})
-		nd := tokenring.NewNode(cl, 1)
-		nodes[id] = nd
-		sched.AddNode(id, nd)
-	}
-	for id := range nodes {
-		sched.Send(sim.Message{To: id, From: id, Topic: Topic, Body: core.JoinTopic{}})
-	}
-	legit := func() bool {
-		states := make(map[sim.NodeID]core.State, n)
-		db := make(map[label.Label]sim.NodeID, n)
-		for id, nd := range nodes {
-			if !nd.Client.Joined(Topic) {
-				return false
-			}
-			st, _ := nd.Client.StateOf(Topic)
-			states[id] = st
-			if !st.Label.IsBottom() {
-				db[st.Label] = id
-			}
-		}
-		return len(db) == n && cluster.CheckLegitimacy(db, states) == ""
-	}
-	tokRounds, ok := sched.RunRoundsUntil(20000, legit)
+	tok := tokenring.NewStack(sched, n)
+	tok.JoinAll(Topic)
+	tokRounds, ok := sched.RunRoundsUntil(20000, func() bool {
+		joined, violation := tok.Explain(Topic)
+		return joined == n && violation == ""
+	})
 	if !ok {
 		tokRounds = -1
 	}
 	sched.ResetCounters()
 	sched.RunRounds(300)
-	tokRate := float64(sched.SentBy(1)) / 300
+	tokRate := float64(sched.SentBy(cluster.SupervisorID)) / 300
 	tb.AddRow("token ring (concl.)", n, tokRounds, tokRate, "O(1) steady", "no")
 	return tb
 }

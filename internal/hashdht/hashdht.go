@@ -42,25 +42,24 @@ func TopicKey(t sim.Topic) string { return "t/" + strconv.FormatInt(int64(t), 10
 // Ring is a consistent-hashing ring of supervisors. The zero value is
 // unusable; use NewRing. All methods are safe for concurrent use.
 type Ring struct {
-	mu       sync.RWMutex
-	replicas int
-	points   []point // sorted by position
-	members  map[sim.NodeID]bool
+	mu      sync.RWMutex
+	points  []point // sorted by position
+	members map[sim.NodeID]bool
 }
+
+// virtualPoints is how many points each supervisor places on the ring:
+// enough that the intervals are smooth (a dozen supervisors own within a
+// few percent of their share of the keys). It is part of the placement
+// function, so every ring in a deployment uses the same value.
+const virtualPoints = 64
 
 type point struct {
 	pos uint64
 	id  sim.NodeID
 }
 
-// NewRing creates a ring with the given number of virtual points per
-// supervisor (more points → smoother intervals; 64 is a good default).
-func NewRing(replicas int) *Ring {
-	if replicas <= 0 {
-		replicas = 64
-	}
-	return &Ring{replicas: replicas, members: make(map[sim.NodeID]bool)}
-}
+// NewRing creates an empty ring.
+func NewRing() *Ring { return &Ring{members: make(map[sim.NodeID]bool)} }
 
 // Add inserts a supervisor. Adding an existing member is a no-op.
 func (r *Ring) Add(id sim.NodeID) {
@@ -70,7 +69,7 @@ func (r *Ring) Add(id sim.NodeID) {
 		return
 	}
 	r.members[id] = true
-	for v := 0; v < r.replicas; v++ {
+	for v := 0; v < virtualPoints; v++ {
 		r.points = append(r.points, point{hashPoint(fmt.Sprintf("sup-%d-%d", id, v)), id})
 	}
 	sort.Slice(r.points, func(i, j int) bool { return r.points[i].pos < r.points[j].pos })

@@ -18,7 +18,7 @@ func topics(n int) []string {
 }
 
 func TestOwnerDeterministic(t *testing.T) {
-	r := NewRing(64)
+	r := NewRing()
 	r.Add(1)
 	r.Add(2)
 	r.Add(3)
@@ -32,7 +32,7 @@ func TestOwnerDeterministic(t *testing.T) {
 }
 
 func TestEmptyRing(t *testing.T) {
-	r := NewRing(8)
+	r := NewRing()
 	if _, ok := r.Owner("x"); ok {
 		t.Error("empty ring must own nothing")
 	}
@@ -43,7 +43,7 @@ func TestEmptyRing(t *testing.T) {
 }
 
 func TestAddIdempotentRemoveUnknown(t *testing.T) {
-	r := NewRing(8)
+	r := NewRing()
 	r.Add(1)
 	r.Add(1)
 	if got := len(r.Members()); got != 1 {
@@ -59,7 +59,7 @@ func TestAddIdempotentRemoveUnknown(t *testing.T) {
 // Load balance: with enough virtual points, topic ownership spreads within
 // a small factor of uniform.
 func TestSpreadBalanced(t *testing.T) {
-	r := NewRing(128)
+	r := NewRing()
 	for i := sim.NodeID(1); i <= 8; i++ {
 		r.Add(i)
 	}
@@ -74,7 +74,7 @@ func TestSpreadBalanced(t *testing.T) {
 
 // Consistency: removing one supervisor only moves the topics it owned.
 func TestRemovalMovesOnlyOwnedTopics(t *testing.T) {
-	r := NewRing(64)
+	r := NewRing()
 	for i := sim.NodeID(1); i <= 5; i++ {
 		r.Add(i)
 	}
@@ -99,7 +99,7 @@ func TestRemovalMovesOnlyOwnedTopics(t *testing.T) {
 // Property: ownership is always a live member.
 func TestPropertyOwnerIsMember(t *testing.T) {
 	f := func(ids []uint8, topic string) bool {
-		r := NewRing(16)
+		r := NewRing()
 		live := map[sim.NodeID]bool{}
 		for _, raw := range ids {
 			id := sim.NodeID(raw%16 + 1)
@@ -123,7 +123,7 @@ func TestPropertyOwnerIsMember(t *testing.T) {
 }
 
 func TestDirectoryRebalance(t *testing.T) {
-	r := NewRing(64)
+	r := NewRing()
 	r.Add(1)
 	r.Add(2)
 	d := NewDirectory(r)
@@ -159,7 +159,7 @@ func TestDirectoryRebalance(t *testing.T) {
 // exactly the topics the removed node owned — each to a surviving
 // supervisor — and every other topic keeps its owner untouched.
 func TestRemovalRebalanceMinimality(t *testing.T) {
-	r := NewRing(32)
+	r := NewRing()
 	for i := sim.NodeID(1); i <= 4; i++ {
 		r.Add(i)
 	}
@@ -212,7 +212,7 @@ func TestRemovalRebalanceMinimality(t *testing.T) {
 // node) computes — the history-independence that lets every supervisor
 // run the migration independently and agree.
 func TestRemovalRebalanceSuccessorAgreement(t *testing.T) {
-	churned := NewRing(32)
+	churned := NewRing()
 	for i := sim.NodeID(1); i <= 5; i++ {
 		churned.Add(i)
 	}
@@ -224,7 +224,7 @@ func TestRemovalRebalanceSuccessorAgreement(t *testing.T) {
 	churned.Remove(2)
 	moved := d.Rebalance()
 
-	fresh := NewRing(32)
+	fresh := NewRing()
 	for _, id := range []sim.NodeID{1, 3, 4, 5} {
 		fresh.Add(id)
 	}
@@ -241,7 +241,7 @@ func TestRemovalRebalanceSuccessorAgreement(t *testing.T) {
 // two rebalances report inverse move sets — what lets a restarted
 // supervisor reclaim exactly its own topics.
 func TestRemoveThenReaddRestoresOwnership(t *testing.T) {
-	r := NewRing(32)
+	r := NewRing()
 	for i := sim.NodeID(1); i <= 4; i++ {
 		r.Add(i)
 	}
@@ -274,7 +274,7 @@ func TestRemoveThenReaddRestoresOwnership(t *testing.T) {
 // routing directory itself) is repaired by the next Lookup, and Rebalance
 // reports the repair as a move.
 func TestForceOwnerSelfHeals(t *testing.T) {
-	r := NewRing(16)
+	r := NewRing()
 	r.Add(1)
 	r.Add(2)
 	d := NewDirectory(r)
@@ -297,7 +297,7 @@ func TestForceOwnerSelfHeals(t *testing.T) {
 // would strand its subscribers forever — the multi-supervisor extension's
 // worst failure mode.)
 func TestChurnNeverOrphansTopics(t *testing.T) {
-	r := NewRing(32)
+	r := NewRing()
 	ts := topics(200)
 	alive := map[sim.NodeID]bool{}
 	rng := rand.New(rand.NewSource(11))
@@ -327,14 +327,14 @@ func TestChurnNeverOrphansTopics(t *testing.T) {
 // or intermediate churn that produced them. This is what lets a restarted
 // process rebuild routing from the member list alone.
 func TestPlacementIndependentOfHistory(t *testing.T) {
-	a := NewRing(32)
+	a := NewRing()
 	for _, id := range []sim.NodeID{1, 2, 3, 4, 5} {
 		a.Add(id)
 	}
 	a.Remove(2)
 	a.Remove(4)
 
-	b := NewRing(32)
+	b := NewRing()
 	b.Add(5)
 	b.Add(1)
 	b.Add(3)
@@ -352,7 +352,7 @@ func TestPlacementIndependentOfHistory(t *testing.T) {
 // hash to it may move — every other topic keeps its owner (the consistent
 // hashing guarantee that makes supervisor elasticity affordable).
 func TestRebalanceMinimality(t *testing.T) {
-	r := NewRing(32)
+	r := NewRing()
 	r.Add(1)
 	r.Add(2)
 	d := NewDirectory(r)
@@ -390,7 +390,7 @@ func TestRebalanceMinimality(t *testing.T) {
 // owner, never repeats a member, and is capped by both k and the member
 // count — the contract the replication layer's fan-out depends on.
 func TestSuccessorsExcludeOwnerAndDedup(t *testing.T) {
-	r := NewRing(0)
+	r := NewRing()
 	for i := sim.NodeID(1); i <= 5; i++ {
 		r.Add(i)
 	}
@@ -421,7 +421,7 @@ func TestSuccessorsExcludeOwnerAndDedup(t *testing.T) {
 // the first successor the replication layer was streaming to.
 func TestSuccessorBecomesOwnerOnRemoval(t *testing.T) {
 	for _, tp := range topics(200) {
-		r := NewRing(0)
+		r := NewRing()
 		for i := sim.NodeID(1); i <= 4; i++ {
 			r.Add(i)
 		}

@@ -35,14 +35,13 @@ type Config struct {
 	RingNeighbors func() []proto.Tuple
 	// FloodTargets returns all neighbours in ER ∪ ES for PublishNew.
 	FloodTargets func() []sim.NodeID
-	// OnDeliver, if non-nil, is invoked exactly once per publication that
-	// becomes locally known (once per time it becomes known: with a
+	// OnDeliverMeta, if non-nil, is invoked exactly once per publication
+	// that becomes locally known (once per time it becomes known: with a
 	// HistoryCap an evicted publication can be relearned through
-	// anti-entropy and delivered again — at-least-once in bounded mode).
-	// On ordered topics, deliveries pass through the reorder buffer first.
-	OnDeliver func(proto.Publication)
-	// OnDeliverMeta, if non-nil, is invoked after OnDeliver with the
-	// delivery's ordering provenance (a zero Meta on best-effort topics).
+	// anti-entropy and delivered again — at-least-once in bounded mode),
+	// with the delivery's ordering provenance (a zero Meta on best-effort
+	// topics). On ordered topics, deliveries pass through the reorder
+	// buffer first.
 	OnDeliverMeta func(proto.Publication, ordering.Meta)
 
 	// Mode is the topic's delivery mode. BestEffort leaves the delivery
@@ -95,11 +94,8 @@ func (e *Engine) Trie() *trie.Trie { return e.t }
 // Publications returns all locally known publications in key order.
 func (e *Engine) Publications() []proto.Publication { return e.t.All() }
 
-// emit hands one delivery to the application callbacks.
+// emit hands one delivery to the application callback.
 func (e *Engine) emit(p proto.Publication, m ordering.Meta) {
-	if e.cfg.OnDeliver != nil {
-		e.cfg.OnDeliver(p)
-	}
 	if e.cfg.OnDeliverMeta != nil {
 		e.cfg.OnDeliverMeta(p, m)
 	}

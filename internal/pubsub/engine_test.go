@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"sspubsub/internal/ordering"
 	"sspubsub/internal/proto"
 	"sspubsub/internal/sim"
 	"sspubsub/internal/simtest"
@@ -222,14 +223,14 @@ func TestOnDeliverInvokedOncePerPublication(t *testing.T) {
 		Self: 10, Topic: tp, KeyLen: 8,
 		RingNeighbors: func() []proto.Tuple { return nil },
 		FloodTargets:  func() []sim.NodeID { return nil },
-		OnDeliver:     func(p proto.Publication) { got = append(got, p.Payload) },
+		OnDeliverMeta: func(p proto.Publication, _ ordering.Meta) { got = append(got, p.Payload) },
 	})
 	c := simtest.NewCtx(10)
 	p := trie.NewPublication(8, 99, "a")
 	e.OnMessage(c, sim.Message{From: 99, Topic: tp, Body: proto.PublishBatch{Pubs: []proto.Publication{p, p}}})
 	e.OnMessage(c, sim.Message{From: 99, Topic: tp, Body: proto.PublishNew{Pub: p}})
 	if len(got) != 1 || got[0] != "a" {
-		t.Fatalf("OnDeliver calls = %v, want exactly one", got)
+		t.Fatalf("OnDeliverMeta calls = %v, want exactly one", got)
 	}
 }
 

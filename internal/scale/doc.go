@@ -7,10 +7,15 @@
 // The harness exists to measure, empirically, the growth orders the paper
 // proves: join latency and publish fan-out in O(log n) rounds, supervisor
 // database and trie memory in O(n) bytes with O(log n) per-operation work.
-// Run executes one scale point (mass join → fan-out probe → crash burst →
-// re-stabilization) and returns a Result; cmd/srsim's scale subcommand
-// sweeps N over decades and fits power-law exponents (FitPowerLaw) to the
-// resulting curves.
+// There is one harness: New builds the engine, the supervisor plane
+// (cluster.NewPlane — a single supervisor unless Config.Supervisors says
+// otherwise) and the pools. Run executes one scale point on it (mass join
+// → fan-out probe → crash burst → re-stabilization) and returns a Result;
+// cmd/srsim's scale subcommand sweeps N over decades and fits power-law
+// exponents (FitPowerLaw) to the resulting curves. RunFailover runs the
+// supervisor-failover measurement on the same harness and the same
+// Config: join, settle, crash the topic's owner, count the rounds until
+// every subscriber reports to the successor and its database is exact.
 //
 // Two findings from the first 10^5 run are baked into defaults here:
 //

@@ -8,7 +8,7 @@ import (
 // a positive replication factor the successor adopts its warm replica, so
 // failover converges without relabelling a single survivor.
 func TestFailoverWarm(t *testing.T) {
-	res := RunFailover(FailoverConfig{N: 300, PoolSize: 64, Seed: 1, ReplicationFactor: 2})
+	res := RunFailover(Config{N: 300, PoolSize: 64, Seed: 1, ReplicationFactor: 2})
 	if !res.Converged {
 		t.Fatalf("warm failover did not converge: %+v", res)
 	}
@@ -24,7 +24,7 @@ func TestFailoverWarm(t *testing.T) {
 // successor must rebuild from subscriber Reregisters. It still converges —
 // the point of the warm path is speed, not reachability.
 func TestFailoverCold(t *testing.T) {
-	res := RunFailover(FailoverConfig{N: 300, PoolSize: 64, Seed: 1})
+	res := RunFailover(Config{N: 300, PoolSize: 64, Seed: 1})
 	if !res.Converged {
 		t.Fatalf("cold failover did not converge: %+v", res)
 	}
@@ -36,8 +36,8 @@ func TestFailoverCold(t *testing.T) {
 // TestFailoverWarmFasterThanCold pins the headline claim: warm adoption
 // beats the cold rebuild at the same N and seed.
 func TestFailoverWarmFasterThanCold(t *testing.T) {
-	warm := RunFailover(FailoverConfig{N: 400, PoolSize: 64, Seed: 7, ReplicationFactor: 1})
-	cold := RunFailover(FailoverConfig{N: 400, PoolSize: 64, Seed: 7})
+	warm := RunFailover(Config{N: 400, PoolSize: 64, Seed: 7, ReplicationFactor: 1})
+	cold := RunFailover(Config{N: 400, PoolSize: 64, Seed: 7})
 	if !warm.Converged || !cold.Converged {
 		t.Fatalf("non-convergence: warm=%+v cold=%+v", warm, cold)
 	}
@@ -51,10 +51,26 @@ func TestFailoverWarmFasterThanCold(t *testing.T) {
 // requires bit-identical results — the scheduler is deterministic and the
 // harness must not introduce map-order or time dependence.
 func TestFailoverDeterministic(t *testing.T) {
-	cfg := FailoverConfig{N: 200, PoolSize: 64, Seed: 3, ReplicationFactor: 2}
+	cfg := Config{N: 200, PoolSize: 64, Seed: 3, ReplicationFactor: 2}
 	a := RunFailover(cfg)
 	b := RunFailover(cfg)
 	if a != b {
 		t.Fatalf("failover run not deterministic:\n a=%+v\n b=%+v", a, b)
+	}
+}
+
+// TestFailoverReproducesRecordedSeries pins the CI failover series
+// (`srsim failover -ns 1000 -workers=1`, seed 1, four supervisors) to the
+// rounds and relabel counts recorded before RunFailover moved onto Harness
+// and the shared plane: same node IDs, same AddNode order, same poll.
+func TestFailoverReproducesRecordedSeries(t *testing.T) {
+	for _, want := range []FailoverResult{
+		{N: 1000, RepFactor: 0, SetupRounds: 2, FailoverRounds: 57, Relabelled: 417, Converged: true},
+		{N: 1000, RepFactor: 2, SetupRounds: 2, ReplicaWarm: true, FailoverRounds: 4, Converged: true},
+	} {
+		got := RunFailover(Config{N: want.N, Seed: 1, ReplicationFactor: want.RepFactor, Workers: 1})
+		if got != want {
+			t.Errorf("rf=%d:\n got  %+v\n want %+v", want.RepFactor, got, want)
+		}
 	}
 }

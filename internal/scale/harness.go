@@ -4,13 +4,13 @@ import (
 	"fmt"
 	"time"
 
+	"sspubsub/internal/cluster"
 	"sspubsub/internal/core"
 	"sspubsub/internal/metrics"
 	"sspubsub/internal/ordering"
 	"sspubsub/internal/proto"
 	"sspubsub/internal/psim"
 	"sspubsub/internal/sim"
-	"sspubsub/internal/supervisor"
 )
 
 // Config sizes one scale run.
@@ -62,6 +62,15 @@ type Config struct {
 	// Lanes is the engine's shard count (part of its schedule identity).
 	// 0 = psim's default (16).
 	Lanes int
+	// Supervisors is the supervisor-plane size (default 1; RunFailover's
+	// default is 4). With more than one, topics are sharded over the plane
+	// by consistent hashing and pool and subscriber IDs follow the
+	// supervisor block.
+	Supervisors int
+	// ReplicationFactor is the plane's directory replication factor: 0
+	// makes a failover the cold Reregister rebuild, ≥ 1 the warm adoption
+	// from a hashdht successor's replica.
+	ReplicationFactor int
 }
 
 func (c Config) withDefaults() Config {
@@ -89,17 +98,19 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// SupervisorID is the harness' supervisor node ID.
-const SupervisorID sim.NodeID = 1
+// SupervisorID is the harness' first supervisor node ID.
+const SupervisorID = cluster.SupervisorID
 
 // Harness hosts N real-protocol subscribers multiplexed into pools on the
 // deterministic engine, plus the probes the scaling curves are built
 // from. All N subscribers run the unmodified core.Client state machine;
 // only their scheduling is shared (see Pool).
 type Harness struct {
-	Cfg     Config
-	Sched   *psim.Engine
-	Sup     *supervisor.Supervisor
+	Cfg   Config
+	Sched *psim.Engine
+	// Plane is the supervisor plane (Sup, the supervisor at SupervisorID,
+	// is all of it unless Cfg.Supervisors says otherwise).
+	*cluster.Plane
 	Pools   []*Pool
 	subBase sim.NodeID
 
@@ -108,8 +119,8 @@ type Harness struct {
 	delivered []int
 }
 
-// New builds the system: one supervisor, ceil(N/PoolSize) pool nodes, N
-// virtual subscribers (IDs contiguous from the first ID after the pools).
+// New builds the system: the supervisor plane, ceil(N/PoolSize) pool nodes,
+// N virtual subscribers (IDs contiguous from the first ID after the pools).
 func New(cfg Config) *Harness {
 	cfg = cfg.withDefaults()
 	sched := psim.New(psim.Options{
@@ -118,16 +129,20 @@ func New(cfg Config) *Harness {
 		Lanes:           cfg.Lanes,
 		MaxQueuedEvents: cfg.MaxQueuedEvents,
 	})
-	sup := supervisor.New(SupervisorID, sched)
-	sup.CullPerTimeout = cfg.CullPerTimeout
-	sched.AddNode(SupervisorID, sup)
+	opts := core.Options{HistoryCap: cfg.HistoryCap, DeliveryMode: cfg.DeliveryMode}
+	plane := cluster.NewPlane(sched, cluster.Options{
+		ClientOpts: opts, Supervisors: cfg.Supervisors, ReplicationFactor: cfg.ReplicationFactor,
+	})
+	for _, sup := range plane.Sups {
+		sup.CullPerTimeout = cfg.CullPerTimeout // nothing runs before the first RunRounds
+	}
+	opts = plane.ClientOptions(opts)
 
 	numPools := (cfg.N + cfg.PoolSize - 1) / cfg.PoolSize
-	subBase := SupervisorID + 1 + sim.NodeID(numPools)
-	h := &Harness{Cfg: cfg, Sched: sched, Sup: sup, subBase: subBase}
-	opts := core.Options{HistoryCap: cfg.HistoryCap, DeliveryMode: cfg.DeliveryMode}
+	poolBase := SupervisorID + sim.NodeID(len(plane.SupIDs))
+	subBase := poolBase + sim.NodeID(numPools)
+	h := &Harness{Cfg: cfg, Sched: sched, Plane: plane, subBase: subBase}
 	if cfg.DeliveryMode != ordering.BestEffort {
-		sup.SetDefaultMode(cfg.DeliveryMode)
 		h.delivered = make([]int, cfg.N)
 		opts.OnDeliverTrace = func(node sim.NodeID, t sim.Topic, p proto.Publication, m ordering.Meta) {
 			if i := int(node - subBase); t == cfg.Topic && i >= 0 && i < cfg.N {
@@ -142,7 +157,7 @@ func New(cfg Config) *Harness {
 			k = rest
 		}
 		p := NewPool(sched, base, k, SupervisorID, opts)
-		p.Register(sched, SupervisorID+1+sim.NodeID(j))
+		p.Register(sched, poolBase+sim.NodeID(j))
 		h.Pools = append(h.Pools, p)
 	}
 	return h
@@ -197,20 +212,17 @@ func (h *Harness) AwaitLabelled() (rounds []int, ok bool) {
 	return h.await(func(i int) bool { return h.Client(i).Labelled(h.Cfg.Topic) })
 }
 
-// AwaitPublication advances rounds until every live subscriber knows at
-// least `want` publications, returning each subscriber's first round at or
-// past the threshold.
-func (h *Harness) AwaitPublication(want int) (rounds []int, ok bool) {
+// AwaitFanout advances rounds until every live subscriber has `want`
+// publications, returning each subscriber's first round at or past the
+// threshold. Best-effort counts trie arrivals; an ordered mode counts
+// application deliveries (the OnDeliverTrace hook maintains the counters),
+// which sees the ordering layer's buffering: a reordered publication
+// counts only once the delivery callback actually fired.
+func (h *Harness) AwaitFanout(want int) (rounds []int, ok bool) {
+	if h.delivered != nil {
+		return h.await(func(i int) bool { return h.delivered[i] >= want })
+	}
 	return h.await(func(i int) bool { return h.Client(i).PublicationCount(h.Cfg.Topic) >= want })
-}
-
-// AwaitDelivered advances rounds until every live subscriber has observed
-// at least `want` application-level deliveries (ordered modes only; the
-// counters are maintained by the OnDeliverTrace hook). Unlike
-// AwaitPublication this sees the ordering layer's buffering: a reordered
-// publication counts only once the delivery callback actually fired.
-func (h *Harness) AwaitDelivered(want int) (rounds []int, ok bool) {
-	return h.await(func(i int) bool { return h.delivered[i] >= want })
 }
 
 // Publish makes subscriber i author a publication.
@@ -244,12 +256,13 @@ func (h *Harness) CrashFraction() int {
 	return crashed
 }
 
-// AwaitDBSize advances rounds until the supervisor database holds exactly
-// want entries (the stabilization predicate after a crash burst: every
-// dead subscriber culled, no live one evicted).
+// AwaitDBSize advances rounds until the database of the topic's owner
+// holds exactly want entries (the stabilization predicate after a crash
+// burst: every dead subscriber culled, no live one evicted).
 func (h *Harness) AwaitDBSize(want int) (rounds int, ok bool) {
+	owner := h.SupFor(h.Cfg.Topic)
 	return h.Sched.RunRoundsUntil(h.Cfg.MaxRounds, func() bool {
-		return h.Sup.N(h.Cfg.Topic) == want
+		return owner.N(h.Cfg.Topic) == want
 	})
 }
 
@@ -327,18 +340,13 @@ func Run(cfg Config) Result {
 
 	start = time.Now()
 	h.Publish(0, fmt.Sprintf("pub-n%d", cfg.N))
-	var fanRounds []int
-	var ok2 bool
-	if cfg.DeliveryMode != ordering.BestEffort {
-		fanRounds, ok2 = h.AwaitDelivered(1)
-	} else {
-		fanRounds, ok2 = h.AwaitPublication(1)
-	}
+	fanRounds, ok2 := h.AwaitFanout(1)
 	res.FanoutWallSec = time.Since(start).Seconds()
 	res.FanoutRounds = metrics.Summarize(metrics.Ints(fanRounds))
 	res.Converged = res.Converged && ok2
 
-	res.SupDBBytes = h.Sup.MemoryBytes(cfg.Topic)
+	owner := h.SupFor(cfg.Topic)
+	res.SupDBBytes = owner.MemoryBytes(cfg.Topic)
 	if in, found := h.Client(0).Instance(cfg.Topic); found {
 		res.SubTrieBytes = in.Eng.Trie().MemoryBytes()
 	}
@@ -352,7 +360,7 @@ func Run(cfg Config) Result {
 
 	res.QueueBytes = h.Sched.QueueHighWaterBytes()
 	res.OverflowDropped = h.Sched.OverflowDropped()
-	if epoch, hash, count, found := h.Sup.DirectoryDigest(cfg.Topic); found {
+	if epoch, hash, count, found := owner.DirectoryDigest(cfg.Topic); found {
 		res.DBHash = fmt.Sprintf("%d:%x:%d", epoch, hash, count)
 	}
 	return res

@@ -56,7 +56,7 @@ func TestFailoverPIndependence(t *testing.T) {
 	n := pindepN(t) / 4
 	var base FailoverResult
 	for i, workers := range []int{1, 4} {
-		res := RunFailover(FailoverConfig{N: n, Seed: 1, ReplicationFactor: 1, Workers: workers})
+		res := RunFailover(Config{N: n, Seed: 1, ReplicationFactor: 1, Workers: workers})
 		if !res.Converged {
 			t.Fatalf("workers=%d: failover did not converge", workers)
 		}

@@ -81,11 +81,6 @@ func (p *Pool) Live() int {
 // only — the protocol drives it through the pool).
 func (p *Pool) Client(i int) *core.Client { return p.clients[i] }
 
-// Owns reports whether the virtual ID falls in this pool's range.
-func (p *Pool) Owns(id sim.NodeID) bool {
-	return id >= p.base && id < p.base+sim.NodeID(len(p.clients))
-}
-
 // Kill marks the i-th virtual subscriber crashed inside the pool: its
 // periodic actions stop and inbound messages are ignored. The caller must
 // also Crash the virtual ID on the substrate so the failure detector

@@ -90,7 +90,7 @@ func (s *Supervisor) JoinPlane(peers []sim.NodeID) {
 	defer s.mu.Unlock()
 	ps := append([]sim.NodeID(nil), peers...)
 	sort.Slice(ps, func(i, j int) bool { return ps[i] < ps[j] })
-	ring := hashdht.NewRing(0)
+	ring := hashdht.NewRing()
 	for _, p := range ps {
 		ring.Add(p)
 	}

@@ -267,7 +267,7 @@ func TestTopicKeyStable(t *testing.T) {
 	if hashdht.TopicKey(7) != "t/7" {
 		t.Fatalf("TopicKey(7) = %q", hashdht.TopicKey(7))
 	}
-	r := hashdht.NewRing(0)
+	r := hashdht.NewRing()
 	r.Add(1)
 	r.Add(2)
 	a, _ := r.OwnerTopic(9)

@@ -348,16 +348,26 @@ func (s *Supervisor) sendFullSync(ctx sim.Context, t sim.Topic, db *topicDB, to 
 
 // ---- message handlers (lock held, dispatched from OnMessage) ----
 
+// fromOwner reports whether the sender is the supervisor this node's own
+// plane view names owner of t. Replica traffic from an era below the one
+// held is a deposed owner's noise — unless it comes from that supervisor:
+// then the held era is the wrong one (a replica's counter is soft state
+// like any other, and one corrupted above an owner that never failed over
+// would otherwise refuse every repair forever) and the owner's is adopted,
+// downward. Lock held.
+func (s *Supervisor) fromOwner(t sim.Topic, from sim.NodeID) bool {
+	return from == s.viewOwner(t)
+}
+
 // onReplicaDelta applies a streamed mutation batch to the local replica.
-// Deltas from an older era than the replica's are a deposed owner's noise
-// and are dropped; anti-entropy repairs any divergence a lost or
-// reordered delta leaves behind.
-func (s *Supervisor) onReplicaDelta(t sim.Topic, b proto.ReplicaDelta) {
+// Stale-era deltas are dropped; anti-entropy repairs any divergence a lost
+// or reordered delta leaves behind.
+func (s *Supervisor) onReplicaDelta(t sim.Topic, from sim.NodeID, b proto.ReplicaDelta) {
 	if s.plane == nil {
 		return
 	}
 	rep := s.replica(t)
-	if b.Epoch < rep.epoch {
+	if b.Epoch < rep.epoch && !s.fromOwner(t, from) {
 		return
 	}
 	rep.epoch = b.Epoch
@@ -411,18 +421,19 @@ func (s *Supervisor) onReplicaDigest(ctx sim.Context, t sim.Topic, from sim.Node
 }
 
 // onReplicaSync stages one full-sync chunk and atomically replaces the
-// replica when the round is complete. Chunks of an older round or era are
-// dropped; duplicates are idempotent.
-func (s *Supervisor) onReplicaSync(t sim.Topic, b proto.ReplicaSync) {
+// replica when the round is complete. Chunks of an older round or a stale
+// era are dropped; duplicates are idempotent.
+func (s *Supervisor) onReplicaSync(t sim.Topic, from sim.NodeID, b proto.ReplicaSync) {
 	if s.plane == nil || b.Chunks == 0 || b.Seq >= b.Chunks {
 		return
 	}
 	rep := s.replica(t)
-	if b.Epoch < rep.epoch {
+	if b.Epoch < rep.epoch && !s.fromOwner(t, from) {
 		return
 	}
 	st := rep.stage
-	if st == nil || b.Epoch > st.epoch || (b.Epoch == st.epoch && b.Round > st.round) {
+	if st == nil || b.Epoch > st.epoch || (b.Epoch == st.epoch && b.Round > st.round) ||
+		(b.Epoch < st.epoch && s.fromOwner(t, from)) {
 		st = &syncStage{
 			epoch: b.Epoch, round: b.Round, total: b.Chunks,
 			chunks: make(map[uint64][]proto.ReplicaEntry),
@@ -513,20 +524,6 @@ func (s *Supervisor) HeldReplicaDigest(t sim.Topic) (epoch uint64, hash [16]byte
 	return rep.epoch, digestOf(rep.db), len(rep.db), true
 }
 
-// ReplicaSnapshot returns a copy of the held replica's database (empty map
-// when none is held).
-func (s *Supervisor) ReplicaSnapshot(t sim.Topic) map[label.Label]sim.NodeID {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := map[label.Label]sim.NodeID{}
-	if rep, ok := s.replicas[t]; ok {
-		for l, v := range rep.db {
-			out[l] = v
-		}
-	}
-	return out
-}
-
 // CorruptReplica scrambles the held replica for a topic — the chaos
 // `corrupt-replica` fault. Entries, the stored digest and the replica era
 // are all fair game; anti-entropy must detect whatever this leaves behind
@@ -572,9 +569,14 @@ func (s *Supervisor) CorruptReplica(t sim.Topic, rng interface{ Intn(int) int })
 			}
 		}
 	default:
-		// Digest/era poison: the stored digest flips and the era regresses,
-		// making the replica look like an ancient restart.
+		// Digest/era poison: the stored digest flips, and the era either
+		// regresses, making the replica look like an ancient restart, or
+		// leaps above the owner's.
 		rep.hash[rng.Intn(16)] ^= byte(1 + rng.Intn(255))
-		rep.epoch = uint64(rng.Intn(2))
+		if rng.Intn(2) == 0 {
+			rep.epoch = 0
+		} else {
+			rep.epoch++
+		}
 	}
 }

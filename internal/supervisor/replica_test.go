@@ -98,21 +98,65 @@ func TestReplicaSyncIdempotent(t *testing.T) {
 	}
 }
 
-// TestReplicaDeltaOldEpochDropped: a deposed owner's stream (older era)
-// must not perturb the replica.
-func TestReplicaDeltaOldEpochDropped(t *testing.T) {
-	s := replicaSide(t)
-	c := simtest.NewCtx(2)
-	s.OnMessage(c, sim.Message{To: 2, From: 1, Topic: tp, Body: proto.ReplicaDelta{
+// eraSide builds the replica-holding supervisor 2 of a three-supervisor
+// plane holding one entry of tp at era 3, and returns it with the
+// supervisor its view names owner of tp and a third one that is neither.
+func eraSide(t *testing.T) (s *Supervisor, c *simtest.Ctx, owner, deposed sim.NodeID) {
+	t.Helper()
+	s = New(2, fakeDetector{})
+	s.JoinPlane([]sim.NodeID{1, 2, 3})
+	s.SetReplicationFactor(1)
+	owner = s.PlaneOwner(tp)
+	for _, id := range []sim.NodeID{1, 3} {
+		if id != owner {
+			deposed = id
+		}
+	}
+	c = simtest.NewCtx(2)
+	s.OnMessage(c, sim.Message{To: 2, From: owner, Topic: tp, Body: proto.ReplicaDelta{
 		Epoch: 3, Put: []proto.ReplicaEntry{{L: label.FromIndex(0), V: 10}},
 	}})
+	return s, c, owner, deposed
+}
+
+// TestReplicaDeltaOldEpochDropped: a deposed owner's stream (older era,
+// not the supervisor the view names owner) must not perturb the replica.
+func TestReplicaDeltaOldEpochDropped(t *testing.T) {
+	s, c, _, deposed := eraSide(t)
 	_, h1, n1, _ := s.HeldReplicaDigest(tp)
-	s.OnMessage(c, sim.Message{To: 2, From: 1, Topic: tp, Body: proto.ReplicaDelta{
+	s.OnMessage(c, sim.Message{To: 2, From: deposed, Topic: tp, Body: proto.ReplicaDelta{
 		Epoch: 2, Put: []proto.ReplicaEntry{{L: label.FromIndex(0), V: 99}},
+	}})
+	s.OnMessage(c, sim.Message{To: 2, From: deposed, Topic: tp, Body: proto.ReplicaSync{
+		Epoch: 2, Round: 1, Chunks: 1, Entries: []proto.ReplicaEntry{{L: label.FromIndex(0), V: 99}},
 	}})
 	e2, h2, n2, _ := s.HeldReplicaDigest(tp)
 	if e2 != 3 || h2 != h1 || n2 != n1 {
-		t.Fatalf("old-era delta perturbed the replica: epoch=%d", e2)
+		t.Fatalf("old-era traffic perturbed the replica: epoch=%d", e2)
+	}
+}
+
+// TestReplicaAdoptsOwnersLowerEra: a replica era above the owner's — an
+// arbitrary counter value, not evidence of a newer era — is given up for
+// the era of the supervisor the replica holder's own view names owner,
+// whether the owner's traffic arrives as a delta or as a multi-chunk sync.
+func TestReplicaAdoptsOwnersLowerEra(t *testing.T) {
+	s, c, owner, _ := eraSide(t)
+	s.OnMessage(c, sim.Message{To: 2, From: owner, Topic: tp, Body: proto.ReplicaDelta{
+		Epoch: 0, Put: []proto.ReplicaEntry{{L: label.FromIndex(1), V: 11}},
+	}})
+	if e, _, n, _ := s.HeldReplicaDigest(tp); e != 0 || n != 2 {
+		t.Fatalf("owner's lower-era delta not adopted: epoch=%d entries=%d", e, n)
+	}
+
+	s, c, owner, _ = eraSide(t)
+	for seq, e := range []proto.ReplicaEntry{{L: label.FromIndex(0), V: 10}, {L: label.FromIndex(1), V: 11}} {
+		s.OnMessage(c, sim.Message{To: 2, From: owner, Topic: tp, Body: proto.ReplicaSync{
+			Epoch: 0, Round: 1, Seq: uint64(seq), Chunks: 2, Entries: []proto.ReplicaEntry{e},
+		}})
+	}
+	if e, _, n, _ := s.HeldReplicaDigest(tp); e != 0 || n != 2 {
+		t.Fatalf("owner's lower-era sync not adopted: epoch=%d entries=%d", e, n)
 	}
 }
 

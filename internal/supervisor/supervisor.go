@@ -415,11 +415,11 @@ func (s *Supervisor) OnMessage(ctx sim.Context, m sim.Message) {
 	case proto.PlaneGossip:
 		s.absorbGossip(b)
 	case proto.ReplicaDelta:
-		s.onReplicaDelta(m.Topic, b)
+		s.onReplicaDelta(m.Topic, m.From, b)
 	case proto.ReplicaDigest:
 		s.onReplicaDigest(ctx, m.Topic, m.From, b)
 	case proto.ReplicaSync:
-		s.onReplicaSync(m.Topic, b)
+		s.onReplicaSync(m.Topic, m.From, b)
 	}
 }
 

@@ -1,10 +1,8 @@
 package tokenring
 
 import (
-	"sort"
 	"testing"
 
-	"sspubsub/internal/cluster"
 	"sspubsub/internal/core"
 	"sspubsub/internal/label"
 	"sspubsub/internal/proto"
@@ -14,75 +12,24 @@ import (
 
 const tp sim.Topic = 1
 
-// harness wires a token supervisor and wrapped clients on the
-// deterministic engine. Subscriber randomness is disabled: token mode
-// is the fully deterministic variant (probes off, staleness reports and
-// token passes only).
+// harness is the token-mode Stack on the deterministic engine.
 type harness struct {
+	*Stack
 	sched *psim.Engine
-	sup   *Supervisor
-	nodes map[sim.NodeID]*Node
 }
 
 func newHarness(seed int64, n int) *harness {
-	h := &harness{
-		sched: psim.New(psim.Options{Seed: seed, Workers: 1}),
-		sup:   NewSupervisor(1),
-		nodes: map[sim.NodeID]*Node{},
-	}
-	h.sched.AddNode(1, h.sup)
-	for i := 0; i < n; i++ {
-		h.addNode()
-	}
-	return h
+	sched := psim.New(psim.Options{Seed: seed, Workers: 1})
+	return &harness{Stack: NewStack(sched, n), sched: sched}
 }
 
-func (h *harness) addNode() sim.NodeID {
-	id := sim.NodeID(len(h.nodes) + 2)
-	cl := core.NewClient(id, 1, core.Options{
-		DisableActionIV: true,
-		ProbeProb:       func(int) float64 { return 0 },
-	})
-	nd := NewNode(cl, 1)
-	h.nodes[id] = nd
-	h.sched.AddNode(id, nd)
-	return id
-}
-
-func (h *harness) joinAll() {
-	ids := make([]sim.NodeID, 0, len(h.nodes))
-	for id := range h.nodes {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		h.sched.Send(sim.Message{To: id, From: id, Topic: tp, Body: core.JoinTopic{}})
-	}
-}
-
-// legit checks the members' states against the legitimate SR(n), using a
-// pseudo-database derived from the actual labels (the token supervisor
-// stores none).
+// legit checks the members' states against the legitimate SR(wantN).
 func (h *harness) legit(wantN int) string {
-	states := map[sim.NodeID]core.State{}
-	db := map[label.Label]sim.NodeID{}
-	for id, nd := range h.nodes {
-		if !nd.Client.Joined(tp) {
-			continue
-		}
-		st, _ := nd.Client.StateOf(tp)
-		states[id] = st
-		if !st.Label.IsBottom() {
-			db[st.Label] = id
-		}
-	}
-	if len(states) != wantN {
+	members, violation := h.Explain(tp)
+	if members != wantN {
 		return "wrong member count"
 	}
-	if len(db) != len(states) {
-		return "duplicate or missing labels"
-	}
-	return cluster.CheckLegitimacy(db, states)
+	return violation
 }
 
 func (h *harness) converge(t *testing.T, wantN, maxRounds int) int {
@@ -92,15 +39,15 @@ func (h *harness) converge(t *testing.T, wantN, maxRounds int) int {
 	// have drained. Transient mismatches (e.g. a straggler complaint that
 	// re-pended a member) are resolved by subsequent passes/rebuilds.
 	pred := func() bool {
-		st := h.sup.topic(tp)
-		return h.legit(wantN) == "" && h.sup.N(tp) == wantN &&
+		st := h.Sup.topic(tp)
+		return h.legit(wantN) == "" && h.Sup.N(tp) == wantN &&
 			len(st.pending) == 0 && len(st.regs) == 0 && !st.rebuild
 	}
 	rounds, ok := h.sched.RunRoundsUntil(maxRounds, pred)
 	if !ok {
-		st := h.sup.topic(tp)
+		st := h.Sup.topic(tp)
 		t.Fatalf("token ring not quiescent after %d rounds: legit=%q supN=%d pending=%d regs=%d rebuild=%v",
-			maxRounds, h.legit(wantN), h.sup.N(tp), len(st.pending), len(st.regs), st.rebuild)
+			maxRounds, h.legit(wantN), h.Sup.N(tp), len(st.pending), len(st.regs), st.rebuild)
 	}
 	return rounds
 }
@@ -108,7 +55,7 @@ func (h *harness) converge(t *testing.T, wantN, maxRounds int) int {
 func TestTokenJoinBurst(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 5, 8, 16, 32} {
 		h := newHarness(int64(n)*3+1, n)
-		h.joinAll()
+		h.JoinAll(tp)
 		rounds := h.converge(t, n, 8000)
 		t.Logf("n=%d converged in %d rounds", n, rounds)
 	}
@@ -116,10 +63,10 @@ func TestTokenJoinBurst(t *testing.T) {
 
 func TestTokenClosureAndDeterminism(t *testing.T) {
 	h := newHarness(7, 16)
-	h.joinAll()
+	h.JoinAll(tp)
 	h.converge(t, 16, 8000)
 	versions := map[sim.NodeID]uint64{}
-	for id, nd := range h.nodes {
+	for id, nd := range h.Nodes {
 		st, _ := nd.Client.StateOf(tp)
 		versions[id] = st.Version
 	}
@@ -133,7 +80,7 @@ func TestTokenClosureAndDeterminism(t *testing.T) {
 	if msg := h.legit(16); msg != "" {
 		t.Fatalf("legitimacy lost: %s", msg)
 	}
-	for id, nd := range h.nodes {
+	for id, nd := range h.Nodes {
 		st, _ := nd.Client.StateOf(tp)
 		if st.Version != versions[id] {
 			t.Errorf("node %d mutated state during steady token passes", id)
@@ -147,10 +94,10 @@ func TestTokenClosureAndDeterminism(t *testing.T) {
 
 func TestTokenSequentialJoins(t *testing.T) {
 	h := newHarness(11, 4)
-	h.joinAll()
+	h.JoinAll(tp)
 	h.converge(t, 4, 8000)
 	for i := 0; i < 4; i++ {
-		id := h.addNode()
+		id := h.AddNode()
 		h.sched.Send(sim.Message{To: id, From: id, Topic: tp, Body: core.JoinTopic{}})
 		rounds := h.converge(t, 5+i, 8000)
 		t.Logf("join %d spliced and converged in %d rounds", i, rounds)
@@ -159,32 +106,32 @@ func TestTokenSequentialJoins(t *testing.T) {
 
 func TestTokenLeaveTriggersRebuild(t *testing.T) {
 	h := newHarness(13, 8)
-	h.joinAll()
+	h.JoinAll(tp)
 	h.converge(t, 8, 8000)
 	var leaver sim.NodeID
-	for id := range h.nodes {
+	for id := range h.Nodes {
 		leaver = id
 		break
 	}
 	h.sched.Send(sim.Message{To: leaver, From: leaver, Topic: tp, Body: core.LeaveTopic{}})
 	rounds := h.converge(t, 7, 8000)
 	t.Logf("rebuilt without leaver in %d rounds", rounds)
-	if !h.nodes[leaver].Client.Departed(tp) {
+	if !h.Nodes[leaver].Client.Departed(tp) {
 		t.Error("leaver never got permission")
 	}
 }
 
 func TestTokenCrashRecovery(t *testing.T) {
 	h := newHarness(17, 12)
-	h.joinAll()
+	h.JoinAll(tp)
 	h.converge(t, 12, 8000)
 	crashed := 0
-	for id := range h.nodes {
+	for id := range h.Nodes {
 		if crashed == 3 {
 			break
 		}
 		h.sched.Crash(id)
-		delete(h.nodes, id)
+		delete(h.Nodes, id)
 		crashed++
 	}
 	rounds := h.converge(t, 9, 8000)
@@ -193,12 +140,12 @@ func TestTokenCrashRecovery(t *testing.T) {
 
 func TestTokenGarbageTokenAbsorbed(t *testing.T) {
 	h := newHarness(19, 8)
-	h.joinAll()
+	h.JoinAll(tp)
 	h.converge(t, 8, 8000)
 	// A corrupted token with absurd values must not wreck the ring
 	// permanently: the next legitimate pass repairs all labels.
 	var victim sim.NodeID
-	for id := range h.nodes {
+	for id := range h.Nodes {
 		victim = id
 		break
 	}
@@ -215,14 +162,14 @@ func TestTokenSupervisorStateIsConstant(t *testing.T) {
 	// The steady-state supervisor stores n, entry, last, epoch — no
 	// per-subscriber data. Verify the pending/regs maps drain.
 	h := newHarness(23, 16)
-	h.joinAll()
+	h.JoinAll(tp)
 	h.converge(t, 16, 8000)
-	st := h.sup.topic(tp)
+	st := h.Sup.topic(tp)
 	if len(st.pending) != 0 || len(st.regs) != 0 {
 		t.Errorf("supervisor retains per-subscriber state: pending=%d regs=%d",
 			len(st.pending), len(st.regs))
 	}
-	if h.sup.Rebuilding(tp) {
+	if h.Sup.Rebuilding(tp) {
 		t.Error("steady state must not be rebuilding")
 	}
 }

@@ -47,33 +47,14 @@ type SimOptions struct {
 	// Seed makes RuntimeSim runs fully reproducible and seeds the
 	// per-node randomness on the live substrates.
 	Seed int64
-	// KeyLen is the publication key width (default 64).
-	KeyLen uint8
-	// Supervisors is the supervisor-plane size (default 1). With more than
-	// one, topics are sharded by consistent hashing over supervisors
-	// 1 … Supervisors, the plane is crash-tolerant (CrashSupervisor /
-	// RestartSupervisor), and subscriber IDs start after the supervisor
-	// block.
-	Supervisors int
-	// ReplicationFactor is how many hashdht successors each topic owner
-	// streams its directory to (default 0: failover rebuilds from the
-	// subscribers). With a factor ≥ 1 supervisor failover adopts the
-	// successor's warm replica; anti-entropy keeps replicas convergent
-	// from arbitrary corruption. Only meaningful with Supervisors > 1.
-	ReplicationFactor int
-	// DisableFlooding / DisableAntiEntropy / DisableActionIV are the
-	// ablation switches described in DESIGN.md.
-	DisableFlooding    bool
+	// Protocol holds the options shared with the live System's Options:
+	// KeyLen, HistoryCap, DisableFlooding, DeliveryMode, Supervisors and
+	// ReplicationFactor, with the same meaning on every substrate.
+	Protocol
+	// DisableAntiEntropy and DisableActionIV are, with
+	// Protocol.DisableFlooding, the ablation switches described in DESIGN.md.
 	DisableAntiEntropy bool
 	DisableActionIV    bool
-	// HistoryCap bounds each subscriber's retained publications per topic
-	// (0 = unlimited; see Options.HistoryCap on the live System).
-	HistoryCap int
-	// DeliveryMode selects the delivery ordering discipline every
-	// subscriber applies and the supervisors record as the directory
-	// default (ModeBestEffort, ModeFIFO or ModeCausal). Works on every
-	// substrate; on RuntimeSim ordered runs replay bit-exactly from Seed.
-	DeliveryMode DeliveryMode
 	// OnDeliver, if non-nil, observes every publication delivery as
 	// (subscriber, topic, payload), after the DeliveryMode discipline has
 	// released it — with ModeFIFO each publisher's payloads arrive at every
@@ -107,16 +88,11 @@ type Simulation struct {
 // selected by opts.Runtime. RuntimeNet panics if the loopback listener
 // cannot be opened (no 127.0.0.1 available).
 func NewSimulation(opts SimOptions) *Simulation {
-	clientOpts := core.Options{
-		KeyLen:             opts.KeyLen,
-		DisableFlooding:    opts.DisableFlooding,
-		DisableAntiEntropy: opts.DisableAntiEntropy,
-		DisableActionIV:    opts.DisableActionIV,
-		HistoryCap:         opts.HistoryCap,
-		DeliveryMode:       opts.DeliveryMode,
-	}
+	ho := opts.harness()
+	ho.ClientOpts.DisableAntiEntropy = opts.DisableAntiEntropy
+	ho.ClientOpts.DisableActionIV = opts.DisableActionIV
 	if f := opts.OnDeliver; f != nil {
-		clientOpts.OnDeliverTrace = func(node sim.NodeID, t sim.Topic, p proto.Publication, _ ordering.Meta) {
+		ho.ClientOpts.OnDeliverTrace = func(node sim.NodeID, t sim.Topic, p proto.Publication, _ ordering.Meta) {
 			f(node, t, p.Payload)
 		}
 	}
@@ -132,7 +108,7 @@ func NewSimulation(opts SimOptions) *Simulation {
 	if err != nil {
 		panic(fmt.Sprintf("sspubsub: %v", err))
 	}
-	return &Simulation{h: cluster.NewLiveRF(tr, clientOpts, opts.Supervisors, opts.ReplicationFactor), kind: kind}
+	return &Simulation{h: cluster.New(tr, ho), kind: kind}
 }
 
 // Close stops any running fault injectors and the substrate. It must be

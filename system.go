@@ -10,12 +10,10 @@ import (
 
 	"sspubsub/internal/cluster"
 	"sspubsub/internal/core"
-	"sspubsub/internal/hashdht"
 	"sspubsub/internal/ordering"
 	"sspubsub/internal/proto"
 	"sspubsub/internal/runtime/concurrent"
 	"sspubsub/internal/sim"
-	"sspubsub/internal/supervisor"
 )
 
 // DeliveryMode selects the delivery discipline clients apply to
@@ -40,22 +38,12 @@ const (
 	ModeCausal     = ordering.Causal
 )
 
-// Options configure a live System.
-type Options struct {
-	// Interval is the protocol timeout interval (default 10ms). Smaller
-	// intervals stabilize faster at higher background message cost.
-	Interval time.Duration
-	// Seed drives protocol coin flips (live runs are still subject to
-	// goroutine scheduling).
-	Seed int64
+// Protocol holds the protocol-level options a System and a Simulation
+// share; both embed it, so its fields are set as
+// Options{Protocol: Protocol{Supervisors: 3}} and read as opts.Supervisors.
+type Protocol struct {
 	// KeyLen is the publication key width m in bits (default 64).
 	KeyLen uint8
-	// EventBuffer is each subscription's delivery channel capacity
-	// (default 256). When a consumer lags, the oldest buffered events are
-	// dropped from the channel — the retained history (the newest
-	// HistoryCap publications, or everything when HistoryCap is 0) remains
-	// available via Subscription.History.
-	EventBuffer int
 	// HistoryCap bounds how many publications each subscriber retains per
 	// topic: when the stored set exceeds the cap, the publications with
 	// the smallest keys are evicted. 0 means unlimited — the paper's
@@ -69,14 +57,16 @@ type Options struct {
 	// (at-least-once); with 0 delivery stays exactly-once.
 	HistoryCap int
 	// DisableFlooding turns off PublishNew (deliveries then come only
-	// through anti-entropy).
+	// through anti-entropy) — one of the ablation switches of DESIGN.md.
 	DisableFlooding bool
 	// DeliveryMode selects the delivery ordering discipline every client
 	// applies (default ModeBestEffort). The supervisors record it as the
 	// directory default for new topics, so warm replicas and failed-over
-	// owners agree on the deployment's mode.
+	// owners agree on the deployment's mode. On RuntimeSim ordered runs
+	// replay bit-exactly from the seed.
 	DeliveryMode DeliveryMode
-	// Supervisors is the number of supervisor nodes (default 1). With more
+	// Supervisors is the number of supervisor nodes (default 1), with node
+	// IDs 1 … Supervisors; client IDs start after that block. With more
 	// than one, topics are spread over the supervisors by consistent
 	// hashing — the scalability extension of Section 1.3 — and the
 	// supervisor plane is crash-tolerant: supervisors monitor each other,
@@ -87,10 +77,43 @@ type Options struct {
 	// ReplicationFactor is how many hashdht successors each topic owner
 	// streams its directory to (default 0). With a factor ≥ 1 a crashed
 	// supervisor's topics fail over from the successor's warm replica —
-	// the self-stabilizing anti-entropy keeps replicas convergent — and
-	// the subscriber-driven Reregister rebuild becomes the fallback for
-	// stale or absent replicas. Only meaningful with Supervisors > 1.
+	// the self-stabilizing anti-entropy keeps replicas convergent from
+	// arbitrary corruption — and the subscriber-driven Reregister rebuild
+	// becomes the fallback for stale or absent replicas. Only meaningful
+	// with Supervisors > 1.
 	ReplicationFactor int
+}
+
+// harness is the one place the shared options become harness options.
+func (p Protocol) harness() cluster.Options {
+	return cluster.Options{
+		ClientOpts: core.Options{
+			KeyLen:          p.KeyLen,
+			HistoryCap:      p.HistoryCap,
+			DisableFlooding: p.DisableFlooding,
+			DeliveryMode:    p.DeliveryMode,
+		},
+		Supervisors:       p.Supervisors,
+		ReplicationFactor: p.ReplicationFactor,
+	}
+}
+
+// Options configure a live System.
+type Options struct {
+	// Protocol holds the options shared with SimOptions.
+	Protocol
+	// Interval is the protocol timeout interval (default 10ms). Smaller
+	// intervals stabilize faster at higher background message cost.
+	Interval time.Duration
+	// Seed drives protocol coin flips (live runs are still subject to
+	// goroutine scheduling).
+	Seed int64
+	// EventBuffer is each subscription's delivery channel capacity
+	// (default 256). When a consumer lags, the oldest buffered events are
+	// dropped from the channel — the retained history (the newest
+	// HistoryCap publications, or everything when HistoryCap is 0) remains
+	// available via Subscription.History.
+	EventBuffer int
 	// Transport overrides the execution substrate the nodes run on. When
 	// nil, a concurrent goroutine runtime (internal/runtime/concurrent)
 	// with Interval and Seed is used. The System takes ownership and
@@ -108,96 +131,54 @@ type Options struct {
 	FirstClientID sim.NodeID
 }
 
-// System is a running supervised publish-subscribe system: one supervisor
-// plus any number of clients, each a goroutine-backed protocol node.
+// System is a running supervised publish-subscribe system: a supervisor
+// plane plus any number of clients, each a goroutine-backed protocol node.
+// The nodes live in a cluster.Live harness; System adds what an
+// application needs on top — topic and client names, subscriptions — and
+// the locking that lets any goroutine call it.
 type System struct {
-	opts   Options
-	tr     sim.Transport
-	sups   map[sim.NodeID]*supervisor.Supervisor
-	supIDs []sim.NodeID
-	// ring is the live-supervisor view: crashed supervisors are removed and
-	// restarted ones re-added, so topic routing always follows the current
-	// owner (matching the supervisors' own plane view once their failure
-	// detector agrees).
-	ring *hashdht.Ring
+	opts Options
 
-	mu       sync.Mutex
-	topics   map[string]sim.Topic
-	names    map[sim.Topic]string
-	topicSup map[sim.Topic]sim.NodeID
-	supDown  map[sim.NodeID]bool
-	clients  map[sim.NodeID]*Client
-	byName   map[string]*Client
-	nextID   sim.NodeID
-	closed   bool
+	// hmu serializes the driver calls into h, which is single-driver.
+	hmu sync.Mutex
+	h   *cluster.Live
+
+	// mu guards the name tables. Deliveries take it on node goroutines, with
+	// the delivering client's own lock held, so nothing that locks a client
+	// — no call into h — may run under it.
+	mu      sync.Mutex
+	topics  map[string]sim.Topic
+	names   map[sim.Topic]string
+	clients map[sim.NodeID]*Client
+	byName  map[string]*Client
+	closed  bool
 }
 
-// SupervisorID is the supervisor's node ID in every System.
-const supervisorID sim.NodeID = 1
-
-// NewSystem starts a system with a supervisor and no clients.
+// NewSystem starts a system with its supervisors and no clients.
 func NewSystem(opts Options) *System {
 	if opts.Interval == 0 {
 		opts.Interval = 10 * time.Millisecond
 	}
-	if opts.KeyLen == 0 {
-		opts.KeyLen = 64
-	}
 	if opts.EventBuffer == 0 {
 		opts.EventBuffer = 256
-	}
-	if opts.Supervisors <= 0 {
-		opts.Supervisors = 1
 	}
 	tr := opts.Transport
 	if tr == nil {
 		tr = concurrent.NewRuntime(concurrent.Options{Interval: opts.Interval, Seed: opts.Seed})
 	}
-	sups := make(map[sim.NodeID]*supervisor.Supervisor, opts.Supervisors)
-	ring := hashdht.NewRing(64)
-	supIDs := make([]sim.NodeID, 0, opts.Supervisors)
-	for i := 0; i < opts.Supervisors; i++ {
-		id := supervisorID + sim.NodeID(i)
-		// Attached systems build the same topic→supervisor ring (the IDs
-		// are deterministic, so every process routes a topic to the same
-		// supervisor) but host no supervisor nodes themselves.
-		ring.Add(id)
-		supIDs = append(supIDs, id)
+	s := &System{
+		opts:    opts,
+		topics:  make(map[string]sim.Topic),
+		names:   make(map[sim.Topic]string),
+		clients: make(map[sim.NodeID]*Client),
+		byName:  make(map[string]*Client),
 	}
-	if !opts.Attach {
-		for _, id := range supIDs {
-			sup := supervisor.New(id, tr)
-			if opts.Supervisors > 1 {
-				sup.JoinPlane(supIDs)
-				if opts.ReplicationFactor > 0 {
-					sup.SetReplicationFactor(opts.ReplicationFactor)
-				}
-			}
-			if opts.DeliveryMode != ModeBestEffort {
-				sup.SetDefaultMode(opts.DeliveryMode)
-			}
-			tr.AddNode(id, sup)
-			sups[id] = sup
-		}
-	}
-	firstID := opts.FirstClientID
-	if firstID == sim.None {
-		firstID = supervisorID + sim.NodeID(opts.Supervisors)
-	}
-	return &System{
-		opts:     opts,
-		tr:       tr,
-		sups:     sups,
-		supIDs:   supIDs,
-		ring:     ring,
-		topics:   make(map[string]sim.Topic),
-		names:    make(map[sim.Topic]string),
-		topicSup: make(map[sim.Topic]sim.NodeID),
-		supDown:  make(map[sim.NodeID]bool),
-		clients:  make(map[sim.NodeID]*Client),
-		byName:   make(map[string]*Client),
-		nextID:   firstID,
-	}
+	ho := opts.harness()
+	ho.ClientOpts.OnDeliverTrace = s.deliver
+	ho.Remote = opts.Attach
+	ho.FirstClientID = opts.FirstClientID
+	s.h = cluster.New(tr, ho)
+	return s
 }
 
 // Close stops every node goroutine. Subscription channels are closed.
@@ -213,7 +194,7 @@ func (s *System) Close() {
 		clients = append(clients, c)
 	}
 	s.mu.Unlock()
-	s.tr.Close()
+	s.h.Tr.Close()
 	for _, c := range clients {
 		c.closeSubs()
 	}
@@ -223,6 +204,9 @@ func (s *System) Close() {
 // a networked deployment must agree on it without coordination (frames
 // carry the ID, not the name), so it is a hash of the name — never an
 // allocation counter, which would depend on per-process first-use order.
+// Placement on the supervisor ring hashes this ID (hashdht.TopicKey), never
+// the name, so client routing and supervisor ownership agree by
+// construction.
 func topicIDFor(name string) sim.Topic {
 	h := fnv.New32a()
 	h.Write([]byte(name))
@@ -248,18 +232,24 @@ func (s *System) topicID(name string) sim.Topic {
 	}
 	s.topics[name] = t
 	s.names[t] = name
-	// Placement hashes the wire ID (hashdht.TopicKey), never the name:
-	// it is the identity the supervisors' own plane shards by, so client
-	// routing and supervisor ownership agree by construction.
-	if owner, ok := s.ring.OwnerTopic(t); ok {
-		s.topicSup[t] = owner
-	}
 	return t
 }
 
 // SupervisorCount returns the number of supervisors the system was
 // configured with.
-func (s *System) SupervisorCount() int { return len(s.supIDs) }
+func (s *System) SupervisorCount() int { return len(s.h.SupIDs) }
+
+// supervisorAt resolves a 0-based supervisor index to the node to crash or
+// restart.
+func (s *System) supervisorAt(i int) (sim.NodeID, error) {
+	if s.opts.Attach {
+		return sim.None, fmt.Errorf("sspubsub: attached systems host no supervisors")
+	}
+	if i < 0 || i >= len(s.h.SupIDs) {
+		return sim.None, fmt.Errorf("sspubsub: supervisor index %d out of range [0,%d)", i, len(s.h.SupIDs))
+	}
+	return s.h.SupIDs[i], nil
+}
 
 // CrashSupervisor fails supervisor i (0-based, of Options.Supervisors)
 // without warning. Its topics are orphaned until the surviving
@@ -268,32 +258,21 @@ func (s *System) SupervisorCount() int { return len(s.supIDs) }
 // routing follows immediately. The supervisor's state is retained so
 // RestartSupervisor can bring it back (with that stale state).
 func (s *System) CrashSupervisor(i int) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.opts.Attach {
-		return fmt.Errorf("sspubsub: attached systems host no supervisors")
+	id, err := s.supervisorAt(i)
+	if err != nil {
+		return err
 	}
-	if i < 0 || i >= len(s.supIDs) {
-		return fmt.Errorf("sspubsub: supervisor index %d out of range [0,%d)", i, len(s.supIDs))
+	s.hmu.Lock()
+	defer s.hmu.Unlock()
+	if s.h.CrashSupervisor(id) {
+		return nil
 	}
-	id := s.supIDs[i]
-	if s.supDown[id] {
-		return fmt.Errorf("sspubsub: supervisor %d already crashed", i)
-	}
-	live := 0
-	for _, sid := range s.supIDs {
-		if !s.supDown[sid] {
-			live++
+	for _, down := range s.h.DownedSupervisors() {
+		if down == id {
+			return fmt.Errorf("sspubsub: supervisor %d already crashed", i)
 		}
 	}
-	if live <= 1 {
-		return fmt.Errorf("sspubsub: refusing to crash the last live supervisor")
-	}
-	s.supDown[id] = true
-	s.ring.Remove(id)
-	s.reroute()
-	s.tr.Crash(id)
-	return nil
+	return fmt.Errorf("sspubsub: refusing to crash the last live supervisor")
 }
 
 // RestartSupervisor brings a crashed supervisor back with the stale state
@@ -301,87 +280,40 @@ func (s *System) CrashSupervisor(i int) error {
 // ownership machinery repairs (the restarted supervisor reclaims its
 // topics at a fresh ownership epoch).
 func (s *System) RestartSupervisor(i int) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.opts.Attach {
-		return fmt.Errorf("sspubsub: attached systems host no supervisors")
+	id, err := s.supervisorAt(i)
+	if err != nil {
+		return err
 	}
-	if i < 0 || i >= len(s.supIDs) {
-		return fmt.Errorf("sspubsub: supervisor index %d out of range [0,%d)", i, len(s.supIDs))
-	}
-	id := s.supIDs[i]
-	if !s.supDown[id] {
+	s.hmu.Lock()
+	defer s.hmu.Unlock()
+	if !s.h.RestartSupervisor(id) {
 		return fmt.Errorf("sspubsub: supervisor %d is not crashed", i)
 	}
-	delete(s.supDown, id)
-	s.ring.Add(id)
-	s.reroute()
-	s.tr.AddNode(id, s.sups[id])
 	return nil
-}
-
-// reroute recomputes every known topic's owner after a supervisor
-// membership change. Lock held.
-func (s *System) reroute() {
-	for t := range s.names {
-		if owner, ok := s.ring.OwnerTopic(t); ok {
-			s.topicSup[t] = owner
-		}
-	}
-}
-
-// supervisorOf returns the supervisor node responsible for a topic.
-func (s *System) supervisorOf(t sim.Topic) sim.NodeID {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if id, ok := s.topicSup[t]; ok {
-		return id
-	}
-	return supervisorID
-}
-
-// supFor returns the supervisor instance responsible for a topic.
-func (s *System) supFor(t sim.Topic) *supervisor.Supervisor {
-	id := s.supervisorOf(t)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.sups[id]
-}
-
-// TopicName returns the name registered for a topic ID.
-func (s *System) topicName(t sim.Topic) string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.names[t]
 }
 
 // NewClient creates and starts a client node. Names must be unique.
 func (s *System) NewClient(name string) (*Client, error) {
+	// hmu spans the whole registration, so two NewClient calls cannot both
+	// pass the name check, and it is taken before mu as everywhere else.
+	s.hmu.Lock()
+	defer s.hmu.Unlock()
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	_, dup := s.byName[name]
+	closed := s.closed
+	s.mu.Unlock()
+	if closed {
 		return nil, fmt.Errorf("sspubsub: system closed")
 	}
-	if _, dup := s.byName[name]; dup {
-		s.mu.Unlock()
+	if dup {
 		return nil, fmt.Errorf("sspubsub: duplicate client name %q", name)
 	}
-	id := s.nextID
-	s.nextID++
-	c := &Client{sys: s, name: name, id: id, subs: make(map[sim.Topic]*Subscription)}
-	c.cc = core.NewClient(id, supervisorID, core.Options{
-		KeyLen:          s.opts.KeyLen,
-		OnDeliver:       c.deliver,
-		DisableFlooding: s.opts.DisableFlooding,
-		DeliveryMode:    s.opts.DeliveryMode,
-		SupervisorFor:   s.supervisorOf,
-		Supervisors:     s.supIDs,
-		HistoryCap:      s.opts.HistoryCap,
-	})
+	id := s.h.AddClient()
+	c := &Client{sys: s, name: name, id: id, cc: s.h.Clients[id], subs: make(map[sim.Topic]*Subscription)}
+	s.mu.Lock()
 	s.clients[id] = c
 	s.byName[name] = c
 	s.mu.Unlock()
-	s.tr.AddNode(id, c.cc)
 	return c, nil
 }
 
@@ -394,14 +326,13 @@ func (s *System) MustClient(name string) *Client {
 	return c
 }
 
-// clientName resolves a node ID to its client name ("?" if unknown).
+// clientName resolves a node ID to its client name ("?" if unknown). Lock
+// held.
 func (s *System) clientName(id sim.NodeID) string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if c, ok := s.clients[id]; ok {
 		return c.name
 	}
-	if _, ok := s.sups[id]; ok {
+	if s.h.IsSupervisor(id) {
 		return "supervisor"
 	}
 	return "?"
@@ -410,68 +341,63 @@ func (s *System) clientName(id sim.NodeID) string {
 // Members returns the names of the clients currently subscribed to topic.
 func (s *System) Members(topic string) []string {
 	t := s.topicID(topic)
+	s.hmu.Lock()
+	ids := s.h.Members(t)
+	s.hmu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var out []string
-	for _, c := range s.clients {
-		if c.cc.Joined(t) {
-			out = append(out, c.name)
-		}
+	out := make([]string, len(ids))
+	for i, id := range ids {
+		out[i] = s.clientName(id)
 	}
 	sort.Strings(out)
 	return out
 }
 
 // Stable reports whether the topic's overlay is currently in its
-// legitimate state (the supervisor database matches the members and every
-// member's explicit state equals the unique legitimate skip ring).
+// legitimate state: the supervisor database matches the members, every
+// member's explicit state equals the unique legitimate skip ring and — with
+// several supervisors — exactly the topic's owner hosts it and every member
+// reports to that owner at its epoch.
 func (s *System) Stable(topic string) bool { return s.explain(topic) == "" }
 
 // explain returns the first legitimacy violation, or "".
 func (s *System) explain(topic string) string {
-	t := s.topicID(topic)
-	s.mu.Lock()
-	var members []*Client
-	for _, c := range s.clients {
-		if c.cc.Joined(t) {
-			members = append(members, c)
-		}
-	}
-	s.mu.Unlock()
-	states := make(map[sim.NodeID]core.State, len(members))
-	for _, c := range members {
-		st, ok := c.cc.StateOf(t)
-		if !ok {
-			return fmt.Sprintf("member %s has no instance", c.name)
-		}
-		states[c.id] = st
-	}
-	sup := s.supFor(t)
-	if sup == nil {
+	if s.opts.Attach {
 		return "supervisor is not local to this process (attached system)"
 	}
-	if sup.Corrupted(t) {
-		return "supervisor database corrupted"
-	}
-	return cluster.CheckLegitimacy(sup.Snapshot(t), states)
+	t := s.topicID(topic)
+	s.hmu.Lock()
+	defer s.hmu.Unlock()
+	return s.h.Explain(t)
 }
 
-// WaitStable polls until the topic overlay is legitimate with exactly n
-// members, or the timeout expires.
-func (s *System) WaitStable(topic string, n int, timeout time.Duration) bool {
-	t := s.topicID(topic)
+// poll evaluates pred once per Interval until it holds or the timeout
+// expires.
+func (s *System) poll(timeout time.Duration, pred func() bool) bool {
 	deadline := time.Now().Add(timeout)
-	sup := s.supFor(t)
-	if sup == nil {
-		return false // attached system: the supervisor is remote
-	}
 	for time.Now().Before(deadline) {
-		if sup.N(t) == n && len(s.Members(topic)) == n && s.Stable(topic) {
+		if pred() {
 			return true
 		}
 		time.Sleep(s.opts.Interval)
 	}
 	return false
+}
+
+// WaitStable polls until the topic overlay is legitimate with exactly n
+// members, or the timeout expires. On an attached system, whose supervisor
+// is remote, it returns false at once.
+func (s *System) WaitStable(topic string, n int, timeout time.Duration) bool {
+	if s.opts.Attach {
+		return false
+	}
+	t := s.topicID(topic)
+	return s.poll(timeout, func() bool {
+		s.hmu.Lock()
+		defer s.hmu.Unlock()
+		return s.h.ConvergedWith(t, n)
+	})
 }
 
 // TopicSize returns the member count recorded by the topic's supervisor —
@@ -480,7 +406,9 @@ func (s *System) WaitStable(topic string, n int, timeout time.Duration) bool {
 // attached systems, where the supervisor is remote.
 func (s *System) TopicSize(topic string) int {
 	t := s.topicID(topic)
-	sup := s.supFor(t)
+	s.hmu.Lock()
+	defer s.hmu.Unlock()
+	sup := s.h.SupFor(t)
 	if sup == nil {
 		return -1
 	}
@@ -494,22 +422,17 @@ func (s *System) TopicSize(topic string) int {
 // the remote supervisor has integrated it.
 func (s *System) WaitJoined(topic string, n int, timeout time.Duration) bool {
 	t := s.topicID(topic)
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
+	return s.poll(timeout, func() bool {
+		s.hmu.Lock()
+		defer s.hmu.Unlock()
 		joined := 0
-		s.mu.Lock()
-		for _, c := range s.clients {
-			if st, ok := c.cc.StateOf(t); ok && !st.Label.IsBottom() {
+		for _, cl := range s.h.Clients {
+			if cl.Labelled(t) {
 				joined++
 			}
 		}
-		s.mu.Unlock()
-		if joined >= n {
-			return true
-		}
-		time.Sleep(s.opts.Interval)
-	}
-	return false
+		return joined >= n
+	})
 }
 
 // Publication is one published item as seen by applications.
@@ -551,7 +474,7 @@ func (c *Client) Subscribe(topic string) *Subscription {
 	}
 	c.subs[t] = sub
 	c.mu.Unlock()
-	c.sys.tr.Send(sim.Message{To: c.id, From: c.id, Topic: t, Body: core.JoinTopic{}})
+	c.sys.h.Join(c.id, t)
 	return sub
 }
 
@@ -566,7 +489,7 @@ func (c *Client) Publish(topic, payload string) error {
 	if !subscribed {
 		return fmt.Errorf("sspubsub: %s is not subscribed to %q", c.name, topic)
 	}
-	c.sys.tr.Send(sim.Message{To: c.id, From: c.id, Topic: t, Body: core.PublishCmd{Payload: payload}})
+	c.sys.h.Publish(c.id, t, payload)
 	return nil
 }
 
@@ -578,6 +501,8 @@ func (c *Client) History(topic string) []Publication {
 	t := c.sys.topicID(topic)
 	pubs := c.cc.Publications(t)
 	out := make([]Publication, len(pubs))
+	c.sys.mu.Lock()
+	defer c.sys.mu.Unlock()
 	for i, p := range pubs {
 		out[i] = Publication{Topic: topic, Origin: c.sys.clientName(p.Origin), Payload: p.Payload}
 	}
@@ -599,20 +524,24 @@ func (c *Client) Label(topic string) string {
 	return st.Label.String()
 }
 
-// deliver routes one protocol delivery to the right subscription channel.
-// It runs on the client's node goroutine and must not call back into cc.
-func (c *Client) deliver(t sim.Topic, p proto.Publication) {
+// deliver routes one protocol delivery to the delivering client's
+// subscription channel. It runs on that client's node goroutine, inside the
+// protocol handler, and must not call back into the harness.
+func (s *System) deliver(node sim.NodeID, t sim.Topic, p proto.Publication, _ ordering.Meta) {
+	s.mu.Lock()
+	c := s.clients[node]
+	origin := s.clientName(p.Origin)
+	s.mu.Unlock()
+	if c == nil {
+		return
+	}
 	c.mu.Lock()
 	sub := c.subs[t]
 	c.mu.Unlock()
 	if sub == nil {
 		return
 	}
-	sub.push(Publication{
-		Topic:   c.sys.topicName(t),
-		Origin:  c.sys.clientName(p.Origin),
-		Payload: p.Payload,
-	})
+	sub.push(Publication{Topic: sub.topic, Origin: origin, Payload: p.Payload})
 }
 
 func (c *Client) closeSubs() {
@@ -660,7 +589,7 @@ func (s *Subscription) History() []Publication { return s.client.History(s.topic
 // skip ring (Section 4.1) and the delivery channel is closed.
 func (s *Subscription) Unsubscribe() {
 	c := s.client
-	c.sys.tr.Send(sim.Message{To: c.id, From: c.id, Topic: s.tid, Body: core.LeaveTopic{}})
+	c.sys.h.Leave(c.id, s.tid)
 	c.mu.Lock()
 	delete(c.subs, s.tid)
 	c.mu.Unlock()

@@ -1,8 +1,13 @@
 package sspubsub
 
 import (
+	"strings"
 	"testing"
 	"time"
+
+	"sspubsub/internal/cluster"
+	"sspubsub/internal/core"
+	"sspubsub/internal/psim"
 )
 
 func newTestSystem(t *testing.T) *System {
@@ -10,6 +15,14 @@ func newTestSystem(t *testing.T) *System {
 	sys := NewSystem(Options{Interval: 2 * time.Millisecond, Seed: 42})
 	t.Cleanup(sys.Close)
 	return sys
+}
+
+// ownerOf returns the supervisor the plane's live ring routes topic to.
+func ownerOf(sys *System, topic string) NodeID {
+	sys.hmu.Lock()
+	defer sys.hmu.Unlock()
+	owner, _ := sys.h.ExpectedOwner(sys.topicID(topic))
+	return owner
 }
 
 func TestSystemSubscribePublishDeliver(t *testing.T) {
@@ -108,7 +121,7 @@ func TestSystemPublishRequiresSubscription(t *testing.T) {
 // TestSystemFIFODelivery: a live System configured with ModeFIFO presents
 // one publisher's payloads on every subscription channel in publish order.
 func TestSystemFIFODelivery(t *testing.T) {
-	sys := NewSystem(Options{Interval: 2 * time.Millisecond, Seed: 42, DeliveryMode: ModeFIFO})
+	sys := NewSystem(Options{Interval: 2 * time.Millisecond, Seed: 42, Protocol: Protocol{DeliveryMode: ModeFIFO}})
 	t.Cleanup(sys.Close)
 	alice := sys.MustClient("alice")
 	bob := sys.MustClient("bob")
@@ -234,7 +247,7 @@ func TestSimulationCorruptionRecovery(t *testing.T) {
 }
 
 func TestSystemMultiSupervisor(t *testing.T) {
-	sys := NewSystem(Options{Interval: 2 * time.Millisecond, Seed: 77, Supervisors: 3})
+	sys := NewSystem(Options{Interval: 2 * time.Millisecond, Seed: 77, Protocol: Protocol{Supervisors: 3}})
 	t.Cleanup(sys.Close)
 	topics := []string{"alpha", "beta", "gamma", "delta", "epsilon", "zeta"}
 	clients := make([]*Client, 6)
@@ -253,7 +266,7 @@ func TestSystemMultiSupervisor(t *testing.T) {
 		if !sys.WaitStable(tp, len(clients), 10*time.Second) {
 			t.Fatalf("topic %s never stabilized: %s", tp, sys.explain(tp))
 		}
-		owners[sys.supervisorOf(sys.topicID(tp))] = true
+		owners[ownerOf(sys, tp)] = true
 	}
 	if len(owners) < 2 {
 		t.Errorf("6 topics landed on %d supervisor(s); expected spread over ≥ 2 of 3", len(owners))
@@ -372,7 +385,7 @@ func TestTopicIDsProcessIndependent(t *testing.T) {
 // delivery intact, then restart the old owner and verify it reclaims the
 // topic.
 func TestSystemSupervisorFailover(t *testing.T) {
-	sys := NewSystem(Options{Interval: 2 * time.Millisecond, Seed: 99, Supervisors: 4})
+	sys := NewSystem(Options{Interval: 2 * time.Millisecond, Seed: 99, Protocol: Protocol{Supervisors: 4}})
 	t.Cleanup(sys.Close)
 	if got := sys.SupervisorCount(); got != 4 {
 		t.Fatalf("SupervisorCount = %d", got)
@@ -387,12 +400,12 @@ func TestSystemSupervisorFailover(t *testing.T) {
 		t.Fatalf("never stabilized: %s", sys.explain("orders"))
 	}
 
-	owner := sys.supervisorOf(sys.topicID("orders"))
-	ownerIdx := int(owner - supervisorID)
+	owner := ownerOf(sys, "orders")
+	ownerIdx := int(owner - cluster.SupervisorID)
 	if err := sys.CrashSupervisor(ownerIdx); err != nil {
 		t.Fatal(err)
 	}
-	successor := sys.supervisorOf(sys.topicID("orders"))
+	successor := ownerOf(sys, "orders")
 	if successor == owner {
 		t.Fatalf("routing still points at the crashed owner %d", owner)
 	}
@@ -422,7 +435,7 @@ func TestSystemSupervisorFailover(t *testing.T) {
 	if err := sys.RestartSupervisor(ownerIdx); err != nil {
 		t.Fatal(err)
 	}
-	if got := sys.supervisorOf(sys.topicID("orders")); got != owner {
+	if got := ownerOf(sys, "orders"); got != owner {
 		t.Fatalf("routing did not return to the restarted owner: %d", got)
 	}
 	if !sys.WaitStable("orders", len(clients), 20*time.Second) {
@@ -432,7 +445,7 @@ func TestSystemSupervisorFailover(t *testing.T) {
 
 // TestSystemCrashSupervisorValidation pins the public-API error surface.
 func TestSystemCrashSupervisorValidation(t *testing.T) {
-	sys := NewSystem(Options{Interval: 2 * time.Millisecond, Seed: 3, Supervisors: 2})
+	sys := NewSystem(Options{Interval: 2 * time.Millisecond, Seed: 3, Protocol: Protocol{Supervisors: 2}})
 	t.Cleanup(sys.Close)
 	if err := sys.CrashSupervisor(5); err == nil {
 		t.Error("out-of-range index accepted")
@@ -451,5 +464,61 @@ func TestSystemCrashSupervisorValidation(t *testing.T) {
 	}
 	if err := sys.RestartSupervisor(0); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSystemStableChecksOwnership: Stable is Live.Explain, which — unlike
+// the predicate System used to assemble itself — includes ownership
+// agreement. The test runs a System on the inline deterministic engine,
+// warms the replicas, crashes the topic's owner and steps in fractions of a
+// round to the instant the successor has adopted the warm directory while a
+// member still reports to the crashed owner: the database and the overlay
+// alone look legitimate there, and Stable must still say no.
+func TestSystemStableChecksOwnership(t *testing.T) {
+	eng := psim.New(psim.Options{Seed: 5, Workers: 1})
+	sys := NewSystem(Options{Transport: eng, Protocol: Protocol{Supervisors: 3, ReplicationFactor: 2}})
+	t.Cleanup(sys.Close)
+	const n = 6
+	for i := 0; i < n; i++ {
+		sys.MustClient(string(rune('a' + i))).Subscribe("orders")
+	}
+	topic := sys.topicID("orders")
+	if _, ok := eng.RunRoundsUntil(5000, func() bool {
+		return sys.TopicSize("orders") == n && sys.Stable("orders") && sys.h.ReplicasConverged(topic)
+	}); !ok {
+		t.Fatalf("setup: %s / %s", sys.explain("orders"), sys.h.ExplainReplication(topic))
+	}
+
+	owner := ownerOf(sys, "orders")
+	if err := sys.CrashSupervisor(int(owner - cluster.SupervisorID)); err != nil {
+		t.Fatal(err)
+	}
+	successor := sys.h.Sups[ownerOf(sys, "orders")]
+	observed := false
+	for step := 0; step < 2000 && !observed; step++ {
+		eng.RunUntil(eng.Now() + 0.05)
+		states := make(map[NodeID]core.State, n)
+		stale := false
+		for id, cl := range sys.h.Clients {
+			st, _ := cl.StateOf(topic)
+			states[id] = st
+			stale = stale || st.Sup == owner
+		}
+		if !stale || successor.Corrupted(topic) || cluster.CheckLegitimacy(successor.Snapshot(topic), states) != "" {
+			continue
+		}
+		observed = true
+		if sys.Stable("orders") {
+			t.Fatal("Stable while a member still reports to the crashed owner")
+		}
+		if v := sys.explain("orders"); !strings.Contains(v, "reports to supervisor") {
+			t.Errorf("violation %q does not name the stale owner", v)
+		}
+	}
+	if !observed {
+		t.Fatal("never saw the successor's database exact while a member still reported to the crashed owner")
+	}
+	if _, ok := eng.RunRoundsUntil(5000, func() bool { return sys.Stable("orders") }); !ok {
+		t.Fatalf("no re-stabilization: %s", sys.explain("orders"))
 	}
 }
