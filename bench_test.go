@@ -133,7 +133,12 @@ func benchScenario(sc experiments.E5Scenario, n int, seed int64) (int, bool) {
 	case experiments.ScenarioBadDB:
 		c.CorruptSupervisorDB(benchTopic, c.Rand())
 	case experiments.ScenarioGarbageMsg:
+		// The garbage is spread over the following round: it must land
+		// before the predicate is first polled, and that round counts.
 		c.SendGarbageMessages(benchTopic, 5*n, c.Rand())
+		c.RunRounds(1)
+		rounds, ok := c.RunUntilConverged(benchTopic, n, 20000)
+		return rounds + 1, ok
 	}
 	return c.RunUntilConverged(benchTopic, n, 20000)
 }

@@ -10,7 +10,7 @@ import (
 
 // TestCloseLeavesNoGoroutines: Close on the live substrates stops every
 // goroutine the facade started — node loops, tickers, the net transport's
-// router, listener, readers and writers. runtime.NumGoroutine must be back
+// listener, readers and writers. runtime.NumGoroutine must be back
 // at its pre-construction value within 100 intervals of Close returning.
 func TestCloseLeavesNoGoroutines(t *testing.T) {
 	const (

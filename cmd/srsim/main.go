@@ -230,6 +230,11 @@ func run(l *cluster.Live, n int, sc experiments.E5Scenario, seed int64, rounds i
 	}
 
 	start := l.Now()
+	if sc == experiments.ScenarioGarbageMsg {
+		// The garbage is spread over the following round: it must land
+		// before the predicate is first polled, and that round counts.
+		l.RunRounds(1)
+	}
 	if rt, ok := l.Tr.(*concurrent.Runtime); ok && churn {
 		// Let the fault injector interleave crashes and restarts with the
 		// join burst for a fixed window, then require re-convergence. The

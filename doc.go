@@ -77,20 +77,18 @@
 // per-connection wire.DecodeState whose arena bump-allocates payload
 // strings and batch scaffolds and whose direct-mapped cache interns
 // repeated fan-out bodies; and the concurrent runtime's loss-free
-// overflow tier recycles pooled segments. The networked transport runs
-// an encode-once egress pipeline: a single router goroutine encodes each
-// distinct outbound body once into a pooled refcounted slab and hands
-// slab references to the per-peer writers over lock-free single-
-// producer/single-consumer rings (internal/ring — runtime-agnostic, a
-// candidate for the concurrent runtime's mailbox tier), and each writer
-// coalesces its ring bursts into length-prefixed wire.Batch2 frames by
-// splicing the shared slabs, never re-encoding. On the pinned fan-out
-// benchmark (one publication flooded to 16 subscribers,
-// BenchmarkHotPathPublishFanout) this cut whole-system allocations per
-// publication by 9.0x on the sim substrate, 12.0x on the concurrent
-// runtime and 24x over TCP (647 to 27 allocs/op), and a 16-way
-// multicast of one body costs one encode and 16 boxed deliveries
-// (BenchmarkNetEgressMulticast). testing.AllocsPerRun guards in
+// overflow tier recycles pooled segments. The networked transport's
+// egress is one hop: a send encodes on the sending goroutine straight
+// into its link's pending batch (one length-prefixed wire.Batch2 member
+// in a reused buffer), and the link's writer puts whatever is pending on
+// the socket with one write, parking only when nothing is — batching
+// comes from load, not from a timer. On the pinned fan-out benchmark (one
+// publication flooded to 16 subscribers, BenchmarkHotPathPublishFanout)
+// this cut whole-system allocations per publication by 9.0x on the sim
+// substrate, 12.0x on the concurrent runtime and 26x over TCP (647 to 25
+// allocs/op), and a 16-way multicast of one body costs 16 boxed
+// deliveries and nothing else (BenchmarkNetEgressMulticast).
+// testing.AllocsPerRun guards in
 // internal/wire, internal/sim, internal/runtime/concurrent and the
 // root package hold each layer to its budget, and CI diffs every run's
 // BENCH_<sha>.json against the committed baseline, failing on >15%

@@ -90,7 +90,7 @@ func (p *Plane) ClientOptions(o core.Options) core.Options {
 	o.Supervisors = p.SupIDs
 	if ring := p.viewRing; len(p.SupIDs) > 1 {
 		o.SupervisorFor = func(t sim.Topic) sim.NodeID {
-			owner, _ := ring.OwnerTopic(t)
+			owner, _ := ring.Owner(t)
 			return owner // ⊥ with the whole plane down: the client keeps its default
 		}
 	}
@@ -163,7 +163,7 @@ func (p *Plane) DownedSupervisors() []sim.NodeID {
 // consistent-hashing owner over the live supervisors. ok is false when
 // every supervisor is down.
 func (p *Plane) ExpectedOwner(t sim.Topic) (sim.NodeID, bool) {
-	return p.viewRing.OwnerTopic(t)
+	return p.viewRing.Owner(t)
 }
 
 // SupFor returns the supervisor instance expected to own the topic: nil
@@ -177,7 +177,7 @@ func (p *Plane) SupFor(t sim.Topic) *supervisor.Supervisor {
 // replica of t's directory: the RepFactor hashdht successors of the
 // expected owner on the live ring. Empty when replication is off.
 func (p *Plane) ExpectedReplicas(t sim.Topic) []sim.NodeID {
-	return p.viewRing.Successors(hashdht.TopicKey(t), p.RepFactor)
+	return p.viewRing.Successors(t, p.RepFactor)
 }
 
 // ExplainReplication checks replica convergence for a topic: every

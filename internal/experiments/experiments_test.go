@@ -67,6 +67,23 @@ func TestE5AllScenariosConverge(t *testing.T) {
 		if r.Failures > 0 {
 			t.Errorf("%s n=%d: %d failures", r.Scenario, r.N, r.Failures)
 		}
+		if r.Scenario == ScenarioGarbageMsg && r.AvgRounds < 1 {
+			t.Errorf("%s n=%d: re-converged in %.1f rounds — the garbage cannot have landed yet", r.Scenario, r.N, r.AvgRounds)
+		}
+	}
+}
+
+// TestE5GarbageLandsBeforeThePredicateIsPolled: the garbage scenario's
+// convergence count starts only after every garbage message was delivered.
+func TestE5GarbageLandsBeforeThePredicateIsPolled(t *testing.T) {
+	const n = 16
+	c := mustConverge(n, 5)
+	before := c.Delivered()
+	if spent := inject(c, ScenarioGarbageMsg, n, 5); spent != 1 {
+		t.Fatalf("garbage injection spent %d rounds, want 1", spent)
+	}
+	if got := c.Delivered() - before; got < 5*n {
+		t.Fatalf("%d messages delivered in the round after injecting %d garbage messages", got, 5*n)
 	}
 }
 

@@ -7,7 +7,7 @@
 // is then only responsible for the topics in its sub-interval."
 //
 // Ring holds the supervisor set under consistent hashing with virtual
-// points; Directory routes topic names to their responsible supervisor and
+// points; Directory routes topics to their responsible supervisor and
 // rebalances when supervisors join or leave. The self-stabilizing DHT the
 // paper defers to the literature ([11]) is out of scope; this is the static
 // consistent-hashing layer the sketch requires.
@@ -30,14 +30,13 @@ func hashPoint(s string) uint64 {
 	return binary.BigEndian.Uint64(sum[:8])
 }
 
-// TopicKey renders a topic's wire identity as the canonical placement key.
-// Every layer that places topics on the supervisor ring — the public
-// System, the supervisor plane, the cluster harness — must hash the same
-// key, or two layers could route the same topic to different supervisors.
-// The key is derived from the numeric wire ID (never the human name):
-// frames carry only the ID, so it is the one identity every process of a
-// networked deployment agrees on without coordination.
-func TopicKey(t sim.Topic) string { return "t/" + strconv.FormatInt(int64(t), 10) }
+// topicPoint is a topic's position on the ring: the hash of its placement
+// key "topic-t/<id>". The key is derived from the numeric wire ID (never
+// the human name): frames carry only the ID, so it is the one identity
+// every process of a networked deployment agrees on without coordination.
+func topicPoint(t sim.Topic) uint64 {
+	return hashPoint("topic-t/" + strconv.FormatInt(int64(t), 10))
+}
 
 // Ring is a consistent-hashing ring of supervisors. The zero value is
 // unusable; use NewRing. All methods are safe for concurrent use.
@@ -105,21 +104,18 @@ func (r *Ring) Members() []sim.NodeID {
 	return out
 }
 
-// Owner returns the supervisor responsible for a topic name: the circular
+// Owner returns the supervisor responsible for a topic: the circular
 // successor of the topic's hash point. ok is false for an empty ring.
-func (r *Ring) Owner(topic string) (sim.NodeID, bool) {
+func (r *Ring) Owner(topic sim.Topic) (sim.NodeID, bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	if len(r.points) == 0 {
 		return sim.None, false
 	}
-	h := hashPoint("topic-" + topic)
+	h := topicPoint(topic)
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].pos >= h })
 	return r.points[i%len(r.points)].id, true
 }
-
-// OwnerTopic is Owner over the canonical TopicKey of a wire topic ID.
-func (r *Ring) OwnerTopic(t sim.Topic) (sim.NodeID, bool) { return r.Owner(TopicKey(t)) }
 
 // Successors returns up to k distinct supervisors after the topic's owner
 // in ring order, owner excluded — the replica set of the warm-failover
@@ -127,13 +123,13 @@ func (r *Ring) OwnerTopic(t sim.Topic) (sim.NodeID, bool) { return r.Owner(Topic
 // first successor becomes the topic's new owner, so replicating to the
 // successors places the warm state exactly where an adoption will look for
 // it. Fewer than k members besides the owner yields a shorter slice.
-func (r *Ring) Successors(topic string, k int) []sim.NodeID {
+func (r *Ring) Successors(topic sim.Topic, k int) []sim.NodeID {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	if k <= 0 || len(r.points) == 0 {
 		return nil
 	}
-	h := hashPoint("topic-" + topic)
+	h := topicPoint(topic)
 	base := sort.Search(len(r.points), func(i int) bool { return r.points[i].pos >= h }) % len(r.points)
 	owner := r.points[base].id
 	seen := map[sim.NodeID]bool{owner: true}
@@ -148,34 +144,22 @@ func (r *Ring) Successors(topic string, k int) []sim.NodeID {
 	return out
 }
 
-// Spread reports how many of the given topics each supervisor owns — the
-// balance measurement for the extension experiment.
-func (r *Ring) Spread(topics []string) map[sim.NodeID]int {
-	out := make(map[sim.NodeID]int)
-	for _, t := range topics {
-		if id, ok := r.Owner(t); ok {
-			out[id]++
-		}
-	}
-	return out
-}
-
-// Directory maps topic names to supervisors and tracks reassignments as
+// Directory maps topics to supervisors and tracks reassignments as
 // the supervisor set changes (topics whose owner changed must be re-joined
 // by their subscribers — the price of elasticity).
 type Directory struct {
 	mu    sync.Mutex
 	ring  *Ring
-	known map[string]sim.NodeID
+	known map[sim.Topic]sim.NodeID
 }
 
 // NewDirectory creates a directory over a ring.
 func NewDirectory(ring *Ring) *Directory {
-	return &Directory{ring: ring, known: make(map[string]sim.NodeID)}
+	return &Directory{ring: ring, known: make(map[sim.Topic]sim.NodeID)}
 }
 
 // Lookup resolves (and caches) the owner for a topic.
-func (d *Directory) Lookup(topic string) (sim.NodeID, bool) {
+func (d *Directory) Lookup(topic sim.Topic) (sim.NodeID, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	id, ok := d.ring.Owner(topic)
@@ -187,10 +171,10 @@ func (d *Directory) Lookup(topic string) (sim.NodeID, bool) {
 
 // Rebalance recomputes every cached topic's owner and returns the topics
 // whose responsible supervisor changed since the last lookup.
-func (d *Directory) Rebalance() map[string]sim.NodeID {
+func (d *Directory) Rebalance() map[sim.Topic]sim.NodeID {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	moved := make(map[string]sim.NodeID)
+	moved := make(map[sim.Topic]sim.NodeID)
 	for t, old := range d.known {
 		now, ok := d.ring.Owner(t)
 		if ok && now != old {
@@ -206,20 +190,8 @@ func (d *Directory) Rebalance() map[string]sim.NodeID {
 // corruption of the routing directory itself. The poison is soft state:
 // the next Lookup recomputes from the ring, and the next Rebalance reports
 // the repair as a move.
-func (d *Directory) ForceOwner(topic string, owner sim.NodeID) {
+func (d *Directory) ForceOwner(topic sim.Topic, owner sim.NodeID) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.known[topic] = owner
-}
-
-// Topics returns the cached topic set, sorted.
-func (d *Directory) Topics() []string {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make([]string, 0, len(d.known))
-	for t := range d.known {
-		out = append(out, t)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -1,7 +1,6 @@
 package hashdht
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -9,12 +8,33 @@ import (
 	"sspubsub/internal/sim"
 )
 
-func topics(n int) []string {
-	out := make([]string, n)
+func topics(n int) []sim.Topic {
+	out := make([]sim.Topic, n)
 	for i := range out {
-		out[i] = fmt.Sprintf("topic-%04d", i)
+		out[i] = sim.Topic(i + 1)
 	}
 	return out
+}
+
+// TestPlacementKeyStable pins the placement function itself: a topic sits
+// at the hash of "topic-t/<id>", the key every release so far has hashed.
+// Moving it would re-home every topic of a running deployment.
+func TestPlacementKeyStable(t *testing.T) {
+	if topicPoint(7) != hashPoint("topic-t/7") || topicPoint(-3) != hashPoint("topic-t/-3") {
+		t.Fatal("topicPoint no longer hashes the topic-t/<id> key")
+	}
+	r := NewRing()
+	r.Add(1)
+	r.Add(2)
+	r.Add(3)
+	// Owners recorded from the string-keyed ring (Owner("t/<id>")).
+	for tp, want := range map[sim.Topic]sim.NodeID{
+		-3: 1, 0: 1, 1: 1, 2: 3, 7: 3, 9: 1, 10: 2, 42: 2, 1000: 3, 1 << 30: 1,
+	} {
+		if got, _ := r.Owner(tp); got != want {
+			t.Errorf("Owner(%d) = %d, want %d", tp, got, want)
+		}
+	}
 }
 
 func TestOwnerDeterministic(t *testing.T) {
@@ -26,18 +46,18 @@ func TestOwnerDeterministic(t *testing.T) {
 		a, ok1 := r.Owner(tp)
 		b, ok2 := r.Owner(tp)
 		if !ok1 || !ok2 || a != b {
-			t.Fatalf("owner not deterministic for %s: %d vs %d", tp, a, b)
+			t.Fatalf("owner not deterministic for %d: %d vs %d", tp, a, b)
 		}
 	}
 }
 
 func TestEmptyRing(t *testing.T) {
 	r := NewRing()
-	if _, ok := r.Owner("x"); ok {
+	if _, ok := r.Owner(1); ok {
 		t.Error("empty ring must own nothing")
 	}
 	r.Add(5)
-	if id, ok := r.Owner("x"); !ok || id != 5 {
+	if id, ok := r.Owner(1); !ok || id != 5 {
 		t.Error("single supervisor must own everything")
 	}
 }
@@ -63,7 +83,14 @@ func TestSpreadBalanced(t *testing.T) {
 	for i := sim.NodeID(1); i <= 8; i++ {
 		r.Add(i)
 	}
-	spread := r.Spread(topics(4000))
+	spread := map[sim.NodeID]int{}
+	for _, tp := range topics(4000) {
+		id, _ := r.Owner(tp)
+		spread[id]++
+	}
+	if len(spread) != 8 {
+		t.Fatalf("%d of 8 supervisors own topics", len(spread))
+	}
 	want := 4000 / 8
 	for id, c := range spread {
 		if c < want/2 || c > want*2 {
@@ -79,7 +106,7 @@ func TestRemovalMovesOnlyOwnedTopics(t *testing.T) {
 		r.Add(i)
 	}
 	tps := topics(1000)
-	before := map[string]sim.NodeID{}
+	before := map[sim.Topic]sim.NodeID{}
 	for _, tp := range tps {
 		before[tp], _ = r.Owner(tp)
 	}
@@ -88,17 +115,17 @@ func TestRemovalMovesOnlyOwnedTopics(t *testing.T) {
 		now, _ := r.Owner(tp)
 		if before[tp] == 3 {
 			if now == 3 {
-				t.Fatalf("topic %s still owned by removed supervisor", tp)
+				t.Fatalf("topic %d still owned by removed supervisor", tp)
 			}
 		} else if now != before[tp] {
-			t.Errorf("topic %s moved from %d to %d although its owner stayed", tp, before[tp], now)
+			t.Errorf("topic %d moved from %d to %d although its owner stayed", tp, before[tp], now)
 		}
 	}
 }
 
 // Property: ownership is always a live member.
 func TestPropertyOwnerIsMember(t *testing.T) {
-	f := func(ids []uint8, topic string) bool {
+	f := func(ids []uint8, topic int32) bool {
 		r := NewRing()
 		live := map[sim.NodeID]bool{}
 		for _, raw := range ids {
@@ -111,7 +138,7 @@ func TestPropertyOwnerIsMember(t *testing.T) {
 				live[id] = true
 			}
 		}
-		owner, ok := r.Owner(topic)
+		owner, ok := r.Owner(sim.Topic(topic))
 		if len(live) == 0 {
 			return !ok
 		}
@@ -133,8 +160,8 @@ func TestDirectoryRebalance(t *testing.T) {
 			t.Fatal("lookup failed")
 		}
 	}
-	if len(d.Topics()) != 300 {
-		t.Fatalf("directory caches %d topics", len(d.Topics()))
+	if len(d.known) != 300 {
+		t.Fatalf("directory caches %d topics", len(d.known))
 	}
 	// No change → no moves.
 	if moved := d.Rebalance(); len(moved) != 0 {
@@ -148,7 +175,7 @@ func TestDirectoryRebalance(t *testing.T) {
 	}
 	for tp, id := range moved {
 		if id != 3 {
-			t.Errorf("topic %s moved to %d, but only supervisor 3 is new", tp, id)
+			t.Errorf("topic %d moved to %d, but only supervisor 3 is new", tp, id)
 		}
 	}
 }
@@ -165,7 +192,7 @@ func TestRemovalRebalanceMinimality(t *testing.T) {
 	}
 	d := NewDirectory(r)
 	ts := topics(400)
-	before := map[string]sim.NodeID{}
+	before := map[sim.Topic]sim.NodeID{}
 	owned := 0
 	for _, tp := range ts {
 		id, ok := d.Lookup(tp)
@@ -190,19 +217,19 @@ func TestRemovalRebalanceMinimality(t *testing.T) {
 	}
 	for tp, now := range moved {
 		if before[tp] != 3 {
-			t.Errorf("topic %s moved although its owner %d survived", tp, before[tp])
+			t.Errorf("topic %d moved although its owner %d survived", tp, before[tp])
 		}
 		if now == 3 {
-			t.Errorf("topic %s still assigned to the removed supervisor", tp)
+			t.Errorf("topic %d still assigned to the removed supervisor", tp)
 		}
 	}
 	for _, tp := range ts {
 		now, ok := r.Owner(tp)
 		if !ok {
-			t.Fatalf("topic %s orphaned", tp)
+			t.Fatalf("topic %d orphaned", tp)
 		}
 		if before[tp] != 3 && now != before[tp] {
-			t.Errorf("surviving topic %s silently moved %d→%d", tp, before[tp], now)
+			t.Errorf("surviving topic %d silently moved %d→%d", tp, before[tp], now)
 		}
 	}
 }
@@ -231,7 +258,7 @@ func TestRemovalRebalanceSuccessorAgreement(t *testing.T) {
 	for tp, now := range moved {
 		want, ok := fresh.Owner(tp)
 		if !ok || now != want {
-			t.Errorf("topic %s migrated to %d, fresh ring says %d", tp, now, want)
+			t.Errorf("topic %d migrated to %d, fresh ring says %d", tp, now, want)
 		}
 	}
 }
@@ -247,7 +274,7 @@ func TestRemoveThenReaddRestoresOwnership(t *testing.T) {
 	}
 	d := NewDirectory(r)
 	ts := topics(300)
-	before := map[string]sim.NodeID{}
+	before := map[sim.Topic]sim.NodeID{}
 	for _, tp := range ts {
 		before[tp], _ = d.Lookup(tp)
 	}
@@ -260,12 +287,12 @@ func TestRemoveThenReaddRestoresOwnership(t *testing.T) {
 	}
 	for tp := range away {
 		if now, _ := r.Owner(tp); now != 4 {
-			t.Errorf("topic %s not reclaimed by the restarted supervisor (owner %d)", tp, now)
+			t.Errorf("topic %d not reclaimed by the restarted supervisor (owner %d)", tp, now)
 		}
 	}
 	for _, tp := range ts {
 		if now, _ := r.Owner(tp); now != before[tp] {
-			t.Errorf("topic %s ended at %d, started at %d", tp, now, before[tp])
+			t.Errorf("topic %d ended at %d, started at %d", tp, now, before[tp])
 		}
 	}
 }
@@ -278,14 +305,15 @@ func TestForceOwnerSelfHeals(t *testing.T) {
 	r.Add(1)
 	r.Add(2)
 	d := NewDirectory(r)
-	truth, _ := d.Lookup("tp")
-	d.ForceOwner("tp", 99) // 99 is not even a member
-	if got, _ := d.Lookup("tp"); got != truth {
+	const tp sim.Topic = 7
+	truth, _ := d.Lookup(tp)
+	d.ForceOwner(tp, 99) // 99 is not even a member
+	if got, _ := d.Lookup(tp); got != truth {
 		t.Fatalf("Lookup returned the poisoned owner %d, want %d", got, truth)
 	}
-	d.ForceOwner("tp", 99)
+	d.ForceOwner(tp, 99)
 	moved := d.Rebalance()
-	if moved["tp"] != truth {
+	if moved[tp] != truth {
 		t.Fatalf("Rebalance did not repair the poisoned entry: %v", moved)
 	}
 }
@@ -313,10 +341,10 @@ func TestChurnNeverOrphansTopics(t *testing.T) {
 		for _, tp := range ts {
 			owner, ok := r.Owner(tp)
 			if !ok {
-				t.Fatalf("step %d: topic %s orphaned with %d supervisors alive", step, tp, len(alive))
+				t.Fatalf("step %d: topic %d orphaned with %d supervisors alive", step, tp, len(alive))
 			}
 			if !alive[owner] {
-				t.Fatalf("step %d: topic %s owned by dead supervisor %d", step, tp, owner)
+				t.Fatalf("step %d: topic %d owned by dead supervisor %d", step, tp, owner)
 			}
 		}
 	}
@@ -343,7 +371,7 @@ func TestPlacementIndependentOfHistory(t *testing.T) {
 		ao, aok := a.Owner(tp)
 		bo, bok := b.Owner(tp)
 		if !aok || !bok || ao != bo {
-			t.Fatalf("placement differs for %s: %d (churned) vs %d (fresh)", tp, ao, bo)
+			t.Fatalf("placement differs for %d: %d (churned) vs %d (fresh)", tp, ao, bo)
 		}
 	}
 }
@@ -357,7 +385,7 @@ func TestRebalanceMinimality(t *testing.T) {
 	r.Add(2)
 	d := NewDirectory(r)
 	ts := topics(300)
-	before := map[string]sim.NodeID{}
+	before := map[sim.Topic]sim.NodeID{}
 	for _, tp := range ts {
 		id, ok := d.Lookup(tp)
 		if !ok {
@@ -369,13 +397,13 @@ func TestRebalanceMinimality(t *testing.T) {
 	moved := d.Rebalance()
 	for tp, now := range moved {
 		if now != 3 {
-			t.Errorf("topic %s moved to %d, not to the new supervisor", tp, now)
+			t.Errorf("topic %d moved to %d, not to the new supervisor", tp, now)
 		}
 	}
 	for _, tp := range ts {
 		now, _ := r.Owner(tp)
 		if _, didMove := moved[tp]; !didMove && now != before[tp] {
-			t.Errorf("topic %s silently moved %d→%d without being reported", tp, before[tp], now)
+			t.Errorf("topic %d silently moved %d→%d without being reported", tp, before[tp], now)
 		}
 	}
 	if len(moved) == 0 {
@@ -403,12 +431,12 @@ func TestSuccessorsExcludeOwnerAndDedup(t *testing.T) {
 				want = 4 // 5 members minus the owner
 			}
 			if len(succs) != want {
-				t.Fatalf("topic %s k=%d: %d successors, want %d", tp, k, len(succs), want)
+				t.Fatalf("topic %d k=%d: %d successors, want %d", tp, k, len(succs), want)
 			}
 			seen := map[sim.NodeID]bool{owner: true}
 			for _, id := range succs {
 				if seen[id] {
-					t.Fatalf("topic %s k=%d: duplicate or owner %d in %v", tp, k, id, succs)
+					t.Fatalf("topic %d k=%d: duplicate or owner %d in %v", tp, k, id, succs)
 				}
 				seen[id] = true
 			}
@@ -428,12 +456,12 @@ func TestSuccessorBecomesOwnerOnRemoval(t *testing.T) {
 		owner, _ := r.Owner(tp)
 		succs := r.Successors(tp, 2)
 		if len(succs) != 2 {
-			t.Fatalf("topic %s: %d successors, want 2", tp, len(succs))
+			t.Fatalf("topic %d: %d successors, want 2", tp, len(succs))
 		}
 		r.Remove(owner)
 		next, ok := r.Owner(tp)
 		if !ok || next != succs[0] {
-			t.Fatalf("topic %s: owner after removal %d, want first successor %d", tp, next, succs[0])
+			t.Fatalf("topic %d: owner after removal %d, want first successor %d", tp, next, succs[0])
 		}
 	}
 }

@@ -1,20 +1,22 @@
 // Package ring provides a fixed-capacity, lock-free single-producer/
-// single-consumer ring buffer with batch drain. It is the egress handoff
-// of the networked transport (router goroutine → per-peer writer), built
-// to replace a buffered-channel handoff on the hot path; the same shape
-// is intended to back the concurrent runtime's mailbox fast path later.
+// single-consumer ring buffer with batch drain.
+//
+// Nothing in the system uses it any more. It was the egress handoff of the
+// networked transport (router goroutine → per-peer writer) until senders
+// began encoding straight into their link's pending batch, and the
+// concurrent runtime's mailbox never adopted it. Its one importer is
+// bench/layers/micro.go, which replays recorded traffic through it for the
+// ring_handoff_ns metric; bench/ was frozen in the PR that removed the
+// transport's use, so the package stays until the next benchmark PR drops
+// the metric and the package together.
 //
 // Concurrency contract: at most one goroutine calls Push at a time, and
 // at most one goroutine calls Pop/PopN at a time. The two sides need no
 // external synchronization against each other. Either *role* may migrate
-// between goroutines if the handoff itself is synchronized (the transport
-// hands the consumer role from a dead writer to the drain path only after
-// the writer goroutine has provably exited).
+// between goroutines if the handoff itself is synchronized.
 //
 // A full ring rejects the push (Push returns false) instead of blocking
-// or overwriting: the caller owns the overflow policy, which for the
-// transport is counted message loss — exactly the contract the protocol's
-// self-stabilization absorbs.
+// or overwriting: the caller owns the overflow policy.
 //
 // The consumer can sleep without busy-waiting: when Pop/PopN find the
 // ring empty they arm a wake flag, and the next Push posts a token to

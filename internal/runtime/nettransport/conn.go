@@ -1,49 +1,46 @@
 package nettransport
 
 import (
+	"bufio"
+	"encoding/binary"
 	"errors"
 	"net"
 	"sync"
 	"time"
 
-	"bufio"
-
-	"sspubsub/internal/ring"
 	"sspubsub/internal/sim"
 	"sspubsub/internal/wire"
 )
 
-// peer is one link: a lock-free SPSC ring of pre-encoded frames fed by
-// the egress router, a writer that drains the ring into coalesced Batch2
-// frames, and a reader that dispatches arriving frames. Dial-side peers
-// (addr != "") redial with exponential backoff when the link drops;
-// accepted peers live exactly as long as their connection.
-//
-// Ring roles: the egress router is the only producer for every peer; the
-// current writeLoop goroutine is the only consumer. The consumer role
-// migrates across reconnects — run() provably waits for the previous
-// writeLoop to exit before starting the next — and ends at the Close-time
-// sweep, which drains survivors only after wg.Wait has retired every
-// goroutine.
+// peer is one link. Egress is one hop: send encodes on the sending
+// goroutine straight into pending, the batch of length-prefixed Batch2
+// members awaiting the writer; the writer swaps the batch out, frames it
+// and writes it, and parks only when a swap comes back empty — so batching
+// comes from load (whatever queued while the previous write was in the
+// socket leaves as one frame), not from a timer. Dial-side peers
+// (addr != "") redial with exponential backoff when the link drops and
+// keep their backlog across the gap; accepted peers live exactly as long
+// as their connection.
 type peer struct {
 	t    *Transport
 	addr string // dial target; "" for accepted connections
-	rb   *ring.SPSC[outFrame]
 	stop chan struct{}
-	once sync.Once
+	// wake holds one token while pending is non-empty and the writer may be
+	// parked: senders post it on the empty → non-empty transition only.
+	wake chan struct{}
 
-	mu   sync.Mutex
-	conn net.Conn
-	down time.Time // zero while the link is up
+	mu       sync.Mutex
+	conn     net.Conn
+	down     time.Time // zero while the link is up
+	body     []byte    // send's scratch: one tagged body
+	pending  []byte    // members queued for the writer
+	pendingN int       // members in pending, at most QueueDepth
+
+	frame []byte // the frame being written; owned by the running writeLoop
 }
 
 func (t *Transport) newPeer(addr string) *peer {
-	return &peer{
-		t:    t,
-		addr: addr,
-		rb:   ring.New[outFrame](int(t.opts.QueueDepth)),
-		stop: make(chan struct{}),
-	}
+	return &peer{t: t, addr: addr, stop: make(chan struct{}), wake: make(chan struct{}, 1)}
 }
 
 // newDialPeer starts a link that dials addr and keeps redialing. Dial
@@ -52,9 +49,6 @@ func (t *Transport) newPeer(addr string) *peer {
 func (t *Transport) newDialPeer(addr string) *peer {
 	p := t.newPeer(addr)
 	p.down = time.Now() // down until the first dial succeeds
-	t.mu.Lock()
-	t.allPeers = append(t.allPeers, p)
-	t.mu.Unlock()
 	t.wg.Add(1)
 	go p.run()
 	return p
@@ -64,55 +58,36 @@ func (t *Transport) newDialPeer(addr string) *peer {
 // registration are one critical section: either this runs before Close
 // collects its peer list (so Close shuts this peer down too), or it
 // observes closed and refuses.
-func (t *Transport) newAcceptedPeer(conn net.Conn) *peer {
+func (t *Transport) newAcceptedPeer(conn net.Conn) {
 	p := t.newPeer("")
+	p.conn = conn
 	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()
 		conn.Close()
-		return nil
+		return
 	}
-	p.conn = conn
-	t.allPeers = append(t.allPeers, p)
 	t.accepted = append(t.accepted, p)
-	t.wg.Add(2)
+	t.wg.Add(1)
 	t.mu.Unlock()
-	dead := make(chan struct{})
-	writerDone := make(chan struct{})
 	go func() {
 		defer t.wg.Done()
-		defer close(writerDone)
-		p.writeLoop(conn, dead)
-	}()
-	go func() {
-		defer t.wg.Done()
-		p.readLoop(conn)
-		close(dead)
-		conn.Close()
-		<-writerDone
+		p.pump(conn)
 		p.markDown()
 		// The peer stays reachable through any block that points at it (so
 		// the failure detector can time its absence), but drop it from the
 		// accepted list: a reconnecting joiner creates a fresh peer every
-		// time, and retaining dead ones would leak. Frames the router still
-		// routes here are stranded in the ring until the Close-time sweep
-		// counts them as loss — the same fate they had unread in the old
-		// channel, now with the slabs reclaimed.
+		// time, and retaining dead ones would leak. Its shutdown counts what
+		// was still pending as loss, and every later send to it likewise.
 		t.dropAccepted(p)
 	}()
-	return p
 }
 
 // run is the dial-side lifecycle: dial, handshake, pump, redial.
 func (p *peer) run() {
 	defer p.t.wg.Done()
-	backoff := 50 * time.Millisecond
-	for {
-		select {
-		case <-p.stop:
-			return
-		default:
-		}
+	backoff := minBackoff
+	for !p.stopped() {
 		conn, err := net.DialTimeout("tcp", p.addr, 2*time.Second)
 		if err != nil {
 			p.t.opts.logf("nettransport: dial %s: %v (retry in %s)", p.addr, err, backoff)
@@ -126,7 +101,7 @@ func (p *peer) run() {
 			}
 			continue
 		}
-		backoff = 50 * time.Millisecond
+		backoff = minBackoff
 		if !p.setConn(conn) {
 			// shutdown() ran while we were dialing: the connection it
 			// closed was the old one, so close this one and leave before
@@ -137,30 +112,41 @@ func (p *peer) run() {
 		if p.t.role == roleJoiner {
 			// (Re-)introduce ourselves before any queued data flows: Base ⊥
 			// requests a fresh ID block, a previous base reclaims it.
-			hello := wire.Hello{Base: p.t.BaseID(), Slots: p.t.opts.Slots}
+			hello := wire.Hello{Base: p.t.BaseID(), Slots: blockSlots}
 			if err := wire.WriteFrame(conn, sim.Message{Body: hello}); err != nil {
 				conn.Close()
 				continue
 			}
 		}
 		p.markUp()
-		dead := make(chan struct{})
-		writerDone := make(chan struct{})
-		p.t.wg.Add(1)
-		go func() {
-			defer p.t.wg.Done()
-			defer close(writerDone)
-			p.writeLoop(conn, dead)
-		}()
-		p.readLoop(conn)
-		conn.Close()
-		close(dead)
-		// The ring is single-consumer: the next connection's writeLoop may
-		// not start until this one has provably exited.
-		<-writerDone
+		p.pump(conn)
 		p.markDown()
 		p.t.opts.logf("nettransport: link to %s lost; reconnecting", p.addr)
 	}
+}
+
+func (p *peer) stopped() bool {
+	select {
+	case <-p.stop:
+		return true
+	default:
+		return false
+	}
+}
+
+// pump serves one connection — the reader on a goroutine of its own, the
+// writer on this one — and returns once both are done and conn is closed.
+// Whichever side fails first closes conn, which fails the other.
+func (p *peer) pump(conn net.Conn) {
+	dead := make(chan struct{})
+	go func() {
+		p.readLoop(conn)
+		conn.Close()
+		close(dead)
+	}()
+	p.writeLoop(conn, dead)
+	conn.Close()
+	<-dead
 }
 
 // readLoop dispatches frames until the connection fails. Garbage frames
@@ -199,236 +185,158 @@ func (p *peer) readLoop(conn net.Conn) {
 	}
 }
 
-// maxBatch bounds the frames drained from the ring per write pass, and
-// with it the members per Batch2 frame. 64 keeps a typical batch far
-// below wire.MaxFrame while amortizing the frame header and the
-// dispatch bookkeeping across a whole coalescing window.
-const maxBatch = 64
-
-// frameBudget is the soft size cap of one composed Batch2 frame. Chunks
-// are cut so members beyond the budget start a new frame; a single
-// member larger than the budget goes out as a standalone frame, where
-// only wire.MaxFrame (enforced by the codec) bounds it.
+// frameBudget is the soft size cap of one composed Batch2 frame: the
+// writer cuts a swapped-out batch so members beyond the budget start a new
+// frame. A single member larger than the budget goes out as a frame of its
+// own, where only wire.MaxFrame (enforced by the codec) bounds it.
 const frameBudget = 256 << 10
 
-// writeLoop drains the peer's ring into the connection: each PopN burst
-// is composed into standalone frames or Batch2 frames (size-budgeted),
-// stamping the router's pre-encoded slabs under per-destination
-// envelopes — no message is re-encoded here. Slab references are dropped
-// once their bytes have left for the socket (or the frame is shed), and
-// the scratch buffer is reused across the connection's lifetime, so the
-// steady-state write path performs no allocations.
-func (p *peer) writeLoop(conn net.Conn, dead chan struct{}) {
-	bw := bufio.NewWriterSize(conn, 64<<10)
-	flush := time.NewTicker(p.t.opts.FlushEvery)
-	defer flush.Stop()
-	dirty := false
-	scratch := make([]byte, 0, 4096)
-	frames := make([]outFrame, maxBatch)
+// keepBuf caps the capacity a peer's buffers retain between uses: an
+// occasional giant body or burst may balloon them transiently, but must
+// not pin that memory for the link's lifetime.
+const keepBuf = 1 << 20
 
-	// keepScratch caps the frame buffer capacity retained across flushes:
-	// an occasional giant frame may balloon scratch transiently, but must
-	// not pin that memory for the connection's lifetime.
-	const keepScratch = 1 << 20
-
-	// writeChunk composes fs into one wire frame and writes it through the
-	// fault hook. It reports false only on an I/O failure; oversize and
-	// fault-shed frames are counted loss and the stream continues. Every
-	// message in fs ends in exactly one of delivered-to-bw or frameLost,
-	// so loopback in-flight holds cannot leak.
-	writeChunk := func(fs []outFrame) bool {
+// send queues m toward the link, on the caller's goroutine: the tagged
+// body is encoded into the peer's scratch and appended to the pending
+// batch as one member. It never blocks on the socket. A message the link
+// cannot take — the peer is shut down, QueueDepth members are already
+// pending, or the body does not encode — is counted loss.
+func (p *peer) send(m sim.Message) {
+	p.mu.Lock()
+	queued := false
+	if p.pendingN < int(p.t.opts.QueueDepth) && !p.stopped() {
 		var err error
-		if len(fs) == 1 {
-			f := fs[0]
-			scratch, err = wire.AppendFrameRaw(scratch[:0], f.to, f.from, f.topic, f.s.b)
-		} else {
-			scratch = wire.BeginBatchFrame(scratch[:0], len(fs))
-			for _, f := range fs {
-				scratch = wire.AppendBatchMember(scratch, f.to, f.from, f.topic, f.s.b)
-			}
-			scratch, err = wire.FinishFrame(scratch, 0)
+		if p.body, err = wire.AppendBody(p.body[:0], m.Body); err == nil {
+			p.pending = wire.AppendBatchMember(p.pending, m.To, m.From, m.Topic, p.body)
+			p.pendingN++
+			queued = true
 		}
-		if err != nil {
-			// Oversize: only this chunk is bad; shed it as counted loss.
-			for range fs {
-				p.frameLost()
-			}
-			return true
-		}
-		write, corrupted := p.applyFrameFault(scratch, len(fs))
-		if !write {
-			return true // frame shed by the fault hook
-		}
-		if _, err := bw.Write(scratch); err != nil {
-			if corrupted {
-				p.t.lost.Add(int64(len(fs))) // holds already released by the corrupt path
-			} else {
-				for range fs {
-					p.frameLost()
-				}
-			}
-			return false // I/O failure: let the reader's error path reconnect
-		}
-		dirty = true
-		return true
-	}
-
-	// release drops the slab references of fs and clears the entries.
-	release := func(fs []outFrame) {
-		for i := range fs {
-			fs[i].s.unref(p.t)
-			fs[i] = outFrame{}
+		if cap(p.body) > keepBuf {
+			p.body = nil
 		}
 	}
-
-	// emit writes one PopN burst as size-budgeted chunks. On I/O failure
-	// the unwritten tail is counted loss (it was dequeued and will never
-	// be written); all slab references are dropped in every path.
-	emit := func(fs []outFrame) bool {
-		i := 0
-		for i < len(fs) {
-			n := 1
-			size := wire.BatchMemberSize(fs[i].to, fs[i].from, fs[i].topic, len(fs[i].s.b))
-			for i+n < len(fs) {
-				f := fs[i+n]
-				next := wire.BatchMemberSize(f.to, f.from, f.topic, len(f.s.b))
-				if size+next > frameBudget {
-					break
-				}
-				size += next
-				n++
-			}
-			ok := writeChunk(fs[i : i+n]) // accounts its own messages in all paths
-			release(fs[i : i+n])
-			i += n
-			if !ok {
-				for range fs[i:] {
-					p.frameLost()
-				}
-				release(fs[i:])
-				return false
-			}
-		}
-		return true
+	first := queued && p.pendingN == 1
+	p.mu.Unlock()
+	if !queued {
+		p.t.lose(1)
+		return
 	}
+	if first {
+		select {
+		case p.wake <- struct{}{}:
+		default: // a token is already posted
+		}
+	}
+}
 
+// writeLoop moves the pending batch into the connection until the
+// connection, the peer or a write fails. Each pass swaps the batch out
+// under the lock and writes it without the lock, so senders keep queueing
+// into the other buffer meanwhile; a new connection's first pass picks up
+// whatever queued while the link was down.
+func (p *peer) writeLoop(conn net.Conn, dead <-chan struct{}) {
+	var out []byte
 	for {
-		if n := p.rb.PopN(frames); n > 0 {
-			if !emit(frames[:n]) {
-				conn.Close()
+		p.mu.Lock()
+		out, p.pending = p.pending, out[:0]
+		n := p.pendingN
+		p.pendingN = 0
+		p.mu.Unlock()
+		if n == 0 {
+			select {
+			case <-p.stop:
 				return
-			}
-			if cap(scratch) > keepScratch {
-				scratch = make([]byte, 0, 4096)
+			case <-dead:
+				return
+			case <-p.wake:
 			}
 			continue
 		}
-		// Ring empty (wake flag armed by PopN): sleep until the router
-		// pushes, the flush window closes, or the connection dies.
-		select {
-		case <-p.stop:
-			bw.Flush()
+		if !p.writeBatch(conn, out, n) {
 			return
-		case <-dead:
-			return
-		case <-p.rb.Wake():
-		case <-flush.C:
-			if dirty {
-				if bw.Flush() != nil {
-					conn.Close()
-					return
-				}
-				dirty = false
+		}
+		if cap(out) > keepBuf {
+			out = nil
+		}
+		if cap(p.frame) > keepBuf {
+			p.frame = nil
+		}
+	}
+}
+
+// writeBatch writes the n members in batch as frames of at most
+// frameBudget bytes, one conn.Write each, consulting the frame-fault hook
+// once per frame. A lone member leaves as a standalone frame, several as
+// one Batch2 — what a reader sees is what wire.AppendFrame would have
+// produced. It reports false on an I/O failure, after counting the failed
+// frame's messages and the unwritten rest of the batch as loss: every
+// member ends in exactly one of written or lost, so loopback in-flight
+// holds cannot leak.
+func (p *peer) writeBatch(conn net.Conn, batch []byte, n int) bool {
+	for len(batch) > 0 {
+		// Cut the longest run of whole members within the budget (at
+		// least one).
+		end, k := 0, 0
+		for end < len(batch) {
+			size, w := binary.Uvarint(batch[end:])
+			next := end + w + int(size)
+			if k > 0 && next > frameBudget {
+				break
+			}
+			end, k = next, k+1
+		}
+		if k == 1 {
+			// A member after its length prefix is envelope + tagged body:
+			// exactly a standalone frame's payload after the header.
+			_, w := binary.Uvarint(batch)
+			p.frame = append(wire.BeginFrame(p.frame[:0]), batch[w:end]...)
+		} else {
+			p.frame = append(wire.BeginBatchFrame(p.frame[:0], k), batch[:end]...)
+		}
+		batch, n = batch[end:], n-k
+		frame, err := wire.FinishFrame(p.frame, 0)
+		if err != nil {
+			p.t.lose(k) // over wire.MaxFrame: only this frame is bad
+			continue
+		}
+		verdict := p.t.frameVerdict()
+		if verdict == FrameCorrupt {
+			// Flipping the magic, not arbitrary bytes, guarantees the frame
+			// cannot decode into a different valid message: the receiver
+			// counts it as garbage and skips it.
+			frame[4] ^= 0xFF
+			frame[5] ^= 0xFF
+		}
+		if verdict != FrameDeliver {
+			p.t.lose(k) // shed or corrupted: these messages will never arrive
+			if verdict == FrameDrop {
+				continue
 			}
 		}
-	}
-}
-
-// applyFrameFault runs the wire-level fault hook for an encoded frame
-// carrying n messages. write reports whether the frame may be written
-// (false for FrameDrop, accounted as n lost frames). FrameCorrupt flips
-// the magic bytes in place — the receiver will count the frame as garbage
-// and skip it, so the loopback in-flight holds are released here (the
-// messages will never re-enter through Inject) and corrupted is returned
-// true: a subsequent I/O failure on the same frame must NOT run the
-// frameLost accounting again, or the holds would be double-released and
-// the quiesce barrier would open early. Flipping the magic, not arbitrary
-// bytes, guarantees the corrupted frame cannot decode into a different
-// valid message, which would likewise double-release the holds.
-func (p *peer) applyFrameFault(frame []byte, n int) (write, corrupted bool) {
-	switch p.t.frameVerdict() {
-	case FrameDrop:
-		for i := 0; i < n; i++ {
-			p.frameLost()
+		if _, err := conn.Write(frame); err != nil {
+			// A failed Write left at most a truncated frame behind, which the
+			// reader cannot dispatch: nothing of it was delivered.
+			if verdict == FrameDeliver {
+				p.t.lose(k)
+			}
+			p.t.lose(n)
+			return false
 		}
-		return false, false
-	case FrameCorrupt:
-		frame[4] ^= 0xFF
-		frame[5] ^= 0xFF
-		if p.t.role == roleLoopback {
-			p.t.inflight.Add(int64(-n))
-		}
-		return true, true
 	}
-	return true, false
-}
-
-// frameLost records one frame that will never arrive, releasing its
-// loopback in-flight hold so the quiesce barrier cannot wedge on it.
-func (p *peer) frameLost() {
-	p.t.lost.Add(1)
-	if p.t.role == roleLoopback {
-		p.t.inflight.Add(-1)
-	}
-}
-
-// push appends a frame to the peer's ring (router only — the ring is
-// single-producer), refusing when the peer is shut down or the ring is
-// full; the caller owns the loss accounting and the slab reference.
-func (p *peer) push(f outFrame) bool {
-	select {
-	case <-p.stop:
-		return false
-	default:
-	}
-	return p.rb.Push(f)
-}
-
-// drainRing empties the ring as counted loss, reclaiming the slab
-// references. Only the Close path calls it, after wg.Wait has retired
-// the router and every writer — the ring has no other producer or
-// consumer left, so the sweep is race-free and final.
-func (p *peer) drainRing() {
-	for {
-		f, ok := p.rb.Pop()
-		if !ok {
-			return
-		}
-		f.s.unref(p.t)
-		p.frameLost()
-	}
+	return true
 }
 
 // setConn installs the current connection. It reports false — without
 // installing — when the peer has been shut down, so a dial racing
 // shutdown cannot resurrect the link.
 func (p *peer) setConn(c net.Conn) bool {
-	select {
-	case <-p.stop:
-		return false
-	default:
-	}
 	p.mu.Lock()
-	p.conn = c
-	p.mu.Unlock()
-	// Re-check: shutdown may have read the old conn just before we
-	// installed this one.
-	select {
-	case <-p.stop:
+	defer p.mu.Unlock()
+	if p.stopped() {
 		return false
-	default:
-		return true
 	}
+	p.conn = c
+	return true
 }
 
 func (p *peer) markUp() {
@@ -455,12 +363,18 @@ func (p *peer) downFor(grace time.Duration) bool {
 	return !p.down.IsZero() && time.Since(p.down) >= grace
 }
 
-// shutdown permanently stops the peer and closes its connection.
+// shutdown permanently stops the peer: it closes the connection and counts
+// what is still pending as loss. stop closes under the lock send checks it
+// under, so no member can be queued behind this sweep.
 func (p *peer) shutdown() {
-	p.once.Do(func() { close(p.stop) })
 	p.mu.Lock()
-	c := p.conn
+	if !p.stopped() {
+		close(p.stop)
+	}
+	c, n := p.conn, p.pendingN
+	p.pending, p.pendingN = nil, 0
 	p.mu.Unlock()
+	p.t.lose(n)
 	if c != nil {
 		c.Close()
 	}

@@ -20,10 +20,17 @@
 //     is the natural hub).
 //   - Joiner (NewJoiner): dials the hub, receives its ID block, and sends
 //     every non-local message to the hub for delivery or relay. Dropped
-//     links are redialed with exponential backoff; frames queued or lost
-//     while a link is down are message loss, which the protocol already
+//     links are redialed with exponential backoff; what was queued while
+//     the link was down leaves on the next connection, what overflowed or
+//     sat in the dead socket is message loss, which the protocol already
 //     tolerates (Section 3.3 treats channel contents as corruptible
 //     state).
+//
+// Egress is one hop (conn.go): a send encodes on the sending goroutine
+// into the target link's pending batch, and the link's writer puts each
+// batch on the socket with one write, parking only when nothing is
+// pending. At most QueueDepth messages are pending toward one link; a send
+// beyond that is shed and counted, never blocks a protocol handler.
 //
 // Failure semantics: a garbage frame (wire.ErrGarbage) is counted and
 // skipped — the stream stays aligned and nothing crashes, because a
@@ -55,25 +62,12 @@ type Options struct {
 	Interval time.Duration
 	// Seed seeds the embedded runtime's per-node randomness.
 	Seed int64
-	// Jitter is the per-tick timeout jitter (see concurrent.Options).
-	Jitter float64
-	// FlushEvery is the write-coalescing interval: frames queued within
-	// one window leave in a single flush. Default 500µs.
-	FlushEvery time.Duration
-	// Slots is the node-ID block size a joiner requests. Default 1024.
-	Slots uint32
-	// QueueDepth bounds the frames buffered toward one link (the per-peer
-	// egress ring; capacities round up to a power of two). A full ring
-	// drops (message loss, which the protocol tolerates) rather than
-	// blocking a protocol handler. Default 4096.
+	// QueueDepth bounds the messages pending toward one link. A send to a
+	// full link is dropped (message loss, which the protocol tolerates)
+	// rather than blocking a protocol handler. Default 4096.
 	QueueDepth uint32
-	// HandshakeTimeout bounds a joiner's wait for its Welcome. Default 5s.
-	HandshakeTimeout time.Duration
 	// MaxBackoff caps the reconnect backoff. Default 2s.
 	MaxBackoff time.Duration
-	// DetectorGrace is how long a peer's link may be down before the
-	// failure detector suspects its nodes. Default 20·Interval.
-	DetectorGrace time.Duration
 	// Logf, when non-nil, receives connection lifecycle diagnostics.
 	Logf func(format string, args ...any)
 }
@@ -82,25 +76,26 @@ func (o *Options) fill() {
 	if o.Interval == 0 {
 		o.Interval = 10 * time.Millisecond
 	}
-	if o.FlushEvery == 0 {
-		o.FlushEvery = 500 * time.Microsecond
-	}
-	if o.Slots == 0 {
-		o.Slots = 1024
-	}
 	if o.QueueDepth == 0 {
 		o.QueueDepth = 4096
-	}
-	if o.HandshakeTimeout == 0 {
-		o.HandshakeTimeout = 5 * time.Second
 	}
 	if o.MaxBackoff == 0 {
 		o.MaxBackoff = 2 * time.Second
 	}
-	if o.DetectorGrace == 0 {
-		o.DetectorGrace = 20 * o.Interval
-	}
 }
+
+const (
+	// blockSlots is the node-ID block size a joiner requests, and what a
+	// hub grants when a Hello asks for nothing sensible.
+	blockSlots = 1024
+	// handshakeTimeout bounds a joiner's wait for its first Welcome.
+	handshakeTimeout = 5 * time.Second
+	// minBackoff is the first reconnect delay; it doubles up to MaxBackoff.
+	minBackoff = 50 * time.Millisecond
+	// graceIntervals is how many timeout intervals a peer's link may be
+	// down before the failure detector suspects its nodes.
+	graceIntervals = 20
+)
 
 func (o Options) logf(format string, args ...any) {
 	if o.Logf != nil {
@@ -127,17 +122,15 @@ type Transport struct {
 	rt   *concurrent.Runtime
 	ln   net.Listener
 
-	// inflight counts frames between the Redirect intercept and their
+	// inflight counts messages between the Redirect intercept and their
 	// local re-injection; only the loopback role maintains it (frames that
 	// leave the process never come back, so cross-process quiesce is not a
-	// thing). It is the runtime's ExtraPending. Known conservative edge:
-	// frames sitting unflushed in the write buffer when the loopback
-	// connection itself dies are unaccounted losses, leaving inflight
-	// permanently raised — Quiesce then reports false rather than lying,
-	// and a dying loopback socket means the host is broken anyway.
+	// thing). It is the runtime's ExtraPending. Every message is written to
+	// the socket whole or counted in lost, and lose releases the hold, so
+	// the barrier stays exact across overflow, faults and a dying link.
 	inflight atomic.Int64
 	garbage  atomic.Int64 // undecodable frames dropped
-	lost     atomic.Int64 // frames dropped by dead links / unroutable IDs
+	lost     atomic.Int64 // messages that will never arrive (see lose)
 
 	// frameFault, when set, is consulted once per outgoing frame on the
 	// writer goroutines: it can drop the frame whole or smash its magic
@@ -145,19 +138,10 @@ type Transport struct {
 	// wire-corruption fault).
 	frameFault atomic.Pointer[func() FrameFault]
 
-	// egressCh feeds the encode-once router (see egress.go); egressStop
-	// retires it during Close. The slab counters expose the refcounted-
-	// slab leak invariant (SlabStats).
-	egressCh     chan egressItem
-	egressStop   chan struct{}
-	slabAcquired atomic.Int64
-	slabReleased atomic.Int64
-
 	mu       sync.Mutex
 	local    map[sim.NodeID]bool
 	blocks   []*block // hub: granted ID blocks, routing table
 	accepted []*peer  // every accepted connection, for shutdown
-	allPeers []*peer  // every peer ever created, for the Close ring sweep
 	up       *peer    // loopback/joiner: the dialed upstream link
 	base     sim.NodeID
 	slots    uint32
@@ -219,14 +203,13 @@ func NewJoiner(opts Options) (*Transport, error) {
 		ready: make(chan struct{}),
 	}
 	t.rt = t.newRuntime()
-	t.startEgress()
 	t.up = t.newDialPeer(opts.Hub)
 	select {
 	case <-t.ready:
 		return t, nil
-	case <-time.After(opts.HandshakeTimeout):
+	case <-time.After(handshakeTimeout):
 		t.Close()
-		return nil, fmt.Errorf("nettransport: no Welcome from hub %s within %s", opts.Hub, opts.HandshakeTimeout)
+		return nil, fmt.Errorf("nettransport: no Welcome from hub %s within %s", opts.Hub, handshakeTimeout)
 	}
 }
 
@@ -244,7 +227,6 @@ func newTransport(opts Options, r role) (*Transport, error) {
 		next:  firstJoinerBase,
 	}
 	t.rt = t.newRuntime()
-	t.startEgress()
 	t.wg.Add(1)
 	go t.acceptLoop()
 	return t, nil
@@ -254,7 +236,6 @@ func (t *Transport) newRuntime() *concurrent.Runtime {
 	return concurrent.NewRuntime(concurrent.Options{
 		Interval:     t.opts.Interval,
 		Seed:         t.opts.Seed,
-		Jitter:       t.opts.Jitter,
 		Redirect:     t.redirect,
 		ExtraPending: t.inflight.Load,
 	})
@@ -296,7 +277,8 @@ const (
 	FrameDrop
 	// FrameCorrupt flips the frame's magic bytes: the frame crosses the
 	// socket but the receiver's decoder rejects it as garbage, exercising
-	// the ErrGarbage recovery path end to end.
+	// the ErrGarbage recovery path end to end. The messages it carried are
+	// counted as lost frames at the writer, like FrameDrop's.
 	FrameCorrupt
 )
 
@@ -326,8 +308,20 @@ func (t *Transport) frameVerdict() FrameFault {
 // GarbageFrames returns the number of frames dropped as undecodable.
 func (t *Transport) GarbageFrames() int64 { return t.garbage.Load() }
 
-// LostFrames returns frames dropped by dead links or unroutable targets.
+// LostFrames returns the messages this transport accepted and shed: sent
+// to a full or retired link or an unroutable target, unencodable or over
+// wire.MaxFrame, dropped or corrupted by the frame-fault hook, carried by
+// a write that failed, or still pending when their link shut down.
 func (t *Transport) LostFrames() int64 { return t.lost.Load() }
+
+// lose records n messages that will never arrive, releasing their
+// loopback in-flight holds so the quiesce barrier cannot wedge on them.
+func (t *Transport) lose(n int) {
+	t.lost.Add(int64(n))
+	if t.role == roleLoopback {
+		t.inflight.Add(int64(-n))
+	}
+}
 
 // ---- sim.Transport ----
 
@@ -369,7 +363,7 @@ func (t *Transport) Send(m sim.Message) { t.rt.Send(m) }
 // Suspects implements the failure detector of Section 3.3 across
 // processes: local nodes defer to the runtime's crash bookkeeping; nodes
 // in a granted block are suspected once their link has been down longer
-// than DetectorGrace; unknown IDs are suspected immediately.
+// than graceIntervals·Interval; unknown IDs are suspected immediately.
 func (t *Transport) Suspects(id sim.NodeID) bool {
 	if t.role == roleLoopback {
 		return t.rt.Suspects(id)
@@ -388,22 +382,22 @@ func (t *Transport) Suspects(id sim.NodeID) bool {
 	if isLocal {
 		return t.rt.Suspects(id)
 	}
+	grace := graceIntervals * t.opts.Interval
 	if owner != nil {
-		return owner.downFor(t.opts.DetectorGrace)
+		return owner.downFor(grace)
 	}
 	if t.role == roleJoiner {
 		// Everything non-local reaches this process through the hub; while
 		// the hub link is up we cannot tell remote nodes apart, and only
 		// the supervisor consults the detector anyway.
-		return joinerUp.downFor(t.opts.DetectorGrace)
+		return joinerUp.downFor(grace)
 	}
 	return true
 }
 
-// Close stops the listener, all peer links, the egress router and the
-// embedded runtime, then sweeps every peer ring: frames stranded between
-// the router and a writer are counted loss and their slabs reclaimed, so
-// SlabStats balances on a closed transport.
+// Close stops the listener, all peer links (counting what they still held
+// pending as loss) and the embedded runtime, and returns once every
+// goroutine the transport started has exited.
 func (t *Transport) Close() {
 	t.mu.Lock()
 	if t.closed {
@@ -426,18 +420,8 @@ func (t *Transport) Close() {
 	for _, p := range peers {
 		p.shutdown()
 	}
-	// Runtime first (no handler is left to call egressSend), then the
-	// router (drains the egress queue as loss and exits), then the
-	// barrier: after wg.Wait no goroutine touches any ring.
 	t.rt.Close()
-	close(t.egressStop)
 	t.wg.Wait()
-	t.mu.Lock()
-	all := t.allPeers
-	t.mu.Unlock()
-	for _, p := range all {
-		p.drainRing()
-	}
 }
 
 // ---- driver conveniences (Simulation facade parity) ----
@@ -480,8 +464,8 @@ var _ sim.Transport = (*Transport)(nil)
 
 // redirect is the runtime's Redirect hook: it decides, for every send,
 // whether the message stays in-process or crosses a socket. Messages
-// that cross hand off to the egress router (encode-once, lock-free
-// rings); the router and its loss paths own the rest of the accounting.
+// that cross are queued on their link (peer.send), which owns the rest of
+// the accounting.
 func (t *Transport) redirect(m sim.Message) bool {
 	switch t.role {
 	case roleLoopback:
@@ -490,7 +474,7 @@ func (t *Transport) redirect(m sim.Message) bool {
 		// hold taken here is released at Inject or at whichever loss point
 		// claims the message first.
 		t.inflight.Add(1)
-		t.egressSend(m, t.up)
+		t.up.send(m)
 		return true
 	case roleJoiner:
 		t.mu.Lock()
@@ -500,7 +484,7 @@ func (t *Transport) redirect(m sim.Message) bool {
 		if isLocal {
 			return false
 		}
-		t.egressSend(m, up)
+		up.send(m)
 		return true
 	default: // hub
 		t.mu.Lock()
@@ -511,10 +495,10 @@ func (t *Transport) redirect(m sim.Message) bool {
 			return false
 		}
 		if p == nil {
-			t.lost.Add(1)
+			t.lose(1)
 			return true
 		}
-		t.egressSend(m, p)
+		p.send(m)
 		return true
 	}
 }
@@ -567,11 +551,11 @@ func (t *Transport) deliverOrRelay(m sim.Message) {
 	case isLocal:
 		t.rt.Inject(m)
 	case relay != nil:
-		t.egressSend(m, relay)
+		relay.send(m)
 	default:
 		// Target unknown: the node never existed, its process left, or the
 		// frame is stale. Message loss, by design.
-		t.lost.Add(1)
+		t.lose(1)
 	}
 }
 
@@ -590,7 +574,7 @@ func (t *Transport) handleHello(h wire.Hello, from *peer) {
 	}
 	slots := h.Slots
 	if slots == 0 || slots > 1<<16 {
-		slots = t.opts.Slots
+		slots = blockSlots
 	}
 	t.mu.Lock()
 	var granted *block
@@ -624,7 +608,7 @@ func (t *Transport) handleHello(h wire.Hello, from *peer) {
 	}
 	t.opts.logf("nettransport: granted block [%d,%d) to %s", granted.base,
 		granted.base+sim.NodeID(granted.n), from.describe())
-	t.egressSend(sim.Message{Body: wire.Welcome{Base: granted.base, Slots: granted.n}}, from)
+	from.send(sim.Message{Body: wire.Welcome{Base: granted.base, Slots: granted.n}})
 }
 
 // overlapsLocked reports whether [base, base+n) intersects any granted

@@ -1,8 +1,12 @@
 package nettransport
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"io"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -280,30 +284,203 @@ func TestJoinerReconnect(t *testing.T) {
 	waitFor(t, 5*time.Second, "hub2→joiner", func() bool { return n.got.Load() > 0 })
 }
 
-// TestWriteCoalescing: many frames sent within one flush window arrive in
-// far fewer socket flushes than frames (observable only indirectly —
-// assert they all arrive and the test's real value is the race detector
-// over the batching path).
+// TestWriteCoalescing: batching comes from load. While the writer is held
+// inside its first frame, 1,000 sends from four goroutines queue on the
+// link; released, it carries them in a frame or two, not a thousand. And an
+// idle link needs no timer: a lone send wakes the writer and arrives long
+// before the one-second Interval could tick.
 func TestWriteCoalescing(t *testing.T) {
-	tr, err := NewLoopback(Options{Interval: 5 * time.Millisecond, FlushEvery: 2 * time.Millisecond})
+	tr, err := NewLoopback(Options{Interval: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tr.Close()
 	n := &echoNode{}
 	tr.AddNode(1, n)
+	var frames atomic.Int64
+	held, release := make(chan struct{}), make(chan struct{})
+	tr.SetFrameFault(func() FrameFault {
+		if frames.Add(1) == 1 {
+			close(held)
+			<-release
+		}
+		return FrameDeliver
+	})
+	tr.Send(subscribe(1, 2, 0))
+	<-held
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 250; i++ {
-				tr.Send(sim.Message{To: 1, From: 2, Topic: 1, Body: proto.Subscribe{V: sim.NodeID(g*1000 + i)}})
+				tr.Send(subscribe(1, 2, g*1000+i))
 			}
 		}(g)
 	}
 	wg.Wait()
-	waitFor(t, 10*time.Second, "coalesced burst", func() bool { return n.got.Load() == 1000 })
+	close(release)
+	waitFor(t, 10*time.Second, "coalesced burst", func() bool { return n.got.Load() == 1001 })
+	if f := frames.Load(); f > 4 {
+		t.Errorf("1,000 sends queued behind one write left in %d frames, want a handful", f)
+	}
+
+	start := time.Now()
+	tr.Send(subscribe(1, 2, 0))
+	waitFor(t, 500*time.Millisecond, "a lone send on an idle link", func() bool { return n.got.Load() == 1002 })
+	t.Logf("%d frames for 1,001 messages; lone send delivered in %s", frames.Load()-1, time.Since(start))
+}
+
+// TestWriterFramesMatchAppendFrame captures what the writer puts on the
+// socket: a lone message leaves as a standalone frame, messages that
+// queued behind it as one Batch2, each byte for byte what wire.Marshal
+// produces for the equivalent message — so any reader of the format, the
+// previous release's included, decodes them.
+func TestWriterFramesMatchAppendFrame(t *testing.T) {
+	hub, err := NewHub(Options{Listen: "127.0.0.1:0", Interval: 5 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hub.Close()
+	conn, err := net.Dial("tcp", hub.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := wire.WriteFrame(conn, sim.Message{Body: wire.Hello{Slots: 4}}); err != nil {
+		t.Fatal(err)
+	}
+	readRaw := func() []byte {
+		t.Helper()
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		hdr := make([]byte, 4)
+		if _, err := io.ReadFull(conn, hdr); err != nil {
+			t.Fatal(err)
+		}
+		frame := append(hdr, make([]byte, binary.BigEndian.Uint32(hdr))...)
+		if _, err := io.ReadFull(conn, frame[4:]); err != nil {
+			t.Fatal(err)
+		}
+		return frame
+	}
+	welcome, err := wire.Unmarshal(readRaw())
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := welcome.Body.(wire.Welcome).Base
+
+	held, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	hub.SetFrameFault(func() FrameFault {
+		once.Do(func() { close(held); <-release })
+		return FrameDeliver
+	})
+	msgs := []sim.Message{
+		{To: base, From: 1, Topic: 1, Body: proto.Subscribe{V: 7}},
+		{To: base + 1, From: -3, Topic: 2, Body: proto.PublishNew{Pub: proto.Publication{Key: proto.Key{Bits: 5, Len: 8}, Origin: 1, Payload: "p"}}},
+		{To: base + 2, From: 1 << 40, Topic: -9, Body: proto.Unsubscribe{V: 2}},
+		{To: base + 3, From: 1, Topic: 1, Body: proto.Subscribe{V: 9}},
+	}
+	hub.Send(msgs[0])
+	<-held // the writer is inside frame one; the rest queue behind it
+	for _, m := range msgs[1:] {
+		hub.Send(m)
+	}
+	close(release)
+	for i, want := range []sim.Message{msgs[0], {Body: wire.Batch2{Msgs: msgs[1:]}}} {
+		wantBytes, err := wire.Marshal(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := readRaw(); !bytes.Equal(got, wantBytes) {
+			t.Errorf("frame %d:\n got %x\nwant %x", i, got, wantBytes)
+		}
+	}
+}
+
+// TestConnChurnSoak keeps traffic flowing hub→joiner, joiner→hub and
+// joiner→joiner for two seconds while the joiners' connections are killed
+// every few intervals. Traffic must resume on every path after every
+// reconnect, Close must return, and no goroutine may outlive it.
+func TestConnChurnSoak(t *testing.T) {
+	const interval = 5 * time.Millisecond
+	before := runtime.NumGoroutine()
+	hub, err := NewHub(Options{Listen: "127.0.0.1:0", Interval: interval})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var js [2]*Transport
+	var ids [2]sim.NodeID
+	var nodes [2]*echoNode
+	for i := range js {
+		if js[i], err = NewJoiner(Options{Hub: hub.Addr(), Interval: interval, MaxBackoff: 50 * time.Millisecond}); err != nil {
+			t.Fatal(err)
+		}
+		ids[i], nodes[i] = js[i].BaseID(), &echoNode{}
+		js[i].AddNode(ids[i], nodes[i])
+	}
+	hubNode := &echoNode{}
+	hub.AddNode(1, hubNode)
+
+	stop := make(chan struct{})
+	var traffic sync.WaitGroup
+	traffic.Add(1)
+	go func() {
+		defer traffic.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			js[0].Send(subscribe(1, ids[0], i))
+			js[1].Send(subscribe(ids[0], ids[1], i))
+			hub.Send(subscribe(ids[1], 1, i))
+			time.Sleep(200 * time.Microsecond)
+		}
+	}()
+	counters := []*atomic.Int64{&hubNode.got, &nodes[0].got, &nodes[1].got}
+	kills := 0
+	for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); kills++ {
+		closeConn(js[kills%2].up)
+		var marks [3]int64
+		for i, c := range counters {
+			marks[i] = c.Load()
+		}
+		waitFor(t, 10*time.Second, "traffic on every path after a reconnect", func() bool {
+			for i, c := range counters {
+				if c.Load() <= marks[i] {
+					return false
+				}
+			}
+			return true
+		})
+		time.Sleep(4 * interval)
+	}
+	close(stop)
+	traffic.Wait()
+
+	closed := make(chan struct{})
+	go func() {
+		js[0].Close()
+		js[1].Close()
+		hub.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close did not return after the churn")
+	}
+	for deadline := time.Now().Add(100 * interval); runtime.NumGoroutine() > before; time.Sleep(interval) {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines before, %d still running after Close:\n%s",
+				before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+		}
+	}
+	t.Logf("%d connection kills; delivered hub %d, joiners %d and %d",
+		kills, hubNode.got.Load(), nodes[0].got.Load(), nodes[1].got.Load())
 }
 
 // TestLoopbackCrashDropsInFlight: frames addressed to a crashed node are

@@ -68,8 +68,6 @@ type plane struct {
 	// Rebalance can report exactly the topics a membership change moved.
 	ring *hashdht.Ring
 	dir  *hashdht.Directory
-	// keyTopic maps placement keys back to wire topic IDs.
-	keyTopic map[string]sim.Topic
 	// suspected is the last detector verdict per peer; transitions drive
 	// ring membership and migration.
 	suspected map[sim.NodeID]bool
@@ -98,7 +96,6 @@ func (s *Supervisor) JoinPlane(peers []sim.NodeID) {
 		peers:     ps,
 		ring:      ring,
 		dir:       hashdht.NewDirectory(ring),
-		keyTopic:  make(map[string]sim.Topic),
 		suspected: make(map[sim.NodeID]bool),
 		known:     make(map[sim.Topic]uint64),
 	}
@@ -111,9 +108,7 @@ func (s *Supervisor) viewOwner(t sim.Topic) sim.NodeID {
 	if s.plane == nil {
 		return s.self
 	}
-	key := hashdht.TopicKey(t)
-	s.plane.keyTopic[key] = t
-	owner, ok := s.plane.dir.Lookup(key)
+	owner, ok := s.plane.dir.Lookup(t)
 	if !ok {
 		return sim.None
 	}
@@ -157,16 +152,13 @@ func (s *Supervisor) planeTimeout(ctx sim.Context) {
 	if changed {
 		// Minimal migration: Rebalance reports exactly the topics whose
 		// owner the membership change moved; everything else stays put.
-		moved := p.dir.Rebalance()
-		keys := make([]string, 0, len(moved))
-		for k := range moved {
-			keys = append(keys, k)
+		var moved []sim.Topic
+		for t := range p.dir.Rebalance() {
+			moved = append(moved, t)
 		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			if t, ok := p.keyTopic[k]; ok {
-				s.reconcileTopic(ctx, t)
-			}
+		sort.Slice(moved, func(i, j int) bool { return moved[i] < moved[j] })
+		for _, t := range moved {
+			s.reconcileTopic(ctx, t)
 		}
 	}
 	s.replicaTimeout(ctx)
@@ -440,6 +432,6 @@ func (s *Supervisor) CorruptPlane(t sim.Topic, rng interface{ Intn(int) int }) {
 			s.topics[t] = db
 		}
 		wrong := p.peers[rng.Intn(len(p.peers))]
-		p.dir.ForceOwner(hashdht.TopicKey(t), wrong)
+		p.dir.ForceOwner(t, wrong)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"testing"
 
-	"sspubsub/internal/hashdht"
 	"sspubsub/internal/label"
 	"sspubsub/internal/proto"
 	"sspubsub/internal/sim"
@@ -260,19 +259,5 @@ func TestCorruptPlaneSelfHeals(t *testing.T) {
 		if s.Hosts(tp) != want {
 			t.Fatalf("after corruption storms, supervisor %d hosts=%v want %v", id, s.Hosts(tp), want)
 		}
-	}
-}
-
-func TestTopicKeyStable(t *testing.T) {
-	if hashdht.TopicKey(7) != "t/7" {
-		t.Fatalf("TopicKey(7) = %q", hashdht.TopicKey(7))
-	}
-	r := hashdht.NewRing()
-	r.Add(1)
-	r.Add(2)
-	a, _ := r.OwnerTopic(9)
-	b, _ := r.Owner(hashdht.TopicKey(9))
-	if a != b {
-		t.Fatalf("OwnerTopic and Owner(TopicKey) disagree: %d vs %d", a, b)
 	}
 }

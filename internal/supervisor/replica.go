@@ -43,7 +43,6 @@ import (
 	"encoding/binary"
 	"sort"
 
-	"sspubsub/internal/hashdht"
 	"sspubsub/internal/label"
 	"sspubsub/internal/ordering"
 	"sspubsub/internal/proto"
@@ -256,7 +255,7 @@ func (s *Supervisor) replicaTimeout(ctx sim.Context) {
 		if !db.track || s.viewOwner(t) != s.self {
 			continue
 		}
-		succs := p.ring.Successors(hashdht.TopicKey(t), s.repFactor)
+		succs := p.ring.Successors(t, s.repFactor)
 		if len(succs) == 0 {
 			continue
 		}
@@ -307,7 +306,7 @@ func (s *Supervisor) replicaTimeout(ctx sim.Context) {
 			continue
 		}
 		mine := false
-		for _, id := range p.ring.Successors(hashdht.TopicKey(t), s.repFactor) {
+		for _, id := range p.ring.Successors(t, s.repFactor) {
 			if id == s.self {
 				mine = true
 				break

@@ -438,20 +438,21 @@ func (d *dec) sliceLen(minBytes int) int {
 	return int(n)
 }
 
-// ---- raw frame assembly (encode-once transport path) ----
+// ---- raw frame assembly (transport egress path) ----
 //
-// The networked transport encodes each distinct body exactly once with
-// AppendBody and then stamps that tagged encoding into as many frames as
-// there are destinations — either one standalone frame per message
-// (AppendFrameRaw) or as length-prefixed members of a Batch2 frame
-// (BeginBatchFrame / AppendBatchMember / FinishFrame). The bytes these
-// produce are identical to AppendFrame over the equivalent message, so
-// readers cannot tell the paths apart.
+// The networked transport encodes a message once, on the sending
+// goroutine, as a length-prefixed Batch2 member (AppendBody +
+// AppendBatchMember) and frames whole runs of members later, on the
+// writer: several under one Batch2 envelope (BeginBatchFrame), a lone one
+// as a standalone frame (BeginFrame + the member after its length prefix),
+// both closed by FinishFrame. The bytes these produce are identical to
+// AppendFrame over the equivalent message, so readers cannot tell the
+// paths apart.
 
 // AppendBody appends the tagged encoding of body (type tag + per-type
-// body; no envelope, no frame header) to dst. This is the unit the
-// transport encodes once and shares across every destination. Batch
-// bodies are rejected — a batch is framing, not payload.
+// body; no envelope, no frame header) to dst — the unit the frame and
+// member builders below wrap in an envelope. Batch bodies are rejected — a
+// batch is framing, not payload.
 func AppendBody(dst []byte, body any) ([]byte, error) {
 	if err := checkBatchable(body); err != nil {
 		return dst, err
@@ -467,11 +468,18 @@ func AppendBody(dst []byte, body any) ([]byte, error) {
 	return out, nil
 }
 
+// BeginFrame starts a standalone frame: length prefix (patched by
+// FinishFrame), magic and version. What follows is the envelope and the
+// tagged body — byte for byte a Batch2 member after its length prefix.
+func BeginFrame(dst []byte) []byte {
+	return append(dst, 0, 0, 0, 0, magic0, magic1, Version)
+}
+
 // AppendFrameRaw appends one complete frame wrapping a pre-encoded
 // tagged body (from AppendBody) under the given envelope.
 func AppendFrameRaw(dst []byte, to, from sim.NodeID, topic sim.Topic, tagged []byte) ([]byte, error) {
 	start := len(dst)
-	dst = append(dst, 0, 0, 0, 0, magic0, magic1, Version)
+	dst = BeginFrame(dst)
 	dst = binary.AppendVarint(dst, int64(to))
 	dst = binary.AppendVarint(dst, int64(from))
 	dst = binary.AppendVarint(dst, int64(topic))
@@ -483,8 +491,7 @@ func AppendFrameRaw(dst []byte, to, from sim.NodeID, topic sim.Topic, tagged []b
 // append each with AppendBatchMember and close the frame with
 // FinishFrame, passing the len(dst) from before this call as start.
 func BeginBatchFrame(dst []byte, count int) []byte {
-	dst = append(dst, 0, 0, 0, 0, magic0, magic1, Version)
-	dst = append(dst, 0, 0, 0) // To, From, Topic: ⊥ envelope (svarint 0 ×3)
+	dst = append(BeginFrame(dst), 0, 0, 0) // To, From, Topic: ⊥ envelope (svarint 0 ×3)
 	dst = binary.AppendUvarint(dst, tagBatch2)
 	return binary.AppendUvarint(dst, uint64(count))
 }

@@ -204,7 +204,7 @@ func (s *System) Close() {
 // a networked deployment must agree on it without coordination (frames
 // carry the ID, not the name), so it is a hash of the name — never an
 // allocation counter, which would depend on per-process first-use order.
-// Placement on the supervisor ring hashes this ID (hashdht.TopicKey), never
+// Placement on the supervisor ring hashes this ID (internal/hashdht), never
 // the name, so client routing and supervisor ownership agree by
 // construction.
 func topicIDFor(name string) sim.Topic {
