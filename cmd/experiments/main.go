@@ -1,8 +1,11 @@
-// Command experiments regenerates every experiment table of EXPERIMENTS.md
-// (the reproduction of each figure, lemma, theorem and comparative claim of
-// Feldmann et al., "Self-Stabilizing Supervised Publish-Subscribe
-// Systems"). Run with -quick for a fast pass or select one experiment with
-// -only.
+// Command experiments prints the paper's tables (internal/experiments:
+// E1–E13 and the ablations A1–A4, reproducing each figure, lemma, theorem
+// and comparative claim of Feldmann et al., "Self-Stabilizing Supervised
+// Publish-Subscribe Systems"). Run with -quick for a fast pass or select
+// one experiment with -only. The -quick pass is pinned by
+// internal/experiments/testdata/quick.golden; regenerate it with
+//
+//	go run ./cmd/experiments -quick > internal/experiments/testdata/quick.golden
 //
 // Usage:
 //
@@ -11,8 +14,7 @@ package main
 
 import (
 	"flag"
-	"fmt"
-	"strings"
+	"os"
 
 	"sspubsub/internal/experiments"
 )
@@ -20,117 +22,7 @@ import (
 func main() {
 	quick := flag.Bool("quick", false, "smaller sweeps for a fast pass")
 	seed := flag.Int64("seed", 1, "base random seed")
-	only := flag.String("only", "", "run only the experiment with this ID (e.g. E5)")
+	only := flag.String("only", "", "run only the experiment with this ID (e.g. E5, or ablations)")
 	flag.Parse()
-
-	sizes := []int{16, 64, 256, 1024, 4096}
-	dynSizes := []int{16, 64, 256}
-	e5Sizes := []int{16, 32, 64}
-	seeds := 5
-	e3Rounds := 2000
-	if *quick {
-		sizes = []int{16, 64, 256}
-		dynSizes = []int{16, 64}
-		e5Sizes = []int{16, 32}
-		seeds = 2
-		e3Rounds = 500
-	}
-
-	want := func(id string) bool {
-		return *only == "" || strings.EqualFold(*only, id)
-	}
-
-	if want("E1") {
-		fmt.Print(experiments.Banner("E1", "Figure 1 — the skip ring SR(16)"))
-		res := experiments.E1Figure1()
-		fmt.Println(res.Triples)
-		fmt.Println(res.Edges)
-	}
-	if want("E2") {
-		fmt.Print(experiments.Banner("E2", "Lemma 3 — node degree and edge count"))
-		_, tb := experiments.E2Degree(sizes)
-		fmt.Println(tb)
-	}
-	if want("E3") {
-		fmt.Print(experiments.Banner("E3", "Theorem 5 — configuration requests per timeout interval"))
-		_, tb := experiments.E3ConfigRate(dynSizes, e3Rounds, *seed)
-		fmt.Println(tb)
-	}
-	if want("E4") {
-		fmt.Print(experiments.Banner("E4", "Theorem 7 — supervisor messages per subscribe/unsubscribe"))
-		_, tb := experiments.E4Overhead(16, 10, *seed)
-		fmt.Println(tb)
-	}
-	if want("E5") {
-		fmt.Print(experiments.Banner("E5", "Theorem 8 — convergence from arbitrary initial states"))
-		_, tb := experiments.E5Convergence(e5Sizes, seeds, *seed)
-		fmt.Println(tb)
-	}
-	if want("E6") {
-		fmt.Print(experiments.Banner("E6", "Theorem 13 — closure and steady-state maintenance"))
-		_, tb := experiments.E6Closure(64, 300, *seed)
-		fmt.Println(tb)
-	}
-	if want("E7") {
-		fmt.Print(experiments.Banner("E7", "Theorem 17 — publication convergence (anti-entropy only)"))
-		_, tb := experiments.E7PublicationConvergence(dynSizes, 10, *seed)
-		fmt.Println(tb)
-	}
-	if want("E8") {
-		fmt.Print(experiments.Banner("E8", "Section 4.3 — flooding: O(log n) vs ring-only Θ(n)"))
-		_, tb := experiments.E8Flooding(dynSizes, *seed)
-		fmt.Println(tb)
-	}
-	if want("E9") {
-		fmt.Print(experiments.Banner("E9", "Figure 2 — Patricia-trie synchronisation example"))
-		res := experiments.E9Figure2()
-		fmt.Println("trie u:")
-		fmt.Println(res.TrieU)
-		fmt.Println("trie v:")
-		fmt.Println(res.TrieV)
-		fmt.Println("probe u→v:")
-		for _, l := range res.TraceUtoV {
-			fmt.Println("  " + l)
-		}
-		fmt.Println("probe v→u:")
-		for _, l := range res.TraceVtoU {
-			fmt.Println("  " + l)
-		}
-		fmt.Printf("\nP4 delivered: %v; tries equal: %v\n\n", res.P4Delivered, res.TriesEqual)
-	}
-	if want("E10") {
-		fmt.Print(experiments.Banner("E10", "Section 1.3 — balance vs Chord and skip graphs"))
-		res := experiments.E10Balance(512, 100000, 20000, *seed)
-		fmt.Println("position balance (the paper's claim):")
-		fmt.Println(res.Position)
-		fmt.Println("degree statistics:")
-		fmt.Println(res.Degrees)
-		fmt.Println("greedy routing load (informational; see EXPERIMENTS.md):")
-		fmt.Println(res.Routing)
-	}
-	if want("E11") {
-		fmt.Print(experiments.Banner("E11", "Section 4.1 — join locality while n doubles"))
-		_, tb := experiments.E11JoinLocality(16, *seed)
-		fmt.Println(tb)
-	}
-	if want("E12") {
-		fmt.Print(experiments.Banner("E12", "Section 3.3 — recovery from unannounced crashes"))
-		_, tb := experiments.E12CrashRecovery(32, []float64{0.125, 0.25, 0.5}, *seed)
-		fmt.Println(tb)
-	}
-	if want("E13") {
-		fmt.Print(experiments.Banner("E13", "Introduction — supervisor vs central broker load"))
-		_, tb := experiments.E13SupervisorVsBroker(64, 50, *seed)
-		fmt.Println(tb)
-	}
-	if want("ablations") || *only == "" {
-		fmt.Print(experiments.Banner("A1", "Ablation — action (iv) on/off (partitioned recovery)"))
-		fmt.Println(experiments.AblationActionIV(16, seeds, *seed))
-		fmt.Print(experiments.Banner("A2", "Ablation — flooding vs anti-entropy-only delivery"))
-		fmt.Println(experiments.AblationFlooding(64, *seed))
-		fmt.Print(experiments.Banner("A3", "Ablation — probe schedule (supervisor load vs repair speed)"))
-		fmt.Println(experiments.AblationProbeSchedule(32, *seed))
-		fmt.Print(experiments.Banner("A4", "Extension — database vs deterministic token-ring supervisor"))
-		fmt.Println(experiments.A4TokenVsDatabase(32, *seed))
-	}
+	experiments.Report(os.Stdout, *quick, *seed, *only)
 }

@@ -13,10 +13,7 @@ import (
 // topic's owner, and measures rounds until the hashdht successor's
 // database is exact and every survivor reports to it. -rf selects the
 // directory replication factor: 0 measures the cold rebuild-from-
-// subscribers baseline, ≥ 1 the warm-replica adoption path. With -bench
-// the points are also printed as go-bench result lines for cmd/benchjson:
-//
-//	srsim failover -ns 1000,10000,100000 -rf 2 -bench | go run ./cmd/benchjson
+// subscribers baseline, ≥ 1 the warm-replica adoption path.
 func runFailover(args []string) {
 	fs := flag.NewFlagSet("failover", flag.ExitOnError)
 	sw := sweepFlags(fs)
@@ -42,12 +39,6 @@ func runFailover(args []string) {
 		results = append(results, res)
 		if !res.Converged {
 			fmt.Printf("# n=%d: DID NOT CONVERGE — curve below excludes it\n", n)
-		}
-		if sw.bench {
-			// The rounds are schedule-determined — identical for every
-			// -workers value — so the series name carries no worker count.
-			fmt.Printf("BenchmarkFailoverConvergence/rf=%d/n=%d 1 %d failover-rounds %d relabelled %d setup-rounds\n",
-				res.RepFactor, res.N, res.FailoverRounds, res.Relabelled, res.SetupRounds)
 		}
 	}
 

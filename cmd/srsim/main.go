@@ -13,7 +13,6 @@
 // Scale sweeps (the empirical O(log n) curves):
 //
 //	srsim scale -ns 1000,10000,100000       # sweep, table + exponent fits
-//	srsim scale -ns 1000000 -bench          # emit benchjson-ready series
 //	srsim scale -ns 100000 -workers 8       # eight lane workers (bit-identical for any -workers)
 //	srsim failover -ns 1000,10000 -rf 2     # supervisor failover-to-convergence sweep
 //

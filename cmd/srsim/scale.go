@@ -12,11 +12,9 @@ import (
 // runScale executes the scale sweep: for each n it drives n real-protocol
 // subscribers (multiplexed into pools, see internal/scale), measures join
 // latency, publish fan-out, post-crash stabilization and memory, then fits
-// power-law growth exponents across the sweep. With -bench the per-point
-// series are also printed as go-bench result lines, so the output pipes
-// straight into cmd/benchjson:
-//
-//	srsim scale -ns 1000,10000,100000 -bench | go run ./cmd/benchjson
+// power-law growth exponents across the sweep. The table's wall-second
+// columns are the only time numbers here; the gated ones come from
+// bench/run.sh.
 //
 // The sweep runs on the deterministic lane-sharded engine; -workers only
 // chooses how many goroutines execute it (0 = one per CPU) and every value
@@ -28,7 +26,6 @@ func runScale(args []string) {
 	sw := sweepFlags(fs)
 	fs.IntVar(&sw.cfg.HistoryCap, "historycap", 0, "per-subscriber publication retention bound (0 = unlimited)")
 	fs.Float64Var(&sw.cfg.CrashFrac, "crash", 0.01, "fraction of subscribers crashed for the stabilization probe")
-	fs.IntVar(&sw.cfg.MaxQueuedEvents, "maxevents", 0, "engine event-queue ceiling (0 = unbounded; sheds load past it)")
 	mode := fs.String("mode", "besteffort", "delivery mode: besteffort | fifo | causal (ordered modes time fan-out on actual deliveries)")
 	digest := fs.Bool("digest", false, "print a DIGEST line per point (canonical schedule-determined fields, for divergence diffing)")
 	fs.Parse(args)
@@ -52,25 +49,21 @@ func runScale(args []string) {
 		if !res.Converged {
 			fmt.Printf("# n=%d: DID NOT CONVERGE — curves below exclude it\n", n)
 		}
-		if res.OverflowDropped > 0 {
-			fmt.Printf("# n=%d: event ceiling shed %d messages — latencies are load-shed, not protocol, numbers\n", n, res.OverflowDropped)
-		}
 		if *digest {
 			fmt.Printf("DIGEST %s\n", res.Digest())
-		}
-		if sw.bench {
-			printBenchLines(res)
 		}
 	}
 
 	tbl := metrics.NewTable("n", "join p50/p95/max (rounds)", "joins/s",
-		"fanout p50/p95/max (rounds)", "stabilize (rounds)", "db bytes", "trie bytes")
+		"fanout p50/p95/max (rounds)", "stabilize (rounds)", "db bytes", "trie bytes",
+		"join s", "fanout s", "stabilize s")
 	for _, r := range results {
 		tbl.AddRow(r.N,
 			fmt.Sprintf("%.0f / %.0f / %.0f", r.JoinRounds.P50, r.JoinRounds.P95, r.JoinRounds.Max),
 			fmt.Sprintf("%.0f", r.JoinsPerSec),
 			fmt.Sprintf("%.0f / %.0f / %.0f", r.FanoutRounds.P50, r.FanoutRounds.P95, r.FanoutRounds.Max),
-			r.StabilizeRounds, r.SupDBBytes, r.SubTrieBytes)
+			r.StabilizeRounds, r.SupDBBytes, r.SubTrieBytes,
+			r.JoinWallSec, r.FanoutWallSec, r.StabilizeWallSec)
 	}
 	fmt.Println()
 	fmt.Print(tbl.String())
@@ -102,30 +95,4 @@ func runScale(args []string) {
 	fit("stabilize after 1% crash", stab, "O(n/cull-budget) sweep; ~flat with auto budget")
 	fit("supervisor DB bytes", db, "Θ(n)")
 	fit("joins/s", jps, "per-join work O(log n) → mildly sub-linear decay")
-}
-
-// printBenchLines renders one scale point as go-bench result lines
-// (name, iterations, then value-unit pairs — the even-field format
-// cmd/benchjson parses).
-func printBenchLines(r scale.Result) {
-	// Ordered sweeps get their own series names so they never collide with
-	// the best-effort baselines in benchjson (a new series is
-	// informational, not a regression); /p= names the worker count the
-	// wall-clock fields were measured at.
-	suffix := ""
-	if r.Mode != "" && r.Mode != "besteffort" {
-		suffix = "/mode=" + r.Mode
-	}
-	suffix += fmt.Sprintf("/p=%d", r.Workers)
-	fmt.Printf("BenchmarkScaleJoin/n=%d%s 1 %.2f p50-rounds %.2f p95-rounds %.2f max-rounds %.0f joins/s %.3f wall-sec\n",
-		r.N, suffix, r.JoinRounds.P50, r.JoinRounds.P95, r.JoinRounds.Max, r.JoinsPerSec, r.JoinWallSec)
-	fmt.Printf("BenchmarkScaleFanout/n=%d%s 1 %.2f p50-rounds %.2f p95-rounds %.2f max-rounds\n",
-		r.N, suffix, r.FanoutRounds.P50, r.FanoutRounds.P95, r.FanoutRounds.Max)
-	fmt.Printf("BenchmarkScaleStabilize/n=%d%s 1 %d stabilize-rounds\n", r.N, suffix, r.StabilizeRounds)
-	fmt.Printf("BenchmarkScaleMemory/n=%d%s 1 %d db-bytes %d trie-bytes %d queue-bytes\n",
-		r.N, suffix, r.SupDBBytes, r.SubTrieBytes, r.QueueBytes)
-	// Wall-clock per phase: the series the parallel-speedup claims are
-	// measured on (P on the x-axis, one line per n).
-	fmt.Printf("BenchmarkScaleWallClock/n=%d/p=%d 1 %.0f joins/s %.3f join-sec %.3f fanout-sec %.3f stabilize-sec\n",
-		r.N, r.Workers, r.JoinsPerSec, r.JoinWallSec, r.FanoutWallSec, r.StabilizeWallSec)
 }

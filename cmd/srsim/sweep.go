@@ -17,7 +17,6 @@ import (
 type sweep struct {
 	cfg                    scale.Config
 	ns                     string
-	bench                  bool
 	cpuprofile, memprofile string
 }
 
@@ -28,7 +27,6 @@ func sweepFlags(fs *flag.FlagSet) *sweep {
 	fs.IntVar(&s.cfg.PoolSize, "poolsize", 1024, "virtual subscribers per pool node")
 	fs.IntVar(&s.cfg.CullPerTimeout, "cull", 0, "supervisor cull budget per timeout (0 = auto, n/64)")
 	fs.IntVar(&s.cfg.MaxRounds, "maxrounds", 0, "max rounds per convergence wait (0 = default: 512, failover 8192)")
-	fs.BoolVar(&s.bench, "bench", false, "emit go-bench result lines (pipe into cmd/benchjson)")
 	fs.IntVar(&s.cfg.Workers, "workers", 0, "lane workers executing the engine (results are identical for every value); 0 = engine default, one per CPU")
 	fs.IntVar(&s.cfg.Lanes, "lanes", 0, "engine lane count (part of the schedule identity; 0 = default 16)")
 	fs.StringVar(&s.cpuprofile, "cpuprofile", "", "write a CPU profile covering the whole sweep to this file")

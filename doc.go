@@ -88,11 +88,12 @@
 // substrate, 12.0x on the concurrent runtime and 26x over TCP (647 to 25
 // allocs/op), and a 16-way multicast of one body costs 16 boxed
 // deliveries and nothing else (BenchmarkNetEgressMulticast).
-// testing.AllocsPerRun guards in
-// internal/wire, internal/sim, internal/runtime/concurrent and the
-// root package hold each layer to its budget, and CI diffs every run's
-// BENCH_<sha>.json against the committed baseline, failing on >15%
-// regressions in allocs/op or B/op (cmd/benchjson -compare). See the
+// testing.AllocsPerRun guards in internal/wire, internal/psim,
+// internal/runtime/concurrent, internal/runtime/nettransport and the root
+// package hold each layer to its budget; the fan-out rows
+// (TestPublishFanoutAllocGuard, TestOrderedFanoutAllocBudget,
+// TestNetEgressMulticastAllocBudget) allow the committed allocs/op + 15 %.
+// Time is measured only by bench/run.sh (BENCHMARK.json). See the
 // README's Performance section for the measured table and the exact
 // reproduction commands.
 //
@@ -106,8 +107,9 @@
 // mailbox. `srsim scale -ns 1000,10000,100000` sweeps the population,
 // measures join latency, publish fan-out, post-crash stabilization and
 // memory at each point, and fits power-law growth exponents against the
-// paper's O(log n) bounds; -bench emits the series in benchjson form so
-// the nightly sweep accumulates a machine-readable scaling trajectory.
+// paper's O(log n) bounds; the table adds each phase's wall seconds, and
+// the nightly sweep uploads its output so the scaling trajectory
+// accumulates.
 // Protocol.HistoryCap (set through Options or SimOptions, which both
 // embed Protocol) bounds each subscriber's retained publication history — at these populations an unbounded
 // history is the difference between a flat and a linearly growing
@@ -181,8 +183,8 @@
 // delivery-ordering probe (per-origin sequence monotonicity, causal
 // coverage, cross-node agreement on delivery order) verifies convergence
 // under reorder/dup/loss on every substrate. Steady-state cost on the
-// pinned 16-subscriber fan-out (BenchmarkOrderedFanout, gated like the
-// hot path): FIFO adds zero allocations per publication over best-effort
+// pinned 16-subscriber fan-out (TestOrderedFanoutAllocBudget, budgeted
+// like the hot path): FIFO adds zero allocations per publication over best-effort
 // (42 vs 42 allocs/op) and causal adds four (46), at identical p95
 // delivery rounds. Best-effort deployments take none of these code paths
 // and their hot-path series are bit-identical.
@@ -204,6 +206,7 @@
 // The packages under internal/ hold the building blocks (label algebra,
 // the BuildSR subscriber and supervisor protocols, the Patricia trie, the
 // static topology oracle and the baseline overlays used by the
-// experiments); see DESIGN.md for the inventory and EXPERIMENTS.md for the
-// reproduction of every quantitative claim in the paper.
+// experiments). internal/experiments reproduces every quantitative claim
+// in the paper (E1–E13 and ablations A1–A4; `go run ./cmd/experiments`),
+// and its testdata/quick.golden pins the -quick tables byte for byte.
 package sspubsub

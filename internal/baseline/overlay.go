@@ -181,7 +181,7 @@ func Balance(o Overlay) DegreeBalance {
 	var ss float64
 	for _, d := range degs {
 		diff := float64(d) - res.AvgDegree
-		ss += diff * diff
+		ss += float64(diff * diff) // rounded: no arm64 FMA
 	}
 	res.StdDev = math.Sqrt(ss / float64(n))
 	sort.Ints(degs)

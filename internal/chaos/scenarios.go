@@ -396,7 +396,8 @@ func Generate(seed int64) Scenario {
 // kinds are included unconditionally: on a single-supervisor plane they
 // degrade to safe no-ops (CrashSupervisor never removes the last live
 // supervisor), while `-supervisors=4` soaks compose them with every other
-// fault class.
+// fault class. Rates round the product explicitly (float64(…)) so arm64
+// cannot fuse it into an FMA and draw a different rate than amd64.
 func randomAction(rng *rand.Rand) Action {
 	switch rng.Intn(19) {
 	case 0:
@@ -410,11 +411,11 @@ func randomAction(rng *rand.Rand) Action {
 	case 4:
 		return Action{Kind: Partition, K: 2 + rng.Intn(2)}
 	case 5:
-		return Action{Kind: Loss, Rate: 0.1 + 0.2*rng.Float64()}
+		return Action{Kind: Loss, Rate: 0.1 + float64(0.2*rng.Float64())}
 	case 6:
-		return Action{Kind: Duplicate, Rate: 0.1 + 0.3*rng.Float64()}
+		return Action{Kind: Duplicate, Rate: 0.1 + float64(0.3*rng.Float64())}
 	case 7:
-		return Action{Kind: Reorder, Rate: 0.2 + 0.3*rng.Float64()}
+		return Action{Kind: Reorder, Rate: 0.2 + float64(0.3*rng.Float64())}
 	case 8:
 		return Action{Kind: GarbageTraffic, Count: 20 + rng.Intn(40)}
 	case 9:
@@ -460,11 +461,11 @@ func GenerateOrdering(seed int64) Scenario {
 		var a Action
 		switch rng.Intn(10) {
 		case 0, 1, 2:
-			a = Action{Kind: Reorder, Rate: 0.3 + 0.4*rng.Float64()}
+			a = Action{Kind: Reorder, Rate: 0.3 + float64(0.4*rng.Float64())}
 		case 3, 4:
-			a = Action{Kind: Duplicate, Rate: 0.2 + 0.3*rng.Float64()}
+			a = Action{Kind: Duplicate, Rate: 0.2 + float64(0.3*rng.Float64())}
 		case 5:
-			a = Action{Kind: Loss, Rate: 0.1 + 0.15*rng.Float64()}
+			a = Action{Kind: Loss, Rate: 0.1 + float64(0.15*rng.Float64())}
 		case 6:
 			a = Action{Kind: CorruptOrdering}
 		case 7:

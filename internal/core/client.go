@@ -57,7 +57,8 @@ type Options struct {
 	// pubsub.Config.HistoryCap.
 	HistoryCap int
 
-	// Ablation switches (see DESIGN.md).
+	// Ablation switches (internal/experiments flips them in E7, E8, A1
+	// and A2).
 	DisableFlooding    bool
 	DisableAntiEntropy bool
 	DisableActionIV    bool

@@ -1,20 +1,21 @@
 // Package experiments reproduces every quantitative artifact of the paper
 // (figures, lemmas, theorems and comparative claims) as measurable
-// experiments over the real protocol stack. Each experiment returns both a
-// rendered table (printed by cmd/experiments and recorded in
-// EXPERIMENTS.md) and structured results that the benchmark harness and
-// tests assert on. The experiment IDs E1–E13 are indexed in DESIGN.md.
+// experiments over the real protocol stack: E1–E13 and the ablations
+// A1–A4. Each experiment returns both a rendered table and structured
+// results the tests assert on; Report prints the tables (cmd/experiments
+// is its command line), and testdata/quick.golden pins the -quick pass
+// byte for byte.
 package experiments
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
-	"strings"
 
 	"sspubsub/internal/baseline"
 	"sspubsub/internal/cluster"
 	"sspubsub/internal/core"
+	"sspubsub/internal/label"
 	"sspubsub/internal/metrics"
 	"sspubsub/internal/psim"
 	"sspubsub/internal/sim"
@@ -123,7 +124,8 @@ func E3ConfigRate(ns []int, rounds int, seed int64) ([]E3Row, *metrics.Table) {
 // actual label population of SR(n): f(1)=2 and f(k)=2^{k−1} (truncated at
 // the partially-filled top level). The paper's Theorem 5 uses f(k)=2^{k−1}
 // for all k and reports < 1; with the real f(1)=2 the exact expectation is
-// ≈ 1.07 — same O(1) shape, documented in EXPERIMENTS.md.
+// ≈ 1.07 — same O(1) shape (E3's "predicted Σ" column in
+// testdata/quick.golden).
 func predictedRate(n int) float64 {
 	counts := map[int]int{}
 	r := topology.New(n)
@@ -175,7 +177,9 @@ func E4Overhead(n, ops int, seed int64) (E4Result, *metrics.Table) {
 				return -1
 			}
 			sends := float64(c.SentBy(cluster.SupervisorID) - before)
-			total += sends - bgRate*(c.Now()-beforeNow)
+			// float64(…) rounds the product: arm64 would otherwise fuse it
+			// into the subtraction and print a different table.
+			total += sends - float64(bgRate*(c.Now()-beforeNow))
 		}
 		return total / float64(ops)
 	}
@@ -432,7 +436,8 @@ type E10Result struct {
 
 // E10Balance measures (a) position balance — the literal claim, (b) degree
 // statistics, (c) greedy routing load (informational; the skip ring is a
-// broadcast topology and loses this one, see EXPERIMENTS.md).
+// broadcast topology and loses this one; E10's last table in
+// testdata/quick.golden).
 func E10Balance(n, keys, routes int, seed int64) E10Result {
 	rng := rand.New(rand.NewSource(seed))
 	sr := baseline.NewSkipRing(n)
@@ -695,14 +700,16 @@ func AblationProbeSchedule(n int, seed int64) *metrics.Table {
 		c.ResetCounters()
 		c.RunRounds(500)
 		rate := float64(c.CountByType("proto.GetConfiguration")) / 500
-		// Drop one entry from the database; the probes must re-record it.
+		// Drop one entry from the database — the smallest node ID's, not
+		// whichever map order yields first — and the probes must re-record it.
 		var victim sim.NodeID
+		var victimLabel label.Label
 		for l, v := range c.Sup.Snapshot(Topic) {
-			victim = v
-			c.Sup.DeleteLabel(Topic, l)
-			_ = l
-			break
+			if victim == sim.None || v < victim {
+				victim, victimLabel = v, l
+			}
 		}
+		c.Sup.DeleteLabel(Topic, victimLabel)
 		rounds, ok := c.RunUntil(20000, func() bool {
 			return c.Sup.LabelOf(Topic, victim).Len > 0 && c.ConvergedWith(Topic, n)
 		})
@@ -726,17 +733,4 @@ func mustConverge(n int, seed int64) *cluster.Live {
 		panic(fmt.Sprintf("experiments: n=%d seed=%d did not converge: %s", n, seed, c.Explain(Topic)))
 	}
 	return c
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// Banner renders a section header for the CLI output.
-func Banner(id, title string) string {
-	line := strings.Repeat("=", 72)
-	return fmt.Sprintf("%s\n%s  %s\n%s\n", line, id, title, line)
 }

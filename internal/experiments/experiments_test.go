@@ -200,6 +200,18 @@ func TestAblations(t *testing.T) {
 	}
 }
 
+// TestA3Deterministic: one seed, one table. The deleted database entry
+// used to be picked in map order, so "rounds to re-record" read 5–29 for
+// the paper schedule across runs of the same seed.
+func TestA3Deterministic(t *testing.T) {
+	first := AblationProbeSchedule(32, 1).String()
+	for i := 0; i < 3; i++ {
+		if again := AblationProbeSchedule(32, 1).String(); again != first {
+			t.Fatalf("two runs of seed 1 differ:\n%s\n%s", first, again)
+		}
+	}
+}
+
 func TestA4TokenVsDatabase(t *testing.T) {
 	tb := A4TokenVsDatabase(16, 51)
 	out := tb.String()

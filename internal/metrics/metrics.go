@@ -108,7 +108,7 @@ func Summarize(sample []float64) Summary {
 	mean := sum / float64(n)
 	var ss float64
 	for _, v := range s {
-		ss += (v - mean) * (v - mean)
+		ss += float64((v - mean) * (v - mean)) // rounded: no arm64 FMA
 	}
 	q := func(p float64) float64 {
 		i := int(p * float64(n-1))

@@ -37,6 +37,11 @@
 // a dedicated per-lane fault stream. Nothing ever draws from a stream
 // another worker could be advancing.
 //
+// The identity also holds across architectures: every time computation
+// that multiplies and then adds rounds the product explicitly
+// (float64(a*b) + c), which blocks the fused multiply-add arm64 would
+// otherwise emit and whose extra precision would shift event times.
+//
 // # Barrier operations
 //
 // There is no single-event step; the unit of progress is the window.

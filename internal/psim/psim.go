@@ -47,24 +47,6 @@ type Options struct {
 	// crashTime+DetectorGrace (identical for every Workers value). Default
 	// 2 intervals.
 	DetectorGrace float64
-	// MaxQueuedEvents, when positive, caps queued events. The ceiling is
-	// split evenly across lanes and enforced at the sending lane, so
-	// shedding decisions are lane-local and Workers-independent. Timeout
-	// events are never shed. 0 means unbounded.
-	//
-	// The per-lane ceiling is an approximation of a global cap, not an
-	// exact one: a cross-lane send is checked against the SENDING lane's
-	// heap even though the event will occupy the destination lane's heap,
-	// and events merged from outboxes at the window barrier are never
-	// re-checked. A hot destination lane fed by many remote senders can
-	// therefore keep growing past its even share (by up to one window's
-	// cross-lane traffic per barrier, with no cumulative bound), while a
-	// busy sender sheds messages bound for idle lanes. The total across
-	// lanes can thus exceed MaxQueuedEvents when traffic is skewed.
-	// This looseness is deliberate — exact global accounting
-	// would require cross-lane coordination mid-window, breaking the
-	// lane-local determinism that makes shedding Workers-independent.
-	MaxQueuedEvents int
 }
 
 // Engine is a conservative parallel discrete-event executor for
@@ -92,15 +74,14 @@ type Options struct {
 // engine only through their Context (and, transitively, Transport.Send
 // with their own From), which routes to their executing lane.
 type Engine struct {
-	opts     Options
-	lanes    []*lane
-	nodes    map[sim.NodeID]*pnode
-	crashed  map[sim.NodeID]float64
-	now      float64 // barrier time: start of the executing window
-	wend     float64 // end of the executing window (read by lane workers)
-	target   float64 // the RunUntil target of the executing window
-	gen      int64   // node-incarnation counter
-	laneCeil int
+	opts    Options
+	lanes   []*lane
+	nodes   map[sim.NodeID]*pnode
+	crashed map[sim.NodeID]float64
+	now     float64 // barrier time: start of the executing window
+	wend    float64 // end of the executing window (read by lane workers)
+	target  float64 // the RunUntil target of the executing window
+	gen     int64   // node-incarnation counter
 
 	// extRNG is the driver's stream: harness injections whose From is not a
 	// registered node draw their delays from it, and Rand hands it to
@@ -236,7 +217,6 @@ type lane struct {
 	inFlight   int
 	delivered  int64
 	dropped    int64
-	overflow   int64
 	byType     map[string]int64
 	sentBy     map[sim.NodeID]int64
 	receivedBy map[sim.NodeID]int64
@@ -280,12 +260,6 @@ func New(opts Options) *Engine {
 		crashed: make(map[sim.NodeID]float64),
 		extRNG:  rand.New(rand.NewSource(int64(splitmix64(uint64(opts.Seed) ^ 0xe7f3a9c1)))),
 	}
-	if opts.MaxQueuedEvents > 0 {
-		e.laneCeil = opts.MaxQueuedEvents / opts.Lanes
-		if e.laneCeil < 1 {
-			e.laneCeil = 1
-		}
-	}
 	e.lanes = make([]*lane, opts.Lanes)
 	for i := range e.lanes {
 		l := &lane{
@@ -314,7 +288,7 @@ func (e *Engine) laneOf(id sim.NodeID) int32 {
 // pure, so registration order never shifts any random stream.
 func (e *Engine) phaseOf(id sim.NodeID) float64 {
 	u := splitmix64(uint64(e.opts.Seed)*0x2545f4914f6cdd1d ^ splitmix64(uint64(id)))
-	return float64(u>>11) / (1 << 53)
+	return float64(float64(u>>11) / (1 << 53))
 }
 
 func (e *Engine) assertBarrier(op string) {
@@ -479,21 +453,11 @@ func (l *lane) send(m sim.Message) {
 		case sim.FaultDup:
 			copies = 2
 		case sim.FaultDelay:
-			extra = 1 + 3*l.rng.Float64()
+			extra = 1 + float64(3*l.rng.Float64())
 		}
 	}
 	for i := 0; i < copies; i++ {
-		// Draw the delay even when the ceiling sheds the copy, so enabling
-		// MaxQueuedEvents never perturbs the surviving messages' sequence.
-		delay := l.e.opts.MinDelay + l.rng.Float64()*(l.e.opts.MaxDelay-l.e.opts.MinDelay)
-		// The ceiling is checked against the SENDING lane's heap even for
-		// cross-lane events — a deliberate approximation; see the
-		// Options.MaxQueuedEvents doc for the skew it admits.
-		if l.e.laneCeil > 0 && len(l.heap) >= l.e.laneCeil {
-			l.dropped++
-			l.overflow++
-			continue
-		}
+		delay := l.e.opts.MinDelay + float64(l.rng.Float64()*(l.e.opts.MaxDelay-l.e.opts.MinDelay))
 		ev := pevent{t: l.now + delay + extra, kind: evDeliver, msg: m, srcLane: l.idx, srcSeq: l.seq}
 		l.seq++
 		dst := l.e.destLane(m.To)
@@ -526,14 +490,9 @@ func (e *Engine) externalSend(m sim.Message) {
 	dst := e.lanes[e.destLane(m.To)]
 	dst.sentBy[m.From]++
 	dst.byType[sim.TypeName(m.Body)]++
-	delay := e.opts.MinDelay + e.extRNG.Float64()*(e.opts.MaxDelay-e.opts.MinDelay)
+	delay := e.opts.MinDelay + float64(e.extRNG.Float64()*(e.opts.MaxDelay-e.opts.MinDelay))
 	ev := pevent{t: e.now + delay, kind: evDeliver, msg: m, srcLane: extLane, srcSeq: e.extSeq}
 	e.extSeq++
-	if e.laneCeil > 0 && len(dst.heap) >= e.laneCeil {
-		dst.dropped++
-		dst.overflow++
-		return
-	}
 	dst.heap.push(ev)
 	dst.inFlight++
 }
@@ -723,7 +682,7 @@ func (e *Engine) RunUntil(target float64) {
 		// floating-point rounding so wend <= min+W: no event created
 		// inside the window (at >= its creator's time + MinDelay) can
 		// land inside the window.
-		wstart := math.Floor(min/W) * W
+		wstart := float64(math.Floor(min/W) * W)
 		if wstart > min {
 			wstart -= W
 		}
@@ -780,21 +739,11 @@ func (e *Engine) Delivered() int64 {
 }
 
 // Dropped returns messages dropped (sent to ⊥, crashed or removed nodes,
-// fault drops, ceiling sheds).
+// fault drops).
 func (e *Engine) Dropped() int64 {
 	var n int64
 	for _, l := range e.lanes {
 		n += l.dropped
-	}
-	return n
-}
-
-// OverflowDropped returns how many messages the MaxQueuedEvents ceiling
-// shed (a subset of Dropped).
-func (e *Engine) OverflowDropped() int64 {
-	var n int64
-	for _, l := range e.lanes {
-		n += l.overflow
 	}
 	return n
 }
@@ -871,7 +820,7 @@ func (e *Engine) TypeNames() []string {
 // rates after convergence).
 func (e *Engine) ResetCounters() {
 	for _, l := range e.lanes {
-		l.delivered, l.dropped, l.overflow = 0, 0, 0
+		l.delivered, l.dropped = 0, 0
 		clear(l.byType)
 		clear(l.sentBy)
 		clear(l.receivedBy)

@@ -279,58 +279,102 @@ func TestEgressConservationAcrossReconnect(t *testing.T) {
 	hub2.Close()
 }
 
-// BenchmarkNetEgressMulticast measures a fan-out: one shareable
-// publication multicast to 16 in-process nodes through the loopback
-// transport, every copy crossing the codec and a real TCP socket.
-// allocs/op is the whole path's allocation cost of one 16-way multicast
-// (16 encodes into the pending batch + batch write + arena decode + 16
-// mailbox injections); the committed baseline gates it.
-func BenchmarkNetEgressMulticast(b *testing.B) {
+// multicast is a 16-way fan-out through the loopback transport: one
+// shareable publication sent to 16 in-process nodes, every copy crossing
+// the codec and a real TCP socket (16 encodes into the pending batch +
+// batch write + arena decode + 16 mailbox injections).
+type multicast struct {
+	tb    testing.TB
+	tr    *Transport
+	nodes []*countHandler
+	sent  int64
+}
+
+const (
+	multicastFan = 16
+	// multicastBatch multicasts go out between drains, so queue growth
+	// never substitutes for the path in the measurement.
+	multicastBatch = 64
+)
+
+var multicastBody = proto.PublishNew{Pub: proto.Publication{
+	Key: proto.Key{Bits: 0x9e3779b97f4a7c15, Len: 64}, Origin: 1,
+	Payload: "payload-with-some-realistic-length",
+}}
+
+func newMulticast(tb testing.TB) *multicast {
 	tr, err := NewLoopback(Options{Interval: time.Second})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	defer tr.Close()
-	const fan = 16
-	nodes := make([]*countHandler, fan)
-	for i := range nodes {
-		nodes[i] = &countHandler{}
-		tr.AddNode(sim.NodeID(i+1), nodes[i])
+	tb.Cleanup(tr.Close)
+	m := &multicast{tb: tb, tr: tr, nodes: make([]*countHandler, multicastFan)}
+	for i := range m.nodes {
+		m.nodes[i] = &countHandler{}
+		tr.AddNode(sim.NodeID(i+1), m.nodes[i])
 	}
-	delivered := func() int64 {
-		var sum int64
-		for _, n := range nodes {
-			sum += n.n.Load()
+	return m
+}
+
+func (m *multicast) send() {
+	for d := 0; d < multicastFan; d++ {
+		m.tr.Send(sim.Message{To: sim.NodeID(d + 1), From: 1, Topic: 1, Body: multicastBody})
+	}
+	m.sent += multicastFan
+}
+
+// drain waits until every copy sent so far was delivered; a lost frame
+// fails the run.
+func (m *multicast) drain() {
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		var delivered int64
+		for _, n := range m.nodes {
+			delivered += n.n.Load()
 		}
-		return sum
-	}
-	body := proto.PublishNew{Pub: proto.Publication{
-		Key: proto.Key{Bits: 0x9e3779b97f4a7c15, Len: 64}, Origin: 1,
-		Payload: "payload-with-some-realistic-length",
-	}}
-	drainTo := func(want int64) {
-		deadline := time.Now().Add(30 * time.Second)
-		for delivered() < want {
-			if time.Now().After(deadline) {
-				b.Fatalf("delivered %d of %d (lost %d)", delivered(), want, tr.LostFrames())
-			}
-			time.Sleep(200 * time.Microsecond)
+		if lost := m.tr.LostFrames(); lost != 0 {
+			m.tb.Fatalf("multicast lost %d frames", lost)
 		}
+		if delivered == m.sent {
+			return
+		}
+		if time.Now().After(deadline) {
+			m.tb.Fatalf("delivered %d of %d", delivered, m.sent)
+		}
+		time.Sleep(200 * time.Microsecond)
 	}
+}
+
+// TestNetEgressMulticastAllocBudget pins the whole path's allocations per
+// 16-way multicast over 1,024 multicasts after a warm-up batch: committed
+// at 16, budget 18 (+ 15 %).
+func TestNetEgressMulticastAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates; alloc counts are meaningless")
+	}
+	m := newMulticast(t)
+	batch := func() {
+		for i := 0; i < multicastBatch; i++ {
+			m.send()
+		}
+		m.drain()
+	}
+	got := testing.AllocsPerRun(1024/multicastBatch, batch) / multicastBatch
+	t.Logf("%.1f allocations per multicast, budget 18", got)
+	if got > 18 {
+		t.Error("over budget")
+	}
+}
+
+// BenchmarkNetEgressMulticast profiles the same multicast.
+func BenchmarkNetEgressMulticast(b *testing.B) {
+	m := newMulticast(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for d := 0; d < fan; d++ {
-			tr.Send(sim.Message{To: sim.NodeID(d + 1), From: 1, Topic: 1, Body: body})
+		m.send()
+		if (i+1)%multicastBatch == 0 || i == b.N-1 {
+			m.drain()
 		}
-		// Drain in windows so queue growth never substitutes for the
-		// path in the measurement.
-		if (i+1)%64 == 0 || i == b.N-1 {
-			drainTo(int64(i+1) * fan)
-		}
-	}
-	b.StopTimer()
-	if lost := tr.LostFrames(); lost != 0 {
-		b.Fatalf("multicast bench lost %d frames", lost)
 	}
 }

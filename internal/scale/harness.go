@@ -35,11 +35,6 @@ type Config struct {
 	// (the round-robin sweep visits one entry per interval), which is a
 	// deployment parameter, not a protocol property.
 	CullPerTimeout int
-	// MaxQueuedEvents, if positive, caps the engine's event queue (see
-	// psim.Options.MaxQueuedEvents). Leave 0 for measurement runs:
-	// shed messages would distort latency curves. Result.OverflowDropped
-	// reports whether a cap interfered.
-	MaxQueuedEvents int
 	// MaxRounds bounds every convergence wait. Default 512.
 	MaxRounds int
 	// SettleRounds run between join convergence and the publish probe so
@@ -123,12 +118,7 @@ type Harness struct {
 // N virtual subscribers (IDs contiguous from the first ID after the pools).
 func New(cfg Config) *Harness {
 	cfg = cfg.withDefaults()
-	sched := psim.New(psim.Options{
-		Seed:            cfg.Seed,
-		Workers:         cfg.Workers,
-		Lanes:           cfg.Lanes,
-		MaxQueuedEvents: cfg.MaxQueuedEvents,
-	})
+	sched := psim.New(psim.Options{Seed: cfg.Seed, Workers: cfg.Workers, Lanes: cfg.Lanes})
 	opts := core.Options{HistoryCap: cfg.HistoryCap, DeliveryMode: cfg.DeliveryMode}
 	plane := cluster.NewPlane(sched, cluster.Options{
 		ClientOpts: opts, Supervisors: cfg.Supervisors, ReplicationFactor: cfg.ReplicationFactor,
@@ -266,8 +256,8 @@ func (h *Harness) AwaitDBSize(want int) (rounds int, ok bool) {
 	})
 }
 
-// Result is one scale point: everything cmd/srsim prints and benchjson
-// ingests.
+// Result is one scale point: everything `srsim scale` prints (its table
+// and, with -digest, Digest) and bench's scale.psim workload times.
 type Result struct {
 	N int
 	// Mode is the delivery mode the sweep point ran with ("besteffort",
@@ -290,10 +280,9 @@ type Result struct {
 	StabilizeRounds  int
 	StabilizeWallSec float64
 	// Memory, measured not estimated.
-	SupDBBytes      uint64 // supervisor database for the topic
-	SubTrieBytes    uint64 // one subscriber's publication trie
-	QueueBytes      uint64 // event-queue high-water footprint
-	OverflowDropped int64  // non-zero means MaxQueuedEvents distorted the run
+	SupDBBytes   uint64 // supervisor database for the topic
+	SubTrieBytes uint64 // one subscriber's publication trie
+	QueueBytes   uint64 // event-queue high-water footprint
 	// DBHash is the content hash of the supervisor's topic directory at
 	// the end of the run (epoch:hash:count) — the cheap whole-system
 	// fingerprint the P-independence gates diff.
@@ -311,10 +300,10 @@ func (r Result) Digest() string {
 		return fmt.Sprintf("{n=%d min=%g max=%g mean=%g p50=%g p95=%g p99=%g}",
 			s.Count, s.Min, s.Max, s.Mean, s.P50, s.P95, s.P99)
 	}
-	return fmt.Sprintf("n=%d mode=%s join=%s fanout=%s crashed=%d stabilize=%d supdb=%d subtrie=%d queue=%d overflow=%d dbhash=%s converged=%v",
+	return fmt.Sprintf("n=%d mode=%s join=%s fanout=%s crashed=%d stabilize=%d supdb=%d subtrie=%d queue=%d dbhash=%s converged=%v",
 		r.N, r.Mode, sum(r.JoinRounds), sum(r.FanoutRounds), r.Crashed,
 		r.StabilizeRounds, r.SupDBBytes, r.SubTrieBytes, r.QueueBytes,
-		r.OverflowDropped, r.DBHash, r.Converged)
+		r.DBHash, r.Converged)
 }
 
 // Run executes the full scenario at one N: join everyone, wait for
@@ -359,7 +348,6 @@ func Run(cfg Config) Result {
 	res.Converged = res.Converged && ok
 
 	res.QueueBytes = h.Sched.QueueHighWaterBytes()
-	res.OverflowDropped = h.Sched.OverflowDropped()
 	if epoch, hash, count, found := owner.DirectoryDigest(cfg.Topic); found {
 		res.DBHash = fmt.Sprintf("%d:%x:%d", epoch, hash, count)
 	}

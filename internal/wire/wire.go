@@ -475,18 +475,6 @@ func BeginFrame(dst []byte) []byte {
 	return append(dst, 0, 0, 0, 0, magic0, magic1, Version)
 }
 
-// AppendFrameRaw appends one complete frame wrapping a pre-encoded
-// tagged body (from AppendBody) under the given envelope.
-func AppendFrameRaw(dst []byte, to, from sim.NodeID, topic sim.Topic, tagged []byte) ([]byte, error) {
-	start := len(dst)
-	dst = BeginFrame(dst)
-	dst = binary.AppendVarint(dst, int64(to))
-	dst = binary.AppendVarint(dst, int64(from))
-	dst = binary.AppendVarint(dst, int64(topic))
-	dst = append(dst, tagged...)
-	return FinishFrame(dst, start)
-}
-
 // BeginBatchFrame starts a Batch2 frame that will carry count members;
 // append each with AppendBatchMember and close the frame with
 // FinishFrame, passing the len(dst) from before this call as start.
@@ -505,19 +493,6 @@ func AppendBatchMember(dst []byte, to, from sim.NodeID, topic sim.Topic, tagged 
 	dst = binary.AppendVarint(dst, int64(from))
 	dst = binary.AppendVarint(dst, int64(topic))
 	return append(dst, tagged...)
-}
-
-// BatchMemberSize returns the exact byte count AppendBatchMember will
-// append for this member — the writer's frame-size budgeting primitive.
-func BatchMemberSize(to, from sim.NodeID, topic sim.Topic, taggedLen int) int {
-	n := svarintSize(int64(to)) + svarintSize(int64(from)) + svarintSize(int64(topic)) + taggedLen
-	return uvarintSize(uint64(n)) + n
-}
-
-// BatchFrameOverhead returns the byte count of a Batch2 frame outside
-// its members: length prefix, header, ⊥ envelope, tag and member count.
-func BatchFrameOverhead(count int) int {
-	return 4 + 3 + 3 + uvarintSize(tagBatch2) + uvarintSize(uint64(count))
 }
 
 // FinishFrame patches the length prefix of the frame started at offset

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"reflect"
@@ -404,8 +405,10 @@ func TestBatch2Interning(t *testing.T) {
 }
 
 // TestRawAssemblyMatchesAppendFrame: the transport's raw builders must
-// produce byte-identical frames to AppendFrame over the equivalent
-// message — readers cannot tell the encode-once path apart.
+// produce byte-identical frames to Marshal over the equivalent message —
+// readers cannot tell the encode-once path apart. A standalone frame is
+// BeginFrame plus a member's bytes after its length prefix, as the net
+// writer cuts it.
 func TestRawAssemblyMatchesAppendFrame(t *testing.T) {
 	body := proto.PublishNew{Pub: proto.Publication{Key: proto.Key{Bits: 3, Len: 4}, Origin: -7, Payload: "raw"}}
 	tagged, err := AppendBody(nil, body)
@@ -417,37 +420,31 @@ func TestRawAssemblyMatchesAppendFrame(t *testing.T) {
 	}
 
 	m := sim.Message{To: -3, From: 1 << 20, Topic: 5, Body: body}
-	want, err := AppendFrame(nil, m)
+	want, err := Marshal(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := AppendFrameRaw(nil, m.To, m.From, m.Topic, tagged)
+	member := AppendBatchMember(nil, m.To, m.From, m.Topic, tagged)
+	_, w := binary.Uvarint(member)
+	got, err := FinishFrame(append(BeginFrame(nil), member[w:]...), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Errorf("AppendFrameRaw:\n got %x\nwant %x", got, want)
+		t.Errorf("standalone assembly:\n got %x\nwant %x", got, want)
 	}
 
 	members := []sim.Message{
 		{To: 5, From: -9, Topic: 1, Body: body},
 		{To: 1 << 30, From: 9, Topic: -2, Body: body},
 	}
-	want, err = AppendFrame(nil, sim.Message{Body: Batch2{Msgs: members}})
+	want, err = Marshal(sim.Message{Body: Batch2{Msgs: members}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	got = BeginBatchFrame(nil, len(members))
-	if len(got) != BatchFrameOverhead(len(members)) {
-		t.Errorf("BatchFrameOverhead(%d) = %d, frame head is %d bytes",
-			len(members), BatchFrameOverhead(len(members)), len(got))
-	}
 	for _, mm := range members {
-		before := len(got)
 		got = AppendBatchMember(got, mm.To, mm.From, mm.Topic, tagged)
-		if sz := BatchMemberSize(mm.To, mm.From, mm.Topic, len(tagged)); len(got)-before != sz {
-			t.Errorf("BatchMemberSize = %d, member occupied %d bytes", sz, len(got)-before)
-		}
 	}
 	got, err = FinishFrame(got, 0)
 	if err != nil {

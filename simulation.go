@@ -52,7 +52,8 @@ type SimOptions struct {
 	// ReplicationFactor, with the same meaning on every substrate.
 	Protocol
 	// DisableAntiEntropy and DisableActionIV are, with
-	// Protocol.DisableFlooding, the ablation switches described in DESIGN.md.
+	// Protocol.DisableFlooding, the ablation switches (internal/experiments
+	// flips them in E7, E8, A1 and A2).
 	DisableAntiEntropy bool
 	DisableActionIV    bool
 	// OnDeliver, if non-nil, observes every publication delivery as

@@ -57,7 +57,8 @@ type Protocol struct {
 	// (at-least-once); with 0 delivery stays exactly-once.
 	HistoryCap int
 	// DisableFlooding turns off PublishNew (deliveries then come only
-	// through anti-entropy) — one of the ablation switches of DESIGN.md.
+	// through anti-entropy) — the switch internal/experiments' A2 ablation
+	// flips.
 	DisableFlooding bool
 	// DeliveryMode selects the delivery ordering discipline every client
 	// applies (default ModeBestEffort). The supervisors record it as the
