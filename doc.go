@@ -207,6 +207,6 @@
 // the BuildSR subscriber and supervisor protocols, the Patricia trie, the
 // static topology oracle and the baseline overlays used by the
 // experiments). internal/experiments reproduces every quantitative claim
-// in the paper (E1–E13 and ablations A1–A4; `go run ./cmd/experiments`),
+// in the paper (E1–E13 and ablations A1–A3; `go run ./cmd/experiments`),
 // and its testdata/quick.golden pins the -quick tables byte for byte.
 package sspubsub

@@ -58,9 +58,6 @@ const (
 	// payloads may be lost to crashes; agreement is still enforced by the
 	// trie probe).
 	Publish
-	// CorruptToken scrambles the token-passing supervisor's O(1) state
-	// (token-mode scenarios only; a no-op on the database stack).
-	CorruptToken
 	// CrashSupervisor crashes Count supervisors without warning — the
 	// topic's current owner first (crashing only bystanders would not
 	// exercise failover), then random others; at least one supervisor
@@ -86,8 +83,6 @@ const (
 	// no-op in best-effort mode, so random scenarios stay valid on every
 	// configuration.
 	CorruptOrdering
-
-	kindCount // sentinel
 )
 
 var kindNames = [...]string{
@@ -108,7 +103,6 @@ var kindNames = [...]string{
 	CorruptTries:       "corrupt-tries",
 	SplitStates:        "split-states",
 	Publish:            "publish",
-	CorruptToken:       "corrupt-token",
 	CrashSupervisor:    "crash-sup",
 	RestartSupervisors: "restart-sups",
 	CorruptDirectory:   "corrupt-directory",
@@ -122,6 +116,22 @@ func (k Kind) String() string {
 		return kindNames[k]
 	}
 	return fmt.Sprintf("kind(%d)", uint8(k))
+}
+
+// MarshalText encodes the kind as its name, so serialized actions (the
+// failing-seed JSONL of `srsim chaos -failures-out`) do not depend on the
+// iota order.
+func (k Kind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
+
+// UnmarshalText decodes a kind name; an unknown name is an error.
+func (k *Kind) UnmarshalText(b []byte) error {
+	for i, name := range kindNames {
+		if name == string(b) {
+			*k = Kind(i)
+			return nil
+		}
+	}
+	return fmt.Errorf("chaos: unknown action kind %q", b)
 }
 
 // Action is one step of a scenario script. Which fields matter depends on
@@ -143,7 +153,7 @@ func (a Action) String() string {
 		return fmt.Sprintf("%s(k=%d)", a.Kind, a.K)
 	case Loss, Duplicate, Reorder, WireGarbage:
 		return fmt.Sprintf("%s(%.2f)", a.Kind, a.Rate)
-	case Heal, CorruptStates, CorruptDB, CorruptToken, RestartSupervisors, CorruptDirectory, CorruptReplica, CorruptOrdering:
+	case Heal, CorruptStates, CorruptDB, RestartSupervisors, CorruptDirectory, CorruptReplica, CorruptOrdering:
 		return a.Kind.String()
 	default:
 		return fmt.Sprintf("%s(%d)", a.Kind, a.Count)

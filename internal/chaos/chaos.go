@@ -175,29 +175,6 @@ func (r Result) String() string {
 		sub, r.Scenario, r.Seed, r.N, r.FaultActions, status)
 }
 
-// finish is the measured endgame shared by both stacks: poll until the
-// violation clears or the budget expires, then take one final frozen
-// snapshot for the report — a timed-out freeze is itself a violation (the
-// system never drained), while a clean snapshot that finds nothing means
-// the system converged between the last poll and now (a flaky pass is
-// still a pass). res.Rounds must be preset to -1; it is overwritten with
-// the stopwatch measurement only on convergence.
-func finish(d cluster.Driver, res *Result, watch *metrics.Stopwatch, budget int, violation func() string) {
-	if _, ok := sim.RunRoundsUntil(d, budget, func() bool { return violation() == "" }); ok {
-		res.Converged = true
-	} else {
-		v := "system did not quiesce for the final probe snapshot"
-		d.Freeze(func() { v = violation() })
-		res.Violation = v
-		res.Converged = v == ""
-	}
-	if res.Converged {
-		res.Violation = ""
-		watch.Converge(d.Now())
-		res.Rounds = watch.Rounds()
-	}
-}
-
 // env is one scenario execution: the harness (which carries the
 // substrate's driving surface) and the scenario bookkeeping.
 type env struct {
@@ -389,12 +366,6 @@ func (e *env) apply(a Action) {
 			e.l.Publish(members[e.rng.Intn(len(members))], e.topic, fmt.Sprintf("mid-%d", e.pubs))
 		}
 
-	case CorruptToken:
-		// Only meaningful on the token-passing stack (see token.go); on the
-		// database stack corrupt the supervisor DB instead, so random
-		// scenarios containing it still perturb something.
-		e.l.Freeze(func() { e.l.CorruptSupervisorDB(e.topic, e.rng) })
-
 	case CrashSupervisor:
 		live := e.l.LiveSupervisors()
 		k := clamp(max(1, a.Count), 0, len(live)-1)
@@ -458,7 +429,7 @@ func (e *env) apply(a Action) {
 }
 
 // Run executes one scenario against one configuration and reports the
-// outcome. Token-mode scenarios are dispatched to the token-ring stack.
+// outcome.
 func Run(sc Scenario, cfg Config) Result {
 	cfg.fill()
 	if sc.N > 0 {
@@ -472,9 +443,6 @@ func Run(sc Scenario, cfg Config) Result {
 	}
 	if sc.DeliveryMode != ordering.BestEffort {
 		cfg.DeliveryMode = sc.DeliveryMode
-	}
-	if sc.Token {
-		return runToken(sc, cfg)
 	}
 	res := Result{
 		Scenario:  sc.Name,
@@ -554,7 +522,23 @@ func Run(sc Scenario, cfg Config) Result {
 		}
 	}
 
-	finish(e.l, &res, &e.watch, cfg.ConvergeRounds, e.violation)
+	// Poll until the violation clears or the budget expires, then take one
+	// final frozen snapshot for the report — a timed-out freeze is itself a
+	// violation (the system never drained), while a clean snapshot that
+	// finds nothing means the system converged between the last poll and
+	// now (a flaky pass is still a pass).
+	if _, ok := e.l.RunUntil(cfg.ConvergeRounds, func() bool { return e.violation() == "" }); ok {
+		res.Converged = true
+	} else {
+		v := "system did not quiesce for the final probe snapshot"
+		e.l.Freeze(func() { v = e.violation() })
+		res.Violation = v
+		res.Converged = v == ""
+	}
+	if res.Converged {
+		e.watch.Converge(e.l.Now())
+		res.Rounds = e.watch.Rounds()
+	}
 	res.Delivered = e.l.Delivered()
 	if cfg.TraceSink != nil && e.rec != nil {
 		e.l.Freeze(func() { cfg.TraceSink(e.rec.clone()) })

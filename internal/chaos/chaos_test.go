@@ -1,9 +1,12 @@
 package chaos
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
+	"reflect"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 )
@@ -207,6 +210,32 @@ func TestRegistry(t *testing.T) {
 	}
 	if _, ok := Lookup("no-such-scenario"); ok {
 		t.Fatal("Lookup accepted an unknown name")
+	}
+}
+
+// TestResultJSONNamesKinds pins the failing-seed artifact format: an
+// action's kind encodes as its name, so removing or reordering a kind can
+// never silently change what a recorded artifact means, and a name that no
+// longer exists fails to decode.
+func TestResultJSONNamesKinds(t *testing.T) {
+	in := Result{Scenario: "s", Actions: []Action{{Kind: CrashSupervisor, Count: 1}}}
+	b, err := json.Marshal(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(b), `"Kind":"crash-sup"`) {
+		t.Fatalf("kind not encoded by name: %s", b)
+	}
+	var out Result
+	if err := json.Unmarshal(b, &out); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(out, in) {
+		t.Fatalf("round trip: got %+v, want %+v", out, in)
+	}
+	var a Action
+	if err := json.Unmarshal([]byte(`{"Kind":"corrupt-token"}`), &a); err == nil {
+		t.Fatalf("retired kind decoded as %v", a.Kind)
 	}
 }
 

@@ -23,8 +23,8 @@
 //     loss/duplication/reordering at the transport layer, wire-frame
 //     corruption on the networked substrate
 //   - state corruption: supervisor database, subscriber ring/shortcut
-//     pointers, trie divergence, token-supervisor state, garbage protocol
-//     traffic
+//     pointers, trie divergence, ordered-delivery state, warm directory
+//     replicas, garbage protocol traffic
 //   - pacing: settle periods and mid-fault publications
 //
 // After the last action the engine force-heals all channel faults (the
@@ -60,7 +60,9 @@
 // that seed alone. When a random scenario fails on the deterministic
 // substrate, Shrink delta-debugs the action list down to a 1-minimal
 // failing core: removing any single remaining action makes the failure
-// disappear.
+// disappear. A Result encodes to JSON with each action's kind by name
+// ("crash-sup", not its ordinal), so a failing-seed artifact keeps its
+// meaning when the vocabulary changes.
 //
 // The engine is exposed as `srsim chaos` (see cmd/srsim) and as the
 // chaos_test.go property suite; CI runs the suite on every PR and a long

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"sspubsub/internal/proto"
 	"sspubsub/internal/sim"
 )
 
@@ -161,17 +160,36 @@ func (e *env) trieViolation() string {
 			return fmt.Sprintf("member %d trie: %s", id, msg)
 		}
 	}
-	return trieAgreementViolation(members, func(id sim.NodeID) [16]byte {
-		return e.l.Clients[id].TrieRootHash(e.topic)
-	})
+	if len(members) == 0 {
+		return ""
+	}
+	first := e.l.Clients[members[0]].TrieRootHash(e.topic)
+	for _, id := range members[1:] {
+		if e.l.Clients[id].TrieRootHash(e.topic) != first {
+			return fmt.Sprintf("node %d root hash differs from node %d", id, members[0])
+		}
+	}
+	return ""
 }
 
 // deliveryViolation requires every member to know every publication of the
 // post-fault delivery wave.
 func (e *env) deliveryViolation() string {
-	return waveViolation(e.l.Members(e.topic), e.wave, func(id sim.NodeID) []proto.Publication {
-		return e.l.Clients[id].Publications(e.topic)
-	})
+	if len(e.wave) == 0 {
+		return ""
+	}
+	for _, id := range e.l.Members(e.topic) {
+		known := make(map[wavePub]bool)
+		for _, p := range e.l.Clients[id].Publications(e.topic) {
+			known[wavePub{Payload: p.Payload, Origin: p.Origin}] = true
+		}
+		for _, w := range e.wave {
+			if !known[w] {
+				return fmt.Sprintf("node %d is missing wave publication %q from %d", id, w.Payload, w.Origin)
+			}
+		}
+	}
+	return ""
 }
 
 // orderingViolation evaluates the delivery-ordering probe over the
@@ -282,21 +300,6 @@ func (e *env) orderingViolation() string {
 	return ""
 }
 
-// trieAgreementViolation requires hash-identical tries across ids
-// (shared by the database and token stacks).
-func trieAgreementViolation(ids []sim.NodeID, hash func(sim.NodeID) [16]byte) string {
-	var first [16]byte
-	for i, id := range ids {
-		h := hash(id)
-		if i == 0 {
-			first = h
-		} else if h != first {
-			return fmt.Sprintf("node %d root hash differs from node %d", id, ids[0])
-		}
-	}
-	return ""
-}
-
 // wavePub identifies one delivery-wave publication: the payload together
 // with the member that published it. Keying the probes on the pair — not
 // the payload alone — prevents a publication from a wrong origin (a
@@ -305,24 +308,4 @@ func trieAgreementViolation(ids []sim.NodeID, hash func(sim.NodeID) [16]byte) st
 type wavePub struct {
 	Payload string
 	Origin  sim.NodeID
-}
-
-// waveViolation requires every node to know every wave publication from
-// its actual publisher (shared by the database and token stacks).
-func waveViolation(ids []sim.NodeID, wave []wavePub, pubs func(sim.NodeID) []proto.Publication) string {
-	if len(wave) == 0 {
-		return ""
-	}
-	for _, id := range ids {
-		known := make(map[wavePub]bool)
-		for _, p := range pubs(id) {
-			known[wavePub{Payload: p.Payload, Origin: p.Origin}] = true
-		}
-		for _, w := range wave {
-			if !known[w] {
-				return fmt.Sprintf("node %d is missing wave publication %q from %d", id, w.Payload, w.Origin)
-			}
-		}
-	}
-	return ""
 }

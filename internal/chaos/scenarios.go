@@ -20,10 +20,6 @@ type Scenario struct {
 	// ReplicationFactor overrides the configured directory replication
 	// factor when > 0 (warm-replica supervisor failover).
 	ReplicationFactor int
-	// Token runs the scenario on the token-passing supervisor stack
-	// (the deterministic variant of the paper's conclusion) instead of the
-	// database stack.
-	Token bool
 	// DeliveryMode pins the per-topic delivery mode when non-zero
 	// (overriding the configured one): ordered scenarios run every client
 	// in FIFO or causal mode and arm the delivery-ordering probe.
@@ -311,15 +307,6 @@ var Registry = []Scenario{
 			{Kind: Publish, Count: 3},
 			{Kind: Settle, Rounds: 30},
 			{Kind: Heal},
-		},
-	},
-	{
-		Name:  "token-corruption",
-		Note:  "token-passing supervisor variant: O(1) supervisor state and member states scrambled",
-		N:     8,
-		Token: true,
-		Actions: []Action{
-			{Kind: CorruptToken},
 		},
 	},
 }

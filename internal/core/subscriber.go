@@ -15,7 +15,6 @@
 package core
 
 import (
-	"fmt"
 	"sort"
 
 	"sspubsub/internal/label"
@@ -1029,33 +1028,6 @@ func (s *Subscriber) onIntroduceShortcut(ctx sim.Context, t proto.Tuple) {
 		return
 	}
 	s.linearize(ctx, t)
-}
-
-// ApplyToken installs the positional configuration carried by a
-// deterministic token pass (the token-passing supervisor variant of the
-// paper's conclusion): the label derived from the receiver's ring position
-// and the predecessor tuple. Right/ring slots are left to linearization
-// and the cycle-closure introductions; a matching state mutates nothing,
-// so steady-state passes preserve closure.
-func (s *Subscriber) ApplyToken(lab label.Label, pred proto.Tuple) {
-	if s.departed || s.leaving || lab.IsBottom() {
-		return
-	}
-	s.setLabel(lab)
-	if pred.IsBottom() {
-		// Position 0: the minimum has no list predecessor.
-		s.setSlot(&s.left, proto.Tuple{})
-		return
-	}
-	if pred.Ref != s.self && tuplePos(pred).less(s.selfPos()) {
-		s.setSlot(&s.left, pred)
-	}
-}
-
-// DebugString renders the instance state compactly.
-func (s *Subscriber) DebugString() string {
-	return fmt.Sprintf("sub %d t%d label=%s left=%s right=%s ring=%s |sc|=%d",
-		s.self, s.topic, s.lab, s.left, s.right, s.ring, len(s.shortcuts))
 }
 
 // ---- test hooks: corrupted initial states ----

@@ -530,31 +530,6 @@ func TestCorrectStoredLabelClearsStaleShortcutSlots(t *testing.T) {
 	}
 }
 
-func TestApplyTokenIdempotent(t *testing.T) {
-	s, c := newSub(10)
-	s.OnMessage(c, sim.Message{Topic: tp, Body: proto.SetData{
-		Pred: tup("001", 11), Label: label.MustParse("01"), Succ: tup("1", 12),
-	}})
-	v := s.Version()
-	s.ApplyToken(label.MustParse("01"), tup("001", 11))
-	if s.Version() != v {
-		t.Fatal("matching ApplyToken mutated state (closure violation)")
-	}
-	// Position 0: clears left.
-	s.ApplyToken(label.MustParse("0"), proto.Tuple{})
-	if !s.Left().IsBottom() || s.Label() != label.MustParse("0") {
-		t.Fatalf("pos-0 token: label=%s left=%v", s.Label(), s.Left())
-	}
-	// Departed instances ignore tokens.
-	s.Leave(c)
-	s.OnMessage(c, sim.Message{Topic: tp, Body: proto.SetData{}})
-	v = s.Version()
-	s.ApplyToken(label.MustParse("11"), tup("1", 12))
-	if s.Version() != v {
-		t.Fatal("departed instance accepted a token")
-	}
-}
-
 func TestClientRejectsForeignTopicTraffic(t *testing.T) {
 	cl := NewClient(10, supID, Options{})
 	c := simtest.NewCtx(10)

@@ -1,7 +1,7 @@
 // Package experiments reproduces every quantitative artifact of the paper
 // (figures, lemmas, theorems and comparative claims) as measurable
 // experiments over the real protocol stack: E1–E13 and the ablations
-// A1–A4. Each experiment returns both a rendered table and structured
+// A1–A3. Each experiment returns both a rendered table and structured
 // results the tests assert on; Report prints the tables (cmd/experiments
 // is its command line), and testdata/quick.golden pins the -quick pass
 // byte for byte.

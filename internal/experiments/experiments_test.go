@@ -211,25 +211,3 @@ func TestA3Deterministic(t *testing.T) {
 		}
 	}
 }
-
-func TestA4TokenVsDatabase(t *testing.T) {
-	tb := A4TokenVsDatabase(16, 51)
-	out := tb.String()
-	if !strings.Contains(out, "database") || !strings.Contains(out, "token ring") {
-		t.Fatalf("table malformed:\n%s", out)
-	}
-	if strings.Contains(out, "-1") {
-		t.Fatalf("a mode failed to converge:\n%s", out)
-	}
-	t.Logf("\n%s", out)
-}
-
-// TestA4Deterministic: one seed, one table. The join commands used to be
-// sent in map order, so the token ring's join-burst rounds differed from
-// run to run of the same seed (775 to 3893 at n = 32).
-func TestA4Deterministic(t *testing.T) {
-	first, again := A4TokenVsDatabase(32, 1).String(), A4TokenVsDatabase(32, 1).String()
-	if again != first {
-		t.Fatalf("two runs of seed 1 differ:\n%s\n%s", first, again)
-	}
-}

@@ -6,8 +6,8 @@ import (
 	"strings"
 )
 
-// Report prints the paper's tables — E1–E13 and the ablations A1–A4 — to
-// w, or only the one named by only (e.g. "E5", or "ablations" for A1–A4;
+// Report prints the paper's tables — E1–E13 and the ablations A1–A3 — to
+// w, or only the one named by only (e.g. "E5", or "ablations" for A1–A3;
 // case-insensitive). quick selects the small sweeps of the fast pass, whose
 // output testdata/quick.golden pins byte for byte.
 func Report(w io.Writer, quick bool, seed int64, only string) {
@@ -116,8 +116,5 @@ func Report(w io.Writer, quick bool, seed int64, only string) {
 	}
 	if section("A3", "Ablation — probe schedule (supervisor load vs repair speed)") {
 		fmt.Fprintln(w, AblationProbeSchedule(32, seed))
-	}
-	if section("A4", "Extension — database vs deterministic token-ring supervisor") {
-		fmt.Fprintln(w, A4TokenVsDatabase(32, seed))
 	}
 }

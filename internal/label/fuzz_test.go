@@ -60,36 +60,3 @@ func FuzzParse(f *testing.F) {
 		}
 	})
 }
-
-// FuzzOrderRoundTrip checks the positional label arithmetic of the
-// token-passing variant: RankOf inverts NthInOrder for every (n, i), and
-// the enumeration is strictly r-increasing locally.
-func FuzzOrderRoundTrip(f *testing.F) {
-	f.Add(uint64(1), uint64(0))
-	f.Add(uint64(2), uint64(1))
-	f.Add(uint64(5), uint64(3))
-	f.Add(uint64(8), uint64(7))
-	f.Add(uint64(1<<32), uint64(12345))
-	f.Add(uint64(1<<62), uint64(999999))
-	f.Fuzz(func(t *testing.T, n, i uint64) {
-		n %= 1<<MaxLen + 1 // label lengths reach ⌈log₂ n⌉ ≤ MaxLen
-		if n == 0 {
-			return
-		}
-		i %= n
-		l := NthInOrder(n, i)
-		if !l.Valid() {
-			t.Fatalf("NthInOrder(%d, %d) = %v invalid", n, i, l)
-		}
-		rank, ok := RankOf(n, l)
-		if !ok || rank != i {
-			t.Fatalf("RankOf(%d, NthInOrder(%d, %d)) = (%d, %v)", n, n, i, rank, ok)
-		}
-		if i+1 < n {
-			next := NthInOrder(n, i+1)
-			if !l.Less(next) {
-				t.Fatalf("order not increasing at %d/%d: %v !< %v", i, n, l, next)
-			}
-		}
-	})
-}

@@ -330,40 +330,3 @@ type ReplicaSync struct {
 	// Mode is the topic's delivery mode (an ordering.Mode value).
 	Mode uint8
 }
-
-// ---- deterministic token-passing variant (paper's conclusion) ----
-
-// Token is the circulating refresh of the token-passing supervisor
-// variant: instead of a (label, subscriber) database and randomized
-// probes, a token walks the ring in r-order and deterministically
-// re-derives every subscriber's label from its position. Pos is the
-// receiver's position; Prev the previous position's tuple; First the
-// position-0 tuple (filled in by the first receiver, used for the ring
-// closure); Pending carries not-yet-spliced joiners with their assigned
-// labels; NextHop tells a freshly spliced joiner where to forward.
-type Token struct {
-	Epoch   uint64
-	N       uint64
-	Pos     uint64
-	Prev    Tuple
-	First   Tuple
-	Pending []Tuple
-	NextHop Tuple
-}
-
-// TokenReturn reports a completed (or broken) token pass back to the
-// supervisor.
-type TokenReturn struct {
-	Epoch    uint64
-	Complete bool
-	First    Tuple
-	Last     Tuple
-}
-
-// Register is the token-mode staleness report: a subscriber that has not
-// seen a token for a while reports itself (with its current label) so the
-// supervisor can rebuild from live members after token loss.
-type Register struct {
-	V     sim.NodeID
-	Label label.Label
-}

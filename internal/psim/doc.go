@@ -33,9 +33,8 @@
 // Randomness rules that uphold the contract: handlers draw from their
 // executing lane's stream; per-node timeout phases are pure functions of
 // (seed, nodeID); driver injections with an unregistered From draw from a
-// dedicated external stream; SetLaneFault builds one filter per lane over
-// a dedicated per-lane fault stream. Nothing ever draws from a stream
-// another worker could be advancing.
+// dedicated external stream. Nothing ever draws from a stream another
+// worker could be advancing.
 //
 // The identity also holds across architectures: every time computation
 // that multiplies and then adds rounds the product explicitly

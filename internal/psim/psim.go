@@ -78,10 +78,11 @@ type Engine struct {
 	lanes   []*lane
 	nodes   map[sim.NodeID]*pnode
 	crashed map[sim.NodeID]float64
-	now     float64 // barrier time: start of the executing window
-	wend    float64 // end of the executing window (read by lane workers)
-	target  float64 // the RunUntil target of the executing window
-	gen     int64   // node-incarnation counter
+	now     float64       // barrier time: start of the executing window
+	wend    float64       // end of the executing window (read by lane workers)
+	target  float64       // the RunUntil target of the executing window
+	gen     int64         // node-incarnation counter
+	fault   sim.FaultFunc // SetFault's filter, shared by every lane
 
 	// extRNG is the driver's stream: harness injections whose From is not a
 	// registered node draw their delays from it, and Rand hands it to
@@ -211,9 +212,6 @@ type lane struct {
 	now    float64    // time of the executing event
 	ctx    laneCtx
 
-	fault    sim.FaultFunc
-	faultRNG *rand.Rand // dedicated stream for SetLaneFault filters
-
 	inFlight   int
 	delivered  int64
 	dropped    int64
@@ -266,7 +264,6 @@ func New(opts Options) *Engine {
 			e:          e,
 			idx:        int32(i),
 			rng:        rand.New(rand.NewSource(int64(splitmix64(uint64(opts.Seed) + uint64(i)*0x9e3779b97f4a7c15)))),
-			faultRNG:   rand.New(rand.NewSource(int64(splitmix64(uint64(opts.Seed) ^ (uint64(i)*0xbf58476d1ce4e5b9 + 0x5bd1))))),
 			outbox:     make([][]pevent, opts.Lanes),
 			inbox:      make([][]pevent, opts.Lanes),
 			byType:     make(map[string]int64),
@@ -389,31 +386,13 @@ func (e *Engine) Now() float64 { return e.now }
 // shared by every lane. The filter runs concurrently on all lanes, so it
 // must be safe for concurrent use and must not draw from a shared random
 // source (that would make the schedule depend on worker interleaving) —
-// stateless filters only. For randomized filters use SetLaneFault.
+// stateless filters only.
 func (e *Engine) SetFault(f sim.FaultFunc) {
 	e.assertBarrier("SetFault")
-	for _, l := range e.lanes {
-		l.fault = f
-	}
+	e.fault = f
 }
 
 var _ sim.FaultInjectable = (*Engine)(nil)
-
-// SetLaneFault installs one filter per lane, built by factory from the
-// lane index and a dedicated (Seed, lane)-derived random stream. Each
-// filter runs only on its lane's worker, so it may use the stream freely;
-// fault decisions replay bit-identically for any Workers value. A nil
-// factory clears all filters.
-func (e *Engine) SetLaneFault(factory func(lane int, rng *rand.Rand) sim.FaultFunc) {
-	e.assertBarrier("SetLaneFault")
-	for _, l := range e.lanes {
-		if factory == nil {
-			l.fault = nil
-		} else {
-			l.fault = factory(int(l.idx), l.faultRNG)
-		}
-	}
-}
 
 // Send routes a well-formed message toward its destination. Called from a
 // handler (From == the executing node or one of its listeners) it runs on
@@ -445,8 +424,8 @@ func (l *lane) send(m sim.Message) {
 	l.sentBy[m.From]++
 	l.byType[sim.TypeName(m.Body)]++
 	copies, extra := 1, 0.0
-	if l.fault != nil {
-		switch l.fault(m) {
+	if f := l.e.fault; f != nil {
+		switch f(m) {
 		case sim.FaultDrop:
 			l.dropped++
 			return

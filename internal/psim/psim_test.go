@@ -2,7 +2,6 @@ package psim
 
 import (
 	"fmt"
-	"math/rand"
 	"reflect"
 	"testing"
 
@@ -159,35 +158,6 @@ func TestDetectorGrace(t *testing.T) {
 	}
 	if e.Suspects(6) {
 		t.Fatal("suspects a node that never existed")
-	}
-}
-
-// TestLaneFaultDeterministic: randomized per-lane fault filters replay
-// identically at every worker count.
-func TestLaneFaultDeterministic(t *testing.T) {
-	factory := func(lane int, rng *rand.Rand) sim.FaultFunc {
-		return func(m sim.Message) sim.FaultAction {
-			switch x := rng.Float64(); {
-			case x < 0.2:
-				return sim.FaultDrop
-			case x < 0.3:
-				return sim.FaultDup
-			case x < 0.4:
-				return sim.FaultDelay
-			}
-			return sim.FaultDeliver
-		}
-	}
-	run := func(workers int) string {
-		e, cs := buildMesh(Options{Seed: 11, Lanes: 8, Workers: workers}, 64, 3)
-		e.SetLaneFault(factory)
-		e.RunRounds(15)
-		s := snapshot(e, cs)
-		e.Close()
-		return s
-	}
-	if s1, s8 := run(1), run(8); s1 != s8 {
-		t.Fatal("lane-fault schedule diverged between workers=1 and workers=8")
 	}
 }
 

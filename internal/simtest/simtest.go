@@ -41,14 +41,3 @@ func (c *Ctx) Take() []sim.Message {
 	c.Out = nil
 	return out
 }
-
-// OfType returns the recorded messages whose body matches the predicate.
-func (c *Ctx) OfType(match func(any) bool) []sim.Message {
-	var out []sim.Message
-	for _, m := range c.Out {
-		if match(m.Body) {
-			out = append(out, m)
-		}
-	}
-	return out
-}

@@ -57,9 +57,9 @@ type Supervisor struct {
 	replicas  map[sim.Topic]*replicaDB
 
 	// defaultMode seeds the delivery mode of topics created after it is
-	// set (SetDefaultMode); per-topic overrides via SetTopicMode. The mode
-	// is directory metadata: it rides the replication delta stream and the
-	// anti-entropy digests so warm replicas adopt it with the labels.
+	// set (SetDefaultMode). The mode is directory metadata: it rides the
+	// replication delta stream and the anti-entropy digests so warm
+	// replicas adopt it with the labels.
 	defaultMode ordering.Mode
 }
 
@@ -268,19 +268,11 @@ func (s *Supervisor) topic(t sim.Topic) *topicDB {
 }
 
 // SetDefaultMode sets the delivery mode seeded into topics this supervisor
-// creates from now on (existing topics are unchanged; use SetTopicMode).
+// creates from now on (existing topics are unchanged).
 func (s *Supervisor) SetDefaultMode(m ordering.Mode) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.defaultMode = m
-}
-
-// SetTopicMode records the delivery mode for one topic in the directory
-// (creating the topic's database if needed).
-func (s *Supervisor) SetTopicMode(t sim.Topic, m ordering.Mode) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.topic(t).mode = m
 }
 
 // ModeFor returns the delivery mode recorded for topic t: from the owned

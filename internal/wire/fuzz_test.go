@@ -71,7 +71,7 @@ func (t *tape) publication() proto.Publication {
 
 // genBody draws one message body of the selected registered type.
 func genBody(sel uint8, tp *tape) any {
-	switch sel % 29 {
+	switch sel % 26 {
 	case 0:
 		return proto.Subscribe{V: tp.node()}
 	case 1:
@@ -112,38 +112,26 @@ func genBody(sel uint8, tp *tape) any {
 	case 12:
 		return proto.PublishNew{Pub: tp.publication()}
 	case 13:
-		m := proto.Token{Epoch: tp.u64(), N: tp.u64(), Pos: tp.u64(),
-			Prev: tp.tuple(), First: tp.tuple(), NextHop: tp.tuple()}
-		for i := int(tp.u8() % 4); i > 0; i-- {
-			m.Pending = append(m.Pending, tp.tuple())
-		}
-		return m
-	case 14:
-		return proto.TokenReturn{Epoch: tp.u64(), Complete: tp.u8()%2 == 1,
-			First: tp.tuple(), Last: tp.tuple()}
-	case 15:
-		return proto.Register{V: tp.node(), Label: tp.label()}
-	case 16:
 		return core.JoinTopic{}
-	case 17:
+	case 14:
 		return core.LeaveTopic{}
-	case 18:
+	case 15:
 		return core.PublishCmd{Payload: tp.str()}
-	case 19:
+	case 16:
 		return Hello{Base: tp.node(), Slots: uint32(tp.u64())}
-	case 20:
+	case 17:
 		return Welcome{Base: tp.node(), Slots: uint32(tp.u64())}
-	case 21:
+	case 18:
 		return proto.Reregister{V: tp.node(), Label: tp.label(), Epoch: tp.u64()}
-	case 22:
+	case 19:
 		return proto.OwnerAnnounce{Owner: tp.node(), Epoch: tp.u64()}
-	case 23:
+	case 20:
 		var m proto.PlaneGossip
 		for i := int(tp.u8() % 4); i > 0; i-- {
 			m.Entries = append(m.Entries, proto.TopicEpoch{Topic: sim.Topic(uint32(tp.u64())), Epoch: tp.u64()})
 		}
 		return m
-	case 24:
+	case 21:
 		m := proto.ReplicaDelta{Epoch: tp.u64(), Mode: tp.u8()}
 		for i := int(tp.u8() % 4); i > 0; i-- {
 			m.Put = append(m.Put, proto.ReplicaEntry{L: tp.label(), V: tp.node()})
@@ -152,19 +140,19 @@ func genBody(sel uint8, tp *tape) any {
 			m.Del = append(m.Del, tp.label())
 		}
 		return m
-	case 25:
+	case 22:
 		m := proto.ReplicaDigest{Probe: tp.u8()%2 == 1, Epoch: tp.u64(), Count: tp.u64(), Mode: tp.u8()}
 		for i := range m.Hash {
 			m.Hash[i] = tp.u8()
 		}
 		return m
-	case 26:
+	case 23:
 		m := proto.ReplicaSync{Epoch: tp.u64(), Round: tp.u64(), Seq: tp.u64(), Chunks: tp.u64(), Mode: tp.u8()}
 		for i := int(tp.u8() % 4); i > 0; i-- {
 			m.Entries = append(m.Entries, proto.ReplicaEntry{L: tp.label(), V: tp.node()})
 		}
 		return m
-	case 27:
+	case 24:
 		return proto.PublishSeq{Pub: tp.publication(), Seq: tp.u64()}
 	default:
 		m := proto.PublishCausal{Pub: tp.publication(), Seq: tp.u64()}
@@ -182,8 +170,8 @@ func FuzzWireRoundTrip(f *testing.F) {
 	f.Add(uint8(0), []byte{})
 	f.Add(uint8(3), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
 	f.Add(uint8(11), []byte{3, 0xFF, 0xAA, 0x55, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0})
-	f.Add(uint8(13), []byte("token-pending-tuples-and-a-long-tail-of-entropy"))
-	f.Add(uint8(20), []byte{0x80, 0})
+	f.Add(uint8(25), []byte("causal-barrier-entries-and-a-long-tail-of-entropy"))
+	f.Add(uint8(17), []byte{0x80, 0})
 	f.Fuzz(func(t *testing.T, sel uint8, raw []byte) {
 		tp := &tape{b: raw}
 		m := sim.Message{
@@ -216,7 +204,6 @@ func FuzzWireAdversarial(f *testing.F) {
 		proto.Subscribe{V: 7},
 		proto.Check{Sender: proto.Tuple{L: label.MustParse("01"), Ref: 4}, YourLabel: label.MustParse("1")},
 		proto.PublishBatch{Pubs: []proto.Publication{{Key: proto.Key{Bits: 5, Len: 8}, Origin: 1, Payload: "x"}}},
-		proto.Token{Epoch: 1, Pending: []proto.Tuple{{L: label.MustParse("0"), Ref: 2}}},
 		core.PublishCmd{Payload: "seed"},
 		Hello{Base: 4096, Slots: 64},
 		proto.Reregister{V: 5, Label: label.MustParse("01"), Epoch: 3},

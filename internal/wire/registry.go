@@ -32,10 +32,10 @@ const (
 	tagCheckAndPublish = 11
 	tagPublishBatch    = 12
 	tagPublishNew      = 13
-	// Token-passing supervisor variant.
-	tagToken       = 14
-	tagTokenReturn = 15
-	tagRegister    = 16
+	// 14, 15 and 16 are retired and must never be reassigned: they carried
+	// the deleted token-passing supervisor variant (its circulating token,
+	// the pass report and the staleness registration). Like 34 they are
+	// absent from the registry, so such a frame or batch member is garbage.
 	// Client self-commands (package core): a node's application plane
 	// talks to its protocol plane through the same channels, so these
 	// cross the wire whenever a driver steers a remote node.
@@ -237,56 +237,6 @@ var registry = map[uint64]entry{
 			}
 			return m
 		}},
-	tagToken: {"proto.Token", proto.Token{},
-		func(e *enc, b any) {
-			m := b.(proto.Token)
-			e.uvarint(m.Epoch)
-			e.uvarint(m.N)
-			e.uvarint(m.Pos)
-			e.tuple(m.Prev)
-			e.tuple(m.First)
-			e.uvarint(uint64(len(m.Pending)))
-			for _, t := range m.Pending {
-				e.tuple(t)
-			}
-			e.tuple(m.NextHop)
-		},
-		func(d *dec) any {
-			m := proto.Token{
-				Epoch: d.uvarint(), N: d.uvarint(), Pos: d.uvarint(),
-				Prev: d.tuple(), First: d.tuple(),
-			}
-			n := d.sliceLen(3) // tuple: label ≥ 2 bytes + ref ≥ 1
-			if n > 0 {
-				m.Pending = make([]proto.Tuple, 0, n)
-			}
-			for i := 0; i < n && d.err == nil; i++ {
-				m.Pending = append(m.Pending, d.tuple())
-			}
-			m.NextHop = d.tuple()
-			return m
-		}},
-	tagTokenReturn: {"proto.TokenReturn", proto.TokenReturn{},
-		func(e *enc, b any) {
-			m := b.(proto.TokenReturn)
-			e.uvarint(m.Epoch)
-			e.boolean(m.Complete)
-			e.tuple(m.First)
-			e.tuple(m.Last)
-		},
-		func(d *dec) any {
-			return proto.TokenReturn{
-				Epoch: d.uvarint(), Complete: d.boolean(),
-				First: d.tuple(), Last: d.tuple(),
-			}
-		}},
-	tagRegister: {"proto.Register", proto.Register{},
-		func(e *enc, b any) {
-			m := b.(proto.Register)
-			e.node(m.V)
-			e.label(m.Label)
-		},
-		func(d *dec) any { return proto.Register{V: d.node(), Label: d.labelv()} }},
 	tagJoinTopic: {"core.JoinTopic", core.JoinTopic{},
 		func(e *enc, b any) {},
 		func(d *dec) any { return core.JoinTopic{} }},

@@ -44,10 +44,6 @@ var sampleBodies = []any{
 		{Key: proto.Key{Bits: 0, Len: 1}, Origin: 8, Payload: ""},
 	}},
 	proto.PublishNew{Pub: proto.Publication{Key: proto.Key{Bits: 99, Len: 32}, Origin: 2, Payload: "pub-β"}},
-	proto.Token{Epoch: 12, N: 6, Pos: 3, Prev: tup("01", 4), First: tup("0", 2),
-		Pending: []proto.Tuple{tup("11", 9), {}}, NextHop: proto.Tuple{}},
-	proto.TokenReturn{Epoch: 13, Complete: true, First: tup("0", 2), Last: tup("11", 9)},
-	proto.Register{V: 11, Label: lbl("0001")},
 	proto.Reregister{V: 12, Label: lbl("001"), Epoch: 1<<40 + 5},
 	proto.OwnerAnnounce{Owner: 3, Epoch: 7},
 	proto.PlaneGossip{Entries: []proto.TopicEpoch{{Topic: 1, Epoch: 2}, {Topic: 1 << 30, Epoch: 0}}},
@@ -163,8 +159,7 @@ func TestGarbageRejected(t *testing.T) {
 			e.svarint(1)
 			e.svarint(2)
 			e.svarint(3)
-			e.uvarint(tagTokenReturn)
-			e.uvarint(1)
+			e.uvarint(tagReplicaDigest)
 			e.u8(7)
 		}),
 		"bad flag": mustFrame(t, func(e *enc) {
@@ -223,17 +218,20 @@ func TestGarbageRejected(t *testing.T) {
 			e.uvarint(tagBatch2)
 			e.uvarint(0)
 		}),
-		// Tag 34 was Batch, the retired first batching envelope: reserved
-		// forever, never decodable again — neither as a frame of its own
-		// nor as a batch member.
-		"retired tag 34 frame": mustFrame(t, func(e *enc) {
+	}
+	// Retired tags are reserved forever and never decodable again, neither
+	// as a frame of their own nor as a batch member: 14–16 were the
+	// token-passing supervisor's Token, TokenReturn and Register, 34 was
+	// Batch, the first batching envelope.
+	for _, tag := range []uint64{14, 15, 16, 34} {
+		cases[fmt.Sprintf("retired tag %d frame", tag)] = mustFrame(t, func(e *enc) {
 			e.svarint(1)
 			e.svarint(2)
 			e.svarint(3)
-			e.uvarint(34)
+			e.uvarint(tag)
 			e.uvarint(0)
-		}),
-		"retired tag 34 member": mustFrame(t, func(e *enc) {
+		})
+		cases[fmt.Sprintf("retired tag %d member", tag)] = mustFrame(t, func(e *enc) {
 			e.svarint(0)
 			e.svarint(0)
 			e.svarint(0)
@@ -243,9 +241,9 @@ func TestGarbageRejected(t *testing.T) {
 			e.svarint(1)
 			e.svarint(2)
 			e.svarint(3)
-			e.uvarint(34)
+			e.uvarint(tag)
 			e.uvarint(0)
-		}),
+		})
 	}
 
 	for name, b := range cases {
@@ -473,7 +471,6 @@ func TestCanShare(t *testing.T) {
 		{proto.ReplicaDelta{}, false},
 		{proto.ReplicaSync{}, false},
 		{proto.CheckTrie{}, false},
-		{proto.Token{}, false},
 		{Batch2{}, false},
 		{nil, false},
 		{struct{ X int }{}, false}, // unregistered
