@@ -5,7 +5,7 @@
 // One-shot simulation:
 //
 //	srsim -n 32 -scenario corrupted-states [-seed 7] [-rounds 20000] [-trace]
-//	srsim -n 32 -runtime concurrent [-interval 2ms] [-churn]
+//	srsim -n 32 -runtime concurrent [-interval 2ms]
 //	srsim -n 16 -runtime net [-pubs 8]      # every message crosses TCP loopback
 //	srsim -n 24 -supervisors 4              # crash-tolerant sharded supervisor plane
 //	srsim -scenarios                        # list scenarios
@@ -26,9 +26,10 @@
 // discrete-event simulation (the same engine, run inline) and every
 // corruption scenario is available.
 // With -runtime=concurrent the same protocol code runs on the live
-// goroutine-per-node runtime; -churn additionally runs a crash/restart
-// fault injector. With -runtime=net the live nodes exchange every message
-// as binary wire frames over a loopback TCP socket.
+// goroutine-per-node runtime (`srsim chaos -scenario=crash-restart-storm
+// -runtime=concurrent` drives crash/restart churn against it). With
+// -runtime=net the live nodes exchange every message as binary wire
+// frames over a loopback TCP socket.
 //
 // Networked deployment across processes:
 //
@@ -50,7 +51,6 @@ import (
 	"sspubsub/internal/cluster"
 	"sspubsub/internal/experiments"
 	"sspubsub/internal/psim"
-	"sspubsub/internal/runtime/concurrent"
 	"sspubsub/internal/runtime/nettransport"
 	"sspubsub/internal/sim"
 )
@@ -101,7 +101,6 @@ func runOneShot() {
 	seed := flag.Int64("seed", 1, "random seed (sim runs are reproducible)")
 	runtime := flag.String("runtime", "sim", "execution substrate: sim | concurrent | net")
 	interval := flag.Duration("interval", 2*time.Millisecond, "timeout interval (concurrent/net runtimes)")
-	churn := flag.Bool("churn", false, "run a crash/restart injector during stabilization (concurrent runtime)")
 	scenario := flag.String("scenario", "fresh-join-burst", "initial state scenario")
 	rounds := flag.Int("rounds", 20000, "max rounds before giving up")
 	trace := flag.Bool("trace", false, "print every delivered message and timeout in execution order: time-sorted per lane, lane after lane within each lookahead window (sim runtime)")
@@ -142,9 +141,6 @@ func runOneShot() {
 	}
 	switch *runtime {
 	case "sim":
-		if *churn {
-			fail("-churn requires -runtime=concurrent (the deterministic engine has its own scripted fault scenarios; see -scenarios)")
-		}
 	case "concurrent":
 		if sc != experiments.ScenarioFresh {
 			fail("scenario %q requires -runtime=sim (live state cannot be corrupted in place)", *scenario)
@@ -158,9 +154,6 @@ func runOneShot() {
 		}
 		if *trace {
 			fail("-trace requires -runtime=sim")
-		}
-		if *churn {
-			fail("-churn requires -runtime=concurrent (the injector drives the in-process runtime directly)")
 		}
 	default:
 		fail("unknown -runtime %q (use sim, concurrent or net)", *runtime)
@@ -176,7 +169,7 @@ func runOneShot() {
 		}
 	}
 	defer tr.Close()
-	run(cluster.New(tr, cluster.Options{Supervisors: *supervisors}), *n, sc, *seed, *rounds, *churn, *pubs, *crash)
+	run(cluster.New(tr, cluster.Options{Supervisors: *supervisors}), *n, sc, *seed, *rounds, *pubs, *crash)
 }
 
 // traced decorates the deterministic engine for -trace: every handler
@@ -202,7 +195,7 @@ func (h tracedHandler) OnTimeout(ctx sim.Context) {
 // a round is virtual time on the deterministic engine and one -interval of
 // wall clock on the live runtimes, and every state read is a frozen
 // snapshot — l's driver surface hides the difference.
-func run(l *cluster.Live, n int, sc experiments.E5Scenario, seed int64, rounds int, churn bool, pubs int, crash float64) {
+func run(l *cluster.Live, n int, sc experiments.E5Scenario, seed int64, rounds int, pubs int, crash float64) {
 	explain := func() string {
 		out := "system did not quiesce"
 		l.Freeze(func() { out = l.Explain(topic) })
@@ -216,40 +209,11 @@ func run(l *cluster.Live, n int, sc experiments.E5Scenario, seed int64, rounds i
 			fatalf("setup convergence failed: %s", explain())
 		}
 		fmt.Printf("setup: legitimate SR(%d) built; injecting %s\n", n, sc)
-		switch sc {
-		case experiments.ScenarioCorrupt:
-			l.CorruptSubscriberStates(topic, l.Rand())
-		case experiments.ScenarioPartition:
-			l.PartitionStates(topic, 3)
-		case experiments.ScenarioBadDB:
-			l.CorruptSupervisorDB(topic, l.Rand())
-		case experiments.ScenarioGarbageMsg:
-			l.SendGarbageMessages(topic, 5*n, l.Rand())
-		}
 	}
 
 	start := l.Now()
-	if sc == experiments.ScenarioGarbageMsg {
-		// The garbage is spread over the following round: it must land
-		// before the predicate is first polled, and that round counts.
-		l.RunRounds(1)
-	}
-	if rt, ok := l.Tr.(*concurrent.Runtime); ok && churn {
-		// Let the fault injector interleave crashes and restarts with the
-		// join burst for a fixed window, then require re-convergence. The
-		// whole supervisor plane is protected: the injector exercises
-		// subscriber churn (supervisor crashes have their own chaos
-		// scenarios).
-		in := rt.NewInjector(concurrent.InjectorOptions{
-			Period:   10 * rt.Interval(),
-			Downtime: 4 * rt.Interval(),
-			Seed:     seed,
-			Protect:  l.IsSupervisor,
-		})
-		l.RunRounds(100)
-		in.Stop()
-		fmt.Printf("churn: %d crashes, %d restarts survived\n", in.Crashes(), in.Restarts())
-	}
+	// The rounds the injection spends (the garbage round) count.
+	experiments.Inject(l, sc, n, seed)
 	if r, ok := l.RunUntilConverged(topic, n, rounds); !ok {
 		fatalf("NOT converged after %d rounds: %s", r, explain())
 	}

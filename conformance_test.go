@@ -154,18 +154,32 @@ func TestOrderedDeliveryConformance(t *testing.T) {
 	}
 }
 
-// TestConcurrentRuntimeUnderChurn stresses the concurrent substrate with
-// the crash/restart injector while a topic is converging, then verifies
-// the system still reaches the unique legitimate state once churn stops.
+// TestConcurrentRuntimeUnderChurn crashes and restarts members of the
+// concurrent substrate while the join burst is still converging — each
+// comes back with the stale state it crashed with — then verifies the
+// system still reaches the unique legitimate state once churn stops.
 func TestConcurrentRuntimeUnderChurn(t *testing.T) {
 	s := NewSimulation(SimOptions{Runtime: RuntimeConcurrent, Seed: 9, Interval: time.Millisecond})
 	defer s.Close()
 	const n = 8
-	s.AddSubscribers(n)
+	ids := s.AddSubscribers(n)
 	s.JoinAll(1)
-	stop := s.StartChurn(9)
-	s.RunRounds(100) // let crashes and restarts interleave with joins
-	stop()
+	// A node crashed before it handles its own join command loses it with
+	// the rest of its mailbox and restarts as a non-member; start the
+	// churn once every node has taken the command, long before the ring
+	// converges.
+	if _, ok := s.RunUntil(100, func() bool { return len(s.Members(1)) == n }); !ok {
+		t.Fatal("join commands were not handled")
+	}
+	for i := 0; i < 10; i++ { // 100 rounds of crashes and restarts interleaved with joins
+		victim := ids[(3*i)%n]
+		s.Crash(victim)
+		s.RunRounds(4)
+		if !s.Restart(victim) {
+			t.Fatalf("Restart(%d) = false", victim)
+		}
+		s.RunRounds(6)
+	}
 	if _, ok := s.RunUntilConverged(1, n, 20000); !ok {
 		t.Fatalf("no convergence after churn: %s", s.Explain(1))
 	}
@@ -205,7 +219,6 @@ func TestSimulationFacadeGuards(t *testing.T) {
 	if d.Runtime() != RuntimeSim {
 		t.Errorf("default Runtime() = %s", d.Runtime())
 	}
-	mustPanic("StartChurn", func() { d.StartChurn(1) })
 	d.Close() // no-op on sim
 
 	nt := NewSimulation(SimOptions{Runtime: RuntimeNet, Interval: time.Millisecond})
@@ -216,5 +229,4 @@ func TestSimulationFacadeGuards(t *testing.T) {
 	// The injectors need in-place access to state and the scheduler — the
 	// net transport has neither.
 	mustPanic("CorruptSubscriberStates/net", func() { nt.CorruptSubscriberStates(1) })
-	mustPanic("StartChurn/net", func() { nt.StartChurn(1) })
 }

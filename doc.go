@@ -37,9 +37,9 @@
 //     message accounting. Use it for research, regression tests and
 //     anything that must be reproducible.
 //   - RuntimeConcurrent, the production goroutine-per-node runtime
-//     (internal/runtime/concurrent): buffered mailbox channels with a
-//     loss-free overflow tier, real-time jittered Timeout ticks, a
-//     crash/restart fault injector, and a quiesce barrier that freezes
+//     (internal/runtime/concurrent): loss-free mailboxes that each node
+//     drains a whole batch at a time, real-time jittered Timeout ticks,
+//     crash and stale-state restart, and a quiesce barrier that freezes
 //     the system so convergence predicates read one consistent cross-node
 //     snapshot. Use it to exercise true parallelism; System runs on it by
 //     default.
@@ -76,8 +76,9 @@
 // buffers (wire.AppendFrame, wire.WriteFrame) and decodes through a
 // per-connection wire.DecodeState whose arena bump-allocates payload
 // strings and batch scaffolds and whose direct-mapped cache interns
-// repeated fan-out bodies; and the concurrent runtime's loss-free
-// overflow tier recycles pooled segments. The networked transport's
+// repeated fan-out bodies; and a concurrent-runtime mailbox reuses its
+// batch arrays, swapping them between senders and the node goroutine. The
+// networked transport's
 // egress is one hop: a send encodes on the sending goroutine straight
 // into its link's pending batch (one length-prefixed wire.Batch2 member
 // in a reused buffer), and the link's writer puts whatever is pending on
@@ -89,8 +90,8 @@
 // allocs/op), and a 16-way multicast of one body costs 16 boxed
 // deliveries and nothing else (BenchmarkNetEgressMulticast).
 // testing.AllocsPerRun guards in internal/wire, internal/psim,
-// internal/runtime/concurrent, internal/runtime/nettransport and the root
-// package hold each layer to its budget; the fan-out rows
+// internal/runtime/nettransport and the root package hold each layer to
+// its budget; the fan-out rows
 // (TestPublishFanoutAllocGuard, TestOrderedFanoutAllocBudget,
 // TestNetEgressMulticastAllocBudget) allow the committed allocs/op + 15 %.
 // Time is measured only by bench/run.sh (BENCHMARK.json). See the
@@ -101,10 +102,10 @@
 //
 // internal/scale drives 10^5–10^6 real-protocol subscribers on one
 // machine by multiplexing thousands of unmodified client state machines
-// onto each physical node: the substrates' AddListener aliases every
-// virtual subscriber's node ID onto its hosting pool, so each keeps its
-// own identity on the wire while sharing one timeout chain and one
-// mailbox. `srsim scale -ns 1000,10000,100000` sweeps the population,
+// onto each physical node: the deterministic engine's AddListener
+// aliases every virtual subscriber's node ID onto its hosting pool, so
+// each keeps its own identity on the wire while sharing one timeout chain
+// and one mailbox. `srsim scale -ns 1000,10000,100000` sweeps the population,
 // measures join latency, publish fan-out, post-crash stabilization and
 // memory at each point, and fits power-law growth exponents against the
 // paper's O(log n) bounds; the table adds each phase's wall seconds, and

@@ -130,8 +130,7 @@ func (p *Plane) RestartSupervisor(id sim.NodeID) bool {
 }
 
 // IsSupervisor reports whether id belongs to the static supervisor plane
-// (crashed or not) — the protect predicate for churn injectors that must
-// only fault subscribers.
+// (crashed or not).
 func (p *Plane) IsSupervisor(id sim.NodeID) bool {
 	return id >= SupervisorID && id < SupervisorID+sim.NodeID(len(p.SupIDs))
 }

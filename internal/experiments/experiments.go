@@ -276,17 +276,18 @@ func runScenario(sc E5Scenario, n int, seed int64) (int, bool) {
 		return c.RunUntilConverged(Topic, n, 5000)
 	}
 	c := mustConverge(n, seed)
-	spent := inject(c, sc, n, seed)
+	spent := Inject(c, sc, n, seed)
 	rounds, ok := c.RunUntilConverged(Topic, n, 20000)
 	return spent + rounds, ok
 }
 
-// inject puts scenario sc's fault into the converged cluster c and returns
+// Inject puts scenario sc's fault into the converged cluster c and returns
 // the rounds it spent doing so. State corruption is instantaneous; garbage
 // is spread over the following round, so that round runs (and counts)
 // before anybody asks whether the system is legitimate — polled at once,
-// the predicate would see the state from before the garbage landed.
-func inject(c *cluster.Live, sc E5Scenario, n int, seed int64) int {
+// the predicate would see the state from before the garbage landed. E5
+// and `srsim -scenario` both inject through it.
+func Inject(c *cluster.Live, sc E5Scenario, n int, seed int64) int {
 	switch sc {
 	case ScenarioCorrupt:
 		c.CorruptSubscriberStates(Topic, c.Rand())

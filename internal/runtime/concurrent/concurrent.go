@@ -2,15 +2,16 @@
 // goroutine-per-node runtime implementing sim.Transport. Compared to the
 // deterministic engine in internal/psim it adds
 //
-//   - buffered mailbox channels with a loss-free overflow queue (the
-//     paper's unbounded channels, but with a fast path that avoids a
-//     mutex+slice round trip for the common case),
-//   - real-time Timeout ticks with per-tick jitter, so node phases drift
-//     like they do on real hardware instead of staying locked,
-//   - a crash/restart fault injector (Injector) for churn testing: a
-//     restarted node comes back with whatever state it had, which is
-//     exactly the "arbitrary initial state" the protocol self-stabilizes
-//     from,
+//   - loss-free mailboxes (the paper's unbounded channels): senders append
+//     to a node's pending batch under its lock, and the node goroutine
+//     swaps the whole batch out and delivers it in order,
+//   - real-time Timeout ticks with ±20 % per-tick jitter, so node phases
+//     drift like they do on real hardware instead of staying locked; a
+//     tick that falls due mid-batch runs between two deliveries, so a
+//     mailbox that never empties cannot starve it,
+//   - crash and restart: a node re-added under a crashed ID comes back
+//     with whatever state its handler held, which is exactly the
+//     "arbitrary initial state" the protocol self-stabilizes from,
 //   - a graceful drain/quiesce barrier (Quiesce) that freezes the whole
 //     system so convergence predicates can read a consistent cross-node
 //     snapshot, then resumes.
@@ -22,7 +23,6 @@ package concurrent
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -30,27 +30,24 @@ import (
 	"sspubsub/internal/sim"
 )
 
+// jitter perturbs every tick by ±jitter·Interval, drawn uniformly per tick
+// from the node's own random source.
+const jitter = 0.2
+
+// graceIntervals is how many intervals after a crash the failure detector
+// keeps answering "alive", modelling the eventually-correct detector of
+// Section 3.3.
+const graceIntervals = 2
+
 // Options configure a concurrent runtime.
 type Options struct {
 	// Interval is the real-time length of one timeout interval.
 	// Default 10ms.
 	Interval time.Duration
-	// Jitter perturbs every tick by ±Jitter·Interval, drawn uniformly per
-	// tick from the node's own random source. Must be in [0, 1).
-	// Default 0.2.
-	Jitter float64
 	// Seed derives the per-node random sources. Live runs are not
 	// deterministic (goroutine interleaving), but seeding keeps protocol
 	// coin flips reproducible in aggregate.
 	Seed int64
-	// MailboxDepth is the capacity of each node's buffered mailbox channel;
-	// traffic beyond it spills into an unbounded overflow queue, so no
-	// message is ever lost. Default 256.
-	MailboxDepth int
-	// DetectorGrace is how long after a crash the failure detector keeps
-	// answering "alive", modelling the eventually-correct detector of
-	// Section 3.3. Default 2·Interval.
-	DetectorGrace time.Duration
 	// Redirect, when non-nil, is consulted on every Send after the
 	// accounting step. Returning true means an external carrier (a network
 	// transport) has taken the message and will re-enter it through Inject
@@ -103,45 +100,23 @@ type Runtime struct {
 	acctMu sync.Mutex
 	byType map[string]int64
 	sentBy map[sim.NodeID]int64
-	// recvBy counters are per-node atomics so the delivery hot path never
-	// takes acctMu; the pointers are stable across Restart and survive
-	// node removal so ReceivedBy stays queryable.
-	recvBy map[sim.NodeID]*atomic.Int64
 
 	wg sync.WaitGroup
 }
 
 type node struct {
-	id sim.NodeID
-	h  sim.Handler
-	// owner is non-⊥ for listeners (AddListener): messages addressed to
-	// this ID are routed into the owner's mailbox and handled by the
-	// owner's handler on the owner's goroutine. Listeners have no
-	// goroutine, mailbox, rng or stop channel of their own.
-	owner sim.NodeID
-	rng   *rand.Rand // used only from the node's own goroutine
-	mbox  *mailbox
-	recv  *atomic.Int64
-	stop  chan struct{}
-	rt    *Runtime
+	id   sim.NodeID
+	h    sim.Handler
+	rng  *rand.Rand // used only from the node's own goroutine
+	mbox *mailbox
+	stop chan struct{}
+	rt   *Runtime
 }
 
 // NewRuntime creates a concurrent runtime with no nodes.
 func NewRuntime(opts Options) *Runtime {
 	if opts.Interval == 0 {
 		opts.Interval = 10 * time.Millisecond
-	}
-	if opts.Jitter == 0 {
-		opts.Jitter = 0.2
-	}
-	if opts.Jitter < 0 || opts.Jitter >= 1 {
-		panic("concurrent: Jitter must be in [0, 1)")
-	}
-	if opts.MailboxDepth == 0 {
-		opts.MailboxDepth = 256
-	}
-	if opts.DetectorGrace == 0 {
-		opts.DetectorGrace = 2 * opts.Interval
 	}
 	return &Runtime{
 		opts:    opts,
@@ -151,12 +126,13 @@ func NewRuntime(opts Options) *Runtime {
 		seedC:   opts.Seed,
 		byType:  make(map[string]int64),
 		sentBy:  make(map[sim.NodeID]int64),
-		recvBy:  make(map[sim.NodeID]*atomic.Int64),
 	}
 }
 
 // AddNode registers a handler and starts its goroutine. Re-adding the ID of
-// a crashed node is a restart: the detector stops suspecting it.
+// a crashed node is a restart, typically with the handler it crashed with —
+// its stale state is an arbitrary initial state for the self-stabilization
+// machinery to repair — and the detector stops suspecting it.
 func (r *Runtime) AddNode(id sim.NodeID, h sim.Handler) {
 	if id == sim.None {
 		panic("concurrent: cannot add node with ID 0")
@@ -175,8 +151,7 @@ func (r *Runtime) AddNode(id sim.NodeID, h sim.Handler) {
 		id:   id,
 		h:    h,
 		rng:  rand.New(rand.NewSource(r.seedC*0x9e3779b9 + int64(id))),
-		mbox: newMailbox(r.opts.MailboxDepth),
-		recv: r.recvCounter(id),
+		mbox: newMailbox(),
 		stop: make(chan struct{}),
 		rt:   r,
 	}
@@ -188,44 +163,12 @@ func (r *Runtime) AddNode(id sim.NodeID, h sim.Handler) {
 	go n.loop()
 }
 
-// AddListener registers id as a virtual alias of an existing owner node:
-// messages addressed to id land in the owner's mailbox and are handled by
-// the owner's handler on the owner's goroutine (Message.To still names id,
-// so the owner can demultiplex). A listener costs one map entry — no
-// goroutine, mailbox or timer — which is what lets one pool node host
-// thousands of virtual subscribers. The owner is resolved per message, so
-// traffic to a listener whose owner crashed is dropped, exactly like the
-// deterministic engine's semantics.
-func (r *Runtime) AddListener(id, owner sim.NodeID) {
-	if id == sim.None {
-		panic("concurrent: cannot add listener with ID 0")
-	}
-	if owner == sim.None {
-		panic("concurrent: listener needs a non-⊥ owner")
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		return
-	}
-	if _, dup := r.nodes[id]; dup {
-		panic(fmt.Sprintf("concurrent: duplicate node %d", id))
-	}
-	r.nodes[id] = &node{id: id, owner: owner, recv: r.recvCounter(id), rt: r}
-	delete(r.crashed, id)
-}
-
-// Restart is AddNode for a previously crashed node, typically with the
-// Handler it crashed with — its stale state is an arbitrary initial state
-// for the self-stabilization machinery to repair.
-func (r *Runtime) Restart(id sim.NodeID, h sim.Handler) { r.AddNode(id, h) }
-
 // RemoveNode gracefully deregisters a node: its goroutine stops and queued
 // messages are discarded.
 func (r *Runtime) RemoveNode(id sim.NodeID) { r.stopNode(id, false) }
 
 // Crash fails a node without warning (Section 3.3). Unlike RemoveNode, the
-// failure detector only starts suspecting it after DetectorGrace.
+// failure detector only starts suspecting it after two intervals.
 func (r *Runtime) Crash(id sim.NodeID) { r.stopNode(id, true) }
 
 func (r *Runtime) stopNode(id sim.NodeID, crash bool) {
@@ -238,7 +181,7 @@ func (r *Runtime) stopNode(id sim.NodeID, crash bool) {
 		}
 	}
 	r.mu.Unlock()
-	if ok && n.stop != nil { // listeners own no goroutine or mailbox
+	if ok {
 		close(n.stop)
 		n.discard()
 	}
@@ -253,7 +196,7 @@ func (r *Runtime) Crashed(id sim.NodeID) bool {
 }
 
 // Suspects implements sim.Detector: live nodes are never suspected,
-// crashed nodes are suspected once DetectorGrace has elapsed, and unknown
+// crashed nodes are suspected once two intervals have elapsed, and unknown
 // or removed nodes are suspected immediately.
 func (r *Runtime) Suspects(id sim.NodeID) bool {
 	r.mu.RLock()
@@ -262,7 +205,7 @@ func (r *Runtime) Suspects(id sim.NodeID) bool {
 		return false
 	}
 	if t, ok := r.crashed[id]; ok {
-		return time.Since(t) >= r.opts.DetectorGrace
+		return time.Since(t) >= graceIntervals*r.opts.Interval
 	}
 	return true
 }
@@ -342,11 +285,6 @@ func (r *Runtime) Inject(m sim.Message) {
 	}
 	r.mu.RLock()
 	n, ok := r.nodes[m.To]
-	if ok && n.owner != sim.None {
-		// Listener: hand the message to the owning pool's mailbox. A missing
-		// owner means the pool crashed, failing its listeners with it.
-		n, ok = r.nodes[n.owner]
-	}
 	r.mu.RUnlock()
 	if !ok {
 		r.dropped.Add(1)
@@ -376,10 +314,8 @@ func (r *Runtime) Close() {
 	r.nodes = make(map[sim.NodeID]*node)
 	r.mu.Unlock()
 	for _, n := range nodes {
-		if n.stop != nil {
-			close(n.stop)
-			n.discard()
-		}
+		close(n.stop)
+		n.discard()
 	}
 	r.wg.Wait()
 }
@@ -467,38 +403,11 @@ func (r *Runtime) SentBy(id sim.NodeID) int64 {
 	return r.sentBy[id]
 }
 
-// recvCounter returns the stable per-node receive counter, creating it on
-// first use.
-func (r *Runtime) recvCounter(id sim.NodeID) *atomic.Int64 {
-	r.acctMu.Lock()
-	defer r.acctMu.Unlock()
-	c, ok := r.recvBy[id]
-	if !ok {
-		c = new(atomic.Int64)
-		r.recvBy[id] = c
-	}
-	return c
-}
-
-// ReceivedBy returns the number of messages delivered to node id so far.
-func (r *Runtime) ReceivedBy(id sim.NodeID) int64 {
-	r.acctMu.Lock()
-	defer r.acctMu.Unlock()
-	if c, ok := r.recvBy[id]; ok {
-		return c.Load()
-	}
-	return 0
-}
-
 // ResetCounters zeroes the message accounting.
 func (r *Runtime) ResetCounters() {
 	r.acctMu.Lock()
 	r.byType = make(map[string]int64)
 	r.sentBy = make(map[sim.NodeID]int64)
-	// Zero in place: live nodes hold pointers to these counters.
-	for _, c := range r.recvBy {
-		c.Store(0)
-	}
 	r.acctMu.Unlock()
 	r.delivered.Store(0)
 	r.dropped.Store(0)
@@ -510,103 +419,62 @@ func (r *Runtime) Now() float64 {
 	return float64(time.Since(r.start)) / float64(r.opts.Interval)
 }
 
-// Interval returns the configured timeout interval.
-func (r *Runtime) Interval() time.Duration { return r.opts.Interval }
-
-// NodeIDs returns the IDs of all live registered nodes, sorted.
-func (r *Runtime) NodeIDs() []sim.NodeID {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]sim.NodeID, 0, len(r.nodes))
-	for id := range r.nodes {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Handler returns the handler registered under id, or nil. For a listener
-// it resolves the owning pool's handler.
-func (r *Runtime) Handler(id sim.NodeID) sim.Handler {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	n, ok := r.nodes[id]
-	if !ok {
-		return nil
-	}
-	if n.owner != sim.None {
-		if o, up := r.nodes[n.owner]; up {
-			return o.h
-		}
-		return nil
-	}
-	return n.h
-}
-
 var _ sim.Transport = (*Runtime)(nil)
 
 // loop is the node goroutine: it interleaves jittered Timeout ticks with
 // mailbox deliveries until stopped.
 func (n *node) loop() {
 	defer n.rt.wg.Done()
-	interval := n.rt.opts.Interval
 	// Random phase spreads node timeouts across the interval.
-	timer := time.NewTimer(time.Duration(n.rng.Int63n(int64(interval))))
+	timer := time.NewTimer(time.Duration(n.rng.Int63n(int64(n.rt.opts.Interval))))
 	defer timer.Stop()
 	ctx := &nodeCtx{n: n}
+	var batch []sim.Message
 	for {
 		select {
 		case <-n.stop:
 			return
-		case m := <-n.mbox.ch:
-			n.deliver(ctx, m)
-			n.drainOverflow(ctx)
+		case <-n.mbox.wake:
+			// Swap until a swap comes back empty: what queued while one
+			// batch was being delivered leaves with the next.
+			for batch = n.mbox.swap(batch); len(batch) > 0; batch = n.mbox.swap(batch) {
+				for i := range batch {
+					n.deliver(ctx, batch[i])
+					// Under sustained load every batch is larger than the
+					// last, so a tick checked only between batches starves.
+					select {
+					case <-timer.C:
+						n.tick(ctx, timer)
+					default:
+					}
+				}
+			}
 		case <-timer.C:
-			// A crash may have raced the timer: never run a spontaneous
-			// action after Crash() returned (Section 3.3, "stops executing
-			// actions"). deliver makes the same check per message.
-			select {
-			case <-n.stop:
-				return
-			default:
-			}
-			// Overflow can only be non-empty while the channel is (or was
-			// momentarily) full, but drain it here too so a tick never
-			// races a spilled message.
-			n.drainOverflow(ctx)
-			// busy is raised before paused is checked; with sequentially
-			// consistent atomics this closes the window in which Quiesce
-			// could observe an idle system while a tick slips through.
-			n.rt.busy.Add(1)
-			if !n.rt.paused.Load() {
-				n.h.OnTimeout(ctx)
-			}
-			n.rt.busy.Add(-1)
-			timer.Reset(n.nextTick(interval))
+			n.tick(ctx, timer)
 		}
 	}
 }
 
-// nextTick draws the next tick delay: Interval perturbed by ±Jitter.
-func (n *node) nextTick(interval time.Duration) time.Duration {
-	j := n.rt.opts.Jitter
-	scale := 1 + j*(2*n.rng.Float64()-1)
-	return time.Duration(float64(interval) * scale)
-}
-
-// drainOverflow delivers the messages that were spilled at the moment the
-// drain starts. Bounding the drain by the observed length (rather than
-// popping until empty) keeps a sustained overload from starving the
-// channel tier and the Timeout action, matching the snapshot semantics of
-// the slice-based queue this replaced.
-func (n *node) drainOverflow(ctx *nodeCtx) {
-	for left := n.mbox.overflowLen(); left > 0; left-- {
-		om, ok := n.mbox.popOverflow()
-		if !ok {
-			return
-		}
-		n.deliver(ctx, om)
+// tick runs the Timeout action and re-arms the timer with the next jittered
+// delay. A crash may have raced the timer: no spontaneous action runs after
+// Crash() returned (Section 3.3, "stops executing actions"); deliver makes
+// the same check per message.
+func (n *node) tick(ctx *nodeCtx, timer *time.Timer) {
+	select {
+	case <-n.stop:
+		return
+	default:
 	}
+	// busy is raised before paused is checked; with sequentially
+	// consistent atomics this closes the window in which Quiesce could
+	// observe an idle system while a tick slips through.
+	n.rt.busy.Add(1)
+	if !n.rt.paused.Load() {
+		n.h.OnTimeout(ctx)
+	}
+	n.rt.busy.Add(-1)
+	scale := 1 + jitter*(2*n.rng.Float64()-1)
+	timer.Reset(time.Duration(float64(n.rt.opts.Interval) * scale))
 }
 
 func (n *node) deliver(ctx *nodeCtx, m sim.Message) {
@@ -622,25 +490,17 @@ func (n *node) deliver(ctx *nodeCtx, m sim.Message) {
 	n.h.OnMessage(ctx, m)
 	n.rt.busy.Add(-1)
 	n.rt.delivered.Add(1)
-	n.recv.Add(1)
 	n.rt.pending.Add(-1)
 }
 
 // discard empties the mailbox of a stopped node, keeping the pending
-// counter exact. It races benignly with the node goroutine's final pops:
-// every message is taken by exactly one side.
+// counter exact. A batch the node goroutine already swapped out is dropped
+// there, message by message, so every message is counted by exactly one
+// side.
 func (n *node) discard() {
-	dropped := n.mbox.close()
-	for {
-		select {
-		case <-n.mbox.ch:
-			dropped++
-		default:
-			n.rt.pending.Add(int64(-dropped))
-			n.rt.dropped.Add(int64(dropped))
-			return
-		}
-	}
+	k := int64(n.mbox.close())
+	n.rt.pending.Add(-k)
+	n.rt.dropped.Add(k)
 }
 
 // nodeCtx implements sim.Context for a node; it is only used from the

@@ -32,33 +32,6 @@ func (f *forwarder) OnMessage(ctx sim.Context, m sim.Message) {
 }
 func (f *forwarder) OnTimeout(ctx sim.Context) { f.ticks.Add(1) }
 
-// TestMailboxOverflowLossFree floods a node far beyond its mailbox depth
-// and verifies that the overflow tier preserves every message.
-func TestMailboxOverflowLossFree(t *testing.T) {
-	rt := NewRuntime(Options{Interval: time.Millisecond, MailboxDepth: 4, Seed: 1})
-	defer rt.Close()
-	c := &counter{}
-	rt.AddNode(1, c)
-	const total = 20000
-	for i := 0; i < total; i++ {
-		rt.Send(sim.Message{To: 1, From: 2, Topic: 1, Body: i})
-	}
-	ok := rt.Quiesce(10*time.Second, func() {
-		if got := c.msgs.Load(); got != total {
-			t.Errorf("delivered %d of %d messages", got, total)
-		}
-	})
-	if !ok {
-		t.Fatal("runtime did not quiesce")
-	}
-	if d := rt.Dropped(); d != 0 {
-		t.Errorf("dropped %d messages", d)
-	}
-	if d := rt.Delivered(); d != total {
-		t.Errorf("Delivered() = %d, want %d", d, total)
-	}
-}
-
 // TestQuiesceFreezesSystem verifies that while the quiesce callback runs,
 // no handler executes: a cascade of self-perpetuating forwards and the
 // periodic ticks are both suspended.
@@ -93,11 +66,12 @@ func TestQuiesceFreezesSystem(t *testing.T) {
 }
 
 // TestCrashRestartAndDetector exercises the crash path: messages to a
-// crashed node vanish, the failure detector respects the grace period, and
-// a restarted node receives traffic again.
+// crashed node vanish, the failure detector respects the grace period of
+// two intervals, and a node re-added under its ID receives traffic again.
 func TestCrashRestartAndDetector(t *testing.T) {
-	grace := 20 * time.Millisecond
-	rt := NewRuntime(Options{Interval: time.Millisecond, DetectorGrace: grace, Seed: 3})
+	const interval = 10 * time.Millisecond
+	grace := graceIntervals * interval
+	rt := NewRuntime(Options{Interval: interval, Seed: 3})
 	defer rt.Close()
 	c := &counter{}
 	rt.AddNode(7, c)
@@ -124,7 +98,7 @@ func TestCrashRestartAndDetector(t *testing.T) {
 		t.Error("send to crashed node not counted as dropped")
 	}
 
-	rt.Restart(7, c)
+	rt.AddNode(7, c)
 	if rt.Suspects(7) || rt.Crashed(7) {
 		t.Error("restarted node still suspected/crashed")
 	}
@@ -140,59 +114,6 @@ func TestCrashRestartAndDetector(t *testing.T) {
 	rt.RemoveNode(7)
 	if !rt.Suspects(7) {
 		t.Error("removed node not suspected immediately")
-	}
-}
-
-// TestInjectorChurn runs the fault injector against chattering nodes and
-// verifies every victim is restarted and the runtime stays consistent.
-func TestInjectorChurn(t *testing.T) {
-	rt := NewRuntime(Options{Interval: time.Millisecond, Seed: 4})
-	defer rt.Close()
-	handlers := make([]*counter, 8)
-	for i := range handlers {
-		handlers[i] = &counter{}
-		rt.AddNode(sim.NodeID(i+1), handlers[i])
-	}
-	in := rt.NewInjector(InjectorOptions{
-		Period:   2 * time.Millisecond,
-		Downtime: time.Millisecond,
-		Seed:     4,
-		Protect:  func(id sim.NodeID) bool { return id == 1 },
-	})
-	// Keep background traffic flowing while churn is active.
-	stopTraffic := make(chan struct{})
-	trafficDone := make(chan struct{})
-	go func() {
-		defer close(trafficDone)
-		for i := 0; ; i++ {
-			select {
-			case <-stopTraffic:
-				return
-			default:
-			}
-			rt.Send(sim.Message{To: sim.NodeID(i%8 + 1), From: 1, Topic: 1, Body: i})
-			time.Sleep(50 * time.Microsecond)
-		}
-	}()
-	time.Sleep(100 * time.Millisecond)
-	in.Stop()
-	close(stopTraffic)
-	<-trafficDone
-
-	if in.Crashes() == 0 {
-		t.Fatal("injector never crashed anyone")
-	}
-	if in.Crashes() != in.Restarts() {
-		t.Errorf("crashes %d != restarts %d after Stop", in.Crashes(), in.Restarts())
-	}
-	if got := len(rt.NodeIDs()); got != 8 {
-		t.Errorf("%d nodes live after churn, want 8", got)
-	}
-	if rt.Suspects(1) {
-		t.Error("protected node was suspected")
-	}
-	if !rt.Quiesce(10*time.Second, func() {}) {
-		t.Fatal("no quiesce after churn")
 	}
 }
 
@@ -215,8 +136,8 @@ func TestAccounting(t *testing.T) {
 	if got := rt.SentBy(2); got != 10 {
 		t.Errorf("SentBy(2) = %d", got)
 	}
-	if got := rt.ReceivedBy(1); got != 10 {
-		t.Errorf("ReceivedBy(1) = %d", got)
+	if got := rt.Delivered(); got != 11 {
+		t.Errorf("Delivered() = %d", got)
 	}
 	rt.ResetCounters()
 	if rt.CountByType("string") != 0 || rt.Delivered() != 0 {
@@ -237,9 +158,10 @@ func TestCloseIdempotent(t *testing.T) {
 	if c.ticks.Load() != base {
 		t.Error("ticks continued after Close")
 	}
-	// AddNode after Close is a silent no-op (used by late injector restarts).
+	// AddNode after Close is a silent no-op, so a restart racing Close is
+	// harmless.
 	rt.AddNode(9, c)
-	if len(rt.NodeIDs()) != 0 {
+	if !rt.Suspects(9) {
 		t.Error("AddNode after Close registered a node")
 	}
 }

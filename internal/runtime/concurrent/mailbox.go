@@ -6,174 +6,72 @@ import (
 	"sspubsub/internal/sim"
 )
 
-// segCap is the number of messages one pooled overflow segment holds. 64
-// envelopes ≈ 4KB per segment: large enough that a sustained burst costs
-// one pool round-trip per 64 spills, small enough that an idle pool holds
-// no meaningful memory.
-const segCap = 64
+// keepSlots bounds the array a delivered batch hands back for reuse: a
+// burst may grow a mailbox transiently, but must not pin that memory for
+// the node's lifetime.
+const keepSlots = 4096
 
-// seg is one fixed-size chunk of an overflow queue. Segments are recycled
-// through segPool; every consumed slot is zeroed before the segment goes
-// back, so a pooled segment never retains message bodies.
-type seg struct {
-	buf  [segCap]sim.Message
-	next *seg
-}
-
-var segPool = sync.Pool{New: func() any { return new(seg) }}
-
-// overflowQueue is a FIFO of messages backed by a linked list of pooled
-// fixed-size segments. Unlike the append/re-slice queue it replaces, its
-// steady state allocates nothing: segments come from and return to
-// segPool, and a queue that drains hands all its memory back. Not
-// goroutine-safe; the owning mailbox's lock guards it.
-type overflowQueue struct {
-	head, tail *seg
-	hi, ti     int // head read index, tail write index
-	n          int
-}
-
-func (q *overflowQueue) len() int { return q.n }
-
-func (q *overflowQueue) push(m sim.Message) {
-	switch {
-	case q.tail == nil:
-		s := segPool.Get().(*seg)
-		q.head, q.tail = s, s
-		q.hi, q.ti = 0, 0
-	case q.ti == segCap:
-		s := segPool.Get().(*seg)
-		q.tail.next = s
-		q.tail = s
-		q.ti = 0
-	}
-	q.tail.buf[q.ti] = m
-	q.ti++
-	q.n++
-}
-
-func (q *overflowQueue) peek() (sim.Message, bool) {
-	if q.n == 0 {
-		return sim.Message{}, false
-	}
-	return q.head.buf[q.hi], true
-}
-
-func (q *overflowQueue) pop() (sim.Message, bool) {
-	if q.n == 0 {
-		return sim.Message{}, false
-	}
-	s := q.head
-	m := s.buf[q.hi]
-	s.buf[q.hi] = sim.Message{} // release the Body reference
-	q.hi++
-	q.n--
-	switch {
-	case q.hi == segCap:
-		q.head = s.next
-		s.next = nil
-		segPool.Put(s)
-		q.hi = 0
-		if q.head == nil {
-			q.tail, q.ti = nil, 0
-		}
-	case q.n == 0:
-		// Single partially consumed segment: all written slots have been
-		// popped (and zeroed), so recycle it rather than letting the
-		// read index creep toward a premature segment change.
-		q.head, q.tail = nil, nil
-		s.next = nil
-		segPool.Put(s)
-		q.hi, q.ti = 0, 0
-	}
-	return m, true
-}
-
-// reset discards all queued messages, returning how many there were and
-// every segment to the pool.
-func (q *overflowQueue) reset() int {
-	dropped := q.n
-	for {
-		if _, ok := q.pop(); !ok {
-			return dropped
-		}
-	}
-}
-
-// mailbox is the loss-free channel of one node: a buffered Go channel as
-// the fast path plus an unbounded overflow queue behind a mutex, so push
-// never blocks and never drops (the paper's channels "store any finite
-// number of messages"). Delivery order across the two tiers is not FIFO,
-// which the model explicitly permits.
-//
-// Invariant: whenever the overflow is non-empty, the channel was full at
-// the moment of the last push (push shifts overflow into the channel while
-// there is room, under the same lock). Hence a consumer blocked on an
-// empty channel implies an empty overflow, and draining the overflow after
-// every channel receive keeps spilled messages from stalling.
+// mailbox is the loss-free channel of one node — the paper's channels
+// "store any finite number of messages". Senders append to pending under
+// the lock; the node goroutine swaps the whole batch out and delivers it
+// without the lock, so push never blocks and never drops while the node
+// runs.
 type mailbox struct {
-	ch chan sim.Message
+	// wake holds one token while pending is non-empty and the node
+	// goroutine may be parked; push posts it on the empty → non-empty
+	// transition only.
+	wake chan struct{}
 
-	mu     sync.Mutex
-	over   overflowQueue
-	closed bool
+	mu      sync.Mutex
+	pending []sim.Message
+	closed  bool
 }
 
-func newMailbox(depth int) *mailbox {
-	return &mailbox{ch: make(chan sim.Message, depth)}
-}
+func newMailbox() *mailbox { return &mailbox{wake: make(chan struct{}, 1)} }
 
-// push enqueues a message, spilling to the overflow when the channel is
-// full. It reports false when the mailbox is closed (the node stopped).
+// push enqueues m. It reports false when the mailbox is closed (the node
+// stopped).
 func (b *mailbox) push(m sim.Message) bool {
 	b.mu.Lock()
-	defer b.mu.Unlock()
 	if b.closed {
+		b.mu.Unlock()
 		return false
 	}
-	if b.over.len() == 0 {
-		// Fast path: nothing spilled, so FIFO within the channel tier is
-		// preserved by sending directly.
+	b.pending = append(b.pending, m)
+	first := len(b.pending) == 1
+	b.mu.Unlock()
+	if first {
 		select {
-		case b.ch <- m:
-			return true
-		default:
+		case b.wake <- struct{}{}:
+		default: // a token is already posted
 		}
 	}
-	b.over.push(m)
-	for {
-		front, ok := b.over.peek()
-		if !ok {
-			return true
-		}
-		select {
-		case b.ch <- front:
-			b.over.pop()
-		default:
-			return true
-		}
+	return true
+}
+
+// swap takes the queued batch. spare — the previous batch, fully
+// delivered — is zeroed so it retains no message bodies and becomes the
+// array the next pushes append to.
+func (b *mailbox) swap(spare []sim.Message) []sim.Message {
+	clear(spare)
+	if cap(spare) > keepSlots {
+		spare = nil
 	}
-}
-
-// overflowLen returns the number of currently spilled messages.
-func (b *mailbox) overflowLen() int {
 	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.over.len()
+	out := b.pending
+	b.pending = spare[:0]
+	b.mu.Unlock()
+	return out
 }
 
-// popOverflow removes and returns the oldest spilled message.
-func (b *mailbox) popOverflow() (sim.Message, bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.over.pop()
-}
-
-// close marks the mailbox closed, discards the overflow and returns how
-// many messages it held. The channel itself is drained by the caller.
+// close marks the mailbox closed and discards what is queued, returning
+// how many messages that was. A batch the node goroutine already swapped
+// out is not counted here: deliver drops it message by message.
 func (b *mailbox) close() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.closed = true
-	return b.over.reset()
+	n := len(b.pending)
+	b.pending = nil
+	return n
 }

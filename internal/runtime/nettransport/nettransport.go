@@ -454,10 +454,6 @@ func (t *Transport) ResetCounters() { t.rt.ResetCounters() }
 // Now returns time in timeout intervals since the transport started.
 func (t *Transport) Now() float64 { return t.rt.Now() }
 
-// Runtime exposes the embedded concurrent runtime (fault injectors,
-// advanced accounting).
-func (t *Transport) Runtime() *concurrent.Runtime { return t.rt }
-
 var _ sim.Transport = (*Transport)(nil)
 
 // ---- routing ----

@@ -502,7 +502,7 @@ func TestLoopbackCrashDropsInFlight(t *testing.T) {
 		t.Fatal("quiesce did not settle after crash")
 	}
 	if !tr.Suspects(2) {
-		// DetectorGrace for the embedded runtime defaults to 2·Interval.
+		// The embedded runtime's detector grace is 2·Interval.
 		time.Sleep(15 * time.Millisecond)
 		if !tr.Suspects(2) {
 			t.Error("crashed node never suspected")

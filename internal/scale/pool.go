@@ -9,8 +9,9 @@ import (
 )
 
 // Substrate is the transport seam the harness multiplexes over: any
-// sim.Transport that can alias virtual node IDs onto a pool node. Both the
-// deterministic engine and the concurrent Runtime satisfy it.
+// sim.Transport that can alias virtual node IDs onto a pool node. Only the
+// deterministic engine (internal/psim) provides it; the live runtimes run
+// one goroutine per node and have no listener aliases.
 type Substrate interface {
 	sim.Transport
 	AddListener(id, owner sim.NodeID)
@@ -18,8 +19,8 @@ type Substrate interface {
 
 // Pool is a sim.Handler hosting K virtual subscribers — real, unmodified
 // core.Client protocol state machines — behind one physical node. The pool
-// node owns the timeout chain (one engine event or one goroutine for
-// all K) and the mailbox; each virtual ID is a Substrate listener routing
+// node owns the timeout chain (one engine event for all K) and the
+// mailbox; each virtual ID is a Substrate listener routing
 // its traffic back here. Virtual IDs are the contiguous range
 // [Base, Base+Len), so demultiplexing is arithmetic, not a map lookup.
 //

@@ -3,12 +3,6 @@ package scale
 import (
 	"math"
 	"testing"
-	"time"
-
-	"sspubsub/internal/core"
-	"sspubsub/internal/runtime/concurrent"
-	"sspubsub/internal/sim"
-	"sspubsub/internal/supervisor"
 )
 
 // The full scenario at a modest N: every pooled subscriber joins, gets a
@@ -85,61 +79,6 @@ func TestPoolCrashFailsItsListeners(t *testing.T) {
 	}
 	if _, ok := h.AwaitDBSize(24); !ok {
 		t.Fatal("supervisor did not cull the crashed pool's subscribers")
-	}
-}
-
-// The pool multiplexing must work identically on the concurrent
-// (goroutine-per-node) substrate: virtual IDs alias into the pool's
-// mailbox, labels arrive, a publication fans out.
-func TestPoolOnConcurrentRuntime(t *testing.T) {
-	rt := concurrent.NewRuntime(concurrent.Options{Interval: 2 * time.Millisecond, Seed: 9})
-	defer rt.Close()
-	sup := supervisor.New(SupervisorID, rt)
-	sup.CullPerTimeout = 4
-	rt.AddNode(SupervisorID, sup)
-
-	const n, topic = 48, sim.Topic(1)
-	base := SupervisorID + 2
-	pool := NewPool(rt, base, n, SupervisorID, core.Options{})
-	pool.Register(rt, SupervisorID+1)
-
-	for i := 0; i < n; i++ {
-		id := base + sim.NodeID(i)
-		rt.Send(sim.Message{To: id, From: id, Topic: topic, Body: core.JoinTopic{}})
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	labelled := func() bool {
-		for i := 0; i < n; i++ {
-			if !pool.Client(i).Labelled(topic) {
-				return false
-			}
-		}
-		return true
-	}
-	for !labelled() {
-		if time.Now().After(deadline) {
-			t.Fatal("pooled subscribers never all got labels on the concurrent runtime")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-
-	pub := base // subscriber 0 publishes
-	rt.Send(sim.Message{To: pub, From: pub, Topic: topic, Body: core.PublishCmd{Payload: "hello"}})
-	for {
-		all := true
-		for i := 0; i < n; i++ {
-			if pool.Client(i).PublicationCount(topic) < 1 {
-				all = false
-				break
-			}
-		}
-		if all {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("publication did not reach every pooled subscriber on the concurrent runtime")
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
 }
 

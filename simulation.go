@@ -8,7 +8,6 @@ import (
 	"sspubsub/internal/core"
 	"sspubsub/internal/ordering"
 	"sspubsub/internal/proto"
-	"sspubsub/internal/runtime/concurrent"
 	"sspubsub/internal/sim"
 )
 
@@ -21,7 +20,7 @@ const (
 	// randomness, exact reproducibility. The default.
 	RuntimeSim RuntimeKind = "sim"
 	// RuntimeConcurrent is the live goroutine-per-node runtime: real-time
-	// jittered timeouts, buffered mailboxes, true parallelism. Runs are
+	// jittered timeouts, unbounded mailboxes, true parallelism. Runs are
 	// not reproducible, but exercise the protocol under genuine
 	// concurrency.
 	RuntimeConcurrent RuntimeKind = "concurrent"
@@ -80,9 +79,8 @@ type Topic = sim.Topic
 // state read taken under the quiesce barrier; a "round" is then one
 // wall-clock timeout interval.
 type Simulation struct {
-	h     *cluster.Live
-	kind  RuntimeKind
-	churn []*concurrent.Injector // injectors started via StartChurn
+	h    *cluster.Live
+	kind RuntimeKind
 }
 
 // NewSimulation creates an empty system (supervisor only) on the substrate
@@ -112,16 +110,10 @@ func NewSimulation(opts SimOptions) *Simulation {
 	return &Simulation{h: cluster.New(tr, ho), kind: kind}
 }
 
-// Close stops any running fault injectors and the substrate. It must be
-// called on the live runtimes to terminate the node goroutines; RuntimeSim
-// owns none, so there it releases nothing.
-func (s *Simulation) Close() {
-	for _, in := range s.churn {
-		in.Stop()
-	}
-	s.churn = nil
-	s.h.Tr.Close()
-}
+// Close stops the substrate. It must be called on the live runtimes to
+// terminate the node goroutines; RuntimeSim owns none, so there it
+// releases nothing.
+func (s *Simulation) Close() { s.h.Tr.Close() }
 
 // Runtime returns which substrate the simulation runs on.
 func (s *Simulation) Runtime() RuntimeKind { return s.kind }
@@ -171,8 +163,8 @@ func (s *Simulation) RunUntil(maxRounds int, pred func() bool) (int, bool) {
 }
 
 // frozen evaluates pred on a consistent snapshot. If a live system does
-// not drain within a generous window (livelock, injector churn), the check
-// conservatively reports false.
+// not drain within a generous window (livelock, a fault filter that keeps
+// traffic circulating), the check conservatively reports false.
 func (s *Simulation) frozen(pred func() bool) bool {
 	ok := false
 	s.h.Freeze(func() { ok = pred() })
@@ -347,25 +339,6 @@ func (s *Simulation) SetMessageFault(f func(from, to NodeID, topic Topic) FaultA
 		ff = func(m sim.Message) sim.FaultAction { return f(m.From, m.To, m.Topic) }
 	}
 	s.h.SetFault(ff)
-}
-
-// StartChurn attaches a crash/restart fault injector to a concurrent run:
-// every few intervals a random subscriber crashes and later restarts with
-// its stale state. The returned stop function halts the churn, restarts
-// any victim still down and blocks until the system is whole again; it is
-// idempotent, and Close stops any injector still running. Requires
-// RuntimeConcurrent.
-func (s *Simulation) StartChurn(seed int64) (stop func()) {
-	crt, ok := s.h.Tr.(*concurrent.Runtime)
-	if !ok {
-		panic("sspubsub: StartChurn requires Runtime == RuntimeConcurrent")
-	}
-	in := crt.NewInjector(concurrent.InjectorOptions{
-		Seed:    seed,
-		Protect: s.h.IsSupervisor,
-	})
-	s.churn = append(s.churn, in)
-	return in.Stop
 }
 
 // MessagesDelivered returns the total messages delivered so far.

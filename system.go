@@ -1,6 +1,7 @@
 package sspubsub
 
 import (
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"sort"
@@ -140,7 +141,10 @@ type Options struct {
 type System struct {
 	opts Options
 
-	// hmu serializes the driver calls into h, which is single-driver.
+	// hmu serializes the driver calls into h, which is single-driver, and
+	// orders Close against NewClient and Subscribe: each of those runs
+	// wholly before Close, whose snapshot then includes what it added, or
+	// sees the system closed.
 	hmu sync.Mutex
 	h   *cluster.Live
 
@@ -182,8 +186,14 @@ func NewSystem(opts Options) *System {
 	return s
 }
 
-// Close stops every node goroutine. Subscription channels are closed.
+// errClosed is what calls into a System return after Close.
+var errClosed = errors.New("sspubsub: system closed")
+
+// Close stops every node goroutine. Subscription channels are closed,
+// including those Subscribe hands out afterwards.
 func (s *System) Close() {
+	s.hmu.Lock()
+	defer s.hmu.Unlock()
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -199,6 +209,12 @@ func (s *System) Close() {
 	for _, c := range clients {
 		c.closeSubs()
 	}
+}
+
+func (s *System) isClosed() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.closed
 }
 
 // topicIDFor derives the wire identity of a topic name. Every process of
@@ -304,7 +320,7 @@ func (s *System) NewClient(name string) (*Client, error) {
 	closed := s.closed
 	s.mu.Unlock()
 	if closed {
-		return nil, fmt.Errorf("sspubsub: system closed")
+		return nil, errClosed
 	}
 	if dup {
 		return nil, fmt.Errorf("sspubsub: duplicate client name %q", name)
@@ -459,31 +475,45 @@ type Client struct {
 func (c *Client) Name() string { return c.name }
 
 // Subscribe joins a topic and returns the subscription handle. Subscribing
-// twice to the same topic returns the existing subscription.
+// twice to the same topic returns the existing subscription. After the
+// system is closed it returns a subscription whose Events channel is
+// already closed.
 func (c *Client) Subscribe(topic string) *Subscription {
 	t := c.sys.topicID(topic)
+	c.sys.hmu.Lock()
+	defer c.sys.hmu.Unlock()
+	closed := c.sys.isClosed()
 	c.mu.Lock()
-	if sub, ok := c.subs[t]; ok {
-		c.mu.Unlock()
-		return sub
+	sub, ok := c.subs[t]
+	if !ok {
+		sub = &Subscription{
+			client: c,
+			topic:  topic,
+			tid:    t,
+			events: make(chan Publication, c.sys.opts.EventBuffer),
+		}
+		if closed {
+			sub.close()
+		} else {
+			c.subs[t] = sub
+		}
 	}
-	sub := &Subscription{
-		client: c,
-		topic:  topic,
-		tid:    t,
-		events: make(chan Publication, c.sys.opts.EventBuffer),
-	}
-	c.subs[t] = sub
 	c.mu.Unlock()
-	c.sys.h.Join(c.id, t)
+	if !ok && !closed {
+		c.sys.h.Join(c.id, t)
+	}
 	return sub
 }
 
 // Publish publishes a payload on a topic the client subscribes to. It
-// returns an error if the client never subscribed (in this system, as in
-// the paper, publishers are subscribers of the topic's skip ring).
+// returns an error if the system is closed or the client never subscribed
+// (in this system, as in the paper, publishers are subscribers of the
+// topic's skip ring).
 func (c *Client) Publish(topic, payload string) error {
 	t := c.sys.topicID(topic)
+	if c.sys.isClosed() {
+		return errClosed
+	}
 	c.mu.Lock()
 	_, subscribed := c.subs[t]
 	c.mu.Unlock()

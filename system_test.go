@@ -1,7 +1,9 @@
 package sspubsub
 
 import (
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -184,11 +186,78 @@ func TestSystemLabelsAndDegrees(t *testing.T) {
 func TestSystemCloseIdempotent(t *testing.T) {
 	sys := NewSystem(Options{Interval: time.Millisecond})
 	c := sys.MustClient("x")
-	c.Subscribe("t")
+	sub := c.Subscribe("t")
 	sys.Close()
 	sys.Close()
 	if _, err := sys.NewClient("y"); err == nil {
 		t.Fatal("NewClient after Close must fail")
+	}
+	if !closedWithin(sub, time.Second) {
+		t.Error("a subscription made before Close is still open")
+	}
+	// A reader of a subscription made after Close must not block forever.
+	if !closedWithin(c.Subscribe("u"), time.Second) {
+		t.Error("Subscribe after Close returned a subscription whose Events never closes")
+	}
+	if err := c.Publish("t", "late"); err == nil {
+		t.Error("Publish after Close returned nil; the publication was silently dropped")
+	}
+}
+
+// closedWithin reports whether sub's Events channel is closed (after
+// draining anything still buffered) within d.
+func closedWithin(sub *Subscription, d time.Duration) bool {
+	timeout := time.After(d)
+	for {
+		select {
+		case _, open := <-sub.Events():
+			if !open {
+				return true
+			}
+		case <-timeout:
+			return false
+		}
+	}
+}
+
+// TestSystemCloseRacesRegistration races NewClient and Subscribe against
+// Close: every subscription handed out on either side of Close must end up
+// closed, so a reader ranging over Events always terminates.
+func TestSystemCloseRacesRegistration(t *testing.T) {
+	for round := 0; round < 10; round++ {
+		sys := NewSystem(Options{Interval: time.Millisecond})
+		pre := sys.MustClient("pre")
+		var mu sync.Mutex
+		var subs []*Subscription
+		keep := func(sub *Subscription) {
+			mu.Lock()
+			subs = append(subs, sub)
+			mu.Unlock()
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; ; i++ {
+					keep(pre.Subscribe(fmt.Sprintf("t%d", i%8)))
+					c, err := sys.NewClient(fmt.Sprintf("c%d-%d", g, i))
+					if err != nil {
+						return
+					}
+					keep(c.Subscribe("t"))
+				}
+			}(g)
+		}
+		time.Sleep(2 * time.Millisecond)
+		sys.Close()
+		wg.Wait()
+		for _, sub := range subs {
+			if !closedWithin(sub, time.Second) {
+				t.Fatalf("round %d: subscription %s/%q still open after Close (%d handed out)",
+					round, sub.client.Name(), sub.Topic(), len(subs))
+			}
+		}
 	}
 }
 
