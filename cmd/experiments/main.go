@@ -1,5 +1,5 @@
 // Command experiments prints the paper's tables (internal/experiments:
-// E1–E13 and the ablations A1–A3, reproducing each figure, lemma, theorem
+// E1–E14 and the ablations A1–A3, reproducing each figure, lemma, theorem
 // and comparative claim of Feldmann et al., "Self-Stabilizing Supervised
 // Publish-Subscribe Systems"). Run with -quick for a fast pass or select
 // one experiment with -only. The -quick pass is pinned by

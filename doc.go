@@ -208,6 +208,10 @@
 // the BuildSR subscriber and supervisor protocols, the Patricia trie, the
 // static topology oracle and the baseline overlays used by the
 // experiments). internal/experiments reproduces every quantitative claim
-// in the paper (E1–E13 and ablations A1–A3; `go run ./cmd/experiments`),
-// and its testdata/quick.golden pins the -quick tables byte for byte.
+// in the paper (E1–E14 and ablations A1–A3; `go run ./cmd/experiments`),
+// and its testdata/quick.golden pins the -quick tables byte for byte. Every
+// stabilization action of the subscriber protocol is a named core.Rule
+// whose firings are always counted: core.Client.RuleCounts reads one node,
+// cluster.Live.RuleCounts sums a harness, and E14 prints the firings per
+// node per round at rest and after a crash.
 package sspubsub

@@ -19,21 +19,6 @@ func overlays(n int, rng *rand.Rand) []Overlay {
 	}
 }
 
-// Every overlay must deliver every route (greedy progress).
-func TestRoutingDelivers(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for _, n := range []int{2, 5, 16, 64, 129} {
-		for _, o := range overlays(n, rng) {
-			for i := 0; i < 200; i++ {
-				s, d := rng.Intn(n), rng.Intn(n)
-				if _, ok := Route(o, s, d); !ok {
-					t.Fatalf("%s n=%d: route %d→%d failed", o.Name(), n, s, d)
-				}
-			}
-		}
-	}
-}
-
 // Adjacency is symmetric and self-loop-free in all overlays.
 func TestAdjacencySymmetric(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
@@ -52,30 +37,6 @@ func TestAdjacencySymmetric(t *testing.T) {
 				if !found {
 					t.Fatalf("%s: edge %d→%d not symmetric", o.Name(), x, nb)
 				}
-			}
-		}
-	}
-}
-
-// Dilation: skip ring, Chord and skip graph route in O(log n); the plain
-// ring needs Θ(n).
-func TestDilationShapes(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	const n = 256
-	logn := math.Log2(n)
-	for _, o := range overlays(n, rng) {
-		res := Congestion(o, 2000, rand.New(rand.NewSource(7)))
-		if res.Delivered < 1900 {
-			t.Fatalf("%s: only %d/2000 delivered", o.Name(), res.Delivered)
-		}
-		switch o.Name() {
-		case "ring-only":
-			if res.AvgHops < float64(n)/8 {
-				t.Errorf("ring avg hops %.1f suspiciously small", res.AvgHops)
-			}
-		default:
-			if res.AvgHops > 3*logn {
-				t.Errorf("%s avg hops %.1f exceeds 3·log n = %.1f", o.Name(), res.AvgHops, 3*logn)
 			}
 		}
 	}
@@ -132,23 +93,6 @@ func TestDegreeBalanceInformational(t *testing.T) {
 		sr.MaxDegree, sr.AvgDegree, ch.MaxDegree, ch.AvgDegree, sg.MaxDegree, sg.AvgDegree)
 }
 
-// Greedy point-to-point routing load, reported for completeness: the skip
-// ring concentrates long routes on its short-label hubs (it is a broadcast
-// topology, not a router), so Chord and skip graphs win this metric. The
-// experiment records the numbers; the assertion is only that routing works
-// and the ring-only baseline has the worst dilation.
-func TestRoutingCongestionInformational(t *testing.T) {
-	const n, routes = 256, 10000
-	rng := rand.New(rand.NewSource(4))
-	for _, o := range overlays(n, rng) {
-		res := Congestion(o, routes, rand.New(rand.NewSource(9)))
-		if res.Delivered < routes*9/10 {
-			t.Errorf("%s: only %d/%d delivered", o.Name(), res.Delivered, routes)
-		}
-		t.Logf("%-10s maxLoad=%-6d avgLoad=%-8.1f avgHops=%.1f", res.Overlay, res.MaxLoad, res.AvgLoad, res.AvgHops)
-	}
-}
-
 // Flooding reaches all nodes, within ⌈log n⌉+1 hops on the skip ring and
 // within ⌈n/2⌉ on the plain ring (Section 4.3 versus [20, 21]).
 func TestFloodHops(t *testing.T) {
@@ -201,9 +145,6 @@ func TestRingSmall(t *testing.T) {
 	r2 := NewRing(2)
 	if got := r2.Neighbors(0); len(got) != 1 || got[0] != 1 {
 		t.Errorf("ring(2) neighbors = %v", got)
-	}
-	if hop := r2.NextHop(0, 1); hop != 1 {
-		t.Errorf("ring(2) next hop = %d", hop)
 	}
 	r1 := NewRing(1)
 	if got := r1.Neighbors(0); len(got) != 0 {

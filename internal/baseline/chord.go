@@ -8,9 +8,8 @@ import (
 // ChordOverlay is a Chord ring over n nodes with uniformly random 64-bit
 // identifiers: each node links to its successor and to the first node at or
 // after id + 2^i for every i (finger table). Unlike the supervised skip
-// ring, the identifier gaps are random, which skews both finger targets and
-// routing load — the imbalance the paper's congestion claim (Section 1.3)
-// is about.
+// ring, the identifier gaps are random, which skews finger targets — the
+// imbalance the paper's congestion claim (Section 1.3) is about.
 type ChordOverlay struct {
 	n   int
 	ids []uint64 // sorted node identifiers; node x has ids[x]
@@ -78,23 +77,3 @@ func (c *ChordOverlay) N() int { return c.n }
 
 // Neighbors implements Overlay.
 func (c *ChordOverlay) Neighbors(x int) []int { return c.adj[x] }
-
-// NextHop forwards clockwise-greedily: among neighbours that do not
-// overshoot the target (in clockwise distance), pick the one closest to it;
-// the successor edge guarantees progress.
-func (c *ChordOverlay) NextHop(x, t int) int {
-	if x == t {
-		return -1
-	}
-	want := c.ids[t]
-	best, bestD := -1, clockwise(c.ids[x], want)
-	for _, nb := range c.adj[x] {
-		if d := clockwise(c.ids[nb], want); d < bestD {
-			best, bestD = nb, d
-		}
-	}
-	return best
-}
-
-// clockwise is the distance from a to b going clockwise on the 2^64 ring.
-func clockwise(a, b uint64) uint64 { return b - a }

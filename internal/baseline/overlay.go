@@ -12,8 +12,8 @@
 //   - a centralized broker (the client-server architecture of the
 //     introduction), for the supervisor-load comparison.
 //
-// All overlays are static graphs with greedy routing; that is exactly the
-// setting of the congestion and delivery-time claims.
+// All overlays are static graphs: the congestion claim is read off their
+// coordinates and degrees, the delivery-time claim off flooding hops.
 package baseline
 
 import (
@@ -24,7 +24,7 @@ import (
 	"sspubsub/internal/topology"
 )
 
-// Overlay is a static routable graph over n nodes.
+// Overlay is a static graph over n nodes.
 type Overlay interface {
 	// Name identifies the overlay in experiment tables.
 	Name() string
@@ -32,83 +32,6 @@ type Overlay interface {
 	N() int
 	// Neighbors returns the adjacency of node x (indices).
 	Neighbors(x int) []int
-	// NextHop returns the neighbour x forwards to when routing toward
-	// target t, or -1 when x == t (delivered) or no progress is possible.
-	NextHop(x, t int) int
-}
-
-// Route walks greedily from s to t, returning the intermediate hops
-// (excluding s and t) and whether t was reached within n hops.
-func Route(o Overlay, s, t int) (via []int, ok bool) {
-	x := s
-	for hops := 0; hops <= o.N(); hops++ {
-		if x == t {
-			return via, true
-		}
-		nx := o.NextHop(x, t)
-		if nx < 0 || nx == x {
-			return via, false
-		}
-		x = nx
-		if x != t {
-			via = append(via, x)
-		}
-	}
-	return via, false
-}
-
-// CongestionResult aggregates a routing-load experiment.
-type CongestionResult struct {
-	Overlay   string
-	N         int
-	Routes    int
-	Delivered int
-	MaxLoad   int     // max transits through a single node
-	AvgLoad   float64 // mean transits per node
-	AvgHops   float64 // mean delivered path length (dilation)
-	MaxDegree int
-}
-
-// Congestion routes `routes` uniform random pairs over the overlay and
-// reports per-node transit load and path lengths (the Section 1.3
-// congestion comparison).
-func Congestion(o Overlay, routes int, rng *rand.Rand) CongestionResult {
-	res := CongestionResult{Overlay: o.Name(), N: o.N(), Routes: routes}
-	load := make([]int, o.N())
-	totalHops := 0
-	for i := 0; i < routes; i++ {
-		s := rng.Intn(o.N())
-		t := rng.Intn(o.N())
-		if s == t {
-			continue
-		}
-		via, ok := Route(o, s, t)
-		if !ok {
-			continue
-		}
-		res.Delivered++
-		totalHops += len(via) + 1
-		for _, x := range via {
-			load[x]++
-		}
-	}
-	sum := 0
-	for x, l := range load {
-		sum += l
-		if l > res.MaxLoad {
-			res.MaxLoad = l
-		}
-		if d := len(o.Neighbors(x)); d > res.MaxDegree {
-			res.MaxDegree = d
-		}
-	}
-	if o.N() > 0 {
-		res.AvgLoad = float64(sum) / float64(o.N())
-	}
-	if res.Delivered > 0 {
-		res.AvgHops = float64(totalHops) / float64(res.Delivered)
-	}
-	return res
 }
 
 // FloodHops returns the eccentricity histogram of flooding from a random
@@ -256,7 +179,7 @@ func (c *ChordOverlay) Positions() []uint64 { return append([]uint64(nil), c.ids
 
 // ---- skip ring adapter ----
 
-// SkipRingOverlay adapts the legitimate SR(n) for routing comparisons.
+// SkipRingOverlay adapts the legitimate SR(n) for the overlay comparisons.
 type SkipRingOverlay struct {
 	ring *topology.SkipRing
 	pos  []uint64 // index → r(label) as fixed-point fraction
@@ -280,30 +203,6 @@ func (s *SkipRingOverlay) N() int { return s.ring.N() }
 
 // Neighbors implements Overlay.
 func (s *SkipRingOverlay) Neighbors(x int) []int { return s.ring.Neighbors(x) }
-
-// NextHop routes greedily by circular label distance: forward to the
-// neighbour closest to the target's ring position. Ring edges guarantee
-// progress; shortcuts realize the O(log n) dilation.
-func (s *SkipRingOverlay) NextHop(x, t int) int {
-	if x == t {
-		return -1
-	}
-	best, bestD := -1, circDist(s.pos[x], s.pos[t])
-	for _, nb := range s.ring.Neighbors(x) {
-		if d := circDist(s.pos[nb], s.pos[t]); d < bestD {
-			best, bestD = nb, d
-		}
-	}
-	return best
-}
-
-func circDist(a, b uint64) uint64 {
-	d := a - b
-	if int64(d) < 0 {
-		d = -d
-	}
-	return d
-}
 
 // ---- plain ring ----
 
@@ -331,16 +230,4 @@ func (r *RingOverlay) Neighbors(x int) []int {
 		return []int{1 - x}
 	}
 	return []int{(x + r.n - 1) % r.n, (x + 1) % r.n}
-}
-
-// NextHop walks around the shorter arc.
-func (r *RingOverlay) NextHop(x, t int) int {
-	if x == t {
-		return -1
-	}
-	cw := (t - x + r.n) % r.n
-	if cw <= r.n-cw {
-		return (x + 1) % r.n
-	}
-	return (x + r.n - 1) % r.n
 }

@@ -90,26 +90,3 @@ func (g *SkipGraphOverlay) N() int { return g.n }
 
 // Neighbors implements Overlay.
 func (g *SkipGraphOverlay) Neighbors(x int) []int { return g.adj[x] }
-
-// NextHop searches greedily by key: jump to the neighbour closest to the
-// target key without changing direction past it (skip graph search). The
-// level-0 list guarantees progress.
-func (g *SkipGraphOverlay) NextHop(x, t int) int {
-	if x == t {
-		return -1
-	}
-	best, bestD := -1, absInt(x-t)
-	for _, nb := range g.adj[x] {
-		if d := absInt(nb - t); d < bestD {
-			best, bestD = nb, d
-		}
-	}
-	return best
-}
-
-func absInt(v int) int {
-	if v < 0 {
-		return -v
-	}
-	return v
-}

@@ -211,6 +211,22 @@ func (l *Live) CorruptOrderingState(t sim.Topic, rng *rand.Rand) {
 	}
 }
 
+// RuleCounts sums the subscriber rule counts for t over every client the
+// harness created, crashed ones included, so the sums of the sending rules
+// match the transport's per-type send counts. Read it under Freeze for a
+// consistent cut on a live substrate; there is no reset — take differences.
+func (l *Live) RuleCounts(t sim.Topic) [core.NumRules]uint64 {
+	var sum [core.NumRules]uint64
+	for _, m := range []map[sim.NodeID]*core.Client{l.Clients, l.downed} {
+		for _, cl := range m {
+			for r, n := range cl.RuleCounts(t) {
+				sum[r] += n
+			}
+		}
+	}
+	return sum
+}
+
 // Converged reports whether topic t is in a legitimate state (see Explain
 // for the predicate).
 func (l *Live) Converged(t sim.Topic) bool { return l.Explain(t) == "" }

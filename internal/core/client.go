@@ -159,9 +159,12 @@ func (c *Client) OnMessage(ctx sim.Context, m sim.Message) {
 		if in.Sub.Departed() {
 			// Re-join after a completed unsubscribe: start a fresh instance
 			// (the departed one only existed to answer residual
-			// introductions with RemoveConnections).
+			// introductions with RemoveConnections). The rule counts carry
+			// over, so they only ever grow.
+			fired := in.Sub.fired
 			delete(c.inst, m.Topic)
 			in = c.ensure(m.Topic)
+			in.Sub.fired = fired
 		}
 		if in.Sub.Label().IsBottom() {
 			ctx.Send(in.Sub.Supervisor(), m.Topic, proto.Subscribe{V: c.id})
@@ -266,6 +269,19 @@ func (c *Client) PublicationCount(t sim.Topic) int {
 		return 0
 	}
 	return in.Eng.Trie().Len()
+}
+
+// RuleCounts returns how often each subscriber Rule has fired for the topic
+// (all zero without an instance). Counts only grow, so a window is measured
+// as the difference of two reads. Allocation-free.
+func (c *Client) RuleCounts(t sim.Topic) [NumRules]uint64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	in, ok := c.inst[t]
+	if !ok {
+		return [NumRules]uint64{}
+	}
+	return in.Sub.fired
 }
 
 // Departed reports whether an unsubscribe completed for the topic.

@@ -1,20 +1,8 @@
-// Package core implements the subscriber side of the BuildSR protocol —
-// the paper's primary contribution (Sections 2.2, 3.2 and 4.1 of Feldmann
-// et al.; Algorithms 1, 2 and 4).
-//
-// Each Subscriber is one per-topic protocol instance. It maintains
-//
-//   - its label (assigned by the supervisor, ⊥ until then),
-//   - its sorted-ring neighbourhood left/right/ring via the extended
-//     BuildRing protocol (linearization with label correction),
-//   - its shortcut set, derived locally from the ring neighbours' labels
-//     and populated bottom-up through IntroduceShortcut messages,
-//
-// and talks to the supervisor through the four label-acquisition actions
-// (i)–(iv) of Section 3.2.1.
 package core
 
 import (
+	"maps"
+	"slices"
 	"sort"
 
 	"sspubsub/internal/label"
@@ -60,10 +48,12 @@ type Subscriber struct {
 	probeAt    int
 	desperate  bool
 
-	lab   label.Label
-	left  proto.Tuple
-	right proto.Tuple
-	ring  proto.Tuple
+	lab label.Label
+	// nb holds the list neighbours: nb[left] is the nearest known smaller
+	// node, nb[right] the nearest known larger one. ring is the closure
+	// edge an extreme holds to the opposite extreme.
+	nb   [2]proto.Tuple
+	ring proto.Tuple
 	// shortcuts maps a shortcut slot label to the node reference believed to
 	// carry it; sim.None marks a derived slot whose owner is still unknown
 	// (the paper's (label, ⊥) entries).
@@ -76,9 +66,11 @@ type Subscriber struct {
 	// answer residual introductions with RemoveConnections (Lemma 6).
 	departed bool
 
-	// version counts every mutation of (label, left, right, ring,
-	// shortcuts); the closure experiment asserts it stays constant.
+	// version counts every mutation of (label, nb, ring, shortcuts); the
+	// closure experiment asserts it stays constant.
 	version uint64
+	// fired counts each Rule's firings.
+	fired [NumRules]uint64
 
 	// ftCache / rnCache memoize FloodTargets and RingNeighbors, keyed by
 	// version (stored +1 so the zero value means "never built"). Both are
@@ -128,9 +120,46 @@ func (p pos) less(q pos) bool {
 	return p.id < q.id
 }
 
+// side indexes the two list neighbours.
+type side uint8
+
+const (
+	left  side = iota // toward smaller positions
+	right             // toward larger positions
+)
+
+var sides = [2]side{left, right}
+
+func (d side) other() side { return 1 - d }
+
+// nearer reports whether a comes before b walking away from the subscriber
+// on side d: a > b on the left, a < b on the right. "q lies on side d of
+// me" is d.nearer(me, q); "c lies strictly between me and the occupant o"
+// is d.nearer(c, o).
+func (d side) nearer(a, b pos) bool {
+	if d == left {
+		return b.less(a)
+	}
+	return a.less(b)
+}
+
+// sideOf returns the side of p on which q lies (right when q == p).
+func (p pos) sideOf(q pos) side {
+	if left.nearer(p, q) {
+		return left
+	}
+	return right
+}
+
 func (s *Subscriber) selfPos() pos { return pos{s.lab.Frac(), s.self} }
 
 func (s *Subscriber) selfTuple() proto.Tuple { return proto.Tuple{L: s.lab, Ref: s.self} }
+
+// slots returns the three ring slots: both list neighbours and the closure
+// edge.
+func (s *Subscriber) slots() [3]*proto.Tuple {
+	return [3]*proto.Tuple{&s.nb[left], &s.nb[right], &s.ring}
+}
 
 // ---- accessors ----
 
@@ -138,8 +167,8 @@ func (s *Subscriber) selfTuple() proto.Tuple { return proto.Tuple{L: s.lab, Ref:
 func (s *Subscriber) Label() label.Label { return s.lab }
 
 // Left, Right, Ring return the stored neighbour tuples (⊥ tuples if unset).
-func (s *Subscriber) Left() proto.Tuple  { return s.left }
-func (s *Subscriber) Right() proto.Tuple { return s.right }
+func (s *Subscriber) Left() proto.Tuple  { return s.nb[left] }
+func (s *Subscriber) Right() proto.Tuple { return s.nb[right] }
 func (s *Subscriber) Ring() proto.Tuple  { return s.ring }
 
 // Topic returns the topic this instance belongs to.
@@ -159,15 +188,7 @@ func (s *Subscriber) SetPlane(plane []sim.NodeID) { s.plane = plane }
 
 // planeMember reports whether id is one of the plane's supervisors.
 func (s *Subscriber) planeMember(id sim.NodeID) bool {
-	if id == sim.None {
-		return false
-	}
-	for _, p := range s.plane {
-		if p == id {
-			return true
-		}
-	}
-	return false
+	return id != sim.None && slices.Contains(s.plane, id)
 }
 
 // heard records supervisor-plane contact. The probe threshold is a
@@ -190,13 +211,7 @@ func (s *Subscriber) Leaving() bool { return s.leaving }
 func (s *Subscriber) Version() uint64 { return s.version }
 
 // Shortcuts returns a copy of the shortcut slots.
-func (s *Subscriber) Shortcuts() map[label.Label]sim.NodeID {
-	out := make(map[label.Label]sim.NodeID, len(s.shortcuts))
-	for l, v := range s.shortcuts {
-		out[l] = v
-	}
-	return out
-}
+func (s *Subscriber) Shortcuts() map[label.Label]sim.NodeID { return maps.Clone(s.shortcuts) }
 
 // RingNeighbors returns the non-⊥ direct ring neighbours (left, right,
 // ring), the peers the publication protocol gossips with. The returned
@@ -207,9 +222,9 @@ func (s *Subscriber) RingNeighbors() []proto.Tuple {
 		return s.rnCache
 	}
 	out := s.rnCache[:0]
-	for _, t := range [3]proto.Tuple{s.left, s.right, s.ring} {
+	for _, t := range s.slots() {
 		if !t.IsBottom() {
-			out = append(out, t)
+			out = append(out, *t)
 		}
 	}
 	s.rnCache, s.rnVersion = out, s.version+1
@@ -237,32 +252,34 @@ func (s *Subscriber) FloodTargets() []sim.NodeID {
 		}
 		out = append(out, id)
 	}
-	add(s.left.Ref)
-	add(s.right.Ref)
-	add(s.ring.Ref)
-	// Deterministic order over the map: sort the slots by ring position,
-	// with the raw label breaking Frac ties so equal-position slots (which
-	// occur only in corrupted states) cannot reintroduce map-iteration
-	// nondeterminism.
-	slots := s.ftSlots[:0]
-	for l := range s.shortcuts {
-		slots = append(slots, l)
+	for _, t := range s.slots() {
+		add(t.Ref)
 	}
-	sort.Slice(slots, func(i, j int) bool {
-		if fi, fj := slots[i].Frac(), slots[j].Frac(); fi != fj {
-			return fi < fj
-		}
-		if slots[i].Bits != slots[j].Bits {
-			return slots[i].Bits < slots[j].Bits
-		}
-		return slots[i].Len < slots[j].Len
-	})
-	for _, l := range slots {
+	s.ftSlots = s.sortedSlots(s.ftSlots[:0])
+	for _, l := range s.ftSlots {
 		add(s.shortcuts[l])
 	}
-	s.ftSlots = slots
 	s.ftCache, s.ftVersion = out, s.version+1
 	return out
+}
+
+// sortedSlots appends the shortcut slot labels to buf in ring-position
+// order, the raw label breaking the Frac ties of corrupted states: map
+// order must never reach a send, whose order draws the delivery delays.
+func (s *Subscriber) sortedSlots(buf []label.Label) []label.Label {
+	for l := range s.shortcuts {
+		buf = append(buf, l)
+	}
+	sort.Slice(buf, func(i, j int) bool {
+		if fi, fj := buf[i].Frac(), buf[j].Frac(); fi != fj {
+			return fi < fj
+		}
+		if buf[i].Bits != buf[j].Bits {
+			return buf[i].Bits < buf[j].Bits
+		}
+		return buf[i].Len < buf[j].Len
+	})
+	return buf
 }
 
 // Degree returns the number of distinct known neighbours.
@@ -284,6 +301,32 @@ func (s *Subscriber) setSlot(slot *proto.Tuple, t proto.Tuple) {
 	}
 }
 
+// dropRef empties every ring slot that refers to ref.
+func (s *Subscriber) dropRef(ref sim.NodeID) {
+	for _, slot := range s.slots() {
+		if slot.Ref == ref {
+			s.setSlot(slot, proto.Tuple{})
+		}
+	}
+}
+
+// send sends body to node to on this instance's topic as rule r. Every
+// subscriber send goes through it, so the rule counts are the traffic.
+func (s *Subscriber) send(ctx sim.Context, r Rule, to sim.NodeID, body any) {
+	s.fired[r]++
+	ctx.Send(to, s.topic, body)
+}
+
+// reregister asks supervisor to to take us back — a Reregister with our
+// label and epoch — or, while leaving, to let us out (Unsubscribe).
+func (s *Subscriber) reregister(ctx sim.Context, r Rule, to sim.NodeID) {
+	if s.leaving {
+		s.send(ctx, r, to, proto.Unsubscribe{V: s.self})
+		return
+	}
+	s.send(ctx, r, to, proto.Reregister{V: s.self, Label: s.lab, Epoch: s.epoch})
+}
+
 // ---- Timeout (Algorithm 4 lines 1–14, Algorithm 2, Algorithm 1) ----
 
 // OnTimeout runs the periodic subscriber action.
@@ -296,12 +339,12 @@ func (s *Subscriber) OnTimeout(ctx sim.Context) {
 	if s.leaving {
 		// Re-request until the supervisor grants permission (the initial
 		// Unsubscribe may have raced with database repair).
-		ctx.Send(s.supervisor, s.topic, proto.Unsubscribe{V: s.self})
+		s.send(ctx, RuleLeave, s.supervisor, proto.Unsubscribe{V: s.self})
 		return
 	}
 	if s.lab.IsBottom() {
 		// Action (i): ask the supervisor to integrate us.
-		ctx.Send(s.supervisor, s.topic, proto.Subscribe{V: s.self})
+		s.send(ctx, RuleSubscribe, s.supervisor, proto.Subscribe{V: s.self})
 		return
 	}
 
@@ -334,11 +377,7 @@ func (s *Subscriber) maybeProbeOwner(ctx sim.Context) {
 	s.desperate = true
 	target := s.plane[s.probeAt%len(s.plane)]
 	s.probeAt++
-	if s.leaving {
-		ctx.Send(target, s.topic, proto.Unsubscribe{V: s.self})
-		return
-	}
-	ctx.Send(target, s.topic, proto.Reregister{V: s.self, Label: s.lab, Epoch: s.epoch})
+	s.reregister(ctx, RuleOwnerProbe, target)
 }
 
 // buildRingTimeout is the extended BuildRing periodic action (Algorithm 2
@@ -349,89 +388,63 @@ func (s *Subscriber) buildRingTimeout(ctx sim.Context) {
 	me := s.selfPos()
 
 	// Self-references are stale garbage from corrupted states.
-	if s.left.Ref == s.self {
-		s.setSlot(&s.left, proto.Tuple{})
-	}
-	if s.right.Ref == s.self {
-		s.setSlot(&s.right, proto.Tuple{})
-	}
-	if s.ring.Ref == s.self {
-		s.setSlot(&s.ring, proto.Tuple{})
-	}
+	s.dropRef(s.self)
 
 	// Algorithm 1: a neighbour stored on the wrong side is re-linearized.
-	if !s.left.IsBottom() && !tuplePos(s.left).less(me) {
-		c := s.left
-		s.setSlot(&s.left, proto.Tuple{})
-		s.linearize(ctx, c)
-	}
-	if !s.right.IsBottom() && !me.less(tuplePos(s.right)) {
-		c := s.right
-		s.setSlot(&s.right, proto.Tuple{})
-		s.linearize(ctx, c)
+	for _, d := range sides {
+		if c := s.nb[d]; !c.IsBottom() && !d.nearer(me, tuplePos(c)) {
+			s.fired[RuleReside]++
+			s.setSlot(&s.nb[d], proto.Tuple{})
+			s.linearize(ctx, c)
+		}
 	}
 
 	// Introduce ourselves to the list neighbours, telling each the label we
 	// think it has so it can correct us (Section 2.2 extension).
-	if !s.left.IsBottom() {
-		ctx.Send(s.left.Ref, s.topic, proto.Check{Sender: s.selfTuple(), YourLabel: s.left.L, Flag: proto.LIN})
-	}
-	if !s.right.IsBottom() {
-		ctx.Send(s.right.Ref, s.topic, proto.Check{Sender: s.selfTuple(), YourLabel: s.right.L, Flag: proto.LIN})
+	for _, t := range s.nb {
+		if !t.IsBottom() {
+			s.send(ctx, RuleIntroduceSelf, t.Ref, proto.Check{Sender: s.selfTuple(), YourLabel: t.L, Flag: proto.LIN})
+		}
 	}
 
 	// Algorithm 2: cyclic closure maintenance.
 	if s.ring.IsBottom() {
 		// An extreme without a closure edge announces itself around the
 		// ring so the opposite extreme can adopt it.
-		if s.left.IsBottom() && !s.right.IsBottom() {
-			ctx.Send(s.right.Ref, s.topic, proto.Introduce{C: s.selfTuple(), Flag: proto.CYC})
-		} else if s.right.IsBottom() && !s.left.IsBottom() {
-			ctx.Send(s.left.Ref, s.topic, proto.Introduce{C: s.selfTuple(), Flag: proto.CYC})
+		for _, d := range sides {
+			if inner := s.nb[d.other()]; s.nb[d].IsBottom() && !inner.IsBottom() {
+				s.send(ctx, RuleClosureAnnounce, inner.Ref, proto.Introduce{C: s.selfTuple(), Flag: proto.CYC})
+			}
 		}
 		return
 	}
-	rp := tuplePos(s.ring)
-	switch {
-	case s.left.IsBottom() && me.less(rp):
-		// We look like the minimum: the ring edge points to the maximum.
-		ctx.Send(s.ring.Ref, s.topic, proto.Check{Sender: s.selfTuple(), YourLabel: s.ring.L, Flag: proto.CYC})
-	case s.right.IsBottom() && rp.less(me):
-		// We look like the maximum: the ring edge points to the minimum.
-		ctx.Send(s.ring.Ref, s.topic, proto.Check{Sender: s.selfTuple(), YourLabel: s.ring.L, Flag: proto.CYC})
-	case !s.left.IsBottom() && me.less(rp):
-		// Not an extreme: pass the closure candidate toward the minimum.
-		c := s.ring
-		s.setSlot(&s.ring, proto.Tuple{})
-		ctx.Send(s.left.Ref, s.topic, proto.Introduce{C: c, Flag: proto.CYC})
-	case !s.right.IsBottom() && rp.less(me):
-		c := s.ring
-		s.setSlot(&s.ring, proto.Tuple{})
-		ctx.Send(s.right.Ref, s.topic, proto.Introduce{C: c, Flag: proto.CYC})
-	default:
-		// Isolated node holding only a ring edge: treat as list candidate.
-		c := s.ring
-		s.setSlot(&s.ring, proto.Tuple{})
-		s.linearize(ctx, c)
+	// The closure edge leads to the far extreme. With no list neighbour on
+	// the other side we are the near extreme and check the edge; otherwise
+	// we pass the closure candidate on toward the near extreme. (The edge
+	// cannot sit at our own position: self-references were dropped above.)
+	inner := s.nb[me.sideOf(tuplePos(s.ring)).other()]
+	if inner.IsBottom() {
+		s.send(ctx, RuleClosureCheck, s.ring.Ref, proto.Check{Sender: s.selfTuple(), YourLabel: s.ring.L, Flag: proto.CYC})
+		return
 	}
+	c := s.ring
+	s.setSlot(&s.ring, proto.Tuple{})
+	s.send(ctx, RuleClosurePass, inner.Ref, proto.Introduce{C: c, Flag: proto.CYC})
 }
 
 // circularNeighbors returns the effective left and right neighbours on the
 // circle: the list neighbours where present, with the closure edge standing
 // in for the missing side at the extremes ("we use v.left and v.right to
 // indicate v's neighbor in the ring even if stored in v.ring", Section 3.2).
-func (s *Subscriber) circularNeighbors() (left, right proto.Tuple) {
-	left, right = s.left, s.right
+// At the minimum the circular left is the maximum, and vice versa.
+func (s *Subscriber) circularNeighbors() [2]proto.Tuple {
+	nb := s.nb
 	if !s.ring.IsBottom() {
-		me := s.selfPos()
-		if left.IsBottom() && me.less(tuplePos(s.ring)) {
-			left = s.ring // we are the minimum: circular left is the maximum
-		}
-		if right.IsBottom() && tuplePos(s.ring).less(me) {
-			right = s.ring // we are the maximum: circular right is the minimum
+		if d := s.selfPos().sideOf(tuplePos(s.ring)).other(); nb[d].IsBottom() {
+			nb[d] = s.ring
 		}
 	}
-	return left, right
+	return nb
 }
 
 // maintainShortcuts recomputes the desired shortcut slot set from the
@@ -439,40 +452,27 @@ func (s *Subscriber) circularNeighbors() (left, right proto.Tuple) {
 // level-k introduction that builds rings bottom-up (Algorithm 4 lines
 // 12–14; Lemma 12).
 func (s *Subscriber) maintainShortcuts(ctx sim.Context) {
-	effLeft, effRight := s.circularNeighbors()
-	var leftL, rightL label.Label
-	if !effLeft.IsBottom() {
-		leftL = effLeft.L
+	var labs [2]label.Label
+	for d, t := range s.circularNeighbors() {
+		if !t.IsBottom() {
+			labs[d] = t.L
+		}
 	}
-	if !effRight.IsBottom() {
-		rightL = effRight.L
-	}
-	want, levelLeft, levelRight := label.Shortcuts(s.lab, leftL, rightL)
+	want, levelLeft, levelRight := label.Shortcuts(s.lab, labs[left], labs[right])
 	desired := make(map[label.Label]bool, len(want))
 	for _, l := range want {
 		desired[l] = true
 	}
 	// Drop slots we should no longer have; their occupants are delegated
-	// back into the sorted list so the references are not lost. Iterate in
-	// label order, not map order: dropping several slots (which happens
-	// from corrupted states) sends one Linearize each, and the send order
-	// determines how random delivery delays are drawn — a map-order walk
-	// would break equal-seed replay.
-	slots := make([]label.Label, 0, len(s.shortcuts))
-	for l := range s.shortcuts {
-		slots = append(slots, l)
-	}
-	sort.Slice(slots, func(i, j int) bool {
-		if slots[i].Frac() != slots[j].Frac() {
-			return slots[i].Frac() < slots[j].Frac()
-		}
-		return slots[i].Len < slots[j].Len // corrupted labels can collide on Frac
-	})
-	for _, l := range slots {
+	// back into the sorted list so the references are not lost. Dropping
+	// several slots (which happens from corrupted states) sends one
+	// Linearize each, in label order.
+	for _, l := range s.sortedSlots(make([]label.Label, 0, len(s.shortcuts))) {
 		if !desired[l] {
 			ref := s.shortcuts[l]
 			delete(s.shortcuts, l)
 			s.version++
+			s.fired[RuleShortcutDrop]++
 			if ref != sim.None && ref != s.self {
 				s.linearize(ctx, proto.Tuple{L: l, Ref: ref})
 			}
@@ -494,8 +494,8 @@ func (s *Subscriber) maintainShortcuts(ctx sim.Context) {
 	if lt.IsBottom() || rt.IsBottom() || lt.Ref == rt.Ref {
 		return
 	}
-	ctx.Send(lt.Ref, s.topic, proto.IntroduceShortcut{T: rt})
-	ctx.Send(rt.Ref, s.topic, proto.IntroduceShortcut{T: lt})
+	s.send(ctx, RuleShortcutIntro, lt.Ref, proto.IntroduceShortcut{T: rt})
+	s.send(ctx, RuleShortcutIntro, rt.Ref, proto.IntroduceShortcut{T: lt})
 }
 
 // resolve maps a derived shortcut label to the tuple we currently hold for
@@ -505,9 +505,9 @@ func (s *Subscriber) resolve(l label.Label) proto.Tuple {
 	if l.IsBottom() {
 		return proto.Tuple{}
 	}
-	for _, t := range []proto.Tuple{s.left, s.right, s.ring} {
+	for _, t := range s.slots() {
 		if !t.IsBottom() && t.L == l {
-			return t
+			return *t
 		}
 	}
 	if ref, ok := s.shortcuts[l]; ok && ref != sim.None {
@@ -519,7 +519,7 @@ func (s *Subscriber) resolve(l label.Label) proto.Tuple {
 // superviseProbe implements actions (ii) and (iv) of Section 3.2.1
 // (Algorithm 4 lines 7–11).
 func (s *Subscriber) superviseProbe(ctx sim.Context) {
-	if !s.DisableActionIV && s.left.IsBottom() && s.lab != label.FromIndex(0) {
+	if !s.DisableActionIV && s.nb[left].IsBottom() && s.lab != label.FromIndex(0) {
 		// Action (iv): we look locally minimal (no smaller neighbour known)
 		// yet do not hold the minimal label l(0) — in a legitimate state the
 		// locally minimal node is exactly the label-0 node, so this is a
@@ -527,7 +527,7 @@ func (s *Subscriber) superviseProbe(ctx sim.Context) {
 		// mini-rings). The label-0 node itself never triggers, which keeps
 		// Theorem 5's accounting intact.
 		if ctx.Rand().Float64() < 0.5 {
-			ctx.Send(s.supervisor, s.topic, proto.GetConfiguration{V: s.self})
+			s.send(ctx, RuleLocalMin, s.supervisor, proto.GetConfiguration{V: s.self})
 		}
 		return
 	}
@@ -540,7 +540,7 @@ func (s *Subscriber) superviseProbe(ctx sim.Context) {
 		p = 1.0 / (float64(uint64(1)<<uint(k)) * float64(k) * float64(k))
 	}
 	if ctx.Rand().Float64() < p {
-		ctx.Send(s.supervisor, s.topic, proto.GetConfiguration{V: s.self})
+		s.send(ctx, RuleProbe, s.supervisor, proto.GetConfiguration{V: s.self})
 	}
 }
 
@@ -548,7 +548,7 @@ func (s *Subscriber) superviseProbe(ctx sim.Context) {
 // until the supervisor grants permission.
 func (s *Subscriber) Leave(ctx sim.Context) {
 	s.leaving = true
-	ctx.Send(s.supervisor, s.topic, proto.Unsubscribe{V: s.self})
+	s.send(ctx, RuleLeave, s.supervisor, proto.Unsubscribe{V: s.self})
 }
 
 // ---- message handling ----
@@ -580,9 +580,9 @@ func (s *Subscriber) OnMessage(ctx sim.Context, m sim.Message) {
 // whose era is at least ours — accepting re-homes us to that supervisor —
 // while a deposed owner's stale command (older epoch) is ignored without
 // touching any state.
-func (s *Subscriber) onSetData(ctx sim.Context, from sim.NodeID, d proto.SetData) {
+func (s *Subscriber) onSetData(ctx sim.Context, from sim.NodeID, cfg proto.SetData) {
 	if from != sim.None && from != s.supervisor {
-		if !s.planeMember(from) || d.Epoch < s.epoch {
+		if !s.planeMember(from) || cfg.Epoch < s.epoch {
 			return
 		}
 		if !s.departed {
@@ -593,7 +593,7 @@ func (s *Subscriber) onSetData(ctx sim.Context, from sim.NodeID, d proto.SetData
 		// The believed owner is authoritative for the era — follow it even
 		// downward, so a supervisor whose epoch state was corrupted can
 		// re-converge with its subscribers instead of being ignored forever.
-		s.epoch = d.Epoch
+		s.epoch = cfg.Epoch
 		s.heard()
 	}
 	if s.departed {
@@ -606,17 +606,17 @@ func (s *Subscriber) onSetData(ctx sim.Context, from sim.NodeID, d proto.SetData
 		// neither probes nor rejoins), so the db ↔ membership disagreement
 		// would be permanent: answer with Unsubscribe until the database
 		// forgets us again. Found by the chaos engine's churn scenarios.
-		if !d.Label.IsBottom() {
+		if !cfg.Label.IsBottom() {
 			to := from
 			if to == sim.None {
 				to = s.supervisor
 			}
-			ctx.Send(to, s.topic, proto.Unsubscribe{V: s.self})
+			s.send(ctx, RuleLeave, to, proto.Unsubscribe{V: s.self})
 		}
 		return
 	}
 	if s.leaving {
-		if d.Label.IsBottom() {
+		if cfg.Label.IsBottom() {
 			// Permission granted: drop the label and ask every neighbour to
 			// delete its edges to us (Lemma 6).
 			s.grantDeparture(ctx)
@@ -624,20 +624,23 @@ func (s *Subscriber) onSetData(ctx sim.Context, from sim.NodeID, d proto.SetData
 		// Otherwise our Unsubscribe raced; OnTimeout re-sends it.
 		return
 	}
-	if d.Label.IsBottom() {
+	if cfg.Label.IsBottom() {
 		// Not recorded: clear the label; action (i) on the next timeout
 		// re-subscribes us. Stored neighbour references are kept — they are
 		// re-linearized once the new label arrives.
+		s.fired[RuleConfigBottom]++
 		s.setLabel(label.Bottom)
 		return
 	}
+	s.fired[RuleConfig]++
 
 	// Action (iii): if a stored direct ring neighbour is circularly closer
 	// than the one the database proposes, that neighbour is unknown to the
 	// supervisor — request its configuration on its behalf.
-	s.requestCloserNeighbors(ctx, d)
+	proposed := [2]proto.Tuple{cfg.Pred, cfg.Succ}
+	s.requestCloserNeighbors(ctx, cfg.Label, proposed)
 
-	s.setLabel(d.Label)
+	s.setLabel(cfg.Label)
 	me := s.selfPos()
 
 	// Overwrite the slots with the authoritative configuration ("Update
@@ -648,25 +651,23 @@ func (s *Subscriber) onSetData(ctx sim.Context, from sim.NodeID, d proto.SetData
 	// reference to a crashed node must die here — re-linearizing it would
 	// let it win placement contests forever. A pred on the "wrong" side
 	// means we are the minimum and pred is the cyclic closure edge
-	// (likewise succ/maximum).
-	var newLeft, newRight, newRing proto.Tuple
-	if !d.Pred.IsBottom() && d.Pred.Ref != s.self {
-		if tuplePos(d.Pred).less(me) {
-			newLeft = d.Pred
-		} else {
-			newRing = d.Pred
+	// (likewise succ/maximum; at n = 2 pred = succ and the closure edge is
+	// kept once).
+	var nb [2]proto.Tuple
+	var ring proto.Tuple
+	for _, d := range sides {
+		if t := proposed[d]; !t.IsBottom() && t.Ref != s.self {
+			if d.nearer(me, tuplePos(t)) {
+				nb[d] = t
+			} else {
+				ring = t
+			}
 		}
 	}
-	if !d.Succ.IsBottom() && d.Succ.Ref != s.self {
-		if me.less(tuplePos(d.Succ)) {
-			newRight = d.Succ
-		} else {
-			newRing = d.Succ // n = 2: pred = succ; keep one closure edge
-		}
+	for _, d := range sides {
+		s.setSlot(&s.nb[d], nb[d])
 	}
-	s.setSlot(&s.left, newLeft)
-	s.setSlot(&s.right, newRight)
-	s.setSlot(&s.ring, newRing)
+	s.setSlot(&s.ring, ring)
 }
 
 // onOwnerAnnounce processes an ownership hint: the topic is (believed to
@@ -696,19 +697,14 @@ func (s *Subscriber) onOwnerAnnounce(ctx sim.Context, a proto.OwnerAnnounce) {
 		s.epoch = a.Epoch
 	}
 	s.heard()
-	if s.leaving {
-		ctx.Send(s.supervisor, s.topic, proto.Unsubscribe{V: s.self})
-		return
-	}
-	ctx.Send(s.supervisor, s.topic, proto.Reregister{V: s.self, Label: s.lab, Epoch: s.epoch})
+	s.reregister(ctx, RuleRehome, s.supervisor)
 }
 
 // requestCloserNeighbors implements action (iii): compare the stored
-// direct ring neighbours against the configuration and ask the supervisor
-// to refresh any stored neighbour that is circularly closer than the
-// database's proposal.
-func (s *Subscriber) requestCloserNeighbors(ctx sim.Context, d proto.SetData) {
-	lab := d.Label
+// direct ring neighbours against the configuration (label lab, proposed
+// pred and succ) and ask the supervisor to refresh any stored neighbour
+// that is circularly closer than the database's proposal.
+func (s *Subscriber) requestCloserNeighbors(ctx sim.Context, lab label.Label, proposed [2]proto.Tuple) {
 	closer := func(stored proto.Tuple, proposed proto.Tuple) bool {
 		if stored.IsBottom() || stored.Ref == s.self {
 			return false
@@ -721,23 +717,13 @@ func (s *Subscriber) requestCloserNeighbors(ctx sim.Context, d proto.SetData) {
 		}
 		return label.CircularDistance(stored.L, lab) <= label.CircularDistance(proposed.L, lab)
 	}
-	if closer(s.left, d.Pred) {
-		ctx.Send(s.supervisor, s.topic, proto.GetConfiguration{V: s.left.Ref})
-	}
-	if closer(s.right, d.Succ) {
-		ctx.Send(s.supervisor, s.topic, proto.GetConfiguration{V: s.right.Ref})
-	}
-	if !s.ring.IsBottom() && s.ring.Ref != s.self {
-		// The ring edge corresponds to whichever side of the configuration
-		// wraps around: pred for the minimum, succ for the maximum.
-		var against proto.Tuple
-		if tuplePos(s.ring).less(pos{lab.Frac(), s.self}) {
-			against = d.Succ
-		} else {
-			against = d.Pred
-		}
-		if closer(s.ring, against) {
-			ctx.Send(s.supervisor, s.topic, proto.GetConfiguration{V: s.ring.Ref})
+	// The ring edge is compared with whichever side of the configuration
+	// wraps around: pred for the minimum, succ for the maximum.
+	wrap := pos{lab.Frac(), s.self}.sideOf(tuplePos(s.ring)).other()
+	against := [3]proto.Tuple{proposed[left], proposed[right], proposed[wrap]}
+	for i, t := range [3]proto.Tuple{s.nb[left], s.nb[right], s.ring} {
+		if closer(t, against[i]) {
+			s.send(ctx, RuleRequestCloser, s.supervisor, proto.GetConfiguration{V: t.Ref})
 		}
 	}
 }
@@ -746,12 +732,12 @@ func (s *Subscriber) requestCloserNeighbors(ctx sim.Context, d proto.SetData) {
 // RemoveConnections sent to every known neighbour.
 func (s *Subscriber) grantDeparture(ctx sim.Context) {
 	for _, id := range s.FloodTargets() {
-		ctx.Send(id, s.topic, proto.RemoveConnections{V: s.self})
+		s.send(ctx, RuleDepart, id, proto.RemoveConnections{V: s.self})
 	}
 	s.setLabel(label.Bottom)
-	s.setSlot(&s.left, proto.Tuple{})
-	s.setSlot(&s.right, proto.Tuple{})
-	s.setSlot(&s.ring, proto.Tuple{})
+	for _, slot := range s.slots() {
+		s.setSlot(slot, proto.Tuple{})
+	}
 	if len(s.shortcuts) > 0 {
 		s.shortcuts = make(map[label.Label]sim.NodeID)
 		s.version++
@@ -764,21 +750,27 @@ func (s *Subscriber) grantDeparture(ctx sim.Context) {
 // stale view of our label, or accept the introduction (Algorithm 1 Check).
 func (s *Subscriber) onCheck(ctx sim.Context, c proto.Check) {
 	if s.lab.IsBottom() {
-		ctx.Send(c.Sender.Ref, s.topic, proto.RemoveConnections{V: s.self})
+		s.refuse(ctx, c.Sender.Ref)
 		return
 	}
 	if c.YourLabel != s.lab {
-		ctx.Send(c.Sender.Ref, s.topic, proto.Introduce{C: s.selfTuple(), Flag: c.Flag})
+		s.send(ctx, RuleLabelCorrection, c.Sender.Ref, proto.Introduce{C: s.selfTuple(), Flag: c.Flag})
 		return
 	}
 	s.handleIntroduce(ctx, c.Sender, c.Flag)
 }
 
+// refuse answers an introduction of ref while we are ⊥-labelled: ref must
+// delete its edges to us (Lemma 6).
+func (s *Subscriber) refuse(ctx sim.Context, ref sim.NodeID) {
+	if ref != s.self && ref != sim.None {
+		s.send(ctx, RuleRefuse, ref, proto.RemoveConnections{V: s.self})
+	}
+}
+
 func (s *Subscriber) onLinearizeMsg(ctx sim.Context, v proto.Tuple) {
 	if s.lab.IsBottom() {
-		if v.Ref != s.self && v.Ref != sim.None {
-			ctx.Send(v.Ref, s.topic, proto.RemoveConnections{V: s.self})
-		}
+		s.refuse(ctx, v.Ref)
 		return
 	}
 	s.correctStoredLabel(v)
@@ -791,9 +783,7 @@ func (s *Subscriber) onLinearizeMsg(ctx sim.Context, v proto.Tuple) {
 // (LIN) traffic.
 func (s *Subscriber) handleIntroduce(ctx sim.Context, c proto.Tuple, flag proto.Flag) {
 	if s.lab.IsBottom() {
-		if c.Ref != s.self && c.Ref != sim.None {
-			ctx.Send(c.Ref, s.topic, proto.RemoveConnections{V: s.self})
-		}
+		s.refuse(ctx, c.Ref)
 		return
 	}
 	if c.Ref == s.self || c.Ref == sim.None || c.L.IsBottom() {
@@ -813,27 +803,19 @@ func (s *Subscriber) handleIntroduce(ctx sim.Context, c proto.Tuple, flag proto.
 // otherwise the slot is cleared (the candidate is then re-placed by the
 // caller's linearization).
 func (s *Subscriber) correctStoredLabel(c proto.Tuple) {
-	me := s.selfPos()
-	fix := func(slot *proto.Tuple, wantLess bool) {
+	me, cp := s.selfPos(), tuplePos(c)
+	// A list neighbour stays only if c is still on its side; the closure
+	// edge keeps pointing at the opposite extreme only if c stays on the
+	// edge's side.
+	stays := [3]bool{left.nearer(me, cp), right.nearer(me, cp), me.sideOf(cp) == me.sideOf(tuplePos(s.ring))}
+	for i, slot := range s.slots() {
 		if slot.IsBottom() || slot.Ref != c.Ref || slot.L == c.L {
-			return
+			continue
 		}
-		if tuplePos(c).less(me) == wantLess && tuplePos(c) != me {
+		if stays[i] {
 			s.setSlot(slot, c)
 		} else {
 			s.setSlot(slot, proto.Tuple{})
-		}
-	}
-	fix(&s.left, true)
-	fix(&s.right, false)
-	if !s.ring.IsBottom() && s.ring.Ref == c.Ref && s.ring.L != c.L {
-		// The closure edge keeps pointing at the opposite extreme only if
-		// the corrected label stays on the same side.
-		sameSide := tuplePos(c).less(me) == tuplePos(s.ring).less(me)
-		if sameSide {
-			s.setSlot(&s.ring, c)
-		} else {
-			s.setSlot(&s.ring, proto.Tuple{})
 		}
 	}
 	// Shortcut slots are keyed by label: a slot holding c's reference under
@@ -857,34 +839,30 @@ func (s *Subscriber) handleCYC(ctx sim.Context, c proto.Tuple) {
 	if cp == me {
 		return
 	}
+	d := me.sideOf(cp)
 	if s.ring.IsBottom() {
-		if cp.less(me) {
-			if s.right.IsBottom() {
-				s.setSlot(&s.ring, c) // we are the maximum: adopt the minimum
-			} else {
-				ctx.Send(s.right.Ref, s.topic, proto.Introduce{C: c, Flag: proto.CYC})
-			}
-		} else {
-			if s.left.IsBottom() {
-				s.setSlot(&s.ring, c) // we are the minimum: adopt the maximum
-			} else {
-				ctx.Send(s.left.Ref, s.topic, proto.Introduce{C: c, Flag: proto.CYC})
-			}
+		// A candidate on side d closes the ring at the extreme opposite d:
+		// adopt it if that is us (the maximum adopts the minimum and vice
+		// versa), otherwise pass it on toward that extreme.
+		if inner := s.nb[d.other()]; !inner.IsBottom() {
+			s.send(ctx, RuleClosurePass, inner.Ref, proto.Introduce{C: c, Flag: proto.CYC})
+			return
 		}
+		s.fired[RuleClosureAdopt]++
+		s.setSlot(&s.ring, c)
 		return
 	}
 	rp := tuplePos(s.ring)
-	if cp.less(me) == rp.less(me) {
+	if d == me.sideOf(rp) {
 		// Same side: keep the farther node as the closure edge, linearize
 		// the closer one (Algorithm 2 lines 30–34).
 		if c.Ref == s.ring.Ref {
 			return
 		}
-		var far, near proto.Tuple
+		far, near := s.ring, c
 		if distance(me, cp) > distance(me, rp) {
+			s.fired[RuleClosureAdopt]++
 			far, near = c, s.ring
-		} else {
-			far, near = s.ring, c
 		}
 		s.setSlot(&s.ring, far)
 		s.linearize(ctx, near)
@@ -892,6 +870,7 @@ func (s *Subscriber) handleCYC(ctx sim.Context, c proto.Tuple) {
 	}
 	// Opposite sides: we cannot be the extreme both ways; re-linearize both
 	// (Algorithm 2 lines 35–38).
+	s.fired[RuleReside]++
 	old := s.ring
 	s.setSlot(&s.ring, proto.Tuple{})
 	s.linearize(ctx, old)
@@ -922,57 +901,33 @@ func (s *Subscriber) linearize(ctx sim.Context, c proto.Tuple) {
 		// A node claiming our own label: a duplicate that only the
 		// supervisor can resolve (or a stale reference to a node that used
 		// to hold it). Never adopt; refer it to the supervisor.
-		if c.Ref != s.self {
-			ctx.Send(s.supervisor, s.topic, proto.GetConfiguration{V: c.Ref})
-		}
+		s.send(ctx, RuleReferDuplicate, s.supervisor, proto.GetConfiguration{V: c.Ref})
 		return
 	}
+	d := me.sideOf(cp)
+	o := s.nb[d]
 	switch {
-	case cp == me:
-		return
-	case cp.less(me):
-		switch {
-		case s.left.IsBottom():
-			s.setSlot(&s.left, c)
-		case c == s.left:
-			return
-		case c.Ref != s.left.Ref && cp.frac == s.left.L.Frac():
-			// A candidate at the occupant's exact position is a duplicate
-			// label — possibly a stale reference to a crashed node. Swapping
-			// on an ID tie-break would let dead references displace live
-			// ones forever; keep the occupant (our own SetData refresh is
-			// authoritative for this slot) and refer the claimant to the
-			// supervisor, where a live duplicate is corrected and a dead one
-			// evaporates.
-			ctx.Send(s.supervisor, s.topic, proto.GetConfiguration{V: c.Ref})
-		case tuplePos(s.left).less(cp):
-			// c lies strictly between left and us: adopt, delegate old left.
-			old := s.left
-			s.setSlot(&s.left, c)
-			ctx.Send(c.Ref, s.topic, proto.Linearize{V: old})
-		case c.Ref == s.left.Ref:
-			return // same node, label already corrected
-		default:
-			ctx.Send(s.left.Ref, s.topic, proto.Linearize{V: c})
-		}
-	default:
-		switch {
-		case s.right.IsBottom():
-			s.setSlot(&s.right, c)
-		case c == s.right:
-			return
-		case c.Ref != s.right.Ref && cp.frac == s.right.L.Frac():
-			ctx.Send(s.supervisor, s.topic, proto.GetConfiguration{V: c.Ref})
-		case cp.less(tuplePos(s.right)):
-			old := s.right
-			s.setSlot(&s.right, c)
-			ctx.Send(c.Ref, s.topic, proto.Linearize{V: old})
-		case c.Ref == s.right.Ref:
-			return
-		default:
-			ctx.Send(s.right.Ref, s.topic, proto.Linearize{V: c})
-		}
+	case o.IsBottom():
+		s.fired[RuleAdopt]++
+		s.setSlot(&s.nb[d], c)
+	case c.Ref != o.Ref && cp.frac == o.L.Frac():
+		// A candidate at the occupant's exact position is a duplicate
+		// label — possibly a stale reference to a crashed node. Swapping
+		// on an ID tie-break would let dead references displace live
+		// ones forever; keep the occupant (our own SetData refresh is
+		// authoritative for this slot) and refer the claimant to the
+		// supervisor, where a live duplicate is corrected and a dead one
+		// evaporates.
+		s.send(ctx, RuleReferDuplicate, s.supervisor, proto.GetConfiguration{V: c.Ref})
+	case d.nearer(cp, tuplePos(o)):
+		// c lies strictly between the occupant and us: adopt it and
+		// delegate the occupant toward it.
+		s.setSlot(&s.nb[d], c)
+		s.send(ctx, RuleDelegateDisplaced, c.Ref, proto.Linearize{V: o})
+	case c.Ref != o.Ref:
+		s.send(ctx, RuleDelegateCandidate, o.Ref, proto.Linearize{V: c})
 	}
+	// Otherwise c is the occupant, its label already corrected above.
 }
 
 // removeConnections deletes every edge to v (sent by departing or
@@ -981,15 +936,7 @@ func (s *Subscriber) removeConnections(v sim.NodeID) {
 	if v == sim.None {
 		return
 	}
-	if s.left.Ref == v {
-		s.setSlot(&s.left, proto.Tuple{})
-	}
-	if s.right.Ref == v {
-		s.setSlot(&s.right, proto.Tuple{})
-	}
-	if s.ring.Ref == v {
-		s.setSlot(&s.ring, proto.Tuple{})
-	}
+	s.dropRef(v)
 	for l, ref := range s.shortcuts {
 		if ref == v {
 			s.shortcuts[l] = sim.None
@@ -1004,9 +951,7 @@ func (s *Subscriber) removeConnections(v sim.NodeID) {
 // candidate.
 func (s *Subscriber) onIntroduceShortcut(ctx sim.Context, t proto.Tuple) {
 	if s.lab.IsBottom() {
-		if t.Ref != s.self && t.Ref != sim.None {
-			ctx.Send(t.Ref, s.topic, proto.RemoveConnections{V: s.self})
-		}
+		s.refuse(ctx, t.Ref)
 		return
 	}
 	if t.Ref == s.self || t.Ref == sim.None || t.L.IsBottom() {
@@ -1023,7 +968,7 @@ func (s *Subscriber) onIntroduceShortcut(ctx sim.Context, t proto.Tuple) {
 			// with an Introduce carrying the truth, and correctStoredLabel
 			// clears this slot again. Adoptions only happen when the slot
 			// changes, so a legitimate state stays silent.
-			ctx.Send(t.Ref, s.topic, proto.Check{Sender: s.selfTuple(), YourLabel: t.L, Flag: proto.LIN})
+			s.send(ctx, RuleShortcutAdopt, t.Ref, proto.Check{Sender: s.selfTuple(), YourLabel: t.L, Flag: proto.LIN})
 		}
 		return
 	}
@@ -1036,7 +981,7 @@ func (s *Subscriber) onIntroduceShortcut(ctx sim.Context, t proto.Tuple) {
 // states of the self-stabilization experiments).
 func (s *Subscriber) ForceState(lab label.Label, left, right, ring proto.Tuple, shortcuts map[label.Label]sim.NodeID) {
 	s.lab = lab
-	s.left, s.right, s.ring = left, right, ring
+	s.nb, s.ring = [2]proto.Tuple{left, right}, ring
 	s.shortcuts = make(map[label.Label]sim.NodeID)
 	for l, v := range shortcuts {
 		s.shortcuts[l] = v

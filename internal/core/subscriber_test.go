@@ -265,8 +265,8 @@ func TestCircularNeighborsAtExtremes(t *testing.T) {
 		Pred: tup("11", 13), Label: label.MustParse("0"), Succ: tup("01", 12),
 	}})
 	c.Take()
-	l, r := s.circularNeighbors()
-	if l != tup("11", 13) || r != tup("01", 12) {
+	nb := s.circularNeighbors()
+	if l, r := nb[left], nb[right]; l != tup("11", 13) || r != tup("01", 12) {
 		t.Fatalf("circular neighbours = %v, %v", l, r)
 	}
 }

@@ -1,6 +1,6 @@
 // Package experiments reproduces every quantitative artifact of the paper
 // (figures, lemmas, theorems and comparative claims) as measurable
-// experiments over the real protocol stack: E1–E13 and the ablations
+// experiments over the real protocol stack: E1–E14 and the ablations
 // A1–A3. Each experiment returns both a rendered table and structured
 // results the tests assert on; Report prints the tables (cmd/experiments
 // is its command line), and testdata/quick.golden pins the -quick pass
@@ -428,18 +428,15 @@ func E8Flooding(ns []int, seed int64) ([]E8Row, *metrics.Table) {
 
 // ---- E10: Section 1.3 — balance against Chord and skip graphs ----
 
-// E10Result carries the three balance/congestion tables.
+// E10Result carries the two balance tables.
 type E10Result struct {
 	Position *metrics.Table
 	Degrees  *metrics.Table
-	Routing  *metrics.Table
 }
 
-// E10Balance measures (a) position balance — the literal claim, (b) degree
-// statistics, (c) greedy routing load (informational; the skip ring is a
-// broadcast topology and loses this one; E10's last table in
-// testdata/quick.golden).
-func E10Balance(n, keys, routes int, seed int64) E10Result {
+// E10Balance measures (a) position balance — the literal claim — and (b)
+// degree statistics.
+func E10Balance(n, keys int, seed int64) E10Result {
 	rng := rand.New(rand.NewSource(seed))
 	sr := baseline.NewSkipRing(n)
 	ch := baseline.NewChord(n, rng)
@@ -457,13 +454,7 @@ func E10Balance(n, keys, routes int, seed int64) E10Result {
 		b := baseline.Balance(o)
 		deg.AddRow(b.Overlay, b.MaxDegree, b.AvgDegree, b.P99, b.StdDev)
 	}
-
-	rt := metrics.NewTable("overlay", "delivered", "max node load", "avg load", "avg hops")
-	for _, o := range []baseline.Overlay{sr, ch, sg, ro} {
-		r := baseline.Congestion(o, routes, rand.New(rand.NewSource(seed+1)))
-		rt.AddRow(r.Overlay, r.Delivered, r.MaxLoad, r.AvgLoad, r.AvgHops)
-	}
-	return E10Result{Position: pos, Degrees: deg, Routing: rt}
+	return E10Result{Position: pos, Degrees: deg}
 }
 
 // ---- E11: Section 4.1 — join locality ----
@@ -542,17 +533,25 @@ func E12CrashRecovery(n int, fracs []float64, seed int64) ([]E12Row, *metrics.Ta
 	tb := metrics.NewTable("n", "crashed", "rounds to re-converge", "ok")
 	var rows []E12Row
 	for _, f := range fracs {
-		c := mustConverge(n, seed+int64(f*100))
-		members := c.Members(Topic)
-		crash := int(f * float64(n))
-		for i := 0; i < crash; i++ {
-			c.Crash(members[i*len(members)/max(crash, 1)])
-		}
+		c, crash := crashConverged(n, f, seed)
 		rounds, ok := c.RunUntilConverged(Topic, n-crash, 20000)
 		rows = append(rows, E12Row{N: n, Crashed: crash, Rounds: rounds, OK: ok})
 		tb.AddRow(n, crash, rounds, ok)
 	}
 	return rows, tb
+}
+
+// crashConverged converges an n-node ring and crashes the fraction f of it
+// without warning — evenly spaced members — returning the cluster and the
+// number crashed. The seed is offset by f, so each fraction is its own run.
+func crashConverged(n int, f float64, seed int64) (*cluster.Live, int) {
+	c := mustConverge(n, seed+int64(f*100))
+	members := c.Members(Topic)
+	crash := int(f * float64(n))
+	for i := 0; i < crash; i++ {
+		c.Crash(members[i*len(members)/max(crash, 1)])
+	}
+	return c, crash
 }
 
 // ---- E13: supervisor load vs centralized broker ----
@@ -607,6 +606,46 @@ func E13SupervisorVsBroker(n, pubs int, seed int64) (E13Result, *metrics.Table) 
 	tb := metrics.NewTable("architecture", "central msgs total", "central msgs/publish", "expected")
 	tb.AddRow("supervised skip ring", supMsgs, res.SupPerPublish, "O(1)/round, 0/publish")
 	tb.AddRow("central broker", brokerMsgs, res.BrokerPerPublish, "Θ(n)/publish")
+	return res, tb
+}
+
+// ---- E14: Theorem 13 — which rule does the work ----
+
+// E14Result holds each subscriber rule's firings over E14's two windows and
+// the node-rounds each window spans.
+type E14Result struct {
+	Rest, Crash                     [core.NumRules]uint64
+	RestNodeRounds, CrashNodeRounds int
+}
+
+// E14RuleRates counts every subscriber rule's firings (core.Rule) per node
+// per round over two windows: (i) rounds at rest in E6's legitimate n-node
+// state, and (ii) the crashRounds after E12's first row — the crash of an
+// eighth of crashN nodes, with E12's seed and victims.
+func E14RuleRates(n, rounds, crashN, crashRounds int, seed int64) (E14Result, *metrics.Table) {
+	window := func(c *cluster.Live, rounds int) [core.NumRules]uint64 {
+		before := c.RuleCounts(Topic)
+		c.RunRounds(rounds)
+		after := c.RuleCounts(Topic)
+		for r := range after {
+			after[r] -= before[r]
+		}
+		return after
+	}
+	res := E14Result{RestNodeRounds: n * rounds}
+	res.Rest = window(mustConverge(n, seed), rounds)
+	c, crashed := crashConverged(crashN, 0.125, seed)
+	res.Crash = window(c, crashRounds)
+	res.CrashNodeRounds = (crashN - crashed) * crashRounds
+
+	tb := metrics.NewTable("rule",
+		fmt.Sprintf("at rest, n=%d", n), "per node·round",
+		fmt.Sprintf("after crash %d/%d", crashed, crashN), "per node·round")
+	for r := core.Rule(0); r < core.NumRules; r++ {
+		tb.AddRow(r.String(),
+			res.Rest[r], float64(res.Rest[r])/float64(res.RestNodeRounds),
+			res.Crash[r], float64(res.Crash[r])/float64(res.CrashNodeRounds))
+	}
 	return res, tb
 }
 

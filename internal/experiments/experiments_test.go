@@ -3,6 +3,8 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"sspubsub/internal/core"
 )
 
 func TestE1Figure1(t *testing.T) {
@@ -148,8 +150,8 @@ func TestE9Figure2Trace(t *testing.T) {
 }
 
 func TestE10Tables(t *testing.T) {
-	res := E10Balance(128, 20000, 2000, 5)
-	for _, tb := range []string{res.Position.String(), res.Degrees.String(), res.Routing.String()} {
+	res := E10Balance(128, 20000, 5)
+	for _, tb := range []string{res.Position.String(), res.Degrees.String()} {
 		if !strings.Contains(tb, "skip-ring") || !strings.Contains(tb, "chord") {
 			t.Errorf("table missing overlays:\n%s", tb)
 		}
@@ -185,6 +187,25 @@ func TestE13BrokerComparison(t *testing.T) {
 	}
 	if res.SupPerPublish > 2 {
 		t.Errorf("supervisor per-publish = %.1f, want ≈ 0 (only round-robin refresh)", res.SupPerPublish)
+	}
+}
+
+// TestE14RuleRates: at rest every node introduces itself to its two list
+// neighbours once a round and no rule that changes state fires (E6's zero
+// mutations); after a crash the list repairs through adoptions.
+func TestE14RuleRates(t *testing.T) {
+	res, _ := E14RuleRates(16, 150, 16, 100, 13)
+	if rate := float64(res.Rest[core.RuleIntroduceSelf]) / float64(res.RestNodeRounds); rate < 1.5 || rate > 2.1 {
+		t.Errorf("introduce-self at rest: %.2f per node per round, want ≈ 2·(n−1)/n", rate)
+	}
+	for _, r := range []core.Rule{core.RuleAdopt, core.RuleDelegateDisplaced, core.RuleReside,
+		core.RuleClosureAdopt, core.RuleShortcutAdopt, core.RuleShortcutDrop, core.RuleConfigBottom} {
+		if res.Rest[r] != 0 {
+			t.Errorf("%s fired %d times at rest", r, res.Rest[r])
+		}
+	}
+	if res.Crash[core.RuleAdopt]+res.Crash[core.RuleDelegateDisplaced] == 0 {
+		t.Error("no list repair after the crash")
 	}
 }
 

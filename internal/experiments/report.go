@@ -6,7 +6,7 @@ import (
 	"strings"
 )
 
-// Report prints the paper's tables — E1–E13 and the ablations A1–A3 — to
+// Report prints the paper's tables — E1–E14 and the ablations A1–A3 — to
 // w, or only the one named by only (e.g. "E5", or "ablations" for A1–A3;
 // case-insensitive). quick selects the small sweeps of the fast pass, whose
 // output testdata/quick.golden pins byte for byte.
@@ -84,13 +84,11 @@ func Report(w io.Writer, quick bool, seed int64, only string) {
 		fmt.Fprintf(w, "\nP4 delivered: %v; tries equal: %v\n\n", res.P4Delivered, res.TriesEqual)
 	}
 	if section("E10", "Section 1.3 — balance vs Chord and skip graphs") {
-		res := E10Balance(512, 100000, 20000, seed)
+		res := E10Balance(512, 100000, seed)
 		fmt.Fprintln(w, "position balance (the paper's claim):")
 		fmt.Fprintln(w, res.Position)
 		fmt.Fprintln(w, "degree statistics:")
 		fmt.Fprintln(w, res.Degrees)
-		fmt.Fprintln(w, "greedy routing load (informational; see E10Balance):")
-		fmt.Fprintln(w, res.Routing)
 	}
 	if section("E11", "Section 4.1 — join locality while n doubles") {
 		_, tb := E11JoinLocality(16, seed)
@@ -102,6 +100,10 @@ func Report(w io.Writer, quick bool, seed int64, only string) {
 	}
 	if section("E13", "Introduction — supervisor vs central broker load") {
 		_, tb := E13SupervisorVsBroker(64, 50, seed)
+		fmt.Fprintln(w, tb)
+	}
+	if section("E14", "Theorem 13 — subscriber rule firings per node per round") {
+		_, tb := E14RuleRates(64, 300, 32, 200, seed)
 		fmt.Fprintln(w, tb)
 	}
 	if only != "" && !strings.EqualFold(only, "ablations") {
