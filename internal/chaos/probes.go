@@ -205,7 +205,11 @@ func (e *env) deliveryViolation() string {
 //  2. Causal coverage: when a delivery carries a causal barrier, every
 //     barrier entry (origin o, seq s) must be preceded in that node's own
 //     trace by a delivery from o with sequence ≥ s. Coverage spans
-//     epochs — a delivery that happened never un-happens.
+//     epochs — a delivery that happened never un-happens. A Recovered
+//     delivery carries no sequence, but it did happen: it counts with
+//     the sequence its publication carries in any other trace (its
+//     publisher's own, at least), since the ordered layer moves the
+//     cursor past it once the sequenced copy arrives (ordering.Known).
 //  3. Wave order agreement: every pair of nodes agrees on the relative
 //     delivery order of the single-publisher wave publications, and no
 //     node delivers one twice. This is the only clause with teeth in
@@ -229,6 +233,14 @@ func (e *env) orderingViolation() string {
 		waveIdx[w] = i
 	}
 	waveOrders := make(map[sim.NodeID][]int, len(ids))
+	seqOf := make(map[wavePub]uint64)
+	for _, id := range ids {
+		for _, en := range e.rec.byNode[id] {
+			if en.Seq > 0 {
+				seqOf[wavePub{Payload: en.Payload, Origin: en.Origin}] = en.Seq
+			}
+		}
+	}
 
 	type stream struct {
 		epoch  int
@@ -248,8 +260,12 @@ func (e *env) orderingViolation() string {
 					}
 				}
 			}
-			if maxSeen[en.Origin] < en.Seq {
-				maxSeen[en.Origin] = en.Seq
+			seq := en.Seq
+			if en.Recovered {
+				seq = seqOf[wavePub{Payload: en.Payload, Origin: en.Origin}]
+			}
+			if maxSeen[en.Origin] < seq {
+				maxSeen[en.Origin] = seq
 			}
 			if flagged {
 				continue

@@ -6,6 +6,8 @@ import (
 	"sort"
 
 	"sspubsub/internal/core"
+	"sspubsub/internal/proto"
+	"sspubsub/internal/pubsub"
 	"sspubsub/internal/sim"
 )
 
@@ -279,6 +281,40 @@ func (l *Live) TriesEqual(t sim.Topic) bool {
 		}
 	}
 	return true
+}
+
+// FloodTree replays origin's forwarding tree for t (pubsub.Split) over the
+// members' current states without sending anything: hits counts the
+// copies each member would receive — a node forwards only its first, as
+// the protocol does — and depth is the tree's height in hops. Call it
+// under Freeze on a live substrate.
+func (l *Live) FloodTree(t sim.Topic, origin sim.NodeID) (hits map[sim.NodeID]int, depth int) {
+	type hop struct {
+		id  sim.NodeID
+		arc proto.Arc
+		d   int
+	}
+	hits = make(map[sim.NodeID]int)
+	queue := []hop{{id: origin}}
+	for len(queue) > 0 {
+		h := queue[0]
+		queue = queue[1:]
+		depth = max(depth, h.d)
+		cl, ok := l.Clients[h.id]
+		if !ok {
+			continue
+		}
+		in, ok := cl.Instance(t)
+		if !ok {
+			continue
+		}
+		pubsub.Split(in.Sub.Label().Frac(), in.Sub.FloodTargets(), h.arc, func(to sim.NodeID, piece proto.Arc) {
+			if hits[to]++; hits[to] == 1 && to != origin {
+				queue = append(queue, hop{id: to, arc: piece, d: h.d + 1})
+			}
+		})
+	}
+	return hits, depth
 }
 
 // AllHavePubs reports whether every live member knows at least k

@@ -113,6 +113,7 @@ func (c *Client) ensure(t sim.Topic) *Instance {
 		Topic:              t,
 		KeyLen:             c.opts.KeyLen,
 		RingNeighbors:      sub.RingNeighbors,
+		Position:           func() uint64 { return sub.Label().Frac() },
 		FloodTargets:       sub.FloodTargets,
 		DisableFlooding:    c.opts.DisableFlooding,
 		DisableAntiEntropy: c.opts.DisableAntiEntropy,

@@ -72,13 +72,16 @@ type Subscriber struct {
 	// fired counts each Rule's firings.
 	fired [NumRules]uint64
 
-	// ftCache / rnCache memoize FloodTargets and RingNeighbors, keyed by
-	// version (stored +1 so the zero value means "never built"). Both are
-	// on the publication fan-out path — FloodTargets used to rebuild a
-	// map, a sorted slice and a closure on every PublishNew hop — and in
-	// a converged overlay the neighbourhood is static, so the steady
+	// ftCache / rnCache memoize the neighbour lists and RingNeighbors,
+	// keyed by version (stored +1 so the zero value means "never built").
+	// Both are on the publication fan-out path — FloodTargets used to
+	// rebuild a map, a sorted slice and a closure on every PublishNew hop —
+	// and in a converged overlay the neighbourhood is static, so the steady
 	// state is a version compare and a slice return with no allocations.
-	ftCache   []sim.NodeID
+	// ftCache lists ring slots first, then shortcuts in slot order (the
+	// order departure notices go out in); ftSorted is it sorted clockwise.
+	ftCache   []proto.Tuple
+	ftSorted  []proto.Tuple
 	ftSlots   []label.Label // scratch for deterministic shortcut ordering
 	ftVersion uint64
 	rnCache   []proto.Tuple
@@ -231,36 +234,51 @@ func (s *Subscriber) RingNeighbors() []proto.Tuple {
 	return out
 }
 
-// FloodTargets returns every known neighbour reference (ring plus resolved
-// shortcuts), deduplicated — the edge set ER ∪ ES used by PublishNew
-// flooding (Section 4.3). Like RingNeighbors, the returned slice is a
-// cache: valid until the next state mutation, not to be modified or
-// retained.
-func (s *Subscriber) FloodTargets() []sim.NodeID {
+// FloodTargets returns every known neighbour (ring plus resolved
+// shortcuts), deduplicated by reference and sorted clockwise by the
+// position the subscriber believes each holds — the edge set ER ∪ ES the
+// per-origin forwarding trees of Section 4.3 are cut from. Like
+// RingNeighbors, the returned slice is a cache: valid until the next state
+// mutation, not to be modified or retained.
+func (s *Subscriber) FloodTargets() []proto.Tuple {
+	s.neighbours()
+	return s.ftSorted
+}
+
+// neighbours rebuilds ftCache and ftSorted if the state changed since.
+func (s *Subscriber) neighbours() {
 	if s.ftVersion == s.version+1 {
-		return s.ftCache
+		return
 	}
 	out := s.ftCache[:0]
-	add := func(id sim.NodeID) {
-		if id == sim.None || id == s.self {
+	add := func(t proto.Tuple) {
+		if t.Ref == sim.None || t.Ref == s.self {
 			return
 		}
 		for _, seen := range out { // the degree is O(log n); linear dedup beats a map
-			if seen == id {
+			if seen.Ref == t.Ref {
 				return
 			}
 		}
-		out = append(out, id)
+		out = append(out, t)
 	}
 	for _, t := range s.slots() {
-		add(t.Ref)
+		add(*t)
 	}
 	s.ftSlots = s.sortedSlots(s.ftSlots[:0])
 	for _, l := range s.ftSlots {
-		add(s.shortcuts[l])
+		add(proto.Tuple{L: l, Ref: s.shortcuts[l]})
 	}
+	s.ftSorted = append(s.ftSorted[:0], out...)
+	slices.SortFunc(s.ftSorted, func(a, b proto.Tuple) int {
+		if pa, pb := tuplePos(a), tuplePos(b); pa.less(pb) {
+			return -1
+		} else if pb.less(pa) {
+			return 1
+		}
+		return 0
+	})
 	s.ftCache, s.ftVersion = out, s.version+1
-	return out
 }
 
 // sortedSlots appends the shortcut slot labels to buf in ring-position
@@ -731,8 +749,9 @@ func (s *Subscriber) requestCloserNeighbors(ctx sim.Context, lab label.Label, pr
 // grantDeparture finalizes an unsubscribe: label ⊥, all edges dropped, and
 // RemoveConnections sent to every known neighbour.
 func (s *Subscriber) grantDeparture(ctx sim.Context) {
-	for _, id := range s.FloodTargets() {
-		s.send(ctx, RuleDepart, id, proto.RemoveConnections{V: s.self})
+	s.neighbours()
+	for _, t := range s.ftCache {
+		s.send(ctx, RuleDepart, t.Ref, proto.RemoveConnections{V: s.self})
 	}
 	s.setLabel(label.Bottom)
 	for _, slot := range s.slots() {

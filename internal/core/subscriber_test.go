@@ -487,7 +487,7 @@ func TestFloodTargetsDeduped(t *testing.T) {
 		Pred: tup("1", 11), Label: label.MustParse("0"), Succ: tup("1", 11),
 	}})
 	targets := s.FloodTargets()
-	if len(targets) != 1 || targets[0] != 11 {
+	if len(targets) != 1 || targets[0].Ref != 11 {
 		t.Fatalf("targets = %v, want exactly [11]", targets)
 	}
 	if s.Degree() != 1 {

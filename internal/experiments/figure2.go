@@ -32,7 +32,6 @@ func E9Figure2() E9Result {
 		return pubsub.NewEngine(pubsub.Config{
 			Self: self, Topic: Topic, KeyLen: 3,
 			RingNeighbors: func() []proto.Tuple { return []proto.Tuple{{Ref: peer}} },
-			FloodTargets:  func() []sim.NodeID { return []sim.NodeID{peer} },
 		})
 	}
 	u, v := mk(10, 11), mk(11, 10)

@@ -48,6 +48,16 @@ type pend struct {
 	seq     uint64
 	barrier []proto.BarrierEntry
 	added   uint64
+	// known marks a publication the application already has (Known): it
+	// moves its cursor like any other but is never emitted again.
+	known bool
+}
+
+// out emits e's delivery unless the application already has it.
+func (b *Buffer) out(e pend, m Meta) {
+	if !e.known {
+		b.emit(e.p, m)
+	}
 }
 
 // New creates a Buffer for the given mode. emit receives every delivery,
@@ -108,7 +118,7 @@ func (b *Buffer) evictCursor() {
 	}
 	b.pending = kept
 	for _, e := range orphans { // already (origin, seq) sorted
-		b.emit(e.p, Meta{Seq: e.seq, Forced: true, Barrier: e.barrier})
+		b.out(e, Meta{Seq: e.seq, Forced: true, Barrier: e.barrier})
 	}
 	delete(b.curs, victim)
 }
@@ -151,27 +161,41 @@ func (b *Buffer) covered(barrier []proto.BarrierEntry) bool {
 // in FIFO mode. Deliveries it unblocks — including previously pending
 // publications — are emitted before Arrive returns.
 func (b *Buffer) Arrive(p proto.Publication, seq uint64, barrier []proto.BarrierEntry) {
-	c := b.cur(p.Origin)
+	b.arrive(pend{p: p, seq: seq, barrier: barrier})
+}
+
+// Known feeds the sequenced copy of a publication the application already
+// has — delivered through Recovered because anti-entropy outran the flood.
+// It moves the cursor exactly as Arrive would but emits nothing for p;
+// without it the publisher's later publications would wait out ForceAfter
+// behind a gap that is no gap.
+func (b *Buffer) Known(p proto.Publication, seq uint64, barrier []proto.BarrierEntry) {
+	b.arrive(pend{p: p, seq: seq, barrier: barrier, known: true})
+}
+
+func (b *Buffer) arrive(e pend) {
+	c := b.cur(e.p.Origin)
 	c.touch = b.now
-	b.dispatch(p, seq, barrier)
+	b.dispatch(e)
 	b.drain()
 }
 
 // dispatch routes one arrival against its cursor: deliver, buffer,
 // suppress, declare loss or resync.
-func (b *Buffer) dispatch(p proto.Publication, seq uint64, barrier []proto.BarrierEntry) {
-	c := b.cur(p.Origin)
+func (b *Buffer) dispatch(e pend) {
+	seq, barrier := e.seq, e.barrier
+	c := b.cur(e.p.Origin)
 	if seq == 0 {
 		// A sequenced frame with no sequence is corrupted metadata; hand
 		// the payload through flagged rather than inventing an order.
-		b.emit(p, Meta{Forced: true})
+		b.out(e, Meta{Forced: true})
 		return
 	}
 	switch {
 	case seq < c.next:
-		b.arriveBelow(c, p, seq, barrier)
+		b.arriveBelow(c, e)
 	case seq == c.next && b.covered(barrier):
-		b.emit(p, Meta{Seq: seq, Barrier: barrier})
+		b.out(e, Meta{Seq: seq, Barrier: barrier})
 		c.advance(seq)
 		c.ancients = 0
 	case seq >= c.next+Window:
@@ -183,17 +207,18 @@ func (b *Buffer) dispatch(p proto.Publication, seq uint64, barrier []proto.Barri
 		if !b.covered(barrier) {
 			m.Forced = true
 		}
-		b.emit(p, m)
+		b.out(e, m)
 		c.advance(seq)
 		c.ancients = 0
 	default:
-		b.hold(p, seq, barrier)
+		b.hold(e)
 	}
 }
 
 // arriveBelow handles a sequence below the cursor: duplicate, straggler,
 // or ancient (possible upward cursor corruption).
-func (b *Buffer) arriveBelow(c *cursor, p proto.Publication, seq uint64, barrier []proto.BarrierEntry) {
+func (b *Buffer) arriveBelow(c *cursor, e pend) {
+	seq := e.seq
 	dup, inWindow := c.delivered(seq)
 	switch {
 	case dup:
@@ -203,7 +228,7 @@ func (b *Buffer) arriveBelow(c *cursor, p proto.Publication, seq uint64, barrier
 		// Deliver flagged — at-least-once, outside the order.
 		c.recent |= 1 << (c.next - seq - 1)
 		c.ancients = 0
-		b.emit(p, Meta{Seq: seq, Forced: true, Barrier: barrier})
+		b.out(e, Meta{Seq: seq, Forced: true, Barrier: e.barrier})
 	default:
 		// Ancient: far below the bitmap. A lone ancient is a duplicate
 		// from deep history; a run of them means the cursor, not the
@@ -214,16 +239,16 @@ func (b *Buffer) arriveBelow(c *cursor, p proto.Publication, seq uint64, barrier
 			c.next = seq + 1
 			c.recent = 1
 			c.ancients = 0
-			b.emit(p, Meta{Seq: seq, Forced: true, Barrier: barrier})
+			b.out(e, Meta{Seq: seq, Forced: true, Barrier: e.barrier})
 		}
 	}
 }
 
 // hold buffers a not-yet-deliverable publication in the bounded pending
 // set, force-delivering the oldest entry on overflow.
-func (b *Buffer) hold(p proto.Publication, seq uint64, barrier []proto.BarrierEntry) {
-	for _, e := range b.pending {
-		if e.p.Origin == p.Origin && e.seq == seq {
+func (b *Buffer) hold(e pend) {
+	for _, h := range b.pending {
+		if h.p.Origin == e.p.Origin && h.seq == e.seq {
 			return // already held
 		}
 	}
@@ -231,12 +256,13 @@ func (b *Buffer) hold(p proto.Publication, seq uint64, barrier []proto.BarrierEn
 		b.forceOldest()
 	}
 	i := sort.Search(len(b.pending), func(i int) bool {
-		e := b.pending[i]
-		return e.p.Origin > p.Origin || (e.p.Origin == p.Origin && e.seq >= seq)
+		h := b.pending[i]
+		return h.p.Origin > e.p.Origin || (h.p.Origin == e.p.Origin && h.seq >= e.seq)
 	})
 	b.pending = append(b.pending, pend{})
 	copy(b.pending[i+1:], b.pending[i:])
-	b.pending[i] = pend{p: p, seq: seq, barrier: barrier, added: b.now}
+	e.added = b.now
+	b.pending[i] = e
 }
 
 // forceOldest force-delivers the longest-held pending entry (ties broken
@@ -270,7 +296,7 @@ func (b *Buffer) force(e pend) {
 	} else {
 		c.advance(e.seq)
 	}
-	b.emit(e.p, Meta{Seq: e.seq, Forced: true, Barrier: e.barrier})
+	b.out(e, Meta{Seq: e.seq, Forced: true, Barrier: e.barrier})
 }
 
 // drain delivers pending publications whose condition is now satisfied,
@@ -291,7 +317,7 @@ func (b *Buffer) drain() {
 				progressed = true
 			case e.seq == c.next && b.covered(e.barrier):
 				b.pending = append(b.pending[:i], b.pending[i+1:]...)
-				b.emit(e.p, Meta{Seq: e.seq, Barrier: e.barrier})
+				b.out(e, Meta{Seq: e.seq, Barrier: e.barrier})
 				c.advance(e.seq)
 				c.ancients = 0
 				progressed = true

@@ -66,6 +66,36 @@ func TestModeStringParse(t *testing.T) {
 	}
 }
 
+// TestKnownMovesCursorSilently: when anti-entropy delivers p2 (Recovered)
+// before its sequenced copy, the copy — fed through Known, held or not —
+// moves the cursor without a second delivery, so p3 after it is delivered
+// at once, in order and unflagged, instead of waiting out ForceAfter.
+func TestKnownMovesCursorSilently(t *testing.T) {
+	for _, early := range []bool{false, true} { // early: p2's copy overtakes p1 and is held
+		h := newHarness(FIFO)
+		if !early {
+			h.buf.Arrive(pub(1, "p1"), 1, nil)
+		}
+		h.buf.Recovered(pub(1, "p2"))
+		h.buf.Known(pub(1, "p2"), 2, nil)
+		if early {
+			h.buf.Arrive(pub(1, "p1"), 1, nil)
+		}
+		h.buf.Arrive(pub(1, "p3"), 3, nil)
+		p1, p2 := delivery{payload: "p1", meta: Meta{Seq: 1}}, delivery{payload: "p2", meta: Meta{Recovered: true}}
+		want := []delivery{p1, p2, {payload: "p3", meta: Meta{Seq: 3}}}
+		if early {
+			want[0], want[1] = p2, p1
+		}
+		if got := h.take(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("early=%v: deliveries = %+v, want %+v", early, got, want)
+		}
+		if h.buf.PendingLen() != 0 {
+			t.Fatalf("early=%v: %d still held", early, h.buf.PendingLen())
+		}
+	}
+}
+
 // TestFIFOInOrder: the trivial path — sequences arriving in order deliver
 // immediately, unflagged.
 func TestFIFOInOrder(t *testing.T) {

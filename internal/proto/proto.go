@@ -148,8 +148,8 @@ type Publication struct {
 }
 
 // NodeSummary identifies one Patricia-trie node by its label (a key prefix)
-// and its Merkle-style hash; CheckTrie messages carry summaries only,
-// "ignoring the node's outgoing edges".
+// and its digest (the XOR of the leaf digests below it); CheckTrie messages
+// carry summaries only, "ignoring the node's outgoing edges".
 type NodeSummary struct {
 	Label Key
 	Hash  [16]byte
@@ -175,10 +175,24 @@ type PublishBatch struct {
 	Pubs []Publication
 }
 
-// PublishNew floods a fresh publication over ring and shortcut edges
-// (Section 4.3).
+// Arc is the clockwise ring interval [Lo, Hi) in label.Label.Frac units
+// that the receiver of a flooded publication must cover: it forwards to
+// each of its ring and shortcut neighbours inside the arc, handing each a
+// sub-arc, so the copies travel a per-origin spanning tree. Lo == Hi is
+// the whole ring — the arc a publication's origin starts from.
+type Arc struct {
+	Lo, Hi uint64
+}
+
+// Contains reports whether ring position p lies in the arc.
+func (a Arc) Contains(p uint64) bool { return a.Lo == a.Hi || p-a.Lo < a.Hi-a.Lo }
+
+// PublishNew floods a fresh publication down the forwarding tree over ring
+// and shortcut edges (Section 4.3); Arc is the part of the ring the
+// receiver must cover.
 type PublishNew struct {
 	Pub Publication
+	Arc Arc
 }
 
 // ---- ordered delivery (per-topic FIFO / causal modes) ----
@@ -186,14 +200,15 @@ type PublishNew struct {
 // Best-effort topics flood PublishNew. Ordered topics flood the same
 // payload wrapped with bounded ordering metadata: a per-publisher sequence
 // number (FIFO), plus a capped causal-barrier summary (causal). Storage
-// and forwarding are unchanged — only the subscriber-side delivery
-// callback is reordered, by internal/ordering.
+// and forwarding (down the same tree, by Arc) are unchanged — only the
+// subscriber-side delivery callback is reordered, by internal/ordering.
 
 // PublishSeq floods a fresh publication on a FIFO-mode topic: Pub plus the
 // publisher's per-topic sequence number (starting at 1).
 type PublishSeq struct {
 	Pub Publication
 	Seq uint64
+	Arc Arc
 }
 
 // BarrierEntry is one element of a bounded causal-barrier summary: the
@@ -214,6 +229,7 @@ type PublishCausal struct {
 	Pub     Publication
 	Seq     uint64
 	Barrier []BarrierEntry
+	Arc     Arc
 }
 
 // ---- supervisor plane (crash-tolerant sharded supervision) ----
@@ -301,8 +317,8 @@ type ReplicaDelta struct {
 
 // ReplicaDigest is the anti-entropy exchange. With Probe set it is the
 // owner's periodic push of its database root digest (an order-independent
-// fold of per-entry hashes, same 16-byte truncated-SHA-256 construction as
-// the trie's structural hash); the replica compares and answers — Probe
+// XOR fold of per-entry 16-byte truncated SHA-256 hashes, the construction
+// of the trie's node digests); the replica compares and answers — Probe
 // clear, carrying its own digest — only on mismatch, which makes the
 // steady state silent. An owner receiving a mismatching answer ships a
 // bounded-chunk ReplicaSync.

@@ -8,6 +8,14 @@
 // a flooding layer (PublishNew) over ring and shortcut edges delivers
 // fresh publications in O(log n) hops (Section 4.3).
 //
+// The flooding layer sends each subscriber one copy: a publication travels
+// a per-origin spanning tree cut from the skip ring by arcs (tree.go). The
+// origin covers the whole ring; every node forwards once, to the
+// neighbours inside its arc, handing each the sub-arc between the
+// midpoints to its neighbouring points. The tree has no state and no
+// repair protocol of its own: a copy lost to a stale view is a latency
+// event that anti-entropy closes, not a loss.
+//
 // On topics with an ordered delivery mode (internal/ordering), storage and
 // flooding are unchanged — publications flood as PublishSeq/PublishCausal
 // carrying bounded ordering metadata, and only the delivery callback is
@@ -33,8 +41,11 @@ type Config struct {
 	// RingNeighbors returns the current direct ring neighbours (left,
 	// right, ring) — the anti-entropy gossip partners.
 	RingNeighbors func() []proto.Tuple
-	// FloodTargets returns all neighbours in ER ∪ ES for PublishNew.
-	FloodTargets func() []sim.NodeID
+	// Position returns the host's ring position (its label's Frac), and
+	// FloodTargets all neighbours in ER ∪ ES sorted by position: the
+	// forwarding tree is cut from them.
+	Position     func() uint64
+	FloodTargets func() []proto.Tuple
 	// OnDeliverMeta, if non-nil, is invoked exactly once per publication
 	// that becomes locally known (once per time it becomes known: with a
 	// HistoryCap an evicted publication can be relearned through
@@ -103,71 +114,60 @@ func (e *Engine) emit(p proto.Publication, m ordering.Meta) {
 
 // Publish creates, stores and floods a new publication authored by the
 // host ("whenever a subscriber u generates a new publication p, u inserts
-// p into u.T and broadcasts p over the ring"). On ordered topics the flood
-// body additionally carries the publisher's sequence number (and, in
-// causal mode, the bounded causal barrier).
+// p into u.T and broadcasts p over the ring"): the origin's arc is the
+// whole ring. On ordered topics the flood body additionally carries the
+// publisher's sequence number (and, in causal mode, the bounded causal
+// barrier).
 func (e *Engine) Publish(ctx sim.Context, payload string) proto.Publication {
 	p := trie.NewPublication(e.cfg.KeyLen, e.cfg.Self, payload)
-	if e.ord == nil {
-		e.insert(p)
-		if !e.cfg.DisableFlooding {
-			// Box the body once: every flood target receives the same value,
-			// so the per-edge interface conversion would be pure allocation.
-			var body any = proto.PublishNew{Pub: p}
-			for _, id := range e.cfg.FloodTargets() {
-				ctx.Send(id, e.cfg.Topic, body)
-			}
-		}
-		return p
-	}
-	e.nextSeq++
-	seq := e.nextSeq
-	barrier := e.ord.Barrier() // nil unless causal
 	var body any
-	if e.cfg.Mode == ordering.Causal {
-		body = proto.PublishCausal{Pub: p, Seq: seq, Barrier: barrier}
-	} else {
-		body = proto.PublishSeq{Pub: p, Seq: seq}
+	switch {
+	case e.ord == nil:
+		body = proto.PublishNew{Pub: p}
+	case e.cfg.Mode == ordering.Causal:
+		e.nextSeq++
+		body = proto.PublishCausal{Pub: p, Seq: e.nextSeq, Barrier: e.ord.Barrier()}
+	default:
+		e.nextSeq++
+		body = proto.PublishSeq{Pub: p, Seq: e.nextSeq}
 	}
-	if !e.cfg.DisableFlooding {
-		for _, id := range e.cfg.FloodTargets() {
-			ctx.Send(id, e.cfg.Topic, body)
-		}
-	}
-	if e.insertStore(p) {
-		e.ord.Arrive(p, seq, barrier)
-	}
+	e.onFlood(ctx, body)
 	return p
 }
 
 // insertStore inserts p into the trie (with HistoryCap eviction) without
-// delivering it. It reports whether p was new.
-func (e *Engine) insertStore(p proto.Publication) bool {
+// delivering it. It reports whether p was new and, for a flooded copy
+// (flood set), whether this node still owes p its one forward.
+func (e *Engine) insertStore(p proto.Publication, flood bool) (added, forward bool) {
 	if p.Key.Len != e.t.KeyLen() {
-		return false // corrupted message with a foreign key width
+		return false, false // corrupted message with a foreign key width
 	}
-	if !e.t.Insert(p) {
-		return false
+	if flood {
+		added, forward = e.t.InsertFlood(p)
+	} else {
+		added = e.t.Insert(p)
+	}
+	if !added {
+		return false, forward
 	}
 	for e.cfg.HistoryCap > 0 && e.t.Len() > e.cfg.HistoryCap {
 		e.t.DeleteMin()
 	}
-	return true
+	return true, forward
 }
 
 // insert stores p and delivers it along the unsequenced path: directly on
 // best-effort topics, flagged Recovered through the buffer on ordered
 // topics (anti-entropy carries no ordering metadata).
-func (e *Engine) insert(p proto.Publication) bool {
-	if !e.insertStore(p) {
-		return false
+func (e *Engine) insert(p proto.Publication) {
+	if added, _ := e.insertStore(p, false); !added {
+		return
 	}
 	if e.ord != nil {
 		e.ord.Recovered(p)
 	} else {
 		e.emit(p, ordering.Meta{})
 	}
-	return true
 }
 
 // CorruptOrdering scrambles the engine's ordering state in place — the
@@ -228,46 +228,53 @@ func (e *Engine) OnMessage(ctx sim.Context, m sim.Message) bool {
 		for _, p := range b.Pubs {
 			e.insert(p)
 		}
-	case proto.PublishNew:
-		if e.insert(b.Pub) && !e.cfg.DisableFlooding {
-			// Forward the received body as-is: m.Body is already boxed, so
-			// the whole fan-out costs zero allocations.
-			for _, id := range e.cfg.FloodTargets() {
-				if id != m.From {
-					ctx.Send(id, e.cfg.Topic, m.Body)
-				}
-			}
-		}
-	case proto.PublishSeq:
-		e.onSequenced(ctx, m, b.Pub, b.Seq, nil)
-	case proto.PublishCausal:
-		e.onSequenced(ctx, m, b.Pub, b.Seq, b.Barrier)
+	case proto.PublishNew, proto.PublishSeq, proto.PublishCausal:
+		e.onFlood(ctx, m.Body)
 	default:
 		return false
 	}
 	return true
 }
 
-// onSequenced handles a flooded ordered publication: store, deliver
-// through the reorder buffer, forward. A sequenced frame reaching a
-// best-effort engine (mode drift between deployments, or a topic whose
-// mode the supervisor has not yet replicated here) degrades gracefully to
+// onFlood handles one flooded copy — received, or the origin's own: store,
+// deliver (through the reorder buffer on ordered topics), and forward down
+// the tree if this is the first copy to reach this node. A copy of a
+// publication already learned through anti-entropy is still forwarded, or
+// the subtree below would starve. A sequenced frame reaching a best-effort
+// engine (mode drift between deployments, or a topic whose mode the
+// supervisor has not yet replicated here) degrades gracefully to
 // best-effort delivery — the metadata is ignored, never an error.
-func (e *Engine) onSequenced(ctx sim.Context, m sim.Message, p proto.Publication, seq uint64, barrier []proto.BarrierEntry) {
-	if !e.insertStore(p) {
-		return
+func (e *Engine) onFlood(ctx sim.Context, body any) {
+	var (
+		p       proto.Publication
+		arc     proto.Arc
+		seq     uint64 // 0 on a plain PublishNew
+		barrier []proto.BarrierEntry
+	)
+	switch b := body.(type) {
+	case proto.PublishNew:
+		p, arc = b.Pub, b.Arc
+	case proto.PublishSeq:
+		p, arc, seq = b.Pub, b.Arc, b.Seq
+	case proto.PublishCausal:
+		p, arc, seq, barrier = b.Pub, b.Arc, b.Seq, b.Barrier
 	}
-	if e.ord != nil {
-		e.ord.Arrive(p, seq, barrier)
-	} else {
+	_, plain := body.(proto.PublishNew)
+	added, forward := e.insertStore(p, true)
+	switch {
+	case added && e.ord == nil:
 		e.emit(p, ordering.Meta{})
+	case added && plain:
+		e.ord.Recovered(p)
+	case added:
+		e.ord.Arrive(p, seq, barrier)
+	case forward && e.ord != nil && !plain:
+		// Anti-entropy delivered p first (Recovered); its sequence still
+		// has to move the publisher's cursor.
+		e.ord.Known(p, seq, barrier)
 	}
-	if !e.cfg.DisableFlooding {
-		for _, id := range e.cfg.FloodTargets() {
-			if id != m.From {
-				ctx.Send(id, e.cfg.Topic, m.Body)
-			}
-		}
+	if forward && !e.cfg.DisableFlooding {
+		e.forward(ctx, body, arc)
 	}
 }
 
@@ -287,7 +294,7 @@ func (e *Engine) checkTrie(ctx sim.Context, sender sim.NodeID, nodes []proto.Nod
 	for _, ns := range nodes {
 		v := e.t.Find(ns.Label)
 		if v != nil {
-			if v.Hash == ns.Hash {
+			if v.Digest() == ns.Hash {
 				continue // subtries equal
 			}
 			if !v.IsLeaf() {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"sspubsub/internal/label"
 	"sspubsub/internal/ordering"
 	"sspubsub/internal/proto"
 	"sspubsub/internal/sim"
@@ -13,21 +14,22 @@ import (
 
 const tp sim.Topic = 1
 
-// pair builds two engines u (id 10) and v (id 11) that are mutual ring
-// neighbours with 3-bit keys (the Figure 2 setting).
+// pair builds two engines u (id 10, label 0) and v (id 11, label 1) that
+// are mutual ring neighbours with keyLen-bit keys (the Figure 2 setting).
 func pair(keyLen uint8) (u, v *Engine, uc, vc *simtest.Ctx) {
-	mk := func(self, peer sim.NodeID) Config {
+	mk := func(self sim.NodeID, lab string, peer proto.Tuple) Config {
 		return Config{
-			Self:   self,
-			Topic:  tp,
-			KeyLen: keyLen,
-			RingNeighbors: func() []proto.Tuple {
-				return []proto.Tuple{{Ref: peer}}
-			},
-			FloodTargets: func() []sim.NodeID { return []sim.NodeID{peer} },
+			Self:          self,
+			Topic:         tp,
+			KeyLen:        keyLen,
+			RingNeighbors: func() []proto.Tuple { return []proto.Tuple{peer} },
+			Position:      func() uint64 { return label.MustParse(lab).Frac() },
+			FloodTargets:  func() []proto.Tuple { return []proto.Tuple{peer} },
 		}
 	}
-	return NewEngine(mk(10, 11)), NewEngine(mk(11, 10)), simtest.NewCtx(10), simtest.NewCtx(11)
+	u = NewEngine(mk(10, "0", proto.Tuple{L: label.MustParse("1"), Ref: 11}))
+	v = NewEngine(mk(11, "1", proto.Tuple{L: label.MustParse("0"), Ref: 10}))
+	return u, v, simtest.NewCtx(10), simtest.NewCtx(11)
 }
 
 func fixedPub(key string) proto.Publication {
@@ -174,6 +176,37 @@ func TestDisjointSetsMerge(t *testing.T) {
 	}
 }
 
+// TestDigestRepairsOnRead: corrupt an inner digest and a leaf digest below
+// it in one of two equal tries. Anti-entropy reads every digest it sends or
+// compares fresh from the node's children (a leaf's from its key), so the
+// probes that descend through the damage repair it: the tries are Equal
+// again, every digest invariant holds, and no publication moved.
+func TestDigestRepairsOnRead(t *testing.T) {
+	u, v, uc, vc := pair(3)
+	seed(u, "000", "010", "100", "101")
+	seed(v, "000", "010", "100", "101")
+	inner := v.Trie().Root().Child[0] // node 0
+	inner.Hash[0] ^= 0xFF
+	inner.Child[0].Hash[5] ^= 0x01 // leaf 000
+	if u.Trie().Equal(v.Trie()) || v.Trie().CheckInvariants() == "" {
+		t.Fatal("the corruption must be visible")
+	}
+	for i := 0; i < 4 && !(u.Trie().Equal(v.Trie()) && v.Trie().CheckInvariants() == ""); i++ {
+		u.OnTimeout(uc)
+		v.OnTimeout(vc)
+		deliver(u, v, uc, vc)
+	}
+	if !u.Trie().Equal(v.Trie()) {
+		t.Fatal("anti-entropy did not restore Equal")
+	}
+	if msg := v.Trie().CheckInvariants(); msg != "" {
+		t.Fatalf("digest left corrupted: %s", msg)
+	}
+	if u.Trie().Len() != 4 || v.Trie().Len() != 4 {
+		t.Fatalf("repair moved publications: u=%d v=%d", u.Trie().Len(), v.Trie().Len())
+	}
+}
+
 // Equal tries: a probe generates no response at all (Theorem 23).
 func TestEqualTriesSilent(t *testing.T) {
 	u, v, _, vc := pair(3)
@@ -186,6 +219,8 @@ func TestEqualTriesSilent(t *testing.T) {
 	}
 }
 
+// TestPublishFloods: the origin stores its publication and sends its one
+// neighbour one copy whose arc covers the neighbour but not the origin.
 func TestPublishFloods(t *testing.T) {
 	u, _, uc, _ := pair(8)
 	p := u.Publish(uc, "hello")
@@ -193,27 +228,47 @@ func TestPublishFloods(t *testing.T) {
 		t.Fatal("publisher must store its own publication")
 	}
 	msgs := uc.Take()
-	if len(msgs) != 1 {
+	if len(msgs) != 1 || msgs[0].To != 11 {
 		t.Fatalf("flood = %v", msgs)
 	}
 	pn, ok := msgs[0].Body.(proto.PublishNew)
 	if !ok || pn.Pub.Payload != "hello" || pn.Pub.Origin != 10 {
 		t.Fatalf("flooded %v", msgs[0].Body)
 	}
+	if !pn.Arc.Contains(label.MustParse("1").Frac()) || pn.Arc.Contains(label.MustParse("0").Frac()) {
+		t.Fatalf("arc %+v must cover v (label 1) and not u (label 0)", pn.Arc)
+	}
 }
 
+// TestPublishNewForwardOnce: a node forwards a publication at most once —
+// never a duplicate copy — and only inside its arc; a node that already
+// learned the publication through anti-entropy still forwards the first
+// tree copy, or everything below it in the tree would starve.
 func TestPublishNewForwardOnce(t *testing.T) {
 	_, v, _, vc := pair(8)
 	p := trie.NewPublication(8, 10, "x")
-	v.OnMessage(vc, sim.Message{From: 10, To: 11, Topic: tp, Body: proto.PublishNew{Pub: p}})
-	// v's only neighbour is the sender: nothing to forward to.
+	whole := proto.PublishNew{Pub: p}
+	// v's only neighbour u lies outside the arc v was handed.
+	v.OnMessage(vc, sim.Message{From: 10, To: 11, Topic: tp, Body: proto.PublishNew{Pub: p,
+		Arc: proto.Arc{Lo: label.MustParse("01").Frac(), Hi: label.MustParse("11").Frac()}}})
 	if msgs := vc.Take(); len(msgs) != 0 {
-		t.Fatalf("forwarded back to sender: %v", msgs)
+		t.Fatalf("forwarded outside the arc: %v", msgs)
 	}
-	// Duplicate delivery is dropped without forwarding.
-	v.OnMessage(vc, sim.Message{From: 10, To: 11, Topic: tp, Body: proto.PublishNew{Pub: p}})
+	// A duplicate is dropped without forwarding, even with an arc covering u.
+	v.OnMessage(vc, sim.Message{From: 10, To: 11, Topic: tp, Body: whole})
 	if msgs := vc.Take(); len(msgs) != 0 || v.Trie().Len() != 1 {
 		t.Fatalf("duplicate not dropped: %v, len=%d", msgs, v.Trie().Len())
+	}
+
+	// Learned through anti-entropy first: the tree copy is still forwarded,
+	// exactly once.
+	_, w, _, wc := pair(8)
+	w.OnMessage(wc, sim.Message{From: 12, To: 11, Topic: tp, Body: proto.PublishBatch{Pubs: []proto.Publication{p}}})
+	for i := 0; i < 2; i++ {
+		w.OnMessage(wc, sim.Message{From: 12, To: 11, Topic: tp, Body: whole})
+	}
+	if msgs := wc.Take(); len(msgs) != 1 || msgs[0].To != 10 {
+		t.Fatalf("tree copy after anti-entropy: forwarded %v, want once to u", msgs)
 	}
 }
 
@@ -222,7 +277,8 @@ func TestOnDeliverInvokedOncePerPublication(t *testing.T) {
 	e := NewEngine(Config{
 		Self: 10, Topic: tp, KeyLen: 8,
 		RingNeighbors: func() []proto.Tuple { return nil },
-		FloodTargets:  func() []sim.NodeID { return nil },
+		Position:      func() uint64 { return 0 },
+		FloodTargets:  func() []proto.Tuple { return nil },
 		OnDeliverMeta: func(p proto.Publication, _ ordering.Meta) { got = append(got, p.Payload) },
 	})
 	c := simtest.NewCtx(10)
@@ -256,7 +312,8 @@ func TestTimeoutSilentWhenEmptyOrIsolated(t *testing.T) {
 	}
 	iso := NewEngine(Config{Self: 12, Topic: tp, KeyLen: 8,
 		RingNeighbors: func() []proto.Tuple { return nil },
-		FloodTargets:  func() []sim.NodeID { return nil }})
+		Position:      func() uint64 { return 0 },
+		FloodTargets:  func() []proto.Tuple { return nil }})
 	ic := simtest.NewCtx(12)
 	iso.Publish(ic, "y")
 	ic.Take()
@@ -269,7 +326,8 @@ func TestTimeoutSilentWhenEmptyOrIsolated(t *testing.T) {
 func TestAblationSwitches(t *testing.T) {
 	noFlood := NewEngine(Config{Self: 10, Topic: tp, KeyLen: 8,
 		RingNeighbors:   func() []proto.Tuple { return []proto.Tuple{{Ref: 11}} },
-		FloodTargets:    func() []sim.NodeID { return []sim.NodeID{11} },
+		Position:        func() uint64 { return 0 },
+		FloodTargets:    func() []proto.Tuple { return []proto.Tuple{{Ref: 11}} },
 		DisableFlooding: true})
 	c := simtest.NewCtx(10)
 	noFlood.Publish(c, "x")
@@ -278,7 +336,8 @@ func TestAblationSwitches(t *testing.T) {
 	}
 	noAE := NewEngine(Config{Self: 10, Topic: tp, KeyLen: 8,
 		RingNeighbors:      func() []proto.Tuple { return []proto.Tuple{{Ref: 11}} },
-		FloodTargets:       func() []sim.NodeID { return []sim.NodeID{11} },
+		Position:           func() uint64 { return 0 },
+		FloodTargets:       func() []proto.Tuple { return []proto.Tuple{{Ref: 11}} },
 		DisableAntiEntropy: true})
 	noAE.Publish(c, "y")
 	c.Take()

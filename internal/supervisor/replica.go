@@ -21,7 +21,7 @@
 //   - Anti-entropy. Every gossip period the owner pushes a ReplicaDigest
 //     probe carrying its database root digest — an order-independent XOR
 //     fold of per-entry hashes, the same truncated-SHA-256 construction
-//     as the Patricia trie's structural hash — and the replica answers
+//     as the Patricia trie's node digests — and the replica answers
 //     only on mismatch. Replicas also periodically recompute their own
 //     digest from content, so even corruption that forged a matching
 //     stored digest is caught within a bounded number of probes.

@@ -83,3 +83,34 @@ func TestMemoryBytesShrinks(t *testing.T) {
 		t.Fatalf("MemoryBytes after draining = %d, want %d", got, empty)
 	}
 }
+
+// TestDigestOrderIndependent: the root digest is a function of the stored
+// set alone — random insertion orders interleaved with DeleteMin evictions
+// always land on the digest of a trie built fresh from the surviving set,
+// with every node's digest the XOR of its children's (CheckInvariants).
+func TestDigestOrderIndependent(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 50; trial++ {
+		keys := make([]Key, 1+rng.Intn(40))
+		for i := range keys {
+			keys[i] = Key{Bits: rng.Uint64() & 0xfff, Len: 12}
+		}
+		tr := New(12)
+		for _, i := range rng.Perm(len(keys)) {
+			tr.Insert(proto.Publication{Key: keys[i], Origin: 1})
+			if rng.Intn(4) == 0 {
+				tr.DeleteMin()
+			}
+			if msg := tr.CheckInvariants(); msg != "" {
+				t.Fatalf("trial %d: %s", trial, msg)
+			}
+		}
+		fresh := New(12)
+		for _, p := range tr.All() {
+			fresh.Insert(p)
+		}
+		if tr.Len() > 0 && tr.Root().Hash != fresh.Root().Hash || !tr.Equal(fresh) {
+			t.Fatalf("trial %d: digest depends on the insertion/eviction history", trial)
+		}
+	}
+}

@@ -1,8 +1,15 @@
 // Package trie implements the hashed Patricia trie of Section 4.2: a
 // compressed binary trie over fixed-width publication keys whose nodes
-// carry Merkle-style hashes, so two subscribers can locate the exact
+// carry digests of their subtrees, so two subscribers can locate the exact
 // difference between their publication sets by exchanging O(depth) node
-// summaries (the CheckTrie protocol).
+// summaries (the CheckTrie protocol). A node's digest is the XOR of the
+// truncated SHA-256 digests of the keys below it — a function of the
+// stored set, kept incrementally along the insert path (one SHA-256 per
+// publication) and recomputed from a node's children whenever
+// anti-entropy reads it, so corruption is repaired by reading (see Node).
+// An XOR fold, unlike a Merkle hash, can be steered by an adversary who
+// picks the keys; the threat model here is transient faults, as for the
+// supervisor's replica digest, which folds the same way.
 //
 // Keys are h̄_m(origin, payload): a collision-resistant hash (SHA-256,
 // truncated to the configured width m ≤ 64) of the publishing node's unique

@@ -14,9 +14,16 @@ import (
 //   - a leaf's label is a full m-bit key and it stores one publication;
 //   - an inner node has exactly two children and its label is the longest
 //     common prefix of its children's labels;
-//   - Hash is h(key) for leaves and h(c0.Hash ◦ c1.Hash) for inner nodes
-//     (Merkle-style; the paper's formula hashes the subtree contents so a
-//     single root comparison certifies set equality).
+//   - Hash is h(key) for leaves (truncated SHA-256) and c0.Hash ⊕ c1.Hash
+//     for inner nodes — so every node's digest is the XOR of the leaf
+//     digests below it, a function of the stored set alone, and a single
+//     root comparison still certifies set equality.
+//
+// Insert and DeleteMin keep the digests incrementally: one SHA-256 per
+// operation, XORed into every node on the path they already walk. Every
+// digest anti-entropy reads (Digest, Summary) is first recomputed in O(1)
+// from the node's children, or for a leaf from its key, so a corrupted
+// digest is repaired by the first probe that descends through it.
 type Node struct {
 	Label Key
 	Hash  [16]byte
@@ -27,18 +34,34 @@ type Node struct {
 	Pub proto.Publication
 	// leaves counts the publications stored in this subtree, so prefix
 	// collection can size its result exactly instead of growing it.
-	leaves int
+	leaves int32
+	// flooded marks a leaf whose publication this node has already
+	// forwarded down its forwarding tree (see InsertFlood). It is not part
+	// of any digest.
+	flooded bool
 }
 
 // Leaves returns the number of publications stored under n.
-func (n *Node) Leaves() int { return n.leaves }
+func (n *Node) Leaves() int { return int(n.leaves) }
 
 // IsLeaf reports whether n stores a publication.
 func (n *Node) IsLeaf() bool { return n.Child[0] == nil }
 
-// Summary returns the (label, hash) pair sent in CheckTrie messages.
+// Digest recomputes n's digest from its children (a leaf: from its key),
+// stores it and returns it.
+func (n *Node) Digest() [16]byte {
+	if n.IsLeaf() {
+		n.Hash = leafHash(n.Label)
+	} else {
+		n.Hash = xor16(n.Child[0].Hash, n.Child[1].Hash)
+	}
+	return n.Hash
+}
+
+// Summary returns the (label, digest) pair sent in CheckTrie messages, the
+// digest recomputed first (see Digest).
 func (n *Node) Summary() proto.NodeSummary {
-	return proto.NodeSummary{Label: n.Label, Hash: n.Hash}
+	return proto.NodeSummary{Label: n.Label, Hash: n.Digest()}
 }
 
 // Trie is a hashed Patricia trie over fixed-width keys. The zero value is
@@ -84,39 +107,42 @@ func leafHash(k Key) [16]byte {
 	return out
 }
 
-func innerHash(a, b [16]byte) [16]byte {
-	var buf [32]byte
-	copy(buf[:16], a[:])
-	copy(buf[16:], b[:])
-	s := sha256.Sum256(buf[:])
-	var out [16]byte
-	copy(out[:], s[:16])
-	return out
-}
-
-func (n *Node) rehash() {
-	if n.IsLeaf() {
-		n.Hash = leafHash(n.Label)
-		return
+func xor16(a, b [16]byte) [16]byte {
+	for i := range a {
+		a[i] ^= b[i]
 	}
-	n.Hash = innerHash(n.Child[0].Hash, n.Child[1].Hash)
+	return a
 }
 
 // Insert adds publication p. It returns true if p was new; re-inserting an
 // existing key is a no-op ("no publish messages are deleted", Theorem 17 —
 // the trie grows monotonically).
 func (t *Trie) Insert(p proto.Publication) bool {
+	added, _ := t.insert(p, false)
+	return added
+}
+
+// InsertFlood is Insert for a publication that is being published here or
+// arrived over the forwarding tree: it also sets the leaf's flooded mark,
+// and forward reports whether the mark was clear — whether this node still
+// owes p its one forward. A node that learned p through anti-entropy first
+// still forwards the tree copy, so its subtree does not starve.
+func (t *Trie) InsertFlood(p proto.Publication) (added, forward bool) {
+	return t.insert(p, true)
+}
+
+func (t *Trie) insert(p proto.Publication, flood bool) (added, forward bool) {
 	if p.Key.Len != t.keyLen {
 		panic(fmt.Sprintf("trie: key width %d, trie width %d", p.Key.Len, t.keyLen))
 	}
 	if t.root == nil {
-		t.root = &Node{Label: p.Key, Pub: p, leaves: 1}
-		t.root.rehash()
+		t.root = &Node{Label: p.Key, Hash: leafHash(p.Key), Pub: p, leaves: 1, flooded: flood}
 		t.size++
-		return true
+		return true, flood
 	}
-	// Walk down, remembering the path for rehash. Keys are at most 64 bits
-	// wide, so the path fits a fixed stack buffer — no per-insert slice.
+	// Walk down, remembering the path for the digest update. Keys are at
+	// most 64 bits wide, so the path fits a fixed stack buffer — no
+	// per-insert slice.
 	var pathBuf [64]*Node
 	path := pathBuf[:0]
 	cur := t.root
@@ -125,8 +151,10 @@ func (t *Trie) Insert(p proto.Publication) bool {
 	for {
 		lcp := LCP(p.Key, cur.Label)
 		if lcp.Len == cur.Label.Len {
-			if cur.IsLeaf() {
-				return false // full key match: already present
+			if cur.IsLeaf() { // full key match: already present
+				forward = flood && !cur.flooded
+				cur.flooded = cur.flooded || flood
+				return false, forward
 			}
 			path = append(path, cur)
 			parent = cur
@@ -137,26 +165,25 @@ func (t *Trie) Insert(p proto.Publication) bool {
 		// Diverged inside cur.Label: split with a new inner node labelled
 		// with the common prefix. The two nodes are born and die together,
 		// so one allocation carries both.
+		h := leafHash(p.Key)
 		pair := &[2]Node{
-			{Label: p.Key, Pub: p, leaves: 1},
-			{Label: lcp, leaves: cur.leaves + 1},
+			{Label: p.Key, Hash: h, Pub: p, leaves: 1, flooded: flood},
+			{Label: lcp, Hash: xor16(cur.Hash, h), leaves: cur.leaves + 1},
 		}
 		leaf, inner := &pair[0], &pair[1]
-		leaf.rehash()
 		inner.Child[KeyBit(p.Key, lcp.Len)] = leaf
 		inner.Child[KeyBit(cur.Label, lcp.Len)] = cur
-		inner.rehash()
 		if parent == nil {
 			t.root = inner
 		} else {
 			parent.Child[parentIdx] = inner
 		}
-		for i := len(path) - 1; i >= 0; i-- {
-			path[i].rehash()
-			path[i].leaves++
+		for _, n := range path {
+			n.Hash = xor16(n.Hash, h)
+			n.leaves++
 		}
 		t.size++
-		return true
+		return true, flood
 	}
 }
 
@@ -197,9 +224,10 @@ func (t *Trie) DeleteMin() (proto.Publication, bool) {
 		grand := path[len(path)-2]
 		grand.Child[0] = sibling // parent was reached via Child[0]
 	}
-	for i := len(path) - 2; i >= 0; i-- {
-		path[i].leaves--
-		path[i].rehash()
+	h := leafHash(cur.Label)
+	for _, n := range path[:len(path)-1] {
+		n.Hash = xor16(n.Hash, h)
+		n.leaves--
 	}
 	return pub, true
 }
@@ -283,7 +311,7 @@ func (t *Trie) CollectPrefix(l Key) []proto.Publication {
 	if n == nil {
 		return nil
 	}
-	out := make([]proto.Publication, 0, n.leaves)
+	out := make([]proto.Publication, 0, n.Leaves())
 	n.walk(func(leaf *Node) { out = append(out, leaf.Pub) })
 	return out
 }
@@ -308,12 +336,12 @@ func (n *Node) walk(visit func(*Node)) {
 }
 
 // Equal reports whether both tries store the same publication set, by root
-// hash comparison (the legitimate-state test of Theorem 23).
+// digest comparison (the legitimate-state test of Theorem 23).
 func (t *Trie) Equal(o *Trie) bool {
 	if t.root == nil || o.root == nil {
 		return t.root == nil && o.root == nil
 	}
-	return t.root.Hash == o.root.Hash
+	return t.root.Digest() == o.root.Digest()
 }
 
 // CheckInvariants verifies the structural invariants; it returns a
@@ -340,7 +368,7 @@ func (t *Trie) CheckInvariants() string {
 				return "leaf label differs from publication key"
 			}
 			if n.Hash != leafHash(n.Label) {
-				return "stale leaf hash"
+				return fmt.Sprintf("leaf %s digest is not h(key)", KeyString(n.Label))
 			}
 			if n.leaves != 1 {
 				return fmt.Sprintf("leaf %s has leaf count %d", KeyString(n.Label), n.leaves)
@@ -366,8 +394,8 @@ func (t *Trie) CheckInvariants() string {
 		if lcp := LCP(n.Child[0].Label, n.Child[1].Label); lcp != n.Label {
 			return fmt.Sprintf("inner label %s is not the children's LCP %s", KeyString(n.Label), KeyString(lcp))
 		}
-		if n.Hash != innerHash(n.Child[0].Hash, n.Child[1].Hash) {
-			return "stale inner hash"
+		if n.Hash != xor16(n.Child[0].Hash, n.Child[1].Hash) {
+			return fmt.Sprintf("inner %s digest is not the XOR of its children's", KeyString(n.Label))
 		}
 		if msg := rec(n.Child[0]); msg != "" {
 			return msg

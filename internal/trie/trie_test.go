@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -99,6 +100,59 @@ func TestFigure2Structure(t *testing.T) {
 	v.Insert(pub("101"))
 	if !u.Equal(v) {
 		t.Error("after inserting P4 the tries must be hash-equal")
+	}
+}
+
+// TestCheckInvariantsDigests: CheckInvariants flags an inner digest that
+// is not the XOR of its children's and a leaf digest that is not h(key);
+// Digest recomputes a node's digest in place from its children or key.
+func TestCheckInvariantsDigests(t *testing.T) {
+	for _, corrupt := range []func(*Trie) *Node{
+		func(tr *Trie) *Node { return tr.Root().Child[0] },          // inner node 0
+		func(tr *Trie) *Node { return tr.Root().Child[1].Child[0] }, // leaf 100
+	} {
+		tr := New(3)
+		for _, p := range []string{"000", "010", "100", "101"} {
+			tr.Insert(pub(p))
+		}
+		n := corrupt(tr)
+		good := n.Hash
+		n.Hash[3] ^= 0x40
+		if msg := tr.CheckInvariants(); !strings.Contains(msg, "digest") {
+			t.Fatalf("corrupted %s digest not flagged: %q", KeyString(n.Label), msg)
+		}
+		if n.Digest() != good {
+			t.Fatalf("Digest did not repair %s", KeyString(n.Label))
+		}
+		if msg := tr.CheckInvariants(); msg != "" {
+			t.Fatal(msg)
+		}
+	}
+}
+
+// TestInsertFloodMark: the flooded mark lets exactly one flooded copy
+// through per publication, whether or not p was stored before, and is not
+// part of the digest.
+func TestInsertFloodMark(t *testing.T) {
+	tr, plain := New(4), New(4)
+	for _, k := range []string{"0110", "1000"} {
+		tr.Insert(pub(k))
+		plain.Insert(pub(k))
+	}
+	if added, forward := tr.InsertFlood(pub("0110")); added || !forward {
+		t.Fatalf("first flooded copy of a known publication: added=%v forward=%v, want false true", added, forward)
+	}
+	if added, forward := tr.InsertFlood(pub("1011")); !added || !forward {
+		t.Fatalf("first flooded copy of a new publication: added=%v forward=%v", added, forward)
+	}
+	plain.Insert(pub("1011"))
+	for _, k := range []string{"0110", "1011"} {
+		if added, forward := tr.InsertFlood(pub(k)); added || forward {
+			t.Fatalf("second flooded copy of %s: added=%v forward=%v", k, added, forward)
+		}
+	}
+	if !tr.Equal(plain) {
+		t.Fatal("the flooded mark changed the digest")
 	}
 }
 

@@ -69,6 +69,8 @@ func (t *tape) publication() proto.Publication {
 	return proto.Publication{Key: t.key(), Origin: t.node(), Payload: t.str()}
 }
 
+func (t *tape) arc() proto.Arc { return proto.Arc{Lo: t.u64(), Hi: t.u64()} }
+
 // genBody draws one message body of the selected registered type.
 func genBody(sel uint8, tp *tape) any {
 	switch sel % 26 {
@@ -110,7 +112,7 @@ func genBody(sel uint8, tp *tape) any {
 		}
 		return m
 	case 12:
-		return proto.PublishNew{Pub: tp.publication()}
+		return proto.PublishNew{Pub: tp.publication(), Arc: tp.arc()}
 	case 13:
 		return core.JoinTopic{}
 	case 14:
@@ -153,12 +155,13 @@ func genBody(sel uint8, tp *tape) any {
 		}
 		return m
 	case 24:
-		return proto.PublishSeq{Pub: tp.publication(), Seq: tp.u64()}
+		return proto.PublishSeq{Pub: tp.publication(), Seq: tp.u64(), Arc: tp.arc()}
 	default:
 		m := proto.PublishCausal{Pub: tp.publication(), Seq: tp.u64()}
 		for i := int(tp.u8() % 4); i > 0; i-- {
 			m.Barrier = append(m.Barrier, proto.BarrierEntry{Origin: tp.node(), Seq: tp.u64()})
 		}
+		m.Arc = tp.arc()
 		return m
 	}
 }
@@ -215,6 +218,8 @@ func FuzzWireAdversarial(f *testing.F) {
 		proto.PublishSeq{Pub: proto.Publication{Key: proto.Key{Bits: 5, Len: 8}, Origin: 1, Payload: "s"}, Seq: 7},
 		proto.PublishCausal{Pub: proto.Publication{Key: proto.Key{Bits: 6, Len: 8}, Origin: 2, Payload: "c"}, Seq: 3,
 			Barrier: []proto.BarrierEntry{{Origin: 1, Seq: 2}, {Origin: 4, Seq: 9}}},
+		proto.PublishNew{Pub: proto.Publication{Key: proto.Key{Bits: 7, Len: 8}, Origin: 3, Payload: "t"},
+			Arc: proto.Arc{Lo: label.MustParse("01").Frac(), Hi: label.MustParse("11").Frac()}},
 	} {
 		b, err := Marshal(sim.Message{To: 2, From: 3, Topic: 1, Body: body})
 		if err != nil {

@@ -3,6 +3,7 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"reflect"
 	"sort"
 
@@ -204,16 +205,21 @@ var registry = map[uint64]entry{
 			return proto.PublishBatch{Pubs: pubs}
 		}},
 	tagPublishNew: {"proto.PublishNew", proto.PublishNew{},
-		func(e *enc, b any) { e.publication(b.(proto.PublishNew).Pub) },
-		func(d *dec) any { return proto.PublishNew{Pub: d.publication()} }},
+		func(e *enc, b any) {
+			m := b.(proto.PublishNew)
+			e.publication(m.Pub)
+			e.arc(m.Arc)
+		},
+		func(d *dec) any { return proto.PublishNew{Pub: d.publication(), Arc: d.arc()} }},
 	tagPublishSeq: {"proto.PublishSeq", proto.PublishSeq{},
 		func(e *enc, b any) {
 			m := b.(proto.PublishSeq)
 			e.publication(m.Pub)
 			e.uvarint(m.Seq)
+			e.arc(m.Arc)
 		},
 		func(d *dec) any {
-			return proto.PublishSeq{Pub: d.publication(), Seq: d.uvarint()}
+			return proto.PublishSeq{Pub: d.publication(), Seq: d.uvarint(), Arc: d.arc()}
 		}},
 	tagPublishCausal: {"proto.PublishCausal", proto.PublishCausal{},
 		func(e *enc, b any) {
@@ -225,6 +231,7 @@ var registry = map[uint64]entry{
 				e.node(be.Origin)
 				e.uvarint(be.Seq)
 			}
+			e.arc(m.Arc)
 		},
 		func(d *dec) any {
 			m := proto.PublishCausal{Pub: d.publication(), Seq: d.uvarint()}
@@ -235,6 +242,7 @@ var registry = map[uint64]entry{
 			for i := 0; i < n && d.err == nil; i++ {
 				m.Barrier = append(m.Barrier, proto.BarrierEntry{Origin: d.node(), Seq: d.uvarint()})
 			}
+			m.Arc = d.arc()
 			return m
 		}},
 	tagJoinTopic: {"core.JoinTopic", core.JoinTopic{},
@@ -558,6 +566,19 @@ func (d *dec) flag() proto.Flag {
 		d.fail("bad flag %d", v)
 		return proto.LIN
 	}
+}
+
+// arc encodes a forwarding-tree arc. Its bounds are label positions and
+// midpoints between them, whose low bits are zero, so each is sent
+// bit-reversed as a uvarint: at most three bytes up to a million members
+// instead of ten.
+func (e *enc) arc(a proto.Arc) {
+	e.uvarint(bits.Reverse64(a.Lo))
+	e.uvarint(bits.Reverse64(a.Hi))
+}
+
+func (d *dec) arc() proto.Arc {
+	return proto.Arc{Lo: bits.Reverse64(d.uvarint()), Hi: bits.Reverse64(d.uvarint())}
 }
 
 func (e *enc) publication(p proto.Publication) {

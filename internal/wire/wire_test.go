@@ -44,6 +44,15 @@ var sampleBodies = []any{
 		{Key: proto.Key{Bits: 0, Len: 1}, Origin: 8, Payload: ""},
 	}},
 	proto.PublishNew{Pub: proto.Publication{Key: proto.Key{Bits: 99, Len: 32}, Origin: 2, Payload: "pub-β"}},
+	// Forwarding-tree arcs: label positions, a midpoint, a wrapped arc and
+	// bounds with no trailing zero bits (the bit-reversed uvarint's worst
+	// case).
+	proto.PublishNew{Pub: proto.Publication{Key: proto.Key{Bits: 3, Len: 8}, Origin: 5, Payload: "tree"},
+		Arc: proto.Arc{Lo: lbl("01").Frac(), Hi: lbl("11").Frac() + 1<<60}},
+	proto.PublishNew{Pub: proto.Publication{Key: proto.Key{Bits: 4, Len: 8}, Origin: 5, Payload: "wrap"},
+		Arc: proto.Arc{Lo: lbl("111").Frac(), Hi: lbl("001").Frac()}},
+	proto.PublishNew{Pub: proto.Publication{Key: proto.Key{Bits: 5, Len: 8}, Origin: 5, Payload: "odd"},
+		Arc: proto.Arc{Lo: 1<<64 - 1, Hi: 12345}},
 	proto.Reregister{V: 12, Label: lbl("001"), Epoch: 1<<40 + 5},
 	proto.OwnerAnnounce{Owner: 3, Epoch: 7},
 	proto.PlaneGossip{Entries: []proto.TopicEpoch{{Topic: 1, Epoch: 2}, {Topic: 1 << 30, Epoch: 0}}},
@@ -63,9 +72,11 @@ var sampleBodies = []any{
 	proto.ReplicaDigest{Epoch: 2, Count: 3, Mode: 2},
 	proto.ReplicaSync{Epoch: 8, Round: 1, Seq: 0, Chunks: 1, Mode: 2},
 	proto.PublishSeq{Pub: proto.Publication{Key: proto.Key{Bits: 17, Len: 16}, Origin: 3, Payload: "seq-pub"}, Seq: 1 << 33},
-	proto.PublishSeq{Pub: proto.Publication{Key: proto.Key{Bits: 1, Len: 1}, Origin: 4, Payload: ""}, Seq: 1},
+	proto.PublishSeq{Pub: proto.Publication{Key: proto.Key{Bits: 1, Len: 1}, Origin: 4, Payload: ""}, Seq: 1,
+		Arc: proto.Arc{Lo: lbl("1").Frac(), Hi: lbl("0011").Frac()}},
 	proto.PublishCausal{Pub: proto.Publication{Key: proto.Key{Bits: 5, Len: 8}, Origin: 6, Payload: "causal"}, Seq: 9,
-		Barrier: []proto.BarrierEntry{{Origin: 1, Seq: 8}, {Origin: 1<<40 + 2, Seq: 1 << 50}}},
+		Barrier: []proto.BarrierEntry{{Origin: 1, Seq: 8}, {Origin: 1<<40 + 2, Seq: 1 << 50}},
+		Arc:     proto.Arc{Lo: lbl("0101").Frac(), Hi: lbl("011").Frac()}},
 	proto.PublishCausal{Pub: proto.Publication{Key: proto.Key{Bits: 2, Len: 2}, Origin: 7, Payload: "lone"}, Seq: 1},
 	core.JoinTopic{},
 	core.LeaveTopic{},
@@ -111,6 +122,29 @@ func TestRoundTripAllTypes(t *testing.T) {
 // TestEnvelopeExtremes pins the envelope codec at the edges of the ID and
 // topic domains (negative values must survive, even though the protocol
 // never generates them: the codec must not corrupt what it carries).
+// TestArcEncodingCompact: a forwarding-tree arc between label positions —
+// or the midpoints Split cuts at — costs at most three bytes per bound up
+// to a million members (20-bit labels), not a fixed-width or ten-byte
+// uvarint pair.
+func TestArcEncodingCompact(t *testing.T) {
+	size := func(a proto.Arc) int {
+		b, err := Marshal(sim.Message{To: 2, From: 3, Topic: 1, Body: proto.PublishNew{Arc: a}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(b)
+	}
+	base := size(proto.Arc{}) // two one-byte zeros
+	for _, x := range []uint64{0, 1, 2, 1000, 1<<20 - 2} {
+		lo := label.FromIndex(x).Frac()
+		hi := label.FromIndex(x + 1).Frac()
+		mid := lo + (hi-lo)/2 + (hi-lo)&1
+		if got := size(proto.Arc{Lo: mid, Hi: hi}) - base; got > 4 {
+			t.Errorf("arc between labels %d and %d costs %d bytes over the whole ring's, want ≤ 4", x, x+1, got)
+		}
+	}
+}
+
 func TestEnvelopeExtremes(t *testing.T) {
 	for _, m := range []sim.Message{
 		{To: sim.None, From: sim.None, Topic: 0, Body: core.JoinTopic{}},
