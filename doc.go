@@ -76,8 +76,7 @@
 // the wire codec encodes frames append-only into pooled or caller-held
 // buffers (wire.AppendFrame, wire.WriteFrame) and decodes through a
 // per-connection wire.DecodeState whose arena bump-allocates payload
-// strings and batch scaffolds and whose direct-mapped cache interns
-// repeated fan-out bodies; and a concurrent-runtime mailbox reuses its
+// strings and batch scaffolds; and a concurrent-runtime mailbox reuses its
 // batch arrays, swapping them between senders and the node goroutine. The
 // networked transport's
 // egress is one hop: a send encodes on the sending goroutine straight
@@ -88,8 +87,9 @@
 // publication flooded to 16 subscribers, BenchmarkHotPathPublishFanout)
 // this cut whole-system allocations per publication by 9.0x on the sim
 // substrate, 12.0x on the concurrent runtime and 26x over TCP (647 to 25
-// allocs/op), and a 16-way multicast of one body costs 16 boxed
-// deliveries and nothing else (BenchmarkNetEgressMulticast).
+// allocs/op), and a 16-way forwarding-tree step over TCP (one publication,
+// 16 copies with their own arcs) costs one boxed body per copy on each
+// side of the socket, 32 allocations (BenchmarkNetEgressMulticast).
 // testing.AllocsPerRun guards in internal/wire, internal/psim,
 // internal/runtime/nettransport and the root package hold each layer to
 // its budget; the fan-out rows
@@ -204,7 +204,10 @@
 // delivery rounds. When anti-entropy delivers a publication before its
 // sequenced tree copy arrives, the copy only moves the publisher's cursor
 // (ordering.Buffer.Known), so later publications are not held behind it.
-// Best-effort deployments take none of these code paths.
+// The sequence number and barrier ride the one flood message, PublishNew,
+// and the mode lives only in each client's configuration: supervisors
+// neither record nor replicate it. Best-effort deployments take none of
+// these code paths.
 //
 // # Chaos testing
 //

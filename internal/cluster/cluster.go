@@ -52,8 +52,8 @@ type Options struct {
 	// Seed drives the deterministic engine NewSim builds; New, which is
 	// handed its substrate, ignores it.
 	Seed int64
-	// ClientOpts configure every client; its DeliveryMode is also recorded
-	// by the supervisors as the directory default. The plane fills in
+	// ClientOpts configure every client (its DeliveryMode included — the
+	// supervisors keep no mode of their own). The plane fills in
 	// Supervisors and SupervisorFor.
 	ClientOpts core.Options
 	// Supervisors is the supervisor-plane size (default 1). With more than

@@ -5,7 +5,6 @@ import (
 
 	"sspubsub/internal/core"
 	"sspubsub/internal/hashdht"
-	"sspubsub/internal/ordering"
 	"sspubsub/internal/sim"
 	"sspubsub/internal/supervisor"
 )
@@ -41,10 +40,9 @@ type Plane struct {
 }
 
 // NewPlane starts opts.Supervisors supervisors on the transport, every one
-// with the replication factor and the default delivery mode the options
-// name. With opts.Remote it starts none and only routes: the IDs are
-// deterministic, so every process of a deployment sends a topic to the same
-// supervisor.
+// with the replication factor the options name. With opts.Remote it starts
+// none and only routes: the IDs are deterministic, so every process of a
+// deployment sends a topic to the same supervisor.
 func NewPlane(tr sim.Transport, opts Options) *Plane {
 	k := max(opts.Supervisors, 1)
 	rf := opts.ReplicationFactor
@@ -73,9 +71,6 @@ func NewPlane(tr sim.Transport, opts Options) *Plane {
 			if rf > 0 {
 				sup.SetReplicationFactor(rf)
 			}
-		}
-		if mode := opts.ClientOpts.DeliveryMode; mode != ordering.BestEffort {
-			sup.SetDefaultMode(mode)
 		}
 		tr.AddNode(id, sup)
 		p.Sups[id] = sup
@@ -195,7 +190,6 @@ func (p *Plane) ExplainReplication(t sim.Topic) string {
 	if !ok {
 		return fmt.Sprintf("owner %d does not host topic %d", owner.ID(), t)
 	}
-	mode := owner.ModeFor(t)
 	for _, id := range p.ExpectedReplicas(t) {
 		rEpoch, rHash, rCount, held := p.Sups[id].HeldReplicaDigest(t)
 		if !held {
@@ -209,9 +203,6 @@ func (p *Plane) ExplainReplication(t sim.Topic) string {
 		}
 		if rHash != hash {
 			return fmt.Sprintf("replica %d digest mismatch against owner %d", id, owner.ID())
-		}
-		if rMode := p.Sups[id].ModeFor(t); rMode != mode {
-			return fmt.Sprintf("replica %d records delivery mode %v, owner records %v", id, rMode, mode)
 		}
 	}
 	return ""

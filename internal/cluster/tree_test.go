@@ -77,12 +77,13 @@ func TestFloodTreeAfterAntiEntropy(t *testing.T) {
 }
 
 // TestFloodTreeTraffic: on every substrate, once the overlay is legitimate,
-// k publications cost exactly k·(n−1) flood bodies — one per subscriber
-// other than the origin — in best-effort and in FIFO mode.
+// k publications cost exactly k·(n−1) PublishNew bodies — one per
+// subscriber other than the origin — in every delivery mode; the causal
+// arm sends barrier-carrying floods through the net codec.
 func TestFloodTreeTraffic(t *testing.T) {
 	const n, k, seed = 16, 20, 7
 	for _, kind := range []string{"sim", "concurrent", "net"} {
-		for _, mode := range []ordering.Mode{ordering.BestEffort, ordering.FIFO} {
+		for _, mode := range []ordering.Mode{ordering.BestEffort, ordering.FIFO, ordering.Causal} {
 			t.Run(fmt.Sprintf("%s/%s", kind, mode), func(t *testing.T) {
 				tr, err := NewSubstrate(kind, seed, 10*time.Millisecond)
 				if err != nil {
@@ -96,9 +97,6 @@ func TestFloodTreeTraffic(t *testing.T) {
 					t.Fatalf("no convergence: %s", l.Explain(topicA))
 				}
 				body := sim.TypeName(proto.PublishNew{})
-				if mode == ordering.FIFO {
-					body = sim.TypeName(proto.PublishSeq{})
-				}
 				var before int64
 				if !l.Freeze(func() { before = l.CountByType(body) }) {
 					t.Fatal("the system never quiesced")

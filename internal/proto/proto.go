@@ -189,26 +189,23 @@ func (a Arc) Contains(p uint64) bool { return a.Lo == a.Hi || p-a.Lo < a.Hi-a.Lo
 
 // PublishNew floods a fresh publication down the forwarding tree over ring
 // and shortcut edges (Section 4.3); Arc is the part of the ring the
-// receiver must cover.
-type PublishNew struct {
-	Pub Publication
-	Arc Arc
-}
-
-// ---- ordered delivery (per-topic FIFO / causal modes) ----
+// receiver must cover. On topics with an ordered delivery mode it also
+// carries bounded ordering metadata — storage and forwarding are
+// unchanged, only the subscriber-side delivery callback is reordered, by
+// internal/ordering:
 //
-// Best-effort topics flood PublishNew. Ordered topics flood the same
-// payload wrapped with bounded ordering metadata: a per-publisher sequence
-// number (FIFO), plus a capped causal-barrier summary (causal). Storage
-// and forwarding (down the same tree, by Arc) are unchanged — only the
-// subscriber-side delivery callback is reordered, by internal/ordering.
-
-// PublishSeq floods a fresh publication on a FIFO-mode topic: Pub plus the
-// publisher's per-topic sequence number (starting at 1).
-type PublishSeq struct {
-	Pub Publication
-	Seq uint64
-	Arc Arc
+//   - Seq is the publisher's per-topic sequence number, starting at 1; 0
+//     means unsequenced (a best-effort topic's publication).
+//   - Barrier is the causal-mode summary of the publication's causal
+//     predecessors, at most ordering.BarrierCap entries; nil in the other
+//     modes. Receivers hold the publication until their own delivery
+//     frontier covers the barrier (or the bounded force-delivery timeout
+//     fires).
+type PublishNew struct {
+	Pub     Publication
+	Seq     uint64
+	Barrier []BarrierEntry
+	Arc     Arc
 }
 
 // BarrierEntry is one element of a bounded causal-barrier summary: the
@@ -217,19 +214,6 @@ type PublishSeq struct {
 type BarrierEntry struct {
 	Origin sim.NodeID
 	Seq    uint64
-}
-
-// PublishCausal floods a fresh publication on a causal-mode topic: Pub,
-// the publisher's sequence number, and a barrier of at most
-// ordering.BarrierCap entries summarizing the publication's causal
-// predecessors. Receivers hold the publication until their own delivery
-// frontier covers the barrier (or the bounded force-delivery timeout
-// fires).
-type PublishCausal struct {
-	Pub     Publication
-	Seq     uint64
-	Barrier []BarrierEntry
-	Arc     Arc
 }
 
 // ---- supervisor plane (crash-tolerant sharded supervision) ----
@@ -310,9 +294,6 @@ type ReplicaDelta struct {
 	Epoch uint64
 	Put   []ReplicaEntry
 	Del   []label.Label
-	// Mode is the topic's delivery mode (an ordering.Mode value), carried
-	// so replicas adopt it along with the directory.
-	Mode uint8
 }
 
 // ReplicaDigest is the anti-entropy exchange. With Probe set it is the
@@ -327,8 +308,6 @@ type ReplicaDigest struct {
 	Epoch uint64
 	Count uint64
 	Hash  [16]byte
-	// Mode is the topic's delivery mode (an ordering.Mode value).
-	Mode uint8
 }
 
 // ReplicaSync is one bounded chunk of a full directory sync: chunk Seq of
@@ -343,6 +322,4 @@ type ReplicaSync struct {
 	Seq     uint64
 	Chunks  uint64
 	Entries []ReplicaEntry
-	// Mode is the topic's delivery mode (an ordering.Mode value).
-	Mode uint8
 }

@@ -17,9 +17,10 @@
 // event that anti-entropy closes, not a loss.
 //
 // On topics with an ordered delivery mode (internal/ordering), storage and
-// flooding are unchanged — publications flood as PublishSeq/PublishCausal
-// carrying bounded ordering metadata, and only the delivery callback is
-// reordered through a per-topic ordering.Buffer.
+// flooding are unchanged — the PublishNew body also carries the
+// publisher's sequence number (and, in causal mode, a bounded causal
+// barrier), and only the delivery callback is reordered through a
+// per-topic ordering.Buffer.
 package pubsub
 
 import (
@@ -120,18 +121,12 @@ func (e *Engine) emit(p proto.Publication, m ordering.Meta) {
 // barrier).
 func (e *Engine) Publish(ctx sim.Context, payload string) proto.Publication {
 	p := trie.NewPublication(e.cfg.KeyLen, e.cfg.Self, payload)
-	var body any
-	switch {
-	case e.ord == nil:
-		body = proto.PublishNew{Pub: p}
-	case e.cfg.Mode == ordering.Causal:
+	b := proto.PublishNew{Pub: p}
+	if e.ord != nil {
 		e.nextSeq++
-		body = proto.PublishCausal{Pub: p, Seq: e.nextSeq, Barrier: e.ord.Barrier()}
-	default:
-		e.nextSeq++
-		body = proto.PublishSeq{Pub: p, Seq: e.nextSeq}
+		b.Seq, b.Barrier = e.nextSeq, e.ord.Barrier()
 	}
-	e.onFlood(ctx, body)
+	e.onFlood(ctx, b)
 	return p
 }
 
@@ -228,8 +223,8 @@ func (e *Engine) OnMessage(ctx sim.Context, m sim.Message) bool {
 		for _, p := range b.Pubs {
 			e.insert(p)
 		}
-	case proto.PublishNew, proto.PublishSeq, proto.PublishCausal:
-		e.onFlood(ctx, m.Body)
+	case proto.PublishNew:
+		e.onFlood(ctx, b)
 	default:
 		return false
 	}
@@ -240,41 +235,28 @@ func (e *Engine) OnMessage(ctx sim.Context, m sim.Message) bool {
 // deliver (through the reorder buffer on ordered topics), and forward down
 // the tree if this is the first copy to reach this node. A copy of a
 // publication already learned through anti-entropy is still forwarded, or
-// the subtree below would starve. A sequenced frame reaching a best-effort
-// engine (mode drift between deployments, or a topic whose mode the
-// supervisor has not yet replicated here) degrades gracefully to
-// best-effort delivery — the metadata is ignored, never an error.
-func (e *Engine) onFlood(ctx sim.Context, body any) {
-	var (
-		p       proto.Publication
-		arc     proto.Arc
-		seq     uint64 // 0 on a plain PublishNew
-		barrier []proto.BarrierEntry
-	)
-	switch b := body.(type) {
-	case proto.PublishNew:
-		p, arc = b.Pub, b.Arc
-	case proto.PublishSeq:
-		p, arc, seq = b.Pub, b.Arc, b.Seq
-	case proto.PublishCausal:
-		p, arc, seq, barrier = b.Pub, b.Arc, b.Seq, b.Barrier
-	}
-	_, plain := body.(proto.PublishNew)
+// the subtree below would starve. A sequenced copy reaching a best-effort
+// engine (engines configured with different delivery modes) degrades
+// gracefully to best-effort delivery — the metadata is ignored, never an
+// error — and an unsequenced copy (Seq 0) reaching an ordered engine is
+// delivered Recovered, like an anti-entropy arrival.
+func (e *Engine) onFlood(ctx sim.Context, b proto.PublishNew) {
+	p := b.Pub
 	added, forward := e.insertStore(p, true)
 	switch {
 	case added && e.ord == nil:
 		e.emit(p, ordering.Meta{})
-	case added && plain:
+	case added && b.Seq == 0:
 		e.ord.Recovered(p)
 	case added:
-		e.ord.Arrive(p, seq, barrier)
-	case forward && e.ord != nil && !plain:
+		e.ord.Arrive(p, b.Seq, b.Barrier)
+	case forward && e.ord != nil && b.Seq != 0:
 		// Anti-entropy delivered p first (Recovered); its sequence still
 		// has to move the publisher's cursor.
-		e.ord.Known(p, seq, barrier)
+		e.ord.Known(p, b.Seq, b.Barrier)
 	}
 	if forward && !e.cfg.DisableFlooding {
-		e.forward(ctx, body, arc)
+		e.forward(ctx, b)
 	}
 }
 

@@ -2,6 +2,7 @@ package pubsub
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"sspubsub/internal/label"
@@ -353,5 +354,63 @@ func TestCorruptedKeyWidthRejected(t *testing.T) {
 	v.OnMessage(vc, sim.Message{From: 5, Topic: tp, Body: proto.PublishBatch{Pubs: []proto.Publication{bad}}})
 	if v.Trie().Len() != 0 {
 		t.Fatal("foreign key width must be rejected")
+	}
+}
+
+// TestFloodMetadataAcrossModes: what a flood copy's metadata (Seq, Barrier)
+// means depends on the receiving engine's delivery mode. A best-effort
+// engine ignores it; an ordered one delivers an unsequenced copy as
+// Recovered, a sequenced one through the reorder buffer, and a sequenced
+// copy of a publication anti-entropy already delivered only moves the
+// publisher's cursor — so the next sequence is deliverable at once instead
+// of held behind a gap.
+func TestFloodMetadataAcrossModes(t *testing.T) {
+	type delivery struct {
+		payload string
+		meta    ordering.Meta
+	}
+	p1 := trie.NewPublication(64, 99, "p1")
+	p2 := trie.NewPublication(64, 99, "p2")
+	flood := func(b proto.PublishNew) sim.Message { return sim.Message{From: 99, Topic: tp, Body: b} }
+	for _, tc := range []struct {
+		name string
+		mode ordering.Mode
+		in   []sim.Message
+		want []delivery
+	}{
+		{"best-effort engine, sequenced frame", ordering.BestEffort,
+			[]sim.Message{flood(proto.PublishNew{Pub: p1, Seq: 4, Barrier: []proto.BarrierEntry{{Origin: 7, Seq: 3}}})},
+			[]delivery{{"p1", ordering.Meta{}}}},
+		{"fifo engine, Seq 0", ordering.FIFO,
+			[]sim.Message{flood(proto.PublishNew{Pub: p1})},
+			[]delivery{{"p1", ordering.Meta{Recovered: true}}}},
+		{"fifo engine, sequenced frame", ordering.FIFO,
+			[]sim.Message{flood(proto.PublishNew{Pub: p1, Seq: 1})},
+			[]delivery{{"p1", ordering.Meta{Seq: 1}}}},
+		{"fifo engine, anti-entropy first", ordering.FIFO,
+			[]sim.Message{
+				{From: 98, Topic: tp, Body: proto.PublishBatch{Pubs: []proto.Publication{p1}}},
+				flood(proto.PublishNew{Pub: p1, Seq: 1}),
+				flood(proto.PublishNew{Pub: p2, Seq: 2}),
+			},
+			[]delivery{{"p1", ordering.Meta{Recovered: true}}, {"p2", ordering.Meta{Seq: 2}}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var got []delivery
+			e := NewEngine(Config{
+				Self: 10, Topic: tp, Mode: tc.mode,
+				RingNeighbors: func() []proto.Tuple { return nil },
+				Position:      func() uint64 { return 0 },
+				FloodTargets:  func() []proto.Tuple { return nil },
+				OnDeliverMeta: func(p proto.Publication, m ordering.Meta) { got = append(got, delivery{p.Payload, m}) },
+			})
+			c := simtest.NewCtx(10)
+			for _, m := range tc.in {
+				e.OnMessage(c, m)
+			}
+			if !reflect.DeepEqual(got, tc.want) {
+				t.Fatalf("deliveries %+v, want %+v", got, tc.want)
+			}
+		})
 	}
 }

@@ -70,24 +70,11 @@ func Split(self uint64, targets []proto.Tuple, a proto.Arc, visit func(to sim.No
 }
 
 // forward sends flood body b down the tree: one copy per target inside
-// arc a, each carrying its piece.
-func (e *Engine) forward(ctx sim.Context, b any, a proto.Arc) {
-	Split(e.cfg.Position(), e.cfg.FloodTargets(), a, func(to sim.NodeID, piece proto.Arc) {
-		ctx.Send(to, e.cfg.Topic, withArc(b, piece))
+// b's arc, each carrying its piece.
+func (e *Engine) forward(ctx sim.Context, b proto.PublishNew) {
+	Split(e.cfg.Position(), e.cfg.FloodTargets(), b.Arc, func(to sim.NodeID, piece proto.Arc) {
+		c := b
+		c.Arc = piece
+		ctx.Send(to, e.cfg.Topic, c)
 	})
-}
-
-// withArc returns flood body b re-addressed to arc a.
-func withArc(b any, a proto.Arc) any {
-	switch m := b.(type) {
-	case proto.PublishSeq:
-		m.Arc = a
-		return m
-	case proto.PublishCausal:
-		m.Arc = a
-		return m
-	}
-	m := b.(proto.PublishNew)
-	m.Arc = a
-	return m
 }

@@ -152,10 +152,10 @@ func (p *peer) pump(conn net.Conn) {
 // readLoop dispatches frames until the connection fails. Garbage frames
 // are counted and skipped — the stream stays aligned; only framing-level
 // corruption or I/O failure ends the connection. One frame buffer and one
-// decode state (arena + body intern cache) are reused for the whole life
-// of the connection, so the steady-state read path allocates only what
-// escapes into the runtime — and for a fan-out of one shareable body,
-// that is a single boxed value served from the cache.
+// decode state (its arena) are reused for the whole life of the
+// connection, so the steady-state read path allocates only what escapes
+// into the runtime: one boxed body per message, plus the arena chunks its
+// strings and slices are bumped out of.
 func (p *peer) readLoop(conn net.Conn) {
 	br := bufio.NewReaderSize(conn, 64<<10)
 	var buf []byte

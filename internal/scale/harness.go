@@ -44,11 +44,10 @@ type Config struct {
 	// CrashFrac is the fraction of subscribers crashed for the
 	// stabilization probe. Default 0.01 (min 1 subscriber).
 	CrashFrac float64
-	// DeliveryMode runs every subscriber (and the supervisor's topic
-	// directory) in the given delivery mode. Ordered modes time the
-	// fan-out probe on actual application deliveries — which the ordering
-	// layer may buffer — rather than on trie arrival, so the sweep
-	// measures the ordering overhead end to end.
+	// DeliveryMode runs every subscriber in the given delivery mode.
+	// Ordered modes time the fan-out probe on actual application
+	// deliveries — which the ordering layer may buffer — rather than on
+	// trie arrival, so the sweep measures the ordering overhead end to end.
 	DeliveryMode ordering.Mode
 	// Workers is how many goroutines execute the engine's lanes; 0 is the
 	// engine default (one per CPU, at most Lanes), 1 runs inline. Physical

@@ -228,10 +228,8 @@ func (s *Supervisor) adopt(ctx sim.Context, t sim.Topic) {
 	db.track = s.repFactor > 0
 	db.grace = rebuildGrace
 	db.graceCeil = graceCeiling
-	db.mode = s.defaultMode
 	if rep := s.replicas[t]; s.warmUsable(rep, t) {
 		db.seedFromReplica(rep)
-		db.mode = rep.mode
 		// A short grace still covers stragglers, and one post-grace
 		// CheckLabels pass verifies compactness in case the replica missed
 		// the owner's last few mutations.

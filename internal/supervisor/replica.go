@@ -44,7 +44,6 @@ import (
 	"sort"
 
 	"sspubsub/internal/label"
-	"sspubsub/internal/ordering"
 	"sspubsub/internal/proto"
 	"sspubsub/internal/sim"
 )
@@ -155,9 +154,6 @@ func (db *topicDB) pend(op repOp) {
 type replicaDB struct {
 	epoch uint64
 	db    map[label.Label]sim.NodeID
-	// mode is the topic's replicated delivery mode (directory metadata; a
-	// warm adoption carries it into the new era alongside the labels).
-	mode ordering.Mode
 	// hash is the incrementally maintained digest of db; verified is the
 	// plane tick of the last recompute-from-content self-check.
 	hash     [16]byte
@@ -266,7 +262,7 @@ func (s *Supervisor) replicaTimeout(ctx sim.Context) {
 				s.sendFullSync(ctx, t, db, to)
 			}
 		case len(db.pending) > 0:
-			d := proto.ReplicaDelta{Epoch: db.epoch, Mode: uint8(db.mode)}
+			d := proto.ReplicaDelta{Epoch: db.epoch}
 			for _, op := range db.pending {
 				if op.del {
 					d.Del = append(d.Del, op.l)
@@ -283,7 +279,6 @@ func (s *Supervisor) replicaTimeout(ctx sim.Context) {
 			dig := proto.ReplicaDigest{
 				Probe: true, Epoch: db.epoch,
 				Count: uint64(len(db.db)), Hash: db.repHash,
-				Mode: uint8(db.mode),
 			}
 			for _, to := range succs {
 				ctx.Send(to, t, dig)
@@ -340,7 +335,6 @@ func (s *Supervisor) sendFullSync(ctx sim.Context, t sim.Topic, db *topicDB, to 
 		ctx.Send(to, t, proto.ReplicaSync{
 			Epoch: db.epoch, Round: db.syncRound,
 			Seq: seq, Chunks: total, Entries: entries[lo:hi],
-			Mode: uint8(db.mode),
 		})
 	}
 }
@@ -370,7 +364,6 @@ func (s *Supervisor) onReplicaDelta(t sim.Topic, from sim.NodeID, b proto.Replic
 		return
 	}
 	rep.epoch = b.Epoch
-	rep.mode = ordering.Mode(b.Mode)
 	for _, e := range b.Put {
 		rep.apply(e.L, e.V)
 	}
@@ -389,9 +382,6 @@ func (s *Supervisor) onReplicaDigest(ctx sim.Context, t sim.Topic, from sim.Node
 	}
 	if b.Probe {
 		rep := s.replica(t)
-		// The mode is a single directory-level scalar, so the probe itself
-		// repairs it directly — no sync round needed for a mode divergence.
-		rep.mode = ordering.Mode(b.Mode)
 		if s.plane.tick-rep.verified >= replicaVerifyEvery {
 			// Self-check: recompute from content so corruption that kept
 			// the stored digest coherent is still caught within a bounded
@@ -461,7 +451,6 @@ func (s *Supervisor) onReplicaSync(t sim.Topic, from sim.NodeID, b proto.Replica
 	rep.db = fresh
 	rep.hash = h
 	rep.epoch = st.epoch
-	rep.mode = ordering.Mode(b.Mode)
 	rep.stage = nil
 	rep.fresh = s.plane.tick
 	rep.verified = s.plane.tick

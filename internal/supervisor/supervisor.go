@@ -26,7 +26,6 @@ import (
 	"unsafe"
 
 	"sspubsub/internal/label"
-	"sspubsub/internal/ordering"
 	"sspubsub/internal/proto"
 	"sspubsub/internal/sim"
 )
@@ -55,12 +54,6 @@ type Supervisor struct {
 	// successor for. See replica.go.
 	repFactor int
 	replicas  map[sim.Topic]*replicaDB
-
-	// defaultMode seeds the delivery mode of topics created after it is
-	// set (SetDefaultMode). The mode is directory metadata: it rides the
-	// replication delta stream and the anti-entropy digests so warm
-	// replicas adopt it with the labels.
-	defaultMode ordering.Mode
 }
 
 // topicDB is the database for one topic plus the round-robin cursor.
@@ -132,10 +125,6 @@ type topicDB struct {
 	pending     []repOp
 	repOverflow bool
 	syncRound   uint64
-
-	// mode is the topic's delivery mode (directory metadata, replicated
-	// alongside the label set).
-	mode ordering.Mode
 }
 
 type entry struct {
@@ -261,33 +250,9 @@ func (s *Supervisor) topic(t sim.Topic) *topicDB {
 	if !ok {
 		db = newTopicDB()
 		db.track = s.plane != nil && s.repFactor > 0
-		db.mode = s.defaultMode
 		s.topics[t] = db
 	}
 	return db
-}
-
-// SetDefaultMode sets the delivery mode seeded into topics this supervisor
-// creates from now on (existing topics are unchanged).
-func (s *Supervisor) SetDefaultMode(m ordering.Mode) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.defaultMode = m
-}
-
-// ModeFor returns the delivery mode recorded for topic t: from the owned
-// directory if this supervisor hosts the topic, from a held warm replica
-// otherwise (defaultMode when neither knows the topic).
-func (s *Supervisor) ModeFor(t sim.Topic) ordering.Mode {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if db, ok := s.topics[t]; ok {
-		return db.mode
-	}
-	if rep, ok := s.replicas[t]; ok {
-		return rep.mode
-	}
-	return s.defaultMode
 }
 
 // OnTimeout performs the periodic supervisor action for every topic:

@@ -139,46 +139,6 @@ func TestArenaBatchDecodeAllocs(t *testing.T) {
 	}
 }
 
-// TestArenaBatch2FanoutAllocs: a warm intern cache makes the decode of a
-// fan-out Batch2 frame (same shareable body, many destinations) cost at
-// most 1 allocation — everything but the batch box is served from the
-// cache and the arena scaffold.
-func TestArenaBatch2FanoutAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops items under the race detector; alloc counts are meaningless")
-	}
-	body := proto.PublishNew{Pub: proto.Publication{
-		Key: proto.Key{Bits: 0x9e37, Len: 64}, Origin: 3,
-		Payload: "payload-with-some-realistic-length",
-	}}
-	var members []sim.Message
-	for i := 0; i < 16; i++ {
-		members = append(members, sim.Message{To: sim.NodeID(i), From: 3, Topic: 1, Body: body})
-	}
-	frame, err := Marshal(sim.Message{Body: Batch2{Msgs: members}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := NewDecodeState()
-	if _, err := UnmarshalState(frame, st); err != nil { // warm the cache
-		t.Fatal(err)
-	}
-	st.EndFrame()
-	avg := testing.AllocsPerRun(200, func() {
-		m, err := UnmarshalState(frame, st)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := len(m.Body.(Batch2).Msgs); got != 16 {
-			t.Fatalf("decoded %d members", got)
-		}
-		st.EndFrame()
-	})
-	if avg > 1 {
-		t.Errorf("interned decode of a 16-way fan-out batch allocates %.2f objects/op, want ≤ 1", avg)
-	}
-}
-
 // TestRegistryNamesMatchReflection: the registry's canonical names seed
 // the shared accounting name table (sim.TypeName), so each must equal the
 // %T rendering it replaces — otherwise CountByType keys would silently

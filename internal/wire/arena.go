@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"bytes"
 	"unsafe"
 
 	"sspubsub/internal/proto"
@@ -11,12 +10,9 @@ import (
 // This file is the decode-side allocation machinery behind the
 // per-connection decode path: a bump arena that batches the many small
 // allocations of a batch decode (payload strings, publication slices,
-// the batch's message scaffold) into a few chunk allocations, and a body
-// intern cache that lets a reader decode a body it has already seen —
-// byte-identical tag+body in a length-prefixed Batch2 member — exactly
-// once, sharing the boxed value across every delivery. Together they are
-// why the net substrate's hot path no longer pays one boxing allocation
-// plus one string per fan-out edge.
+// the batch's message scaffold) into a few chunk allocations, so a
+// Batch2 frame costs one boxing allocation per member rather than a
+// string and a slice on top.
 
 const (
 	// arenaChunk is the byte-chunk size strings are bumped through.
@@ -110,61 +106,11 @@ func (a *Arena) reset() {
 	a.pubs = a.pubs[:0]
 }
 
-// cacheSlots sizes the body intern cache. Direct-mapped: a hash
-// collision simply evicts, so the cache needs no lists and no eviction
-// policy — the hot case (the same publication body crossing the link on
-// every fan-out edge of a flood) hits one slot repeatedly.
-const cacheSlots = 256
-
-type cacheEnt struct {
-	key  []byte // tag+body bytes, owned copy
-	body any
-}
-
-// DecodeCache interns decoded bodies by their exact tag+body bytes.
-// Only bodies whose type CanShare reports true are admitted: such a
-// value contains no slices, maps or pointers (strings are fine — they
-// are immutable), so one boxed copy can be delivered to any number of
-// handlers concurrently.
-type DecodeCache struct {
-	ents [cacheSlots]cacheEnt
-}
-
-func cacheHash(key []byte) uint64 {
-	// FNV-1a.
-	h := uint64(14695981039346656037)
-	for _, b := range key {
-		h = (h ^ uint64(b)) * 1099511628211
-	}
-	return h
-}
-
-func (c *DecodeCache) lookup(key []byte) (any, bool) {
-	e := &c.ents[cacheHash(key)&(cacheSlots-1)]
-	if e.body != nil && bytes.Equal(e.key, key) {
-		return e.body, true
-	}
-	return nil, false
-}
-
-func (c *DecodeCache) store(key []byte, body any) {
-	e := &c.ents[cacheHash(key)&(cacheSlots-1)]
-	e.key = append(e.key[:0], key...)
-	e.body = body
-}
-
-func (c *DecodeCache) clear() {
-	for i := range c.ents {
-		c.ents[i].body = nil
-	}
-}
-
-// DecodeState carries one connection's decode resources: the bump arena
-// and the body intern cache. It is not safe for concurrent use — one
-// reader goroutine owns it, matching one DecodeState per connection.
+// DecodeState carries one connection's decode resources: the bump arena.
+// It is not safe for concurrent use — one reader goroutine owns it,
+// matching one DecodeState per connection.
 type DecodeState struct {
 	arena Arena
-	cache DecodeCache
 }
 
 // NewDecodeState returns an empty decode state.
@@ -178,12 +124,9 @@ func NewDecodeState() *DecodeState { return &DecodeState{} }
 // slices are NOT invalidated; they live until Reset.
 func (st *DecodeState) EndFrame() { st.arena.endFrame() }
 
-// Reset rewinds the whole arena and drops the intern cache, invalidating
-// every value decoded through this state. Only callers that control the
-// full lifetime of what they decoded may use it (benchmarks, replay
-// tooling that copies out); the transport read path never does — its
-// decoded bodies escape into the runtime with unbounded lifetime.
-func (st *DecodeState) Reset() {
-	st.arena.reset()
-	st.cache.clear()
-}
+// Reset rewinds the whole arena, invalidating every value decoded through
+// this state. Only callers that control the full lifetime of what they
+// decoded may use it (benchmarks, replay tooling that copies out); the
+// transport read path never does — its decoded bodies escape into the
+// runtime with unbounded lifetime.
+func (st *DecodeState) Reset() { st.arena.reset() }

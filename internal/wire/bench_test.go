@@ -2,6 +2,7 @@ package wire
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"sspubsub/internal/label"
@@ -101,6 +102,47 @@ func BenchmarkWireRoundTrip(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkWireDecodeBatch measures decode cost per Batch2 member on the
+// frames the forwarding tree sends: 32 PublishNew members, each carrying
+// its own arc, through one warm DecodeState as the transport read loop
+// uses it (EndFrame after each frame, no Reset). The frames cycle through
+// 64 distinct publications per member slot, so no body repeats within
+// 2,048 members. Reported per member, at 64-B and 4-KiB payloads.
+func BenchmarkWireDecodeBatch(b *testing.B) {
+	const members, frames = 32, 64
+	for _, size := range []int{64, 4096} {
+		b.Run(fmt.Sprintf("%dB", size), func(b *testing.B) {
+			payload := strings.Repeat("x", size)
+			var all [][]byte
+			for f := 0; f < frames; f++ {
+				batch := Batch2{Msgs: make([]sim.Message, members)}
+				for i := range batch.Msgs {
+					batch.Msgs[i] = sim.Message{To: sim.NodeID(i + 2), From: 1, Topic: 1, Body: proto.PublishNew{
+						Pub: proto.Publication{Key: proto.Key{Bits: uint64(f*members+i) * 0x9e3779b97f4a7c15, Len: 64}, Origin: 1, Payload: payload},
+						Arc: proto.Arc{Lo: uint64(i) << 59, Hi: uint64(i+1) << 59},
+					}}
+				}
+				frame, err := Marshal(sim.Message{Body: batch})
+				if err != nil {
+					b.Fatal(err)
+				}
+				all = append(all, frame)
+			}
+			st := NewDecodeState()
+			b.SetBytes(int64(len(all[0])))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := UnmarshalState(all[i%frames], st); err != nil {
+					b.Fatal(err)
+				}
+				st.EndFrame()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*members), "ns/member")
 		})
 	}
 }

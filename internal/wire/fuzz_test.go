@@ -73,7 +73,7 @@ func (t *tape) arc() proto.Arc { return proto.Arc{Lo: t.u64(), Hi: t.u64()} }
 
 // genBody draws one message body of the selected registered type.
 func genBody(sel uint8, tp *tape) any {
-	switch sel % 26 {
+	switch sel % 24 {
 	case 0:
 		return proto.Subscribe{V: tp.node()}
 	case 1:
@@ -112,7 +112,12 @@ func genBody(sel uint8, tp *tape) any {
 		}
 		return m
 	case 12:
-		return proto.PublishNew{Pub: tp.publication(), Arc: tp.arc()}
+		m := proto.PublishNew{Pub: tp.publication(), Seq: tp.u64()}
+		for i := int(tp.u8() % 4); i > 0; i-- {
+			m.Barrier = append(m.Barrier, proto.BarrierEntry{Origin: tp.node(), Seq: tp.u64()})
+		}
+		m.Arc = tp.arc()
+		return m
 	case 13:
 		return core.JoinTopic{}
 	case 14:
@@ -134,7 +139,7 @@ func genBody(sel uint8, tp *tape) any {
 		}
 		return m
 	case 21:
-		m := proto.ReplicaDelta{Epoch: tp.u64(), Mode: tp.u8()}
+		m := proto.ReplicaDelta{Epoch: tp.u64()}
 		for i := int(tp.u8() % 4); i > 0; i-- {
 			m.Put = append(m.Put, proto.ReplicaEntry{L: tp.label(), V: tp.node()})
 		}
@@ -143,25 +148,16 @@ func genBody(sel uint8, tp *tape) any {
 		}
 		return m
 	case 22:
-		m := proto.ReplicaDigest{Probe: tp.u8()%2 == 1, Epoch: tp.u64(), Count: tp.u64(), Mode: tp.u8()}
+		m := proto.ReplicaDigest{Probe: tp.u8()%2 == 1, Epoch: tp.u64(), Count: tp.u64()}
 		for i := range m.Hash {
 			m.Hash[i] = tp.u8()
 		}
 		return m
-	case 23:
-		m := proto.ReplicaSync{Epoch: tp.u64(), Round: tp.u64(), Seq: tp.u64(), Chunks: tp.u64(), Mode: tp.u8()}
+	default:
+		m := proto.ReplicaSync{Epoch: tp.u64(), Round: tp.u64(), Seq: tp.u64(), Chunks: tp.u64()}
 		for i := int(tp.u8() % 4); i > 0; i-- {
 			m.Entries = append(m.Entries, proto.ReplicaEntry{L: tp.label(), V: tp.node()})
 		}
-		return m
-	case 24:
-		return proto.PublishSeq{Pub: tp.publication(), Seq: tp.u64(), Arc: tp.arc()}
-	default:
-		m := proto.PublishCausal{Pub: tp.publication(), Seq: tp.u64()}
-		for i := int(tp.u8() % 4); i > 0; i-- {
-			m.Barrier = append(m.Barrier, proto.BarrierEntry{Origin: tp.node(), Seq: tp.u64()})
-		}
-		m.Arc = tp.arc()
 		return m
 	}
 }
@@ -173,7 +169,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 	f.Add(uint8(0), []byte{})
 	f.Add(uint8(3), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
 	f.Add(uint8(11), []byte{3, 0xFF, 0xAA, 0x55, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0})
-	f.Add(uint8(25), []byte("causal-barrier-entries-and-a-long-tail-of-entropy"))
+	f.Add(uint8(12), []byte("causal-barrier-entries-and-a-long-tail-of-entropy"))
 	f.Add(uint8(17), []byte{0x80, 0})
 	f.Fuzz(func(t *testing.T, sel uint8, raw []byte) {
 		tp := &tape{b: raw}
@@ -215,8 +211,8 @@ func FuzzWireAdversarial(f *testing.F) {
 		proto.ReplicaDelta{Epoch: 4, Put: []proto.ReplicaEntry{{L: label.MustParse("01"), V: 6}}, Del: []label.Label{label.MustParse("1")}},
 		proto.ReplicaDigest{Probe: true, Epoch: 2, Count: 5, Hash: [16]byte{0xAB, 1}},
 		proto.ReplicaSync{Epoch: 3, Round: 1, Seq: 0, Chunks: 2, Entries: []proto.ReplicaEntry{{L: label.MustParse("001"), V: 8}}},
-		proto.PublishSeq{Pub: proto.Publication{Key: proto.Key{Bits: 5, Len: 8}, Origin: 1, Payload: "s"}, Seq: 7},
-		proto.PublishCausal{Pub: proto.Publication{Key: proto.Key{Bits: 6, Len: 8}, Origin: 2, Payload: "c"}, Seq: 3,
+		proto.PublishNew{Pub: proto.Publication{Key: proto.Key{Bits: 5, Len: 8}, Origin: 1, Payload: "s"}, Seq: 7},
+		proto.PublishNew{Pub: proto.Publication{Key: proto.Key{Bits: 6, Len: 8}, Origin: 2, Payload: "c"}, Seq: 3,
 			Barrier: []proto.BarrierEntry{{Origin: 1, Seq: 2}, {Origin: 4, Seq: 9}}},
 		proto.PublishNew{Pub: proto.Publication{Key: proto.Key{Bits: 7, Len: 8}, Origin: 3, Payload: "t"},
 			Arc: proto.Arc{Lo: label.MustParse("01").Frac(), Hi: label.MustParse("11").Frac()}},

@@ -53,10 +53,10 @@ const (
 	tagReplicaDelta  = 23
 	tagReplicaDigest = 24
 	tagReplicaSync   = 25
-	// Ordered delivery (per-topic FIFO / causal modes): sequenced and
-	// causal-barrier publication frames.
-	tagPublishSeq    = 26
-	tagPublishCausal = 27
+	// 26 and 27 are retired and must never be reassigned: they carried the
+	// sequenced and causal-barrier publication frames, whose Seq and
+	// Barrier PublishNew now carries itself. Absent from the registry like
+	// 14–16 and 34.
 	// Transport control (package nettransport): connection handshake.
 	tagHello   = 32
 	tagWelcome = 33
@@ -87,9 +87,7 @@ type Welcome struct {
 // carry one coalesced flush window as a single frame: one length prefix,
 // one header, then every message's own (To, From, Topic, tag, body)
 // encoding, each preceded by a uvarint byte length. The prefix lets a
-// reader know a member's exact byte range before decoding it — which is
-// what the per-connection intern cache (DecodeCache) keys on to
-// recognize a body it has already decoded — and lets a writer splice a
+// reader check each member's exact byte range and lets a writer splice a
 // pre-encoded tagged body (AppendBody) into a batch without
 // re-encoding. Batches do not nest — a Batch2 body inside a Batch2 is
 // rejected on both encode and decode — a member whose decoded size
@@ -208,23 +206,6 @@ var registry = map[uint64]entry{
 		func(e *enc, b any) {
 			m := b.(proto.PublishNew)
 			e.publication(m.Pub)
-			e.arc(m.Arc)
-		},
-		func(d *dec) any { return proto.PublishNew{Pub: d.publication(), Arc: d.arc()} }},
-	tagPublishSeq: {"proto.PublishSeq", proto.PublishSeq{},
-		func(e *enc, b any) {
-			m := b.(proto.PublishSeq)
-			e.publication(m.Pub)
-			e.uvarint(m.Seq)
-			e.arc(m.Arc)
-		},
-		func(d *dec) any {
-			return proto.PublishSeq{Pub: d.publication(), Seq: d.uvarint(), Arc: d.arc()}
-		}},
-	tagPublishCausal: {"proto.PublishCausal", proto.PublishCausal{},
-		func(e *enc, b any) {
-			m := b.(proto.PublishCausal)
-			e.publication(m.Pub)
 			e.uvarint(m.Seq)
 			e.uvarint(uint64(len(m.Barrier)))
 			for _, be := range m.Barrier {
@@ -234,7 +215,7 @@ var registry = map[uint64]entry{
 			e.arc(m.Arc)
 		},
 		func(d *dec) any {
-			m := proto.PublishCausal{Pub: d.publication(), Seq: d.uvarint()}
+			m := proto.PublishNew{Pub: d.publication(), Seq: d.uvarint()}
 			n := d.sliceLen(2) // origin ≥ 1 byte + seq ≥ 1 byte
 			if n > 0 {
 				m.Barrier = make([]proto.BarrierEntry, 0, n)
@@ -306,7 +287,6 @@ var registry = map[uint64]entry{
 			for _, l := range m.Del {
 				e.label(l)
 			}
-			e.u8(m.Mode)
 		},
 		func(d *dec) any {
 			m := proto.ReplicaDelta{Epoch: d.uvarint()}
@@ -324,7 +304,6 @@ var registry = map[uint64]entry{
 			for i := 0; i < n && d.err == nil; i++ {
 				m.Del = append(m.Del, d.labelv())
 			}
-			m.Mode = d.u8()
 			return m
 		}},
 	tagReplicaDigest: {"proto.ReplicaDigest", proto.ReplicaDigest{},
@@ -334,12 +313,10 @@ var registry = map[uint64]entry{
 			e.uvarint(m.Epoch)
 			e.uvarint(m.Count)
 			e.raw(m.Hash[:]...)
-			e.u8(m.Mode)
 		},
 		func(d *dec) any {
 			m := proto.ReplicaDigest{Probe: d.boolean(), Epoch: d.uvarint(), Count: d.uvarint()}
 			d.bytes(m.Hash[:])
-			m.Mode = d.u8()
 			return m
 		}},
 	tagReplicaSync: {"proto.ReplicaSync", proto.ReplicaSync{},
@@ -354,7 +331,6 @@ var registry = map[uint64]entry{
 				e.label(re.L)
 				e.node(re.V)
 			}
-			e.u8(m.Mode)
 		},
 		func(d *dec) any {
 			m := proto.ReplicaSync{
@@ -368,7 +344,6 @@ var registry = map[uint64]entry{
 			for i := 0; i < n && d.err == nil; i++ {
 				m.Entries = append(m.Entries, proto.ReplicaEntry{L: d.labelv(), V: d.node()})
 			}
-			m.Mode = d.u8()
 			return m
 		}},
 	tagHello: {"wire.Hello", Hello{},
@@ -434,61 +409,14 @@ func init() {
 			return Batch2{Msgs: msgs}
 		}}
 	tagOf = make(map[reflect.Type]uint64, len(registry))
-	shareTag = make(map[uint64]bool, len(registry))
 	for tag, ent := range registry {
 		t := reflect.TypeOf(ent.zero)
 		if _, dup := tagOf[t]; dup {
 			panic(fmt.Sprintf("wire: type %v registered twice", t))
 		}
 		tagOf[t] = tag
-		shareTag[tag] = shareableType(t)
 		sim.RegisterTypeName(ent.zero, ent.name)
 	}
-}
-
-// shareTag marks tags whose decoded bodies may be shared by reference
-// across deliveries; built from the registry's zero values at init.
-var shareTag map[uint64]bool
-
-// shareableType reports whether every value of t is safe to hand to any
-// number of concurrent readers as one boxed copy: no slices, maps,
-// pointers, channels, funcs or interfaces anywhere in the value. Strings
-// are fine (immutable). Shareable types are a strict subset of Go's
-// comparable types, so the transport may also group bodies with == when
-// this holds.
-func shareableType(t reflect.Type) bool {
-	switch t.Kind() {
-	case reflect.Bool, reflect.String,
-		reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
-		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
-		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
-		return true
-	case reflect.Array:
-		return shareableType(t.Elem())
-	case reflect.Struct:
-		for i := 0; i < t.NumField(); i++ {
-			if !shareableType(t.Field(i).Type) {
-				return false
-			}
-		}
-		return true
-	default:
-		return false
-	}
-}
-
-// CanShare reports whether decoded bodies of this body's type may be
-// shared by reference across deliveries (see shareableType). The
-// transport uses it on the encode side to group identical bodies with ==
-// (shareable implies comparable) and the decoder uses the same predicate
-// to gate the intern cache, so both ends agree on which bodies are
-// singleton-safe. Unregistered bodies report false.
-func CanShare(body any) bool {
-	if body == nil {
-		return false
-	}
-	tag, ok := tagOf[reflect.TypeOf(body)]
-	return ok && shareTag[tag]
 }
 
 func lookupBody(body any) (uint64, entry, error) {
@@ -631,16 +559,12 @@ func (e *enc) memberLP(m sim.Message) {
 // memberLP decodes one Batch2 member whose bytes end at offset end (the
 // caller validated end against the input). A nested batch or unknown tag
 // fails the whole frame: the stream is still aligned (the outer length
-// prefix delimits it), so the damage is bounded to this batch. When the member's tag is
-// shareable and this decode carries an intern cache, the tag+body byte
-// range is the cache key: a hit returns the previously decoded body
-// without touching the bytes again, a miss decodes and then interns.
+// prefix delimits it), so the damage is bounded to this batch.
 func (d *dec) memberLP(end int) sim.Message {
 	var m sim.Message
 	m.To = sim.NodeID(d.svarint())
 	m.From = sim.NodeID(d.svarint())
 	m.Topic = sim.Topic(d.svarint())
-	tagStart := d.off
 	tag := d.uvarint()
 	if d.err != nil {
 		return sim.Message{}
@@ -657,19 +581,6 @@ func (d *dec) memberLP(end int) sim.Message {
 	if !ok {
 		d.fail("unknown type tag %d in batch", tag)
 		return sim.Message{}
-	}
-	if d.cache != nil && shareTag[tag] {
-		key := d.b[tagStart:end]
-		if body, hit := d.cache.lookup(key); hit {
-			m.Body = body
-			d.off = end
-			return m
-		}
-		m.Body = ent.dec(d)
-		if d.err == nil && d.off == end {
-			d.cache.store(key, m.Body)
-		}
-		return m
 	}
 	m.Body = ent.dec(d)
 	return m

@@ -130,9 +130,8 @@ func Unmarshal(b []byte) (sim.Message, error) { return UnmarshalState(b, nil) }
 
 // UnmarshalState is Unmarshal decoding through st (nil st is plain
 // Unmarshal): batch scaffolding, publication slices and payload strings
-// come out of st's arena, and shareable Batch2 member bodies are served
-// from st's intern cache when their exact bytes were decoded before. See
-// DecodeState for the lifetime contract on the returned message.
+// come out of st's arena. See DecodeState for the lifetime contract on
+// the returned message.
 func UnmarshalState(b []byte, st *DecodeState) (sim.Message, error) {
 	if len(b) < 4 {
 		return sim.Message{}, fmt.Errorf("%w: short length prefix", ErrGarbage)
@@ -163,7 +162,6 @@ func decodePayload(p []byte, st *DecodeState) (sim.Message, error) {
 	*d = dec{b: p[3:]}
 	if st != nil {
 		d.arena = &st.arena
-		d.cache = &st.cache
 	}
 	defer func() {
 		*d = dec{}
@@ -300,15 +298,13 @@ func (e *enc) str(s string) { e.uvarint(uint64(len(s))); e.b = append(e.b, s...)
 
 // dec is a cursor over one frame payload. The first failure latches in err
 // and turns every later read into a zero-value no-op, so per-type decoders
-// can read field-by-field without checking after each call. When arena and
-// cache are set (stateful decode), strings and batch scaffolding come out
-// of the arena and length-prefixed members consult the intern cache.
+// can read field-by-field without checking after each call. When arena is
+// set (stateful decode), strings and batch scaffolding come out of it.
 type dec struct {
 	b     []byte
 	off   int
 	err   error
 	arena *Arena
-	cache *DecodeCache
 }
 
 func (d *dec) fail(format string, args ...any) {

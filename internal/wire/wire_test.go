@@ -8,7 +8,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"unsafe"
 
 	"sspubsub/internal/core"
 	"sspubsub/internal/label"
@@ -68,25 +67,24 @@ var sampleBodies = []any{
 		{L: lbl("0001"), V: 12},
 	}},
 	proto.ReplicaSync{Epoch: 7, Round: 1, Seq: 0, Chunks: 1},
-	proto.ReplicaDelta{Epoch: 4, Mode: 1},
-	proto.ReplicaDigest{Epoch: 2, Count: 3, Mode: 2},
-	proto.ReplicaSync{Epoch: 8, Round: 1, Seq: 0, Chunks: 1, Mode: 2},
-	proto.PublishSeq{Pub: proto.Publication{Key: proto.Key{Bits: 17, Len: 16}, Origin: 3, Payload: "seq-pub"}, Seq: 1 << 33},
-	proto.PublishSeq{Pub: proto.Publication{Key: proto.Key{Bits: 1, Len: 1}, Origin: 4, Payload: ""}, Seq: 1,
+	// Ordering metadata on the flood frame: a sequence number past 32 bits,
+	// a sequenced copy with an arc and an empty payload, a two-entry causal
+	// barrier, and a sequenced copy with a nil barrier.
+	proto.PublishNew{Pub: proto.Publication{Key: proto.Key{Bits: 17, Len: 16}, Origin: 3, Payload: "seq-pub"}, Seq: 1 << 33},
+	proto.PublishNew{Pub: proto.Publication{Key: proto.Key{Bits: 1, Len: 1}, Origin: 4, Payload: ""}, Seq: 1,
 		Arc: proto.Arc{Lo: lbl("1").Frac(), Hi: lbl("0011").Frac()}},
-	proto.PublishCausal{Pub: proto.Publication{Key: proto.Key{Bits: 5, Len: 8}, Origin: 6, Payload: "causal"}, Seq: 9,
+	proto.PublishNew{Pub: proto.Publication{Key: proto.Key{Bits: 5, Len: 8}, Origin: 6, Payload: "causal"}, Seq: 9,
 		Barrier: []proto.BarrierEntry{{Origin: 1, Seq: 8}, {Origin: 1<<40 + 2, Seq: 1 << 50}},
 		Arc:     proto.Arc{Lo: lbl("0101").Frac(), Hi: lbl("011").Frac()}},
-	proto.PublishCausal{Pub: proto.Publication{Key: proto.Key{Bits: 2, Len: 2}, Origin: 7, Payload: "lone"}, Seq: 1},
+	proto.PublishNew{Pub: proto.Publication{Key: proto.Key{Bits: 2, Len: 2}, Origin: 7, Payload: "lone"}, Seq: 1},
 	core.JoinTopic{},
 	core.LeaveTopic{},
 	core.PublishCmd{Payload: "payload with\x00bytes"},
 	Hello{Base: sim.None, Slots: 1024},
 	Welcome{Base: 4096, Slots: 1024},
 	Batch2{Msgs: []sim.Message{
-		// The same shareable body to two destinations (the encode-once
-		// multicast shape), plus a slice-bearing body that must bypass
-		// the intern cache.
+		// The same body to two destinations (the encode-once multicast
+		// shape), plus a slice-bearing body.
 		{To: 5, From: 9, Topic: 1, Body: proto.PublishNew{Pub: proto.Publication{Key: proto.Key{Bits: 7, Len: 8}, Origin: 9, Payload: "fan-out"}}},
 		{To: 6, From: 9, Topic: 1, Body: proto.PublishNew{Pub: proto.Publication{Key: proto.Key{Bits: 7, Len: 8}, Origin: 9, Payload: "fan-out"}}},
 		{To: 2, From: 3, Topic: 2, Body: proto.PublishBatch{Pubs: []proto.Publication{{Key: proto.Key{Bits: 1, Len: 2}, Origin: 3, Payload: "x"}}}},
@@ -255,9 +253,10 @@ func TestGarbageRejected(t *testing.T) {
 	}
 	// Retired tags are reserved forever and never decodable again, neither
 	// as a frame of their own nor as a batch member: 14–16 were the
-	// token-passing supervisor's Token, TokenReturn and Register, 34 was
-	// Batch, the first batching envelope.
-	for _, tag := range []uint64{14, 15, 16, 34} {
+	// token-passing supervisor's Token, TokenReturn and Register, 26 and 27
+	// the sequenced and causal publication frames, 34 was Batch, the first
+	// batching envelope.
+	for _, tag := range []uint64{14, 15, 16, 26, 27, 34} {
 		cases[fmt.Sprintf("retired tag %d frame", tag)] = mustFrame(t, func(e *enc) {
 			e.svarint(1)
 			e.svarint(2)
@@ -368,11 +367,11 @@ func TestStreamReadWrite(t *testing.T) {
 
 // TestStateDecodeMatchesPlain: decoding through a DecodeState must yield
 // exactly what the plain decoder yields, for every registered type, and
-// must keep doing so when the state (arena chunks, intern cache) is warm
-// from previous frames.
+// must keep doing so when the state's arena chunks are warm from previous
+// frames.
 func TestStateDecodeMatchesPlain(t *testing.T) {
 	st := NewDecodeState()
-	for pass := 0; pass < 3; pass++ { // pass 0 cold, later passes warm/interned
+	for pass := 0; pass < 3; pass++ { // pass 0 cold, later passes warm
 		for i, body := range sampleBodies {
 			m := sim.Message{To: 3, From: 9, Topic: sim.Topic(i + 1), Body: body}
 			b, err := Marshal(m)
@@ -392,47 +391,6 @@ func TestStateDecodeMatchesPlain(t *testing.T) {
 			}
 			st.EndFrame()
 		}
-	}
-}
-
-// TestBatch2Interning: two identical shareable members decoded through
-// one DecodeState must come back as the same boxed body — the decode-side
-// half of encode-once multicast.
-func TestBatch2Interning(t *testing.T) {
-	pub := proto.PublishNew{Pub: proto.Publication{Key: proto.Key{Bits: 9, Len: 16}, Origin: 4, Payload: "shared"}}
-	m := sim.Message{Body: Batch2{Msgs: []sim.Message{
-		{To: 5, From: 4, Topic: 1, Body: pub},
-		{To: 6, From: 4, Topic: 1, Body: pub},
-	}}}
-	b, err := Marshal(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := NewDecodeState()
-	got, err := UnmarshalState(b, st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	msgs := got.Body.(Batch2).Msgs
-	if len(msgs) != 2 {
-		t.Fatalf("decoded %d members, want 2", len(msgs))
-	}
-	p0 := reflect.ValueOf(msgs[0].Body)
-	p1 := reflect.ValueOf(msgs[1].Body)
-	if msgs[0].Body != msgs[1].Body {
-		t.Fatalf("identical members decoded to different values: %#v vs %#v", p0, p1)
-	}
-	// Same value is necessary but not sufficient — a second frame with the
-	// same member must hit the cache, observable as the string payloads
-	// aliasing the same backing memory.
-	got2, err := UnmarshalState(b, st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s1 := msgs[0].Body.(proto.PublishNew).Pub.Payload
-	s2 := got2.Body.(Batch2).Msgs[0].Body.(proto.PublishNew).Pub.Payload
-	if unsafe.StringData(s1) != unsafe.StringData(s2) {
-		t.Error("second decode of an identical member did not return the interned body")
 	}
 }
 
@@ -484,34 +442,6 @@ func TestRawAssemblyMatchesAppendFrame(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Errorf("batch assembly:\n got %x\nwant %x", got, want)
-	}
-}
-
-// TestCanShare pins the share predicate on representative types: value
-// types (strings included) are shareable, anything carrying a slice is
-// not, batches never are.
-func TestCanShare(t *testing.T) {
-	for _, tc := range []struct {
-		body any
-		want bool
-	}{
-		{proto.PublishNew{Pub: proto.Publication{Payload: "p"}}, true},
-		{proto.SetData{}, true},
-		{core.PublishCmd{Payload: "x"}, true},
-		{core.JoinTopic{}, true},
-		{Hello{}, true},
-		{proto.ReplicaDigest{}, true},
-		{proto.PublishBatch{}, false},
-		{proto.ReplicaDelta{}, false},
-		{proto.ReplicaSync{}, false},
-		{proto.CheckTrie{}, false},
-		{Batch2{}, false},
-		{nil, false},
-		{struct{ X int }{}, false}, // unregistered
-	} {
-		if got := CanShare(tc.body); got != tc.want {
-			t.Errorf("CanShare(%T) = %v, want %v", tc.body, got, tc.want)
-		}
 	}
 }
 

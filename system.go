@@ -62,9 +62,8 @@ type Protocol struct {
 	// flips.
 	DisableFlooding bool
 	// DeliveryMode selects the delivery ordering discipline every client
-	// applies (default ModeBestEffort). The supervisors record it as the
-	// directory default for new topics, so warm replicas and failed-over
-	// owners agree on the deployment's mode. On RuntimeSim ordered runs
+	// applies (default ModeBestEffort). It is client configuration only:
+	// supervisors neither read nor record it. On RuntimeSim ordered runs
 	// replay bit-exactly from the seed.
 	DeliveryMode DeliveryMode
 	// Supervisors is the number of supervisor nodes (default 1), with node
