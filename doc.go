@@ -71,8 +71,9 @@
 //
 // The message hot path is effectively allocation-free on every
 // substrate. The deterministic engine schedules and delivers with zero
-// allocations per message (slice-backed event heaps, reused handler
-// contexts, cached type-name accounting shared with the wire registry);
+// allocations per message (heaps of 24-byte keys over recycled event
+// slabs, reused handler contexts, send accounting keyed by body type with
+// names resolved only when read);
 // the wire codec encodes frames append-only into pooled or caller-held
 // buffers (wire.AppendFrame, wire.WriteFrame) and decodes through a
 // per-connection wire.DecodeState whose arena bump-allocates payload
@@ -94,7 +95,10 @@
 // internal/runtime/nettransport and the root package hold each layer to
 // its budget; the fan-out rows
 // (TestPublishFanoutAllocGuard, TestOrderedFanoutAllocBudget,
-// TestNetEgressMulticastAllocBudget) allow the committed allocs/op + 15 %.
+// TestNetEgressMulticastAllocBudget) allow the committed allocs/op + 15 %,
+// and TestRestAllocBudget does the same for a legitimate state's
+// periodic work per node and round, where a subscriber whose state did
+// not change skips its shortcut reconcile.
 // Time is measured only by bench/run.sh (BENCHMARK.json). See the
 // README's Performance section for the measured table and the exact
 // reproduction commands.
@@ -200,7 +204,7 @@
 // under reorder/dup/loss on every substrate. Steady-state cost on the
 // pinned 16-subscriber fan-out (TestOrderedFanoutAllocBudget, budgeted
 // like the hot path): FIFO adds zero allocations per publication over
-// best-effort (60.2 vs 60.2) and causal adds four (64.2), at identical p95
+// best-effort (43.0 vs 43.0) and causal adds four (47.0), at identical p95
 // delivery rounds. When anti-entropy delivers a publication before its
 // sequenced tree copy arrives, the copy only moves the publisher's cursor
 // (ordering.Buffer.Known), so later publications are not held behind it.

@@ -14,12 +14,35 @@ import (
 // accessors that are not part of the cross-substrate Driver surface.
 func engine(c *Live) *psim.Engine { return c.Tr.(*psim.Engine) }
 
+// recvEngine counts the messages delivered to every node registered
+// through it, in a wrapper around each handler.
+type recvEngine struct {
+	*psim.Engine
+	recv map[sim.NodeID]int64
+}
+
+func (e recvEngine) AddNode(id sim.NodeID, h sim.Handler) {
+	e.Engine.AddNode(id, recvHandler{h, id, e.recv})
+}
+
+type recvHandler struct {
+	sim.Handler
+	id   sim.NodeID
+	recv map[sim.NodeID]int64
+}
+
+func (h recvHandler) OnMessage(ctx sim.Context, m sim.Message) {
+	h.recv[h.id]++
+	h.Handler.OnMessage(ctx, m)
+}
+
 // fingerprint reduces an entire run — virtual time, message accounting by
 // type and by node, and every member's explicit state — to one string.
 // Bit-identical runs produce identical fingerprints.
 func fingerprint(c *Live, t sim.Topic) string {
 	var sb strings.Builder
-	eng := engine(c)
+	re := c.Tr.(recvEngine)
+	eng := re.Engine
 	fmt.Fprintf(&sb, "now=%.6f delivered=%d dropped=%d inflight=%d\n",
 		c.Now(), c.Delivered(), eng.Dropped(), eng.InFlight())
 	for _, name := range eng.TypeNames() {
@@ -27,7 +50,7 @@ func fingerprint(c *Live, t sim.Topic) string {
 	}
 	ids := eng.NodeIDs()
 	for _, id := range ids {
-		fmt.Fprintf(&sb, "node %d sent=%d recv=%d\n", id, c.SentBy(id), eng.ReceivedBy(id))
+		fmt.Fprintf(&sb, "node %d sent=%d recv=%d\n", id, c.SentBy(id), re.recv[id])
 	}
 	members := c.Members(t)
 	sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
@@ -47,7 +70,7 @@ func fingerprint(c *Live, t sim.Topic) string {
 // the run is a pure function of seed.
 func runScripted(seed int64, n int) (string, int, bool) {
 	const topic sim.Topic = 1
-	c := NewSim(Options{Seed: seed})
+	c := New(recvEngine{newEngine(seed), map[sim.NodeID]int64{}}, Options{Seed: seed})
 	ids := c.AddClients(n)
 	c.JoinAll(topic)
 	r1, ok := c.RunUntilConverged(topic, n, 5000)

@@ -2,7 +2,7 @@ package core
 
 import (
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 
 	"sspubsub/internal/label"
@@ -75,6 +75,8 @@ type Client struct {
 	sup  sim.NodeID
 	opts Options
 	inst map[sim.Topic]*Instance
+	// topics holds inst's keys, sorted: the order OnTimeout drives them in.
+	topics []sim.Topic
 }
 
 // Instance pairs one topic's overlay protocol with its publication engine.
@@ -128,6 +130,9 @@ func (c *Client) ensure(t sim.Topic) *Instance {
 	}
 	in := &Instance{Sub: sub, Eng: pubsub.NewEngine(cfg)}
 	c.inst[t] = in
+	if i, found := slices.BinarySearch(c.topics, t); !found {
+		c.topics = slices.Insert(c.topics, i, t)
+	}
 	return in
 }
 
@@ -135,12 +140,7 @@ func (c *Client) ensure(t sim.Topic) *Instance {
 func (c *Client) OnTimeout(ctx sim.Context) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	topics := make([]sim.Topic, 0, len(c.inst))
-	for t := range c.inst {
-		topics = append(topics, t)
-	}
-	sort.Slice(topics, func(i, j int) bool { return topics[i] < topics[j] })
-	for _, t := range topics {
+	for _, t := range c.topics {
 		in := c.inst[t]
 		in.Sub.OnTimeout(ctx)
 		if !in.Sub.Departed() {
@@ -208,12 +208,7 @@ func (c *Client) OnMessage(ctx sim.Context, m sim.Message) {
 func (c *Client) Topics() []sim.Topic {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]sim.Topic, 0, len(c.inst))
-	for t := range c.inst {
-		out = append(out, t)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return slices.Clone(c.topics)
 }
 
 // Joined reports whether the client has a live (non-departed) instance.

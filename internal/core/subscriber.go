@@ -1,9 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"maps"
 	"slices"
-	"sort"
 
 	"sspubsub/internal/label"
 	"sspubsub/internal/proto"
@@ -86,6 +86,15 @@ type Subscriber struct {
 	ftVersion uint64
 	rnCache   []proto.Tuple
 	rnVersion uint64
+
+	// scVersion records the version (stored +1) after the last shortcut
+	// reconcile that left the slot set exactly what label.Shortcuts derives
+	// from the state, and scLevel the level pair it derived. While the
+	// version stays there the slots are still right, so the periodic
+	// action skips the reconcile. scDrop is the reconcile's scratch.
+	scVersion uint64
+	scLevel   [2]label.Label
+	scDrop    []label.Label
 
 	// DisableActionIV switches off the locally-minimal probe (ablation).
 	DisableActionIV bool
@@ -265,7 +274,11 @@ func (s *Subscriber) neighbours() {
 	for _, t := range s.slots() {
 		add(*t)
 	}
-	s.ftSlots = s.sortedSlots(s.ftSlots[:0])
+	s.ftSlots = s.ftSlots[:0]
+	for l := range s.shortcuts {
+		s.ftSlots = append(s.ftSlots, l)
+	}
+	sortSlots(s.ftSlots)
 	for _, l := range s.ftSlots {
 		add(proto.Tuple{L: l, Ref: s.shortcuts[l]})
 	}
@@ -281,23 +294,20 @@ func (s *Subscriber) neighbours() {
 	s.ftCache, s.ftVersion = out, s.version+1
 }
 
-// sortedSlots appends the shortcut slot labels to buf in ring-position
-// order, the raw label breaking the Frac ties of corrupted states: map
-// order must never reach a send, whose order draws the delivery delays.
-func (s *Subscriber) sortedSlots(buf []label.Label) []label.Label {
-	for l := range s.shortcuts {
-		buf = append(buf, l)
-	}
-	sort.Slice(buf, func(i, j int) bool {
-		if fi, fj := buf[i].Frac(), buf[j].Frac(); fi != fj {
-			return fi < fj
+// sortSlots sorts shortcut slot labels into ring-position order, the raw
+// label breaking the Frac ties of corrupted states: map order must never
+// reach a send, whose order draws the delivery delays. The order is total,
+// so every sort algorithm yields the same sequence.
+func sortSlots(ls []label.Label) {
+	slices.SortFunc(ls, func(a, b label.Label) int {
+		if c := cmp.Compare(a.Frac(), b.Frac()); c != 0 {
+			return c
 		}
-		if buf[i].Bits != buf[j].Bits {
-			return buf[i].Bits < buf[j].Bits
+		if c := cmp.Compare(a.Bits, b.Bits); c != 0 {
+			return c
 		}
-		return buf[i].Len < buf[j].Len
+		return cmp.Compare(a.Len, b.Len)
 	})
-	return buf
 }
 
 // Degree returns the number of distinct known neighbours.
@@ -465,55 +475,87 @@ func (s *Subscriber) circularNeighbors() [2]proto.Tuple {
 	return nb
 }
 
-// maintainShortcuts recomputes the desired shortcut slot set from the
-// current circular neighbours (Section 3.2.2) and performs the periodic
-// level-k introduction that builds rings bottom-up (Algorithm 4 lines
-// 12–14; Lemma 12).
-func (s *Subscriber) maintainShortcuts(ctx sim.Context) {
+// circularLabels returns the labels of the circular neighbours (⊥ where
+// there is none).
+func (s *Subscriber) circularLabels() [2]label.Label {
 	var labs [2]label.Label
 	for d, t := range s.circularNeighbors() {
 		if !t.IsBottom() {
 			labs[d] = t.L
 		}
 	}
-	want, levelLeft, levelRight := label.Shortcuts(s.lab, labs[left], labs[right])
-	desired := make(map[label.Label]bool, len(want))
-	for _, l := range want {
-		desired[l] = true
-	}
-	// Drop slots we should no longer have; their occupants are delegated
-	// back into the sorted list so the references are not lost. Dropping
-	// several slots (which happens from corrupted states) sends one
-	// Linearize each, in label order.
-	for _, l := range s.sortedSlots(make([]label.Label, 0, len(s.shortcuts))) {
-		if !desired[l] {
-			ref := s.shortcuts[l]
-			delete(s.shortcuts, l)
-			s.version++
-			s.fired[RuleShortcutDrop]++
-			if ref != sim.None && ref != s.self {
-				s.linearize(ctx, proto.Tuple{L: l, Ref: ref})
-			}
-		}
-	}
-	for l := range desired {
-		if _, ok := s.shortcuts[l]; !ok {
-			s.shortcuts[l] = sim.None
-			s.version++
-		}
+	return labs
+}
+
+// maintainShortcuts keeps the shortcut slot set equal to the one derived
+// from the label and the circular neighbours (Section 3.2.2) and performs
+// the periodic level-k introduction that builds rings bottom-up (Algorithm
+// 4 lines 12–14; Lemma 12). The slot set is a function of the explicit
+// state alone, so it is reconciled only when the version moved since the
+// last reconcile that settled it; a subscriber whose state did not change
+// pays for the introduction only.
+func (s *Subscriber) maintainShortcuts(ctx sim.Context) {
+	level := s.scLevel
+	if s.scVersion != s.version+1 {
+		level = s.reconcileShortcuts(ctx)
 	}
 
 	// Level-k introduction: our two level-|label| neighbours are adjacent in
 	// R_{|label|−1}; introduce them to each other. When we are a
-	// deepest-level node the pair is simply (left, right) — levelLeft and
-	// levelRight equal the ring neighbour labels then.
-	lt := s.resolve(levelLeft)
-	rt := s.resolve(levelRight)
+	// deepest-level node the pair is simply (left, right) — the level pair
+	// equals the ring neighbour labels then.
+	lt := s.resolve(level[left])
+	rt := s.resolve(level[right])
 	if lt.IsBottom() || rt.IsBottom() || lt.Ref == rt.Ref {
 		return
 	}
 	s.send(ctx, RuleShortcutIntro, lt.Ref, proto.IntroduceShortcut{T: rt})
 	s.send(ctx, RuleShortcutIntro, rt.Ref, proto.IntroduceShortcut{T: lt})
+}
+
+// reconcileShortcuts makes the shortcut slots the set label.Shortcuts
+// derives from the current state and returns the level pair it derived.
+// Slots we should no longer have are dropped and their occupants delegated
+// back into the sorted list so the references are not lost; dropping
+// several slots (which happens from corrupted states) sends one Linearize
+// each, in label order. Those delegations can relabel a ring slot, and
+// then the set derived here is stale: the cache is recorded only when they
+// left the label and the circular-neighbour labels as they were, so the
+// next timeout reconciles again exactly when the old code would have
+// changed something.
+func (s *Subscriber) reconcileShortcuts(ctx sim.Context) [2]label.Label {
+	lab, labs := s.lab, s.circularLabels()
+	want, levelLeft, levelRight := label.Shortcuts(lab, labs[left], labs[right])
+	drop := s.scDrop[:0]
+	for l := range s.shortcuts {
+		if !slices.Contains(want, l) {
+			drop = append(drop, l)
+		}
+	}
+	sortSlots(drop)
+	for _, l := range drop {
+		// Read at the drop: an earlier delegation's label correction may
+		// have emptied this slot.
+		ref := s.shortcuts[l]
+		delete(s.shortcuts, l)
+		s.version++
+		s.fired[RuleShortcutDrop]++
+		if ref != sim.None && ref != s.self {
+			s.linearize(ctx, proto.Tuple{L: l, Ref: ref})
+		}
+	}
+	s.scDrop = drop[:0]
+	for _, l := range want {
+		if _, ok := s.shortcuts[l]; !ok {
+			s.shortcuts[l] = sim.None
+			s.version++
+		}
+	}
+	level := [2]label.Label{levelLeft, levelRight}
+	if s.lab == lab && s.circularLabels() == labs {
+		s.scVersion, s.scLevel = s.version+1, level
+	}
+	return level
 }
 
 // resolve maps a derived shortcut label to the tuple we currently hold for

@@ -12,13 +12,16 @@ import (
 // (Workers: 1 — what every caller outside the scale harness uses) and
 // checks one promise.
 
-// rec records the string payloads it receives, in order, and its timeouts.
+// rec records the string payloads it receives, in order, the number of
+// messages delivered to it and its timeouts.
 type rec struct {
 	got   []string
+	msgs  int
 	ticks int
 }
 
 func (r *rec) OnMessage(_ sim.Context, m sim.Message) {
+	r.msgs++
 	if s, ok := m.Body.(string); ok {
 		r.got = append(r.got, s)
 	}
@@ -192,7 +195,8 @@ func TestEngineContract(t *testing.T) {
 			}
 		}},
 		{"counters count at send time, reset to zero", func(t *testing.T, e *Engine) {
-			e.AddNode(1, &rec{})
+			r := &rec{}
+			e.AddNode(1, r)
 			for _, body := range []any{"s", "s", 42} {
 				e.Send(sim.Message{To: 1, From: 1, Body: body})
 			}
@@ -204,11 +208,11 @@ func TestEngineContract(t *testing.T) {
 			if e.CountByType("string") != 3 || e.CountByType("int") != 1 || e.CountByType("never") != 0 {
 				t.Errorf("CountByType: string=%d int=%d", e.CountByType("string"), e.CountByType("int"))
 			}
-			if e.Delivered() != 3 || e.SentBy(1) != 4 || e.ReceivedBy(1) != 3 {
-				t.Errorf("delivered=%d sent=%d received=%d", e.Delivered(), e.SentBy(1), e.ReceivedBy(1))
+			if e.Delivered() != 3 || e.SentBy(1) != 4 || r.msgs != 3 {
+				t.Errorf("delivered=%d sent=%d received=%d", e.Delivered(), e.SentBy(1), r.msgs)
 			}
 			e.ResetCounters()
-			if e.Delivered() != 0 || e.Dropped() != 0 || e.SentBy(1) != 0 || e.ReceivedBy(1) != 0 ||
+			if e.Delivered() != 0 || e.Dropped() != 0 || e.SentBy(1) != 0 ||
 				e.CountByType("string") != 0 || len(e.TypeNames()) != 0 {
 				t.Error("counters not reset")
 			}
@@ -267,7 +271,7 @@ func TestDeliveryPathAllocFree(t *testing.T) {
 	e.AddNode(2, nop{})
 	var body any = ping{Hop: 7}
 	m := sim.Message{To: 2, From: 1, Topic: 1, Body: body}
-	for i := 0; i < 256; i++ { // warm heaps, outboxes, accounting maps, type name
+	for i := 0; i < 256; i++ { // warm heaps, slabs, outboxes, accounting maps
 		e.Send(m)
 	}
 	e.RunRounds(3)

@@ -19,6 +19,14 @@
 // creation, so heaps order identically no matter which worker produced
 // which event, and the merged schedule is canonical.
 //
+// A lane's heap holds 24-byte keys — (deliverTime, srcSeq, srcLane) and
+// the slot of a slab that holds the event itself — and sifts by moving a
+// hole, so an event is written once when queued and read once when it
+// runs; the order is total, so the pop sequence is the one any correct
+// heap would give. Accounting stays off the delivery path: sends are
+// counted per sender and per body type (names resolved only when read),
+// deliveries only in a lane total.
+//
 // # Determinism contract
 //
 // The schedule identity is (Seed, Lanes, MinDelay, MaxDelay). Two runs

@@ -110,7 +110,8 @@ func checkGraph(t *testing.T, e *Engine, nodes []*gnode, logs [][]exec, target f
 	// and outboxes are empty.
 	pending := map[token]bool{}
 	for _, l := range e.lanes {
-		for _, ev := range l.heap {
+		for _, k := range l.heap.keys {
+			ev := l.heap.slab[k.slot]
 			if ev.t <= target {
 				t.Fatalf("%s: lane %d still queues an event at %.6f", where, l.idx, ev.t)
 			}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"sort"
 	"sync"
@@ -53,10 +54,10 @@ type Options struct {
 // sim.Handlers: the repository's one deterministic engine.
 //
 // Nodes (and their pool listeners) are partitioned across Lanes lanes by a
-// deterministic hash of NodeID. Each lane owns an event min-heap, its own
-// seeded random stream, and the exclusive right to execute its nodes'
-// handlers. Execution proceeds in lookahead windows of width MinDelay:
-// because any Send at time t delivers no earlier than t+MinDelay, no event
+// deterministic hash of NodeID. Each lane owns an event min-heap (keys
+// over an event slab, see pheap), its own seeded random stream, and the
+// exclusive right to execute its nodes' handlers. Execution proceeds in
+// lookahead windows of width MinDelay: because any Send at time t delivers no earlier than t+MinDelay, no event
 // inside a window can causally affect another event in the same window —
 // across lanes or within one — so all lanes run their window slice
 // concurrently. Cross-lane sends are buffered per (srcLane, dstLane) and
@@ -134,49 +135,80 @@ type pevent struct {
 	msg     sim.Message
 }
 
+// hkey is a heap entry: an event's order key and the slab slot holding
+// the event itself. At 24 bytes it is what the heap sifts, so a sift level
+// moves three words instead of a whole event.
+type hkey struct {
+	t       float64
+	srcSeq  int64
+	srcLane int32
+	slot    int32
+}
+
 // before totally orders events: by time, then by origin lane, then by the
 // origin's per-lane sequence number. All three components are fixed when
 // the event is created by its (deterministically scheduled) origin, so the
-// order is independent of which worker executes what.
-func (e pevent) before(o pevent) bool {
-	if e.t != o.t {
-		return e.t < o.t
+// order is independent of which worker executes what — and, being total,
+// any correct heap pops one sequence.
+func (k hkey) before(o hkey) bool {
+	if k.t != o.t {
+		return k.t < o.t
 	}
-	if e.srcLane != o.srcLane {
-		return e.srcLane < o.srcLane
+	if k.srcLane != o.srcLane {
+		return k.srcLane < o.srcLane
 	}
-	return e.srcSeq < o.srcSeq
+	return k.srcSeq < o.srcSeq
 }
 
-// pheap is a binary min-heap laid out directly in a slice. It deliberately
-// does not implement container/heap: that interface forces every Push and
-// Pop through an `any` conversion, which boxes the event struct once per
-// scheduled message. Operating on the slice in place keeps entries pooled
-// in the slice's capacity, so the steady-state schedule/deliver cycle
-// performs no allocations at all.
-type pheap []pevent
+// pheap is a binary min-heap of keys over a slab of events. A pushed event
+// is written once into a recycled slab slot and read once when popped; the
+// sifts move only keys, and they move a hole rather than swapping. It
+// deliberately does not implement container/heap, whose interface boxes
+// every entry; keys, slab and free list keep their capacity, so the
+// steady-state schedule/deliver cycle performs no allocations at all.
+type pheap struct {
+	keys []hkey
+	slab []pevent
+	free []int32 // slab slots not holding an event
+}
+
+func (h *pheap) len() int { return len(h.keys) }
+
+// minT is the time of the earliest event; the heap must not be empty.
+func (h *pheap) minT() float64 { return h.keys[0].t }
 
 func (h *pheap) push(e pevent) {
-	s := append(*h, e)
+	var slot int32
+	if n := len(h.free); n > 0 {
+		slot = h.free[n-1]
+		h.free = h.free[:n-1]
+		h.slab[slot] = e
+	} else {
+		slot = int32(len(h.slab))
+		h.slab = append(h.slab, e)
+	}
+	k := hkey{t: e.t, srcSeq: e.srcSeq, srcLane: e.srcLane, slot: slot}
+	s := append(h.keys, hkey{})
 	i := len(s) - 1
 	for i > 0 {
 		p := (i - 1) / 2
-		if !s[i].before(s[p]) {
+		if !k.before(s[p]) {
 			break
 		}
-		s[i], s[p] = s[p], s[i]
+		s[i] = s[p]
 		i = p
 	}
-	*h = s
+	s[i] = k
+	h.keys = s
 }
 
 func (h *pheap) pop() pevent {
-	s := *h
+	s := h.keys
 	top := s[0]
 	n := len(s) - 1
-	s[0] = s[n]
-	s[n] = pevent{} // release the Body reference in the vacated slot
+	last := s[n]
 	s = s[:n]
+	// Sift the hole at the root down to where the last key belongs.
 	i := 0
 	for {
 		c := 2*i + 1
@@ -186,14 +218,20 @@ func (h *pheap) pop() pevent {
 		if c+1 < n && s[c+1].before(s[c]) {
 			c++
 		}
-		if !s[c].before(s[i]) {
+		if !s[c].before(last) {
 			break
 		}
-		s[i], s[c] = s[c], s[i]
+		s[i] = s[c]
 		i = c
 	}
-	*h = s
-	return top
+	if i < n {
+		s[i] = last
+	}
+	h.keys = s
+	e := h.slab[top.slot]
+	h.slab[top.slot] = pevent{} // release the Body reference
+	h.free = append(h.free, top.slot)
+	return e
 }
 
 // lane is one deterministic shard: a heap, a random stream, per-destination
@@ -212,12 +250,13 @@ type lane struct {
 	now    float64    // time of the executing event
 	ctx    laneCtx
 
-	inFlight   int
-	delivered  int64
-	dropped    int64
-	byType     map[string]int64
-	sentBy     map[sim.NodeID]int64
-	receivedBy map[sim.NodeID]int64
+	inFlight  int
+	delivered int64
+	dropped   int64
+	// byType counts sends by the body's dynamic type; names are resolved
+	// only when read (CountByType, TypeNames).
+	byType map[reflect.Type]int64
+	sentBy map[sim.NodeID]int64
 }
 
 // splitmix64 is the 64-bit finalizer used for lane hashing and per-node
@@ -261,14 +300,13 @@ func New(opts Options) *Engine {
 	e.lanes = make([]*lane, opts.Lanes)
 	for i := range e.lanes {
 		l := &lane{
-			e:          e,
-			idx:        int32(i),
-			rng:        rand.New(rand.NewSource(int64(splitmix64(uint64(opts.Seed) + uint64(i)*0x9e3779b97f4a7c15)))),
-			outbox:     make([][]pevent, opts.Lanes),
-			inbox:      make([][]pevent, opts.Lanes),
-			byType:     make(map[string]int64),
-			sentBy:     make(map[sim.NodeID]int64),
-			receivedBy: make(map[sim.NodeID]int64),
+			e:      e,
+			idx:    int32(i),
+			rng:    rand.New(rand.NewSource(int64(splitmix64(uint64(opts.Seed) + uint64(i)*0x9e3779b97f4a7c15)))),
+			outbox: make([][]pevent, opts.Lanes),
+			inbox:  make([][]pevent, opts.Lanes),
+			byType: make(map[reflect.Type]int64),
+			sentBy: make(map[sim.NodeID]int64),
 		}
 		l.ctx.l = l
 		e.lanes[i] = l
@@ -422,7 +460,7 @@ func (e *Engine) Send(m sim.Message) {
 // one message on the lane that owns the sender.
 func (l *lane) send(m sim.Message) {
 	l.sentBy[m.From]++
-	l.byType[sim.TypeName(m.Body)]++
+	l.byType[reflect.TypeOf(m.Body)]++
 	copies, extra := 1, 0.0
 	if f := l.e.fault; f != nil {
 		switch f(m) {
@@ -468,7 +506,7 @@ func (e *Engine) externalSend(m sim.Message) {
 	e.assertBarrier("Send with unregistered From")
 	dst := e.lanes[e.destLane(m.To)]
 	dst.sentBy[m.From]++
-	dst.byType[sim.TypeName(m.Body)]++
+	dst.byType[reflect.TypeOf(m.Body)]++
 	delay := e.opts.MinDelay + float64(e.extRNG.Float64()*(e.opts.MaxDelay-e.opts.MinDelay))
 	ev := pevent{t: e.now + delay, kind: evDeliver, msg: m, srcLane: extLane, srcSeq: e.extSeq}
 	e.extSeq++
@@ -570,8 +608,8 @@ func (l *lane) ingest() {
 func (l *lane) runWindow() {
 	e := l.e
 	wend, target := e.wend, e.target
-	for len(l.heap) > 0 {
-		t := l.heap[0].t
+	for l.heap.len() > 0 {
+		t := l.heap.minT()
 		if t >= wend || t > target {
 			break
 		}
@@ -597,7 +635,6 @@ func (l *lane) runWindow() {
 				h = o.h
 			}
 			l.delivered++
-			l.receivedBy[ev.msg.To]++
 			l.ctx.id = ev.msg.To
 			h.OnMessage(&l.ctx, ev.msg)
 		case evTimeout:
@@ -649,8 +686,8 @@ func (e *Engine) RunUntil(target float64) {
 		// Earliest pending event across all lanes.
 		min := math.Inf(1)
 		for _, l := range e.lanes {
-			if len(l.heap) > 0 && l.heap[0].t < min {
-				min = l.heap[0].t
+			if l.heap.len() > 0 && l.heap.minT() < min {
+				min = l.heap.minT()
 			}
 		}
 		if min > target {
@@ -671,7 +708,7 @@ func (e *Engine) RunUntil(target float64) {
 		}
 		total := 0
 		for _, l := range e.lanes {
-			total += len(l.heap)
+			total += l.heap.len()
 		}
 		if total > e.highWater {
 			e.highWater = total
@@ -740,16 +777,26 @@ func (e *Engine) InFlight() int {
 func (e *Engine) QueueLen() int {
 	n := 0
 	for _, l := range e.lanes {
-		n += len(l.heap)
+		n += l.heap.len()
 	}
 	return n
 }
 
 // QueueHighWaterBytes returns the queue's high-water footprint: the
 // maximum total queued-event count observed at any window barrier, at the
-// static event size. Deterministic for a given schedule identity.
+// static size of a queued event (its heap key plus its slab slot).
+// Deterministic for a given schedule identity.
 func (e *Engine) QueueHighWaterBytes() uint64 {
-	return uint64(e.highWater) * uint64(unsafe.Sizeof(pevent{}))
+	return uint64(e.highWater) * uint64(unsafe.Sizeof(hkey{})+unsafe.Sizeof(pevent{}))
+}
+
+// typeNameOf is sim.TypeName for a body's dynamic type: what
+// fmt.Sprintf("%T", body) prints.
+func typeNameOf(t reflect.Type) string {
+	if t == nil {
+		return "<nil>"
+	}
+	return t.String()
 }
 
 // SentBy returns the number of messages node id has sent so far.
@@ -761,20 +808,15 @@ func (e *Engine) SentBy(id sim.NodeID) int64 {
 	return n
 }
 
-// ReceivedBy returns the number of messages delivered to node id so far.
-func (e *Engine) ReceivedBy(id sim.NodeID) int64 {
-	var n int64
-	for _, l := range e.lanes {
-		n += l.receivedBy[id]
-	}
-	return n
-}
-
 // CountByType returns the number of sends per message body type name.
 func (e *Engine) CountByType(typeName string) int64 {
 	var n int64
 	for _, l := range e.lanes {
-		n += l.byType[typeName]
+		for t, c := range l.byType {
+			if typeNameOf(t) == typeName {
+				n += c
+			}
+		}
 	}
 	return n
 }
@@ -783,8 +825,8 @@ func (e *Engine) CountByType(typeName string) int64 {
 func (e *Engine) TypeNames() []string {
 	seen := make(map[string]struct{})
 	for _, l := range e.lanes {
-		for k := range l.byType {
-			seen[k] = struct{}{}
+		for t := range l.byType {
+			seen[typeNameOf(t)] = struct{}{}
 		}
 	}
 	out := make([]string, 0, len(seen))
@@ -802,7 +844,6 @@ func (e *Engine) ResetCounters() {
 		l.delivered, l.dropped = 0, 0
 		clear(l.byType)
 		clear(l.sentBy)
-		clear(l.receivedBy)
 	}
 }
 

@@ -62,7 +62,7 @@ func snapshot(e *Engine, cs []*chatter) string {
 		e.QueueHighWaterBytes(), e.TypeNames())
 	for _, c := range cs {
 		s += fmt.Sprintf("node %d ticks=%d sent=%d recv=%d trace=%v\n",
-			c.id, c.ticks, e.SentBy(c.id), e.ReceivedBy(c.id), c.recv)
+			c.id, c.ticks, e.SentBy(c.id), len(c.recv), c.recv)
 	}
 	return s
 }
@@ -190,9 +190,9 @@ func TestRunUntilExecutesEverythingDue(t *testing.T) {
 		target := e.Now() + 0.173
 		e.RunUntil(target)
 		for _, l := range e.lanes {
-			if len(l.heap) > 0 && l.heap[0].t <= target {
+			if l.heap.len() > 0 && l.heap.minT() <= target {
 				t.Fatalf("step %d: lane %d still holds event at t=%.6f <= target %.6f after RunUntil",
-					i, l.idx, l.heap[0].t, target)
+					i, l.idx, l.heap.minT(), target)
 			}
 			for src, buf := range l.inbox {
 				if len(buf) != 0 {

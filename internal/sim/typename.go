@@ -9,9 +9,9 @@ import (
 // typeNames caches the display name of every message body type the
 // accounting layer has seen (reflect.Type → string). Formatting a type
 // name with fmt.Sprintf("%T", …) allocates on every call, which used to
-// be the single largest per-send cost of both the deterministic engine
-// and the concurrent runtime; the cache makes the steady-state lookup
-// allocation-free. The wire codec's registry pre-populates it through
+// be the single largest per-send cost of the concurrent runtime; the
+// cache makes the steady-state lookup allocation-free. (The deterministic
+// engine counts by reflect.Type and names types only when read.) The wire codec's registry pre-populates it through
 // RegisterTypeName so the accounting names and the codec's canonical
 // self-description come from one table.
 var typeNames sync.Map // reflect.Type (nil for nil bodies) → string
@@ -31,9 +31,8 @@ func TypeName(body any) string {
 }
 
 // RegisterTypeName seeds the type-name cache. The wire registry calls it
-// for every registered message type so the engine's CountByType keys,
-// the concurrent runtime's accounting and the codec's tag table all share
-// one canonical name per type. name must equal fmt.Sprintf("%T", zero);
+// for every registered message type so the concurrent runtime's
+// accounting and the codec's tag table share one canonical name per type. name must equal fmt.Sprintf("%T", zero);
 // TypeName would otherwise diverge from its documented contract.
 func RegisterTypeName(zero any, name string) {
 	typeNames.Store(reflect.TypeOf(zero), name)
