@@ -68,8 +68,8 @@ const (
 	// with; the restored owner must reclaim its topics at a fresh epoch.
 	RestartSupervisors
 	// CorruptDirectory scrambles a random live supervisor's ownership
-	// directory: hosting flags dropped or fabricated, epochs regressed,
-	// the routing cache poisoned. A no-op on a single-supervisor plane.
+	// directory: hosting flags dropped or fabricated, epochs regressed.
+	// A no-op on a single-supervisor plane.
 	CorruptDirectory
 	// CorruptReplica scrambles a warm directory replica on one of the
 	// topic's expected replica holders: bogus entries, amnesia, or a

@@ -17,8 +17,8 @@
 //   - process faults: crash bursts, restarts (stale state), join/leave churn
 //   - supervisor-plane faults (Config.Supervisors > 1): supervisor crashes
 //     (the topic's owner first), stale-state supervisor restarts, and
-//     corruption of the ownership directory itself (hosting flags, epochs,
-//     routing cache)
+//     corruption of the ownership directory itself (hosting flags and
+//     epochs)
 //   - channel faults: network partitions and heal, probabilistic message
 //     loss/duplication/reordering at the transport layer, wire-frame
 //     corruption on the networked substrate

@@ -173,10 +173,16 @@ func (e *env) trieViolation() string {
 }
 
 // deliveryViolation requires every member to know every publication of the
-// post-fault delivery wave.
+// post-fault delivery wave and, when traces are recorded, its application
+// to have received each exactly once — knowing a publication is the
+// paper's promise, receiving it once is the delivery modes'.
 func (e *env) deliveryViolation() string {
 	if len(e.wave) == 0 {
 		return ""
+	}
+	if e.rec != nil {
+		e.rec.mu.Lock()
+		defer e.rec.mu.Unlock()
 	}
 	for _, id := range e.l.Members(e.topic) {
 		known := make(map[wavePub]bool)
@@ -186,6 +192,18 @@ func (e *env) deliveryViolation() string {
 		for _, w := range e.wave {
 			if !known[w] {
 				return fmt.Sprintf("node %d is missing wave publication %q from %d", id, w.Payload, w.Origin)
+			}
+		}
+		if e.rec == nil {
+			continue
+		}
+		times := make(map[wavePub]int, len(e.wave))
+		for _, en := range e.rec.byNode[id] {
+			times[wavePub{Payload: en.Payload, Origin: en.Origin}]++
+		}
+		for _, w := range e.wave {
+			if n := times[w]; n != 1 {
+				return fmt.Sprintf("node %d delivered wave publication %q from %d %d times", id, w.Payload, w.Origin, n)
 			}
 		}
 	}

@@ -196,7 +196,7 @@ var Registry = []Scenario{
 	},
 	{
 		Name:        "supervisor-directory-corruption",
-		Note:        "the ownership directory itself is corrupted (hosting flags, epochs, routing cache); the plane must re-agree on owners",
+		Note:        "the ownership directory itself is corrupted (hosting flags and epochs); the plane must re-agree on owners",
 		Supervisors: 4,
 		Actions: []Action{
 			{Kind: CorruptDirectory},

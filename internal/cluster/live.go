@@ -203,7 +203,7 @@ func (l *Live) SettledMembers(t sim.Topic) []sim.NodeID {
 }
 
 // CorruptOrderingState scrambles the ordering state (sequence cursors,
-// duplicate bitmaps, causal pending sets, publisher counters) of every live
+// causal pending sets, publisher counters) of every live
 // member of t — the chaos `corrupt-ordering` fault. Clients are visited in
 // ID order so the scramble is deterministic given rng. A safe no-op on
 // best-effort topics, which hold no ordering state.

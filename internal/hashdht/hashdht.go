@@ -7,9 +7,10 @@
 // is then only responsible for the topics in its sub-interval."
 //
 // Ring holds the supervisor set under consistent hashing with virtual
-// points; Directory routes topics to their responsible supervisor and
-// rebalances when supervisors join or leave. The self-stabilizing DHT the
-// paper defers to the literature ([11]) is out of scope; this is the static
+// points; Owner routes a topic to its responsible supervisor, recomputed
+// from the ring on every call, so there is no placement cache to go stale
+// when supervisors join or leave. The self-stabilizing DHT the paper
+// defers to the literature ([11]) is out of scope; this is the static
 // consistent-hashing layer the sketch requires.
 package hashdht
 
@@ -142,56 +143,4 @@ func (r *Ring) Successors(topic sim.Topic, k int) []sim.NodeID {
 		}
 	}
 	return out
-}
-
-// Directory maps topics to supervisors and tracks reassignments as
-// the supervisor set changes (topics whose owner changed must be re-joined
-// by their subscribers — the price of elasticity).
-type Directory struct {
-	mu    sync.Mutex
-	ring  *Ring
-	known map[sim.Topic]sim.NodeID
-}
-
-// NewDirectory creates a directory over a ring.
-func NewDirectory(ring *Ring) *Directory {
-	return &Directory{ring: ring, known: make(map[sim.Topic]sim.NodeID)}
-}
-
-// Lookup resolves (and caches) the owner for a topic.
-func (d *Directory) Lookup(topic sim.Topic) (sim.NodeID, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	id, ok := d.ring.Owner(topic)
-	if ok {
-		d.known[topic] = id
-	}
-	return id, ok
-}
-
-// Rebalance recomputes every cached topic's owner and returns the topics
-// whose responsible supervisor changed since the last lookup.
-func (d *Directory) Rebalance() map[sim.Topic]sim.NodeID {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	moved := make(map[sim.Topic]sim.NodeID)
-	for t, old := range d.known {
-		now, ok := d.ring.Owner(t)
-		if ok && now != old {
-			moved[t] = now
-			d.known[t] = now
-		}
-	}
-	return moved
-}
-
-// ForceOwner overwrites the cached owner of a topic with an arbitrary
-// (possibly wrong, possibly dead) supervisor — a chaos/test hook modelling
-// corruption of the routing directory itself. The poison is soft state:
-// the next Lookup recomputes from the ring, and the next Rebalance reports
-// the repair as a move.
-func (d *Directory) ForceOwner(topic sim.Topic, owner sim.NodeID) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.known[topic] = owner
 }

@@ -16,6 +16,31 @@ func topics(n int) []sim.Topic {
 	return out
 }
 
+// owners snapshots every topic's owner on r.
+func owners(r *Ring, ts []sim.Topic) map[sim.Topic]sim.NodeID {
+	out := make(map[sim.Topic]sim.NodeID, len(ts))
+	for _, tp := range ts {
+		id, ok := r.Owner(tp)
+		if !ok {
+			panic("owner lookup on an empty ring")
+		}
+		out[tp] = id
+	}
+	return out
+}
+
+// moved returns the topics whose owner differs between two snapshots,
+// mapped to their new owner — what a membership change migrates.
+func moved(before, after map[sim.Topic]sim.NodeID) map[sim.Topic]sim.NodeID {
+	out := make(map[sim.Topic]sim.NodeID)
+	for tp, now := range after {
+		if before[tp] != now {
+			out[tp] = now
+		}
+	}
+	return out
+}
+
 // TestPlacementKeyStable pins the placement function itself: a topic sits
 // at the hash of "topic-t/<id>", the key every release so far has hashed.
 // Moving it would re-home every topic of a running deployment.
@@ -149,31 +174,30 @@ func TestPropertyOwnerIsMember(t *testing.T) {
 	}
 }
 
+// TestDirectoryRebalance checks the topic directory the supervisor plane
+// reads off Ring.Owner: every topic resolves on a populated ring, a
+// membership that did not change moves nothing, and a joining supervisor
+// takes over roughly a third of the topics — all of them to itself.
 func TestDirectoryRebalance(t *testing.T) {
 	r := NewRing()
 	r.Add(1)
 	r.Add(2)
-	d := NewDirectory(r)
 	tps := topics(300)
-	for _, tp := range tps {
-		if _, ok := d.Lookup(tp); !ok {
-			t.Fatal("lookup failed")
-		}
-	}
-	if len(d.known) != 300 {
-		t.Fatalf("directory caches %d topics", len(d.known))
+	before := owners(r, tps)
+	if len(before) != 300 {
+		t.Fatalf("directory resolves %d topics", len(before))
 	}
 	// No change → no moves.
-	if moved := d.Rebalance(); len(moved) != 0 {
-		t.Fatalf("spurious rebalance: %d topics moved", len(moved))
+	if mv := moved(before, owners(r, tps)); len(mv) != 0 {
+		t.Fatalf("spurious rebalance: %d topics moved", len(mv))
 	}
 	// New supervisor takes over roughly a third of the topics.
 	r.Add(3)
-	moved := d.Rebalance()
-	if len(moved) == 0 || len(moved) > 250 {
-		t.Fatalf("rebalance moved %d topics, want ≈ 100", len(moved))
+	mv := moved(before, owners(r, tps))
+	if len(mv) == 0 || len(mv) > 250 {
+		t.Fatalf("rebalance moved %d topics, want ≈ 100", len(mv))
 	}
-	for tp, id := range moved {
+	for tp, id := range mv {
 		if id != 3 {
 			t.Errorf("topic %d moved to %d, but only supervisor 3 is new", tp, id)
 		}
@@ -182,24 +206,18 @@ func TestDirectoryRebalance(t *testing.T) {
 
 // TestRemovalRebalanceMinimality is the migration-minimality property the
 // crash-tolerant supervisor plane rests on, mirrored from the join-side
-// rebalance tests: when a supervisor is removed (crashed), Rebalance moves
-// exactly the topics the removed node owned — each to a surviving
-// supervisor — and every other topic keeps its owner untouched.
+// test: when a supervisor is removed (crashed), exactly the topics the
+// removed node owned change owner — each to a surviving supervisor — and
+// every other topic keeps its owner untouched.
 func TestRemovalRebalanceMinimality(t *testing.T) {
 	r := NewRing()
 	for i := sim.NodeID(1); i <= 4; i++ {
 		r.Add(i)
 	}
-	d := NewDirectory(r)
 	ts := topics(400)
-	before := map[sim.Topic]sim.NodeID{}
+	before := owners(r, ts)
 	owned := 0
-	for _, tp := range ts {
-		id, ok := d.Lookup(tp)
-		if !ok {
-			t.Fatal("lookup failed on populated ring")
-		}
-		before[tp] = id
+	for _, id := range before {
 		if id == 3 {
 			owned++
 		}
@@ -209,27 +227,18 @@ func TestRemovalRebalanceMinimality(t *testing.T) {
 	}
 
 	r.Remove(3)
-	moved := d.Rebalance()
+	mv := moved(before, owners(r, ts))
 
 	// Exactly the dead node's topics move: no more, no fewer.
-	if len(moved) != owned {
-		t.Fatalf("removal moved %d topics, supervisor 3 owned %d", len(moved), owned)
+	if len(mv) != owned {
+		t.Fatalf("removal moved %d topics, supervisor 3 owned %d", len(mv), owned)
 	}
-	for tp, now := range moved {
+	for tp, now := range mv {
 		if before[tp] != 3 {
 			t.Errorf("topic %d moved although its owner %d survived", tp, before[tp])
 		}
 		if now == 3 {
 			t.Errorf("topic %d still assigned to the removed supervisor", tp)
-		}
-	}
-	for _, tp := range ts {
-		now, ok := r.Owner(tp)
-		if !ok {
-			t.Fatalf("topic %d orphaned", tp)
-		}
-		if before[tp] != 3 && now != before[tp] {
-			t.Errorf("surviving topic %d silently moved %d→%d", tp, before[tp], now)
 		}
 	}
 }
@@ -243,19 +252,19 @@ func TestRemovalRebalanceSuccessorAgreement(t *testing.T) {
 	for i := sim.NodeID(1); i <= 5; i++ {
 		churned.Add(i)
 	}
-	d := NewDirectory(churned)
 	ts := topics(300)
-	for _, tp := range ts {
-		d.Lookup(tp)
-	}
+	before := owners(churned, ts)
 	churned.Remove(2)
-	moved := d.Rebalance()
+	mv := moved(before, owners(churned, ts))
+	if len(mv) == 0 {
+		t.Fatal("removing supervisor 2 moved no topics — the test would be vacuous")
+	}
 
 	fresh := NewRing()
 	for _, id := range []sim.NodeID{1, 3, 4, 5} {
 		fresh.Add(id)
 	}
-	for tp, now := range moved {
+	for tp, now := range mv {
 		want, ok := fresh.Owner(tp)
 		if !ok || now != want {
 			t.Errorf("topic %d migrated to %d, fresh ring says %d", tp, now, want)
@@ -265,56 +274,33 @@ func TestRemovalRebalanceSuccessorAgreement(t *testing.T) {
 
 // TestRemoveThenReaddRestoresOwnership: a crash followed by a restart
 // (remove + re-add) returns every topic to its original owner, and the
-// two rebalances report inverse move sets — what lets a restarted
+// two membership changes move inverse topic sets — what lets a restarted
 // supervisor reclaim exactly its own topics.
 func TestRemoveThenReaddRestoresOwnership(t *testing.T) {
 	r := NewRing()
 	for i := sim.NodeID(1); i <= 4; i++ {
 		r.Add(i)
 	}
-	d := NewDirectory(r)
 	ts := topics(300)
-	before := map[sim.Topic]sim.NodeID{}
-	for _, tp := range ts {
-		before[tp], _ = d.Lookup(tp)
-	}
+	before := owners(r, ts)
 	r.Remove(4)
-	away := d.Rebalance()
+	mid := owners(r, ts)
+	away := moved(before, mid)
 	r.Add(4)
-	back := d.Rebalance()
+	after := owners(r, ts)
+	back := moved(mid, after)
 	if len(away) != len(back) {
 		t.Fatalf("asymmetric churn: %d topics moved away, %d moved back", len(away), len(back))
 	}
 	for tp := range away {
-		if now, _ := r.Owner(tp); now != 4 {
-			t.Errorf("topic %d not reclaimed by the restarted supervisor (owner %d)", tp, now)
+		if back[tp] != 4 {
+			t.Errorf("topic %d not reclaimed by the restarted supervisor (owner %d)", tp, after[tp])
 		}
 	}
 	for _, tp := range ts {
-		if now, _ := r.Owner(tp); now != before[tp] {
-			t.Errorf("topic %d ended at %d, started at %d", tp, now, before[tp])
+		if after[tp] != before[tp] {
+			t.Errorf("topic %d ended at %d, started at %d", tp, after[tp], before[tp])
 		}
-	}
-}
-
-// TestForceOwnerSelfHeals: a poisoned directory cache (corruption of the
-// routing directory itself) is repaired by the next Lookup, and Rebalance
-// reports the repair as a move.
-func TestForceOwnerSelfHeals(t *testing.T) {
-	r := NewRing()
-	r.Add(1)
-	r.Add(2)
-	d := NewDirectory(r)
-	const tp sim.Topic = 7
-	truth, _ := d.Lookup(tp)
-	d.ForceOwner(tp, 99) // 99 is not even a member
-	if got, _ := d.Lookup(tp); got != truth {
-		t.Fatalf("Lookup returned the poisoned owner %d, want %d", got, truth)
-	}
-	d.ForceOwner(tp, 99)
-	moved := d.Rebalance()
-	if moved[tp] != truth {
-		t.Fatalf("Rebalance did not repair the poisoned entry: %v", moved)
 	}
 }
 
@@ -377,40 +363,26 @@ func TestPlacementIndependentOfHistory(t *testing.T) {
 }
 
 // TestRebalanceMinimality: when a supervisor joins, only topics that now
-// hash to it may move — every other topic keeps its owner (the consistent
+// hash to it move — every other topic keeps its owner (the consistent
 // hashing guarantee that makes supervisor elasticity affordable).
 func TestRebalanceMinimality(t *testing.T) {
 	r := NewRing()
 	r.Add(1)
 	r.Add(2)
-	d := NewDirectory(r)
 	ts := topics(300)
-	before := map[sim.Topic]sim.NodeID{}
-	for _, tp := range ts {
-		id, ok := d.Lookup(tp)
-		if !ok {
-			t.Fatal("lookup failed on populated ring")
-		}
-		before[tp] = id
-	}
+	before := owners(r, ts)
 	r.Add(3)
-	moved := d.Rebalance()
-	for tp, now := range moved {
+	mv := moved(before, owners(r, ts))
+	for tp, now := range mv {
 		if now != 3 {
 			t.Errorf("topic %d moved to %d, not to the new supervisor", tp, now)
 		}
 	}
-	for _, tp := range ts {
-		now, _ := r.Owner(tp)
-		if _, didMove := moved[tp]; !didMove && now != before[tp] {
-			t.Errorf("topic %d silently moved %d→%d without being reported", tp, before[tp], now)
-		}
-	}
-	if len(moved) == 0 {
+	if len(mv) == 0 {
 		t.Error("adding a third supervisor moved no topics at all (suspicious with 300 topics)")
 	}
-	if len(moved) > len(ts)/2 {
-		t.Errorf("adding one of three supervisors moved %d/%d topics — not minimal", len(moved), len(ts))
+	if len(mv) > len(ts)/2 {
+		t.Errorf("adding one of three supervisors moved %d/%d topics — not minimal", len(mv), len(ts))
 	}
 }
 

@@ -12,7 +12,9 @@ import (
 // gap or barrier is not yet satisfied. It sits between the storage layer
 // (which inserts and forwards publications immediately in every mode — the
 // trie and the flood are ordering-agnostic) and the application delivery
-// callback, reordering only the callback.
+// callback, reordering only the callback. The trie is the one duplicate
+// filter: the buffer is handed each publication once, when the trie first
+// stores it, so it keeps no delivered-set of its own.
 //
 // The Buffer is not safe for concurrent use; like the rest of a protocol
 // node's state it is driven from the node's handler goroutine.
@@ -32,14 +34,8 @@ type cursor struct {
 	// for a publisher nothing was delivered from, so next-1 is always the
 	// highest contiguously delivered sequence).
 	next uint64
-	// recent is the duplicate-suppression bitmap: bit i set means
-	// sequence next-1-i was delivered.
-	recent uint64
 	// touch is the tick of the last arrival (eviction order).
 	touch uint64
-	// ancients counts consecutive arrivals far below the bitmap; at
-	// ResyncAfter the cursor resyncs downward.
-	ancients int
 }
 
 // pend is one held publication.
@@ -123,28 +119,6 @@ func (b *Buffer) evictCursor() {
 	delete(b.curs, victim)
 }
 
-// advance moves the cursor past seq, shifting the delivered bitmap.
-func (c *cursor) advance(seq uint64) {
-	delta := seq + 1 - c.next
-	if delta >= Window {
-		c.recent = 0
-	} else {
-		c.recent <<= delta
-	}
-	c.recent |= 1
-	c.next = seq + 1
-}
-
-// delivered reports whether the bitmap remembers seq (< next) as
-// delivered; inWindow is false when seq is below the bitmap's reach.
-func (c *cursor) delivered(seq uint64) (dup, inWindow bool) {
-	d := c.next - seq
-	if d > Window {
-		return false, false
-	}
-	return c.recent&(1<<(d-1)) != 0, true
-}
-
 // covered reports whether every barrier entry is satisfied by the local
 // cursors (the publication's causal predecessors were delivered here).
 func (b *Buffer) covered(barrier []proto.BarrierEntry) bool {
@@ -181,7 +155,7 @@ func (b *Buffer) arrive(e pend) {
 }
 
 // dispatch routes one arrival against its cursor: deliver, buffer,
-// suppress, declare loss or resync.
+// declare loss or resync.
 func (b *Buffer) dispatch(e pend) {
 	seq, barrier := e.seq, e.barrier
 	c := b.cur(e.p.Origin)
@@ -193,11 +167,17 @@ func (b *Buffer) dispatch(e pend) {
 	}
 	switch {
 	case seq < c.next:
-		b.arriveBelow(c, e)
+		// Below the cursor: a straggler whose gap was declared lost, or a
+		// publisher whose counter regressed. Deliver flagged — outside the
+		// order, never lost. Far below, the cursor rather than the stream
+		// is wrong (corrupted upward, or the counter wrapped): resync it.
+		if c.next-seq > Window {
+			c.next = seq + 1
+		}
+		b.out(e, Meta{Seq: seq, Forced: true, Barrier: barrier})
 	case seq == c.next && b.covered(barrier):
 		b.out(e, Meta{Seq: seq, Barrier: barrier})
-		c.advance(seq)
-		c.ancients = 0
+		c.next = seq + 1
 	case seq >= c.next+Window:
 		// Gap declared loss: the missing sequences are either actually
 		// lost (anti-entropy will recover the payloads, flagged
@@ -208,50 +188,15 @@ func (b *Buffer) dispatch(e pend) {
 			m.Forced = true
 		}
 		b.out(e, m)
-		c.advance(seq)
-		c.ancients = 0
+		c.next = seq + 1
 	default:
 		b.hold(e)
-	}
-}
-
-// arriveBelow handles a sequence below the cursor: duplicate, straggler,
-// or ancient (possible upward cursor corruption).
-func (b *Buffer) arriveBelow(c *cursor, e pend) {
-	seq := e.seq
-	dup, inWindow := c.delivered(seq)
-	switch {
-	case dup:
-		// Duplicate: already delivered, suppress.
-	case inWindow:
-		// Straggler: it was declared lost and the cursor moved on.
-		// Deliver flagged — at-least-once, outside the order.
-		c.recent |= 1 << (c.next - seq - 1)
-		c.ancients = 0
-		b.out(e, Meta{Seq: seq, Forced: true, Barrier: e.barrier})
-	default:
-		// Ancient: far below the bitmap. A lone ancient is a duplicate
-		// from deep history; a run of them means the cursor, not the
-		// stream, is wrong (corruption, or a wrapped publisher counter) —
-		// resync downward so delivery converges.
-		c.ancients++
-		if c.ancients >= ResyncAfter {
-			c.next = seq + 1
-			c.recent = 1
-			c.ancients = 0
-			b.out(e, Meta{Seq: seq, Forced: true, Barrier: e.barrier})
-		}
 	}
 }
 
 // hold buffers a not-yet-deliverable publication in the bounded pending
 // set, force-delivering the oldest entry on overflow.
 func (b *Buffer) hold(e pend) {
-	for _, h := range b.pending {
-		if h.p.Origin == e.p.Origin && h.seq == e.seq {
-			return // already held
-		}
-	}
 	if len(b.pending) >= PendingCap {
 		b.forceOldest()
 	}
@@ -285,16 +230,8 @@ func (b *Buffer) forceOldest() {
 // force emits a pending entry flagged and advances its cursor so the
 // publisher's stream keeps moving.
 func (b *Buffer) force(e pend) {
-	c := b.cur(e.p.Origin)
-	if e.seq < c.next {
-		if dup, _ := c.delivered(e.seq); dup {
-			return
-		}
-		if d := c.next - e.seq; d <= Window {
-			c.recent |= 1 << (d - 1)
-		}
-	} else {
-		c.advance(e.seq)
+	if c := b.cur(e.p.Origin); e.seq >= c.next {
+		c.next = e.seq + 1
 	}
 	b.out(e, Meta{Seq: e.seq, Forced: true, Barrier: e.barrier})
 }
@@ -310,16 +247,14 @@ func (b *Buffer) drain() {
 			c := b.cur(e.p.Origin)
 			switch {
 			case e.seq < c.next:
-				// The cursor moved past it while held: duplicate or
-				// straggler now.
+				// The cursor moved past it while held: a straggler now.
 				b.pending = append(b.pending[:i], b.pending[i+1:]...)
 				b.force(e)
 				progressed = true
 			case e.seq == c.next && b.covered(e.barrier):
 				b.pending = append(b.pending[:i], b.pending[i+1:]...)
 				b.out(e, Meta{Seq: e.seq, Barrier: e.barrier})
-				c.advance(e.seq)
-				c.ancients = 0
+				c.next = e.seq + 1
 				progressed = true
 			}
 			if progressed {

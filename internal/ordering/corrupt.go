@@ -15,19 +15,18 @@ import (
 //     origin looks far ahead → gap-declared-loss advance resyncs upward,
 //     or within-window gaps resolve via ForceAfter forced deliveries.
 //   - FIFO cursors may additionally scramble upward (a wrapped or
-//     fabricated counter): subsequent real sequences look ancient and the
-//     ResyncAfter run resyncs the cursor downward. Causal cursors scramble
+//     fabricated counter): subsequent real sequences arrive below the
+//     cursor and are delivered flagged, and the first more than Window
+//     below it resyncs the cursor downward. Causal cursors scramble
 //     DOWN only — an upward scramble would manufacture false barrier
 //     coverage, which no amount of later traffic can distinguish from a
 //     genuine past delivery, so the coverage probe would (correctly) flag
 //     machinery that allowed it.
-//   - bitmaps scrambled arbitrarily: worst case is spurious duplicate
-//     suppression of Window stragglers — bounded, and only of already
-//     flagged deliveries.
 //   - pending entries dropped (never mutated: a held publication either
-//     survives intact or disappears; its cursor never advanced, so a
-//     dropped entry is indistinguishable from transport loss and the gap
-//     machinery recovers it).
+//     survives intact or disappears). The trie already stores a dropped
+//     entry's publication, so anti-entropy never sends it again: it stays
+//     known but is lost to the application, and its cursor's gap is
+//     declared lost or aged out like any other.
 func (b *Buffer) Corrupt(rng *rand.Rand) {
 	origins := make([]sim.NodeID, 0, len(b.curs))
 	for id := range b.curs {
@@ -39,7 +38,7 @@ func (b *Buffer) Corrupt(rng *rand.Rand) {
 			continue
 		}
 		c := b.curs[id]
-		switch rng.Intn(3) {
+		switch rng.Intn(2) {
 		case 0: // scramble the cursor position
 			if b.mode == Causal || rng.Intn(2) == 0 {
 				// Downward (both modes): lose progress.
@@ -48,9 +47,7 @@ func (b *Buffer) Corrupt(rng *rand.Rand) {
 				// Upward (FIFO only): fabricate progress.
 				c.next += uint64(1 + rng.Intn(4*Window))
 			}
-		case 1: // scramble the duplicate-suppression bitmap
-			c.recent = rng.Uint64()
-		case 2: // full amnesia for this publisher
+		case 1: // full amnesia for this publisher
 			delete(b.curs, id)
 		}
 	}

@@ -8,14 +8,13 @@
 // can deadlock delivery forever.
 //
 //   - FIFO keeps one bounded cursor per recent publisher: the next
-//     expected sequence number plus a 64-bit bitmap of recently delivered
-//     sequences (duplicate suppression and straggler detection). Arrivals
-//     inside the reorder window buffer until the gap fills; a gap that
-//     survives past the window is declared loss and the cursor advances,
-//     so a corrupted or wrapped publisher counter converges instead of
-//     wedging the stream. Arrivals far below the cursor are suppressed,
-//     but a run of ResyncAfter consecutive "ancient" sequences resyncs
-//     the cursor downward — the repair for a cursor scrambled upward.
+//     expected sequence number. Arrivals inside the reorder window buffer
+//     until the gap fills; a gap that survives past the window is declared
+//     loss and the cursor advances, so a corrupted or wrapped publisher
+//     counter converges instead of wedging the stream. An arrival below
+//     the cursor is delivered flagged, and one more than Window below it
+//     also resyncs the cursor downward — the repair for a cursor
+//     scrambled upward or a publisher counter that regressed.
 //   - Causal attaches a bounded barrier summary to each publication: up
 //     to BarrierCap (origin, seq) entries naming the highest sequences
 //     the publisher had delivered from other recent publishers
@@ -25,6 +24,13 @@
 //     and are force-delivered (flagged, so ordering probes exempt them)
 //     after ForceAfter ticks — causality is enforced when the metadata is
 //     healthy and degrades to bounded-delay delivery when it is not.
+//
+// The buffer keeps no duplicate filter: the trie is the one record of which
+// publications are known, and the engine hands the buffer a publication only
+// when the trie has just stored it as new (plus, through Known, the one
+// sequenced copy of a publication anti-entropy delivered first). A second,
+// distinct publication reusing a delivered sequence number is therefore
+// delivered too, flagged — never mistaken for a duplicate and lost.
 //
 // Deliveries escape the ordering guarantees in exactly two marked ways:
 // Meta.Recovered (the publication arrived through anti-entropy
@@ -88,8 +94,8 @@ func ParseMode(s string) (Mode, error) {
 // history length.
 const (
 	// Window is the reorder window: a sequence this far past the cursor
-	// declares the gap lost and advances. It is also the width of the
-	// duplicate-suppression bitmap.
+	// declares the gap lost and advances, and one more than this far
+	// below it resyncs the cursor downward.
 	Window = 64
 	// MaxPublishers caps the tracked per-publisher cursors; the
 	// least-recently-touched cursor is evicted deterministically.
@@ -103,11 +109,6 @@ const (
 	// ForceAfter is the age, in ticks, past which a held publication is
 	// force-delivered even though its gap or barrier is unsatisfied.
 	ForceAfter = 8
-	// ResyncAfter is how many consecutive far-below-cursor ("ancient")
-	// sequences from one publisher resync the cursor downward — the
-	// convergence path for a cursor corrupted upward or a publisher
-	// counter that wrapped.
-	ResyncAfter = 3
 )
 
 // Meta annotates one delivery with its ordering provenance.
@@ -120,8 +121,8 @@ type Meta struct {
 	// invariants.
 	Recovered bool
 	// Forced marks a delivery released by the self-stabilization
-	// machinery (declared loss, cursor resync, pending overflow or
-	// age-out) rather than by a satisfied ordering condition. Exempt from
+	// machinery (a below-cursor arrival, cursor resync, pending overflow
+	// or age-out) rather than by a satisfied ordering condition. Exempt from
 	// the ordering invariants.
 	Forced bool
 	// Barrier is the causal barrier the publication carried (causal mode

@@ -188,52 +188,37 @@ func TestFIFOGapDeclaredLossAdvance(t *testing.T) {
 	}
 }
 
-// TestFIFODuplicateSuppression: redelivered sequences inside the bitmap
-// are suppressed exactly (conformance vector: duplicate suppression).
-func TestFIFODuplicateSuppression(t *testing.T) {
-	h := newHarness(FIFO)
-	for i := 1; i <= 4; i++ {
-		h.buf.Arrive(pub(1, fmt.Sprintf("p%d", i)), uint64(i), nil)
-	}
-	h.take()
-	for i := 1; i <= 4; i++ {
-		h.buf.Arrive(pub(1, fmt.Sprintf("p%d", i)), uint64(i), nil)
-	}
-	if got := h.take(); len(got) != 0 {
-		t.Fatalf("duplicates delivered: %v", got)
-	}
-	// Forward progress unharmed.
-	h.buf.Arrive(pub(1, "p5"), 5, nil)
-	if got := h.payloads(); !reflect.DeepEqual(got, []string{"p5"}) {
-		t.Fatalf("after dups: %v, want [p5]", got)
-	}
-}
-
-// TestFIFOAncientResync: a run of ResyncAfter far-below-cursor sequences
-// resyncs the cursor downward — convergence from an upward-corrupted
-// cursor.
+// TestFIFOAncientResync: an arrival below the cursor is delivered
+// flagged, never dropped; one more than Window below also resyncs the
+// cursor downward — convergence from an upward-corrupted cursor or a
+// regressed publisher counter.
 func TestFIFOAncientResync(t *testing.T) {
 	h := newHarness(FIFO)
 	h.buf.Arrive(pub(1, "p1"), 1, nil)
 	h.take()
-	// Corrupt the cursor far upward.
-	h.buf.curs[1].next = 100000
-	for i := 0; i < ResyncAfter-1; i++ {
-		h.buf.Arrive(pub(1, fmt.Sprintf("a%d", i)), uint64(10+i), nil)
-		if got := h.take(); len(got) != 0 {
-			t.Fatalf("ancient %d delivered early: %v", i, got)
-		}
-	}
-	h.buf.Arrive(pub(1, "sync"), uint64(10+ResyncAfter-1), nil)
+	// Corrupt the cursor upward, just inside the window: a below-cursor
+	// arrival is delivered flagged and leaves the cursor where it is.
+	h.buf.curs[1].next = 1 + Window
+	h.buf.Arrive(pub(1, "p2"), 2, nil)
 	got := h.take()
+	if len(got) != 1 || got[0].payload != "p2" || !got[0].meta.Forced {
+		t.Fatalf("in-window below-cursor arrival: %+v, want forced p2", got)
+	}
+	if next := h.buf.curs[1].next; next != 1+Window {
+		t.Fatalf("in-window arrival moved the cursor to %d", next)
+	}
+	// Far upward: the first arrival is delivered and resyncs the cursor.
+	h.buf.curs[1].next = 100000
+	h.buf.Arrive(pub(1, "sync"), 10, nil)
+	got = h.take()
 	if len(got) != 1 || got[0].payload != "sync" || !got[0].meta.Forced {
-		t.Fatalf("resync delivery: %+v", got)
+		t.Fatalf("resync delivery: %+v, want forced sync", got)
 	}
 	// Cursor now tracks the real stream again.
-	h.buf.Arrive(pub(1, "p13"), uint64(10+ResyncAfter), nil)
+	h.buf.Arrive(pub(1, "p11"), 11, nil)
 	got = h.take()
-	if len(got) != 1 || got[0].payload != "p13" || got[0].meta.Forced {
-		t.Fatalf("post-resync: %+v, want normal p13", got)
+	if len(got) != 1 || got[0].payload != "p11" || got[0].meta.Forced {
+		t.Fatalf("post-resync: %+v, want normal p11", got)
 	}
 }
 

@@ -175,8 +175,9 @@ func (e *Engine) CorruptOrdering(rng *rand.Rand) {
 	e.ord.Corrupt(rng)
 	if rng.Intn(2) == 0 {
 		// Scramble the publisher counter too. Downward makes receivers see
-		// "ancient" sequences (their ResyncAfter run resyncs them);
-		// upward makes them declare a gap lost and jump.
+		// sequences below their cursors, reused by new publications (each
+		// still delivered, flagged; far below, the cursor resyncs); upward
+		// makes them declare a gap lost and jump.
 		if rng.Intn(2) == 0 && e.nextSeq > 0 {
 			e.nextSeq = uint64(rng.Int63n(int64(e.nextSeq + 1)))
 		} else {

@@ -273,21 +273,56 @@ func TestPublishNewForwardOnce(t *testing.T) {
 	}
 }
 
+// TestOnDeliverInvokedOncePerPublication: in every delivery mode, each
+// distinct publication reaches the application exactly once — the trie is
+// the one duplicate filter, so duplicate copies are dropped while distinct
+// publications that share (origin, seq) after a publisher-counter
+// regression are still delivered. Ticks past ForceAfter flush whatever the
+// reorder buffer still holds.
 func TestOnDeliverInvokedOncePerPublication(t *testing.T) {
-	var got []string
-	e := NewEngine(Config{
-		Self: 10, Topic: tp, KeyLen: 8,
-		RingNeighbors: func() []proto.Tuple { return nil },
-		Position:      func() uint64 { return 0 },
-		FloodTargets:  func() []proto.Tuple { return nil },
-		OnDeliverMeta: func(p proto.Publication, _ ordering.Meta) { got = append(got, p.Payload) },
-	})
-	c := simtest.NewCtx(10)
-	p := trie.NewPublication(8, 99, "a")
-	e.OnMessage(c, sim.Message{From: 99, Topic: tp, Body: proto.PublishBatch{Pubs: []proto.Publication{p, p}}})
-	e.OnMessage(c, sim.Message{From: 99, Topic: tp, Body: proto.PublishNew{Pub: p}})
-	if len(got) != 1 || got[0] != "a" {
-		t.Fatalf("OnDeliverMeta calls = %v, want exactly one", got)
+	a := trie.NewPublication(64, 99, "a")
+	b := trie.NewPublication(64, 99, "b")
+	c := trie.NewPublication(64, 99, "c")
+	d := trie.NewPublication(64, 99, "d")
+	flood := func(p proto.Publication, seq uint64) proto.PublishNew { return proto.PublishNew{Pub: p, Seq: seq} }
+	batch := func(ps ...proto.Publication) proto.PublishBatch { return proto.PublishBatch{Pubs: ps} }
+	cases := []struct {
+		name string
+		in   []any
+		pubs []proto.Publication
+	}{
+		{"duplicate flood copies", []any{flood(a, 1), flood(a, 1), flood(b, 2), flood(a, 1)}, []proto.Publication{a, b}},
+		{"reused sequence number", []any{flood(a, 1), flood(b, 2), flood(c, 1)}, []proto.Publication{a, b, c}},
+		{"shared sequence ahead of the cursor", []any{flood(c, 3), flood(d, 3), flood(a, 1), flood(b, 2)}, []proto.Publication{a, b, c, d}},
+		{"anti-entropy copy", []any{batch(a, a), flood(a, 1), flood(b, 2), batch(a, b)}, []proto.Publication{a, b}},
+	}
+	for _, mode := range []ordering.Mode{ordering.BestEffort, ordering.FIFO, ordering.Causal} {
+		for _, tc := range cases {
+			t.Run(mode.String()+"/"+tc.name, func(t *testing.T) {
+				got := map[string]int{}
+				e := NewEngine(Config{
+					Self: 10, Topic: tp, Mode: mode,
+					RingNeighbors: func() []proto.Tuple { return nil },
+					Position:      func() uint64 { return 0 },
+					FloodTargets:  func() []proto.Tuple { return nil },
+					OnDeliverMeta: func(p proto.Publication, _ ordering.Meta) { got[p.Payload]++ },
+				})
+				ctx := simtest.NewCtx(10)
+				for _, body := range tc.in {
+					e.OnMessage(ctx, sim.Message{From: 99, Topic: tp, Body: body})
+				}
+				for i := 0; i <= ordering.ForceAfter; i++ {
+					e.OnTimeout(ctx)
+				}
+				want := map[string]int{}
+				for _, p := range tc.pubs {
+					want[p.Payload] = 1
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("deliveries per publication %v, want %v", got, want)
+				}
+			})
+		}
 	}
 }
 

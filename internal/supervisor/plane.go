@@ -10,9 +10,10 @@
 //     system-wide failure detector on each Timeout — the same machinery
 //     Section 3.3 uses to cull crashed subscribers.
 //   - Minimal migration. Suspicion transitions remove (or re-add) the peer
-//     on the local consistent-hashing ring and run Directory.Rebalance:
-//     only topics whose owner actually changed move, the consistent-hashing
-//     guarantee that makes supervisor failover affordable.
+//     on the local consistent-hashing ring and reconcile every hosted or
+//     known topic against the ring's owner: only topics whose owner
+//     actually changed move, the consistent-hashing guarantee that makes
+//     supervisor failover affordable.
 //   - Database reconstruction. An adopting supervisor starts from an empty
 //     database at a fresh ownership epoch; the subscribers themselves are
 //     the database of record. Each survivor re-reports its (label, epoch)
@@ -28,8 +29,8 @@
 //     repair (jumping past any higher epoch a subscriber reports) makes
 //     arbitrary initial epoch states converge too.
 //
-// All plane state — ring view, directory cache, known epochs, even the
-// hosting flags themselves — is recomputed or repairable from the detector
+// All plane state — ring view, known epochs, even the hosting flags
+// themselves — is recomputed or repairable from the detector
 // and the overlay, so chaos-corrupting the directory is a recoverable
 // fault like any other.
 package supervisor
@@ -64,15 +65,16 @@ type plane struct {
 	// paper's single supervisor.
 	peers []sim.NodeID
 	// ring is the consistent-hashing ring over the peers this supervisor
-	// currently believes alive; dir caches topic placements over it so
-	// Rebalance can report exactly the topics a membership change moved.
+	// currently believes alive; a topic's owner is recomputed from it on
+	// every lookup.
 	ring *hashdht.Ring
-	dir  *hashdht.Directory
 	// suspected is the last detector verdict per peer; transitions drive
 	// ring membership and migration.
 	suspected map[sim.NodeID]bool
 	// known is the highest ownership epoch observed per topic (hosted or
-	// gossiped) — the floor a future adoption must start above.
+	// gossiped, epoch 0 included) — the floor a future adoption must start
+	// above, and with the hosted topics the set a suspicion transition
+	// reconciles.
 	known map[sim.Topic]uint64
 	tick  uint64
 }
@@ -95,7 +97,6 @@ func (s *Supervisor) JoinPlane(peers []sim.NodeID) {
 	s.plane = &plane{
 		peers:     ps,
 		ring:      ring,
-		dir:       hashdht.NewDirectory(ring),
 		suspected: make(map[sim.NodeID]bool),
 		known:     make(map[sim.Topic]uint64),
 	}
@@ -108,7 +109,7 @@ func (s *Supervisor) viewOwner(t sim.Topic) sim.NodeID {
 	if s.plane == nil {
 		return s.self
 	}
-	owner, ok := s.plane.dir.Lookup(t)
+	owner, ok := s.plane.ring.Owner(t)
 	if !ok {
 		return sim.None
 	}
@@ -150,50 +151,38 @@ func (s *Supervisor) planeTimeout(ctx sim.Context) {
 		}
 	}
 	if changed {
-		// Minimal migration: Rebalance reports exactly the topics whose
-		// owner the membership change moved; everything else stays put.
-		var moved []sim.Topic
-		for t := range p.dir.Rebalance() {
-			moved = append(moved, t)
-		}
-		sort.Slice(moved, func(i, j int) bool { return moved[i] < moved[j] })
-		for _, t := range moved {
-			s.reconcileTopic(ctx, t)
-		}
+		// Minimal migration: reconcileTopic acts only where hosting and
+		// the ring's owner disagree, so only the topics the membership
+		// change moved migrate; everything else stays put.
+		s.reconcileAll(ctx)
 	}
 	s.replicaTimeout(ctx)
 	if p.tick%gossipEvery != 0 {
 		return
 	}
-	// Slow path: full reconcile over every known topic. Suspicion
-	// transitions already handled the common case above; this pass heals
-	// states no transition reports — plane corruption, lost gossip, a
-	// topic learned after its owner died.
-	for _, t := range s.planeTopics() {
-		s.reconcileTopic(ctx, t)
-	}
+	// Slow path: the same reconcile on the gossip cadence heals states no
+	// transition reports — plane corruption, lost gossip, a topic learned
+	// after its owner died.
+	s.reconcileAll(ctx)
 	s.gossip(ctx)
 }
 
-// planeTopics returns hosted ∪ known topics, sorted (determinism). Lock
-// held.
-func (s *Supervisor) planeTopics() []sim.Topic {
-	seen := make(map[sim.Topic]bool, len(s.topics)+len(s.plane.known))
-	out := make([]sim.Topic, 0, len(s.topics)+len(s.plane.known))
-	for t := range s.topics {
-		if !seen[t] {
-			seen[t] = true
-			out = append(out, t)
-		}
-	}
+// reconcileAll reconciles every hosted or known topic, in topic order
+// (determinism). Lock held.
+func (s *Supervisor) reconcileAll(ctx sim.Context) {
+	ts := make([]sim.Topic, 0, len(s.topics)+len(s.plane.known))
 	for t := range s.plane.known {
-		if !seen[t] {
-			seen[t] = true
-			out = append(out, t)
+		ts = append(ts, t)
+	}
+	for t := range s.topics {
+		if _, ok := s.plane.known[t]; !ok {
+			ts = append(ts, t)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	sort.Slice(ts, func(i, j int) bool { return ts[i] < ts[j] })
+	for _, t := range ts {
+		s.reconcileTopic(ctx, t)
+	}
 }
 
 // reconcileTopic drives one topic's hosting state toward the view: adopt
@@ -381,22 +370,21 @@ func (s *Supervisor) absorbGossip(g proto.PlaneGossip) {
 		return
 	}
 	for _, e := range g.Entries {
-		if e.Epoch > s.plane.known[e.Topic] {
+		// Record the topic even at epoch 0: the reconcile pass adopts it
+		// if it hashes to us and nobody hosts it (its owner died before we
+		// ever saw the topic).
+		if floor, ok := s.plane.known[e.Topic]; !ok || e.Epoch > floor {
 			s.plane.known[e.Topic] = e.Epoch
 		}
 		if db, ok := s.topics[e.Topic]; ok && e.Epoch > db.epoch && s.viewOwner(e.Topic) == s.self {
 			db.epoch = e.Epoch
 		}
-		// Register the topic with the directory; the reconcile pass adopts
-		// it if it hashes to us and nobody hosts it (its owner died before
-		// we ever saw the topic).
-		_ = s.viewOwner(e.Topic)
 	}
 }
 
 // CorruptPlane scrambles this supervisor's plane state for a topic — the
-// "chaos corruption of the directory itself" fault: hosting flags, epochs
-// and the routing cache are all fair game. Everything it breaks is soft
+// "chaos corruption of the directory itself" fault: hosting flags and
+// epochs are fair game. Everything it breaks is soft
 // state the reconcile/gossip/epoch-repair machinery must rebuild; it never
 // touches subscriber-side state. A no-op without a plane.
 func (s *Supervisor) CorruptPlane(t sim.Topic, rng interface{ Intn(int) int }) {
@@ -421,15 +409,13 @@ func (s *Supervisor) CorruptPlane(t sim.Topic, rng interface{ Intn(int) int }) {
 		}
 		p.known[t] = uint64(rng.Intn(3))
 	default:
-		// Routing poison: claim a topic we may not own (empty database at a
-		// bogus era) and poison the directory cache with a wrong owner.
+		// False hosting claim: host a topic we may not own (empty database
+		// at a bogus era).
 		if _, ok := s.topics[t]; !ok {
 			db := newTopicDB()
 			db.epoch = uint64(rng.Intn(3))
 			db.track = s.repFactor > 0
 			s.topics[t] = db
 		}
-		wrong := p.peers[rng.Intn(len(p.peers))]
-		p.dir.ForceOwner(t, wrong)
 	}
 }

@@ -22,9 +22,10 @@
 //     probe carrying its database root digest — an order-independent XOR
 //     fold of per-entry hashes, the same truncated-SHA-256 construction
 //     as the Patricia trie's node digests — and the replica answers
-//     only on mismatch. Replicas also periodically recompute their own
-//     digest from content, so even corruption that forged a matching
-//     stored digest is caught within a bounded number of probes.
+//     only on mismatch. Owner and replicas alike periodically recompute
+//     their digest from content, so even corruption that forged a
+//     matching stored digest is caught — and a corrupted owner digest
+//     stops provoking full syncs — within a bounded number of probes.
 //   - Bounded-chunk sync. On mismatch the owner ships its database in
 //     ReplicaSync chunks of at most maxSyncChunk entries; the replica
 //     stages a round's chunks and atomically replaces its state when the
@@ -61,10 +62,11 @@ const (
 	// owner has been silent longer — a restart with ancient state, a
 	// partition — falls back to the Reregister rebuild.
 	replicaStaleAfter = 64
-	// replicaVerifyEvery is how often (in plane ticks) a replica
-	// recomputes its digest from content instead of answering probes from
-	// the incrementally maintained one — the self-check that catches
-	// corruption which forged a coherent-looking stored digest.
+	// replicaVerifyEvery is how often (in plane ticks) an owner or a
+	// replica recomputes its digest from content instead of probing or
+	// answering with the incrementally maintained one — the self-check
+	// that catches corruption which forged a coherent-looking stored
+	// digest.
 	replicaVerifyEvery = 16
 	// graceCeiling is the hard per-era budget of rebuild-grace ticks. Each
 	// in-grace Reregister may re-arm the grace window, but never past what
@@ -276,6 +278,12 @@ func (s *Supervisor) replicaTimeout(ctx sim.Context) {
 			}
 		}
 		if probe {
+			if p.tick%replicaVerifyEvery == 0 {
+				// Self-check, as the replicas do: a corrupted owner digest
+				// would otherwise mismatch every replica forever and ship
+				// a full sync each gossip period.
+				db.repHash = digestOf(db.db)
+			}
 			dig := proto.ReplicaDigest{
 				Probe: true, Epoch: db.epoch,
 				Count: uint64(len(db.db)), Hash: db.repHash,

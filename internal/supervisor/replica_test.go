@@ -273,3 +273,69 @@ func TestWarmAdoptionUsesShortGrace(t *testing.T) {
 		t.Errorf("recorded subscribers never announced to: %v", want)
 	}
 }
+
+// TestOwnerDigestSelfHeals: a corrupted owner-side digest mismatches every
+// replica, and each mismatch ships a full sync. The owner recomputes its
+// digest from content on the replicas' cadence, so ReplicaSync traffic
+// stops within two verification periods instead of recurring every gossip
+// period forever.
+func TestOwnerDigestSelfHeals(t *testing.T) {
+	sups := planeSups(fakeDetector{}, 2)
+	for _, s := range sups {
+		s.SetReplicationFactor(1)
+	}
+	owner, replica := ownerOf(sups, tp), sim.NodeID(1)
+	if owner == 1 {
+		replica = 2
+	}
+	c := simtest.NewCtx(owner)
+	for v := sim.NodeID(10); v < 60; v++ {
+		sups[owner].OnMessage(c, sim.Message{To: owner, From: v, Topic: tp, Body: proto.Subscribe{V: v}})
+	}
+	// tick runs one Timeout on each supervisor and delivers the plane
+	// traffic it causes, returning how many ReplicaSync messages were sent.
+	tick := func() (syncs int) {
+		var queue []sim.Message
+		for _, id := range []sim.NodeID{1, 2} {
+			ctx := simtest.NewCtx(id)
+			sups[id].OnTimeout(ctx)
+			queue = append(queue, ctx.Take()...)
+		}
+		for len(queue) > 0 {
+			m := queue[0]
+			queue = queue[1:]
+			if _, ok := m.Body.(proto.ReplicaSync); ok {
+				syncs++
+			}
+			if to, ok := sups[m.To]; ok {
+				ctx := simtest.NewCtx(m.To)
+				to.OnMessage(ctx, m)
+				queue = append(queue, ctx.Take()...)
+			}
+		}
+		return syncs
+	}
+	for i := 0; i < 2*replicaVerifyEvery; i++ {
+		tick()
+	}
+	if _, h, _, ok := sups[replica].HeldReplicaDigest(tp); !ok || h != digestOf(sups[owner].topics[tp].db) {
+		t.Fatal("replica did not converge before the fault")
+	}
+	// Corrupt just after a verification tick, so the loop has time to show.
+	for sups[owner].plane.tick%replicaVerifyEvery != 1 {
+		tick()
+	}
+	sups[owner].topics[tp].repHash[0] ^= 1
+	before := 0
+	for i := 0; i < 2*replicaVerifyEvery; i++ {
+		before += tick()
+	}
+	if before == 0 {
+		t.Fatal("the corrupted owner digest provoked no sync — the test would be vacuous")
+	}
+	for i := 0; i < 200; i++ {
+		if n := tick(); n != 0 {
+			t.Fatalf("%d ReplicaSync sent %d ticks after the healing window", n, i+1)
+		}
+	}
+}
