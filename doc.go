@@ -71,9 +71,10 @@
 //
 // The message hot path is effectively allocation-free on every
 // substrate. The deterministic engine schedules and delivers with zero
-// allocations per message (heaps of 24-byte keys over recycled event
-// slabs, reused handler contexts, send accounting keyed by body type with
-// names resolved only when read);
+// allocations per message (a calendar of per-window buckets that keep
+// their capacity and are sorted once per window, reused handler contexts,
+// send accounting in per-node counters and a per-lane list of body types
+// with names resolved only when read);
 // the wire codec encodes frames append-only into pooled or caller-held
 // buffers (wire.AppendFrame, wire.WriteFrame) and decodes through a
 // per-connection wire.DecodeState whose arena bump-allocates payload

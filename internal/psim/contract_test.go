@@ -261,7 +261,7 @@ func (nop) OnMessage(sim.Context, sim.Message) {}
 func (nop) OnTimeout(sim.Context)              {}
 
 // TestDeliveryPathAllocFree pins the engine's per-message cost at zero
-// allocations: with the body pre-boxed and the lane heaps warm, a driver
+// allocations: with the body pre-boxed and the lane calendars warm, a driver
 // Send plus the window that delivers it (schedule, deliver, account) must
 // not touch the allocator. This is the deterministic substrate's share of
 // the zero-allocation hot-path contract.
@@ -271,7 +271,7 @@ func TestDeliveryPathAllocFree(t *testing.T) {
 	e.AddNode(2, nop{})
 	var body any = ping{Hop: 7}
 	m := sim.Message{To: 2, From: 1, Topic: 1, Body: body}
-	for i := 0; i < 256; i++ { // warm heaps, slabs, outboxes, accounting maps
+	for i := 0; i < 256; i++ { // warm buckets, sort keys, outboxes, accounting
 		e.Send(m)
 	}
 	e.RunRounds(3)

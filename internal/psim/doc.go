@@ -7,25 +7,42 @@
 //
 // Nodes (and the scale harness' virtual pool listeners) are partitioned
 // across a fixed number of lanes by a deterministic hash of NodeID. Each
-// lane owns an event min-heap, a random stream derived from (seed, lane),
+// lane owns an event calendar, a random stream derived from (seed, lane),
 // and the exclusive right to execute its nodes' handlers. Virtual time
 // advances in lookahead windows of width MinDelay: the transport
 // guarantees that a message sent at time t is delivered no earlier than
 // t+MinDelay, so two events inside the same window can never causally
 // affect one another — which makes every lane's window slice independent
 // and safe to execute in parallel. Cross-lane sends are buffered per
-// (srcLane, dstLane) during the window and merged at the barrier; every
-// event carries a (deliverTime, srcLane, per-lane seq) key assigned at
-// creation, so heaps order identically no matter which worker produced
+// (srcLane, dstLane) during the window and filed into the destination
+// lanes' calendars at the barrier, which is the only handoff per window;
+// every event carries a (deliverTime, srcLane, per-lane seq) key assigned
+// at creation, so lanes order identically no matter which worker produced
 // which event, and the merged schedule is canonical.
 //
-// A lane's heap holds 24-byte keys — (deliverTime, srcSeq, srcLane) and
-// the slot of a slab that holds the event itself — and sifts by moving a
-// hole, so an event is written once when queued and read once when it
-// runs; the order is total, so the pop sequence is the one any correct
-// heap would give. Accounting stays off the delivery path: sends are
-// counted per sender and per body type (names resolved only when read),
-// deliveries only in a lane total.
+// # Calendar
+//
+// A lane's calendar is a ring of buckets, one per lookahead window (a
+// calendar queue, Brown 1988, whose day is the window): an event goes to
+// the bucket of the W-grid cell that window selection would choose for
+// it, computed with the same floating-point expression. No event created
+// in window k lands in window k — the lookahead puts it later, MinDelay is
+// at most the one-interval timeout period, and a time that rounds into
+// cell k is filed one cell on — so a window's bucket is complete when the
+// window starts; the window sorts it once by (deliverTime, srcLane, seq)
+// and runs it in that order, and what a RunUntil target cuts off stays in
+// the bucket, in order. The ring doubles when an event lands beyond it
+// (FaultDelay, a large MaxDelay); there is no horizon to tune. Buckets
+// keep their capacity, so the steady state allocates nothing.
+//
+// A delivery resolves its destination once, at send: the event carries
+// the node it resolved to, and a listener carries its owner's. Crash and
+// RemoveNode mark a node dead, and only a dead or unresolved destination
+// is looked up again by ID at delivery, so the outcome is the one a
+// per-delivery lookup would give. Accounting stays off the delivery path:
+// sends are counted in a counter per node (a departed node's count moves
+// to a map at the barrier) and per body type in a small per-lane list
+// (names resolved only when read), deliveries only in a lane total.
 //
 // # Determinism contract
 //
@@ -51,7 +68,10 @@
 //
 // # Barrier operations
 //
-// There is no single-event step; the unit of progress is the window.
+// There is no single-event step; the unit of progress is the window. A
+// window runs only its busy lanes: inline when Workers is 1 or one lane
+// is busy, else the driver and the pool goroutines take them from one
+// queue.
 // Topology mutation (AddNode, AddListener, RemoveNode, Crash), Send with an
 // unregistered From, Freeze, fault installation and the accounting
 // accessors are barrier operations — call them between Run* calls, never

@@ -106,12 +106,11 @@ func graphRun(t *testing.T, seed int64, workers int) [][]exec {
 
 func checkGraph(t *testing.T, e *Engine, nodes []*gnode, logs [][]exec, target float64, where string) {
 	t.Helper()
-	// Nothing due is left behind: lane heaps hold only the future, inboxes
-	// and outboxes are empty.
+	// Nothing due is left behind: lane calendars hold only the future and
+	// outboxes are empty.
 	pending := map[token]bool{}
 	for _, l := range e.lanes {
-		for _, k := range l.heap.keys {
-			ev := l.heap.slab[k.slot]
+		for _, ev := range queuedEvents(l) {
 			if ev.t <= target {
 				t.Fatalf("%s: lane %d still queues an event at %.6f", where, l.idx, ev.t)
 			}
@@ -119,8 +118,8 @@ func checkGraph(t *testing.T, e *Engine, nodes []*gnode, logs [][]exec, target f
 				pending[ev.msg.Body.(hop).ID] = true
 			}
 		}
-		for i := range l.inbox {
-			if len(l.inbox[i]) != 0 || len(l.outbox[i]) != 0 {
+		for i := range l.outbox {
+			if len(l.outbox[i]) != 0 {
 				t.Fatalf("%s: lane %d holds unmerged cross-lane events", where, l.idx)
 			}
 		}

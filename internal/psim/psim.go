@@ -38,10 +38,10 @@ type Options struct {
 	// clamped to [1, Lanes].
 	Workers int
 	// MinDelay and MaxDelay bound message delivery delay, in timeout
-	// intervals (defaults 0.05 and 0.95). MinDelay is
-	// the engine's lookahead: a message sent at time t delivers no earlier
-	// than t+MinDelay, so events inside a window of width MinDelay cannot
-	// causally interact and lanes may execute them in parallel.
+	// intervals (defaults 0.05 and 0.95). MinDelay is the engine's
+	// lookahead, at most one interval: a message sent at time t delivers no
+	// earlier than t+MinDelay, so events inside a window of width MinDelay
+	// cannot causally interact and lanes may execute them in parallel.
 	MinDelay, MaxDelay float64
 	// DetectorGrace is how long after a crash the failure detector keeps
 	// answering "alive". Suspicion flips at the window boundary at or after
@@ -51,38 +51,18 @@ type Options struct {
 }
 
 // Engine is a conservative parallel discrete-event executor for
-// sim.Handlers: the repository's one deterministic engine.
-//
-// Nodes (and their pool listeners) are partitioned across Lanes lanes by a
-// deterministic hash of NodeID. Each lane owns an event min-heap (keys
-// over an event slab, see pheap), its own seeded random stream, and the
-// exclusive right to execute its nodes' handlers. Execution proceeds in
-// lookahead windows of width MinDelay: because any Send at time t delivers no earlier than t+MinDelay, no event
-// inside a window can causally affect another event in the same window —
-// across lanes or within one — so all lanes run their window slice
-// concurrently. Cross-lane sends are buffered per (srcLane, dstLane) and
-// merged at the window barrier; every event carries a (deliverTime,
-// srcLane, srcSeq) key that totally orders each lane's heap, so the merge
-// produces one canonical schedule no matter how many workers executed the
-// window.
-//
-// The engine implements sim.Transport and sim.Stepper (and the scale
-// harness' listener seam). There is no single-event step: the unit of
-// progress is the window. Topology mutations (AddNode, AddListener,
-// RemoveNode, Crash), Send with an unregistered From and the accounting
-// accessors are barrier operations: they must be called between
-// Run* calls, never from inside a handler. Handlers interact with the
-// engine only through their Context (and, transitively, Transport.Send
-// with their own From), which routes to their executing lane.
+// sim.Handlers: the repository's one deterministic engine. It implements
+// sim.Transport and sim.Stepper (and the scale harness' listener seam); the
+// package documentation describes its model, its determinism contract and
+// which operations are barrier operations.
 type Engine struct {
 	opts    Options
 	lanes   []*lane
 	nodes   map[sim.NodeID]*pnode
 	crashed map[sim.NodeID]float64
 	now     float64       // barrier time: start of the executing window
-	wend    float64       // end of the executing window (read by lane workers)
 	target  float64       // the RunUntil target of the executing window
-	gen     int64         // node-incarnation counter
+	floor   int64         // lowest cell to file into: the next window's inside a window
 	fault   sim.FaultFunc // SetFault's filter, shared by every lane
 
 	// extRNG is the driver's stream: harness injections whose From is not a
@@ -92,27 +72,30 @@ type Engine struct {
 	extRNG *rand.Rand
 	extSeq int64
 
-	// running guards the barrier-only API: true while a window executes.
-	running atomic.Bool
+	// sentOff counts the sends of IDs that are not registered: departed
+	// nodes fold their counters into it, external injections count here.
+	sentOff map[sim.NodeID]int64
 
-	// highWater is the maximum total queued-event count observed at any
-	// window barrier (the parallel engine's queue high-water mark).
-	highWater int
+	running   atomic.Bool // true while a window executes: guards the barrier-only API
+	highWater int         // most events queued at any window barrier
 
-	// worker pool (lazily started when Workers > 1)
-	workCh    chan *lane
-	phaseWG   sync.WaitGroup
-	phaseFn   func(*lane)
-	workersUp bool
-	closed    bool
+	// The lanes with events in the executing window, and the worker pool
+	// (lazily started when Workers > 1) that takes them from one queue.
+	busy    []*lane
+	claim   atomic.Int32
+	wake    chan struct{}
+	phaseWG sync.WaitGroup
+	closed  bool
 }
 
 type pnode struct {
-	h     sim.Handler
-	owner sim.NodeID // non-⊥ for listeners: the pool node handling our traffic
-	lane  int32      // executing lane (a listener's is its owner's)
-	gen   int64
-	next  float64 // next timeout (full nodes only)
+	id   sim.NodeID
+	h    sim.Handler
+	own  *pnode  // listeners only: the owner pool node as registered
+	lane int32   // executing lane (a listener's is its owner's)
+	dead bool    // crashed or removed: no longer e.nodes[id]
+	next float64 // next timeout (full nodes only)
+	sent int64   // sends while registered (SentBy)
 }
 
 const (
@@ -125,20 +108,20 @@ const (
 // before every lane's at equal times; any fixed rule would do.
 const extLane int32 = -1
 
+// pevent is a queued event. dst is the node its target resolved to when
+// the event was created (nil if none); see Engine.current.
 type pevent struct {
 	t       float64
 	srcSeq  int64
 	srcLane int32
 	kind    uint8
-	node    sim.NodeID // timeout target
-	gen     int64
+	dst     *pnode
 	msg     sim.Message
 }
 
-// hkey is a heap entry: an event's order key and the slab slot holding
-// the event itself. At 24 bytes it is what the heap sifts, so a sift level
-// moves three words instead of a whole event.
-type hkey struct {
+// ekey is an event's order key and its index in its bucket: what a window
+// sorts, so a sort step moves 24 bytes instead of a whole event.
+type ekey struct {
 	t       float64
 	srcSeq  int64
 	srcLane int32
@@ -149,8 +132,8 @@ type hkey struct {
 // origin's per-lane sequence number. All three components are fixed when
 // the event is created by its (deterministically scheduled) origin, so the
 // order is independent of which worker executes what — and, being total,
-// any correct heap pops one sequence.
-func (k hkey) before(o hkey) bool {
+// any correct sort gives one sequence.
+func (k ekey) before(o ekey) bool {
 	if k.t != o.t {
 		return k.t < o.t
 	}
@@ -160,103 +143,162 @@ func (k hkey) before(o hkey) bool {
 	return k.srcSeq < o.srcSeq
 }
 
-// pheap is a binary min-heap of keys over a slab of events. A pushed event
-// is written once into a recycled slab slot and read once when popped; the
-// sifts move only keys, and they move a hole rather than swapping. It
-// deliberately does not implement container/heap, whose interface boxes
-// every entry; keys, slab and free list keep their capacity, so the
-// steady-state schedule/deliver cycle performs no allocations at all.
-type pheap struct {
-	keys []hkey
-	slab []pevent
-	free []int32 // slab slots not holding an event
+// sortKeys sorts ks by before: quicksort around the middle key, recursing
+// into the smaller side, then insertion sort for short runs. Written out so
+// that before inlines.
+func sortKeys(ks []ekey) {
+	for len(ks) > 12 {
+		m := len(ks) / 2
+		ks[0], ks[m] = ks[m], ks[0]
+		p, j := ks[0], 0
+		for i := 1; i < len(ks); i++ {
+			if ks[i].before(p) {
+				j++
+				ks[i], ks[j] = ks[j], ks[i]
+			}
+		}
+		ks[0], ks[j] = ks[j], ks[0]
+		if j < len(ks)-j {
+			sortKeys(ks[:j])
+			ks = ks[j+1:]
+		} else {
+			sortKeys(ks[j+1:])
+			ks = ks[:j]
+		}
+	}
+	for i := 1; i < len(ks); i++ {
+		k, j := ks[i], i
+		for ; j > 0 && k.before(ks[j-1]); j-- {
+			ks[j] = ks[j-1]
+		}
+		ks[j] = k
+	}
 }
 
-func (h *pheap) len() int { return len(h.keys) }
-
-// minT is the time of the earliest event; the heap must not be empty.
-func (h *pheap) minT() float64 { return h.keys[0].t }
-
-func (h *pheap) push(e pevent) {
-	var slot int32
-	if n := len(h.free); n > 0 {
-		slot = h.free[n-1]
-		h.free = h.free[:n-1]
-		h.slab[slot] = e
-	} else {
-		slot = int32(len(h.slab))
-		h.slab = append(h.slab, e)
-	}
-	k := hkey{t: e.t, srcSeq: e.srcSeq, srcLane: e.srcLane, slot: slot}
-	s := append(h.keys, hkey{})
-	i := len(s) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !k.before(s[p]) {
-			break
-		}
-		s[i] = s[p]
-		i = p
-	}
-	s[i] = k
-	h.keys = s
+// bucket holds one W-grid cell's events of a lane, in filing order, and
+// the earliest of their times (which chooses the window's start).
+type bucket struct {
+	ev   []pevent
+	minT float64
 }
 
-func (h *pheap) pop() pevent {
-	s := h.keys
-	top := s[0]
-	n := len(s) - 1
-	last := s[n]
-	s = s[:n]
-	// Sift the hole at the root down to where the last key belongs.
-	i := 0
-	for {
-		c := 2*i + 1
-		if c >= n {
-			break
-		}
-		if c+1 < n && s[c+1].before(s[c]) {
-			c++
-		}
-		if !s[c].before(last) {
-			break
-		}
-		s[i] = s[c]
-		i = c
-	}
-	if i < n {
-		s[i] = last
-	}
-	h.keys = s
-	e := h.slab[top.slot]
-	h.slab[top.slot] = pevent{} // release the Body reference
-	h.free = append(h.free, top.slot)
-	return e
-}
-
-// lane is one deterministic shard: a heap, a random stream, per-destination
-// outboxes and the accounting for the nodes it executes. All lane state is
-// touched only by the single worker executing the lane's window slice (or
-// by the driver at a barrier), so none of it is locked.
+// lane is one deterministic shard: a calendar (see the package
+// documentation), a random stream, per-destination outboxes and the
+// accounting for the nodes it executes. All lane state is touched only by
+// the single worker executing the lane's window slice (or by the driver at
+// a barrier), so none of it is locked. Cell c's bucket is
+// cal[c & (len(cal)-1)]; every queued cell lies in [lo, hi], and
+// hi-lo < len(cal), so no two queued cells share a bucket.
 type lane struct {
 	e   *Engine
 	idx int32
 	rng *rand.Rand
 
-	heap   pheap
+	cal    []bucket
+	lo, hi int64    // bounds on the queued events' cells
+	queued int      // events in the calendar
+	keys   []ekey   // the executing window's order (scratch)
+	spare  []pevent // settle's scratch
 	seq    int64
 	outbox [][]pevent // per dst lane, filled during a window
-	inbox  [][]pevent // per src lane, swapped in at the barrier
 	now    float64    // time of the executing event
 	ctx    laneCtx
 
 	inFlight  int
 	delivered int64
 	dropped   int64
-	// byType counts sends by the body's dynamic type; names are resolved
+	// types counts sends by the body's dynamic type; names are resolved
 	// only when read (CountByType, TypeNames).
-	byType map[reflect.Type]int64
-	sentBy map[sim.NodeID]int64
+	types []typeCount
+}
+
+type typeCount struct {
+	t reflect.Type
+	n int64
+}
+
+// cellOf is the W-grid cell RunUntil chooses for a window whose earliest
+// event is at t, computed with RunUntil's expression.
+func (e *Engine) cellOf(t float64) int64 {
+	W := e.opts.MinDelay
+	q := math.Floor(t / W)
+	if float64(q*W) > t {
+		q--
+	}
+	return int64(q)
+}
+
+// file queues ev in its cell's bucket. Inside a window the lookahead puts
+// every new event in a later cell; the floor keeps a time one rounding
+// step short of the boundary out of the bucket that is executing.
+func (l *lane) file(ev pevent) {
+	c := max(l.e.cellOf(ev.t), l.e.floor)
+	lo, hi := c, c
+	if l.queued > 0 {
+		lo, hi = min(l.lo, c), max(l.hi, c)
+	}
+	for hi-lo >= int64(len(l.cal)) {
+		l.grow()
+	}
+	l.lo, l.hi = lo, hi
+	b := &l.cal[c&int64(len(l.cal)-1)]
+	if len(b.ev) == 0 || ev.t < b.minT {
+		b.minT = ev.t
+	}
+	b.ev = append(b.ev, ev)
+	l.queued++
+	if ev.kind == evDeliver {
+		l.inFlight++
+	}
+}
+
+// grow doubles the ring, moving each bucket (and its capacity) to its
+// cell's slot in the larger ring.
+func (l *lane) grow() {
+	old := l.cal
+	n := int64(len(old))
+	l.cal = make([]bucket, 2*n)
+	for c := l.lo; c < l.lo+n; c++ {
+		l.cal[c&(2*n-1)] = old[c&(n-1)]
+	}
+}
+
+// first returns the earliest cell holding a queued event.
+func (l *lane) first() (int64, bool) {
+	for l.queued > 0 && len(l.cal[l.lo&int64(len(l.cal)-1)].ev) == 0 {
+		l.lo++
+	}
+	return l.lo, l.queued > 0
+}
+
+// order sorts the keys of a bucket's events into the lane's scratch.
+func (l *lane) order(evs []pevent) []ekey {
+	keys := l.keys[:0]
+	for i := range evs {
+		keys = append(keys, ekey{t: evs[i].t, srcSeq: evs[i].srcSeq, srcLane: evs[i].srcLane, slot: int32(i)})
+	}
+	sortKeys(keys)
+	l.keys = keys
+	return keys
+}
+
+// settle empties cell k's bucket after its window ran, keeping the events
+// a target cut left behind (rest, in key order) at its front, and releases
+// the bodies of the events that ran.
+func (l *lane) settle(k int64, evs []pevent, rest []ekey) {
+	b := &l.cal[k&int64(len(l.cal)-1)]
+	l.queued -= len(evs) - len(rest)
+	kept := l.spare[:0]
+	for _, key := range rest {
+		kept = append(kept, evs[key.slot])
+	}
+	n := copy(evs, kept)
+	clear(evs[n:])
+	clear(kept)
+	l.spare, b.ev = kept[:0], evs[:n]
+	if n > 0 {
+		b.minT = evs[0].t
+	}
 }
 
 // splitmix64 is the 64-bit finalizer used for lane hashing and per-node
@@ -279,8 +321,8 @@ func New(opts Options) *Engine {
 	if opts.MinDelay == 0 {
 		opts.MinDelay = 0.05
 	}
-	if opts.MinDelay <= 0 {
-		panic("psim: MinDelay (the lookahead) must be positive")
+	if opts.MinDelay <= 0 || opts.MinDelay > 1 {
+		panic("psim: MinDelay (the lookahead) must be in (0, 1]")
 	}
 	if opts.DetectorGrace == 0 {
 		opts.DetectorGrace = 2
@@ -295,7 +337,9 @@ func New(opts Options) *Engine {
 		opts:    opts,
 		nodes:   make(map[sim.NodeID]*pnode),
 		crashed: make(map[sim.NodeID]float64),
+		floor:   math.MinInt64,
 		extRNG:  rand.New(rand.NewSource(int64(splitmix64(uint64(opts.Seed) ^ 0xe7f3a9c1)))),
+		sentOff: make(map[sim.NodeID]int64),
 	}
 	e.lanes = make([]*lane, opts.Lanes)
 	for i := range e.lanes {
@@ -303,10 +347,8 @@ func New(opts Options) *Engine {
 			e:      e,
 			idx:    int32(i),
 			rng:    rand.New(rand.NewSource(int64(splitmix64(uint64(opts.Seed) + uint64(i)*0x9e3779b97f4a7c15)))),
+			cal:    make([]bucket, 1),
 			outbox: make([][]pevent, opts.Lanes),
-			inbox:  make([][]pevent, opts.Lanes),
-			byType: make(map[reflect.Type]int64),
-			sentBy: make(map[sim.NodeID]int64),
 		}
 		l.ctx.l = l
 		e.lanes[i] = l
@@ -343,12 +385,11 @@ func (e *Engine) AddNode(id sim.NodeID, h sim.Handler) {
 	if _, dup := e.nodes[id]; dup {
 		panic(fmt.Sprintf("psim: duplicate node %d", id))
 	}
-	e.gen++
 	l := e.lanes[e.laneOf(id)]
-	n := &pnode{h: h, lane: l.idx, gen: e.gen, next: e.now + e.phaseOf(id)}
+	n := &pnode{id: id, h: h, lane: l.idx, next: e.now + e.phaseOf(id)}
 	e.nodes[id] = n
 	delete(e.crashed, id) // re-adding a crashed ID is a restart
-	l.heap.push(pevent{t: n.next, kind: evTimeout, node: id, gen: n.gen, srcLane: l.idx, srcSeq: l.seq})
+	l.file(pevent{t: n.next, kind: evTimeout, dst: n, srcLane: l.idx, srcSeq: l.seq})
 	l.seq++
 }
 
@@ -378,7 +419,7 @@ func (e *Engine) AddListener(id, owner sim.NodeID) {
 	if !ok {
 		panic(fmt.Sprintf("psim: listener %d names unknown owner %d", id, owner))
 	}
-	e.nodes[id] = &pnode{owner: owner, lane: o.lane, gen: -1}
+	e.nodes[id] = &pnode{id: id, own: o, lane: o.lane}
 	delete(e.crashed, id)
 }
 
@@ -386,7 +427,18 @@ func (e *Engine) AddListener(id, owner sim.NodeID) {
 // dropped on delivery. Barrier operation.
 func (e *Engine) RemoveNode(id sim.NodeID) {
 	e.assertBarrier("RemoveNode")
-	delete(e.nodes, id)
+	e.deregister(id)
+}
+
+// deregister retires id's pnode, if any: events holding it fall back to a
+// lookup, and its send count moves to sentOff.
+func (e *Engine) deregister(id sim.NodeID) bool {
+	n, ok := e.nodes[id]
+	if ok {
+		n.dead, e.sentOff[id] = true, e.sentOff[id]+n.sent
+		delete(e.nodes, id)
+	}
+	return ok
 }
 
 // Crash fails a node without warning: its actions stop, messages to it
@@ -394,11 +446,9 @@ func (e *Engine) RemoveNode(id sim.NodeID) {
 // operation.
 func (e *Engine) Crash(id sim.NodeID) {
 	e.assertBarrier("Crash")
-	if _, ok := e.nodes[id]; !ok {
-		return
+	if e.deregister(id) {
+		e.crashed[id] = e.now
 	}
-	e.crashed[id] = e.now
-	delete(e.nodes, id)
 }
 
 // Crashed reports whether the node has crashed.
@@ -450,7 +500,7 @@ func (e *Engine) Send(m sim.Message) {
 		return
 	}
 	if n, ok := e.nodes[m.From]; ok {
-		e.lanes[n.lane].send(m)
+		e.lanes[n.lane].send(m, n)
 		return
 	}
 	e.externalSend(m)
@@ -458,9 +508,9 @@ func (e *Engine) Send(m sim.Message) {
 
 // send performs accounting, fault filtering, delay drawing and routing for
 // one message on the lane that owns the sender.
-func (l *lane) send(m sim.Message) {
-	l.sentBy[m.From]++
-	l.byType[reflect.TypeOf(m.Body)]++
+func (l *lane) send(m sim.Message, from *pnode) {
+	from.sent++
+	l.count(reflect.TypeOf(m.Body))
 	copies, extra := 1, 0.0
 	if f := l.e.fault; f != nil {
 		switch f(m) {
@@ -473,29 +523,64 @@ func (l *lane) send(m sim.Message) {
 			extra = 1 + float64(3*l.rng.Float64())
 		}
 	}
+	dn, dst := l.e.resolve(m.To)
 	for i := 0; i < copies; i++ {
 		delay := l.e.opts.MinDelay + float64(l.rng.Float64()*(l.e.opts.MaxDelay-l.e.opts.MinDelay))
-		ev := pevent{t: l.now + delay + extra, kind: evDeliver, msg: m, srcLane: l.idx, srcSeq: l.seq}
+		ev := pevent{t: l.now + delay + extra, kind: evDeliver, dst: dn, msg: m, srcLane: l.idx, srcSeq: l.seq}
 		l.seq++
-		dst := l.e.destLane(m.To)
 		if dst == l.idx {
-			l.heap.push(ev)
-			l.inFlight++
+			l.file(ev)
 		} else {
 			l.outbox[dst] = append(l.outbox[dst], ev)
 		}
 	}
 }
 
-// destLane resolves the lane that will deliver a message to id: the
-// executor lane for registered nodes (a listener delivers on its owner's
-// lane), the hash lane otherwise. Registration only changes at barriers,
-// so the resolution is stable for every event created inside a window.
-func (e *Engine) destLane(id sim.NodeID) int32 {
-	if n, ok := e.nodes[id]; ok {
-		return n.lane
+// count adds one send of body type t to the lane's tally.
+func (l *lane) count(t reflect.Type) {
+	for i := range l.types {
+		if l.types[i].t == t {
+			l.types[i].n++
+			if i > 0 { // the busiest types drift to the front
+				l.types[i-1], l.types[i] = l.types[i], l.types[i-1]
+			}
+			return
+		}
 	}
-	return e.laneOf(id)
+	l.types = append(l.types, typeCount{t: t, n: 1})
+}
+
+// current is the node registered under id, given the one an event resolved
+// earlier: n itself while it is registered, else a fresh lookup (nil when
+// none is). So a delivery resolves exactly as a lookup at delivery would,
+// yet looks up only after a barrier changed registration.
+func (e *Engine) current(n *pnode, id sim.NodeID) *pnode {
+	if n == nil || n.dead {
+		return e.nodes[id]
+	}
+	return n
+}
+
+// handler is the handler that runs n's events: its own, or a listener's
+// registered owner's (nil when the owner is gone).
+func (n *pnode) handler(e *Engine) sim.Handler {
+	if n.own == nil {
+		return n.h
+	}
+	if o := e.current(n.own, n.own.id); o != nil {
+		return o.h
+	}
+	return nil
+}
+
+// resolve finds the node a message to id is for and the lane that will
+// deliver it: the executor lane for registered nodes (a listener delivers
+// on its owner's lane), the hash lane otherwise.
+func (e *Engine) resolve(id sim.NodeID) (*pnode, int32) {
+	if n, ok := e.nodes[id]; ok {
+		return n, n.lane
+	}
+	return nil, e.laneOf(id)
 }
 
 // externalSend queues a driver injection whose From is not a registered
@@ -504,14 +589,12 @@ func (e *Engine) destLane(id sim.NodeID) int32 {
 // perturb any lane.
 func (e *Engine) externalSend(m sim.Message) {
 	e.assertBarrier("Send with unregistered From")
-	dst := e.lanes[e.destLane(m.To)]
-	dst.sentBy[m.From]++
-	dst.byType[reflect.TypeOf(m.Body)]++
+	dn, d := e.resolve(m.To)
+	e.sentOff[m.From]++
+	e.lanes[d].count(reflect.TypeOf(m.Body))
 	delay := e.opts.MinDelay + float64(e.extRNG.Float64()*(e.opts.MaxDelay-e.opts.MinDelay))
-	ev := pevent{t: e.now + delay, kind: evDeliver, msg: m, srcLane: extLane, srcSeq: e.extSeq}
+	e.lanes[d].file(pevent{t: e.now + delay, kind: evDeliver, dst: dn, msg: m, srcLane: extLane, srcSeq: e.extSeq})
 	e.extSeq++
-	dst.heap.push(ev)
-	dst.inFlight++
 }
 
 // Rand exposes the driver's random stream for workload generation and the
@@ -535,9 +618,8 @@ func (e *Engine) Close() {
 		return
 	}
 	e.closed = true
-	if e.workersUp {
-		close(e.workCh)
-		e.workersUp = false
+	if e.wake != nil {
+		close(e.wake)
 	}
 }
 
@@ -545,123 +627,108 @@ var _ sim.Transport = (*Engine)(nil)
 
 // ---- window execution ----
 
-// ensureWorkers lazily starts the Workers-1 >= 1 pool (the driver
-// goroutine is worker zero in every phase).
-func (e *Engine) ensureWorkers() {
-	if e.workersUp || e.closed {
-		return
-	}
-	e.workCh = make(chan *lane, len(e.lanes))
-	for w := 0; w < e.opts.Workers-1; w++ {
-		go func() {
-			for l := range e.workCh {
-				e.phaseFn(l)
-				e.phaseWG.Done()
-			}
-		}()
-	}
-	e.workersUp = true
-}
-
-// runPhase executes fn once per lane: inline when Workers == 1 (the serial
-// engine — no goroutines anywhere), else fanned out over the worker pool
-// with the driver participating. Lane processing order is irrelevant by
-// construction (lanes share no mutable state during a phase), which is
+// runBusy executes every busy lane's window slice: inline when Workers == 1
+// (the serial engine — no goroutines anywhere) or one lane is busy, else
+// the driver and up to one pool goroutine per further busy lane take lanes
+// from one queue. Lanes share no mutable state during a window, which is
 // exactly why the schedule cannot depend on Workers.
-func (e *Engine) runPhase(fn func(*lane)) {
-	if e.opts.Workers <= 1 {
-		for _, l := range e.lanes {
-			fn(l)
+func (e *Engine) runBusy() {
+	helpers := min(e.opts.Workers, len(e.busy)) - 1
+	if helpers <= 0 {
+		for _, l := range e.busy {
+			l.runWindow()
 		}
 		return
 	}
-	e.ensureWorkers()
-	e.phaseFn = fn
-	e.phaseWG.Add(len(e.lanes) - 1)
-	for _, l := range e.lanes[1:] {
-		e.workCh <- l
-	}
-	fn(e.lanes[0]) // the driver pulls its weight instead of spinning
-	e.phaseWG.Wait()
-	e.phaseFn = nil
-}
-
-// ingest merges the event slices every other lane buffered for this lane
-// during the previous window into the heap. Arrival order is irrelevant:
-// the heap orders by the (t, srcLane, srcSeq) stamp assigned at creation.
-func (l *lane) ingest() {
-	for src, buf := range l.inbox {
-		for i := range buf {
-			l.heap.push(buf[i])
-			l.inFlight++
-			buf[i] = pevent{} // release Body references
+	if e.wake == nil { // start the Workers-1 pool goroutines
+		e.wake = make(chan struct{}, e.opts.Workers) // sized to one window's tokens
+		for w := 0; w < e.opts.Workers-1; w++ {
+			go func() {
+				for range e.wake {
+					e.drain()
+					e.phaseWG.Done()
+				}
+			}()
 		}
-		l.inbox[src] = buf[:0]
+	}
+	e.claim.Store(0)
+	e.phaseWG.Add(helpers)
+	for i := 0; i < helpers; i++ {
+		e.wake <- struct{}{}
+	}
+	e.drain()
+	e.phaseWG.Wait()
+}
+
+// drain runs busy lanes until the queue is empty.
+func (e *Engine) drain() {
+	for {
+		i := int(e.claim.Add(1)) - 1
+		if i >= len(e.busy) {
+			return
+		}
+		e.busy[i].runWindow()
 	}
 }
 
-// runWindow executes this lane's slice of the window: every queued event
-// with t < wend (and t <= target). New same-lane events land in the heap
-// directly; cross-lane events go to the outboxes for the barrier merge.
-// The bounds travel through the engine, not a closure, so a window costs
-// no allocation.
+// runWindow executes this lane's slice of the window: its bucket for the
+// window's cell, sorted once, up to the target. New same-lane events land
+// in later buckets directly; cross-lane events wait in the outboxes.
 func (l *lane) runWindow() {
 	e := l.e
-	wend, target := e.wend, e.target
-	for l.heap.len() > 0 {
-		t := l.heap.minT()
-		if t >= wend || t > target {
+	k, target := l.lo, e.target
+	evs := l.cal[k&int64(len(l.cal)-1)].ev
+	keys := l.order(evs)
+	ran := 0
+	for _, key := range keys {
+		if key.t > target {
 			break
 		}
-		ev := l.heap.pop()
+		ran++
+		ev := &evs[key.slot]
 		if ev.t > l.now {
 			l.now = ev.t
 		}
+		n := ev.dst
 		switch ev.kind {
 		case evDeliver:
 			l.inFlight--
-			n, ok := e.nodes[ev.msg.To]
-			if !ok || n.lane != l.idx {
-				l.dropped++ // crashed, removed, or re-registered elsewhere
+			var h sim.Handler
+			if n = e.current(n, ev.msg.To); n != nil && n.lane == l.idx {
+				h = n.handler(e)
+			}
+			if h == nil { // crashed, removed, re-registered elsewhere, or a
+				l.dropped++ // listener whose owner pool crashed
 				continue
 			}
-			h := n.h
-			if n.owner != sim.None {
-				o, up := e.nodes[n.owner]
-				if !up {
-					l.dropped++ // owner pool crashed: its listeners fail with it
-					continue
-				}
-				h = o.h
-			}
 			l.delivered++
-			l.ctx.id = ev.msg.To
+			l.ctx.n = n
 			h.OnMessage(&l.ctx, ev.msg)
 		case evTimeout:
-			n, ok := e.nodes[ev.node]
-			if !ok || n.gen != ev.gen {
-				continue // crashed/removed, or a stale pre-restart chain
+			if n.dead {
+				continue // crashed/removed; a restart runs a new chain
 			}
-			l.ctx.id = ev.node
+			l.ctx.n = n
 			n.h.OnTimeout(&l.ctx)
 			n.next += 1
-			l.heap.push(pevent{t: n.next, kind: evTimeout, node: ev.node, gen: n.gen, srcLane: l.idx, srcSeq: l.seq})
+			l.file(pevent{t: n.next, kind: evTimeout, dst: n, srcLane: l.idx, srcSeq: l.seq})
 			l.seq++
 		}
 	}
+	l.settle(k, evs, keys[ran:])
 }
 
-// swapOutboxes hands every lane's outbox slices to their destination
-// lanes' inboxes (slice-header swaps only; the buffers are recycled in the
-// opposite direction each window).
-func (e *Engine) swapOutboxes() {
+// fileOutboxes files every event the window sent across lanes into its
+// destination calendar. Arrival order is irrelevant: a window sorts by the
+// (t, srcLane, srcSeq) stamp assigned at creation.
+func (e *Engine) fileOutboxes() {
 	for _, src := range e.lanes {
-		for d := range src.outbox {
-			if len(src.outbox[d]) == 0 {
-				continue
+		for d, buf := range src.outbox {
+			for i := range buf {
+				e.lanes[d].file(buf[i])
 			}
-			dst := e.lanes[d]
-			src.outbox[d], dst.inbox[src.idx] = dst.inbox[src.idx][:0], src.outbox[d]
+			clear(buf)
+			src.outbox[d] = buf[:0]
 		}
 	}
 }
@@ -675,48 +742,43 @@ func (e *Engine) RunUntil(target float64) {
 	}
 	W := e.opts.MinDelay
 	for {
-		// Merge the cross-lane events the previous window buffered BEFORE
-		// choosing the next window: an inbox event can be older than every
-		// heap min, and both window selection and loop termination must see
-		// it. (After this phase outboxes and inboxes are empty, so heaps
-		// are the complete picture.)
-		e.running.Store(true)
-		e.runPhase((*lane).ingest)
-		e.running.Store(false)
-		// Earliest pending event across all lanes.
-		min := math.Inf(1)
+		// The earliest cell queued on any lane, the lanes queuing it, and
+		// its earliest event (outboxes were filed at the last barrier).
+		k, min, total := int64(math.MaxInt64), math.Inf(1), 0
 		for _, l := range e.lanes {
-			if l.heap.len() > 0 && l.heap.minT() < min {
-				min = l.heap.minT()
+			total += l.queued
+			if c, ok := l.first(); ok && c < k {
+				k = c
+			}
+		}
+		e.busy = e.busy[:0]
+		for _, l := range e.lanes {
+			if l.queued > 0 && l.lo == k {
+				e.busy = append(e.busy, l)
+				min = math.Min(min, l.cal[k&int64(len(l.cal)-1)].minT)
 			}
 		}
 		if min > target {
 			break
 		}
-		// The lookahead window containing the earliest event, aligned to
-		// the absolute W grid. The guard keeps wstart <= min under
-		// floating-point rounding so wend <= min+W: no event created
-		// inside the window (at >= its creator's time + MinDelay) can
-		// land inside the window.
+		// The window's start on the absolute W grid; the guard keeps
+		// wstart <= min under floating-point rounding.
 		wstart := float64(math.Floor(min/W) * W)
 		if wstart > min {
 			wstart -= W
 		}
-		e.wend, e.target = wstart+W, target
+		e.floor, e.target = k+1, target
 		if e.now < wstart {
 			e.now = wstart
-		}
-		total := 0
-		for _, l := range e.lanes {
-			total += l.heap.len()
 		}
 		if total > e.highWater {
 			e.highWater = total
 		}
 		e.running.Store(true)
-		e.runPhase((*lane).runWindow)
+		e.runBusy()
 		e.running.Store(false)
-		e.swapOutboxes()
+		e.fileOutboxes()
+		e.floor = math.MinInt64
 	}
 	if e.now < target {
 		e.now = target
@@ -745,49 +807,34 @@ var _ sim.Stepper = (*Engine)(nil)
 
 // ---- accounting (barrier operations: they read every lane) ----
 
-// Delivered returns the total number of delivered messages.
-func (e *Engine) Delivered() int64 {
-	var n int64
+// sum totals f over every lane.
+func sum[T int | int64](e *Engine, f func(*lane) T) T {
+	var n T
 	for _, l := range e.lanes {
-		n += l.delivered
+		n += f(l)
 	}
 	return n
 }
+
+// Delivered returns the total number of delivered messages.
+func (e *Engine) Delivered() int64 { return sum(e, func(l *lane) int64 { return l.delivered }) }
 
 // Dropped returns messages dropped (sent to ⊥, crashed or removed nodes,
 // fault drops).
-func (e *Engine) Dropped() int64 {
-	var n int64
-	for _, l := range e.lanes {
-		n += l.dropped
-	}
-	return n
-}
+func (e *Engine) Dropped() int64 { return sum(e, func(l *lane) int64 { return l.dropped }) }
 
 // InFlight returns the number of queued message deliveries.
-func (e *Engine) InFlight() int {
-	n := 0
-	for _, l := range e.lanes {
-		n += l.inFlight
-	}
-	return n
-}
+func (e *Engine) InFlight() int { return sum(e, func(l *lane) int { return l.inFlight }) }
 
 // QueueLen returns the total number of queued events across all lanes.
-func (e *Engine) QueueLen() int {
-	n := 0
-	for _, l := range e.lanes {
-		n += l.heap.len()
-	}
-	return n
-}
+func (e *Engine) QueueLen() int { return sum(e, func(l *lane) int { return l.queued }) }
 
 // QueueHighWaterBytes returns the queue's high-water footprint: the
 // maximum total queued-event count observed at any window barrier, at the
-// static size of a queued event (its heap key plus its slab slot).
-// Deterministic for a given schedule identity.
+// static size of a queued event (72 bytes on 64-bit platforms: one bucket
+// entry). Deterministic for a given schedule identity.
 func (e *Engine) QueueHighWaterBytes() uint64 {
-	return uint64(e.highWater) * uint64(unsafe.Sizeof(hkey{})+unsafe.Sizeof(pevent{}))
+	return uint64(e.highWater) * uint64(unsafe.Sizeof(pevent{}))
 }
 
 // typeNameOf is sim.TypeName for a body's dynamic type: what
@@ -799,11 +846,12 @@ func typeNameOf(t reflect.Type) string {
 	return t.String()
 }
 
-// SentBy returns the number of messages node id has sent so far.
+// SentBy returns the number of messages node id has sent so far,
+// including sends of its earlier incarnations.
 func (e *Engine) SentBy(id sim.NodeID) int64 {
-	var n int64
-	for _, l := range e.lanes {
-		n += l.sentBy[id]
+	n := e.sentOff[id]
+	if p, ok := e.nodes[id]; ok {
+		n += p.sent
 	}
 	return n
 }
@@ -812,9 +860,9 @@ func (e *Engine) SentBy(id sim.NodeID) int64 {
 func (e *Engine) CountByType(typeName string) int64 {
 	var n int64
 	for _, l := range e.lanes {
-		for t, c := range l.byType {
-			if typeNameOf(t) == typeName {
-				n += c
+		for _, c := range l.types {
+			if typeNameOf(c.t) == typeName {
+				n += c.n
 			}
 		}
 	}
@@ -825,8 +873,8 @@ func (e *Engine) CountByType(typeName string) int64 {
 func (e *Engine) TypeNames() []string {
 	seen := make(map[string]struct{})
 	for _, l := range e.lanes {
-		for t := range l.byType {
-			seen[typeNameOf(t)] = struct{}{}
+		for _, c := range l.types {
+			seen[typeNameOf(c.t)] = struct{}{}
 		}
 	}
 	out := make([]string, 0, len(seen))
@@ -842,9 +890,12 @@ func (e *Engine) TypeNames() []string {
 func (e *Engine) ResetCounters() {
 	for _, l := range e.lanes {
 		l.delivered, l.dropped = 0, 0
-		clear(l.byType)
-		clear(l.sentBy)
+		l.types = l.types[:0]
 	}
+	for _, n := range e.nodes {
+		n.sent = 0
+	}
+	clear(e.sentOff)
 }
 
 // NodeIDs returns the IDs of all live registered nodes, sorted.
@@ -860,17 +911,10 @@ func (e *Engine) NodeIDs() []sim.NodeID {
 // Handler returns the handler registered under id (a listener resolves to
 // its owner's), or nil.
 func (e *Engine) Handler(id sim.NodeID) sim.Handler {
-	n, ok := e.nodes[id]
-	if !ok {
-		return nil
+	if n := e.nodes[id]; n != nil {
+		return n.handler(e)
 	}
-	if n.owner != sim.None {
-		if o, up := e.nodes[n.owner]; up {
-			return o.h
-		}
-		return nil
-	}
-	return n.h
+	return nil
 }
 
 // Workers reports the configured physical parallelism (after clamping).
@@ -879,17 +923,18 @@ func (e *Engine) Workers() int { return e.opts.Workers }
 // Lanes reports the configured shard count.
 func (e *Engine) Lanes() int { return len(e.lanes) }
 
-// laneCtx binds a lane to the currently executing node. One instance per
+// laneCtx binds a lane to the currently executing node (a listener's own
+// pnode when the delivery is for a listener). One instance per
 // lane is reused across all its events (handlers must not retain a
 // Context), keeping the delivery path free of per-event allocations.
 type laneCtx struct {
-	l  *lane
-	id sim.NodeID
+	l *lane
+	n *pnode
 }
 
-func (c *laneCtx) Self() sim.NodeID { return c.id }
+func (c *laneCtx) Self() sim.NodeID { return c.n.id }
 func (c *laneCtx) Send(to sim.NodeID, topic sim.Topic, body any) {
-	c.l.send(sim.Message{To: to, From: c.id, Topic: topic, Body: body})
+	c.l.send(sim.Message{To: to, From: c.n.id, Topic: topic, Body: body}, c.n)
 }
 func (c *laneCtx) Rand() *rand.Rand { return c.l.rng }
 func (c *laneCtx) Now() float64     { return c.l.now }

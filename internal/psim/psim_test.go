@@ -176,28 +176,31 @@ func TestHighWater(t *testing.T) {
 }
 
 // TestRunUntilExecutesEverythingDue pins RunUntil's contract: after
-// RunUntil(target), no queued event anywhere — lane heaps or cross-lane
-// inboxes — may still carry t <= target. The regression this guards:
-// window selection used to scan only lane heaps while the previous
-// window's cross-lane events were still in inboxes, so a pending inbox
-// event older than every heap min could be skipped past (executing in a
-// too-late window, or not at all when every heap min exceeded target).
+// RunUntil(target), no queued event anywhere — lane calendars or
+// cross-lane outboxes — may still carry t <= target. The regression this
+// guards: window selection used to scan only lane queues while the
+// previous window's cross-lane events were still waiting to be merged, so
+// a pending cross-lane event older than every queued one could be skipped
+// past (executing in a too-late window, or not at all when every queued
+// event was past the target).
 func TestRunUntilExecutesEverythingDue(t *testing.T) {
 	e, _ := buildMesh(Options{Seed: 13, Lanes: 8, Workers: 1}, 64, 3)
 	for i := 0; i < 60; i++ {
 		// Fractional, window-misaligned increments land targets mid-window,
-		// the regime where heap-only scanning went wrong.
+		// the regime where the queue-only scan went wrong.
 		target := e.Now() + 0.173
 		e.RunUntil(target)
 		for _, l := range e.lanes {
-			if l.heap.len() > 0 && l.heap.minT() <= target {
-				t.Fatalf("step %d: lane %d still holds event at t=%.6f <= target %.6f after RunUntil",
-					i, l.idx, l.heap.minT(), target)
+			for _, ev := range queuedEvents(l) {
+				if ev.t <= target {
+					t.Fatalf("step %d: lane %d still holds event at t=%.6f <= target %.6f after RunUntil",
+						i, l.idx, ev.t, target)
+				}
 			}
-			for src, buf := range l.inbox {
+			for dst, buf := range l.outbox {
 				if len(buf) != 0 {
-					t.Fatalf("step %d: lane %d inbox[%d] not drained at barrier (%d events)",
-						i, l.idx, src, len(buf))
+					t.Fatalf("step %d: lane %d outbox[%d] not filed at barrier (%d events)",
+						i, l.idx, dst, len(buf))
 				}
 			}
 		}
@@ -205,17 +208,17 @@ func TestRunUntilExecutesEverythingDue(t *testing.T) {
 }
 
 // TestCrossLaneEventNotStranded is the surgical reproduction of the
-// window-selection bug: a cross-lane delivery parked in an inbox, older
-// than every heap min, must still execute by RunUntil(target) when its
-// delivery time is <= target. Before the fix, the min scan saw only
-// heaps (all of whose mins exceeded target), so RunUntil returned with
-// the due delivery still queued.
+// window-selection bug: a cross-lane delivery waiting for the barrier
+// merge, older than every queued event, must still execute by
+// RunUntil(target) when its delivery time is <= target. Before the fix,
+// the min scan saw only lane queues (all of whose mins exceeded target),
+// so RunUntil returned with the due delivery still pending.
 func TestCrossLaneEventNotStranded(t *testing.T) {
 	e := New(Options{Seed: 21, Lanes: 4, Workers: 1, MinDelay: 0.05, MaxDelay: 0.06})
 	// Pick sender a with an early timeout phase and receiver b on a
 	// different lane whose first timeout lands well after the target, so
-	// after a's window the only due event is the delivery sitting in b's
-	// lane inbox.
+	// after a's window the only due event is the delivery waiting in a's
+	// outbox for b's lane.
 	var a, b sim.NodeID
 	for id := sim.NodeID(1); id <= 200 && (a == sim.None || b == sim.None); id++ {
 		switch {
@@ -238,7 +241,7 @@ func TestCrossLaneEventNotStranded(t *testing.T) {
 	rcv := &sink{}
 	e.AddNode(b, rcv)
 	// Past the delivery (due <= phase(a)+MaxDelay) yet before b's first
-	// timeout, so b's lane heap min exceeds the target.
+	// timeout, so b's lane queue holds nothing else due by the target.
 	target := e.phaseOf(a) + 0.08
 	e.RunUntil(target)
 	if len(rcv.got) != 1 {

@@ -8,7 +8,7 @@ import (
 
 // edgeHammer is built to abuse the barrier/merge path: on every event it
 // sprays messages at nodes chosen to land on OTHER lanes, so nearly all
-// traffic crosses the outbox/inbox swap, and the bounce chain keeps every
+// traffic crosses the barrier's outbox filing, and the bounce chain keeps every
 // window densely populated right up to its edge (each delivery at t
 // schedules follow-ups in [t+MinDelay, t+MaxDelay) — the early part of
 // that range is exactly the next window's opening edge).
@@ -88,7 +88,7 @@ func TestBarrierMergeStress(t *testing.T) {
 
 // TestBarrierMergeStressRepeated re-runs the parallel configuration many
 // times under the race detector: scheduling jitter across repetitions is
-// what actually shakes out ordering bugs in the swap/ingest phases.
+// what actually shakes out ordering bugs in the barrier's filing.
 func TestBarrierMergeStressRepeated(t *testing.T) {
 	if testing.Short() {
 		t.Skip("repetition stress skipped in -short")

@@ -426,7 +426,9 @@ var _ sim.Transport = (*Runtime)(nil)
 func (n *node) loop() {
 	defer n.rt.wg.Done()
 	// Random phase spreads node timeouts across the interval.
-	timer := time.NewTimer(time.Duration(n.rng.Int63n(int64(n.rt.opts.Interval))))
+	phase := time.Duration(n.rng.Int63n(int64(n.rt.opts.Interval)))
+	due := time.Now().Add(phase)
+	timer := time.NewTimer(phase)
 	defer timer.Stop()
 	ctx := &nodeCtx{n: n}
 	var batch []sim.Message
@@ -444,22 +446,25 @@ func (n *node) loop() {
 					// last, so a tick checked only between batches starves.
 					select {
 					case <-timer.C:
-						n.tick(ctx, timer)
+						n.tick(ctx, timer, &due)
 					default:
 					}
 				}
 			}
 		case <-timer.C:
-			n.tick(ctx, timer)
+			n.tick(ctx, timer, &due)
 		}
 	}
 }
 
 // tick runs the Timeout action and re-arms the timer with the next jittered
-// delay. A crash may have raced the timer: no spontaneous action runs after
+// delay, counted from the tick's due time rather than from when it ran, so
+// lateness does not pile up; a tick more than one interval late skips the
+// ticks it missed, keeping its phase, instead of running them in a burst.
+// A crash may have raced the timer: no spontaneous action runs after
 // Crash() returned (Section 3.3, "stops executing actions"); deliver makes
 // the same check per message.
-func (n *node) tick(ctx *nodeCtx, timer *time.Timer) {
+func (n *node) tick(ctx *nodeCtx, timer *time.Timer, due *time.Time) {
 	select {
 	case <-n.stop:
 		return
@@ -474,7 +479,13 @@ func (n *node) tick(ctx *nodeCtx, timer *time.Timer) {
 	}
 	n.rt.busy.Add(-1)
 	scale := 1 + jitter*(2*n.rng.Float64()-1)
-	timer.Reset(time.Duration(float64(n.rt.opts.Interval) * scale))
+	iv, now := n.rt.opts.Interval, time.Now()
+	late := now.Sub(*due) > iv
+	*due = due.Add(time.Duration(float64(iv) * scale))
+	if behind := now.Sub(*due); late && behind >= 0 {
+		*due = due.Add((behind/iv + 1) * iv) // the first tick still ahead, in phase
+	}
+	timer.Reset(due.Sub(now))
 }
 
 func (n *node) deliver(ctx *nodeCtx, m sim.Message) {
