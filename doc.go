@@ -137,9 +137,9 @@
 //
 // The sweeps run on the same engine as everything else, internal/psim, a
 // conservative parallel discrete-event executor: nodes are sharded across lanes by a deterministic NodeID hash,
-// lanes execute concurrently inside lookahead windows of width MinDelay
-// (a message sent at t cannot deliver before t+MinDelay, so intra-window
-// events never causally interact), and cross-lane sends merge at window
+// lanes execute concurrently inside lookahead windows of 0.05 intervals,
+// the fixed minimum message delay (a message sent at t cannot deliver
+// before t+0.05, so intra-window events never causally interact), and cross-lane sends merge at window
 // barriers in a fixed (deliverTime, srcLane, seq) order. Results are
 // bit-identical for every -workers value — parallelism buys wall-clock,
 // never reproducibility — which CI enforces by diffing full result

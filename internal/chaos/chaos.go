@@ -40,6 +40,13 @@ func ParseSubstrate(s string) (Substrate, error) {
 	return "", fmt.Errorf("unknown substrate %q (use sim, concurrent or net)", s)
 }
 
+const (
+	// topic is the one topic every scenario runs on; setupRounds budgets
+	// the unmeasured join-and-converge prologue, in intervals.
+	topic       sim.Topic = 1
+	setupRounds           = 8000
+)
+
 // Config parameterizes one scenario run.
 type Config struct {
 	// Substrate picks the execution substrate (default SubstrateSim).
@@ -64,14 +71,9 @@ type Config struct {
 	// schedule. Identical (scenario, config) pairs replay identically on
 	// the deterministic substrate.
 	Seed int64
-	// Topic is the topic under test (default 1).
-	Topic sim.Topic
 	// Interval is the timeout interval on the live substrates
 	// (default 2ms). Ignored on SubstrateSim.
 	Interval time.Duration
-	// SetupRounds budgets the unmeasured join-and-converge prologue
-	// (default 8000 intervals).
-	SetupRounds int
 	// ConvergeRounds budgets the measured post-fault convergence
 	// (default 8000 intervals).
 	ConvergeRounds int
@@ -104,14 +106,8 @@ func (c *Config) fill() {
 	if c.N == 0 {
 		c.N = 12
 	}
-	if c.Topic == 0 {
-		c.Topic = 1
-	}
 	if c.Interval == 0 {
 		c.Interval = 2 * time.Millisecond
-	}
-	if c.SetupRounds == 0 {
-		c.SetupRounds = 8000
 	}
 	if c.ConvergeRounds == 0 {
 		c.ConvergeRounds = 8000
@@ -178,9 +174,8 @@ func (r Result) String() string {
 // env is one scenario execution: the harness (which carries the
 // substrate's driving surface) and the scenario bookkeeping.
 type env struct {
-	cfg   Config
-	topic sim.Topic
-	l     *cluster.Live
+	cfg Config
+	l   *cluster.Live
 
 	nt *nettransport.Transport // non-nil on SubstrateNet (frame faults)
 
@@ -206,11 +201,11 @@ type env struct {
 }
 
 func newEnv(cfg Config) (*env, error) {
-	e := &env{cfg: cfg, topic: cfg.Topic, rng: rand.New(rand.NewSource(cfg.Seed)),
+	e := &env{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed)),
 		askedToLeave: make(map[sim.NodeID]bool)}
 	co := core.Options{DeliveryMode: cfg.DeliveryMode}
 	if cfg.DeliveryMode != ordering.BestEffort || cfg.ForceOrderingProbe {
-		e.rec = newTraceRec(cfg.Topic)
+		e.rec = newTraceRec()
 		co.OnDeliverTrace = e.rec.record
 	}
 	tr, err := cluster.NewSubstrate(string(cfg.Substrate), cfg.Seed, cfg.Interval)
@@ -277,7 +272,7 @@ func (e *env) apply(a Action) {
 		e.l.RunRounds(max(1, a.Rounds))
 
 	case CrashBurst:
-		members := e.l.Members(e.topic)
+		members := e.l.Members(topic)
 		k := clamp(a.Count, 0, len(members)-2)
 		for _, i := range e.rng.Perm(len(members))[:k] {
 			e.l.Crash(members[i])
@@ -295,14 +290,14 @@ func (e *env) apply(a Action) {
 
 	case JoinBurst:
 		for _, id := range e.l.AddClients(max(1, a.Count)) {
-			e.l.Join(id, e.topic)
+			e.l.Join(id, topic)
 		}
 
 	case LeaveBurst:
-		members := e.l.Members(e.topic)
+		members := e.l.Members(topic)
 		k := clamp(a.Count, 0, len(members)-2)
 		for _, i := range e.rng.Perm(len(members))[:k] {
-			e.l.Leave(members[i], e.topic)
+			e.l.Leave(members[i], topic)
 			e.askedToLeave[members[i]] = true
 		}
 
@@ -336,7 +331,7 @@ func (e *env) apply(a Action) {
 			if count == 0 {
 				count = 5 * e.cfg.N
 			}
-			e.l.Freeze(func() { e.l.SendGarbageMessages(e.topic, count, e.rng) })
+			e.l.Freeze(func() { e.l.SendGarbageMessages(topic, count, e.rng) })
 		}
 
 	case GarbageTraffic:
@@ -344,26 +339,26 @@ func (e *env) apply(a Action) {
 		if count == 0 {
 			count = 5 * e.cfg.N
 		}
-		e.l.Freeze(func() { e.l.SendGarbageMessages(e.topic, count, e.rng) })
+		e.l.Freeze(func() { e.l.SendGarbageMessages(topic, count, e.rng) })
 
 	case CorruptStates:
-		e.l.Freeze(func() { e.l.CorruptSubscriberStates(e.topic, e.rng) })
+		e.l.Freeze(func() { e.l.CorruptSubscriberStates(topic, e.rng) })
 
 	case CorruptDB:
-		e.l.Freeze(func() { e.l.CorruptSupervisorDB(e.topic, e.rng) })
+		e.l.Freeze(func() { e.l.CorruptSupervisorDB(topic, e.rng) })
 
 	case CorruptTries:
 		count := max(1, a.Count)
-		e.l.Freeze(func() { e.l.CorruptTries(e.topic, count, e.rng) })
+		e.l.Freeze(func() { e.l.CorruptTries(topic, count, e.rng) })
 
 	case SplitStates:
-		e.l.Freeze(func() { e.l.PartitionStates(e.topic, max(2, a.K)) })
+		e.l.Freeze(func() { e.l.PartitionStates(topic, max(2, a.K)) })
 
 	case Publish:
-		members := e.l.Members(e.topic)
+		members := e.l.Members(topic)
 		for i := 0; i < max(1, a.Count) && len(members) > 0; i++ {
 			e.pubs++
-			e.l.Publish(members[e.rng.Intn(len(members))], e.topic, fmt.Sprintf("mid-%d", e.pubs))
+			e.l.Publish(members[e.rng.Intn(len(members))], topic, fmt.Sprintf("mid-%d", e.pubs))
 		}
 
 	case CrashSupervisor:
@@ -372,7 +367,7 @@ func (e *env) apply(a Action) {
 		// The topic's current owner dies first — crashing only bystanders
 		// would not exercise failover — then random extras.
 		victims := make([]sim.NodeID, 0, k)
-		if owner, ok := e.l.ExpectedOwner(e.topic); ok && k > 0 {
+		if owner, ok := e.l.ExpectedOwner(topic); ok && k > 0 {
 			victims = append(victims, owner)
 		}
 		rest := make([]sim.NodeID, 0, len(live))
@@ -400,7 +395,7 @@ func (e *env) apply(a Action) {
 		live := e.l.LiveSupervisors()
 		if len(e.l.SupIDs) > 1 && len(live) > 0 {
 			id := live[e.rng.Intn(len(live))]
-			e.l.Freeze(func() { e.l.Sups[id].CorruptPlane(e.topic, e.rng) })
+			e.l.Freeze(func() { e.l.Sups[id].CorruptPlane(topic, e.rng) })
 		}
 
 	case CorruptReplica:
@@ -408,9 +403,9 @@ func (e *env) apply(a Action) {
 		// itself is a no-op when that holder has no replica yet, and
 		// ExpectedReplicas is empty with ReplicationFactor 0 — either way a
 		// safe no-op, so random scenarios stay valid on every configuration.
-		if targets := e.l.ExpectedReplicas(e.topic); len(targets) > 0 {
+		if targets := e.l.ExpectedReplicas(topic); len(targets) > 0 {
 			id := targets[e.rng.Intn(len(targets))]
-			e.l.Freeze(func() { e.l.Sups[id].CorruptReplica(e.topic, e.rng) })
+			e.l.Freeze(func() { e.l.Sups[id].CorruptReplica(topic, e.rng) })
 		}
 
 	case CorruptOrdering:
@@ -420,7 +415,7 @@ func (e *env) apply(a Action) {
 		// before any post-corruption delivery can be recorded). A no-op in
 		// best-effort mode — the engines hold no ordering state.
 		e.l.Freeze(func() {
-			e.l.CorruptOrderingState(e.topic, e.rng)
+			e.l.CorruptOrderingState(topic, e.rng)
 			if e.rec != nil {
 				e.rec.bumpEpoch()
 			}
@@ -463,8 +458,8 @@ func Run(sc Scenario, cfg Config) Result {
 	// Unmeasured prologue: a converged SR(n) is the scenario's starting
 	// point (Definition 2's legitimate state).
 	e.l.AddClients(cfg.N)
-	e.l.JoinAll(e.topic)
-	if _, ok := e.l.RunUntilConverged(e.topic, cfg.N, cfg.SetupRounds); !ok {
+	e.l.JoinAll(topic)
+	if _, ok := e.l.RunUntilConverged(topic, cfg.N, setupRounds); !ok {
 		res.Violation = "setup: " + e.explain()
 		return res
 	}
@@ -491,7 +486,7 @@ func Run(sc Scenario, cfg Config) Result {
 	// could complete its departure before its own publish command arrives
 	// (channels are non-FIFO), silently losing the wave publication.
 	if cfg.DeliveryWave > 0 {
-		members := e.l.SettledMembers(e.topic)
+		members := e.l.SettledMembers(topic)
 		staying := members[:0]
 		for _, id := range members {
 			if !e.askedToLeave[id] {
@@ -510,14 +505,14 @@ func Run(sc Scenario, cfg Config) Result {
 			for i := 0; i < cfg.DeliveryWave; i++ {
 				payload := fmt.Sprintf("wave-%d", i)
 				e.wave = append(e.wave, wavePub{Payload: payload, Origin: p})
-				e.l.Publish(p, e.topic, payload)
+				e.l.Publish(p, topic, payload)
 			}
 		} else if len(staying) > 0 {
 			for i := 0; i < cfg.DeliveryWave; i++ {
 				payload := fmt.Sprintf("wave-%d", i)
 				pub := staying[e.rng.Intn(len(staying))]
 				e.wave = append(e.wave, wavePub{Payload: payload, Origin: pub})
-				e.l.Publish(pub, e.topic, payload)
+				e.l.Publish(pub, topic, payload)
 			}
 		}
 	}
@@ -550,7 +545,7 @@ func Run(sc Scenario, cfg Config) Result {
 // explain renders the current first legitimacy violation under freeze.
 func (e *env) explain() string {
 	out := "system did not quiesce"
-	e.l.Freeze(func() { out = e.l.Explain(e.topic) })
+	e.l.Freeze(func() { out = e.l.Explain(topic) })
 	if out == "" {
 		out = "converged"
 	}
@@ -567,7 +562,7 @@ func (e *env) partitionFault(k int) sim.FaultFunc {
 	for _, id := range e.l.SupIDs {
 		parts[id] = 0
 	}
-	members := e.l.Members(e.topic)
+	members := e.l.Members(topic)
 	perm := e.rng.Perm(len(members))
 	for i, pi := range perm {
 		parts[members[pi]] = i % k

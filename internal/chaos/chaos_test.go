@@ -330,12 +330,12 @@ func TestReplicaProbeCatchesEraAboveOwner(t *testing.T) {
 	}
 	defer e.close()
 	e.l.AddClients(cfg.N)
-	e.l.JoinAll(e.topic)
-	if _, ok := e.l.RunUntil(cfg.SetupRounds, func() bool { return e.violation() == "" }); !ok {
+	e.l.JoinAll(topic)
+	if _, ok := e.l.RunUntil(setupRounds, func() bool { return e.violation() == "" }); !ok {
 		t.Fatalf("setup: %s", e.violation())
 	}
-	holder := e.l.ExpectedReplicas(e.topic)[0]
-	e.l.Sups[holder].CorruptReplica(e.topic, &scripted{2, 0, 0, 1}) // era poison, upward
+	holder := e.l.ExpectedReplicas(topic)[0]
+	e.l.Sups[holder].CorruptReplica(topic, &scripted{2, 0, 0, 1}) // era poison, upward
 	want := fmt.Sprintf("replica-consistency: replica %d at epoch 1, owner at epoch 0", holder)
 	if got := e.violation(); got != want {
 		t.Fatalf("probe reports %q, want %q", got, want)

@@ -34,7 +34,7 @@ func (e *env) violation() string {
 	// a single-supervisor plane this degenerates to "the supervisor hosts the
 	// topic and every member reports to it at epoch 0", so it is checked
 	// everywhere.
-	if v := e.l.ExplainOwnership(e.topic); v != "" {
+	if v := e.l.ExplainOwnership(topic); v != "" {
 		return "ownership-convergence: " + v
 	}
 	if v := e.dbMembershipViolation(); v != "" {
@@ -44,13 +44,13 @@ func (e *env) violation() string {
 	// (era, entry count, content hash) matches the owner's database — an era
 	// above the owner's is as much a violation as one below. Trivially ""
 	// with ReplicationFactor 0.
-	if v := e.l.ExplainReplication(e.topic); v != "" {
+	if v := e.l.ExplainReplication(topic); v != "" {
 		return "replica-consistency: " + v
 	}
 	if v := e.connectivityViolation(); v != "" {
 		return "overlay-connectivity: " + v
 	}
-	if v := e.l.Explain(e.topic); v != "" {
+	if v := e.l.Explain(topic); v != "" {
 		return "overlay-legitimacy: " + v
 	}
 	if v := e.trieViolation(); v != "" {
@@ -70,22 +70,22 @@ func (e *env) violation() string {
 // valid (Section 3.1), records exactly the live members, and references no
 // crashed or departed node.
 func (e *env) dbMembershipViolation() string {
-	sup := e.l.SupFor(e.topic)
+	sup := e.l.SupFor(topic)
 	if sup == nil {
 		return "no live supervisor"
 	}
-	if sup.Corrupted(e.topic) {
+	if sup.Corrupted(topic) {
 		return "database violates the validity conditions of Section 3.1"
 	}
-	members := e.l.Members(e.topic)
-	if n := sup.N(e.topic); n != len(members) {
+	members := e.l.Members(topic)
+	if n := sup.N(topic); n != len(members) {
 		return fmt.Sprintf("database records %d subscribers, %d live members", n, len(members))
 	}
 	live := make(map[sim.NodeID]bool, len(members))
 	for _, id := range members {
 		live[id] = true
 	}
-	for lab, v := range sup.Snapshot(e.topic) {
+	for lab, v := range sup.Snapshot(topic) {
 		if !live[v] {
 			return fmt.Sprintf("database entry %s → %d references a non-member", lab, v)
 		}
@@ -99,7 +99,7 @@ func (e *env) dbMembershipViolation() string {
 // tree needs for publications to reach everyone; it is implied by full
 // legitimacy but fails with a far more useful message.
 func (e *env) connectivityViolation() string {
-	members := e.l.Members(e.topic)
+	members := e.l.Members(topic)
 	if len(members) <= 1 {
 		return ""
 	}
@@ -115,7 +115,7 @@ func (e *env) connectivityViolation() string {
 		}
 	}
 	for _, id := range members {
-		st, ok := e.l.Clients[id].StateOf(e.topic)
+		st, ok := e.l.Clients[id].StateOf(topic)
 		if !ok {
 			return fmt.Sprintf("member %d has no instance", id)
 		}
@@ -150,9 +150,9 @@ func (e *env) connectivityViolation() string {
 // hash-identical tries — the converged state of the anti-entropy protocol
 // of Section 4.2.
 func (e *env) trieViolation() string {
-	members := e.l.Members(e.topic)
+	members := e.l.Members(topic)
 	for _, id := range members {
-		in, ok := e.l.Clients[id].Instance(e.topic)
+		in, ok := e.l.Clients[id].Instance(topic)
 		if !ok {
 			return fmt.Sprintf("member %d has no instance", id)
 		}
@@ -163,9 +163,9 @@ func (e *env) trieViolation() string {
 	if len(members) == 0 {
 		return ""
 	}
-	first := e.l.Clients[members[0]].TrieRootHash(e.topic)
+	first := e.l.Clients[members[0]].TrieRootHash(topic)
 	for _, id := range members[1:] {
-		if e.l.Clients[id].TrieRootHash(e.topic) != first {
+		if e.l.Clients[id].TrieRootHash(topic) != first {
 			return fmt.Sprintf("node %d root hash differs from node %d", id, members[0])
 		}
 	}
@@ -184,9 +184,9 @@ func (e *env) deliveryViolation() string {
 		e.rec.mu.Lock()
 		defer e.rec.mu.Unlock()
 	}
-	for _, id := range e.l.Members(e.topic) {
+	for _, id := range e.l.Members(topic) {
 		known := make(map[wavePub]bool)
-		for _, p := range e.l.Clients[id].Publications(e.topic) {
+		for _, p := range e.l.Clients[id].Publications(topic) {
 			known[wavePub{Payload: p.Payload, Origin: p.Origin}] = true
 		}
 		for _, w := range e.wave {

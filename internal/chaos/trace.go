@@ -34,17 +34,16 @@ type TraceEntry struct {
 // on arbitrary node goroutines — every access takes the mutex.
 type traceRec struct {
 	mu     sync.Mutex
-	topic  sim.Topic
 	epoch  int
 	byNode map[sim.NodeID][]TraceEntry
 }
 
-func newTraceRec(topic sim.Topic) *traceRec {
-	return &traceRec{topic: topic, byNode: make(map[sim.NodeID][]TraceEntry)}
+func newTraceRec() *traceRec {
+	return &traceRec{byNode: make(map[sim.NodeID][]TraceEntry)}
 }
 
 func (r *traceRec) record(node sim.NodeID, t sim.Topic, p proto.Publication, m ordering.Meta) {
-	if t != r.topic {
+	if t != topic {
 		return
 	}
 	r.mu.Lock()

@@ -66,11 +66,9 @@ func NewPlane(tr sim.Transport, opts Options) *Plane {
 	}
 	for _, id := range p.SupIDs {
 		sup := supervisor.New(id, tr)
-		if k > 1 {
-			sup.JoinPlane(p.SupIDs)
-			if rf > 0 {
-				sup.SetReplicationFactor(rf)
-			}
+		sup.JoinPlane(p.SupIDs)
+		if rf > 0 {
+			sup.SetReplicationFactor(rf)
 		}
 		tr.AddNode(id, sup)
 		p.Sups[id] = sup

@@ -38,9 +38,10 @@ func TestStaleSubscribeAfterDeparture(t *testing.T) {
 	}
 
 	// The stale message: v's Subscribe arrives after the departure grant.
-	// Step one lookahead window (MinDelay) at a time to observe the stale
-	// entry the moment it lands: the repair needs a round trip of at least
-	// two channel delays, so it cannot hide inside the same window.
+	// Step one lookahead window (0.05, psim's minimum delay) at a time to
+	// observe the stale entry the moment it lands: the repair needs a round
+	// trip of at least two channel delays, so it cannot hide inside the
+	// same window.
 	c.Tr.Send(sim.Message{To: SupervisorID, From: v, Topic: topicA, Body: proto.Subscribe{V: v}})
 	eng := engine(c)
 	recorded := false

@@ -27,8 +27,6 @@ type PublishCmd struct{ Payload string }
 
 // Options configure a client's per-topic instances.
 type Options struct {
-	// KeyLen is the publication key width m (default 64).
-	KeyLen uint8
 	// DeliveryMode selects the per-topic delivery discipline (best-effort,
 	// FIFO per publisher, or causal — see internal/ordering). It applies to
 	// every topic this client joins.
@@ -87,9 +85,6 @@ type Instance struct {
 
 // NewClient creates a client with no subscriptions.
 func NewClient(id, supervisor sim.NodeID, opts Options) *Client {
-	if opts.KeyLen == 0 {
-		opts.KeyLen = 64
-	}
 	return &Client{id: id, sup: supervisor, opts: opts, inst: make(map[sim.Topic]*Instance)}
 }
 
@@ -113,7 +108,6 @@ func (c *Client) ensure(t sim.Topic) *Instance {
 	cfg := pubsub.Config{
 		Self:               c.id,
 		Topic:              t,
-		KeyLen:             c.opts.KeyLen,
 		RingNeighbors:      sub.RingNeighbors,
 		Position:           func() uint64 { return sub.Label().Frac() },
 		FloodTargets:       sub.FloodTargets,

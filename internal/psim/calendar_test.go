@@ -34,7 +34,7 @@ func TestCalendarRunsInKeyOrder(t *testing.T) {
 	for seed := int64(1); seed <= 50; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		e := New(Options{Seed: seed, Lanes: 1, Workers: 1})
-		l, W := e.lanes[0], e.opts.MinDelay
+		l, W := e.lanes[0], minDelay
 		var ref []pevent
 		seqs := map[int32]int64{}
 		now := 0.0
@@ -134,7 +134,7 @@ func TestCalendarRunsInKeyOrder(t *testing.T) {
 // ends at 0.25+0.05 = 0.3, yet 0.3/0.05 rounds below 6.
 func TestWindowFloor(t *testing.T) {
 	e := New(Options{Seed: 1, Lanes: 1, Workers: 1})
-	l, W := e.lanes[0], e.opts.MinDelay
+	l, W := e.lanes[0], minDelay
 	wstart := float64(math.Floor(0.26/W) * W)
 	wend := wstart + W
 	if k := e.cellOf(0.26); e.cellOf(wend) != k {

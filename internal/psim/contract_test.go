@@ -245,7 +245,7 @@ func TestEngineContract(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			tc.run(t, New(Options{Seed: 1, Workers: 1, DetectorGrace: 1}))
+			tc.run(t, New(Options{Seed: 1, Workers: 1}))
 		})
 	}
 }

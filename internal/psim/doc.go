@@ -9,9 +9,9 @@
 // across a fixed number of lanes by a deterministic hash of NodeID. Each
 // lane owns an event calendar, a random stream derived from (seed, lane),
 // and the exclusive right to execute its nodes' handlers. Virtual time
-// advances in lookahead windows of width MinDelay: the transport
-// guarantees that a message sent at time t is delivered no earlier than
-// t+MinDelay, so two events inside the same window can never causally
+// advances in lookahead windows of width minDelay (0.05 intervals; delays
+// are drawn from [0.05, 0.95)): the transport guarantees that a message
+// sent at time t is delivered no earlier than t+minDelay, so two events inside the same window can never causally
 // affect one another — which makes every lane's window slice independent
 // and safe to execute in parallel. Cross-lane sends are buffered per
 // (srcLane, dstLane) during the window and filed into the destination
@@ -26,13 +26,13 @@
 // calendar queue, Brown 1988, whose day is the window): an event goes to
 // the bucket of the W-grid cell that window selection would choose for
 // it, computed with the same floating-point expression. No event created
-// in window k lands in window k — the lookahead puts it later, MinDelay is
-// at most the one-interval timeout period, and a time that rounds into
+// in window k lands in window k — the lookahead puts it later, minDelay is
+// below the one-interval timeout period, and a time that rounds into
 // cell k is filed one cell on — so a window's bucket is complete when the
 // window starts; the window sorts it once by (deliverTime, srcLane, seq)
 // and runs it in that order, and what a RunUntil target cuts off stays in
 // the bucket, in order. The ring doubles when an event lands beyond it
-// (FaultDelay, a large MaxDelay); there is no horizon to tune. Buckets
+// (FaultDelay's extra one to four intervals); there is no horizon to tune. Buckets
 // keep their capacity, so the steady state allocates nothing.
 //
 // A delivery resolves its destination once, at send: the event carries
@@ -46,7 +46,8 @@
 //
 // # Determinism contract
 //
-// The schedule identity is (Seed, Lanes, MinDelay, MaxDelay). Two runs
+// The schedule identity is (Seed, Lanes); the delay bounds and the
+// detector grace are constants of the engine. Two runs
 // with the same identity produce bit-identical results — labels, round
 // counts, delivery traces, accounting — for ANY value of Workers,
 // including Workers=1, which executes the whole schedule inline on the

@@ -148,7 +148,7 @@ func checkGraph(t *testing.T, e *Engine, nodes []*gnode, logs [][]exec, target f
 				t.Fatalf("%s: message %v delivered twice", where, x.Msg.ID)
 			}
 			ran[x.Msg.ID] = true
-			if x.Node != x.Msg.To || x.At < x.Msg.SentAt+e.opts.MinDelay || x.At > x.Msg.SentAt+e.opts.MaxDelay {
+			if x.Node != x.Msg.To || x.At < x.Msg.SentAt+minDelay || x.At > x.Msg.SentAt+maxDelay {
 				t.Fatalf("%s: message %v for node %d sent at %.6f ran on node %d at %.6f",
 					where, x.Msg.ID, x.Msg.To, x.Msg.SentAt, x.Node, x.At)
 			}

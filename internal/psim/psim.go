@@ -14,13 +14,24 @@ import (
 	"sspubsub/internal/sim"
 )
 
+// A message's delay is drawn from [minDelay, maxDelay) timeout intervals;
+// minDelay is the lookahead (see the package doc). Typed, so
+// maxDelay-minDelay rounds as a float64 subtraction: untyped, it would
+// fold exactly and move every drawn delay by one ulp. A crashed node is
+// suspected from the first window boundary detectorGrace after its crash.
+const (
+	minDelay      float64 = 0.05
+	maxDelay      float64 = 0.95
+	detectorGrace float64 = 2
+)
+
 // Options configure a parallel deterministic simulation.
 //
-// The schedule identity is (Seed, Lanes, MinDelay, MaxDelay): two runs with
-// equal values execute bit-identical event sequences — same deliveries, same
-// timeouts, same random draws — regardless of Workers. Workers only chooses
-// how many OS threads execute the schedule; it may change wall-clock time
-// and nothing else.
+// The schedule identity is (Seed, Lanes): two runs with equal values
+// execute bit-identical event sequences — same deliveries, same timeouts,
+// same random draws — regardless of Workers. Workers only chooses how many
+// OS threads execute the schedule; it may change wall-clock time and
+// nothing else.
 type Options struct {
 	// Seed drives all randomness. Each lane derives its own stream from
 	// (Seed, lane), so the sequence a handler observes depends only on the
@@ -37,17 +48,6 @@ type Options struct {
 	// spawned — the serial engine). Default min(GOMAXPROCS, Lanes);
 	// clamped to [1, Lanes].
 	Workers int
-	// MinDelay and MaxDelay bound message delivery delay, in timeout
-	// intervals (defaults 0.05 and 0.95). MinDelay is the engine's
-	// lookahead, at most one interval: a message sent at time t delivers no
-	// earlier than t+MinDelay, so events inside a window of width MinDelay
-	// cannot causally interact and lanes may execute them in parallel.
-	MinDelay, MaxDelay float64
-	// DetectorGrace is how long after a crash the failure detector keeps
-	// answering "alive". Suspicion flips at the window boundary at or after
-	// crashTime+DetectorGrace (identical for every Workers value). Default
-	// 2 intervals.
-	DetectorGrace float64
 }
 
 // Engine is a conservative parallel discrete-event executor for
@@ -220,9 +220,8 @@ type typeCount struct {
 // cellOf is the W-grid cell RunUntil chooses for a window whose earliest
 // event is at t, computed with RunUntil's expression.
 func (e *Engine) cellOf(t float64) int64 {
-	W := e.opts.MinDelay
-	q := math.Floor(t / W)
-	if float64(q*W) > t {
+	q := math.Floor(t / minDelay)
+	if float64(q*minDelay) > t {
 		q--
 	}
 	return int64(q)
@@ -314,18 +313,6 @@ func splitmix64(x uint64) uint64 {
 func New(opts Options) *Engine {
 	if opts.Lanes <= 0 {
 		opts.Lanes = 16
-	}
-	if opts.MaxDelay == 0 {
-		opts.MaxDelay = 0.95
-	}
-	if opts.MinDelay == 0 {
-		opts.MinDelay = 0.05
-	}
-	if opts.MinDelay <= 0 || opts.MinDelay > 1 {
-		panic("psim: MinDelay (the lookahead) must be in (0, 1]")
-	}
-	if opts.DetectorGrace == 0 {
-		opts.DetectorGrace = 2
 	}
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
@@ -463,7 +450,7 @@ func (e *Engine) Crashed(id sim.NodeID) bool {
 // clock only change at barriers.
 func (e *Engine) Suspects(id sim.NodeID) bool {
 	t, ok := e.crashed[id]
-	return ok && e.now >= t+e.opts.DetectorGrace
+	return ok && e.now >= t+detectorGrace
 }
 
 // Now returns the current virtual time in timeout intervals: at a barrier,
@@ -525,7 +512,7 @@ func (l *lane) send(m sim.Message, from *pnode) {
 	}
 	dn, dst := l.e.resolve(m.To)
 	for i := 0; i < copies; i++ {
-		delay := l.e.opts.MinDelay + float64(l.rng.Float64()*(l.e.opts.MaxDelay-l.e.opts.MinDelay))
+		delay := minDelay + float64(l.rng.Float64()*(maxDelay-minDelay))
 		ev := pevent{t: l.now + delay + extra, kind: evDeliver, dst: dn, msg: m, srcLane: l.idx, srcSeq: l.seq}
 		l.seq++
 		if dst == l.idx {
@@ -592,7 +579,7 @@ func (e *Engine) externalSend(m sim.Message) {
 	dn, d := e.resolve(m.To)
 	e.sentOff[m.From]++
 	e.lanes[d].count(reflect.TypeOf(m.Body))
-	delay := e.opts.MinDelay + float64(e.extRNG.Float64()*(e.opts.MaxDelay-e.opts.MinDelay))
+	delay := minDelay + float64(e.extRNG.Float64()*(maxDelay-minDelay))
 	e.lanes[d].file(pevent{t: e.now + delay, kind: evDeliver, dst: dn, msg: m, srcLane: extLane, srcSeq: e.extSeq})
 	e.extSeq++
 }
@@ -740,7 +727,7 @@ func (e *Engine) RunUntil(target float64) {
 	if e.closed {
 		panic("psim: RunUntil on a closed engine")
 	}
-	W := e.opts.MinDelay
+	const W = minDelay
 	for {
 		// The earliest cell queued on any lane, the lanes queuing it, and
 		// its earliest event (outboxes were filed at the last barrier).

@@ -138,7 +138,7 @@ func TestListenerRouting(t *testing.T) {
 
 // TestDetectorGrace pins the barrier-time suspicion semantics.
 func TestDetectorGrace(t *testing.T) {
-	e := New(Options{Seed: 1, Lanes: 2, Workers: 1, DetectorGrace: 2})
+	e := New(Options{Seed: 1, Lanes: 2, Workers: 1})
 	e.AddNode(5, &sink{})
 	e.RunRounds(1)
 	e.Crash(5)
@@ -214,22 +214,23 @@ func TestRunUntilExecutesEverythingDue(t *testing.T) {
 // the min scan saw only lane queues (all of whose mins exceeded target),
 // so RunUntil returned with the due delivery still pending.
 func TestCrossLaneEventNotStranded(t *testing.T) {
-	e := New(Options{Seed: 21, Lanes: 4, Workers: 1, MinDelay: 0.05, MaxDelay: 0.06})
-	// Pick sender a with an early timeout phase and receiver b on a
-	// different lane whose first timeout lands well after the target, so
-	// after a's window the only due event is the delivery waiting in a's
-	// outbox for b's lane.
+	e := New(Options{Seed: 21, Lanes: 4, Workers: 1})
+	// Pick sender a with a timeout phase early in its interval and
+	// receiver b on a different lane whose phase lies beyond a's send plus
+	// the whole delay range, so after a's window the only due event is the
+	// delivery waiting in a's outbox for b's lane. The phases must bracket
+	// maxDelay, which only a few pairs do: search a wide ID range.
 	var a, b sim.NodeID
-	for id := sim.NodeID(1); id <= 200 && (a == sim.None || b == sim.None); id++ {
+	for id := sim.NodeID(1); id <= 10000 && (a == sim.None || b == sim.None); id++ {
 		switch {
-		case a == sim.None && e.phaseOf(id) < 0.3:
+		case a == sim.None && e.phaseOf(id) < 0.02:
 			a = id
-		case a != sim.None && b == sim.None && e.laneOf(id) != e.laneOf(a) && e.phaseOf(id) > e.phaseOf(a)+0.3:
+		case a != sim.None && b == sim.None && e.laneOf(id) != e.laneOf(a) && e.phaseOf(id) > e.phaseOf(a)+maxDelay+0.02:
 			b = id
 		}
 	}
 	if a == sim.None || b == sim.None {
-		t.Fatal("no suitable (sender, receiver) pair among ids 1..200 for this seed")
+		t.Fatal("no suitable (sender, receiver) pair among ids 1..10000 for this seed")
 	}
 	sent := false
 	e.AddNode(a, handlerFunc(func(ctx sim.Context) {
@@ -240,13 +241,14 @@ func TestCrossLaneEventNotStranded(t *testing.T) {
 	}))
 	rcv := &sink{}
 	e.AddNode(b, rcv)
-	// Past the delivery (due <= phase(a)+MaxDelay) yet before b's first
-	// timeout, so b's lane queue holds nothing else due by the target.
-	target := e.phaseOf(a) + 0.08
+	// Past the delivery (due < phase(a)+maxDelay) yet before b's first
+	// timeout and a's second, so no lane queue holds anything else due by
+	// the target.
+	target := e.phaseOf(a) + maxDelay + 0.01
 	e.RunUntil(target)
 	if len(rcv.got) != 1 {
-		t.Fatalf("delivery due at t <= %.4f not executed by RunUntil(%.4f): got %d deliveries",
-			e.phaseOf(a)+0.06, target, len(rcv.got))
+		t.Fatalf("delivery due at t < %.4f not executed by RunUntil(%.4f): got %d deliveries",
+			e.phaseOf(a)+maxDelay, target, len(rcv.got))
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 // sprays messages at nodes chosen to land on OTHER lanes, so nearly all
 // traffic crosses the barrier's outbox filing, and the bounce chain keeps every
 // window densely populated right up to its edge (each delivery at t
-// schedules follow-ups in [t+MinDelay, t+MaxDelay) — the early part of
+// schedules follow-ups in [t+minDelay, t+maxDelay) — the early part of
 // that range is exactly the next window's opening edge).
 type edgeHammer struct {
 	id      sim.NodeID

@@ -30,7 +30,7 @@ type FailoverResult struct {
 // successor's database is exact. MaxRounds defaults to 8192 — the cold
 // rebuild at 10^5 subscribers is dominated by the subscribers' ratcheting
 // staleness probes, which is exactly the cost the warm path is built to
-// avoid — and SettleRounds to 64.
+// avoid.
 func RunFailover(cfg Config) FailoverResult {
 	if cfg.Supervisors == 0 {
 		cfg.Supervisors = 4
@@ -38,13 +38,9 @@ func RunFailover(cfg Config) FailoverResult {
 	if cfg.MaxRounds == 0 {
 		cfg.MaxRounds = 8192
 	}
-	if cfg.SettleRounds == 0 {
-		cfg.SettleRounds = 64
-	}
 	h := New(cfg)
 	defer h.Sched.Close()
 	cfg = h.Cfg
-	t := cfg.Topic
 	res := FailoverResult{N: cfg.N, RepFactor: h.RepFactor, FailoverRounds: -1}
 
 	// Prologue: mass join, then wait for the owner's database to be exact.
@@ -53,26 +49,26 @@ func RunFailover(cfg Config) FailoverResult {
 	if res.SetupRounds, ok = h.AwaitDBSize(cfg.N); !ok {
 		return res
 	}
-	h.Sched.RunRounds(cfg.SettleRounds)
-	res.ReplicaWarm = h.RepFactor > 0 && h.ReplicasConverged(t)
+	h.Sched.RunRounds(failoverSettleRounds)
+	res.ReplicaWarm = h.RepFactor > 0 && h.ReplicasConverged(topic)
 
 	// Record pre-crash labels (the warm path's no-relabelling claim).
 	before := make([]label.Label, cfg.N)
 	for i := range before {
-		before[i] = h.Client(i).CurrentLabel(t)
+		before[i] = h.Client(i).CurrentLabel(topic)
 	}
 
 	// Crash the owner; the plane's view ring follows, so fresh routing
 	// decisions go to the successor.
-	owner, _ := h.ExpectedOwner(t)
+	owner, _ := h.ExpectedOwner(topic)
 	h.CrashSupervisor(owner)
-	newOwner, _ := h.ExpectedOwner(t)
+	newOwner, _ := h.ExpectedOwner(topic)
 
 	// Measure: every subscriber re-homed at a non-⊥ label, then the
 	// successor's database exact.
 	rehomed, ok := h.await(func(i int) bool {
 		cl := h.Client(i)
-		return cl.ReportsTo(t) == newOwner && cl.Labelled(t)
+		return cl.ReportsTo(topic) == newOwner && cl.Labelled(topic)
 	})
 	if !ok {
 		return res
@@ -88,7 +84,7 @@ func RunFailover(cfg Config) FailoverResult {
 	res.FailoverRounds = last + exact
 	res.Converged = true
 	for i, l := range before {
-		if h.Client(i).CurrentLabel(t) != l {
+		if h.Client(i).CurrentLabel(topic) != l {
 			res.Relabelled++
 		}
 	}

@@ -2,21 +2,22 @@ package scale
 
 import (
 	"bytes"
-	"flag"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"testing"
 )
-
-var update = flag.Bool("update", false, "rewrite testdata/scale.golden from the current engine")
 
 // TestScaleGolden pins the scale harness' schedule: the Digest of a Run at
 // n = 1,024 and 4,096 and the RunFailover row at n = 1,024 for rf 0 and
 // rf 2, all at seed 1 on one lane worker. Every field is a pure function of
 // the engine's schedule, so a change that moves a delay draw, an event
-// order or a supervisor decision fails here. Regenerate with
+// order or a supervisor decision fails here. Regenerate by deleting the
+// file and running the test once, which writes it and fails:
 //
-//	go test -run TestScaleGolden ./internal/scale/ -update
+//	rm internal/scale/testdata/scale.golden
+//	go test -run TestScaleGolden ./internal/scale/
 //
 // and the file's diff shows the old → new lines.
 func TestScaleGolden(t *testing.T) {
@@ -31,13 +32,13 @@ func TestScaleGolden(t *testing.T) {
 		fmt.Fprintf(&got, "failover %+v\n", RunFailover(Config{N: 1024, Seed: 1, ReplicationFactor: rf, Workers: 1}))
 	}
 	const path = "testdata/scale.golden"
-	if *update {
+	want, err := os.ReadFile(path)
+	if errors.Is(err, fs.ErrNotExist) {
 		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		return
+		t.Fatalf("%s was missing: wrote it from this run; review and commit it", path)
 	}
-	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,6 +13,16 @@ import (
 	"sspubsub/internal/sim"
 )
 
+const (
+	// topic is the single topic every scale run measures.
+	topic sim.Topic = 1
+	// settleRounds run between join convergence and the publish probe so
+	// shortcut edges (the O(log n) fan-out paths) can establish; RunFailover
+	// settles failoverSettleRounds so the replicas reach steady state.
+	settleRounds         = 16
+	failoverSettleRounds = 64
+)
+
 // Config sizes one scale run.
 type Config struct {
 	// N is the number of virtual subscribers (the sweep variable).
@@ -22,8 +32,6 @@ type Config struct {
 	PoolSize int
 	// Seed drives the deterministic engine.
 	Seed int64
-	// Topic is the single topic under measurement. Default 1.
-	Topic sim.Topic
 	// HistoryCap bounds each subscriber's retained publications; at 10^5+
 	// subscribers an unbounded history is the difference between a flat
 	// and a linearly growing per-node footprint. 0 = unlimited.
@@ -37,10 +45,6 @@ type Config struct {
 	CullPerTimeout int
 	// MaxRounds bounds every convergence wait. Default 512.
 	MaxRounds int
-	// SettleRounds run between join convergence and the publish probe so
-	// shortcut edges (the O(log n) fan-out paths) can establish.
-	// Default 16.
-	SettleRounds int
 	// CrashFrac is the fraction of subscribers crashed for the
 	// stabilization probe. Default 0.01 (min 1 subscriber).
 	CrashFrac float64
@@ -71,9 +75,6 @@ func (c Config) withDefaults() Config {
 	if c.PoolSize == 0 {
 		c.PoolSize = 1024
 	}
-	if c.Topic == 0 {
-		c.Topic = 1
-	}
 	if c.CullPerTimeout == 0 {
 		c.CullPerTimeout = c.N / 64
 		if c.CullPerTimeout < 1 {
@@ -82,9 +83,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxRounds == 0 {
 		c.MaxRounds = 512
-	}
-	if c.SettleRounds == 0 {
-		c.SettleRounds = 16
 	}
 	if c.CrashFrac == 0 {
 		c.CrashFrac = 0.01
@@ -134,7 +132,7 @@ func New(cfg Config) *Harness {
 	if cfg.DeliveryMode != ordering.BestEffort {
 		h.delivered = make([]int, cfg.N)
 		opts.OnDeliverTrace = func(node sim.NodeID, t sim.Topic, p proto.Publication, m ordering.Meta) {
-			if i := int(node - subBase); t == cfg.Topic && i >= 0 && i < cfg.N {
+			if i := int(node - subBase); t == topic && i >= 0 && i < cfg.N {
 				h.delivered[i]++
 			}
 		}
@@ -164,7 +162,7 @@ func (h *Harness) Client(i int) *core.Client {
 func (h *Harness) JoinAll() {
 	for i := 0; i < h.Cfg.N; i++ {
 		id := h.ID(i)
-		h.Sched.Send(sim.Message{To: id, From: id, Topic: h.Cfg.Topic, Body: core.JoinTopic{}})
+		h.Sched.Send(sim.Message{To: id, From: id, Topic: topic, Body: core.JoinTopic{}})
 	}
 }
 
@@ -198,7 +196,7 @@ func (h *Harness) await(done func(i int) bool) (rounds []int, ok bool) {
 // AwaitLabelled advances rounds until every subscriber holds a label,
 // returning the per-subscriber round at which its label arrived.
 func (h *Harness) AwaitLabelled() (rounds []int, ok bool) {
-	return h.await(func(i int) bool { return h.Client(i).Labelled(h.Cfg.Topic) })
+	return h.await(func(i int) bool { return h.Client(i).Labelled(topic) })
 }
 
 // AwaitFanout advances rounds until every live subscriber has `want`
@@ -211,13 +209,13 @@ func (h *Harness) AwaitFanout(want int) (rounds []int, ok bool) {
 	if h.delivered != nil {
 		return h.await(func(i int) bool { return h.delivered[i] >= want })
 	}
-	return h.await(func(i int) bool { return h.Client(i).PublicationCount(h.Cfg.Topic) >= want })
+	return h.await(func(i int) bool { return h.Client(i).PublicationCount(topic) >= want })
 }
 
 // Publish makes subscriber i author a publication.
 func (h *Harness) Publish(i int, payload string) {
 	id := h.ID(i)
-	h.Sched.Send(sim.Message{To: id, From: id, Topic: h.Cfg.Topic, Body: core.PublishCmd{Payload: payload}})
+	h.Sched.Send(sim.Message{To: id, From: id, Topic: topic, Body: core.PublishCmd{Payload: payload}})
 }
 
 // CrashFraction crashes Cfg.CrashFrac of the subscribers (at least one),
@@ -249,9 +247,9 @@ func (h *Harness) CrashFraction() int {
 // holds exactly want entries (the stabilization predicate after a crash
 // burst: every dead subscriber culled, no live one evicted).
 func (h *Harness) AwaitDBSize(want int) (rounds int, ok bool) {
-	owner := h.SupFor(h.Cfg.Topic)
+	owner := h.SupFor(topic)
 	return h.Sched.RunRoundsUntil(h.Cfg.MaxRounds, func() bool {
-		return owner.N(h.Cfg.Topic) == want
+		return owner.N(topic) == want
 	})
 }
 
@@ -324,7 +322,7 @@ func Run(cfg Config) Result {
 	}
 	res.Converged = res.Converged && ok
 
-	h.Sched.RunRounds(cfg.SettleRounds)
+	h.Sched.RunRounds(settleRounds)
 
 	start = time.Now()
 	h.Publish(0, fmt.Sprintf("pub-n%d", cfg.N))
@@ -333,9 +331,9 @@ func Run(cfg Config) Result {
 	res.FanoutRounds = metrics.Summarize(metrics.Ints(fanRounds))
 	res.Converged = res.Converged && ok2
 
-	owner := h.SupFor(cfg.Topic)
-	res.SupDBBytes = owner.MemoryBytes(cfg.Topic)
-	if in, found := h.Client(0).Instance(cfg.Topic); found {
+	owner := h.SupFor(topic)
+	res.SupDBBytes = owner.MemoryBytes(topic)
+	if in, found := h.Client(0).Instance(topic); found {
 		res.SubTrieBytes = in.Eng.Trie().MemoryBytes()
 	}
 
@@ -347,7 +345,7 @@ func Run(cfg Config) Result {
 	res.Converged = res.Converged && ok
 
 	res.QueueBytes = h.Sched.QueueHighWaterBytes()
-	if epoch, hash, count, found := owner.DirectoryDigest(cfg.Topic); found {
+	if epoch, hash, count, found := owner.DirectoryDigest(topic); found {
 		res.DBHash = fmt.Sprintf("%d:%x:%d", epoch, hash, count)
 	}
 	return res

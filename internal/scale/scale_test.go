@@ -35,11 +35,11 @@ func TestPooledSubscribersConvergeLikeDedicated(t *testing.T) {
 	if _, ok := h.AwaitLabelled(); !ok {
 		t.Fatal("pooled subscribers did not all get labels")
 	}
-	if got := h.Sup.N(h.Cfg.Topic); got != 40 {
+	if got := h.Sup.N(topic); got != 40 {
 		t.Fatalf("supervisor database has %d entries, want 40", got)
 	}
 	// Labels must be exactly l(0)..l(n-1): the database is legitimate.
-	if h.Sup.Corrupted(h.Cfg.Topic) {
+	if h.Sup.Corrupted(topic) {
 		t.Fatal("supervisor database corrupted after mass join")
 	}
 }

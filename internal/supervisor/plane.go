@@ -79,22 +79,15 @@ type plane struct {
 	tick  uint64
 }
 
-// JoinPlane turns this supervisor into a member of a sharded, crash-
-// tolerant supervisor plane. peers is the full static supervisor set
-// (including this supervisor); every member must be given the same set.
-// Call before the supervisor is registered on a transport. A supervisor
-// that never joins a plane behaves exactly as the paper's single reliable
-// supervisor and pays no plane overhead.
-func (s *Supervisor) JoinPlane(peers []sim.NodeID) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// newPlane builds the plane over the static supervisor set peers.
+func newPlane(peers []sim.NodeID) *plane {
 	ps := append([]sim.NodeID(nil), peers...)
 	sort.Slice(ps, func(i, j int) bool { return ps[i] < ps[j] })
 	ring := hashdht.NewRing()
 	for _, p := range ps {
 		ring.Add(p)
 	}
-	s.plane = &plane{
+	return &plane{
 		peers:     ps,
 		ring:      ring,
 		suspected: make(map[sim.NodeID]bool),
@@ -102,22 +95,28 @@ func (s *Supervisor) JoinPlane(peers []sim.NodeID) {
 	}
 }
 
+// JoinPlane replaces this supervisor's plane of one with a sharded,
+// crash-tolerant supervisor plane. peers is the full static supervisor set
+// (including this supervisor); every member must be given the same set.
+// Call before the supervisor is registered on a transport. A plane of one
+// — New's, or JoinPlane with this supervisor alone — owns every topic and
+// runs no plane action: the paper's single reliable supervisor.
+func (s *Supervisor) JoinPlane(peers []sim.NodeID) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.plane = newPlane(peers)
+}
+
 // viewOwner returns the supervisor this node currently believes owns the
-// topic: the consistent-hashing owner over the unsuspected peers. Without
-// a plane the supervisor owns everything. Lock held.
+// topic: the consistent-hashing owner over the unsuspected peers (itself,
+// in a plane of one). Lock held.
 func (s *Supervisor) viewOwner(t sim.Topic) sim.NodeID {
-	if s.plane == nil {
-		return s.self
-	}
-	owner, ok := s.plane.ring.Owner(t)
-	if !ok {
-		return sim.None
-	}
+	owner, _ := s.plane.ring.Owner(t) // ⊥ on an empty ring
 	return owner
 }
 
 // PlaneOwner reports which supervisor this node believes owns the topic
-// (itself when no plane is configured).
+// (always itself in a plane of one).
 func (s *Supervisor) PlaneOwner(t sim.Topic) sim.NodeID {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -129,7 +128,7 @@ func (s *Supervisor) PlaneOwner(t sim.Topic) sim.NodeID {
 // Lock held.
 func (s *Supervisor) planeTimeout(ctx sim.Context) {
 	p := s.plane
-	if p == nil || len(p.peers) <= 1 {
+	if len(p.peers) <= 1 {
 		return
 	}
 	p.tick++
@@ -251,7 +250,7 @@ func (s *Supervisor) handover(ctx sim.Context, t sim.Topic, db *topicDB, owner s
 		ctx.Send(owner, t, proto.PlaneGossip{Entries: []proto.TopicEpoch{{Topic: t, Epoch: next}}})
 	}
 	delete(s.topics, t)
-	if s.plane != nil && next > s.plane.known[t] {
+	if next > s.plane.known[t] {
 		s.plane.known[t] = next
 	}
 }
@@ -283,9 +282,6 @@ func (s *Supervisor) gossip(ctx sim.Context) {
 // not own with the owner it believes in, and reports whether it did. Lock
 // held.
 func (s *Supervisor) redirectIfNotOwner(ctx sim.Context, t sim.Topic, v sim.NodeID) bool {
-	if s.plane == nil {
-		return false
-	}
 	owner := s.viewOwner(t)
 	if owner == s.self || owner == sim.None {
 		return false
@@ -315,19 +311,15 @@ func (s *Supervisor) reregister(ctx sim.Context, t sim.Topic, b proto.Reregister
 		// flag was lost, or the topic's owner died before we ever saw it):
 		// this Reregister IS the rebuild starting — open a fresh era under
 		// rebuild grace like any other adoption.
-		if s.plane != nil {
-			s.adopt(ctx, t)
-			db = s.topics[t]
-		} else {
-			db = s.topic(t)
-		}
+		s.adopt(ctx, t)
+		db = s.topics[t]
 	}
 	if b.Epoch > db.epoch {
 		// The subscriber was served by a newer era than ours (we adopted
 		// without gossip, or restarted with stale state): jump past it, or
 		// every configuration we send would be ignored as stale.
 		db.epoch = b.Epoch + 1
-		if s.plane != nil && db.epoch > s.plane.known[t] {
+		if db.epoch > s.plane.known[t] {
 			s.plane.known[t] = db.epoch
 		}
 	}
@@ -366,9 +358,6 @@ func (s *Supervisor) reregister(ctx sim.Context, t sim.Topic, b proto.Reregister
 // learns topics (enabling adoption of orphans we never served), and lets a
 // stale restarted owner jump to the current era. Lock held.
 func (s *Supervisor) absorbGossip(g proto.PlaneGossip) {
-	if s.plane == nil {
-		return
-	}
 	for _, e := range g.Entries {
 		// Record the topic even at epoch 0: the reconcile pass adopts it
 		// if it hashes to us and nobody hosts it (its owner died before we
@@ -386,12 +375,13 @@ func (s *Supervisor) absorbGossip(g proto.PlaneGossip) {
 // "chaos corruption of the directory itself" fault: hosting flags and
 // epochs are fair game. Everything it breaks is soft
 // state the reconcile/gossip/epoch-repair machinery must rebuild; it never
-// touches subscriber-side state. A no-op without a plane.
+// touches subscriber-side state. A no-op in a plane of one, which has no
+// peer to rebuild it from.
 func (s *Supervisor) CorruptPlane(t sim.Topic, rng interface{ Intn(int) int }) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	p := s.plane
-	if p == nil {
+	if len(p.peers) <= 1 {
 		return
 	}
 	switch rng.Intn(3) {

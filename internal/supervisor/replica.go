@@ -218,9 +218,8 @@ func (s *Supervisor) SetReplicationFactor(k int) {
 		k = 0
 	}
 	s.repFactor = k
-	track := s.plane != nil && k > 0
 	for _, db := range s.topics {
-		db.track = track
+		db.track = k > 0
 	}
 }
 
@@ -364,9 +363,6 @@ func (s *Supervisor) fromOwner(t sim.Topic, from sim.NodeID) bool {
 // Stale-era deltas are dropped; anti-entropy repairs any divergence a lost
 // or reordered delta leaves behind.
 func (s *Supervisor) onReplicaDelta(t sim.Topic, from sim.NodeID, b proto.ReplicaDelta) {
-	if s.plane == nil {
-		return
-	}
 	rep := s.replica(t)
 	if b.Epoch < rep.epoch && !s.fromOwner(t, from) {
 		return
@@ -385,9 +381,6 @@ func (s *Supervisor) onReplicaDelta(t sim.Topic, from sim.NodeID, b proto.Replic
 // probe (owner → replica) is answered only on mismatch; an answer
 // (replica → owner) triggers a bounded-chunk full sync.
 func (s *Supervisor) onReplicaDigest(ctx sim.Context, t sim.Topic, from sim.NodeID, b proto.ReplicaDigest) {
-	if s.plane == nil {
-		return
-	}
 	if b.Probe {
 		rep := s.replica(t)
 		if s.plane.tick-rep.verified >= replicaVerifyEvery {
@@ -421,7 +414,7 @@ func (s *Supervisor) onReplicaDigest(ctx sim.Context, t sim.Topic, from sim.Node
 // replica when the round is complete. Chunks of an older round or a stale
 // era are dropped; duplicates are idempotent.
 func (s *Supervisor) onReplicaSync(t sim.Topic, from sim.NodeID, b proto.ReplicaSync) {
-	if s.plane == nil || b.Chunks == 0 || b.Seq >= b.Chunks {
+	if b.Chunks == 0 || b.Seq >= b.Chunks {
 		return
 	}
 	rep := s.replica(t)
@@ -530,7 +523,7 @@ func (s *Supervisor) CorruptReplica(t sim.Topic, rng interface{ Intn(int) int })
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	rep, ok := s.replicas[t]
-	if !ok || s.plane == nil {
+	if !ok {
 		return
 	}
 	switch rng.Intn(3) {

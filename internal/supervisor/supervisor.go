@@ -10,7 +10,8 @@
 // single system-wide failure detector (Section 3.3).
 //
 // The paper assumes the supervisor itself is reliable. This package
-// deliberately departs from that assumption: several supervisors can form
+// deliberately departs from that assumption: every supervisor is a member
+// of a plane — a lone supervisor is a plane of one — and several can form
 // a crash-tolerant plane (JoinPlane) in which topics are sharded by
 // consistent hashing, peers monitor each other through the same failure
 // detector that screens subscribers, a dead supervisor's topics migrate to
@@ -43,9 +44,9 @@ type Supervisor struct {
 	// detector screens each Timeout (keeps per-interval work constant).
 	CullPerTimeout int
 
-	// plane is the crash-tolerant multi-supervisor state (nil for a
-	// classic single-supervisor deployment, which owns every topic and
-	// pays zero plane overhead). See plane.go.
+	// plane is the supervisor plane this node belongs to: a plane of one
+	// (itself) from New — the paper's single supervisor, owning every
+	// topic — until JoinPlane replaces it. See plane.go.
 	plane *plane
 
 	// repFactor is how many hashdht successors each owned topic's
@@ -202,26 +203,7 @@ func (db *topicDB) unmapID(v sim.NodeID, l label.Label) {
 	if db.dup[v] {
 		// Rare (only reachable through injected corruption): recount v's
 		// labels to restore the lowest-label invariant.
-		best, count := label.Bottom, 0
-		for cl, w := range db.db {
-			if w != v {
-				continue
-			}
-			count++
-			if best == label.Bottom || labelLess(cl, best) {
-				best = cl
-			}
-		}
-		switch {
-		case count == 0:
-			delete(db.byID, v)
-			delete(db.dup, v)
-		case count == 1:
-			db.byID[v] = best
-			delete(db.dup, v)
-		default:
-			db.byID[v] = best
-		}
+		db.reindex(v)
 		return
 	}
 	if db.byID[v] == l {
@@ -229,7 +211,38 @@ func (db *topicDB) unmapID(v sim.NodeID, l label.Label) {
 	}
 }
 
-// New creates a supervisor with the given node ID and failure detector.
+// reindex rebuilds v's reverse-index entries from db. O(n); only
+// corrupted databases reach it.
+func (db *topicDB) reindex(v sim.NodeID) {
+	delete(db.byID, v)
+	delete(db.dup, v)
+	for l, w := range db.db {
+		if w == v {
+			db.mapID(v, l)
+		}
+	}
+}
+
+// screen checks the entry at label l for the cull screen, so neither dirty
+// nor byID is trusted forever: a gap below n, a ⊥ subscriber or a hint db
+// contradicts marks the database dirty, and the hint is rebuilt. It returns
+// the subscriber for the detector to screen, or ⊥.
+func (db *topicDB) screen(l label.Label) sim.NodeID {
+	v, ok := db.db[l]
+	if !ok || v == sim.None {
+		db.dirty = true
+		return sim.None
+	}
+	if h, ok := db.byID[v]; !ok || db.db[h] != v || (h != l && !db.dup[v]) {
+		db.reindex(v)
+		db.dirty = true
+	}
+	return v
+}
+
+// New creates a supervisor with the given node ID and failure detector,
+// alone in a plane of one: it owns every topic until JoinPlane gives it
+// peers.
 func New(self sim.NodeID, detector sim.Detector) *Supervisor {
 	if detector == nil {
 		detector = sim.NeverSuspects()
@@ -239,6 +252,7 @@ func New(self sim.NodeID, detector sim.Detector) *Supervisor {
 		detector:       detector,
 		topics:         make(map[sim.Topic]*topicDB),
 		CullPerTimeout: 1,
+		plane:          newPlane([]sim.NodeID{self}),
 	}
 }
 
@@ -249,7 +263,7 @@ func (s *Supervisor) topic(t sim.Topic) *topicDB {
 	db, ok := s.topics[t]
 	if !ok {
 		db = newTopicDB()
-		db.track = s.plane != nil && s.repFactor > 0
+		db.track = s.repFactor > 0
 		s.topics[t] = db
 	}
 	return db
@@ -292,7 +306,7 @@ func (s *Supervisor) timeoutTopic(ctx sim.Context, t sim.Topic) {
 	// intervals.
 	for i := 0; i < s.CullPerTimeout; i++ {
 		cursor := (db.cullNext + uint64(i)) % n
-		if v, ok := db.db[label.FromIndex(cursor)]; ok && v != sim.None && s.detector.Suspects(v) {
+		if v := db.screen(label.FromIndex(cursor)); v != sim.None && s.detector.Suspects(v) {
 			db.del(label.FromIndex(cursor))
 			db.dirty = true // the cull leaves a gap at the cursor's label
 			db.checkLabels()
@@ -464,16 +478,18 @@ func (s *Supervisor) sendConfiguration(ctx sim.Context, t sim.Topic, db *topicDB
 }
 
 // labelOf returns the (lowest) label stored for v, or ⊥. O(1) through the
-// reverse index in the clean case; ids with duplicate labels (and queries
-// for the ⊥ subscriber) fall back to the scan until repaired.
+// reverse index in the clean case; ids with duplicate labels, queries for
+// the ⊥ subscriber and a hint db does not confirm fall back to the scan
+// until repaired.
 func (db *topicDB) labelOf(v sim.NodeID) label.Label {
 	if v == sim.None || db.dup[v] {
 		return db.scanLabelOf(v)
 	}
-	if l, ok := db.byID[v]; ok {
-		return l
+	l, ok := db.byID[v]
+	if ok && db.db[l] != v {
+		return db.scanLabelOf(v)
 	}
-	return label.Bottom
+	return l // ⊥, the zero Label, when v is not recorded
 }
 
 func (db *topicDB) scanLabelOf(v sim.NodeID) label.Label {

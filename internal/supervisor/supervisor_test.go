@@ -313,3 +313,59 @@ func TestCullSweepRateScalesWithBudget(t *testing.T) {
 	}
 	t.Logf("culled %d spread-out entries in %d timeouts (budget %d, n %d)", dead, rounds, budget, n)
 }
+
+// A gap below n whose dirty mark was lost — corruption that skipped the
+// flag — must still be repaired: the cull screen checks every entry it
+// visits, so one sweep finds the gap and CheckLabels compacts it.
+func TestTimeoutRepairsUnflaggedGap(t *testing.T) {
+	s := New(1, nil)
+	c := simtest.NewCtx(1)
+	for i := sim.NodeID(0); i < 8; i++ {
+		sub(t, s, c, 10+i)
+	}
+	s.mu.Lock()
+	db := s.topics[tp]
+	db.del(label.FromIndex(3))
+	db.dirty = false
+	s.mu.Unlock()
+	if !s.Corrupted(tp) {
+		t.Fatal("deleting l(3) left a valid database")
+	}
+	for i := 0; i < 1000; i++ {
+		s.OnTimeout(c)
+	}
+	c.Take()
+	if s.Corrupted(tp) {
+		t.Fatalf("gap at l(3) not repaired after 1000 timeouts: %v", s.Snapshot(tp))
+	}
+}
+
+// A reverse-index hint the database contradicts must neither be answered
+// (labelOf confirms the hint against db) nor survive (the cull screen
+// rebuilds it).
+func TestStaleIDHintRepaired(t *testing.T) {
+	s := New(1, nil)
+	c := simtest.NewCtx(1)
+	for i := sim.NodeID(0); i < 8; i++ {
+		sub(t, s, c, 10+i)
+	}
+	s.mu.Lock()
+	s.topics[tp].byID[12] = label.FromIndex(5) // db holds 12 at l(2), 15 at l(5)
+	s.mu.Unlock()
+	for i := 0; i < 1000; i++ {
+		s.OnTimeout(c)
+	}
+	c.Take()
+	if got, want := s.LabelOf(tp, 12), label.FromIndex(2); got != want {
+		t.Fatalf("LabelOf(12) = %s after 1000 timeouts, want %s", got, want)
+	}
+	s.mu.Lock()
+	hint := s.topics[tp].byID[12]
+	s.mu.Unlock()
+	if hint != label.FromIndex(2) {
+		t.Fatalf("stale hint byID[12] = %s not rebuilt, want %s", hint, label.FromIndex(2))
+	}
+	if s.Corrupted(tp) {
+		t.Fatalf("database corrupted: %v", s.Snapshot(tp))
+	}
+}

@@ -47,14 +47,13 @@ type SimOptions struct {
 	// per-node randomness on the live substrates.
 	Seed int64
 	// Protocol holds the options shared with the live System's Options:
-	// KeyLen, HistoryCap, DisableFlooding, DeliveryMode, Supervisors and
-	// ReplicationFactor, with the same meaning on every substrate.
+	// HistoryCap, DeliveryMode, Supervisors and ReplicationFactor, with the
+	// same meaning on every substrate.
 	Protocol
-	// DisableAntiEntropy and DisableActionIV are, with
-	// Protocol.DisableFlooding, the ablation switches (internal/experiments
-	// flips them in E7, E8, A1 and A2).
+	// DisableAntiEntropy turns off the periodic CheckTrie exchange, so
+	// publications spread only down the forwarding tree — the flood path in
+	// isolation, which the allocation budgets measure.
 	DisableAntiEntropy bool
-	DisableActionIV    bool
 	// OnDeliver, if non-nil, observes every publication delivery as
 	// (subscriber, topic, payload), after the DeliveryMode discipline has
 	// released it — with ModeFIFO each publisher's payloads arrive at every
@@ -89,7 +88,6 @@ type Simulation struct {
 func NewSimulation(opts SimOptions) *Simulation {
 	ho := opts.harness()
 	ho.ClientOpts.DisableAntiEntropy = opts.DisableAntiEntropy
-	ho.ClientOpts.DisableActionIV = opts.DisableActionIV
 	if f := opts.OnDeliver; f != nil {
 		ho.ClientOpts.OnDeliverTrace = func(node sim.NodeID, t sim.Topic, p proto.Publication, _ ordering.Meta) {
 			f(node, t, p.Payload)

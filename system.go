@@ -43,8 +43,6 @@ const (
 // share; both embed it, so its fields are set as
 // Options{Protocol: Protocol{Supervisors: 3}} and read as opts.Supervisors.
 type Protocol struct {
-	// KeyLen is the publication key width m in bits (default 64).
-	KeyLen uint8
 	// HistoryCap bounds how many publications each subscriber retains per
 	// topic: when the stored set exceeds the cap, the publications with
 	// the smallest keys are evicted. 0 means unlimited — the paper's
@@ -57,10 +55,6 @@ type Protocol struct {
 	// and later relearned through anti-entropy is delivered again
 	// (at-least-once); with 0 delivery stays exactly-once.
 	HistoryCap int
-	// DisableFlooding turns off PublishNew (deliveries then come only
-	// through anti-entropy) — the switch internal/experiments' A2 ablation
-	// flips.
-	DisableFlooding bool
 	// DeliveryMode selects the delivery ordering discipline every client
 	// applies (default ModeBestEffort). It is client configuration only:
 	// supervisors neither read nor record it. On RuntimeSim ordered runs
@@ -89,10 +83,8 @@ type Protocol struct {
 func (p Protocol) harness() cluster.Options {
 	return cluster.Options{
 		ClientOpts: core.Options{
-			KeyLen:          p.KeyLen,
-			HistoryCap:      p.HistoryCap,
-			DisableFlooding: p.DisableFlooding,
-			DeliveryMode:    p.DeliveryMode,
+			HistoryCap:   p.HistoryCap,
+			DeliveryMode: p.DeliveryMode,
 		},
 		Supervisors:       p.Supervisors,
 		ReplicationFactor: p.ReplicationFactor,
