@@ -40,7 +40,7 @@ func BenchmarkTrieInsert(b *testing.B) {
 	t := trie.New(64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		t.Insert(trie.NewPublication(64, 1, fmt.Sprintf("payload-%d", i)))
+		t.Insert(trie.NewPublication(64, uint64(i/1000), 1, fmt.Sprintf("payload-%d", i)))
 	}
 }
 

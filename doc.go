@@ -14,7 +14,11 @@
 // converges to the unique legitimate topology and stays there.
 // Publications are stored in hashed Patricia tries and reconciled by an
 // anti-entropy protocol that compares node digests, so every subscriber of
-// a topic eventually holds every publication ever issued for it; a
+// a topic eventually holds every publication ever issued for it. Keys are
+// age-ordered — the publisher's topic-clock bucket above a 40-bit hash of
+// (origin, payload) — so a fresh publication lands next to the recent
+// ones and the smallest key is the oldest (internal/trie documents the
+// departure from Section 4.2's uniform hash); a
 // flooding layer delivers fresh publications along ring and shortcut edges
 // in O(log n) hops, one copy per subscriber down a per-origin forwarding
 // tree.
@@ -131,9 +135,10 @@
 // the nightly sweep uploads its output so the scaling trajectory
 // accumulates.
 // Protocol.HistoryCap (set through Options or SimOptions, which both
-// embed Protocol) bounds each subscriber's retained publication history — at these populations an unbounded
-// history is the difference between a flat and a linearly growing
-// per-node footprint.
+// embed Protocol) bounds each subscriber's retained publication history,
+// evicting the oldest clock bucket first — at these populations an
+// unbounded history is the difference between a flat and a linearly
+// growing per-node footprint.
 //
 // The sweeps run on the same engine as everything else, internal/psim, a
 // conservative parallel discrete-event executor: nodes are sharded across lanes by a deterministic NodeID hash,

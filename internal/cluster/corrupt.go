@@ -19,8 +19,8 @@ import (
 
 // CorruptSubscriberStates overwrites every member's explicit state
 // with pseudo-random garbage: random labels (possibly duplicated, possibly
-// malformed), neighbour pointers to random members (or self), and random
-// shortcut slots. The result is still a weakly connected graph because
+// malformed), neighbour pointers to random members (or self), random
+// shortcut slots and a random publication-key clock. The result is still a weakly connected graph because
 // every node keeps its read-only edge to the supervisor.
 func (l *Live) CorruptSubscriberStates(t sim.Topic, rng *rand.Rand) {
 	members := l.Members(t)
@@ -55,6 +55,7 @@ func (l *Live) CorruptSubscriberStates(t sim.Topic, rng *rand.Rand) {
 			}
 		}
 		in.Sub.ForceState(lab, randTuple(), randTuple(), randTuple(), sc)
+		in.Eng.CorruptClock(rng)
 	}
 }
 
@@ -174,8 +175,9 @@ func (l *Live) SendGarbageMessages(t sim.Topic, count int, rng *rand.Rand) {
 // random members' tries, bypassing the publication protocol entirely: the
 // tries diverge (different members know different sets) and only the
 // anti-entropy machinery of Section 4.2 can reconcile them. The fabricated
-// entries are well-formed (key = h̄_m(origin, payload)), so reconciliation
-// converges on the union. It returns the payloads injected.
+// entries are well-formed keys of the trie's width with random clock
+// buckets, so reconciliation converges on the union while the buckets
+// test the clocks' clamp. It returns the payloads injected.
 func (l *Live) CorruptTries(t sim.Topic, count int, rng *rand.Rand) []string {
 	members := l.Members(t)
 	if len(members) == 0 || count <= 0 {
@@ -189,7 +191,7 @@ func (l *Live) CorruptTries(t sim.Topic, count int, rng *rand.Rand) []string {
 			continue
 		}
 		payload := "corrupt-" + string(rune('a'+rng.Intn(26))) + string(rune('a'+rng.Intn(26))) + string(rune('a'+rng.Intn(26)))
-		p := trie.NewPublication(in.Eng.Trie().KeyLen(), id, payload)
+		p := trie.NewPublication(in.Eng.Trie().KeyLen(), rng.Uint64(), id, payload)
 		if in.Eng.Trie().Insert(p) {
 			payloads = append(payloads, payload)
 		}

@@ -50,9 +50,9 @@ type Options struct {
 	// empty or single-entry sets disable both (nothing to fail over to).
 	Supervisors []sim.NodeID
 
-	// HistoryCap bounds each topic trie to the newest-keyed HistoryCap
-	// publications (0 = unlimited, the paper's monotone store). See
-	// pubsub.Config.HistoryCap.
+	// HistoryCap bounds each topic trie to the HistoryCap publications
+	// with the largest keys — the newest, keys being age-ordered (0 =
+	// unlimited, the paper's monotone store). See pubsub.Config.HistoryCap.
 	HistoryCap int
 
 	// Ablation switches (internal/experiments flips them in E7, E8, A1

@@ -63,10 +63,13 @@ type Config struct {
 
 	// HistoryCap bounds the number of publications retained in the trie;
 	// when exceeded, the publications with the smallest keys are evicted.
-	// 0 means unlimited — the paper's model, where the trie grows
-	// monotonically ("no publish messages are deleted", Theorem 17).
-	// Eviction by smallest key keeps the retained set a pure function of
-	// the known set, so capped replicas still converge to identical tries.
+	// At widths with an age-ordered key (trie.HashBits) the smallest key
+	// is the oldest clock bucket, so a capped trie keeps the newest
+	// publications; within a bucket the order is the hash's. 0 means
+	// unlimited — the paper's model, where the trie grows monotonically
+	// ("no publish messages are deleted", Theorem 17). Eviction by
+	// smallest key keeps the retained set a pure function of the known
+	// set, so capped replicas still converge to identical tries.
 	HistoryCap int
 
 	// DisableFlooding turns off the PublishNew layer (ablation: anti-entropy
@@ -77,10 +80,21 @@ type Config struct {
 	DisableAntiEntropy bool
 }
 
+// clockClamp is Δ: one stored key moves the clock at most this many
+// buckets ahead, so a corrupted key cannot drag it far (see mergeClock).
+const clockClamp = 4
+
 // Engine is the per-topic publication state machine of one subscriber.
 type Engine struct {
 	cfg Config
 	t   *trie.Trie
+
+	// clock is the clock bucket fresh publications are keyed under
+	// (trie.KeyFor). It advances one per OnTimeout and max-merges from
+	// every stored key, so subscribers' clocks stay close and a fresh key
+	// lands next to the recent ones. It is advisory: any value keeps
+	// delivery correct. Only its low trie.BucketBits bits are read.
+	clock uint64
 
 	// Ordered-mode state (nil / zero on best-effort topics).
 	ord     *ordering.Buffer
@@ -120,7 +134,7 @@ func (e *Engine) emit(p proto.Publication, m ordering.Meta) {
 // publisher's sequence number (and, in causal mode, the bounded causal
 // barrier).
 func (e *Engine) Publish(ctx sim.Context, payload string) proto.Publication {
-	p := trie.NewPublication(e.cfg.KeyLen, e.cfg.Self, payload)
+	p := trie.NewPublication(e.cfg.KeyLen, e.clock, e.cfg.Self, payload)
 	b := proto.PublishNew{Pub: p}
 	if e.ord != nil {
 		e.nextSeq++
@@ -145,6 +159,7 @@ func (e *Engine) insertStore(p proto.Publication, flood bool) (added, forward bo
 	if !added {
 		return false, forward
 	}
+	e.mergeClock(p.Key)
 	for e.cfg.HistoryCap > 0 && e.t.Len() > e.cfg.HistoryCap {
 		e.t.DeleteMin()
 	}
@@ -164,6 +179,27 @@ func (e *Engine) insert(p proto.Publication) {
 		e.emit(p, ordering.Meta{})
 	}
 }
+
+// mergeClock max-merges the clock from a stored key's bucket, clamped at
+// clock + clockClamp. Buckets compare in serial-number arithmetic mod
+// 2^BucketBits: a bucket less than half the range ahead counts as ahead,
+// so the merge keeps working across a wrap.
+func (e *Engine) mergeClock(k proto.Key) {
+	b := trie.BucketBits(k.Len)
+	if b == 0 {
+		return
+	}
+	mask := uint64(1)<<b - 1
+	ahead := (trie.Bucket(k) - e.clock) & mask
+	if ahead == 0 || ahead > mask>>1 {
+		return
+	}
+	e.clock += min(ahead, clockClamp)
+}
+
+// CorruptClock overwrites the clock with garbage — part of the
+// state-corruption fault. Only locality and eviction order notice.
+func (e *Engine) CorruptClock(rng *rand.Rand) { e.clock = rng.Uint64() }
 
 // CorruptOrdering scrambles the engine's ordering state in place — the
 // corrupt-ordering chaos fault. No-op on best-effort topics, which hold no
@@ -187,9 +223,11 @@ func (e *Engine) CorruptOrdering(rng *rand.Rand) {
 }
 
 // OnTimeout is the PublishTimeout action (Algorithm 5 lines 1–4): send our
-// root summary to one random direct ring neighbour. On ordered topics it
-// also drives the reorder buffer's clock (age-out of held publications).
+// root summary to one random direct ring neighbour. It also advances the
+// key clock and, on ordered topics, drives the reorder buffer's clock
+// (age-out of held publications).
 func (e *Engine) OnTimeout(ctx sim.Context) {
+	e.clock++
 	if e.ord != nil {
 		e.ticks++
 		e.ord.Tick(e.ticks)

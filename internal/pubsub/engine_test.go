@@ -247,7 +247,7 @@ func TestPublishFloods(t *testing.T) {
 // tree copy, or everything below it in the tree would starve.
 func TestPublishNewForwardOnce(t *testing.T) {
 	_, v, _, vc := pair(8)
-	p := trie.NewPublication(8, 10, "x")
+	p := trie.NewPublication(8, 0, 10, "x")
 	whole := proto.PublishNew{Pub: p}
 	// v's only neighbour u lies outside the arc v was handed.
 	v.OnMessage(vc, sim.Message{From: 10, To: 11, Topic: tp, Body: proto.PublishNew{Pub: p,
@@ -280,10 +280,10 @@ func TestPublishNewForwardOnce(t *testing.T) {
 // regression are still delivered. Ticks past ForceAfter flush whatever the
 // reorder buffer still holds.
 func TestOnDeliverInvokedOncePerPublication(t *testing.T) {
-	a := trie.NewPublication(64, 99, "a")
-	b := trie.NewPublication(64, 99, "b")
-	c := trie.NewPublication(64, 99, "c")
-	d := trie.NewPublication(64, 99, "d")
+	a := trie.NewPublication(64, 0, 99, "a")
+	b := trie.NewPublication(64, 0, 99, "b")
+	c := trie.NewPublication(64, 0, 99, "c")
+	d := trie.NewPublication(64, 0, 99, "d")
 	flood := func(p proto.Publication, seq uint64) proto.PublishNew { return proto.PublishNew{Pub: p, Seq: seq} }
 	batch := func(ps ...proto.Publication) proto.PublishBatch { return proto.PublishBatch{Pubs: ps} }
 	cases := []struct {
@@ -404,8 +404,8 @@ func TestFloodMetadataAcrossModes(t *testing.T) {
 		payload string
 		meta    ordering.Meta
 	}
-	p1 := trie.NewPublication(64, 99, "p1")
-	p2 := trie.NewPublication(64, 99, "p2")
+	p1 := trie.NewPublication(64, 0, 99, "p1")
+	p2 := trie.NewPublication(64, 0, 99, "p2")
 	flood := func(b proto.PublishNew) sim.Message { return sim.Message{From: 99, Topic: tp, Body: b} }
 	for _, tc := range []struct {
 		name string
@@ -447,5 +447,52 @@ func TestFloodMetadataAcrossModes(t *testing.T) {
 				t.Fatalf("deliveries %+v, want %+v", got, tc.want)
 			}
 		})
+	}
+}
+
+// The key clock advances once per timeout even with anti-entropy ablated,
+// and a fresh publication is keyed under it.
+func TestClockAdvancesPerTimeout(t *testing.T) {
+	e := NewEngine(Config{Self: 10, Topic: tp, KeyLen: 64, DisableFlooding: true, DisableAntiEntropy: true})
+	ctx := simtest.NewCtx(10)
+	for i := 0; i < 3; i++ {
+		e.OnTimeout(ctx)
+	}
+	if got := trie.Bucket(e.Publish(ctx, "x").Key); got != 3 {
+		t.Fatalf("bucket after 3 timeouts = %d, want 3", got)
+	}
+}
+
+// A stored key's bucket max-merges into the clock, clamped at clock + Δ;
+// a bucket behind (in serial arithmetic mod 2^24, so also across a wrap)
+// leaves it alone, and a key of a foreign width is never stored or merged.
+func TestClockMergeClampedAndWrapping(t *testing.T) {
+	const mod = 1 << 24
+	for _, tc := range []struct {
+		name          string
+		clock, bucket uint64
+		want          uint64
+	}{
+		{"ahead within clamp", 10, 12, 12},
+		{"ahead past clamp", 10, 5000, 10 + clockClamp},
+		{"behind", 10, 3, 10},
+		{"equal", 10, 10, 10},
+		{"ahead across the wrap", mod - 2, 1, mod + 1},
+		{"behind across the wrap", 1, mod - 2, 1},
+		{"half the range ahead counts as behind", 0, mod / 2, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := NewEngine(Config{Self: 10, Topic: tp, KeyLen: 64})
+			e.clock = tc.clock
+			e.insert(trie.NewPublication(64, tc.bucket, 99, "p"))
+			if e.clock != tc.want {
+				t.Fatalf("clock = %d, want %d", e.clock, tc.want)
+			}
+		})
+	}
+	e := NewEngine(Config{Self: 10, Topic: tp, KeyLen: 64})
+	e.insert(trie.NewPublication(48, 7, 99, "narrow"))
+	if e.clock != 0 || e.Trie().Len() != 0 {
+		t.Fatalf("foreign-width key moved the clock to %d / was stored", e.clock)
 	}
 }

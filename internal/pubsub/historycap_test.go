@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"sspubsub/internal/proto"
 	"sspubsub/internal/sim"
 	"sspubsub/internal/simtest"
 )
@@ -109,5 +110,44 @@ func TestHistoryCapReplicasConverge(t *testing.T) {
 	rb, okB := b.Trie().RootSummary()
 	if !okA || !okB || ra.Hash != rb.Hash {
 		t.Fatalf("capped replicas diverged: %x vs %x", ra.Hash, rb.Hash)
+	}
+}
+
+// A capped history keeps the newest publications. The publisher's clock
+// advances once per timeout, so publication i lies in bucket i/perTick;
+// once the cap is full, every publication of a bucket newer than the
+// oldest retained one must still be stored — eviction takes the oldest
+// bucket first. With uniform keys the cap kept a random subset, mostly
+// dropping fresh publications.
+func TestHistoryCapKeepsNewest(t *testing.T) {
+	const cap, total, perTick = 2000, 20000, 100
+	e := NewEngine(Config{Self: 10, Topic: tp, KeyLen: 64, HistoryCap: cap,
+		DisableFlooding: true, DisableAntiEntropy: true})
+	ctx := simtest.NewCtx(10)
+	pubs := make([]proto.Publication, total)
+	for i := range pubs {
+		if i > 0 && i%perTick == 0 {
+			e.OnTimeout(ctx)
+		}
+		pubs[i] = e.Publish(ctx, fmt.Sprintf("payload-%08d", i))
+	}
+	if got := e.Trie().Len(); got != cap {
+		t.Fatalf("retained %d publications, want %d", got, cap)
+	}
+	oldest := total
+	for i, p := range pubs {
+		if e.Trie().Has(p.Key) {
+			oldest = i
+			break
+		}
+	}
+	missing := 0
+	for _, p := range pubs[(oldest/perTick+1)*perTick:] {
+		if !e.Trie().Has(p.Key) {
+			missing++
+		}
+	}
+	if missing > 0 {
+		t.Fatalf("oldest retained publication is #%d, yet %d publications of newer buckets were evicted", oldest, missing)
 	}
 }

@@ -101,16 +101,17 @@ func FuzzKeyOps(f *testing.F) {
 	})
 }
 
-// FuzzKeyFor checks the publication-key hash: fixed width, determinism,
-// and stability of the derived Publication.
+// FuzzKeyFor checks the publication-key construction: fixed width,
+// determinism, the bucket above the hash at age-ordered widths (and no
+// bucket below them), and stability of the derived Publication.
 func FuzzKeyFor(f *testing.F) {
-	f.Add(int64(1), "hello", uint8(64))
-	f.Add(int64(0), "", uint8(8))
-	f.Add(int64(-3), "payload", uint8(1))
-	f.Fuzz(func(t *testing.T, origin int64, payload string, m uint8) {
+	f.Add(int64(1), "hello", uint8(64), uint64(0))
+	f.Add(int64(0), "", uint8(8), uint64(5))
+	f.Add(int64(-3), "payload", uint8(1), uint64(1)<<40)
+	f.Fuzz(func(t *testing.T, origin int64, payload string, m uint8, bucket uint64) {
 		m = m%64 + 1
-		k1 := KeyFor(m, sim.NodeID(origin), payload)
-		k2 := KeyFor(m, sim.NodeID(origin), payload)
+		k1 := KeyFor(m, bucket, sim.NodeID(origin), payload)
+		k2 := KeyFor(m, bucket, sim.NodeID(origin), payload)
 		if k1 != k2 {
 			t.Fatalf("KeyFor not deterministic: %v vs %v", k1, k2)
 		}
@@ -120,7 +121,20 @@ func FuzzKeyFor(f *testing.F) {
 		if m < 64 && k1.Bits>>m != 0 {
 			t.Fatalf("KeyFor(%d bits) has stray high bits: %x", m, k1.Bits)
 		}
-		p := NewPublication(m, sim.NodeID(origin), payload)
+		next := KeyFor(m, bucket+1, sim.NodeID(origin), payload)
+		if b := BucketBits(m); b == 0 {
+			if next != k1 || Bucket(k1) != 0 {
+				t.Fatalf("pure-hash width %d depends on the bucket: %v vs %v", m, k1, next)
+			}
+		} else {
+			if Bucket(k1) != bucket&(1<<b-1) {
+				t.Fatalf("Bucket = %d, want %d mod 2^%d", Bucket(k1), bucket, b)
+			}
+			if k1.Bits&(1<<HashBits-1) != next.Bits&(1<<HashBits-1) {
+				t.Fatalf("hash bits depend on the bucket: %x vs %x", k1.Bits, next.Bits)
+			}
+		}
+		p := NewPublication(m, bucket, sim.NodeID(origin), payload)
 		if p.Key != k1 || p.Payload != payload || p.Origin != sim.NodeID(origin) {
 			t.Fatalf("NewPublication mismatch: %+v", p)
 		}

@@ -16,6 +16,28 @@
 // ID and the payload, so every key has the same length and keys identify
 // publications ("the constant m and the hash function h̄_m are known to all
 // subscribers").
+//
+// Departure: keys wider than HashBits are age-ordered. Section 4.2 asks
+// only that keys have one fixed width m and are unique with high
+// probability, not that they be uniform, so at m > HashBits a key is
+// (bucket ∥ h̄): the low HashBits = 40 bits are h̄_m(origin, payload)
+// truncated, and the top m − 40 bits (24 at m = 64) are the publisher's
+// clock bucket, a per-topic counter every subscriber advances once per
+// timeout and max-merges from the keys it stores (pubsub.Engine). A fresh
+// publication therefore lands next to the ones before it, so its insert
+// walk stays in cache, and the smallest key is the oldest publication, so
+// a capped history evicts the oldest. The costs:
+//   - uniqueness holds per bucket: B publications in one bucket collide
+//     with probability about B²/2^41;
+//   - buckets compare mod 2^(m−40), so the order wraps after 2^24
+//     intervals at m = 64 (46.6 h at a 10 ms interval);
+//   - the same (origin, payload) published in a later bucket has a
+//     different key, so it is a new publication.
+//
+// Keys of width m ≤ HashBits stay pure hashes (E9's 3-bit Figure 2 and
+// the narrow-key tests). Correctness of anti-entropy (Theorem 17) needs
+// only unique keys, so the bucket is advisory: any clock values, corrupted
+// ones included, change locality and eviction order but not delivery.
 package trie
 
 import (
@@ -107,10 +129,33 @@ func ParseKey(s string) Key {
 	return k
 }
 
-// KeyFor computes h̄_m(origin, payload): the m-bit publication key
-// (Section 4.2). SHA-256 stands in for the paper's collision-resistant
-// hash function.
-func KeyFor(m uint8, origin sim.NodeID, payload string) Key {
+// HashBits is the width of the hash part of an age-ordered key: a key of
+// width m > HashBits carries its clock bucket in the top m − HashBits bits.
+const HashBits = 40
+
+// BucketBits returns the width of the clock bucket in an m-bit key, 0 for
+// pure-hash widths (m ≤ HashBits).
+func BucketBits(m uint8) uint8 {
+	if m <= HashBits {
+		return 0
+	}
+	return m - HashBits
+}
+
+// Bucket returns k's clock bucket (0 for a pure-hash key).
+func Bucket(k Key) uint64 {
+	if k.Len <= HashBits {
+		return 0
+	}
+	return k.Bits >> HashBits
+}
+
+// KeyFor computes the m-bit publication key of (origin, payload) published
+// in clock bucket bucket (Section 4.2, with the age-ordered layout of the
+// package documentation): h̄_m(origin, payload) for m ≤ HashBits, else the
+// bucket mod 2^(m−HashBits) above h̄ truncated to HashBits bits. SHA-256
+// stands in for the paper's collision-resistant hash function.
+func KeyFor(m uint8, bucket uint64, origin sim.NodeID, payload string) Key {
 	h := sha256.New()
 	var idb [8]byte
 	binary.BigEndian.PutUint64(idb[:], uint64(origin))
@@ -118,14 +163,16 @@ func KeyFor(m uint8, origin sim.NodeID, payload string) Key {
 	h.Write([]byte(payload))
 	sum := h.Sum(nil)
 	v := binary.BigEndian.Uint64(sum[:8])
-	if m < 64 {
+	if b := BucketBits(m); b > 0 {
+		v = (bucket&(1<<b-1))<<HashBits | v>>(64-HashBits)
+	} else if m < 64 {
 		v >>= 64 - m
 	}
 	return Key{Bits: v, Len: m}
 }
 
 // NewPublication builds a Publication with its key (m is the system-wide
-// key width).
-func NewPublication(m uint8, origin sim.NodeID, payload string) proto.Publication {
-	return proto.Publication{Key: KeyFor(m, origin, payload), Origin: origin, Payload: payload}
+// key width, bucket the publisher's clock bucket).
+func NewPublication(m uint8, bucket uint64, origin sim.NodeID, payload string) proto.Publication {
+	return proto.Publication{Key: KeyFor(m, bucket, origin, payload), Origin: origin, Payload: payload}
 }

@@ -48,18 +48,18 @@ func TestKeyBasics(t *testing.T) {
 }
 
 func TestKeyForDeterministicAndSpread(t *testing.T) {
-	a := KeyFor(64, 7, "hello")
-	b := KeyFor(64, 7, "hello")
+	a := KeyFor(64, 0, 7, "hello")
+	b := KeyFor(64, 0, 7, "hello")
 	if a != b {
 		t.Error("KeyFor must be deterministic")
 	}
-	if a == KeyFor(64, 8, "hello") {
+	if a == KeyFor(64, 0, 8, "hello") {
 		t.Error("origin must affect the key")
 	}
-	if a == KeyFor(64, 7, "hellp") {
+	if a == KeyFor(64, 0, 7, "hellp") {
 		t.Error("payload must affect the key")
 	}
-	if k := KeyFor(8, 1, "x"); k.Len != 8 || k.Bits>>8 != 0 {
+	if k := KeyFor(8, 0, 1, "x"); k.Len != 8 || k.Bits>>8 != 0 {
 		t.Errorf("width-8 key malformed: %+v", k)
 	}
 }

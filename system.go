@@ -45,7 +45,9 @@ const (
 type Protocol struct {
 	// HistoryCap bounds how many publications each subscriber retains per
 	// topic: when the stored set exceeds the cap, the publications with
-	// the smallest keys are evicted. 0 means unlimited — the paper's
+	// the smallest keys are evicted. Keys are age-ordered (the topic
+	// clock's bucket above a hash), so the oldest go first and a cap keeps
+	// the newest. 0 means unlimited — the paper's
 	// monotone store, where every subscriber keeps every publication
 	// forever. Unlimited retention is an unbounded memory leak under
 	// sustained publishing (≈96 B + payload per publication per
@@ -515,10 +517,11 @@ func (c *Client) Publish(topic, payload string) error {
 	return nil
 }
 
-// History returns the publications currently retained for the topic,
-// oldest key first (the Patricia-trie contents, Section 4.2). With
-// Options.HistoryCap set this is the newest HistoryCap publications by
-// key; with 0 it is everything ever known.
+// History returns the publications currently retained for the topic in
+// key order (the Patricia-trie contents, Section 4.2): by clock bucket,
+// oldest first, and by hash within a bucket. With Options.HistoryCap set
+// this is the HistoryCap publications with the largest keys, the newest
+// buckets; with 0 it is everything ever known.
 func (c *Client) History(topic string) []Publication {
 	t := c.sys.topicID(topic)
 	pubs := c.cc.Publications(t)
