@@ -139,7 +139,8 @@ func garbageMessage(t sim.Topic, members []sim.NodeID, rng *rand.Rand) sim.Messa
 	case 0:
 		body = proto.Introduce{C: proto.Tuple{L: label.FromIndex(rng.Uint64() % 64), Ref: pick()}, Flag: proto.Flag(rng.Intn(2))}
 	case 1:
-		body = proto.Linearize{V: proto.Tuple{L: label.FromIndex(rng.Uint64() % 64), Ref: pick()}}
+		body = proto.Linearize{V: proto.Tuple{L: label.FromIndex(rng.Uint64() % 64), Ref: pick()},
+			From: proto.Tuple{L: label.FromIndex(rng.Uint64() % 64), Ref: from}}
 	case 2:
 		body = proto.SetData{Pred: proto.Tuple{L: label.FromIndex(rng.Uint64() % 64), Ref: pick()},
 			Label: label.FromIndex(rng.Uint64() % 64),

@@ -21,17 +21,19 @@ var sendingRules = map[string][]core.Rule{
 	sim.TypeName(proto.IntroduceShortcut{}): {core.RuleShortcutIntro},
 }
 
-// e6Rate is E6's steady-state message rate per node per round
-// (testdata/quick.golden); a crash cycle whose rule firings exceed ten
-// times it is logged rule by rule.
-const e6Rate = 4.056
+// stormRate bounds a crash cycle's rule firings per node per round, about
+// five times E6's steady-state rate of 4.056 (testdata/quick.golden). A
+// Linearize candidate lapping a cycle closed by a stale label used to push
+// whole cycles past it; a cycle above it fails, rule by rule.
+const stormRate = 20
 
 // TestRuleCountsMatchTraffic: every subscriber send is counted by exactly
 // one rule, on every substrate. Join 32, then cycles of crashing 4 random
 // members, re-converging and regrowing 4; without garbage only subscribers
 // send Linearize, Check, Introduce and IntroduceShortcut, so once quiescent
 // the sums of their sending rules must equal the transport's per-type send
-// counts — an uncounted send site fails it.
+// counts — an uncounted send site fails it. No crash cycle may storm
+// (stormRate).
 func TestRuleCountsMatchTraffic(t *testing.T) {
 	const n, k, cycles, seed = 32, 4, 3, 101
 	for _, kind := range []string{"sim", "concurrent", "net"} {
@@ -76,15 +78,15 @@ func TestRuleCountsMatchTraffic(t *testing.T) {
 				for r := range after {
 					total += after[r] - before[r]
 				}
-				if rate := float64(total) / n / rounds; rate > 10*e6Rate {
+				if rate := float64(total) / n / rounds; rate > stormRate {
 					var sb strings.Builder
 					for r := core.Rule(0); r < core.NumRules; r++ {
 						if d := after[r] - before[r]; d > 0 {
 							fmt.Fprintf(&sb, "\n  %-20s %8d  %.2f", r, d, float64(d)/n/rounds)
 						}
 					}
-					t.Logf("cycle %d: %.0f rule firings per node per round over %.0f rounds (E6: %.2f); per rule:%s",
-						cycle, rate, rounds, e6Rate, sb.String())
+					t.Errorf("cycle %d: %.0f rule firings per node per round over %.0f rounds (at most %d); per rule:%s",
+						cycle, rate, rounds, stormRate, sb.String())
 				}
 			}
 

@@ -14,6 +14,13 @@
 // and talks to the supervisor through the four label-acquisition actions
 // (i)–(iv) of Section 3.2.1.
 //
+// One departure from Algorithm 1: a Linearize carries its sender's tuple,
+// and the receiver drops the delegated candidate unless its own position
+// lies strictly between the sender's and the candidate's. Every hop then
+// moves the candidate strictly closer, so a candidate dies within one lap
+// of a cycle of survivors closed by a stale label instead of circulating
+// until a timeout breaks the cycle (Subscriber.onLinearizeMsg).
+//
 // Every stabilization action is a named Rule, counted each time it fires
 // (Client.RuleCounts, cluster.Live.RuleCounts, golden section E14). A rule
 // that sends counts once per message sent; the others count once per

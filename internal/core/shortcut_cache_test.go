@@ -226,7 +226,7 @@ func TestShortcutSkipRandomInputs(t *testing.T) {
 			case 2:
 				w.msg(peer(), proto.Introduce{C: tuple(), Flag: flag()})
 			case 3:
-				w.msg(peer(), proto.Linearize{V: tuple()})
+				w.msg(peer(), proto.Linearize{V: tuple(), From: tuple()})
 			case 4:
 				w.msg(peer(), proto.RemoveConnections{V: peer()})
 			case 5:

@@ -625,7 +625,7 @@ func (s *Subscriber) OnMessage(ctx sim.Context, m sim.Message) {
 	case proto.Introduce:
 		s.handleIntroduce(ctx, b.C, b.Flag)
 	case proto.Linearize:
-		s.onLinearizeMsg(ctx, b.V)
+		s.onLinearizeMsg(ctx, b)
 	case proto.RemoveConnections:
 		s.removeConnections(b.V)
 	case proto.IntroduceShortcut:
@@ -829,9 +829,25 @@ func (s *Subscriber) refuse(ctx sim.Context, ref sim.NodeID) {
 	}
 }
 
-func (s *Subscriber) onLinearizeMsg(ctx sim.Context, v proto.Tuple) {
+// onLinearizeMsg processes a delegated candidate. Departure from
+// Algorithm 1: the candidate is dropped unless our position lies strictly
+// between the sender's and the candidate's. A sender delegates toward the
+// neighbour it believes nearer than the candidate on the candidate's side,
+// so on a consistent list every delegation passes; one that does not was
+// routed by a stale label. Own labels change only through SetData, so
+// along any chain of accepted hops the position moves strictly toward the
+// candidate, and a candidate can no longer lap a cycle of survivors closed
+// by one stale label — before, only a timeout-driven Check, Introduce or
+// SetData ended such a cycle. The stale label itself is corrected by the
+// next timeout's Check, as before.
+func (s *Subscriber) onLinearizeMsg(ctx sim.Context, m proto.Linearize) {
+	v := m.V
 	if s.lab.IsBottom() {
 		s.refuse(ctx, v.Ref)
+		return
+	}
+	me, fp, cp := s.selfPos(), tuplePos(m.From), tuplePos(v)
+	if !(fp.less(me) && me.less(cp)) && !(cp.less(me) && me.less(fp)) {
 		return
 	}
 	s.correctStoredLabel(v)
@@ -984,9 +1000,9 @@ func (s *Subscriber) linearize(ctx sim.Context, c proto.Tuple) {
 		// c lies strictly between the occupant and us: adopt it and
 		// delegate the occupant toward it.
 		s.setSlot(&s.nb[d], c)
-		s.send(ctx, RuleDelegateDisplaced, c.Ref, proto.Linearize{V: o})
+		s.send(ctx, RuleDelegateDisplaced, c.Ref, proto.Linearize{V: o, From: s.selfTuple()})
 	case c.Ref != o.Ref:
-		s.send(ctx, RuleDelegateCandidate, o.Ref, proto.Linearize{V: c})
+		s.send(ctx, RuleDelegateCandidate, o.Ref, proto.Linearize{V: c, From: s.selfTuple()})
 	}
 	// Otherwise c is the occupant, its label already corrected above.
 }

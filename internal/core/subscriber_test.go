@@ -165,7 +165,7 @@ func TestLinearizeAdoptAndDelegate(t *testing.T) {
 		t.Fatalf("delegation = %v", msgs)
 	}
 	lin, ok := msgs[0].Body.(proto.Linearize)
-	if !ok || lin.V != tup("0001", 11) {
+	if !ok || lin.V != tup("0001", 11) || lin.From != tup("01", 10) {
 		t.Fatalf("delegated %v", msgs[0].Body)
 	}
 	// 00001 (1/32) is farther than the current left: delegated toward it.
@@ -523,8 +523,9 @@ func TestCorrectStoredLabelClearsStaleShortcutSlots(t *testing.T) {
 	s.OnMessage(c, sim.Message{From: 99, Topic: tp, Body: proto.IntroduceShortcut{T: tup("001", 20)}})
 	c.Take()
 	// …but node 20 actually carries label 00011: any introduction carrying
-	// its true label must clear the stale slot.
-	s.OnMessage(c, sim.Message{From: 20, Topic: tp, Body: proto.Linearize{V: tup("00011", 20)}})
+	// its true label must clear the stale slot — here a delegation from our
+	// right neighbour, which we lie between it and 20.
+	s.OnMessage(c, sim.Message{From: 12, Topic: tp, Body: proto.Linearize{V: tup("00011", 20), From: tup("0101", 12)}})
 	if got := s.Shortcuts()[label.MustParse("001")]; got != sim.None {
 		t.Fatalf("stale shortcut slot kept ref %d", got)
 	}
@@ -548,5 +549,49 @@ func TestClientRejectsForeignTopicTraffic(t *testing.T) {
 	cl.OnMessage(c, sim.Message{From: 11, Topic: 9, Body: proto.PublishNew{}})
 	if msgs := c.Take(); len(msgs) != 0 {
 		t.Fatalf("pub traffic answered: %v", msgs)
+	}
+}
+
+// A delegated candidate dies within one lap of a cycle closed by a stale
+// label, with no timeout to break it. The captured 3-cycle: 71 (own label
+// 1101) → 73 (11011) → 63 (111) → 71, candidate 69 at 1111. Node 63
+// stores 71 under the stale label 11101, so from 63's side 71 lies past it
+// toward the candidate, and the delegation returns to 71 — which used to
+// send it round again forever. Now 71 drops it.
+func TestLinearizeCycleDiesWithinOneLap(t *testing.T) {
+	subs := map[sim.NodeID]*Subscriber{}
+	ctxs := map[sim.NodeID]*simtest.Ctx{}
+	for id, st := range map[sim.NodeID][3]proto.Tuple{
+		71: {tup("1101", 71), {}, tup("11011", 73)},
+		73: {tup("11011", 73), tup("1101", 71), tup("111", 63)},
+		63: {tup("111", 63), tup("11011", 73), tup("11101", 71)},
+	} {
+		subs[id], ctxs[id] = newSub(id)
+		subs[id].ForceState(st[0].L, st[1], st[2], proto.Tuple{}, nil)
+	}
+	subs[71].linearize(ctxs[71], tup("1111", 69))
+	const k = 3
+	var hops []sim.NodeID
+	quiet := false
+	for step := 0; step < 100 && !quiet; step++ {
+		var msgs []sim.Message
+		for _, id := range []sim.NodeID{63, 71, 73} {
+			msgs = append(msgs, ctxs[id].Take()...)
+		}
+		quiet = len(msgs) == 0
+		for _, m := range msgs {
+			if lin, ok := m.Body.(proto.Linearize); ok && lin.V.Ref == 69 {
+				hops = append(hops, m.To)
+			}
+			subs[m.To].OnMessage(ctxs[m.To], m)
+		}
+	}
+	if !quiet || len(hops) > k {
+		t.Fatalf("candidate made %d hops (%v…), want at most %d", len(hops), hops[:min(len(hops), 9)], k)
+	}
+	for id, s := range subs {
+		if s.Right().Ref == 69 {
+			t.Fatalf("node %d adopted the candidate past its stale neighbour", id)
+		}
 	}
 }

@@ -111,10 +111,14 @@ type Introduce struct {
 	Flag Flag
 }
 
-// Linearize delegates a node reference along the sorted list (the
+// Linearize delegates a node reference V along the sorted list (the
 // BuildList protocol of Onus et al., extended with label correction).
+// From is the sender's own tuple: the receiver accepts V only if its own
+// position lies strictly between From and V, so a delegation always moves
+// toward V (see package core).
 type Linearize struct {
-	V Tuple
+	V    Tuple
+	From Tuple
 }
 
 // RemoveConnections asks the receiver to delete every edge it stores to

@@ -87,7 +87,7 @@ func genBody(sel uint8, tp *tape) any {
 	case 5:
 		return proto.Introduce{C: tp.tuple(), Flag: tp.flag()}
 	case 6:
-		return proto.Linearize{V: tp.tuple()}
+		return proto.Linearize{V: tp.tuple(), From: tp.tuple()}
 	case 7:
 		return proto.RemoveConnections{V: tp.node()}
 	case 8:

@@ -161,8 +161,12 @@ var registry = map[uint64]entry{
 		},
 		func(d *dec) any { return proto.Introduce{C: d.tuple(), Flag: d.flag()} }},
 	tagLinearize: {"proto.Linearize", proto.Linearize{},
-		func(e *enc, b any) { e.tuple(b.(proto.Linearize).V) },
-		func(d *dec) any { return proto.Linearize{V: d.tuple()} }},
+		func(e *enc, b any) {
+			m := b.(proto.Linearize)
+			e.tuple(m.V)
+			e.tuple(m.From)
+		},
+		func(d *dec) any { return proto.Linearize{V: d.tuple(), From: d.tuple()} }},
 	tagRemoveConnections: {"proto.RemoveConnections", proto.RemoveConnections{},
 		func(e *enc, b any) { e.node(b.(proto.RemoveConnections).V) },
 		func(d *dec) any { return proto.RemoveConnections{V: d.node()} }},

@@ -28,7 +28,7 @@ var sampleBodies = []any{
 	proto.SetData{Pred: tup("01", 4), Label: lbl("11"), Succ: proto.Tuple{}},
 	proto.Check{Sender: tup("011", 9), YourLabel: lbl("0"), Flag: proto.CYC},
 	proto.Introduce{C: tup("1", 5), Flag: proto.LIN},
-	proto.Linearize{V: tup("001", 8)},
+	proto.Linearize{V: tup("001", 8), From: tup("1", 3)},
 	proto.RemoveConnections{V: 3},
 	proto.IntroduceShortcut{T: tup("101", 6)},
 	proto.CheckTrie{Sender: 4, Nodes: []proto.NodeSummary{
