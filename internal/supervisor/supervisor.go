@@ -225,13 +225,27 @@ func (db *topicDB) reindex(v sim.NodeID) {
 
 // screen checks the entry at label l for the cull screen, so neither dirty
 // nor byID is trusted forever: a gap below n, a ⊥ subscriber or a hint db
-// contradicts marks the database dirty, and the hint is rebuilt. It returns
-// the subscriber for the detector to screen, or ⊥.
+// contradicts marks the database dirty, and the hint is rebuilt. A
+// duplicated subscriber is repaired on the spot (CheckMultipleCopies). It
+// returns the subscriber for the detector to screen, or ⊥ — also when the
+// repair removed the copy at l.
+//
+// Departure from Algorithm 3, which runs CheckMultipleCopies(v) only when
+// v itself sends Subscribe, Unsubscribe or GetConfiguration: a settled
+// subscriber rarely asks, so a duplicate used to survive for a geometric
+// number of rounds (thousands at n = 64). The screen visits every entry
+// once per n/CullPerTimeout timeouts, which bounds the wait to one lap.
 func (db *topicDB) screen(l label.Label) sim.NodeID {
 	v, ok := db.db[l]
 	if !ok || v == sim.None {
 		db.dirty = true
 		return sim.None
+	}
+	if db.dup[v] {
+		db.checkMultipleCopies(v)
+		if db.db[l] != v {
+			return sim.None
+		}
 	}
 	if h, ok := db.byID[v]; !ok || db.db[h] != v || (h != l && !db.dup[v]) {
 		db.reindex(v)

@@ -369,3 +369,29 @@ func TestStaleIDHintRepaired(t *testing.T) {
 		t.Fatalf("database corrupted: %v", s.Snapshot(tp))
 	}
 }
+
+// A duplicate alone — corruption case (ii) with every label l(0 … n−1)
+// present, so CheckLabels finds nothing to do — is repaired by the cull
+// screen within two laps, even though the duplicated subscriber never
+// sends a request (Algorithm 3 repairs duplicates only on request).
+func TestScreenRepairsDuplicate(t *testing.T) {
+	const n = 8
+	s := New(1, nil)
+	c := simtest.NewCtx(1)
+	for i := sim.NodeID(0); i < n; i++ {
+		sub(t, s, c, 10+i)
+	}
+	s.InjectRaw(tp, label.FromIndex(n), 12) // 12 also at l(2)
+	if !s.Corrupted(tp) {
+		t.Fatal("injected duplicate left a valid database")
+	}
+	for i := 0; i < 2*(n+1); i++ {
+		s.OnTimeout(c)
+		c.Take()
+		if !s.Corrupted(tp) {
+			t.Logf("duplicate repaired after %d timeouts", i+1)
+			return
+		}
+	}
+	t.Fatalf("duplicate of 12 survives two screen laps: %v", s.Snapshot(tp))
+}
