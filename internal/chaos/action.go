@@ -42,14 +42,16 @@ const (
 	// GarbageTraffic sends Count corrupted protocol messages (stale
 	// tuples, wrong labels, bogus trie summaries) to random members.
 	GarbageTraffic
-	// CorruptStates overwrites every member's ring/shortcut state with
-	// pseudo-random garbage (Section 3.2's arbitrary states).
+	// CorruptStates overwrites every member's ring/shortcut state and
+	// publication-key clock with pseudo-random garbage (Section 3.2's
+	// arbitrary states).
 	CorruptStates
 	// CorruptDB injects the four supervisor-database corruption cases of
 	// Section 3.1.
 	CorruptDB
-	// CorruptTries inserts Count fabricated publications directly into
-	// random members' tries, forcing divergence only anti-entropy can heal.
+	// CorruptTries inserts Count fabricated publications, with random
+	// clock buckets, directly into random members' tries, forcing
+	// divergence only anti-entropy can heal.
 	CorruptTries
 	// SplitStates forces members into K self-consistent unrecorded chains
 	// and wipes the database (the hard case of Section 3.2.1).

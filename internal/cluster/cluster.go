@@ -106,7 +106,10 @@ func NewSubstrate(kind string, seed int64, interval time.Duration) (Substrate, e
 // inline on the driver goroutine, owns no goroutines and needs no Close.
 // Below the scale harness' populations a lookahead window holds too little
 // work to share — a second worker only adds barrier cost (6.7× slower at
-// n = 8, no faster at n = 2 048 on the reference box).
+// n = 8; at n = 2 048 `srsim scale` runs every phase equally fast on one
+// worker and on two, on the 2-core reference box). Two workers first pay
+// at about 10^4 subscribers (1.4–1.7× per phase there), far above any
+// population this constructor serves.
 func newEngine(seed int64) *psim.Engine {
 	return psim.New(psim.Options{Seed: seed, Workers: 1})
 }

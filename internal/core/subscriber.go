@@ -847,7 +847,7 @@ func (s *Subscriber) onLinearizeMsg(ctx sim.Context, m proto.Linearize) {
 		return
 	}
 	me, fp, cp := s.selfPos(), tuplePos(m.From), tuplePos(v)
-	if !(fp.less(me) && me.less(cp)) && !(cp.less(me) && me.less(fp)) {
+	if between := fp.less(me) && me.less(cp) || cp.less(me) && me.less(fp); !between {
 		return
 	}
 	s.correctStoredLabel(v)

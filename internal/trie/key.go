@@ -25,10 +25,10 @@
 // clock bucket, a per-topic counter every subscriber advances once per
 // timeout and max-merges from the keys it stores (pubsub.Engine). A fresh
 // publication therefore lands next to the ones before it, so its insert
-// walk stays in cache, and the smallest key is the oldest publication, so
-// a capped history evicts the oldest. The costs:
-//   - uniqueness holds per bucket: B publications in one bucket collide
-//     with probability about B²/2^41;
+// walk stays in cache, and the smallest keys belong to the oldest bucket,
+// so a capped history evicts the oldest first. The costs:
+//   - keys can collide only within a bucket, and B publications in one
+//     bucket collide with probability about B²/2^41;
 //   - buckets compare mod 2^(m−40), so the order wraps after 2^24
 //     intervals at m = 64 (46.6 h at a 10 ms interval);
 //   - the same (origin, payload) published in a later bucket has a
