@@ -315,13 +315,13 @@ func (e *Engine) checkTrie(ctx sim.Context, sender sim.NodeID, nodes []proto.Nod
 	for _, ns := range nodes {
 		v := e.t.Find(ns.Label)
 		if v != nil {
-			if v.Digest() == ns.Hash {
+			if e.t.Digest(v) == ns.Hash {
 				continue // subtries equal
 			}
 			if !v.IsLeaf() {
 				ctx.Send(sender, e.cfg.Topic, proto.CheckTrie{
 					Sender: e.cfg.Self,
-					Nodes:  []proto.NodeSummary{v.Child[0].Summary(), v.Child[1].Summary()},
+					Nodes:  []proto.NodeSummary{e.t.Summary(e.t.Child(v, 0)), e.t.Summary(e.t.Child(v, 1))},
 				})
 			}
 			// Leaf with differing hash cannot happen under a
@@ -336,7 +336,7 @@ func (e *Engine) checkTrie(ctx sim.Context, sender sim.NodeID, nodes []proto.Nod
 			missing := trie.AppendBit(ns.Label, 1-b1)
 			ctx.Send(sender, e.cfg.Topic, proto.CheckAndPublish{
 				Sender: e.cfg.Self,
-				Nodes:  []proto.NodeSummary{c.Summary()},
+				Nodes:  []proto.NodeSummary{e.t.Summary(c)},
 				Prefix: missing,
 			})
 		} else {

@@ -186,9 +186,10 @@ func TestDigestRepairsOnRead(t *testing.T) {
 	u, v, uc, vc := pair(3)
 	seed(u, "000", "010", "100", "101")
 	seed(v, "000", "010", "100", "101")
-	inner := v.Trie().Root().Child[0] // node 0
+	vt := v.Trie()
+	inner := vt.Child(vt.Root(), 0) // node 0
 	inner.Hash[0] ^= 0xFF
-	inner.Child[0].Hash[5] ^= 0x01 // leaf 000
+	vt.Child(inner, 0).Hash[5] ^= 0x01 // leaf 000
 	if u.Trie().Equal(v.Trie()) || v.Trie().CheckInvariants() == "" {
 		t.Fatal("the corruption must be visible")
 	}

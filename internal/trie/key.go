@@ -11,6 +11,18 @@
 // picks the keys; the threat model here is transient faults, as for the
 // supervisor's replica digest, which folds the same way.
 //
+// Storage: the trie only grows (Theorem 17: "no publish messages are
+// deleted"), so on an uncapped topic it is most of a subscriber's heap.
+// Each trie therefore keeps its nodes by value in a slab of chunks that
+// double in size and never move, addressed by uint32 references. A Node
+// holds no pointers — its children are references and a leaf's payload
+// string sits in a parallel table — so the garbage collector allocates the
+// node chunks as pointer-free memory and never scans them; the payload
+// strings are the only pointers left. DeleteMin returns its two slots to a
+// free list that Insert reuses, so a capped trie's slab plateaus.
+// CheckInvariants reports a child reference outside the slab instead of
+// following it.
+//
 // Keys are h̄_m(origin, payload): a collision-resistant hash (SHA-256,
 // truncated to the configured width m ≤ 64) of the publishing node's unique
 // ID and the payload, so every key has the same length and keys identify

@@ -4,10 +4,12 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"strings"
 	"unsafe"
 
 	"sspubsub/internal/proto"
+	"sspubsub/internal/sim"
 )
 
 // Node is one Patricia-trie node. Invariants (Section 4.2):
@@ -21,17 +23,24 @@ import (
 //
 // Insert and DeleteMin keep the digests incrementally: one SHA-256 per
 // operation, XORed into every node on the path they already walk. Every
-// digest anti-entropy reads (Digest, Summary) is first recomputed in O(1)
-// from the node's children, or for a leaf from its key, so a corrupted
-// digest is repaired by the first probe that descends through it.
+// digest anti-entropy reads (Trie.Digest, Trie.Summary) is first recomputed
+// in O(1) from the node's children, or for a leaf from its key, so a
+// corrupted digest is repaired by the first probe that descends through it.
+//
+// A Node lives by value in its trie's slab (see Trie) and holds no
+// pointers: its children are slab references and a leaf's payload sits in
+// the slab's parallel string table, so the garbage collector never scans
+// the nodes. TestNodeHoldsNoPointers keeps it that way.
 type Node struct {
 	Label Key
 	Hash  [16]byte
-	// Child holds the two subtries of an inner node, indexed by the first
-	// bit after Label; both nil for leaves.
-	Child [2]*Node
-	// Pub is the stored publication (leaves only).
-	Pub proto.Publication
+	// origin is the stored publication's publisher (leaves only); its key
+	// is Label.
+	origin sim.NodeID
+	// child holds the slab references of an inner node's two subtries,
+	// indexed by the first bit after Label; both 0 ("none") for leaves. A
+	// freed slot threads the free list through child[0].
+	child [2]uint32
 	// leaves counts the publications stored in this subtree, so prefix
 	// collection can size its result exactly instead of growing it.
 	leaves int32
@@ -45,31 +54,38 @@ type Node struct {
 func (n *Node) Leaves() int { return int(n.leaves) }
 
 // IsLeaf reports whether n stores a publication.
-func (n *Node) IsLeaf() bool { return n.Child[0] == nil }
+func (n *Node) IsLeaf() bool { return n.child[0] == 0 }
 
-// Digest recomputes n's digest from its children (a leaf: from its key),
-// stores it and returns it.
-func (n *Node) Digest() [16]byte {
-	if n.IsLeaf() {
-		n.Hash = leafHash(n.Label)
-	} else {
-		n.Hash = xor16(n.Child[0].Hash, n.Child[1].Hash)
-	}
-	return n.Hash
-}
+// The slab: slot references run 1, 2, 3, … (0 is "none"), and chunk k
+// holds the 2^k references [2^k, 2^(k+1)), so a trie of one publication
+// costs one slot and reference r lives in chunk bits.Len(r) − 1. A chunk
+// is allocated once and never moves. maxChunk caps a chunk at 2^30 slots,
+// which keeps every reference inside uint32.
+const maxChunk = 1 << 30
 
-// Summary returns the (label, digest) pair sent in CheckTrie messages, the
-// digest recomputed first (see Digest).
-func (n *Node) Summary() proto.NodeSummary {
-	return proto.NodeSummary{Label: n.Label, Hash: n.Digest()}
+// chunk is one slab allocation: nodes holds no pointers, and pays[i] is the
+// payload of the leaf in nodes[i] ("" for inner and free slots).
+type chunk struct {
+	nodes []Node
+	pays  []string
 }
 
 // Trie is a hashed Patricia trie over fixed-width keys. The zero value is
 // not usable; call New.
+//
+// Its nodes live by value in a slab of chunks that double in size, so
+// storing a publication allocates nothing once the slab has room, and the
+// garbage collector scans only the payload strings, never the nodes. A
+// *Node handed out (Root, Find, Child) stays valid until the next
+// DeleteMin, whose two freed slots go on a free list that Insert reuses
+// first, so a capped trie's slab stops growing.
 type Trie struct {
-	keyLen uint8
-	root   *Node
+	chunks []chunk
 	size   int
+	root   uint32 // 0 for an empty trie
+	top    uint32 // slots handed out so far: the slab's high-water
+	free   uint32 // head of the free list, 0 when empty
+	keyLen uint8
 }
 
 // New creates an empty trie for keys of width m bits (1 ≤ m ≤ 64).
@@ -86,15 +102,90 @@ func (t *Trie) KeyLen() uint8 { return t.keyLen }
 // Len returns the number of stored publications.
 func (t *Trie) Len() int { return t.size }
 
+// locate maps slot reference r ≥ 1 to its chunk and offset.
+func locate(r uint32) (k int, off uint32) {
+	k = bits.Len32(r) - 1
+	return k, r - 1<<k
+}
+
+// at returns the node in slot r ≥ 1.
+func (t *Trie) at(r uint32) *Node {
+	k, off := locate(r)
+	return &t.chunks[k].nodes[off]
+}
+
+// node returns the node in slot r, nil for r = 0.
+func (t *Trie) node(r uint32) *Node {
+	if r == 0 {
+		return nil
+	}
+	return t.at(r)
+}
+
+// pub rebuilds the publication stored in leaf slot r.
+func (t *Trie) pub(r uint32) proto.Publication {
+	k, off := locate(r)
+	c := &t.chunks[k]
+	n := &c.nodes[off]
+	return proto.Publication{Key: n.Label, Origin: n.origin, Payload: c.pays[off]}
+}
+
+// alloc hands out a slot: the free list's head, else the next fresh slot,
+// opening a chunk when the fresh slot is the first of one.
+func (t *Trie) alloc() uint32 {
+	if r := t.free; r != 0 {
+		t.free = t.at(r).child[0]
+		return r
+	}
+	t.top++
+	if r := t.top; r&(r-1) == 0 { // chunk k starts at reference 2^k
+		if r > maxChunk {
+			panic("trie: slab full")
+		}
+		t.chunks = append(t.chunks, chunk{nodes: make([]Node, r), pays: make([]string, r)})
+	}
+	return t.top
+}
+
+// release pushes slot r onto the free list and drops its payload, so the
+// string is not kept alive by a dead slot.
+func (t *Trie) release(r uint32) {
+	k, off := locate(r)
+	c := &t.chunks[k]
+	c.pays[off] = ""
+	c.nodes[off].child[0] = t.free
+	t.free = r
+}
+
 // Root returns the root node, or nil for an empty trie.
-func (t *Trie) Root() *Node { return t.root }
+func (t *Trie) Root() *Node { return t.node(t.root) }
+
+// Child returns the subtrie of inner node n under bit b, nil for a leaf.
+func (t *Trie) Child(n *Node, b uint8) *Node { return t.node(n.child[b&1]) }
+
+// Digest recomputes n's digest from its children (a leaf: from its key),
+// stores it and returns it.
+func (t *Trie) Digest(n *Node) [16]byte {
+	if n.IsLeaf() {
+		n.Hash = leafHash(n.Label)
+	} else {
+		n.Hash = xor16(t.at(n.child[0]).Hash, t.at(n.child[1]).Hash)
+	}
+	return n.Hash
+}
+
+// Summary returns the (label, digest) pair sent in CheckTrie messages, the
+// digest recomputed first (see Digest).
+func (t *Trie) Summary(n *Node) proto.NodeSummary {
+	return proto.NodeSummary{Label: n.Label, Hash: t.Digest(n)}
+}
 
 // RootSummary returns the root's summary; ok is false for an empty trie.
 func (t *Trie) RootSummary() (proto.NodeSummary, bool) {
-	if t.root == nil {
+	if t.root == 0 {
 		return proto.NodeSummary{}, false
 	}
-	return t.root.Summary(), true
+	return t.Summary(t.at(t.root)), true
 }
 
 func leafHash(k Key) [16]byte {
@@ -131,23 +222,33 @@ func (t *Trie) InsertFlood(p proto.Publication) (added, forward bool) {
 	return t.insert(p, true)
 }
 
+// newLeaf stores p in a fresh slot and returns its reference.
+func (t *Trie) newLeaf(p proto.Publication, h [16]byte, flood bool) uint32 {
+	r := t.alloc()
+	k, off := locate(r)
+	c := &t.chunks[k]
+	c.nodes[off] = Node{Label: p.Key, Hash: h, origin: p.Origin, leaves: 1, flooded: flood}
+	c.pays[off] = p.Payload
+	return r
+}
+
 func (t *Trie) insert(p proto.Publication, flood bool) (added, forward bool) {
 	if p.Key.Len != t.keyLen {
 		panic(fmt.Sprintf("trie: key width %d, trie width %d", p.Key.Len, t.keyLen))
 	}
-	if t.root == nil {
-		t.root = &Node{Label: p.Key, Hash: leafHash(p.Key), Pub: p, leaves: 1, flooded: flood}
+	if t.root == 0 {
+		t.root = t.newLeaf(p, leafHash(p.Key), flood)
 		t.size++
 		return true, flood
 	}
 	// Walk down, remembering the path for the digest update. Keys are at
 	// most 64 bits wide, so the path fits a fixed stack buffer — no
-	// per-insert slice.
+	// per-insert slice. link is the reference that points at cur; chunks
+	// never move, so it survives the allocations below.
 	var pathBuf [64]*Node
 	path := pathBuf[:0]
-	cur := t.root
-	var parent *Node
-	var parentIdx uint8
+	link := &t.root
+	cur := t.at(t.root)
 	for {
 		lcp := LCP(p.Key, cur.Label)
 		if lcp.Len == cur.Label.Len {
@@ -157,27 +258,20 @@ func (t *Trie) insert(p proto.Publication, flood bool) (added, forward bool) {
 				return false, forward
 			}
 			path = append(path, cur)
-			parent = cur
-			parentIdx = KeyBit(p.Key, cur.Label.Len)
-			cur = cur.Child[parentIdx]
+			link = &cur.child[KeyBit(p.Key, cur.Label.Len)]
+			cur = t.at(*link)
 			continue
 		}
 		// Diverged inside cur.Label: split with a new inner node labelled
-		// with the common prefix. The two nodes are born and die together,
-		// so one allocation carries both.
+		// with the common prefix.
 		h := leafHash(p.Key)
-		pair := &[2]Node{
-			{Label: p.Key, Hash: h, Pub: p, leaves: 1, flooded: flood},
-			{Label: lcp, Hash: xor16(cur.Hash, h), leaves: cur.leaves + 1},
-		}
-		leaf, inner := &pair[0], &pair[1]
-		inner.Child[KeyBit(p.Key, lcp.Len)] = leaf
-		inner.Child[KeyBit(cur.Label, lcp.Len)] = cur
-		if parent == nil {
-			t.root = inner
-		} else {
-			parent.Child[parentIdx] = inner
-		}
+		leaf := t.newLeaf(p, h, flood)
+		r := t.alloc()
+		inner := t.at(r)
+		*inner = Node{Label: lcp, Hash: xor16(cur.Hash, h), leaves: cur.leaves + 1}
+		inner.child[KeyBit(p.Key, lcp.Len)] = leaf
+		inner.child[KeyBit(cur.Label, lcp.Len)] = *link
+		*link = r
 		for _, n := range path {
 			n.Hash = xor16(n.Hash, h)
 			n.leaves++
@@ -188,7 +282,8 @@ func (t *Trie) insert(p proto.Publication, flood bool) (added, forward bool) {
 }
 
 // DeleteMin removes and returns the publication with the smallest key.
-// ok is false for an empty trie.
+// ok is false for an empty trie. The leaf's slot and its parent's go on the
+// free list.
 //
 // This is the eviction primitive for bounded publication stores: evicting
 // by smallest *key* (not insertion order) keeps eviction a pure function of
@@ -196,36 +291,38 @@ func (t *Trie) insert(p proto.Publication, flood bool) (added, forward bool) {
 // publication and their root hashes stay equal — an insertion-order policy
 // would make equal sets hash-unequal forever under anti-entropy.
 func (t *Trie) DeleteMin() (proto.Publication, bool) {
-	if t.root == nil {
+	if t.root == 0 {
 		return proto.Publication{}, false
 	}
-	// The leftmost leaf holds the smallest key: walk() and All() visit
-	// Child[0] first and yield key order.
-	var pathBuf [64]*Node
+	// The leftmost leaf holds the smallest key: All() visits child 0
+	// first and yields key order.
+	var pathBuf [64]uint32
 	path := pathBuf[:0]
-	cur := t.root
-	for !cur.IsLeaf() {
-		path = append(path, cur)
-		cur = cur.Child[0]
+	r := t.root
+	for n := t.at(r); !n.IsLeaf(); n = t.at(r) {
+		path = append(path, r)
+		r = n.child[0]
 	}
-	pub := cur.Pub
+	pub := t.pub(r)
+	t.release(r)
 	t.size--
 	if len(path) == 0 {
-		t.root = nil
+		t.root = 0
 		return pub, true
 	}
 	// Splice out the leaf's parent: its other child takes the parent's
 	// place (an inner node always has exactly two children).
 	parent := path[len(path)-1]
-	sibling := parent.Child[1]
+	sibling := t.at(parent).child[1]
 	if len(path) == 1 {
 		t.root = sibling
 	} else {
-		grand := path[len(path)-2]
-		grand.Child[0] = sibling // parent was reached via Child[0]
+		t.at(path[len(path)-2]).child[0] = sibling // parent was reached via child 0
 	}
-	h := leafHash(cur.Label)
-	for _, n := range path[:len(path)-1] {
+	t.release(parent)
+	h := leafHash(pub.Key)
+	for _, a := range path[:len(path)-1] {
+		n := t.at(a)
 		n.Hash = xor16(n.Hash, h)
 		n.leaves--
 	}
@@ -233,24 +330,21 @@ func (t *Trie) DeleteMin() (proto.Publication, bool) {
 }
 
 // MemoryBytes estimates the resident size of the trie: a full binary tree
-// of 2·size−1 nodes plus the payload strings. Deterministic accounting for
-// the scale harness, not a heap measurement.
+// of 2·size−1 slab slots (a node and its payload string header each) plus
+// the payload bytes. Deterministic accounting for the scale harness, not a
+// heap measurement: the slab's unused capacity is not counted.
 func (t *Trie) MemoryBytes() uint64 {
+	total := uint64(unsafe.Sizeof(*t))
 	if t.size == 0 {
-		return uint64(unsafe.Sizeof(*t))
+		return total
 	}
-	nodes := uint64(2*t.size - 1)
-	total := uint64(unsafe.Sizeof(*t)) + nodes*uint64(unsafe.Sizeof(Node{}))
-	var rec func(n *Node)
-	rec = func(n *Node) {
-		if n.IsLeaf() {
-			total += uint64(len(n.Pub.Payload))
-			return
+	slots := uint64(2*t.size - 1)
+	total += slots * uint64(unsafe.Sizeof(Node{})+unsafe.Sizeof(""))
+	for _, c := range t.chunks {
+		for _, s := range c.pays {
+			total += uint64(len(s))
 		}
-		rec(n.Child[0])
-		rec(n.Child[1])
 	}
-	rec(t.root)
 	return total
 }
 
@@ -262,11 +356,12 @@ func (t *Trie) Has(k Key) bool {
 
 // Get returns the publication stored under k.
 func (t *Trie) Get(k Key) (proto.Publication, bool) {
-	n := t.Find(k)
-	if n == nil || !n.IsLeaf() {
-		return proto.Publication{}, false
+	if r := t.findAtOrBelow(k); r != 0 {
+		if n := t.at(r); n.Label == k && n.IsLeaf() {
+			return t.pub(r), true
+		}
 	}
-	return n.Pub, true
+	return proto.Publication{}, false
 }
 
 // Find returns the node whose label equals l exactly (the paper's
@@ -282,90 +377,91 @@ func (t *Trie) Find(l Key) *Node {
 // FindAtOrBelow returns the node with minimal label length whose label has
 // l as a (not necessarily proper) prefix — the node c of case (iii) in
 // Section 4.2 — or nil if no stored key extends l.
-func (t *Trie) FindAtOrBelow(l Key) *Node {
-	cur := t.root
-	for cur != nil {
+func (t *Trie) FindAtOrBelow(l Key) *Node { return t.node(t.findAtOrBelow(l)) }
+
+func (t *Trie) findAtOrBelow(l Key) uint32 {
+	r := t.root
+	for r != 0 {
+		cur := t.at(r)
 		lcp := LCP(l, cur.Label)
 		switch {
 		case lcp.Len == l.Len:
 			// cur.Label extends (or equals) l: cur is the shallowest such
 			// node, since its parent's label was a proper prefix of l.
-			return cur
+			return r
 		case lcp.Len == cur.Label.Len:
 			// cur.Label is a proper prefix of l: descend.
 			if cur.IsLeaf() {
-				return nil
+				return 0
 			}
-			cur = cur.Child[KeyBit(l, cur.Label.Len)]
+			r = cur.child[KeyBit(l, cur.Label.Len)]
 		default:
-			return nil // diverged strictly inside both
+			return 0 // diverged strictly inside both
 		}
 	}
-	return nil
+	return 0
 }
 
 // CollectPrefix returns all stored publications whose key starts with l,
 // in key order. The result is sized exactly from the subtree's leaf count.
 func (t *Trie) CollectPrefix(l Key) []proto.Publication {
-	n := t.FindAtOrBelow(l)
-	if n == nil {
+	r := t.findAtOrBelow(l)
+	if r == 0 {
 		return nil
 	}
-	out := make([]proto.Publication, 0, n.Leaves())
-	n.walk(func(leaf *Node) { out = append(out, leaf.Pub) })
-	return out
+	return t.appendLeaves(make([]proto.Publication, 0, t.at(r).leaves), r)
 }
 
 // All returns every stored publication in key order.
 func (t *Trie) All() []proto.Publication {
-	if t.root == nil {
+	if t.root == 0 {
 		return nil
 	}
-	out := make([]proto.Publication, 0, t.size)
-	t.root.walk(func(leaf *Node) { out = append(out, leaf.Pub) })
-	return out
+	return t.appendLeaves(make([]proto.Publication, 0, t.size), t.root)
 }
 
-func (n *Node) walk(visit func(*Node)) {
+// appendLeaves appends the publications under slot r to out in key order.
+func (t *Trie) appendLeaves(out []proto.Publication, r uint32) []proto.Publication {
+	n := t.at(r)
 	if n.IsLeaf() {
-		visit(n)
-		return
+		return append(out, t.pub(r))
 	}
-	n.Child[0].walk(visit)
-	n.Child[1].walk(visit)
+	out = t.appendLeaves(out, n.child[0])
+	return t.appendLeaves(out, n.child[1])
 }
 
 // Equal reports whether both tries store the same publication set, by root
 // digest comparison (the legitimate-state test of Theorem 23).
 func (t *Trie) Equal(o *Trie) bool {
-	if t.root == nil || o.root == nil {
-		return t.root == nil && o.root == nil
+	if t.root == 0 || o.root == 0 {
+		return t.root == 0 && o.root == 0
 	}
-	return t.root.Digest() == o.root.Digest()
+	return t.Digest(t.at(t.root)) == o.Digest(o.at(o.root))
 }
 
 // CheckInvariants verifies the structural invariants; it returns a
-// description of the first violation, or "".
+// description of the first violation, or "". A child reference outside the
+// slab is reported, not followed.
 func (t *Trie) CheckInvariants() string {
-	if t.root == nil {
+	if t.root == 0 {
 		if t.size != 0 {
 			return "empty root with nonzero size"
 		}
 		return ""
+	}
+	if t.root > t.top {
+		return fmt.Sprintf("root index %d outside the slab (%d slots)", t.root, t.top)
 	}
 	leaves := 0
 	var rec func(n *Node) string
 	rec = func(n *Node) string {
 		if n.IsLeaf() {
 			leaves++
-			if n.Child[1] != nil {
+			if n.child[1] != 0 {
 				return "leaf with one child"
 			}
 			if n.Label.Len != t.keyLen {
 				return fmt.Sprintf("leaf label %s has wrong width", KeyString(n.Label))
-			}
-			if n.Pub.Key != n.Label {
-				return "leaf label differs from publication key"
 			}
 			if n.Hash != leafHash(n.Label) {
 				return fmt.Sprintf("leaf %s digest is not h(key)", KeyString(n.Label))
@@ -375,15 +471,21 @@ func (t *Trie) CheckInvariants() string {
 			}
 			return ""
 		}
-		if n.Child[1] == nil {
+		if n.child[1] == 0 {
 			return "inner node with one child"
 		}
-		if n.leaves != n.Child[0].leaves+n.Child[1].leaves {
-			return fmt.Sprintf("inner %s leaf count %d ≠ %d + %d", KeyString(n.Label),
-				n.leaves, n.Child[0].leaves, n.Child[1].leaves)
+		for b, r := range n.child {
+			if r > t.top {
+				return fmt.Sprintf("inner %s child %d index %d outside the slab (%d slots)",
+					KeyString(n.Label), b, r, t.top)
+			}
 		}
-		for b := 0; b < 2; b++ {
-			c := n.Child[b]
+		c0, c1 := t.at(n.child[0]), t.at(n.child[1])
+		if n.leaves != c0.leaves+c1.leaves {
+			return fmt.Sprintf("inner %s leaf count %d ≠ %d + %d", KeyString(n.Label),
+				n.leaves, c0.leaves, c1.leaves)
+		}
+		for b, c := range [2]*Node{c0, c1} {
 			if !HasPrefix(c.Label, n.Label) || c.Label.Len <= n.Label.Len {
 				return fmt.Sprintf("child label %s does not extend %s", KeyString(c.Label), KeyString(n.Label))
 			}
@@ -391,18 +493,18 @@ func (t *Trie) CheckInvariants() string {
 				return "child under wrong branch"
 			}
 		}
-		if lcp := LCP(n.Child[0].Label, n.Child[1].Label); lcp != n.Label {
+		if lcp := LCP(c0.Label, c1.Label); lcp != n.Label {
 			return fmt.Sprintf("inner label %s is not the children's LCP %s", KeyString(n.Label), KeyString(lcp))
 		}
-		if n.Hash != xor16(n.Child[0].Hash, n.Child[1].Hash) {
+		if n.Hash != xor16(c0.Hash, c1.Hash) {
 			return fmt.Sprintf("inner %s digest is not the XOR of its children's", KeyString(n.Label))
 		}
-		if msg := rec(n.Child[0]); msg != "" {
+		if msg := rec(c0); msg != "" {
 			return msg
 		}
-		return rec(n.Child[1])
+		return rec(c1)
 	}
-	if msg := rec(t.root); msg != "" {
+	if msg := rec(t.at(t.root)); msg != "" {
 		return msg
 	}
 	if leaves != t.size {
@@ -413,20 +515,21 @@ func (t *Trie) CheckInvariants() string {
 
 // Dump renders the trie structure for debugging and the Figure 2 test.
 func (t *Trie) Dump() string {
-	if t.root == nil {
+	if t.root == 0 {
 		return "(empty)"
 	}
 	var sb strings.Builder
-	var rec func(n *Node, depth int)
-	rec = func(n *Node, depth int) {
+	var rec func(r uint32, depth int)
+	rec = func(r uint32, depth int) {
+		n := t.at(r)
 		sb.WriteString(strings.Repeat("  ", depth))
 		if n.IsLeaf() {
-			fmt.Fprintf(&sb, "leaf %s %q\n", KeyString(n.Label), n.Pub.Payload)
+			fmt.Fprintf(&sb, "leaf %s %q\n", KeyString(n.Label), t.pub(r).Payload)
 			return
 		}
 		fmt.Fprintf(&sb, "node %s\n", KeyString(n.Label))
-		rec(n.Child[0], depth+1)
-		rec(n.Child[1], depth+1)
+		rec(n.child[0], depth+1)
+		rec(n.child[1], depth+1)
 	}
 	rec(t.root, 0)
 	return sb.String()

@@ -80,10 +80,10 @@ func TestFigure2Structure(t *testing.T) {
 	if root.Label != EmptyKey {
 		t.Fatalf("root label %s, want ⊥", KeyString(root.Label))
 	}
-	if got := KeyString(root.Child[0].Label); got != "0" {
+	if got := KeyString(u.Child(root, 0).Label); got != "0" {
 		t.Errorf("left child label %s, want 0", got)
 	}
-	if got := KeyString(root.Child[1].Label); got != "10" {
+	if got := KeyString(u.Child(root, 1).Label); got != "10" {
 		t.Errorf("right child label %s, want 10", got)
 	}
 	// v (missing P4) has children 0 and the leaf 100.
@@ -91,7 +91,7 @@ func TestFigure2Structure(t *testing.T) {
 	for _, p := range []string{"000", "010", "100"} {
 		v.Insert(pub(p))
 	}
-	if got := KeyString(v.Root().Child[1].Label); got != "100" {
+	if got := KeyString(v.Child(v.Root(), 1).Label); got != "100" {
 		t.Errorf("v right child %s, want leaf 100", got)
 	}
 	if u.Equal(v) {
@@ -108,8 +108,8 @@ func TestFigure2Structure(t *testing.T) {
 // Digest recomputes a node's digest in place from its children or key.
 func TestCheckInvariantsDigests(t *testing.T) {
 	for _, corrupt := range []func(*Trie) *Node{
-		func(tr *Trie) *Node { return tr.Root().Child[0] },          // inner node 0
-		func(tr *Trie) *Node { return tr.Root().Child[1].Child[0] }, // leaf 100
+		func(tr *Trie) *Node { return tr.Child(tr.Root(), 0) },              // inner node 0
+		func(tr *Trie) *Node { return tr.Child(tr.Child(tr.Root(), 1), 0) }, // leaf 100
 	} {
 		tr := New(3)
 		for _, p := range []string{"000", "010", "100", "101"} {
@@ -121,7 +121,7 @@ func TestCheckInvariantsDigests(t *testing.T) {
 		if msg := tr.CheckInvariants(); !strings.Contains(msg, "digest") {
 			t.Fatalf("corrupted %s digest not flagged: %q", KeyString(n.Label), msg)
 		}
-		if n.Digest() != good {
+		if tr.Digest(n) != good {
 			t.Fatalf("Digest did not repair %s", KeyString(n.Label))
 		}
 		if msg := tr.CheckInvariants(); msg != "" {
