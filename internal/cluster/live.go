@@ -321,7 +321,7 @@ func (l *Live) FloodTree(t sim.Topic, origin sim.NodeID) (hits map[sim.NodeID]in
 // publications for t.
 func (l *Live) AllHavePubs(t sim.Topic, k int) bool {
 	for _, id := range l.Members(t) {
-		if len(l.Clients[id].Publications(t)) < k {
+		if l.Clients[id].PublicationCount(t) < k {
 			return false
 		}
 	}

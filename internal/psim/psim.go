@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"reflect"
 	"runtime"
 	"sort"
 	"sync"
@@ -209,12 +208,7 @@ type lane struct {
 	dropped   int64
 	// types counts sends by the body's dynamic type; names are resolved
 	// only when read (CountByType, TypeNames).
-	types []typeCount
-}
-
-type typeCount struct {
-	t reflect.Type
-	n int64
+	types sim.TypeTally
 }
 
 // cellOf is the W-grid cell RunUntil chooses for a window whose earliest
@@ -497,7 +491,7 @@ func (e *Engine) Send(m sim.Message) {
 // one message on the lane that owns the sender.
 func (l *lane) send(m sim.Message, from *pnode) {
 	from.sent++
-	l.count(reflect.TypeOf(m.Body))
+	l.types.Add(m.Body)
 	copies, extra := 1, 0.0
 	if f := l.e.fault; f != nil {
 		switch f(m) {
@@ -521,20 +515,6 @@ func (l *lane) send(m sim.Message, from *pnode) {
 			l.outbox[dst] = append(l.outbox[dst], ev)
 		}
 	}
-}
-
-// count adds one send of body type t to the lane's tally.
-func (l *lane) count(t reflect.Type) {
-	for i := range l.types {
-		if l.types[i].t == t {
-			l.types[i].n++
-			if i > 0 { // the busiest types drift to the front
-				l.types[i-1], l.types[i] = l.types[i], l.types[i-1]
-			}
-			return
-		}
-	}
-	l.types = append(l.types, typeCount{t: t, n: 1})
 }
 
 // current is the node registered under id, given the one an event resolved
@@ -578,7 +558,7 @@ func (e *Engine) externalSend(m sim.Message) {
 	e.assertBarrier("Send with unregistered From")
 	dn, d := e.resolve(m.To)
 	e.sentOff[m.From]++
-	e.lanes[d].count(reflect.TypeOf(m.Body))
+	e.lanes[d].types.Add(m.Body)
 	delay := minDelay + float64(e.extRNG.Float64()*(maxDelay-minDelay))
 	e.lanes[d].file(pevent{t: e.now + delay, kind: evDeliver, dst: dn, msg: m, srcLane: extLane, srcSeq: e.extSeq})
 	e.extSeq++
@@ -824,15 +804,6 @@ func (e *Engine) QueueHighWaterBytes() uint64 {
 	return uint64(e.highWater) * uint64(unsafe.Sizeof(pevent{}))
 }
 
-// typeNameOf is sim.TypeName for a body's dynamic type: what
-// fmt.Sprintf("%T", body) prints.
-func typeNameOf(t reflect.Type) string {
-	if t == nil {
-		return "<nil>"
-	}
-	return t.String()
-}
-
 // SentBy returns the number of messages node id has sent so far,
 // including sends of its earlier incarnations.
 func (e *Engine) SentBy(id sim.NodeID) int64 {
@@ -847,11 +818,7 @@ func (e *Engine) SentBy(id sim.NodeID) int64 {
 func (e *Engine) CountByType(typeName string) int64 {
 	var n int64
 	for _, l := range e.lanes {
-		for _, c := range l.types {
-			if typeNameOf(c.t) == typeName {
-				n += c.n
-			}
-		}
+		n += l.types.Count(typeName)
 	}
 	return n
 }
@@ -860,9 +827,7 @@ func (e *Engine) CountByType(typeName string) int64 {
 func (e *Engine) TypeNames() []string {
 	seen := make(map[string]struct{})
 	for _, l := range e.lanes {
-		for _, c := range l.types {
-			seen[typeNameOf(c.t)] = struct{}{}
-		}
+		l.types.EachName(func(name string) { seen[name] = struct{}{} })
 	}
 	out := make([]string, 0, len(seen))
 	for k := range seen {
@@ -877,7 +842,7 @@ func (e *Engine) TypeNames() []string {
 func (e *Engine) ResetCounters() {
 	for _, l := range e.lanes {
 		l.delivered, l.dropped = 0, 0
-		l.types = l.types[:0]
+		l.types.Reset()
 	}
 	for _, n := range e.nodes {
 		n.sent = 0

@@ -14,7 +14,10 @@
 //     "arbitrary initial state" the protocol self-stabilizes from,
 //   - a graceful drain/quiesce barrier (Quiesce) that freezes the whole
 //     system so convergence predicates can read a consistent cross-node
-//     snapshot, then resumes.
+//     snapshot, then resumes,
+//   - send accounting with no runtime-wide lock on the send path: every
+//     node counts its own sends in a tally on its own struct, and only
+//     senders that are not live nodes share the runtime's "off" tally.
 //
 // Protocol nodes implement sim.Handler against sim.Context and run here
 // unchanged.
@@ -61,6 +64,16 @@ type Options struct {
 
 // Runtime executes sim.Handlers live, one goroutine per node. It implements
 // sim.Transport and sim.Detector.
+//
+// Every non-⊥ send is counted by sender and by body type. A live node
+// counts into its own tally, whose lock only its goroutine takes on the
+// hot path (the driver takes it for external sends under that ID and for
+// reads). Everything else counts into the off tally under acctMu: external
+// sends from IDs that are not live nodes, the tallies of stopped nodes
+// (folded in when they stop), and sends a handler makes after Crash
+// returned — stopping a node marks its tally gone, and a gone tally
+// forwards to the off tally. Readers hold mu, so no tally is folded while
+// they sum, and counts stay exact across crash and restart.
 type Runtime struct {
 	opts  Options
 	start time.Time
@@ -97,9 +110,9 @@ type Runtime struct {
 	// an inject.
 	injects atomic.Int64
 
-	acctMu sync.Mutex
-	byType map[string]int64
-	sentBy map[sim.NodeID]int64
+	acctMu  sync.Mutex
+	offType sim.TypeTally
+	offSent map[sim.NodeID]int64
 
 	wg sync.WaitGroup
 }
@@ -111,6 +124,15 @@ type node struct {
 	mbox *mailbox
 	stop chan struct{}
 	rt   *Runtime
+	acct tally
+}
+
+// tally is one node's send accounting.
+type tally struct {
+	mu    sync.Mutex
+	gone  bool // folded into the off tally; later sends count there
+	sent  int64
+	types sim.TypeTally
 }
 
 // NewRuntime creates a concurrent runtime with no nodes.
@@ -124,8 +146,7 @@ func NewRuntime(opts Options) *Runtime {
 		nodes:   make(map[sim.NodeID]*node),
 		crashed: make(map[sim.NodeID]time.Time),
 		seedC:   opts.Seed,
-		byType:  make(map[string]int64),
-		sentBy:  make(map[sim.NodeID]int64),
+		offSent: make(map[sim.NodeID]int64),
 	}
 }
 
@@ -179,12 +200,25 @@ func (r *Runtime) stopNode(id sim.NodeID, crash bool) {
 		if crash {
 			r.crashed[id] = time.Now()
 		}
+		r.retire(n)
 	}
 	r.mu.Unlock()
 	if ok {
 		close(n.stop)
 		n.discard()
 	}
+}
+
+// retire folds a stopped node's tally into the off tally and marks it gone,
+// so sends its handler still makes count there. The caller holds mu.
+func (r *Runtime) retire(n *node) {
+	n.acct.mu.Lock()
+	n.acct.gone = true
+	r.acctMu.Lock()
+	r.offSent[n.id] += n.acct.sent
+	r.offType.Merge(&n.acct.types)
+	r.acctMu.Unlock()
+	n.acct.mu.Unlock()
 }
 
 // Crashed reports whether the node has crashed (and not been restarted).
@@ -211,8 +245,18 @@ func (r *Runtime) Suspects(id sim.NodeID) bool {
 }
 
 // Send routes a message to the target's mailbox. Sends to ⊥, crashed or
-// unknown nodes are dropped, mirroring the paper's failure semantics.
+// unknown nodes are dropped, mirroring the paper's failure semantics. This
+// is the driver's entry point; it counts under m.From's tally when that is a
+// live node.
 func (r *Runtime) Send(m sim.Message) {
+	r.mu.RLock()
+	n := r.nodes[m.From]
+	r.mu.RUnlock()
+	r.send(n, m)
+}
+
+// send routes m, counting it under from's tally (nil: the off tally).
+func (r *Runtime) send(from *node, m sim.Message) {
 	if m.To == sim.None {
 		r.dropped.Add(1)
 		return
@@ -221,10 +265,7 @@ func (r *Runtime) Send(m sim.Message) {
 	// per-sender and per-type accounting means the same thing it does on
 	// the deterministic engine (which also counts at send time and
 	// drops at delivery).
-	r.acctMu.Lock()
-	r.byType[sim.TypeName(m.Body)]++
-	r.sentBy[m.From]++
-	r.acctMu.Unlock()
+	r.count(from, m)
 	copies := 1
 	if fp := r.fault.Load(); fp != nil {
 		switch (*fp)(m) {
@@ -260,6 +301,26 @@ func (r *Runtime) Send(m sim.Message) {
 		}
 		r.Inject(m)
 	}
+}
+
+// count adds m to from's tally, or to the off tally when from is nil or
+// gone.
+func (r *Runtime) count(from *node, m sim.Message) {
+	if from != nil {
+		a := &from.acct
+		a.mu.Lock()
+		if !a.gone {
+			a.sent++
+			a.types.Add(m.Body)
+			a.mu.Unlock()
+			return
+		}
+		a.mu.Unlock()
+	}
+	r.acctMu.Lock()
+	r.offSent[m.From]++
+	r.offType.Add(m.Body)
+	r.acctMu.Unlock()
 }
 
 // SetFault installs (or clears, with nil) the transport-layer fault filter
@@ -309,6 +370,7 @@ func (r *Runtime) Close() {
 	r.closed = true
 	nodes := make([]*node, 0, len(r.nodes))
 	for _, n := range r.nodes {
+		r.retire(n)
 		nodes = append(nodes, n)
 	}
 	r.nodes = make(map[sim.NodeID]*node)
@@ -389,26 +451,53 @@ func (r *Runtime) Delivered() int64 { return r.delivered.Load() }
 // nodes, or discarded when their target stopped).
 func (r *Runtime) Dropped() int64 { return r.dropped.Load() }
 
-// CountByType returns the number of sends per message body type name.
+// CountByType returns the number of sends per message body type name: the
+// off tally plus every live node's.
 func (r *Runtime) CountByType(typeName string) int64 {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
 	r.acctMu.Lock()
-	defer r.acctMu.Unlock()
-	return r.byType[typeName]
-}
-
-// SentBy returns the number of messages node id has sent so far.
-func (r *Runtime) SentBy(id sim.NodeID) int64 {
-	r.acctMu.Lock()
-	defer r.acctMu.Unlock()
-	return r.sentBy[id]
-}
-
-// ResetCounters zeroes the message accounting.
-func (r *Runtime) ResetCounters() {
-	r.acctMu.Lock()
-	r.byType = make(map[string]int64)
-	r.sentBy = make(map[sim.NodeID]int64)
+	c := r.offType.Count(typeName)
 	r.acctMu.Unlock()
+	for _, n := range r.nodes {
+		n.acct.mu.Lock()
+		c += n.acct.types.Count(typeName)
+		n.acct.mu.Unlock()
+	}
+	return c
+}
+
+// SentBy returns the number of messages node id has sent so far,
+// including sends of its earlier incarnations.
+func (r *Runtime) SentBy(id sim.NodeID) int64 {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	r.acctMu.Lock()
+	c := r.offSent[id]
+	r.acctMu.Unlock()
+	if n, ok := r.nodes[id]; ok {
+		n.acct.mu.Lock()
+		c += n.acct.sent
+		n.acct.mu.Unlock()
+	}
+	return c
+}
+
+// ResetCounters zeroes the message accounting: the off tally, every live
+// node's tally, and the delivered and dropped counts.
+func (r *Runtime) ResetCounters() {
+	r.mu.RLock()
+	r.acctMu.Lock()
+	r.offType.Reset()
+	clear(r.offSent)
+	r.acctMu.Unlock()
+	for _, n := range r.nodes {
+		n.acct.mu.Lock()
+		n.acct.sent = 0
+		n.acct.types.Reset()
+		n.acct.mu.Unlock()
+	}
+	r.mu.RUnlock()
 	r.delivered.Store(0)
 	r.dropped.Store(0)
 }
@@ -522,7 +611,7 @@ type nodeCtx struct {
 
 func (c *nodeCtx) Self() sim.NodeID { return c.n.id }
 func (c *nodeCtx) Send(to sim.NodeID, topic sim.Topic, body any) {
-	c.n.rt.Send(sim.Message{To: to, From: c.n.id, Topic: topic, Body: body})
+	c.n.rt.send(c.n, sim.Message{To: to, From: c.n.id, Topic: topic, Body: body})
 }
 func (c *nodeCtx) Rand() *rand.Rand { return c.n.rng }
 func (c *nodeCtx) Now() float64     { return c.n.rt.Now() }

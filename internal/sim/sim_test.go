@@ -5,23 +5,44 @@ import (
 	"testing"
 )
 
-// testBody is deliberately NOT in the wire registry: it exercises the
-// lazily-cached branch of TypeName.
 type testBody struct{ X int }
 
 // TestTypeNameMatchesReflection: TypeName must render exactly what
-// fmt.Sprintf("%T", …) renders, for registered and unregistered types,
-// pointers, and nil.
+// fmt.Sprintf("%T", …) renders, for named and built-in types, pointers,
+// and nil.
 func TestTypeNameMatchesReflection(t *testing.T) {
 	for _, body := range []any{testBody{}, &testBody{}, nil, "str", 42} {
 		want := fmt.Sprintf("%T", body)
 		if got := TypeName(body); got != want {
 			t.Errorf("TypeName(%v) = %q, want %q", body, got, want)
 		}
-		// Second call exercises the cached branch.
-		if got := TypeName(body); got != want {
-			t.Errorf("cached TypeName(%v) = %q, want %q", body, got, want)
+	}
+}
+
+// TestTypeTally: a tally counts by dynamic type under TypeName's names,
+// and Merge and Reset keep the counts exact.
+func TestTypeTally(t *testing.T) {
+	var a, b TypeTally
+	for _, body := range []any{1, "x", 2, nil, testBody{}} {
+		a.Add(body)
+	}
+	b.Add("y")
+	b.Add(&testBody{})
+	a.Merge(&b)
+	want := map[string]int64{"int": 2, "string": 2, "<nil>": 1, "sim.testBody": 1, "*sim.testBody": 1}
+	for name, n := range want {
+		if got := a.Count(name); got != n {
+			t.Errorf("Count(%s) = %d, want %d", name, got, n)
 		}
+	}
+	seen := make(map[string]bool)
+	a.EachName(func(name string) { seen[name] = true })
+	if len(seen) != len(want) {
+		t.Errorf("EachName visited %v, want the %d types counted", seen, len(want))
+	}
+	a.Reset()
+	if a.Count("int") != 0 {
+		t.Error("Reset kept a count")
 	}
 }
 

@@ -1,39 +1,76 @@
 package sim
 
-import (
-	"fmt"
-	"reflect"
-	"sync"
-)
+import "reflect"
 
-// typeNames caches the display name of every message body type the
-// accounting layer has seen (reflect.Type → string). Formatting a type
-// name with fmt.Sprintf("%T", …) allocates on every call, which used to
-// be the single largest per-send cost of the concurrent runtime; the
-// cache makes the steady-state lookup allocation-free. (The deterministic
-// engine counts by reflect.Type and names types only when read.) The wire codec's registry pre-populates it through
-// RegisterTypeName so the accounting names and the codec's canonical
-// self-description come from one table.
-var typeNames sync.Map // reflect.Type (nil for nil bodies) → string
+// TypeName returns the accounting name of a message body, the key
+// CountByType reads: its dynamic type's reflect.Type.String(), or "<nil>"
+// for a nil body — exactly what fmt.Sprintf("%T", body) prints. No send
+// path calls it: a TypeTally counts by reflect.Type and names types only
+// when read.
+func TypeName(body any) string { return nameOf(reflect.TypeOf(body)) }
 
-// TypeName returns the accounting name of a message body — exactly what
-// fmt.Sprintf("%T", body) would produce — from a per-type cache. The
-// first sight of a type formats and caches it; every later call is an
-// allocation-free map read.
-func TypeName(body any) string {
-	t := reflect.TypeOf(body)
-	if s, ok := typeNames.Load(t); ok {
-		return s.(string)
+func nameOf(t reflect.Type) string {
+	if t == nil {
+		return "<nil>"
 	}
-	s := fmt.Sprintf("%T", body)
-	typeNames.Store(t, s)
-	return s
+	return t.String()
 }
 
-// RegisterTypeName seeds the type-name cache. The wire registry calls it
-// for every registered message type so the concurrent runtime's
-// accounting and the codec's tag table share one canonical name per type. name must equal fmt.Sprintf("%T", zero);
-// TypeName would otherwise diverge from its documented contract.
-func RegisterTypeName(zero any, name string) {
-	typeNames.Store(reflect.TypeOf(zero), name)
+// TypeTally counts message bodies by dynamic type, the per-type send
+// accounting of every substrate. Counting compares reflect.Type values in
+// a short list — a protocol has a dozen message types, and the busiest
+// drift to the front — so a send neither formats nor hashes a name. It is
+// not synchronized: the owner keeps it behind its own lock or on its own
+// goroutine. The zero value is an empty tally.
+type TypeTally struct {
+	counts []typeCount
 }
+
+type typeCount struct {
+	t reflect.Type
+	n int64
+}
+
+// Add counts one message body.
+func (c *TypeTally) Add(body any) { c.add(reflect.TypeOf(body), 1) }
+
+func (c *TypeTally) add(t reflect.Type, n int64) {
+	for i := range c.counts {
+		if c.counts[i].t == t {
+			c.counts[i].n += n
+			if i > 0 { // the busiest types drift to the front
+				c.counts[i-1], c.counts[i] = c.counts[i], c.counts[i-1]
+			}
+			return
+		}
+	}
+	c.counts = append(c.counts, typeCount{t: t, n: n})
+}
+
+// Merge adds every count of o to c.
+func (c *TypeTally) Merge(o *TypeTally) {
+	for _, tc := range o.counts {
+		c.add(tc.t, tc.n)
+	}
+}
+
+// Count returns the number of bodies counted whose TypeName is name.
+func (c *TypeTally) Count(name string) int64 {
+	var n int64
+	for _, tc := range c.counts {
+		if nameOf(tc.t) == name {
+			n += tc.n
+		}
+	}
+	return n
+}
+
+// EachName calls f with the TypeName of every type counted.
+func (c *TypeTally) EachName(f func(name string)) {
+	for _, tc := range c.counts {
+		f(nameOf(tc.t))
+	}
+}
+
+// Reset zeroes the tally, keeping its storage.
+func (c *TypeTally) Reset() { c.counts = c.counts[:0] }

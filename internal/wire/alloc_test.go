@@ -139,11 +139,9 @@ func TestArenaBatchDecodeAllocs(t *testing.T) {
 	}
 }
 
-// TestRegistryNamesMatchReflection: the registry's canonical names seed
-// the shared accounting name table (sim.TypeName), so each must equal the
-// %T rendering it replaces — otherwise CountByType keys would silently
-// change meaning. Compared against a fresh Sprintf, not TypeName, since
-// the latter would just echo the seeded value back.
+// TestRegistryNamesMatchReflection: the registry's canonical names must
+// equal the %T rendering and the accounting name (sim.TypeName), so a
+// codec error and a CountByType key name a message type the same way.
 func TestRegistryNamesMatchReflection(t *testing.T) {
 	for tag, ent := range registry {
 		if want := fmt.Sprintf("%T", ent.zero); ent.name != want {

@@ -372,11 +372,7 @@ var tagOf map[reflect.Type]uint64
 
 // init completes the registry with the Batch2 entry (whose encoding
 // recurses through lookupBody, so defining it inside the registry literal
-// would be an initialization cycle), builds the type→tag table, and
-// mirrors the canonical type names into the accounting name cache
-// (sim.TypeName) so the engine's and runtimes' CountByType keys come
-// from this table instead of a per-send fmt.Sprintf. A registry test
-// asserts every name equals the %T rendering it replaces.
+// would be an initialization cycle) and builds the type→tag table.
 func init() {
 	registry[tagBatch2] = entry{"wire.Batch2", Batch2{},
 		func(e *enc, b any) {
@@ -419,7 +415,6 @@ func init() {
 			panic(fmt.Sprintf("wire: type %v registered twice", t))
 		}
 		tagOf[t] = tag
-		sim.RegisterTypeName(ent.zero, ent.name)
 	}
 }
 
