@@ -11,6 +11,7 @@ package main
 //	srsim chaos -scenario=random-ordering -count=60 -seed=1
 //	srsim chaos -scenario=message-reorder -mode=fifo
 //	srsim chaos -scenario=random -seed=1337 -shrink
+//	srsim chaos -scenario=state-corruption -n=8 -seed=3 -trace
 //	srsim chaos -list
 
 import (
@@ -36,10 +37,10 @@ func runChaos(args []string) {
 	seed := fs.Int64("seed", 1, "scenario seed (random scenarios replay exactly from it on -runtime=sim)")
 	count := fs.Int("count", 1, "number of runs; run i uses seed+i-1")
 	interval := fs.Duration("interval", 2*time.Millisecond, "timeout interval (concurrent/net substrates)")
-	rounds := fs.Int("rounds", 0, "convergence budget in intervals (0 = engine default)")
 	shrink := fs.Bool("shrink", false, "on a random-scenario failure, shrink the action list to a minimal failing core (sim runtime only)")
 	list := fs.Bool("list", false, "list named scenarios and exit")
 	verbose := fs.Bool("v", false, "log every applied action")
+	trace := fs.Bool("trace", false, "print every delivered message and timeout to stderr in execution order: time-sorted per lane, lane after lane within each lookahead window (-runtime=sim, -count=1)")
 	failuresOut := fs.String("failures-out", "", "append failing runs as JSON lines to this file (soak artifact)")
 	fs.Parse(args)
 
@@ -50,8 +51,8 @@ func runChaos(args []string) {
 		return
 	}
 
-	// Strict validation, consistent with the one-shot flag checks: a typo
-	// must be loud, not a silently different experiment.
+	// Strict validation: a typo must be loud, not a silently different
+	// experiment.
 	if *n < 3 {
 		fail("-n must be at least 3, got %d", *n)
 	}
@@ -84,6 +85,9 @@ func runChaos(args []string) {
 	if *shrink && (!(random || randomOrdering) || sub != chaos.SubstrateSim) {
 		fail("-shrink requires -scenario=random or -scenario=random-ordering and -runtime=sim (shrinking replays candidate action lists, which is only exact on the deterministic substrate)")
 	}
+	if *trace && (sub != chaos.SubstrateSim || *count != 1) {
+		fail("-trace requires -runtime=sim and -count=1 (live runs have no deterministic event order to trace)")
+	}
 
 	var agg metrics.Convergence
 	failures := 0
@@ -102,8 +106,10 @@ func runChaos(args []string) {
 			ReplicationFactor: *repFactor,
 			Seed:              runSeed,
 			Interval:          *interval,
-			ConvergeRounds:    *rounds,
 			DeliveryMode:      dm,
+		}
+		if *trace {
+			cfg.Trace = os.Stderr
 		}
 		if *verbose {
 			cfg.Log = func(format string, args ...any) {
@@ -129,9 +135,6 @@ func runChaos(args []string) {
 		if *repFactor != 0 {
 			replay += fmt.Sprintf(" -repfactor=%d", *repFactor)
 		}
-		if *rounds != 0 {
-			replay += fmt.Sprintf(" -rounds=%d", *rounds)
-		}
 		if sub != chaos.SubstrateSim {
 			replay += fmt.Sprintf(" -interval=%s", *interval)
 		}
@@ -139,6 +142,7 @@ func runChaos(args []string) {
 		recordFailure(*failuresOut, res)
 		if *shrink && (random || randomOrdering) {
 			fmt.Printf("  shrinking %d actions…\n", len(res.Actions))
+			cfg.Trace = nil // the candidate replays print nothing
 			minimal := chaos.Shrink(res.Actions, func(actions []Action) bool {
 				r := chaos.Run(chaos.Scenario{Name: sc.Name, DeliveryMode: sc.DeliveryMode, Actions: actions}, cfg)
 				return !r.Converged

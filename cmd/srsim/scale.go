@@ -24,8 +24,6 @@ import (
 func runScale(args []string) {
 	fs := flag.NewFlagSet("scale", flag.ExitOnError)
 	sw := sweepFlags(fs)
-	fs.IntVar(&sw.cfg.HistoryCap, "historycap", 0, "per-subscriber publication retention bound (0 = unlimited)")
-	fs.Float64Var(&sw.cfg.CrashFrac, "crash", 0.01, "fraction of subscribers crashed for the stabilization probe")
 	mode := fs.String("mode", "besteffort", "delivery mode: besteffort | fifo | causal (ordered modes time fan-out on actual deliveries)")
 	digest := fs.Bool("digest", false, "print a DIGEST line per point (canonical schedule-determined fields, for divergence diffing)")
 	fs.Parse(args)
@@ -35,9 +33,6 @@ func runScale(args []string) {
 	var err error
 	if sw.cfg.DeliveryMode, err = ordering.ParseMode(*mode); err != nil {
 		fail("scale: %v", err)
-	}
-	if sw.cfg.CrashFrac < 0 || sw.cfg.CrashFrac >= 1 {
-		fail("scale: -crash must be in [0, 1), got %g", sw.cfg.CrashFrac)
 	}
 
 	results := make([]scale.Result, 0, len(ns))
@@ -92,7 +87,7 @@ func runScale(args []string) {
 	}
 	fit("join latency p95", joinP95, "O(log n)")
 	fit("publish fan-out p95", fanP95, "O(log n)")
-	fit("stabilize after 1% crash", stab, "O(n/cull-budget) sweep; ~flat with auto budget")
+	fit("stabilize after 1% crash", stab, "O(n/cull-budget) sweep; ~flat with the n/64 budget")
 	fit("supervisor DB bytes", db, "Θ(n)")
 	fit("joins/s", jps, "per-join work O(log n) → mildly sub-linear decay")
 }

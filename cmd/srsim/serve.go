@@ -18,7 +18,6 @@ type netFlags struct {
 	interval time.Duration
 	timeout  time.Duration
 	seed     int64
-	eventbuf int
 	verbose  bool
 }
 
@@ -31,7 +30,6 @@ func addNetFlags(fs *flag.FlagSet) *netFlags {
 	fs.DurationVar(&nf.interval, "interval", 5*time.Millisecond, "protocol timeout interval")
 	fs.DurationVar(&nf.timeout, "timeout", 60*time.Second, "overall deadline")
 	fs.Int64Var(&nf.seed, "seed", 1, "random seed for protocol coin flips")
-	fs.IntVar(&nf.eventbuf, "eventbuf", 256, "per-subscription event buffer (small values demonstrate the Dropped counter)")
 	fs.BoolVar(&nf.verbose, "v", false, "log connection lifecycle events")
 	return nf
 }
@@ -45,9 +43,6 @@ func (nf *netFlags) validate() {
 	}
 	if nf.waitpubs == 0 {
 		nf.waitpubs = nf.pubs
-	}
-	if nf.eventbuf <= 0 {
-		fail("-eventbuf must be positive, got %d", nf.eventbuf)
 	}
 	if nf.local == 0 && nf.pubs > 0 {
 		fail("-pubs %d requires -local ≥ 1 (publishers are subscribers; pass -pubs 0 to run a relay-only process)", nf.pubs)
@@ -92,7 +87,7 @@ func runServe(args []string) {
 		fatalf("%v", err)
 	}
 	sys := sspubsub.NewSystem(sspubsub.Options{
-		Transport: hub, Interval: nf.interval, Seed: nf.seed, EventBuffer: nf.eventbuf,
+		Transport: hub, Interval: nf.interval, Seed: nf.seed,
 	})
 	defer sys.Close()
 	fmt.Printf("serve: supervisor up on %s, hosting %d local subscribers of topic %q\n",
@@ -144,7 +139,7 @@ func runJoin(args []string) {
 	}
 	sys := sspubsub.NewSystem(sspubsub.Options{
 		Transport: nt, Attach: true, FirstClientID: nt.BaseID(),
-		Interval: nf.interval, Seed: nf.seed, EventBuffer: nf.eventbuf,
+		Interval: nf.interval, Seed: nf.seed,
 	})
 	defer sys.Close()
 	prefix := fmt.Sprintf("join%d", nt.BaseID())

@@ -24,11 +24,7 @@ func sweepFlags(fs *flag.FlagSet) *sweep {
 	s := &sweep{}
 	fs.StringVar(&s.ns, "ns", "1000,10000,100000", "comma-separated subscriber counts to sweep")
 	fs.Int64Var(&s.cfg.Seed, "seed", 1, "random seed (runs are reproducible)")
-	fs.IntVar(&s.cfg.PoolSize, "poolsize", 1024, "virtual subscribers per pool node")
-	fs.IntVar(&s.cfg.CullPerTimeout, "cull", 0, "supervisor cull budget per timeout (0 = auto, n/64)")
-	fs.IntVar(&s.cfg.MaxRounds, "maxrounds", 0, "max rounds per convergence wait (0 = default: 512, failover 8192)")
 	fs.IntVar(&s.cfg.Workers, "workers", 0, "lane workers executing the engine (results are identical for every value); 0 = engine default, one per CPU")
-	fs.IntVar(&s.cfg.Lanes, "lanes", 0, "engine lane count (part of the schedule identity; 0 = default 16)")
 	fs.StringVar(&s.cpuprofile, "cpuprofile", "", "write a CPU profile covering the whole sweep to this file")
 	fs.StringVar(&s.memprofile, "memprofile", "", "write a heap profile (taken after the sweep) to this file")
 	return s

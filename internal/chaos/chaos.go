@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
 	"sync"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"sspubsub/internal/core"
 	"sspubsub/internal/metrics"
 	"sspubsub/internal/ordering"
+	"sspubsub/internal/psim"
 	"sspubsub/internal/runtime/nettransport"
 	"sspubsub/internal/sim"
 )
@@ -42,9 +44,11 @@ func ParseSubstrate(s string) (Substrate, error) {
 
 const (
 	// topic is the one topic every scenario runs on; setupRounds budgets
-	// the unmeasured join-and-converge prologue, in intervals.
-	topic       sim.Topic = 1
-	setupRounds           = 8000
+	// the unmeasured join-and-converge prologue and convergeRounds the
+	// measured post-fault convergence, both in intervals.
+	topic          sim.Topic = 1
+	setupRounds              = 8000
+	convergeRounds           = 8000
 )
 
 // Config parameterizes one scenario run.
@@ -74,9 +78,6 @@ type Config struct {
 	// Interval is the timeout interval on the live substrates
 	// (default 2ms). Ignored on SubstrateSim.
 	Interval time.Duration
-	// ConvergeRounds budgets the measured post-fault convergence
-	// (default 8000 intervals).
-	ConvergeRounds int
 	// DeliveryWave is how many fresh publications are issued after the
 	// faults cease; the delivery-completeness probe requires all of them
 	// at every member (default 3; negative disables).
@@ -95,6 +96,10 @@ type Config struct {
 	// delivery trace after the final probe evaluation (testing hook;
 	// needs an ordered mode or ForceOrderingProbe to have any traces).
 	TraceSink func(map[sim.NodeID][]TraceEntry)
+	// Trace, when non-nil, receives every delivered message and timeout
+	// in the order the deterministic engine executes them. SubstrateSim
+	// only: a live run has no deterministic event order to trace.
+	Trace io.Writer
 	// Log, when non-nil, receives progress lines.
 	Log func(format string, args ...any)
 }
@@ -108,9 +113,6 @@ func (c *Config) fill() {
 	}
 	if c.Interval == 0 {
 		c.Interval = 2 * time.Millisecond
-	}
-	if c.ConvergeRounds == 0 {
-		c.ConvergeRounds = 8000
 	}
 	if c.DeliveryWave == 0 {
 		c.DeliveryWave = 3
@@ -208,9 +210,15 @@ func newEnv(cfg Config) (*env, error) {
 		e.rec = newTraceRec()
 		co.OnDeliverTrace = e.rec.record
 	}
+	if cfg.Trace != nil && cfg.Substrate != SubstrateSim {
+		return nil, fmt.Errorf("chaos: Trace requires the sim substrate, not %s (a live run has no deterministic event order)", cfg.Substrate)
+	}
 	tr, err := cluster.NewSubstrate(string(cfg.Substrate), cfg.Seed, cfg.Interval)
 	if err != nil {
 		return nil, fmt.Errorf("chaos: %w", err)
+	}
+	if cfg.Trace != nil {
+		tr = traced{tr.(*psim.Engine), cfg.Trace}
 	}
 	e.l = cluster.New(tr, cluster.Options{
 		ClientOpts: co, Supervisors: cfg.Supervisors, ReplicationFactor: cfg.ReplicationFactor,
@@ -522,7 +530,7 @@ func Run(sc Scenario, cfg Config) Result {
 	// violation (the system never drained), while a clean snapshot that
 	// finds nothing means the system converged between the last poll and
 	// now (a flaky pass is still a pass).
-	if _, ok := e.l.RunUntil(cfg.ConvergeRounds, func() bool { return e.violation() == "" }); ok {
+	if _, ok := e.l.RunUntil(convergeRounds, func() bool { return e.violation() == "" }); ok {
 		res.Converged = true
 	} else {
 		v := "system did not quiesce for the final probe snapshot"

@@ -340,7 +340,7 @@ func TestReplicaProbeCatchesEraAboveOwner(t *testing.T) {
 	if got := e.violation(); got != want {
 		t.Fatalf("probe reports %q, want %q", got, want)
 	}
-	if _, ok := e.l.RunUntil(cfg.ConvergeRounds, func() bool { return e.violation() == "" }); !ok {
+	if _, ok := e.l.RunUntil(convergeRounds, func() bool { return e.violation() == "" }); !ok {
 		t.Fatalf("never repaired: %s", e.violation())
 	}
 }

@@ -62,7 +62,9 @@
 // failing core: removing any single remaining action makes the failure
 // disappear. A Result encodes to JSON with each action's kind by name
 // ("crash-sup", not its ordinal), so a failing-seed artifact keeps its
-// meaning when the vocabulary changes.
+// meaning when the vocabulary changes. On the deterministic substrate
+// Config.Trace (`srsim chaos -trace`) writes every delivery and timeout in
+// execution order, so two traced runs of one seed are byte-identical.
 //
 // The engine is exposed as `srsim chaos` (see cmd/srsim) and as the
 // chaos_test.go property suite; CI runs the suite on every PR and a long

@@ -1,10 +1,13 @@
 package chaos
 
 import (
+	"fmt"
+	"io"
 	"sync"
 
 	"sspubsub/internal/ordering"
 	"sspubsub/internal/proto"
+	"sspubsub/internal/psim"
 	"sspubsub/internal/sim"
 )
 
@@ -76,4 +79,31 @@ func (r *traceRec) clone() map[sim.NodeID][]TraceEntry {
 		out[id] = append([]TraceEntry(nil), es...)
 	}
 	return out
+}
+
+// traced decorates the deterministic engine for Config.Trace: every handler
+// registered through it writes its deliveries and timeouts to w, in the
+// order the inline engine executes them.
+type traced struct {
+	*psim.Engine
+	w io.Writer
+}
+
+func (t traced) AddNode(id sim.NodeID, h sim.Handler) {
+	t.Engine.AddNode(id, tracedHandler{h, t.w})
+}
+
+type tracedHandler struct {
+	sim.Handler
+	w io.Writer
+}
+
+func (h tracedHandler) OnMessage(ctx sim.Context, m sim.Message) {
+	fmt.Fprintf(h.w, "%.3f deliver %s\n", ctx.Now(), m)
+	h.Handler.OnMessage(ctx, m)
+}
+
+func (h tracedHandler) OnTimeout(ctx sim.Context) {
+	fmt.Fprintf(h.w, "%.3f timeout %d\n", ctx.Now(), ctx.Self())
+	h.Handler.OnTimeout(ctx)
 }

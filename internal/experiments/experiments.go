@@ -226,8 +226,8 @@ const (
 	ScenarioGarbageMsg E5Scenario = "garbage-channels"
 )
 
-// AllScenarios lists the E5 initial states in presentation order.
-var AllScenarios = []E5Scenario{ScenarioFresh, ScenarioCorrupt, ScenarioPartition, ScenarioBadDB, ScenarioGarbageMsg}
+// allScenarios lists the E5 initial states in presentation order.
+var allScenarios = []E5Scenario{ScenarioFresh, ScenarioCorrupt, ScenarioPartition, ScenarioBadDB, ScenarioGarbageMsg}
 
 // E5Row is one (scenario, n) measurement averaged over seeds.
 type E5Row struct {
@@ -250,7 +250,7 @@ const e5TailSeeds = 20
 func E5Convergence(ns []int, seeds int, base int64) ([]E5Row, *metrics.Table) {
 	tb := metrics.NewTable("scenario", "n", "seeds", "avg rounds", "max rounds", "failures")
 	var rows []E5Row
-	for _, sc := range AllScenarios {
+	for _, sc := range allScenarios {
 		k := seeds
 		if sc == ScenarioBadDB {
 			k = max(seeds, e5TailSeeds)
@@ -287,18 +287,17 @@ func runScenario(sc E5Scenario, n int, seed int64) (int, bool) {
 		return c.RunUntilConverged(Topic, n, 5000)
 	}
 	c := mustConverge(n, seed)
-	spent := Inject(c, sc, n, seed)
+	spent := inject(c, sc, n, seed)
 	rounds, ok := c.RunUntilConverged(Topic, n, 20000)
 	return spent + rounds, ok
 }
 
-// Inject puts scenario sc's fault into the converged cluster c and returns
+// inject puts scenario sc's fault into the converged cluster c and returns
 // the rounds it spent doing so. State corruption is instantaneous; garbage
 // is spread over the following round, so that round runs (and counts)
 // before anybody asks whether the system is legitimate — polled at once,
-// the predicate would see the state from before the garbage landed. E5
-// and `srsim -scenario` both inject through it.
-func Inject(c *cluster.Live, sc E5Scenario, n int, seed int64) int {
+// the predicate would see the state from before the garbage landed.
+func inject(c *cluster.Live, sc E5Scenario, n int, seed int64) int {
 	switch sc {
 	case ScenarioCorrupt:
 		c.CorruptSubscriberStates(Topic, c.Rand())

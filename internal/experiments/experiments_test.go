@@ -81,7 +81,7 @@ func TestE5GarbageLandsBeforeThePredicateIsPolled(t *testing.T) {
 	const n = 16
 	c := mustConverge(n, 5)
 	before := c.Delivered()
-	if spent := Inject(c, ScenarioGarbageMsg, n, 5); spent != 1 {
+	if spent := inject(c, ScenarioGarbageMsg, n, 5); spent != 1 {
 		t.Fatalf("garbage injection spent %d rounds, want 1", spent)
 	}
 	if got := c.Delivered() - before; got < 5*n {

@@ -75,8 +75,16 @@ type Options struct {
 // forwards to the off tally. Readers hold mu, so no tally is folded while
 // they sum, and counts stay exact across crash and restart.
 type Runtime struct {
+	// opts, start and fault are read from every node goroutine (every send
+	// reads opts and fault) and written only at construction or by
+	// SetFault, so they fill the struct's first 64 bytes by themselves:
+	// the struct is 248 bytes, allocated from the 256-byte size class, so
+	// that is one cache line, and no counter write below invalidates it.
 	opts  Options
 	start time.Time
+	// fault is the transport-layer fault filter (sim.FaultFunc); it is read
+	// on every Send from arbitrary goroutines, hence the atomic holder.
+	fault atomic.Pointer[sim.FaultFunc]
 
 	mu      sync.RWMutex
 	nodes   map[sim.NodeID]*node
@@ -95,9 +103,6 @@ type Runtime struct {
 
 	delivered atomic.Int64
 	dropped   atomic.Int64
-	// fault is the transport-layer fault filter (sim.FaultFunc); it is read
-	// on every Send from arbitrary goroutines, hence the atomic holder.
-	fault atomic.Pointer[sim.FaultFunc]
 	// delayed counts messages held back by FaultDelay timers; Quiesce must
 	// wait them out, exactly like frames an external carrier still holds.
 	delayed atomic.Int64

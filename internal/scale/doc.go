@@ -24,10 +24,10 @@
 //     quadratically. internal/supervisor now maintains an order-indexed
 //     treap (O(log n) per operation); see that package.
 //   - Stabilization after a crash burst is bounded by the supervisor's
-//     round-robin cull sweep, which visits CullPerTimeout entries per
-//     interval: with the paper's constant budget it is O(n) rounds by
-//     construction, a deployment parameter rather than a protocol
-//     property. Config.CullPerTimeout therefore defaults to N/64, keeping
-//     the sweep ~64 rounds at every N so the curves measure the protocol,
-//     not the budget.
+//     round-robin cull sweep, which visits the supervisor's CullPerTimeout
+//     entries per interval: with the paper's constant budget it is O(n)
+//     rounds by construction, a deployment parameter rather than a
+//     protocol property. The harness therefore sets that budget to
+//     max(1, N/64), keeping the sweep ~64 rounds at every N so the curves
+//     measure the protocol, not the budget.
 package scale

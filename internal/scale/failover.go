@@ -18,7 +18,8 @@ type FailoverResult struct {
 	// Relabelled counts survivors whose label changed across the failover
 	// — 0 is the warm path's "no relabelling" claim.
 	Relabelled int
-	// Converged reports whether every phase finished inside MaxRounds.
+	// Converged reports whether every phase finished inside
+	// failoverMaxRounds.
 	Converged bool
 }
 
@@ -27,18 +28,16 @@ type FailoverResult struct {
 // one topic; they join and converge, the system settles (replica steady
 // state), the topic's owner is crashed, and the rounds are counted until
 // every subscriber reports to the successor with a non-⊥ label and the
-// successor's database is exact. MaxRounds defaults to 8192 — the cold
-// rebuild at 10^5 subscribers is dominated by the subscribers' ratcheting
-// staleness probes, which is exactly the cost the warm path is built to
-// avoid.
+// successor's database is exact. Every wait gets failoverMaxRounds (8192):
+// the cold rebuild at 10^5 subscribers is dominated by the subscribers'
+// ratcheting staleness probes, which is exactly the cost the warm path is
+// built to avoid.
 func RunFailover(cfg Config) FailoverResult {
 	if cfg.Supervisors == 0 {
 		cfg.Supervisors = 4
 	}
-	if cfg.MaxRounds == 0 {
-		cfg.MaxRounds = 8192
-	}
 	h := New(cfg)
+	h.maxRounds = failoverMaxRounds
 	defer h.Sched.Close()
 	cfg = h.Cfg
 	res := FailoverResult{N: cfg.N, RepFactor: h.RepFactor, FailoverRounds: -1}

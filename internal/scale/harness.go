@@ -21,6 +21,20 @@ const (
 	// settles failoverSettleRounds so the replicas reach steady state.
 	settleRounds         = 16
 	failoverSettleRounds = 64
+	// maxRounds bounds every convergence wait of Run; RunFailover waits up
+	// to failoverMaxRounds (see there).
+	maxRounds         = 512
+	failoverMaxRounds = 8192
+	// crashFrac is the fraction of subscribers crashed for the
+	// stabilization probe (at least one).
+	crashFrac = 0.01
+	// cullDivisor sets the supervisor's per-interval failure-detector
+	// budget to max(1, N/cullDivisor), so a full database sweep takes
+	// ~cullDivisor rounds at any N. With the paper's constant budget of 1,
+	// stabilization after a fault burst is O(N) rounds by construction
+	// (the round-robin sweep visits one entry per interval), which is a
+	// deployment parameter, not a protocol property.
+	cullDivisor = 64
 )
 
 // Config sizes one scale run.
@@ -32,34 +46,15 @@ type Config struct {
 	PoolSize int
 	// Seed drives the deterministic engine.
 	Seed int64
-	// HistoryCap bounds each subscriber's retained publications; at 10^5+
-	// subscribers an unbounded history is the difference between a flat
-	// and a linearly growing per-node footprint. 0 = unlimited.
-	HistoryCap int
-	// CullPerTimeout is the supervisor's per-interval failure-detector
-	// budget. The default scales as max(1, N/64) so a full database sweep
-	// takes ~64 rounds at any N — with the paper's constant budget of 1,
-	// stabilization after a fault burst is O(N) rounds by construction
-	// (the round-robin sweep visits one entry per interval), which is a
-	// deployment parameter, not a protocol property.
-	CullPerTimeout int
-	// MaxRounds bounds every convergence wait. Default 512.
-	MaxRounds int
-	// CrashFrac is the fraction of subscribers crashed for the
-	// stabilization probe. Default 0.01 (min 1 subscriber).
-	CrashFrac float64
 	// DeliveryMode runs every subscriber in the given delivery mode.
 	// Ordered modes time the fan-out probe on actual application
 	// deliveries — which the ordering layer may buffer — rather than on
 	// trie arrival, so the sweep measures the ordering overhead end to end.
 	DeliveryMode ordering.Mode
 	// Workers is how many goroutines execute the engine's lanes; 0 is the
-	// engine default (one per CPU, at most Lanes), 1 runs inline. Physical
-	// parallelism only: every value produces bit-identical results.
+	// engine default (one per CPU, at most its 16 lanes), 1 runs inline.
+	// Physical parallelism only: every value produces bit-identical results.
 	Workers int
-	// Lanes is the engine's shard count (part of its schedule identity).
-	// 0 = psim's default (16).
-	Lanes int
 	// Supervisors is the supervisor-plane size (default 1; RunFailover's
 	// default is 4). With more than one, topics are sharded over the plane
 	// by consistent hashing and pool and subscriber IDs follow the
@@ -69,25 +64,6 @@ type Config struct {
 	// makes a failover the cold Reregister rebuild, ≥ 1 the warm adoption
 	// from a hashdht successor's replica.
 	ReplicationFactor int
-}
-
-func (c Config) withDefaults() Config {
-	if c.PoolSize == 0 {
-		c.PoolSize = 1024
-	}
-	if c.CullPerTimeout == 0 {
-		c.CullPerTimeout = c.N / 64
-		if c.CullPerTimeout < 1 {
-			c.CullPerTimeout = 1
-		}
-	}
-	if c.MaxRounds == 0 {
-		c.MaxRounds = 512
-	}
-	if c.CrashFrac == 0 {
-		c.CrashFrac = 0.01
-	}
-	return c
 }
 
 // SupervisorID is the harness' first supervisor node ID.
@@ -105,6 +81,9 @@ type Harness struct {
 	*cluster.Plane
 	Pools   []*Pool
 	subBase sim.NodeID
+	// maxRounds bounds every convergence wait: maxRounds, or
+	// failoverMaxRounds under RunFailover.
+	maxRounds int
 
 	// delivered counts application-level deliveries per subscriber (only
 	// maintained when Cfg.DeliveryMode is an ordered mode).
@@ -114,21 +93,23 @@ type Harness struct {
 // New builds the system: the supervisor plane, ceil(N/PoolSize) pool nodes,
 // N virtual subscribers (IDs contiguous from the first ID after the pools).
 func New(cfg Config) *Harness {
-	cfg = cfg.withDefaults()
-	sched := psim.New(psim.Options{Seed: cfg.Seed, Workers: cfg.Workers, Lanes: cfg.Lanes})
-	opts := core.Options{HistoryCap: cfg.HistoryCap, DeliveryMode: cfg.DeliveryMode}
+	if cfg.PoolSize == 0 {
+		cfg.PoolSize = 1024
+	}
+	sched := psim.New(psim.Options{Seed: cfg.Seed, Workers: cfg.Workers})
+	opts := core.Options{DeliveryMode: cfg.DeliveryMode}
 	plane := cluster.NewPlane(sched, cluster.Options{
 		ClientOpts: opts, Supervisors: cfg.Supervisors, ReplicationFactor: cfg.ReplicationFactor,
 	})
 	for _, sup := range plane.Sups {
-		sup.CullPerTimeout = cfg.CullPerTimeout // nothing runs before the first RunRounds
+		sup.CullPerTimeout = max(1, cfg.N/cullDivisor) // nothing runs before the first RunRounds
 	}
 	opts = plane.ClientOptions(opts)
 
 	numPools := (cfg.N + cfg.PoolSize - 1) / cfg.PoolSize
 	poolBase := SupervisorID + sim.NodeID(len(plane.SupIDs))
 	subBase := poolBase + sim.NodeID(numPools)
-	h := &Harness{Cfg: cfg, Sched: sched, Plane: plane, subBase: subBase}
+	h := &Harness{Cfg: cfg, Sched: sched, Plane: plane, subBase: subBase, maxRounds: maxRounds}
 	if cfg.DeliveryMode != ordering.BestEffort {
 		h.delivered = make([]int, cfg.N)
 		opts.OnDeliverTrace = func(node sim.NodeID, t sim.Topic, p proto.Publication, m ordering.Meta) {
@@ -167,7 +148,7 @@ func (h *Harness) JoinAll() {
 }
 
 // await advances rounds until done(i) holds for every subscriber (or
-// MaxRounds elapse), returning the round at which each first satisfied it.
+// h.maxRounds elapse), returning the round at which each first satisfied it.
 // The poll is O(pending) per round: finished subscribers leave the scan
 // set.
 func (h *Harness) await(done func(i int) bool) (rounds []int, ok bool) {
@@ -177,7 +158,7 @@ func (h *Harness) await(done func(i int) bool) (rounds []int, ok bool) {
 		pending[i] = i
 	}
 	r := 0
-	_, ok = h.Sched.RunRoundsUntil(h.Cfg.MaxRounds, func() bool {
+	_, ok = h.Sched.RunRoundsUntil(h.maxRounds, func() bool {
 		next := pending[:0]
 		for _, i := range pending {
 			if done(i) {
@@ -218,12 +199,12 @@ func (h *Harness) Publish(i int, payload string) {
 	h.Sched.Send(sim.Message{To: id, From: id, Topic: topic, Body: core.PublishCmd{Payload: payload}})
 }
 
-// CrashFraction crashes Cfg.CrashFrac of the subscribers (at least one),
+// CrashFraction crashes crashFrac of the subscribers (at least one),
 // spread evenly across the ID range and therefore across pools, and
 // returns how many were crashed. Subscriber 0 is spared so the publish
 // probe's author stays alive.
 func (h *Harness) CrashFraction() int {
-	k := int(float64(h.Cfg.N) * h.Cfg.CrashFrac)
+	k := int(float64(h.Cfg.N) * crashFrac)
 	if k < 1 {
 		k = 1
 	}
@@ -248,7 +229,7 @@ func (h *Harness) CrashFraction() int {
 // burst: every dead subscriber culled, no live one evicted).
 func (h *Harness) AwaitDBSize(want int) (rounds int, ok bool) {
 	owner := h.SupFor(topic)
-	return h.Sched.RunRoundsUntil(h.Cfg.MaxRounds, func() bool {
+	return h.Sched.RunRoundsUntil(h.maxRounds, func() bool {
 		return owner.N(topic) == want
 	})
 }
@@ -271,7 +252,7 @@ type Result struct {
 	// Fan-out: one publication reaching every live subscriber.
 	FanoutRounds  metrics.Summary
 	FanoutWallSec float64
-	// Stabilization: crash burst of CrashFrac·N, rounds until the
+	// Stabilization: crash burst of crashFrac·N, rounds until the
 	// supervisor database is exact again.
 	Crashed          int
 	StabilizeRounds  int
@@ -284,7 +265,7 @@ type Result struct {
 	// the end of the run (epoch:hash:count) — the cheap whole-system
 	// fingerprint the P-independence gates diff.
 	DBHash string
-	// Converged reports every phase finished inside MaxRounds.
+	// Converged reports every phase finished inside maxRounds.
 	Converged bool
 }
 
@@ -307,7 +288,6 @@ func (r Result) Digest() string {
 // labels, settle, publish once and time the fan-out, sample memory, crash
 // a fraction and time the supervisor's re-stabilization.
 func Run(cfg Config) Result {
-	cfg = cfg.withDefaults()
 	h := New(cfg)
 	defer h.Sched.Close()
 	res := Result{N: cfg.N, Mode: cfg.DeliveryMode.String(), Workers: h.Sched.Workers(), Converged: true}
