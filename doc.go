@@ -108,16 +108,18 @@
 // README's Performance section for the measured table and the exact
 // reproduction commands.
 //
-// A publication costs each subscriber one message and one SHA-256. Each
+// A publication costs each subscriber one message and one trie walk. Each
 // flood body carries the ring arc its receiver must cover, and a node
 // forwards once, to the neighbours inside its arc, each with the sub-arc
 // between the midpoints to its neighbouring points (internal/pubsub's
 // tree.go): on a legitimate ring every subscriber gets exactly one copy,
 // where flooding every edge sent three. The trie's node digests are XOR
-// folds of their leaves' truncated SHA-256, kept incrementally on the
-// path Insert already walks and recomputed from the children whenever
-// anti-entropy reads one, so a corrupted digest is repaired by the first
-// probe through it. The trade is depth: the tree is deeper than flooding
+// folds of their leaves' digests, each two fixed 64-bit mixers of the key
+// (the key itself stays SHA-256), folded in on the one walk Insert makes
+// and recomputed from the children whenever anti-entropy reads one, so a
+// corrupted digest is repaired by the first probe through it. The fold
+// was never collision-resistant against an adversary; the threat model
+// is transient faults. The trade is depth: the tree is deeper than flooding
 // every edge (mean height over all origins 4.50 vs 4.12 hops at n = 32,
 // 8.84 vs 6.45 at n = 256).
 //

@@ -3,25 +3,33 @@
 // carry digests of their subtrees, so two subscribers can locate the exact
 // difference between their publication sets by exchanging O(depth) node
 // summaries (the CheckTrie protocol). A node's digest is the XOR of the
-// truncated SHA-256 digests of the keys below it — a function of the
-// stored set, kept incrementally along the insert path (one SHA-256 per
-// publication) and recomputed from a node's children whenever
-// anti-entropy reads it, so corruption is repaired by reading (see Node).
-// An XOR fold, unlike a Merkle hash, can be steered by an adversary who
-// picks the keys; the threat model here is transient faults, as for the
-// supervisor's replica digest, which folds the same way.
+// leaf digests of the keys below it — a function of the stored set, kept
+// incrementally along the one walk an insert makes and recomputed from a
+// node's children whenever anti-entropy reads it, so corruption is
+// repaired by reading (see Node).
+//
+// A leaf digest is two fixed 64-bit mixers of the key, not a cryptographic
+// hash: the fold needs distinct keys to give distinct, well-spread
+// digests, which a mixer gives for a fraction of a SHA-256's cost, and the
+// keys themselves stay SHA-256 (KeyFor). The first mixer is a bijection,
+// so two distinct keys never share a leaf digest. An XOR fold, unlike a
+// Merkle hash, can be steered by an adversary who picks the keys whatever
+// the leaf digest is; it never was collision-resistant against one, and
+// the threat model here is transient faults, as for the supervisor's
+// replica digest, which folds the same way. Dropping SHA-256 from the leaf
+// digest therefore loses nothing the system relied on.
 //
 // Storage: the trie only grows (Theorem 17: "no publish messages are
 // deleted"), so on an uncapped topic it is most of a subscriber's heap.
 // Each trie therefore keeps its nodes by value in a slab of chunks that
 // double in size and never move, addressed by uint32 references. A Node
 // holds no pointers — its children are references and a leaf's payload
-// string sits in a parallel table — so the garbage collector allocates the
-// node chunks as pointer-free memory and never scans them; the payload
-// strings are the only pointers left. DeleteMin returns its two slots to a
-// free list that Insert reuses, so a capped trie's slab plateaus.
-// CheckInvariants reports a child reference outside the slab instead of
-// following it.
+// and origin sit in a parallel leaf table — so the garbage collector
+// allocates the node chunks as pointer-free memory and never scans them;
+// the payload strings are the only pointers left. DeleteMin returns its
+// two slots to a free list that Insert reuses, so a capped trie's slab
+// plateaus. CheckInvariants reports a child reference outside the slab
+// instead of following it.
 //
 // Keys are h̄_m(origin, payload): a collision-resistant hash (SHA-256,
 // truncated to the configured width m ≤ 64) of the publishing node's unique
@@ -167,13 +175,13 @@ func Bucket(k Key) uint64 {
 // package documentation): h̄_m(origin, payload) for m ≤ HashBits, else the
 // bucket mod 2^(m−HashBits) above h̄ truncated to HashBits bits. SHA-256
 // stands in for the paper's collision-resistant hash function.
+//
+// The hash input is built in a stack buffer, so a payload of up to 120
+// bytes costs no allocation.
 func KeyFor(m uint8, bucket uint64, origin sim.NodeID, payload string) Key {
-	h := sha256.New()
-	var idb [8]byte
-	binary.BigEndian.PutUint64(idb[:], uint64(origin))
-	h.Write(idb[:])
-	h.Write([]byte(payload))
-	sum := h.Sum(nil)
+	var buf [128]byte
+	in := binary.BigEndian.AppendUint64(buf[:0], uint64(origin))
+	sum := sha256.Sum256(append(in, payload...))
 	v := binary.BigEndian.Uint64(sum[:8])
 	if b := BucketBits(m); b > 0 {
 		v = (bucket&(1<<b-1))<<HashBits | v>>(64-HashBits)

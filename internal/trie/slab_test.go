@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"sspubsub/internal/proto"
 	"sspubsub/internal/sim"
@@ -34,6 +35,14 @@ func TestNodeHoldsNoPointers(t *testing.T) {
 		}
 	}
 	check("Node", reflect.TypeOf(Node{}))
+}
+
+// TestNodeSize pins Node at 48 bytes: a leaf's origin lives in the leaf
+// table, not in every node, so inner nodes do not carry it.
+func TestNodeSize(t *testing.T) {
+	if got := unsafe.Sizeof(Node{}); got != 48 {
+		t.Fatalf("Node is %d bytes, want 48", got)
+	}
 }
 
 // capacity is the number of slots the slab's chunks hold.

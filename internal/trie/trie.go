@@ -1,7 +1,6 @@
 package trie
 
 import (
-	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"math/bits"
@@ -16,27 +15,26 @@ import (
 //   - a leaf's label is a full m-bit key and it stores one publication;
 //   - an inner node has exactly two children and its label is the longest
 //     common prefix of its children's labels;
-//   - Hash is h(key) for leaves (truncated SHA-256) and c0.Hash ⊕ c1.Hash
-//     for inner nodes — so every node's digest is the XOR of the leaf
-//     digests below it, a function of the stored set alone, and a single
-//     root comparison still certifies set equality.
+//   - Hash is h(key) for leaves (see leafHash) and c0.Hash ⊕ c1.Hash for
+//     inner nodes — so every node's digest is the XOR of the leaf digests
+//     below it, a function of the stored set alone, and a single root
+//     comparison still certifies set equality.
 //
-// Insert and DeleteMin keep the digests incrementally: one SHA-256 per
-// operation, XORed into every node on the path they already walk. Every
-// digest anti-entropy reads (Trie.Digest, Trie.Summary) is first recomputed
-// in O(1) from the node's children, or for a leaf from its key, so a
+// Insert keeps the digests incrementally in one walk: it computes the new
+// key's leaf digest first and XORs it into every inner node it passes on
+// the way down; DeleteMin XORs it out along its own walk. Every digest
+// anti-entropy reads (Trie.Digest, Trie.Summary) is first recomputed in
+// O(1) from the node's children, or for a leaf from its key, so a
 // corrupted digest is repaired by the first probe that descends through it.
 //
 // A Node lives by value in its trie's slab (see Trie) and holds no
-// pointers: its children are slab references and a leaf's payload sits in
-// the slab's parallel string table, so the garbage collector never scans
-// the nodes. TestNodeHoldsNoPointers keeps it that way.
+// pointers: its children are slab references and a leaf's payload and
+// origin sit in the slab's parallel leaf table, so the garbage collector
+// never scans the nodes. TestNodeHoldsNoPointers keeps it that way, and
+// TestNodeSize holds it at 48 bytes.
 type Node struct {
 	Label Key
 	Hash  [16]byte
-	// origin is the stored publication's publisher (leaves only); its key
-	// is Label.
-	origin sim.NodeID
 	// child holds the slab references of an inner node's two subtries,
 	// indexed by the first bit after Label; both 0 ("none") for leaves. A
 	// freed slot threads the free list through child[0].
@@ -63,11 +61,18 @@ func (n *Node) IsLeaf() bool { return n.child[0] == 0 }
 // which keeps every reference inside uint32.
 const maxChunk = 1 << 30
 
-// chunk is one slab allocation: nodes holds no pointers, and pays[i] is the
-// payload of the leaf in nodes[i] ("" for inner and free slots).
+// chunk is one slab allocation: nodes holds no pointers, and pubs[i] is the
+// rest of the publication stored in the leaf nodes[i] (zero for inner and
+// free slots); the leaf's label is its key.
 type chunk struct {
 	nodes []Node
-	pays  []string
+	pubs  []leafPub
+}
+
+// leafPub is a stored publication's payload and publisher.
+type leafPub struct {
+	payload string
+	origin  sim.NodeID
 }
 
 // Trie is a hashed Patricia trie over fixed-width keys. The zero value is
@@ -126,8 +131,8 @@ func (t *Trie) node(r uint32) *Node {
 func (t *Trie) pub(r uint32) proto.Publication {
 	k, off := locate(r)
 	c := &t.chunks[k]
-	n := &c.nodes[off]
-	return proto.Publication{Key: n.Label, Origin: n.origin, Payload: c.pays[off]}
+	lp := &c.pubs[off]
+	return proto.Publication{Key: c.nodes[off].Label, Origin: lp.origin, Payload: lp.payload}
 }
 
 // alloc hands out a slot: the free list's head, else the next fresh slot,
@@ -142,7 +147,7 @@ func (t *Trie) alloc() uint32 {
 		if r > maxChunk {
 			panic("trie: slab full")
 		}
-		t.chunks = append(t.chunks, chunk{nodes: make([]Node, r), pays: make([]string, r)})
+		t.chunks = append(t.chunks, chunk{nodes: make([]Node, r), pubs: make([]leafPub, r)})
 	}
 	return t.top
 }
@@ -152,7 +157,7 @@ func (t *Trie) alloc() uint32 {
 func (t *Trie) release(r uint32) {
 	k, off := locate(r)
 	c := &t.chunks[k]
-	c.pays[off] = ""
+	c.pubs[off] = leafPub{}
 	c.nodes[off].child[0] = t.free
 	t.free = r
 }
@@ -188,20 +193,44 @@ func (t *Trie) RootSummary() (proto.NodeSummary, bool) {
 	return t.Summary(t.at(t.root)), true
 }
 
+// leafHash is a leaf's digest h(key), not collision-resistant (the package
+// documentation says why it need not be). Its first 8 bytes are mixA of
+// the key bits, a bijection, so two distinct keys of one width never share
+// a first half; the other 8 are mixB, a mixer with different constants and
+// shifts, of the key bits salted with the width. A digest is never zero:
+// mixA is zero at one key only, and mixB is not zero there
+// (TestLeafHashFirstHalfInjective).
 func leafHash(k Key) [16]byte {
-	var buf [9]byte
-	binary.BigEndian.PutUint64(buf[:8], k.Bits)
-	buf[8] = k.Len
-	s := sha256.Sum256(buf[:])
 	var out [16]byte
-	copy(out[:], s[:16])
+	binary.LittleEndian.PutUint64(out[:8], mixA(k.Bits))
+	binary.LittleEndian.PutUint64(out[8:], mixB(k.Bits^uint64(k.Len)*widthSalt))
 	return out
 }
 
+// widthSalt spreads a key width over mixB's input (the fractional part of
+// √2, as in SHA-512's first initial hash value).
+const widthSalt = 0x6a09e667f3bcc908
+
+// mixA is SplitMix64's output function: an odd-constant add, then
+// xor-shifts and odd multiplies, each invertible mod 2^64.
+func mixA(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	return x ^ x>>31
+}
+
+// mixB is MurmurHash3's 64-bit finalizer.
+func mixB(x uint64) uint64 {
+	x = (x ^ x>>33) * 0xff51afd7ed558ccd
+	x = (x ^ x>>33) * 0xc4ceb9fe1a85ec53
+	return x ^ x>>33
+}
+
+// xor16 XORs two digests a word at a time.
 func xor16(a, b [16]byte) [16]byte {
-	for i := range a {
-		a[i] ^= b[i]
-	}
+	binary.LittleEndian.PutUint64(a[:8], binary.LittleEndian.Uint64(a[:8])^binary.LittleEndian.Uint64(b[:8]))
+	binary.LittleEndian.PutUint64(a[8:], binary.LittleEndian.Uint64(a[8:])^binary.LittleEndian.Uint64(b[8:]))
 	return a
 }
 
@@ -227,8 +256,8 @@ func (t *Trie) newLeaf(p proto.Publication, h [16]byte, flood bool) uint32 {
 	r := t.alloc()
 	k, off := locate(r)
 	c := &t.chunks[k]
-	c.nodes[off] = Node{Label: p.Key, Hash: h, origin: p.Origin, leaves: 1, flooded: flood}
-	c.pays[off] = p.Payload
+	c.nodes[off] = Node{Label: p.Key, Hash: h, leaves: 1, flooded: flood}
+	c.pubs[off] = leafPub{payload: p.Payload, origin: p.Origin}
 	return r
 }
 
@@ -236,17 +265,16 @@ func (t *Trie) insert(p proto.Publication, flood bool) (added, forward bool) {
 	if p.Key.Len != t.keyLen {
 		panic(fmt.Sprintf("trie: key width %d, trie width %d", p.Key.Len, t.keyLen))
 	}
+	h := leafHash(p.Key)
 	if t.root == 0 {
-		t.root = t.newLeaf(p, leafHash(p.Key), flood)
+		t.root = t.newLeaf(p, h, flood)
 		t.size++
 		return true, flood
 	}
-	// Walk down, remembering the path for the digest update. Keys are at
-	// most 64 bits wide, so the path fits a fixed stack buffer — no
-	// per-insert slice. link is the reference that points at cur; chunks
-	// never move, so it survives the allocations below.
-	var pathBuf [64]*Node
-	path := pathBuf[:0]
+	// One walk down, folding the new leaf's digest and count into every
+	// inner node it passes, on the bet that the key is new. link is the
+	// reference that points at cur; chunks never move, so it survives the
+	// allocations below.
 	link := &t.root
 	cur := t.at(t.root)
 	for {
@@ -255,16 +283,17 @@ func (t *Trie) insert(p proto.Publication, flood bool) (added, forward bool) {
 			if cur.IsLeaf() { // full key match: already present
 				forward = flood && !cur.flooded
 				cur.flooded = cur.flooded || flood
+				t.unfold(p.Key, h)
 				return false, forward
 			}
-			path = append(path, cur)
+			cur.Hash = xor16(cur.Hash, h)
+			cur.leaves++
 			link = &cur.child[KeyBit(p.Key, cur.Label.Len)]
 			cur = t.at(*link)
 			continue
 		}
 		// Diverged inside cur.Label: split with a new inner node labelled
 		// with the common prefix.
-		h := leafHash(p.Key)
 		leaf := t.newLeaf(p, h, flood)
 		r := t.alloc()
 		inner := t.at(r)
@@ -272,12 +301,19 @@ func (t *Trie) insert(p proto.Publication, flood bool) (added, forward bool) {
 		inner.child[KeyBit(p.Key, lcp.Len)] = leaf
 		inner.child[KeyBit(cur.Label, lcp.Len)] = *link
 		*link = r
-		for _, n := range path {
-			n.Hash = xor16(n.Hash, h)
-			n.leaves++
-		}
 		t.size++
 		return true, flood
+	}
+}
+
+// unfold undoes a lost bet of insert: key k turned out to be stored
+// already, so the digest h and the count insert folded into the inner
+// nodes above k's leaf come back out. Nothing structural changed, so
+// steering by k's bits from the root retraces insert's walk exactly.
+func (t *Trie) unfold(k Key, h [16]byte) {
+	for n := t.at(t.root); !n.IsLeaf(); n = t.at(n.child[KeyBit(k, n.Label.Len)]) {
+		n.Hash = xor16(n.Hash, h)
+		n.leaves--
 	}
 }
 
@@ -330,7 +366,7 @@ func (t *Trie) DeleteMin() (proto.Publication, bool) {
 }
 
 // MemoryBytes estimates the resident size of the trie: a full binary tree
-// of 2·size−1 slab slots (a node and its payload string header each) plus
+// of 2·size−1 slab slots (a node and a leaf-table entry each) plus
 // the payload bytes. Deterministic accounting for the scale harness, not a
 // heap measurement: the slab's unused capacity is not counted.
 func (t *Trie) MemoryBytes() uint64 {
@@ -339,10 +375,10 @@ func (t *Trie) MemoryBytes() uint64 {
 		return total
 	}
 	slots := uint64(2*t.size - 1)
-	total += slots * uint64(unsafe.Sizeof(Node{})+unsafe.Sizeof(""))
+	total += slots * uint64(unsafe.Sizeof(Node{})+unsafe.Sizeof(leafPub{}))
 	for _, c := range t.chunks {
-		for _, s := range c.pays {
-			total += uint64(len(s))
+		for _, lp := range c.pubs {
+			total += uint64(len(lp.payload))
 		}
 	}
 	return total
