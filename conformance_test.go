@@ -192,28 +192,14 @@ func TestConcurrentRuntimeUnderChurn(t *testing.T) {
 	}
 }
 
-// TestSimulationFacadeGuards pins the substrate-specific API edges: the
-// corruption injectors refuse to run on the concurrent runtime, and the
-// runtime kind is reported correctly.
+// TestSimulationFacadeGuards pins the runtime kind each constructor
+// reports.
 func TestSimulationFacadeGuards(t *testing.T) {
 	s := NewSimulation(SimOptions{Runtime: RuntimeConcurrent, Interval: time.Millisecond})
 	defer s.Close()
 	if s.Runtime() != RuntimeConcurrent {
 		t.Errorf("Runtime() = %s", s.Runtime())
 	}
-	mustPanic := func(name string, f func()) {
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s did not panic on the concurrent runtime", name)
-			}
-		}()
-		f()
-	}
-	mustPanic("CorruptSubscriberStates", func() { s.CorruptSubscriberStates(1) })
-	mustPanic("CorruptSupervisorDB", func() { s.CorruptSupervisorDB(1) })
-	mustPanic("InjectGarbageMessages", func() { s.InjectGarbageMessages(1, 1) })
-	mustPanic("PartitionStates", func() { s.PartitionStates(1, 2) })
-	mustPanic("Cluster", func() { s.Cluster() })
 
 	d := NewSimulation(SimOptions{})
 	if d.Runtime() != RuntimeSim {
@@ -226,7 +212,51 @@ func TestSimulationFacadeGuards(t *testing.T) {
 	if nt.Runtime() != RuntimeNet {
 		t.Errorf("net Runtime() = %s", nt.Runtime())
 	}
-	// The injectors need in-place access to state and the scheduler — the
-	// net transport has neither.
-	mustPanic("CorruptSubscriberStates/net", func() { nt.CorruptSubscriberStates(1) })
+}
+
+// TestInjectorsOnLiveSubstrates runs each research control that corrupts
+// state on the concurrent runtime and on the net transport: the injector
+// must run (the system drained under the quiesce barrier), and the topic
+// must converge again from what it left behind. The net transport reaches
+// node state the same way the concurrent runtime does — its nodes run on
+// an embedded one — so corruption needs no socket round trip.
+func TestInjectorsOnLiveSubstrates(t *testing.T) {
+	const n = 8
+	injectors := []struct {
+		name string
+		run  func(s *Simulation) bool
+		// breaks says the injector leaves an illegitimate state behind at
+		// once; garbage messages only do so once they are delivered.
+		breaks bool
+	}{
+		{"CorruptSubscriberStates", func(s *Simulation) bool { return s.CorruptSubscriberStates(1) }, true},
+		{"CorruptSupervisorDB", func(s *Simulation) bool { return s.CorruptSupervisorDB(1) }, true},
+		{"InjectGarbageMessages", func(s *Simulation) bool { return s.InjectGarbageMessages(1, 5*n) }, false},
+		{"PartitionStates", func(s *Simulation) bool { return s.PartitionStates(1, 2) }, true},
+	}
+	for _, kind := range []RuntimeKind{RuntimeConcurrent, RuntimeNet} {
+		for _, inj := range injectors {
+			t.Run(string(kind)+"/"+inj.name, func(t *testing.T) {
+				s := NewSimulation(SimOptions{Runtime: kind, Seed: 7, Interval: time.Millisecond})
+				defer s.Close()
+				if s.Cluster() == nil {
+					t.Fatal("Cluster() = nil")
+				}
+				s.AddSubscribers(n)
+				s.JoinAll(1)
+				if _, ok := s.RunUntilConverged(1, n, 8000); !ok {
+					t.Fatalf("no convergence before the injection: %s", s.Explain(1))
+				}
+				if !inj.run(s) {
+					t.Fatal("the injector did not run: the system never drained")
+				}
+				if inj.breaks && s.Converged(1) {
+					t.Fatal("the topic is still legitimate right after the injection")
+				}
+				if _, ok := s.RunUntilConverged(1, n, 8000); !ok {
+					t.Fatalf("no convergence after %s: %s", inj.name, s.Explain(1))
+				}
+			})
+		}
+	}
 }

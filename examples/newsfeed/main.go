@@ -50,10 +50,18 @@ func main() {
 		}
 	}
 	for _, tp := range topics {
-		if !sys.WaitStable(tp, len(sys.Members(tp)), 15*time.Second) {
+		// Count the members from the subscriptions made, not from Members:
+		// a JoinTopic still in flight is not a member yet.
+		want := 1 // the desk
+		for _, in := range interests {
+			if in[tp] {
+				want++
+			}
+		}
+		if !sys.WaitStable(tp, want, 15*time.Second) {
 			log.Fatalf("topic %s did not stabilize", tp)
 		}
-		fmt.Printf("topic %-6s: %2d subscribers, overlay stable\n", tp, len(sys.Members(tp)))
+		fmt.Printf("topic %-6s: %2d subscribers, overlay stable\n", tp, want)
 	}
 
 	// Fan-in all deliveries.

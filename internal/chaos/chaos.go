@@ -324,8 +324,8 @@ func (e *env) apply(a Action) {
 	case Reorder:
 		e.l.SetFault(e.rateFault(sim.FaultDelay, a.Rate, 0x3e0c))
 
-	case WireGarbage:
-		if e.nt != nil {
+	case WireGarbage, GarbageTraffic:
+		if a.Kind == WireGarbage && e.nt != nil {
 			next := e.faultRng(0x4f1d)
 			rate := a.Rate
 			e.nt.SetFrameFault(func() nettransport.FrameFault {
@@ -334,15 +334,8 @@ func (e *env) apply(a Action) {
 				}
 				return nettransport.FrameDeliver
 			})
-		} else {
-			count := a.Count
-			if count == 0 {
-				count = 5 * e.cfg.N
-			}
-			e.l.Freeze(func() { e.l.SendGarbageMessages(topic, count, e.rng) })
+			break
 		}
-
-	case GarbageTraffic:
 		count := a.Count
 		if count == 0 {
 			count = 5 * e.cfg.N

@@ -30,13 +30,18 @@ import (
 const SupervisorID sim.NodeID = 1
 
 // Driver is what a substrate offers a driver beyond hosting nodes: stepping
-// and snapshots (sim.Stepper), channel faults, and message accounting.
-// psim.Engine, concurrent.Runtime and nettransport.Transport implement it;
-// Live promotes it, so l.RunRounds, l.Freeze, l.SentBy … work on whichever
-// substrate the harness was built on.
+// and snapshots (sim.Stepper), channel faults, a random source, and message
+// accounting. psim.Engine, concurrent.Runtime and nettransport.Transport
+// (through its embedded runtime) implement it; Live promotes it, so
+// l.RunRounds, l.Freeze, l.Rand, l.SentBy … work on whichever substrate the
+// harness was built on.
 type Driver interface {
 	sim.Stepper
 	sim.FaultInjectable
+	// Rand returns the driver's random source, for workload generation and
+	// the corruption injectors: the deterministic engine's external stream
+	// on sim, a stream seeded from the runtime's seed on the live ones.
+	Rand() *rand.Rand
 	// Delivered returns the total number of delivered messages.
 	Delivered() int64
 	// CountByType returns the number of sends per message body type name.
@@ -131,13 +136,6 @@ func (l *Live) RunUntil(maxRounds int, pred func() bool) (int, bool) {
 // was reached.
 func (l *Live) RunUntilConverged(t sim.Topic, n, maxRounds int) (int, bool) {
 	return l.RunUntil(maxRounds, func() bool { return l.ConvergedWith(t, n) })
-}
-
-// Rand returns the deterministic engine's driver random source, for
-// workload generation and the corruption injectors. It panics on a
-// substrate that has none (the live runtimes: pass an explicit source).
-func (l *Live) Rand() *rand.Rand {
-	return l.Tr.(interface{ Rand() *rand.Rand }).Rand()
 }
 
 // DumpStates renders every member's state (debugging aid).

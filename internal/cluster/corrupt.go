@@ -12,7 +12,7 @@ import (
 // Substrate-generic corruption injectors (arbitrary initial states,
 // Theorem 8). Each takes the random source driving the corruption
 // explicitly — the chaos engine derives it from the scenario seed and
-// replays an injection bit-for-bit; deterministic harnesses pass l.Rand().
+// replays an injection bit-for-bit; other drivers pass l.Rand().
 // On the deterministic engine they may be called at any point between
 // Run* calls; on a live substrate the caller must hold Freeze (no handler
 // may be executing while explicit state is overwritten).

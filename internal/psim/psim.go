@@ -294,15 +294,6 @@ func (l *lane) settle(k int64, evs []pevent, rest []ekey) {
 	}
 }
 
-// splitmix64 is the 64-bit finalizer used for lane hashing and per-node
-// phases: deterministic, dependency-free, well mixed.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // New creates an empty parallel deterministic simulation.
 func New(opts Options) *Engine {
 	if opts.Lanes <= 0 {
@@ -319,7 +310,7 @@ func New(opts Options) *Engine {
 		nodes:   make(map[sim.NodeID]*pnode),
 		crashed: make(map[sim.NodeID]float64),
 		floor:   math.MinInt64,
-		extRNG:  rand.New(rand.NewSource(int64(splitmix64(uint64(opts.Seed) ^ 0xe7f3a9c1)))),
+		extRNG:  rand.New(rand.NewSource(int64(sim.SplitMix64(uint64(opts.Seed) ^ 0xe7f3a9c1)))),
 		sentOff: make(map[sim.NodeID]int64),
 	}
 	e.lanes = make([]*lane, opts.Lanes)
@@ -327,7 +318,7 @@ func New(opts Options) *Engine {
 		l := &lane{
 			e:      e,
 			idx:    int32(i),
-			rng:    rand.New(rand.NewSource(int64(splitmix64(uint64(opts.Seed) + uint64(i)*0x9e3779b97f4a7c15)))),
+			rng:    rand.New(rand.NewSource(int64(sim.SplitMix64(uint64(opts.Seed) + uint64(i)*0x9e3779b97f4a7c15)))),
 			cal:    make([]bucket, 1),
 			outbox: make([][]pevent, opts.Lanes),
 		}
@@ -339,13 +330,13 @@ func New(opts Options) *Engine {
 
 // laneOf is the deterministic NodeID → lane partition.
 func (e *Engine) laneOf(id sim.NodeID) int32 {
-	return int32(splitmix64(uint64(id)) % uint64(len(e.lanes)))
+	return int32(sim.SplitMix64(uint64(id)) % uint64(len(e.lanes)))
 }
 
 // phaseOf derives a node's timeout phase in [0, 1) from (Seed, NodeID) —
 // pure, so registration order never shifts any random stream.
 func (e *Engine) phaseOf(id sim.NodeID) float64 {
-	u := splitmix64(uint64(e.opts.Seed)*0x2545f4914f6cdd1d ^ splitmix64(uint64(id)))
+	u := sim.SplitMix64(uint64(e.opts.Seed)*0x2545f4914f6cdd1d ^ sim.SplitMix64(uint64(id)))
 	return float64(float64(u>>11) / (1 << 53))
 }
 

@@ -78,13 +78,15 @@ type Runtime struct {
 	// opts, start and fault are read from every node goroutine (every send
 	// reads opts and fault) and written only at construction or by
 	// SetFault, so they fill the struct's first 64 bytes by themselves:
-	// the struct is 248 bytes, allocated from the 256-byte size class, so
+	// the struct is 256 bytes, allocated from the 256-byte size class, so
 	// that is one cache line, and no counter write below invalidates it.
 	opts  Options
 	start time.Time
 	// fault is the transport-layer fault filter (sim.FaultFunc); it is read
 	// on every Send from arbitrary goroutines, hence the atomic holder.
 	fault atomic.Pointer[sim.FaultFunc]
+	// rng is the driver's random source (Rand), apart from every node's.
+	rng *rand.Rand
 
 	mu      sync.RWMutex
 	nodes   map[sim.NodeID]*node
@@ -151,6 +153,7 @@ func NewRuntime(opts Options) *Runtime {
 		nodes:   make(map[sim.NodeID]*node),
 		crashed: make(map[sim.NodeID]time.Time),
 		seedC:   opts.Seed,
+		rng:     rand.New(rand.NewSource(int64(sim.SplitMix64(uint64(opts.Seed))))),
 		offSent: make(map[sim.NodeID]int64),
 	}
 }
@@ -506,6 +509,11 @@ func (r *Runtime) ResetCounters() {
 	r.delivered.Store(0)
 	r.dropped.Store(0)
 }
+
+// Rand returns the driver's random source, for workload generation and the
+// corruption injectors: seeded from Options.Seed, separate from the
+// per-node sources, and, like every driver method, for one goroutine only.
+func (r *Runtime) Rand() *rand.Rand { return r.rng }
 
 // Now returns wall-clock time since the runtime started, in timeout
 // intervals.

@@ -4,7 +4,12 @@
 // (internal/runtime/concurrent); the transport intercepts every send with
 // the runtime's Redirect hook, routes frames over sockets, and re-enters
 // arriving frames with Inject. Protocol code is unchanged — it still only
-// sees sim.Context.
+// sees sim.Context. The driver surface — stepping, Quiesce and Freeze, the
+// fault filter, the random source, the message counters — is the embedded
+// runtime's, promoted unchanged. Quiesce waits for frames in the socket as
+// well as mailboxes and handlers, but only on the loopback role, where every
+// frame comes back; on the hub and joiner roles frames crossing to other
+// processes are outside any one process's barrier.
 //
 // Three roles, one implementation:
 //
@@ -115,11 +120,13 @@ const (
 // below it belongs to the hub process (supervisors and hub-local clients).
 const firstJoinerBase sim.NodeID = 1 << 12
 
-// Transport is a sim.Transport over TCP. It must be closed.
+// Transport is a sim.Transport over TCP. It must be closed. It embeds the
+// concurrent runtime its local nodes run on and overrides only what routing
+// changes: AddNode, RemoveNode, Crash, Suspects and Close.
 type Transport struct {
+	*concurrent.Runtime
 	opts Options
 	role role
-	rt   *concurrent.Runtime
 	ln   net.Listener
 
 	// inflight counts messages between the Redirect intercept and their
@@ -202,7 +209,7 @@ func NewJoiner(opts Options) (*Transport, error) {
 		local: make(map[sim.NodeID]bool),
 		ready: make(chan struct{}),
 	}
-	t.rt = t.newRuntime()
+	t.Runtime = t.newRuntime()
 	t.up = t.newDialPeer(opts.Hub)
 	select {
 	case <-t.ready:
@@ -226,7 +233,7 @@ func newTransport(opts Options, r role) (*Transport, error) {
 		local: make(map[sim.NodeID]bool),
 		next:  firstJoinerBase,
 	}
-	t.rt = t.newRuntime()
+	t.Runtime = t.newRuntime()
 	t.wg.Add(1)
 	go t.acceptLoop()
 	return t, nil
@@ -282,10 +289,6 @@ const (
 	FrameCorrupt
 )
 
-// SetFault installs (or clears, with nil) the message-level fault filter of
-// the embedded runtime; see concurrent.Runtime.SetFault.
-func (t *Transport) SetFault(f sim.FaultFunc) { t.rt.SetFault(f) }
-
 // SetFrameFault installs (or clears, with nil) the wire-level fault hook,
 // consulted once per outgoing frame on the writer goroutines. It must be
 // safe for concurrent use.
@@ -331,12 +334,12 @@ func (t *Transport) AddNode(id sim.NodeID, h sim.Handler) {
 	t.mu.Lock()
 	t.local[id] = true
 	t.mu.Unlock()
-	t.rt.AddNode(id, h)
+	t.Runtime.AddNode(id, h)
 }
 
 // RemoveNode deregisters a local node.
 func (t *Transport) RemoveNode(id sim.NodeID) {
-	t.rt.RemoveNode(id)
+	t.Runtime.RemoveNode(id)
 	t.mu.Lock()
 	delete(t.local, id)
 	t.mu.Unlock()
@@ -352,13 +355,9 @@ func (t *Transport) Crash(id sim.NodeID) {
 	}
 	t.mu.Unlock()
 	if isLocal || t.role == roleLoopback {
-		t.rt.Crash(id)
+		t.Runtime.Crash(id)
 	}
 }
-
-// Send routes a message through the embedded runtime (whose Redirect hook
-// brings it back to this transport when it must cross a socket).
-func (t *Transport) Send(m sim.Message) { t.rt.Send(m) }
 
 // Suspects implements the failure detector of Section 3.3 across
 // processes: local nodes defer to the runtime's crash bookkeeping; nodes
@@ -366,7 +365,7 @@ func (t *Transport) Send(m sim.Message) { t.rt.Send(m) }
 // than graceIntervals·Interval; unknown IDs are suspected immediately.
 func (t *Transport) Suspects(id sim.NodeID) bool {
 	if t.role == roleLoopback {
-		return t.rt.Suspects(id)
+		return t.Runtime.Suspects(id)
 	}
 	t.mu.Lock()
 	isLocal := t.local[id]
@@ -380,7 +379,7 @@ func (t *Transport) Suspects(id sim.NodeID) bool {
 	joinerUp := t.up
 	t.mu.Unlock()
 	if isLocal {
-		return t.rt.Suspects(id)
+		return t.Runtime.Suspects(id)
 	}
 	grace := graceIntervals * t.opts.Interval
 	if owner != nil {
@@ -420,39 +419,9 @@ func (t *Transport) Close() {
 	for _, p := range peers {
 		p.shutdown()
 	}
-	t.rt.Close()
+	t.Runtime.Close()
 	t.wg.Wait()
 }
-
-// ---- driver conveniences (Simulation facade parity) ----
-
-// Quiesce freezes the transport for a consistent snapshot: timeouts pause
-// and the barrier waits for mailboxes, handlers AND frames in the socket
-// to drain. Only meaningful on the loopback role, where every frame comes
-// back; on hub/joiner roles frames crossing to other processes are outside
-// any one process's barrier.
-func (t *Transport) Quiesce(timeout time.Duration, f func()) bool {
-	return t.rt.Quiesce(timeout, f)
-}
-
-// Freeze and RunRounds implement sim.Stepper through the embedded runtime.
-func (t *Transport) Freeze(f func()) bool { return t.rt.Freeze(f) }
-func (t *Transport) RunRounds(k int)      { t.rt.RunRounds(k) }
-
-// Delivered returns messages handled by local nodes.
-func (t *Transport) Delivered() int64 { return t.rt.Delivered() }
-
-// CountByType returns local sends per message body type name.
-func (t *Transport) CountByType(name string) int64 { return t.rt.CountByType(name) }
-
-// SentBy returns messages sent by a local node.
-func (t *Transport) SentBy(id sim.NodeID) int64 { return t.rt.SentBy(id) }
-
-// ResetCounters zeroes the local accounting.
-func (t *Transport) ResetCounters() { t.rt.ResetCounters() }
-
-// Now returns time in timeout intervals since the transport started.
-func (t *Transport) Now() float64 { return t.rt.Now() }
 
 var _ sim.Transport = (*Transport)(nil)
 
@@ -532,7 +501,7 @@ func (t *Transport) dispatch(m sim.Message, from *peer) {
 // relays it toward the block owning its target.
 func (t *Transport) deliverOrRelay(m sim.Message) {
 	if t.role == roleLoopback {
-		t.rt.Inject(m)
+		t.Runtime.Inject(m)
 		t.inflight.Add(-1)
 		return
 	}
@@ -545,7 +514,7 @@ func (t *Transport) deliverOrRelay(m sim.Message) {
 	t.mu.Unlock()
 	switch {
 	case isLocal:
-		t.rt.Inject(m)
+		t.Runtime.Inject(m)
 	case relay != nil:
 		relay.send(m)
 	default:

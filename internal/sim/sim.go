@@ -155,3 +155,13 @@ func RunRoundsUntil(s Stepper, maxRounds int, pred func() bool) (rounds int, ok 
 		s.RunRounds(1)
 	}
 }
+
+// SplitMix64 is SplitMix64's output function: an odd-constant add, then
+// xor-shifts and odd multiplies, each invertible mod 2^64, so it is a
+// bijection. The engines, the supervisor and the trie share this one copy.
+func SplitMix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	return x ^ x>>31
+}

@@ -59,17 +59,10 @@ func cmpLabel(a, b label.Label) int {
 }
 
 // labelPrio derives the heap priority from the key itself (two rounds of
-// splitmix64 over the label's fields, which identify it uniquely), so the
+// SplitMix64 over the label's fields, which identify it uniquely), so the
 // treap shape is a pure function of the key set and replays are bit-exact.
 func labelPrio(l label.Label) uint64 {
-	return splitmix64(splitmix64(l.Bits) ^ uint64(l.Len))
-}
-
-func splitmix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x = (x ^ x>>30) * 0xBF58476D1CE4E5B9
-	x = (x ^ x>>27) * 0x94D049BB133111EB
-	return x ^ x>>31
+	return sim.SplitMix64(sim.SplitMix64(l.Bits) ^ uint64(l.Len))
 }
 
 func osize(n *onode) int {

@@ -20,8 +20,8 @@
 //     buffer overflow simply drops the buffer and schedules a full sync.
 //   - Anti-entropy. Every gossip period the owner pushes a ReplicaDigest
 //     probe carrying its database root digest — an order-independent XOR
-//     fold of per-entry hashes, the same truncated-SHA-256 construction
-//     as the Patricia trie's node digests — and the replica answers
+//     fold of per-entry 16-byte truncated-SHA-256 hashes, the same fold the
+//     Patricia trie uses over its leaf digests — and the replica answers
 //     only on mismatch. Owner and replicas alike periodically recompute
 //     their digest from content, so even corruption that forged a
 //     matching stored digest is caught — and a corrupted owner digest
@@ -86,11 +86,12 @@ type repOp struct {
 	v   sim.NodeID
 }
 
-// entryHash is the per-tuple hash of the replication digest: truncated
-// SHA-256 over the label's canonical bytes and the subscriber ID — the
-// same 16-byte construction as the trie's leaf hash. The database digest
-// is the XOR fold of its entries' hashes, which makes it order-independent
-// and incrementally maintainable under put/del.
+// entryHash is the per-tuple hash of the replication digest: SHA-256 over
+// the label's canonical bytes and the subscriber ID, truncated to 16 bytes.
+// (The trie's leaf digests are two 64-bit mixers instead; the digest lines
+// of srsim scale print this one as dbhash.) The database digest is the XOR
+// fold of its entries' hashes, which makes it order-independent and
+// incrementally maintainable under put/del.
 func entryHash(l label.Label, v sim.NodeID) [16]byte {
 	var buf [17]byte
 	binary.BigEndian.PutUint64(buf[0:8], l.Bits)

@@ -28,23 +28,23 @@ func oddInverse(c uint64) uint64 {
 	return inv
 }
 
-// unmixA inverts mixA step by step.
-func unmixA(y uint64) uint64 {
+// unSplitMix64 inverts sim.SplitMix64 step by step.
+func unSplitMix64(y uint64) uint64 {
 	y = unxorshift(y, 31) * oddInverse(0x94d049bb133111eb)
 	y = unxorshift(y, 27) * oddInverse(0xbf58476d1ce4e5b9)
 	return unxorshift(y, 30) - 0x9e3779b97f4a7c15
 }
 
 // TestLeafHashFirstHalfInjective: the first half of a leaf digest is
-// mixA of the key bits, and mixA has an inverse, so no two keys of one
-// width share it. The inverse is checked on sequential age-ordered keys
+// sim.SplitMix64 of the key bits, and SplitMix64 has an inverse, so no two
+// keys of one width share it. The inverse is checked on sequential age-ordered keys
 // (the layout KeyFor produces, bucket above a 40-bit hash) and on 10^6
 // random ones. The one key whose first half is zero has a nonzero second
 // half at every width, so no leaf digest is zero.
 func TestLeafHashFirstHalfInjective(t *testing.T) {
 	check := func(x uint64) {
-		if got := unmixA(mixA(x)); got != x {
-			t.Fatalf("mixA(%#x) inverts to %#x", x, got)
+		if got := unSplitMix64(sim.SplitMix64(x)); got != x {
+			t.Fatalf("SplitMix64(%#x) inverts to %#x", x, got)
 		}
 	}
 	for bucket := uint64(0); bucket < 256; bucket++ {
@@ -57,9 +57,9 @@ func TestLeafHashFirstHalfInjective(t *testing.T) {
 	for i := 0; i < 1_000_000; i++ {
 		check(rng.Uint64())
 	}
-	zero := unmixA(0)
-	if mixA(zero) != 0 {
-		t.Fatalf("unmixA(0) = %#x is not mixA's zero", zero)
+	zero := unSplitMix64(0)
+	if sim.SplitMix64(zero) != 0 {
+		t.Fatalf("unSplitMix64(0) = %#x is not SplitMix64's zero", zero)
 	}
 	for m := uint8(1); m <= 64; m++ {
 		if mixB(zero^uint64(m)*widthSalt) == 0 {

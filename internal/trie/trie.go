@@ -194,15 +194,15 @@ func (t *Trie) RootSummary() (proto.NodeSummary, bool) {
 }
 
 // leafHash is a leaf's digest h(key), not collision-resistant (the package
-// documentation says why it need not be). Its first 8 bytes are mixA of
-// the key bits, a bijection, so two distinct keys of one width never share
-// a first half; the other 8 are mixB, a mixer with different constants and
-// shifts, of the key bits salted with the width. A digest is never zero:
-// mixA is zero at one key only, and mixB is not zero there
-// (TestLeafHashFirstHalfInjective).
+// documentation says why it need not be). Its first 8 bytes are
+// sim.SplitMix64 of the key bits, a bijection, so two distinct keys of one
+// width never share a first half; the other 8 are mixB, a mixer with
+// different constants and shifts, of the key bits salted with the width. A
+// digest is never zero: SplitMix64 is zero at one key only, and mixB is not
+// zero there (TestLeafHashFirstHalfInjective).
 func leafHash(k Key) [16]byte {
 	var out [16]byte
-	binary.LittleEndian.PutUint64(out[:8], mixA(k.Bits))
+	binary.LittleEndian.PutUint64(out[:8], sim.SplitMix64(k.Bits))
 	binary.LittleEndian.PutUint64(out[8:], mixB(k.Bits^uint64(k.Len)*widthSalt))
 	return out
 }
@@ -210,15 +210,6 @@ func leafHash(k Key) [16]byte {
 // widthSalt spreads a key width over mixB's input (the fractional part of
 // √2, as in SHA-512's first initial hash value).
 const widthSalt = 0x6a09e667f3bcc908
-
-// mixA is SplitMix64's output function: an odd-constant add, then
-// xor-shifts and odd multiplies, each invertible mod 2^64.
-func mixA(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
-	x = (x ^ x>>27) * 0x94d049bb133111eb
-	return x ^ x>>31
-}
 
 // mixB is MurmurHash3's 64-bit finalizer.
 func mixB(x uint64) uint64 {

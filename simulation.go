@@ -34,10 +34,10 @@ const (
 
 // SimOptions configure a Simulation.
 type SimOptions struct {
-	// Runtime picks the substrate (default RuntimeSim). The corruption
-	// injectors (CorruptSubscriberStates, CorruptSupervisorDB,
-	// InjectGarbageMessages, PartitionStates) require RuntimeSim; all
-	// other controls work on every substrate.
+	// Runtime picks the substrate (default RuntimeSim). Every control works
+	// on every substrate; on the live ones the corruption injectors
+	// (CorruptSubscriberStates, CorruptSupervisorDB, InjectGarbageMessages,
+	// PartitionStates) run under the quiesce barrier.
 	Runtime RuntimeKind
 	// Interval is the real-time length of one timeout interval on
 	// RuntimeConcurrent and RuntimeNet (default 2ms). Ignored by
@@ -70,13 +70,13 @@ type NodeID = sim.NodeID
 type Topic = sim.Topic
 
 // Simulation runs the full protocol stack (supervisor, subscribers,
-// publication engines) on a chosen substrate. On the default deterministic
-// engine it exposes the research controls used by the paper-reproduction
-// experiments: corrupted initial states, crashes, convergence detection
-// against the exact legitimate topology, and message accounting. On the
-// live runtimes the same scenario API drives real goroutines, with every
-// state read taken under the quiesce barrier; a "round" is then one
-// wall-clock timeout interval.
+// publication engines) on a chosen substrate and exposes the research
+// controls used by the paper-reproduction experiments: corrupted initial
+// states, crashes, convergence detection against the exact legitimate
+// topology, and message accounting. On the live runtimes the same scenario
+// API drives real goroutines, with every state read and every corruption
+// taken under the quiesce barrier; a "round" is then one wall-clock timeout
+// interval.
 type Simulation struct {
 	h    *cluster.Live
 	kind RuntimeKind
@@ -115,13 +115,6 @@ func (s *Simulation) Close() { s.h.Tr.Close() }
 
 // Runtime returns which substrate the simulation runs on.
 func (s *Simulation) Runtime() RuntimeKind { return s.kind }
-
-// requireSim guards the deterministic-only research controls.
-func (s *Simulation) requireSim(op string) {
-	if s.kind != RuntimeSim {
-		panic(fmt.Sprintf("sspubsub: %s requires Runtime == RuntimeSim", op))
-	}
-}
 
 // AddSubscribers creates n subscriber nodes and returns their IDs.
 func (s *Simulation) AddSubscribers(n int) []NodeID { return s.h.AddClients(n) }
@@ -250,33 +243,31 @@ func (s *Simulation) clientOf(id NodeID) (*core.Client, bool) {
 	return cl, ok
 }
 
+// The corruption injectors below run under the quiesce barrier, drawing
+// from the substrate's driver random source. On RuntimeSim the barrier is
+// a direct call, so seeded runs stay reproducible. Each reports whether it
+// ran: false means a live system never drained, and nothing was injected.
+
 // CorruptSubscriberStates overwrites all member states with garbage.
-// Requires RuntimeSim.
-func (s *Simulation) CorruptSubscriberStates(t Topic) {
-	s.requireSim("CorruptSubscriberStates")
-	s.h.CorruptSubscriberStates(t, s.h.Rand())
+func (s *Simulation) CorruptSubscriberStates(t Topic) bool {
+	return s.h.Freeze(func() { s.h.CorruptSubscriberStates(t, s.h.Rand()) })
 }
 
 // CorruptSupervisorDB injects the four database corruption cases.
-// Requires RuntimeSim.
-func (s *Simulation) CorruptSupervisorDB(t Topic) {
-	s.requireSim("CorruptSupervisorDB")
-	s.h.CorruptSupervisorDB(t, s.h.Rand())
+func (s *Simulation) CorruptSupervisorDB(t Topic) bool {
+	return s.h.Freeze(func() { s.h.CorruptSupervisorDB(t, s.h.Rand()) })
 }
 
 // InjectGarbageMessages seeds the channels with corrupted messages, spread
-// over the following round. Requires RuntimeSim.
-func (s *Simulation) InjectGarbageMessages(t Topic, count int) {
-	s.requireSim("InjectGarbageMessages")
-	s.h.SendGarbageMessages(t, count, s.h.Rand())
+// over the following round.
+func (s *Simulation) InjectGarbageMessages(t Topic, count int) bool {
+	return s.h.Freeze(func() { s.h.SendGarbageMessages(t, count, s.h.Rand()) })
 }
 
 // PartitionStates splits the members into k self-consistent, unrecorded
-// components (the hard initial state of Section 3.2.1). Requires
-// RuntimeSim.
-func (s *Simulation) PartitionStates(t Topic, k int) {
-	s.requireSim("PartitionStates")
-	s.h.PartitionStates(t, k)
+// components (the hard initial state of Section 3.2.1).
+func (s *Simulation) PartitionStates(t Topic, k int) bool {
+	return s.h.Freeze(func() { s.h.PartitionStates(t, k) })
 }
 
 // Restart brings a previously crashed subscriber back with exactly the
@@ -362,9 +353,7 @@ func (s *Simulation) Members(t Topic) []NodeID { return s.h.Members(t) }
 // RuntimeSim, wall-clock on the live runtimes.
 func (s *Simulation) Now() float64 { return s.h.Now() }
 
-// Cluster exposes the underlying deterministic harness for advanced
-// experiments. Requires RuntimeSim.
-func (s *Simulation) Cluster() *cluster.Live {
-	s.requireSim("Cluster")
-	return s.h
-}
+// Cluster exposes the underlying harness for advanced experiments, on
+// every substrate. On the live runtimes its state reads and writes belong
+// under its Freeze.
+func (s *Simulation) Cluster() *cluster.Live { return s.h }
