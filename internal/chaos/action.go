@@ -163,7 +163,7 @@ func (a Action) String() string {
 }
 
 // isFault reports whether the action perturbs the system (everything
-// except pacing actions); the stopwatch records fault times from these.
+// except pacing actions); Result.FaultActions counts these.
 func (a Action) isFault() bool {
 	switch a.Kind {
 	case Settle, Publish, Heal, RestartAll, RestartSupervisors:

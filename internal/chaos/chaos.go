@@ -9,7 +9,6 @@ import (
 
 	"sspubsub/internal/cluster"
 	"sspubsub/internal/core"
-	"sspubsub/internal/metrics"
 	"sspubsub/internal/ordering"
 	"sspubsub/internal/psim"
 	"sspubsub/internal/runtime/nettransport"
@@ -186,9 +185,8 @@ type env struct {
 	// the action stream is identical across substrates for a given seed.
 	rng *rand.Rand
 
-	watch metrics.Stopwatch
-	wave  []wavePub // post-fault publications (delivery probes)
-	pubs  int       // mid-scenario publication counter
+	wave []wavePub // post-fault publications (delivery probes)
+	pubs int       // mid-scenario publication counter
 
 	// rec collects per-node delivery traces when the run is ordered (or
 	// the ordering probe is forced); nil otherwise.
@@ -272,9 +270,6 @@ func (e *env) rateFault(verdict sim.FaultAction, rate float64, salt int64) sim.F
 
 // apply executes one action.
 func (e *env) apply(a Action) {
-	if a.isFault() {
-		e.watch.Fault(e.l.Now())
-	}
 	switch a.Kind {
 	case Settle:
 		e.l.RunRounds(max(1, a.Rounds))
@@ -476,10 +471,10 @@ func Run(sc Scenario, cfg Config) Result {
 		}
 	}
 
-	// Faults cease here (the paper's convergence premise); the stopwatch
-	// measures from this instant.
+	// Faults cease here (the paper's convergence premise); convergence
+	// time is measured on the substrate's clock from this instant.
 	e.clearFaults()
-	e.watch.Fault(e.l.Now())
+	start := e.l.Now()
 
 	// Post-fault delivery wave: fresh publications that must reach every
 	// member (publication completeness in a self-stabilized system). The
@@ -532,8 +527,7 @@ func Run(sc Scenario, cfg Config) Result {
 		res.Converged = v == ""
 	}
 	if res.Converged {
-		e.watch.Converge(e.l.Now())
-		res.Rounds = e.watch.Rounds()
+		res.Rounds = e.l.Now() - start
 	}
 	res.Delivered = e.l.Delivered()
 	if cfg.TraceSink != nil && e.rec != nil {

@@ -344,3 +344,48 @@ func TestReplicaProbeCatchesEraAboveOwner(t *testing.T) {
 		t.Fatalf("never repaired: %s", e.violation())
 	}
 }
+
+// TestLegitimacyProbeCatchesDatabaseFaults: overlay legitimacy (Definition
+// 2) requires the supervisor database to record exactly the live members,
+// uncorrupted, so a crashed member, a corrupted database and a database
+// wiped by split states are each reported by the overlay-legitimacy probe,
+// and each is repaired.
+func TestLegitimacyProbeCatchesDatabaseFaults(t *testing.T) {
+	cases := []struct {
+		name   string
+		inject func(e *env)
+		want   string
+	}{
+		{"crash", func(e *env) { e.l.Crash(e.l.Members(topic)[0]) },
+			"overlay-legitimacy: database has 8 entries, 7 live members"},
+		{"corrupt-db", func(e *env) { e.l.CorruptSupervisorDB(topic, e.rng) },
+			"overlay-legitimacy: supervisor database corrupted"},
+		{"split-states", func(e *env) { e.l.PartitionStates(topic, 2) },
+			"overlay-legitimacy: database has 0 entries, 8 live members"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{Substrate: SubstrateSim, Seed: 1, N: 8}
+			cfg.fill()
+			e, err := newEnv(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.close()
+			e.l.AddClients(cfg.N)
+			e.l.JoinAll(topic)
+			if _, ok := e.l.RunUntilConverged(topic, cfg.N, setupRounds); !ok {
+				t.Fatalf("setup: %s", e.explain())
+			}
+			e.l.Freeze(func() { tc.inject(e) })
+			if got := e.violation(); got != tc.want {
+				t.Fatalf("probe reports %q, want %q", got, tc.want)
+			}
+			rounds, ok := e.l.RunUntil(convergeRounds, func() bool { return e.violation() == "" })
+			if !ok {
+				t.Fatalf("never reconverged: %s", e.violation())
+			}
+			t.Logf("reconverged in %d rounds", rounds)
+		})
+	}
+}

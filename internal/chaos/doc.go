@@ -34,15 +34,17 @@
 //   - supervisor-plane ownership convergence (the expected owner — and only
 //     it — hosts the topic database; every member reports to it; epochs
 //     agree)
-//   - supervisor database ↔ live membership agreement
-//   - topic overlay connectivity (the union graph of ring + shortcut edges
-//     connects all members)
-//   - exact overlay legitimacy against the unique SR(n) (Definition 2)
+//   - warm-replica consistency with the owner's database
+//   - exact overlay legitimacy against the unique SR(n) (Definition 2):
+//     the supervisor database records exactly the live members, and their
+//     left, right and ring pointers form the one legal overlay, so it
+//     connects them all
 //   - trie structural invariants and cross-member root-hash agreement
 //   - delivery completeness of the post-fault publication wave
+//   - delivery ordering, when the run records delivery traces
 //
-// The convergence time — last fault to all-probes-green — is measured with
-// metrics.Stopwatch and reported per run.
+// The convergence time — faults ceasing to all-probes-green — is the
+// difference of two readings of the substrate's clock, reported per run.
 //
 // # Substrates
 //

@@ -10,9 +10,7 @@ import (
 // ProbeNames lists the invariant probes in evaluation order.
 var ProbeNames = []string{
 	"ownership-convergence",
-	"supervisor-db",
 	"replica-consistency",
-	"overlay-connectivity",
 	"overlay-legitimacy",
 	"trie-consistency",
 	"delivery-completeness",
@@ -37,18 +35,12 @@ func (e *env) violation() string {
 	if v := e.l.ExplainOwnership(topic); v != "" {
 		return "ownership-convergence: " + v
 	}
-	if v := e.dbMembershipViolation(); v != "" {
-		return "supervisor-db: " + v
-	}
 	// Warm-replica convergence: every expected replica holder's digest
 	// (era, entry count, content hash) matches the owner's database — an era
 	// above the owner's is as much a violation as one below. Trivially ""
 	// with ReplicationFactor 0.
 	if v := e.l.ExplainReplication(topic); v != "" {
 		return "replica-consistency: " + v
-	}
-	if v := e.connectivityViolation(); v != "" {
-		return "overlay-connectivity: " + v
 	}
 	if v := e.l.Explain(topic); v != "" {
 		return "overlay-legitimacy: " + v
@@ -65,93 +57,12 @@ func (e *env) violation() string {
 	return ""
 }
 
-// dbMembershipViolation checks supervisor database ↔ live membership
-// agreement on the topic's current owner: the database is structurally
-// valid (Section 3.1), records exactly the live members, and references no
-// crashed or departed node.
-func (e *env) dbMembershipViolation() string {
-	sup := e.l.SupFor(topic)
-	if sup == nil {
-		return "no live supervisor"
-	}
-	if sup.Corrupted(topic) {
-		return "database violates the validity conditions of Section 3.1"
-	}
-	members := e.l.Members(topic)
-	if n := sup.N(topic); n != len(members) {
-		return fmt.Sprintf("database records %d subscribers, %d live members", n, len(members))
-	}
-	live := make(map[sim.NodeID]bool, len(members))
-	for _, id := range members {
-		live[id] = true
-	}
-	for lab, v := range sup.Snapshot(topic) {
-		if !live[v] {
-			return fmt.Sprintf("database entry %s → %d references a non-member", lab, v)
-		}
-	}
-	return ""
-}
-
-// connectivityViolation checks that the union graph of every member's
-// overlay edges (left, right, ring closure, shortcuts), taken undirected,
-// connects all members. Connectivity is the weakest property the topic
-// tree needs for publications to reach everyone; it is implied by full
-// legitimacy but fails with a far more useful message.
-func (e *env) connectivityViolation() string {
-	members := e.l.Members(topic)
-	if len(members) <= 1 {
-		return ""
-	}
-	adj := make(map[sim.NodeID][]sim.NodeID, len(members))
-	inSet := make(map[sim.NodeID]bool, len(members))
-	for _, id := range members {
-		inSet[id] = true
-	}
-	link := func(a, b sim.NodeID) {
-		if a != b && inSet[a] && inSet[b] {
-			adj[a] = append(adj[a], b)
-			adj[b] = append(adj[b], a)
-		}
-	}
-	for _, id := range members {
-		st, ok := e.l.Clients[id].StateOf(topic)
-		if !ok {
-			return fmt.Sprintf("member %d has no instance", id)
-		}
-		link(id, st.Left.Ref)
-		link(id, st.Right.Ref)
-		link(id, st.Ring.Ref)
-		for _, ref := range st.Shortcuts {
-			link(id, ref)
-		}
-	}
-	seen := map[sim.NodeID]bool{members[0]: true}
-	queue := []sim.NodeID{members[0]}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, w := range adj[v] {
-			if !seen[w] {
-				seen[w] = true
-				queue = append(queue, w)
-			}
-		}
-	}
-	if len(seen) != len(members) {
-		return fmt.Sprintf("overlay graph splits: %d of %d members reachable from %d",
-			len(seen), len(members), members[0])
-	}
-	return ""
-}
-
 // trieViolation checks each member's publication trie structurally
 // (leaf counts, hashes, key placement) and requires all members to hold
 // hash-identical tries — the converged state of the anti-entropy protocol
 // of Section 4.2.
 func (e *env) trieViolation() string {
-	members := e.l.Members(topic)
-	for _, id := range members {
+	for _, id := range e.l.Members(topic) {
 		in, ok := e.l.Clients[id].Instance(topic)
 		if !ok {
 			return fmt.Sprintf("member %d has no instance", id)
@@ -160,14 +71,8 @@ func (e *env) trieViolation() string {
 			return fmt.Sprintf("member %d trie: %s", id, msg)
 		}
 	}
-	if len(members) == 0 {
-		return ""
-	}
-	first := e.l.Clients[members[0]].TrieRootHash(topic)
-	for _, id := range members[1:] {
-		if e.l.Clients[id].TrieRootHash(topic) != first {
-			return fmt.Sprintf("node %d root hash differs from node %d", id, members[0])
-		}
+	if !e.l.TriesEqual(topic) {
+		return "members disagree on the trie root hash"
 	}
 	return ""
 }

@@ -55,8 +55,8 @@ type Options struct {
 	// unlimited, the paper's monotone store). See pubsub.Config.HistoryCap.
 	HistoryCap int
 
-	// Ablation switches (internal/experiments flips them in E7, E8, A1
-	// and A2).
+	// Ablation switches (internal/experiments flips them in E7, E8, A1,
+	// A2 and A3).
 	DisableFlooding    bool
 	DisableAntiEntropy bool
 	DisableActionIV    bool

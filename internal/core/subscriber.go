@@ -937,7 +937,7 @@ func (s *Subscriber) handleCYC(ctx sim.Context, c proto.Tuple) {
 			return
 		}
 		far, near := s.ring, c
-		if distance(me, cp) > distance(me, rp) {
+		if label.LineDistance(s.lab, c.L) > label.LineDistance(s.lab, s.ring.L) {
 			s.fired[RuleClosureAdopt]++
 			far, near = c, s.ring
 		}
@@ -952,15 +952,6 @@ func (s *Subscriber) handleCYC(ctx sim.Context, c proto.Tuple) {
 	s.setSlot(&s.ring, proto.Tuple{})
 	s.linearize(ctx, old)
 	s.linearize(ctx, c)
-}
-
-// distance is the linear distance between two positions, used only to pick
-// the farther of two same-side closure candidates.
-func distance(a, b pos) uint64 {
-	if a.frac > b.frac {
-		return a.frac - b.frac
-	}
-	return b.frac - a.frac
 }
 
 // linearize places candidate c in the sorted list (the BuildList protocol,

@@ -114,22 +114,6 @@ func FromFrac(frac uint64) Label {
 // Real returns r(l) as a float64, for display only.
 func (l Label) Real() float64 { return float64(l.Frac()) / (1 << 63) / 2 }
 
-// Less orders labels by r value. ⊥ labels must not be ordered.
-func (l Label) Less(o Label) bool { return l.Frac() < o.Frac() }
-
-// Compare returns −1, 0, +1 by r value.
-func (l Label) Compare(o Label) int {
-	a, b := l.Frac(), o.Frac()
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
-	}
-}
-
 // String renders the bit string, or "⊥".
 func (l Label) String() string {
 	if l.Len == 0 {
@@ -278,13 +262,4 @@ func Shortcuts(v, left, right Label) (set []Label, levelLeft, levelRight Label) 
 		}
 	}
 	return set, levelLeft, levelRight
-}
-
-// Level returns the level of the edge (a, b) in the skip ring:
-// max(|label_a|, |label_b|) (Definition 2).
-func Level(a, b Label) uint8 {
-	if a.Len > b.Len {
-		return uint8(a.Len)
-	}
-	return uint8(b.Len)
 }

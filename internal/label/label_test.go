@@ -1,7 +1,6 @@
 package label
 
 import (
-	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -228,10 +227,11 @@ func TestShortcutsStructure(t *testing.T) {
 			}
 		}
 		// Count per level: shortcuts at levels |v| … m−1, two per level
-		// (counting the terminal labels at level |v|).
+		// (counting the terminal labels at level |v|). The level of an
+		// edge is the longer of its two labels (Definition 2).
 		perLevel := map[uint8]int{}
 		for _, s := range set {
-			perLevel[Level(v, s)]++
+			perLevel[max(v.Len, s.Len)]++
 		}
 		// ring edges are level m; set excludes ring neighbours.
 		want := 2 * (int(m) - int(v.Len)) // levels |v| … m−1, minus the 2 ring edges
@@ -253,27 +253,5 @@ func TestCircularDistance(t *testing.T) {
 	}
 	if got := LineDistance(a, b); got != (uint64(7) << 61) {
 		t.Errorf("LineDistance = %x, want %x (7/8)", got, uint64(7)<<61)
-	}
-}
-
-func TestOrderingMatchesReal(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 2000; i++ {
-		a, b := FromIndex(rng.Uint64()%100000), FromIndex(rng.Uint64()%100000)
-		if a.Less(b) != (a.Real() < b.Real()) && a.Frac() != b.Frac() {
-			t.Fatalf("ordering mismatch %v vs %v", a, b)
-		}
-		if (a.Compare(b) == 0) != (a == b) {
-			t.Fatalf("compare/equality mismatch %v vs %v", a, b)
-		}
-	}
-}
-
-func TestLevel(t *testing.T) {
-	if Level(MustParse("01"), MustParse("0011")) != 4 {
-		t.Error("level of (1/4, 3/16) should be 4")
-	}
-	if Level(MustParse("01"), MustParse("0")) != 2 {
-		t.Error("level of (1/4, 0) should be 2")
 	}
 }

@@ -5,90 +5,6 @@ import (
 	"testing"
 )
 
-func TestStopwatchMeasuresFromLastFault(t *testing.T) {
-	var w Stopwatch
-	w.Fault(10)
-	w.Fault(25) // later fault resets the measurement origin
-	w.Converge(40)
-	if got := w.Rounds(); got != 15 {
-		t.Fatalf("Rounds() = %g, want 15 (measured from the last fault)", got)
-	}
-	if w.Faults() != 2 {
-		t.Fatalf("Faults() = %d, want 2", w.Faults())
-	}
-}
-
-func TestStopwatchOnlyFirstConvergenceSticks(t *testing.T) {
-	var w Stopwatch
-	w.Fault(5)
-	w.Converge(8)
-	w.Converge(100) // the probes keep passing; the measurement must not move
-	if got := w.Rounds(); got != 3 {
-		t.Fatalf("Rounds() = %g, want 3", got)
-	}
-}
-
-func TestStopwatchFaultVoidsConvergence(t *testing.T) {
-	var w Stopwatch
-	w.Fault(5)
-	w.Converge(8)
-	w.Fault(20) // a new fault re-opens the measurement
-	if w.Converged() {
-		t.Fatal("Converged() true right after a new fault")
-	}
-	if got := w.Rounds(); got != -1 {
-		t.Fatalf("Rounds() = %g, want -1 while unconverged", got)
-	}
-	w.Converge(26)
-	if got := w.Rounds(); got != 6 {
-		t.Fatalf("Rounds() = %g, want 6", got)
-	}
-}
-
-func TestStopwatchNoFaults(t *testing.T) {
-	var w Stopwatch
-	w.Converge(7)
-	if got := w.Rounds(); got != 0 {
-		t.Fatalf("Rounds() = %g, want 0 for a fault-free run", got)
-	}
-}
-
-// A fault-free run converges in 0 rounds by definition, even when no probe
-// ever recorded a convergence (regression: the converged check used to run
-// first and report -1).
-func TestStopwatchNoFaultsNoProbes(t *testing.T) {
-	var w Stopwatch
-	if got := w.Rounds(); got != 0 {
-		t.Fatalf("Rounds() = %g, want 0 for an untouched stopwatch", got)
-	}
-}
-
-// Fault and convergence observed at the same timestamp: zero rounds, not
-// negative and not -1 (the probes passed in the same instant the fault
-// landed).
-func TestStopwatchFaultAndConvergeSameInstant(t *testing.T) {
-	var w Stopwatch
-	w.Fault(12)
-	w.Converge(12)
-	if got := w.Rounds(); got != 0 {
-		t.Fatalf("Rounds() = %g, want 0 for same-instant fault+converge", got)
-	}
-	if !w.Converged() {
-		t.Fatal("Converged() = false after Converge")
-	}
-}
-
-func TestStopwatchUnconverged(t *testing.T) {
-	var w Stopwatch
-	w.Fault(3)
-	if w.Converged() {
-		t.Fatal("Converged() true without a Converge call")
-	}
-	if got := w.Rounds(); got != -1 {
-		t.Fatalf("Rounds() = %g, want -1", got)
-	}
-}
-
 func TestConvergenceAggregation(t *testing.T) {
 	var c Convergence
 	for _, r := range []float64{10, 20, 30, 40} {

@@ -302,11 +302,10 @@ type ReplicaDelta struct {
 
 // ReplicaDigest is the anti-entropy exchange. With Probe set it is the
 // owner's periodic push of its database root digest (an order-independent
-// XOR fold of per-entry 16-byte truncated SHA-256 hashes, the construction
-// of the trie's node digests); the replica compares and answers — Probe
-// clear, carrying its own digest — only on mismatch, which makes the
-// steady state silent. An owner receiving a mismatching answer ships a
-// bounded-chunk ReplicaSync.
+// XOR fold of per-entry 16-byte truncated SHA-256 hashes); the replica
+// compares and answers — Probe clear, carrying its own digest — only on
+// mismatch, which makes the steady state silent. An owner receiving a
+// mismatching answer ships a bounded-chunk ReplicaSync.
 type ReplicaDigest struct {
 	Probe bool
 	Epoch uint64

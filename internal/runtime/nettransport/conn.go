@@ -161,7 +161,7 @@ func (p *peer) readLoop(conn net.Conn) {
 	var buf []byte
 	st := wire.NewDecodeState()
 	for {
-		m, b, err := wire.ReadFrameBufState(br, buf, st)
+		m, b, err := wire.ReadFrame(br, buf, st)
 		buf = b
 		if err != nil {
 			if errors.Is(err, wire.ErrGarbage) {

@@ -171,7 +171,7 @@ func TestGarbageFramesDropped(t *testing.T) {
 	}
 	waitFor(t, 5*time.Second, "garbage counted", func() bool { return hub.GarbageFrames() == 3 })
 	// The valid frame was a Hello: the hub must still answer with a Welcome.
-	m, err := wire.ReadFrame(conn)
+	m, _, err := wire.ReadFrame(conn, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestRetiredBatchTagIsGarbage(t *testing.T) {
 		}
 	}
 	waitFor(t, 5*time.Second, "tag-34 frame counted as garbage", func() bool { return hub.GarbageFrames() == 1 })
-	m, err := wire.ReadFrame(conn)
+	m, _, err := wire.ReadFrame(conn, nil, nil)
 	if err != nil {
 		t.Fatalf("connection did not survive the tag-34 frame: %v", err)
 	}

@@ -234,39 +234,13 @@ func (r *SkipRing) Stats() DegreeStats {
 // Diameter returns the hop diameter of ER ∪ ES (BFS from every node;
 // O(n·m), fine at simulation scale).
 func (r *SkipRing) Diameter() int {
-	max := 0
+	diam := 0
 	for s := 0; s < r.n; s++ {
-		d := r.eccentricity(s)
-		if d > max {
-			max = d
+		for _, d := range r.BFSHops(s) {
+			diam = max(diam, d)
 		}
 	}
-	return max
-}
-
-// Eccentricity returns the BFS eccentricity of node s.
-func (r *SkipRing) eccentricity(s int) int {
-	dist := make([]int, r.n)
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[s] = 0
-	queue := []int{s}
-	far := 0
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, w := range r.adj[v] {
-			if dist[w] < 0 {
-				dist[w] = dist[v] + 1
-				if dist[w] > far {
-					far = dist[w]
-				}
-				queue = append(queue, w)
-			}
-		}
-	}
-	return far
+	return diam
 }
 
 // BFSHops returns the hop distance of every node from source (the flooding

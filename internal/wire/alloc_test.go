@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"fmt"
 	"io"
 	"testing"
 
@@ -87,12 +86,12 @@ func TestReadFrameBufAllocs(t *testing.T) {
 	}
 	r := bytes.NewReader(frame)
 	var buf []byte
-	if _, buf, err = ReadFrameBuf(r, buf); err != nil { // warm: grow buf, fault in pools
+	if _, buf, err = ReadFrame(r, buf, nil); err != nil { // warm: grow buf, fault in pools
 		t.Fatal(err)
 	}
 	avg := testing.AllocsPerRun(200, func() {
 		r.Reset(frame)
-		m, b, err := ReadFrameBuf(r, buf)
+		m, b, err := ReadFrame(r, buf, nil)
 		buf = b
 		if err != nil {
 			t.Fatal(err)
@@ -102,7 +101,7 @@ func TestReadFrameBufAllocs(t *testing.T) {
 		}
 	})
 	if avg > 1 {
-		t.Errorf("ReadFrameBuf(Check) allocates %.2f objects/op, want ≤ 1 (body boxing)", avg)
+		t.Errorf("ReadFrame(Check) allocates %.2f objects/op, want ≤ 1 (body boxing)", avg)
 	}
 }
 
@@ -136,19 +135,5 @@ func TestArenaBatchDecodeAllocs(t *testing.T) {
 	})
 	if avg > 2 {
 		t.Errorf("arena decode of PublishBatch16 allocates %.2f objects/op, want ≤ 2", avg)
-	}
-}
-
-// TestRegistryNamesMatchReflection: the registry's canonical names must
-// equal the %T rendering and the accounting name (sim.TypeName), so a
-// codec error and a CountByType key name a message type the same way.
-func TestRegistryNamesMatchReflection(t *testing.T) {
-	for tag, ent := range registry {
-		if want := fmt.Sprintf("%T", ent.zero); ent.name != want {
-			t.Errorf("tag %d: registry name %q, %%T renders %q", tag, ent.name, want)
-		}
-		if got := sim.TypeName(ent.zero); got != ent.name {
-			t.Errorf("tag %d: TypeName %q diverges from registry name %q", tag, got, ent.name)
-		}
 	}
 }

@@ -116,23 +116,22 @@ func Encodable(body any) bool { return checkBatchable(body) == nil }
 // entry is one registered message type. dec returns the zero body on
 // failure; the latched dec.err carries the diagnosis.
 type entry struct {
-	name string
 	zero any
 	enc  func(*enc, any)
 	dec  func(*dec) any
 }
 
 var registry = map[uint64]entry{
-	tagSubscribe: {"proto.Subscribe", proto.Subscribe{},
+	tagSubscribe: {proto.Subscribe{},
 		func(e *enc, b any) { e.node(b.(proto.Subscribe).V) },
 		func(d *dec) any { return proto.Subscribe{V: d.node()} }},
-	tagUnsubscribe: {"proto.Unsubscribe", proto.Unsubscribe{},
+	tagUnsubscribe: {proto.Unsubscribe{},
 		func(e *enc, b any) { e.node(b.(proto.Unsubscribe).V) },
 		func(d *dec) any { return proto.Unsubscribe{V: d.node()} }},
-	tagGetConfiguration: {"proto.GetConfiguration", proto.GetConfiguration{},
+	tagGetConfiguration: {proto.GetConfiguration{},
 		func(e *enc, b any) { e.node(b.(proto.GetConfiguration).V) },
 		func(d *dec) any { return proto.GetConfiguration{V: d.node()} }},
-	tagSetData: {"proto.SetData", proto.SetData{},
+	tagSetData: {proto.SetData{},
 		func(e *enc, b any) {
 			m := b.(proto.SetData)
 			e.tuple(m.Pred)
@@ -143,7 +142,7 @@ var registry = map[uint64]entry{
 		func(d *dec) any {
 			return proto.SetData{Pred: d.tuple(), Label: d.labelv(), Succ: d.tuple(), Epoch: d.uvarint()}
 		}},
-	tagCheck: {"proto.Check", proto.Check{},
+	tagCheck: {proto.Check{},
 		func(e *enc, b any) {
 			m := b.(proto.Check)
 			e.tuple(m.Sender)
@@ -153,34 +152,34 @@ var registry = map[uint64]entry{
 		func(d *dec) any {
 			return proto.Check{Sender: d.tuple(), YourLabel: d.labelv(), Flag: d.flag()}
 		}},
-	tagIntroduce: {"proto.Introduce", proto.Introduce{},
+	tagIntroduce: {proto.Introduce{},
 		func(e *enc, b any) {
 			m := b.(proto.Introduce)
 			e.tuple(m.C)
 			e.u8(uint8(m.Flag))
 		},
 		func(d *dec) any { return proto.Introduce{C: d.tuple(), Flag: d.flag()} }},
-	tagLinearize: {"proto.Linearize", proto.Linearize{},
+	tagLinearize: {proto.Linearize{},
 		func(e *enc, b any) {
 			m := b.(proto.Linearize)
 			e.tuple(m.V)
 			e.tuple(m.From)
 		},
 		func(d *dec) any { return proto.Linearize{V: d.tuple(), From: d.tuple()} }},
-	tagRemoveConnections: {"proto.RemoveConnections", proto.RemoveConnections{},
+	tagRemoveConnections: {proto.RemoveConnections{},
 		func(e *enc, b any) { e.node(b.(proto.RemoveConnections).V) },
 		func(d *dec) any { return proto.RemoveConnections{V: d.node()} }},
-	tagIntroduceShortcut: {"proto.IntroduceShortcut", proto.IntroduceShortcut{},
+	tagIntroduceShortcut: {proto.IntroduceShortcut{},
 		func(e *enc, b any) { e.tuple(b.(proto.IntroduceShortcut).T) },
 		func(d *dec) any { return proto.IntroduceShortcut{T: d.tuple()} }},
-	tagCheckTrie: {"proto.CheckTrie", proto.CheckTrie{},
+	tagCheckTrie: {proto.CheckTrie{},
 		func(e *enc, b any) {
 			m := b.(proto.CheckTrie)
 			e.node(m.Sender)
 			e.summaries(m.Nodes)
 		},
 		func(d *dec) any { return proto.CheckTrie{Sender: d.node(), Nodes: d.summaries()} }},
-	tagCheckAndPublish: {"proto.CheckAndPublish", proto.CheckAndPublish{},
+	tagCheckAndPublish: {proto.CheckAndPublish{},
 		func(e *enc, b any) {
 			m := b.(proto.CheckAndPublish)
 			e.node(m.Sender)
@@ -190,7 +189,7 @@ var registry = map[uint64]entry{
 		func(d *dec) any {
 			return proto.CheckAndPublish{Sender: d.node(), Nodes: d.summaries(), Prefix: d.key()}
 		}},
-	tagPublishBatch: {"proto.PublishBatch", proto.PublishBatch{},
+	tagPublishBatch: {proto.PublishBatch{},
 		func(e *enc, b any) {
 			m := b.(proto.PublishBatch)
 			e.uvarint(uint64(len(m.Pubs)))
@@ -206,7 +205,7 @@ var registry = map[uint64]entry{
 			}
 			return proto.PublishBatch{Pubs: pubs}
 		}},
-	tagPublishNew: {"proto.PublishNew", proto.PublishNew{},
+	tagPublishNew: {proto.PublishNew{},
 		func(e *enc, b any) {
 			m := b.(proto.PublishNew)
 			e.publication(m.Pub)
@@ -230,16 +229,16 @@ var registry = map[uint64]entry{
 			m.Arc = d.arc()
 			return m
 		}},
-	tagJoinTopic: {"core.JoinTopic", core.JoinTopic{},
+	tagJoinTopic: {core.JoinTopic{},
 		func(e *enc, b any) {},
 		func(d *dec) any { return core.JoinTopic{} }},
-	tagLeaveTopic: {"core.LeaveTopic", core.LeaveTopic{},
+	tagLeaveTopic: {core.LeaveTopic{},
 		func(e *enc, b any) {},
 		func(d *dec) any { return core.LeaveTopic{} }},
-	tagPublishCmd: {"core.PublishCmd", core.PublishCmd{},
+	tagPublishCmd: {core.PublishCmd{},
 		func(e *enc, b any) { e.str(b.(core.PublishCmd).Payload) },
 		func(d *dec) any { return core.PublishCmd{Payload: d.str()} }},
-	tagReregister: {"proto.Reregister", proto.Reregister{},
+	tagReregister: {proto.Reregister{},
 		func(e *enc, b any) {
 			m := b.(proto.Reregister)
 			e.node(m.V)
@@ -249,7 +248,7 @@ var registry = map[uint64]entry{
 		func(d *dec) any {
 			return proto.Reregister{V: d.node(), Label: d.labelv(), Epoch: d.uvarint()}
 		}},
-	tagOwnerAnnounce: {"proto.OwnerAnnounce", proto.OwnerAnnounce{},
+	tagOwnerAnnounce: {proto.OwnerAnnounce{},
 		func(e *enc, b any) {
 			m := b.(proto.OwnerAnnounce)
 			e.node(m.Owner)
@@ -258,7 +257,7 @@ var registry = map[uint64]entry{
 		func(d *dec) any {
 			return proto.OwnerAnnounce{Owner: d.node(), Epoch: d.uvarint()}
 		}},
-	tagPlaneGossip: {"proto.PlaneGossip", proto.PlaneGossip{},
+	tagPlaneGossip: {proto.PlaneGossip{},
 		func(e *enc, b any) {
 			m := b.(proto.PlaneGossip)
 			e.uvarint(uint64(len(m.Entries)))
@@ -278,7 +277,7 @@ var registry = map[uint64]entry{
 			}
 			return proto.PlaneGossip{Entries: entries}
 		}},
-	tagReplicaDelta: {"proto.ReplicaDelta", proto.ReplicaDelta{},
+	tagReplicaDelta: {proto.ReplicaDelta{},
 		func(e *enc, b any) {
 			m := b.(proto.ReplicaDelta)
 			e.uvarint(m.Epoch)
@@ -310,7 +309,7 @@ var registry = map[uint64]entry{
 			}
 			return m
 		}},
-	tagReplicaDigest: {"proto.ReplicaDigest", proto.ReplicaDigest{},
+	tagReplicaDigest: {proto.ReplicaDigest{},
 		func(e *enc, b any) {
 			m := b.(proto.ReplicaDigest)
 			e.boolean(m.Probe)
@@ -323,7 +322,7 @@ var registry = map[uint64]entry{
 			d.bytes(m.Hash[:])
 			return m
 		}},
-	tagReplicaSync: {"proto.ReplicaSync", proto.ReplicaSync{},
+	tagReplicaSync: {proto.ReplicaSync{},
 		func(e *enc, b any) {
 			m := b.(proto.ReplicaSync)
 			e.uvarint(m.Epoch)
@@ -350,14 +349,14 @@ var registry = map[uint64]entry{
 			}
 			return m
 		}},
-	tagHello: {"wire.Hello", Hello{},
+	tagHello: {Hello{},
 		func(e *enc, b any) {
 			m := b.(Hello)
 			e.node(m.Base)
 			e.uvarint(uint64(m.Slots))
 		},
 		func(d *dec) any { return Hello{Base: d.node(), Slots: d.u32()} }},
-	tagWelcome: {"wire.Welcome", Welcome{},
+	tagWelcome: {Welcome{},
 		func(e *enc, b any) {
 			m := b.(Welcome)
 			e.node(m.Base)
@@ -374,7 +373,7 @@ var tagOf map[reflect.Type]uint64
 // recurses through lookupBody, so defining it inside the registry literal
 // would be an initialization cycle) and builds the type→tag table.
 func init() {
-	registry[tagBatch2] = entry{"wire.Batch2", Batch2{},
+	registry[tagBatch2] = entry{Batch2{},
 		func(e *enc, b any) {
 			m := b.(Batch2)
 			e.uvarint(uint64(len(m.Msgs)))
@@ -439,7 +438,7 @@ func Registered() []string {
 	sort.Slice(tags, func(i, j int) bool { return tags[i] < tags[j] })
 	out := make([]string, len(tags))
 	for i, t := range tags {
-		out[i] = fmt.Sprintf("%d %s", t, registry[t].name)
+		out[i] = fmt.Sprintf("%d %s", t, sim.TypeName(registry[t].zero))
 	}
 	return out
 }

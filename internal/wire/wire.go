@@ -31,7 +31,7 @@
 //
 // The codec is built for an allocation-free steady state: AppendFrame
 // encodes into a caller-held buffer (and WriteFrame into a pooled one),
-// ReadFrameBuf reuses one frame buffer per connection, and the encoder/
+// ReadFrame reuses one frame buffer per connection, and the encoder/
 // decoder cursors are recycled through sync.Pools. The Batch2 envelope
 // (tag 35) lets a transport carry a whole coalescing window of messages
 // in one frame; see the type's documentation for its layout and
@@ -181,10 +181,10 @@ func decodePayload(p []byte, st *DecodeState) (sim.Message, error) {
 	}
 	m.Body = ent.dec(d)
 	if d.err != nil {
-		return sim.Message{}, fmt.Errorf("decoding %s: %w", ent.name, d.err)
+		return sim.Message{}, fmt.Errorf("decoding %s: %w", sim.TypeName(ent.zero), d.err)
 	}
 	if d.off != len(d.b) {
-		return sim.Message{}, fmt.Errorf("%w: %d trailing bytes after %s", ErrGarbage, len(d.b)-d.off, ent.name)
+		return sim.Message{}, fmt.Errorf("%w: %d trailing bytes after %s", ErrGarbage, len(d.b)-d.off, sim.TypeName(ent.zero))
 	}
 	return m, nil
 }
@@ -217,19 +217,7 @@ func WriteFrame(w io.Writer, m sim.Message) error {
 	return err
 }
 
-// ReadFrame reads one frame from r. Errors wrapping ErrGarbage are
-// recoverable — the stream is still aligned on a frame boundary and the
-// caller may read the next frame. Any other error (I/O failure,
-// ErrFrameTooLarge) means the stream is unusable.
-//
-// ReadFrame allocates a fresh buffer per frame; loop readers should hold
-// a buffer across calls and use ReadFrameBuf.
-func ReadFrame(r io.Reader) (sim.Message, error) {
-	m, _, err := ReadFrameBuf(r, nil)
-	return m, err
-}
-
-// ReadFrameBuf reads one frame from r into the caller-supplied buffer,
+// ReadFrame reads one frame from r into the caller-supplied buffer,
 // growing it only when a frame exceeds its capacity, and returns the
 // (possibly re-grown) buffer for the next call. The decoded message
 // never references the buffer — strings and slices are copied out — so
@@ -237,20 +225,19 @@ func ReadFrame(r io.Reader) (sim.Message, error) {
 //
 //	var buf []byte
 //	for {
-//		m, buf, err = wire.ReadFrameBuf(r, buf)
+//		m, buf, err = wire.ReadFrame(r, buf, st)
 //		...
 //	}
 //
-// Error semantics match ReadFrame.
-func ReadFrameBuf(r io.Reader, buf []byte) (sim.Message, []byte, error) {
-	return ReadFrameBufState(r, buf, nil)
-}
-
-// ReadFrameBufState is ReadFrameBuf decoding through st (nil st is plain
-// ReadFrameBuf); see UnmarshalState. A connection read loop pairs one
-// buffer with one DecodeState and calls st.EndFrame after dispatching
-// each frame's messages.
-func ReadFrameBufState(r io.Reader, buf []byte, st *DecodeState) (sim.Message, []byte, error) {
+// Decoding goes through st (nil decodes plainly; see UnmarshalState): a
+// connection read loop pairs one buffer with one DecodeState and calls
+// st.EndFrame after dispatching each frame's messages.
+//
+// Errors wrapping ErrGarbage are recoverable — the stream is still
+// aligned on a frame boundary and the caller may read the next frame.
+// Any other error (I/O failure, ErrFrameTooLarge) means the stream is
+// unusable.
+func ReadFrame(r io.Reader, buf []byte, st *DecodeState) (sim.Message, []byte, error) {
 	// The header is read through buf as well: a local array would escape
 	// through the io.Reader interface call and cost one allocation per
 	// frame.

@@ -309,7 +309,7 @@ func TestFrameTooLarge(t *testing.T) {
 	if _, err := Unmarshal(b); !errors.Is(err, ErrFrameTooLarge) {
 		t.Errorf("got %v, want ErrFrameTooLarge", err)
 	}
-	if _, err := ReadFrame(bytes.NewReader(b)); !errors.Is(err, ErrFrameTooLarge) {
+	if _, _, err := ReadFrame(bytes.NewReader(b), nil, nil); !errors.Is(err, ErrFrameTooLarge) {
 		t.Errorf("ReadFrame: got %v, want ErrFrameTooLarge", err)
 	}
 	big := proto.PublishBatch{Pubs: []proto.Publication{{Payload: strings.Repeat("x", MaxFrame+1)}}}
@@ -351,7 +351,7 @@ func TestStreamReadWrite(t *testing.T) {
 	}
 	var got []sim.Message
 	for {
-		m, err := ReadFrame(&buf)
+		m, _, err := ReadFrame(&buf, nil, nil)
 		if err != nil {
 			if errors.Is(err, ErrGarbage) {
 				continue // skip, stream stays aligned
