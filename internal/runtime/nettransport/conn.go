@@ -20,7 +20,9 @@ import (
 // socket leaves as one frame), not from a timer. Dial-side peers
 // (addr != "") redial with exponential backoff when the link drops and
 // keep their backlog across the gap; accepted peers live exactly as long
-// as their connection.
+// as their connection. A loopback transport dials one peer per shard and
+// accepts each again on its own listener, so every shard has its own
+// writer, reader and decode state; a joiner dials one.
 type peer struct {
 	t    *Transport
 	addr string // dial target; "" for accepted connections

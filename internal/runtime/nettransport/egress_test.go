@@ -110,7 +110,7 @@ func TestEgressConservationAcrossFaults(t *testing.T) {
 	defer tr.Close()
 	h := &countHandler{}
 	tr.AddNode(1, h)
-	var calls int // the one writer goroutine of the one link is the only caller
+	var calls int // node 1's link's writer is the only caller
 	tr.SetFrameFault(func() FrameFault {
 		calls++
 		switch calls % 3 {
@@ -170,8 +170,9 @@ func TestEgressConservationOversizeAndUnencodable(t *testing.T) {
 	}
 }
 
-// TestEgressConservationConnDeath kills the dialed loopback connection
-// three times while four goroutines keep sending. A write that fails
+// TestEgressConservationConnDeath kills the loopback link that carries
+// node 1's traffic three times while four goroutines keep sending to node
+// 1, so every kill lands on a loaded link. A write that fails
 // carried a known set of messages: they are counted lost and their holds
 // released, the backlog queued during the gap leaves on the next
 // connection, and the barrier settles on sent = delivered + lost.
@@ -204,7 +205,7 @@ func TestEgressConservationConnDeath(t *testing.T) {
 	for kill := 0; kill < 3; kill++ {
 		mark := h.n.Load()
 		waitFor(t, 10*time.Second, "traffic before the kill", func() bool { return h.n.Load() > mark+100 })
-		closeConn(tr.up)
+		closeConn(tr.linkFor(1))
 		mark = h.n.Load()
 		waitFor(t, 10*time.Second, "traffic after the reconnect", func() bool { return h.n.Load() > mark+100 })
 	}
@@ -247,7 +248,7 @@ func TestEgressConservationAcrossReconnect(t *testing.T) {
 	hub1.Close()
 	// Once the joiner has seen the link drop no writer is left: everything
 	// sent from here on queues on the link.
-	waitFor(t, 5*time.Second, "joiner notices the dead hub", func() bool { return j.up.downFor(0) })
+	waitFor(t, 5*time.Second, "joiner notices the dead hub", func() bool { return j.links[0].downFor(0) })
 	const backlog = 50
 	for i := 0; i < backlog; i++ {
 		j.Send(subscribe(1, nid, i))

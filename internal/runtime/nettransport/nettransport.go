@@ -15,10 +15,14 @@
 //
 //   - Loopback (NewLoopback): a single process that dials its own
 //     listener, so every message — even node-to-node within the process —
-//     crosses the codec and a real TCP socket. This is the conformance
-//     and benchmarking configuration: same scenario API as the other
+//     crosses the codec and a real TCP socket. It dials one link per P (at
+//     most maxLoopbackLinks) and sends each message on the link its
+//     destination picks, so every node's traffic rides one link in order
+//     while the links' readers decode and inject in parallel, rather than
+//     one reader waking every node. This is the conformance and
+//     benchmarking configuration: same scenario API as the other
 //     substrates, plus a working Quiesce barrier that extends over frames
-//     in flight.
+//     in flight on every link.
 //   - Hub (NewHub): listens for joiner processes, grants each a block of
 //     node IDs, delivers frames addressed to its own nodes and relays
 //     joiner-to-joiner traffic (a star topology — the supervisor process
@@ -47,6 +51,7 @@ package nettransport
 import (
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -100,6 +105,9 @@ const (
 	// graceIntervals is how many timeout intervals a peer's link may be
 	// down before the failure detector suspects its nodes.
 	graceIntervals = 20
+	// maxLoopbackLinks caps the loopback role's links (one per P below
+	// it), and so the sockets one test transport holds on a large machine.
+	maxLoopbackLinks = 4
 )
 
 func (o Options) logf(format string, args ...any) {
@@ -149,7 +157,7 @@ type Transport struct {
 	local    map[sim.NodeID]bool
 	blocks   []*block // hub: granted ID blocks, routing table
 	accepted []*peer  // every accepted connection, for shutdown
-	up       *peer    // loopback/joiner: the dialed upstream link
+	links    []*peer  // loopback: one dialed link per shard; joiner: the hub link
 	base     sim.NodeID
 	slots    uint32
 	next     sim.NodeID // hub: next block base to grant
@@ -173,7 +181,7 @@ func (b *block) contains(id sim.NodeID) bool {
 
 // NewLoopback starts a single-process transport whose every message
 // crosses a real TCP socket: it listens on addr (default 127.0.0.1:0) and
-// dials itself.
+// dials itself once per P, up to maxLoopbackLinks.
 func NewLoopback(opts Options) (*Transport, error) {
 	if opts.Listen == "" {
 		opts.Listen = "127.0.0.1:0"
@@ -182,7 +190,10 @@ func NewLoopback(opts Options) (*Transport, error) {
 	if err != nil {
 		return nil, err
 	}
-	t.up = t.newDialPeer(t.ln.Addr().String())
+	t.links = make([]*peer, min(runtime.GOMAXPROCS(0), maxLoopbackLinks))
+	for i := range t.links {
+		t.links[i] = t.newDialPeer(t.ln.Addr().String())
+	}
 	return t, nil
 }
 
@@ -210,7 +221,7 @@ func NewJoiner(opts Options) (*Transport, error) {
 		ready: make(chan struct{}),
 	}
 	t.Runtime = t.newRuntime()
-	t.up = t.newDialPeer(opts.Hub)
+	t.links = []*peer{t.newDialPeer(opts.Hub)}
 	select {
 	case <-t.ready:
 		return t, nil
@@ -376,7 +387,6 @@ func (t *Transport) Suspects(id sim.NodeID) bool {
 			break
 		}
 	}
-	joinerUp := t.up
 	t.mu.Unlock()
 	if isLocal {
 		return t.Runtime.Suspects(id)
@@ -389,7 +399,7 @@ func (t *Transport) Suspects(id sim.NodeID) bool {
 		// Everything non-local reaches this process through the hub; while
 		// the hub link is up we cannot tell remote nodes apart, and only
 		// the supervisor consults the detector anyway.
-		return joinerUp.downFor(grace)
+		return t.links[0].downFor(grace)
 	}
 	return true
 }
@@ -404,10 +414,7 @@ func (t *Transport) Close() {
 		return
 	}
 	t.closed = true
-	peers := make([]*peer, 0, len(t.blocks)+len(t.accepted)+1)
-	if t.up != nil {
-		peers = append(peers, t.up)
-	}
+	peers := append(make([]*peer, 0, len(t.links)+len(t.blocks)+len(t.accepted)), t.links...)
 	for _, b := range t.blocks {
 		peers = append(peers, b.p)
 	}
@@ -439,17 +446,16 @@ func (t *Transport) redirect(m sim.Message) bool {
 		// hold taken here is released at Inject or at whichever loss point
 		// claims the message first.
 		t.inflight.Add(1)
-		t.up.send(m)
+		t.linkFor(m.To).send(m)
 		return true
 	case roleJoiner:
 		t.mu.Lock()
 		isLocal := t.local[m.To]
-		up := t.up
 		t.mu.Unlock()
 		if isLocal {
 			return false
 		}
-		up.send(m)
+		t.linkFor(m.To).send(m)
 		return true
 	default: // hub
 		t.mu.Lock()
@@ -466,6 +472,13 @@ func (t *Transport) redirect(m sim.Message) bool {
 		p.send(m)
 		return true
 	}
+}
+
+// linkFor returns the dialed link that carries every message to id: the
+// destination picks the shard, so each sender–receiver pair keeps the FIFO
+// order of one TCP stream. The links are fixed at construction.
+func (t *Transport) linkFor(id sim.NodeID) *peer {
+	return t.links[uint64(id)%uint64(len(t.links))]
 }
 
 // peerFor returns the link owning id's block. Caller holds t.mu.

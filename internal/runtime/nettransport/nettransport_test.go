@@ -442,7 +442,7 @@ func TestConnChurnSoak(t *testing.T) {
 	counters := []*atomic.Int64{&hubNode.got, &nodes[0].got, &nodes[1].got}
 	kills := 0
 	for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); kills++ {
-		closeConn(js[kills%2].up)
+		closeConn(js[kills%2].links[0])
 		var marks [3]int64
 		for i, c := range counters {
 			marks[i] = c.Load()

@@ -12,7 +12,10 @@ import (
 // allocations of a batch decode (payload strings, publication slices,
 // the batch's message scaffold) into a few chunk allocations, so a
 // Batch2 frame costs one boxing allocation per member rather than a
-// string and a slice on top.
+// string and a slice on top. Large payloads are shared instead: the
+// copies of one publication that a connection carries to several
+// subscribers decode into one string, so a 4 KiB payload is held once per
+// connection rather than once per subscriber.
 
 const (
 	// arenaChunk is the byte-chunk size strings are bumped through.
@@ -24,6 +27,12 @@ const (
 	// arenaSliceChunk is the element count slice backings are bumped
 	// through.
 	arenaSliceChunk = 256
+	// sharedSlots is the size of the shared-payload table, indexed by the
+	// low bits of the publication key (hash bits, not clock bits).
+	sharedSlots = 64
+	// sharedMaxStr caps the payloads the table keeps, which bounds what it
+	// retains to sharedSlots × sharedMaxStr = 4 MiB per connection.
+	sharedMaxStr = 64 << 10
 )
 
 // Arena is a bump allocator for decoded message innards. Allocation
@@ -37,6 +46,9 @@ type Arena struct {
 	buf  []byte              // string bytes
 	msgs []sim.Message       // batch scaffold backing (per-frame lifetime)
 	pubs []proto.Publication // publication backing (escapes with the body)
+	// shared holds the last payload over arenaMaxStr decoded per key slot.
+	// Its strings are private allocations, not arena memory.
+	shared [sharedSlots]string
 }
 
 // grabString copies b into the arena and returns it as a string. The
@@ -55,6 +67,23 @@ func (a *Arena) grabString(b []byte) string {
 	off := len(a.buf)
 	a.buf = append(a.buf, b...)
 	return unsafe.String(&a.buf[off], len(b))
+}
+
+// grabPayload is grabString for a publication payload under key bits. A
+// payload over arenaMaxStr whose bytes equal the string last stored in the
+// key's slot returns that string, so the copies of one publication share
+// one backing array; any other payload up to sharedMaxStr replaces the
+// slot's string. The full bytes are compared, so a colliding or corrupted
+// key can only cost a miss, never hand out a wrong payload.
+func (a *Arena) grabPayload(bits uint64, b []byte) string {
+	if len(b) <= arenaMaxStr || len(b) > sharedMaxStr {
+		return a.grabString(b)
+	}
+	slot := &a.shared[bits%sharedSlots]
+	if *slot != string(b) {
+		*slot = string(b)
+	}
+	return *slot
 }
 
 // grabMsgs returns an empty slice with capacity n bumped out of the
@@ -99,11 +128,12 @@ func (a *Arena) grabPubs(n int) []proto.Publication {
 // endFrame rewinds the per-frame scaffold only.
 func (a *Arena) endFrame() { a.msgs = a.msgs[:0] }
 
-// reset rewinds everything for reuse.
+// reset rewinds everything for reuse and empties the shared-payload table.
 func (a *Arena) reset() {
 	a.buf = a.buf[:0]
 	a.msgs = a.msgs[:0]
 	a.pubs = a.pubs[:0]
+	a.shared = [sharedSlots]string{}
 }
 
 // DecodeState carries one connection's decode resources: the bump arena.
@@ -125,8 +155,8 @@ func NewDecodeState() *DecodeState { return &DecodeState{} }
 func (st *DecodeState) EndFrame() { st.arena.endFrame() }
 
 // Reset rewinds the whole arena, invalidating every value decoded through
-// this state. Only callers that control the full lifetime of what they
-// decoded may use it (benchmarks, replay tooling that copies out); the
-// transport read path never does — its decoded bodies escape into the
-// runtime with unbounded lifetime.
+// this state, and empties the shared-payload table. Only callers that
+// control the full lifetime of what they decoded may use it (benchmarks,
+// replay tooling that copies out); the transport read path never does —
+// its decoded bodies escape into the runtime with unbounded lifetime.
 func (st *DecodeState) Reset() { st.arena.reset() }

@@ -111,16 +111,19 @@ func BenchmarkWireRoundTrip(b *testing.B) {
 // its own arc, through one warm DecodeState as the transport read loop
 // uses it (EndFrame after each frame, no Reset). The frames cycle through
 // 64 distinct publications per member slot, so no body repeats within
-// 2,048 members. Reported per member, at 64-B and 4-KiB payloads.
+// 2,048 members — nor does a payload, so the 4-KiB case measures the
+// shared-payload table's miss path. Reported per member, at 64-B and
+// 4-KiB payloads.
 func BenchmarkWireDecodeBatch(b *testing.B) {
 	const members, frames = 32, 64
 	for _, size := range []int{64, 4096} {
 		b.Run(fmt.Sprintf("%dB", size), func(b *testing.B) {
-			payload := strings.Repeat("x", size)
 			var all [][]byte
 			for f := 0; f < frames; f++ {
 				batch := Batch2{Msgs: make([]sim.Message, members)}
 				for i := range batch.Msgs {
+					payload := fmt.Sprintf("%06d|", f*members+i)
+					payload += strings.Repeat("x", size-len(payload))
 					batch.Msgs[i] = sim.Message{To: sim.NodeID(i + 2), From: 1, Topic: 1, Body: proto.PublishNew{
 						Pub: proto.Publication{Key: proto.Key{Bits: uint64(f*members+i) * 0x9e3779b97f4a7c15, Len: 64}, Origin: 1, Payload: payload},
 						Arc: proto.Arc{Lo: uint64(i) << 59, Hi: uint64(i+1) << 59},

@@ -98,20 +98,23 @@ type Batch2 struct {
 	Msgs []sim.Message
 }
 
-// checkBatchable reports why a body may not ride inside a Batch2: it must
+// lookupBatchable resolves a body that may ride inside a Batch2: it must
 // be a registered type and must not itself be a batch.
-func checkBatchable(body any) error {
-	if _, nested := body.(Batch2); nested {
-		return fmt.Errorf("wire: batch inside batch")
+func lookupBatchable(body any) (uint64, entry, error) {
+	tag, ent, err := lookupBody(body)
+	if err == nil && tag == tagBatch2 {
+		err = fmt.Errorf("wire: batch inside batch")
 	}
-	_, _, err := lookupBody(body)
-	return err
+	return tag, ent, err
 }
 
 // Encodable reports whether a message with this body can be encoded as a
 // frame of its own and inside a Batch2. The transport uses it to shed
 // unencodable messages (as counted loss) before building a batch.
-func Encodable(body any) bool { return checkBatchable(body) == nil }
+func Encodable(body any) bool {
+	_, _, err := lookupBatchable(body)
+	return err == nil
+}
 
 // entry is one registered message type. dec returns the zero body on
 // failure; the latched dec.err carries the diagnosis.
@@ -514,16 +517,18 @@ func (e *enc) publication(p proto.Publication) {
 }
 
 func (d *dec) publication() proto.Publication {
-	return proto.Publication{Key: d.key(), Origin: d.node(), Payload: d.str()}
+	p := proto.Publication{Key: d.key(), Origin: d.node()}
+	p.Payload = d.payload(p.Key.Bits)
+	return p
 }
 
 // message encodes one batch member: the sim.Message envelope followed by
 // its tagged body, exactly as in a standalone frame but without the
 // length prefix and header. AppendFrame pre-validates every member with
-// checkBatchable, so the lookups here cannot fail.
+// lookupBatchable, so the lookups here cannot fail.
 func (e *enc) message(m sim.Message) {
-	tag, ent, err := lookupBody(m.Body)
-	if err != nil || tag == tagBatch2 {
+	tag, ent, err := lookupBatchable(m.Body)
+	if err != nil {
 		// Unreachable by construction; panicking here would turn an
 		// internal invariant slip into a transport crash, so encode the
 		// member as a GetConfiguration to ⊥ instead — the receiver drops

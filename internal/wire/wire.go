@@ -98,7 +98,7 @@ func AppendFrame(dst []byte, m sim.Message) ([]byte, error) {
 		// cannot fail mid-frame, so a batch with an unencodable or nested-
 		// batch member must be rejected before any byte is written.
 		for _, bm := range b.Msgs {
-			if err := checkBatchable(bm.Body); err != nil {
+			if _, _, err := lookupBatchable(bm.Body); err != nil {
 				return dst, err
 			}
 		}
@@ -365,22 +365,35 @@ func (d *dec) bytes(dst []byte) {
 }
 
 func (d *dec) str() string {
+	b := d.strBytes()
+	if d.arena != nil {
+		return d.arena.grabString(b)
+	}
+	return string(b)
+}
+
+// payload decodes a publication payload stored under key bits: str, but
+// through the arena's shared-payload table.
+func (d *dec) payload(bits uint64) string {
+	if d.arena == nil {
+		return d.str()
+	}
+	return d.arena.grabPayload(bits, d.strBytes())
+}
+
+// strBytes reads a length-prefixed string's bytes, aliasing the input.
+func (d *dec) strBytes() []byte {
 	n := d.uvarint()
 	if d.err != nil {
-		return ""
+		return nil
 	}
 	if n > uint64(len(d.b)-d.off) {
 		d.fail("string length %d exceeds %d remaining bytes", n, len(d.b)-d.off)
-		return ""
+		return nil
 	}
-	var s string
-	if d.arena != nil {
-		s = d.arena.grabString(d.b[d.off : d.off+int(n)])
-	} else {
-		s = string(d.b[d.off : d.off+int(n)])
-	}
+	b := d.b[d.off : d.off+int(n)]
 	d.off += int(n)
-	return s
+	return b
 }
 
 // grabMsgs allocates batch scaffolding — arena-bumped on the stateful
@@ -437,10 +450,10 @@ func (d *dec) sliceLen(minBytes int) int {
 // member builders below wrap in an envelope. Batch bodies are rejected — a
 // batch is framing, not payload.
 func AppendBody(dst []byte, body any) ([]byte, error) {
-	if err := checkBatchable(body); err != nil {
+	tag, ent, err := lookupBatchable(body)
+	if err != nil {
 		return dst, err
 	}
-	tag, ent, _ := lookupBody(body)
 	e := encPool.Get().(*enc)
 	e.b = dst
 	e.uvarint(tag)
