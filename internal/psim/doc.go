@@ -71,8 +71,11 @@
 //
 // There is no single-event step; the unit of progress is the window. A
 // window runs only its busy lanes: inline when Workers is 1 or one lane
-// is busy, else the driver and the pool goroutines take them from one
-// queue.
+// is busy, else the driver and the helper goroutines take them from one
+// queue. The driver starts such a window by raising the helpers it needs
+// and ends it when the last of them raises it back; a waiting side spins
+// briefly before it parks, and parks at once when there are more workers
+// than GOMAXPROCS (Engine.runBusy). Close ends the helpers.
 // Topology mutation (AddNode, AddListener, RemoveNode, Crash), Send with an
 // unregistered From, Freeze, fault installation and the accounting
 // accessors are barrier operations — call them between Run* calls, never

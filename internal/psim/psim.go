@@ -8,6 +8,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 	"unsafe"
 
 	"sspubsub/internal/sim"
@@ -78,13 +79,65 @@ type Engine struct {
 	running   atomic.Bool // true while a window executes: guards the barrier-only API
 	highWater int         // most events queued at any window barrier
 
-	// The lanes with events in the executing window, and the worker pool
-	// (lazily started when Workers > 1) that takes them from one queue.
+	// The lanes with events in the executing window, and the helper
+	// goroutines (started on the first window with two busy lanes when
+	// Workers > 1) that take them from one queue with the driver. The
+	// window barrier is described at runBusy.
 	busy    []*lane
 	claim   atomic.Int32
-	wake    chan struct{}
-	phaseWG sync.WaitGroup
+	pending atomic.Int32 // helpers still working in the executing window
+	helpers []*waiter    // one per helper goroutine: raised to run a window or to exit
+	driver  waiter       // raised by the helper that finishes a window last
+	spin    bool         // a core for every worker: waiters spin before they park
+	exited  sync.WaitGroup
 	closed  bool
+}
+
+// spinBudget is how long a waiter at the window barrier spins before it
+// parks. It covers the driver's serial work between two windows (filing
+// the outboxes, choosing the next cell, a solo lane's window) and a round
+// barrier's predicate: at n = 2,048 in pools of 32 more than 99 % of the
+// barrier's waits end inside it, so a helper parks mostly when the engine
+// goes idle between Run* calls.
+const spinBudget = 200 * time.Microsecond
+
+// waiter is one side of the window barrier waiting for the other to raise
+// it. A parked waiter sleeps on a one-token channel; raise sends the token
+// only after taking the parked flag back, and a waiter that finds itself
+// raised while parking takes the flag back itself, so a token is never
+// lost and never left over.
+type waiter struct {
+	up     atomic.Bool
+	parked atomic.Bool
+	token  chan struct{}
+}
+
+// wait returns once the waiter has been raised, and lowers it again. With
+// spin it polls for up to spinBudget first.
+func (w *waiter) wait(spin bool) {
+	if spin {
+		for i, t0 := 0, time.Now(); !w.up.Load(); i++ {
+			if i%64 == 63 && time.Since(t0) > spinBudget {
+				break
+			}
+		}
+	}
+	for !w.up.Load() {
+		w.parked.Store(true)
+		if w.up.Load() && w.parked.CompareAndSwap(true, false) {
+			break
+		}
+		<-w.token // a raise took the flag: its token is on the way
+	}
+	w.up.Store(false)
+}
+
+// raise wakes the waiter, spinning or parked.
+func (w *waiter) raise() {
+	w.up.Store(true)
+	if w.parked.Load() && w.parked.CompareAndSwap(true, false) {
+		w.token <- struct{}{}
+	}
 }
 
 type pnode struct {
@@ -568,17 +621,18 @@ func (e *Engine) Freeze(f func()) bool {
 	return true
 }
 
-// Close stops the worker pool. Idempotent; safe on an engine that never
-// went parallel.
+// Close ends every helper goroutine, spinning or parked, and returns once
+// they have exited. Idempotent; safe on an engine that never went parallel.
 func (e *Engine) Close() {
 	e.assertBarrier("Close")
 	if e.closed {
 		return
 	}
 	e.closed = true
-	if e.wake != nil {
-		close(e.wake)
+	for _, w := range e.helpers {
+		w.raise()
 	}
+	e.exited.Wait()
 }
 
 var _ sim.Transport = (*Engine)(nil)
@@ -587,35 +641,58 @@ var _ sim.Transport = (*Engine)(nil)
 
 // runBusy executes every busy lane's window slice: inline when Workers == 1
 // (the serial engine — no goroutines anywhere) or one lane is busy, else
-// the driver and up to one pool goroutine per further busy lane take lanes
+// the driver and one helper goroutine per further busy lane take lanes
 // from one queue. Lanes share no mutable state during a window, which is
 // exactly why the schedule cannot depend on Workers.
+//
+// The barrier is two atomics: the driver raises each helper the window
+// needs and counts them in pending; the helper that brings pending to zero
+// raises the driver. Either side spins for spinBudget before it parks
+// (see waiter) — but only when there is a core for every worker: with more
+// workers than GOMAXPROCS a spinning waiter would hold the core the side it
+// waits for needs, so each parks at once.
 func (e *Engine) runBusy() {
-	helpers := min(e.opts.Workers, len(e.busy)) - 1
-	if helpers <= 0 {
+	need := min(e.opts.Workers, len(e.busy)) - 1
+	if need <= 0 {
 		for _, l := range e.busy {
 			l.runWindow()
 		}
 		return
 	}
-	if e.wake == nil { // start the Workers-1 pool goroutines
-		e.wake = make(chan struct{}, e.opts.Workers) // sized to one window's tokens
-		for w := 0; w < e.opts.Workers-1; w++ {
-			go func() {
-				for range e.wake {
-					e.drain()
-					e.phaseWG.Done()
-				}
-			}()
+	if e.helpers == nil { // start the Workers-1 helper goroutines
+		e.spin = e.opts.Workers <= runtime.GOMAXPROCS(0)
+		e.helpers = make([]*waiter, e.opts.Workers-1)
+		e.exited.Add(len(e.helpers))
+		e.driver.token = make(chan struct{}, 1)
+		for i := range e.helpers {
+			w := &waiter{token: make(chan struct{}, 1)}
+			e.helpers[i] = w
+			go e.help(w)
 		}
 	}
 	e.claim.Store(0)
-	e.phaseWG.Add(helpers)
-	for i := 0; i < helpers; i++ {
-		e.wake <- struct{}{}
+	e.pending.Store(int32(need))
+	for _, w := range e.helpers[:need] {
+		w.raise()
 	}
 	e.drain()
-	e.phaseWG.Wait()
+	e.driver.wait(e.spin)
+}
+
+// help is a helper goroutine: it runs its share of each window it is
+// raised for, until Close raises it on a closed engine.
+func (e *Engine) help(w *waiter) {
+	defer e.exited.Done()
+	for {
+		w.wait(e.spin)
+		if e.closed {
+			return
+		}
+		e.drain()
+		if e.pending.Add(-1) == 0 {
+			e.driver.raise()
+		}
+	}
 }
 
 // drain runs busy lanes until the queue is empty.

@@ -2,7 +2,6 @@ package scale
 
 import (
 	"math/rand"
-	"sync"
 
 	"sspubsub/internal/core"
 	"sspubsub/internal/sim"
@@ -30,8 +29,11 @@ type Substrate interface {
 // a dedicated node. Only the scheduling is multiplexed: all K subscribers
 // tick in the same instant, at the pool's phase, instead of at K
 // independent phases.
+//
+// A Pool takes no lock: every event of the pool and its listeners runs on
+// the owner's engine lane, one at a time, and Kill and Live are barrier
+// operations.
 type Pool struct {
-	mu      sync.Mutex
 	base    sim.NodeID
 	tr      sim.Transport
 	clients []*core.Client
@@ -73,8 +75,6 @@ func (p *Pool) Len() int { return len(p.clients) }
 
 // Live returns the number of not-yet-killed virtual subscribers.
 func (p *Pool) Live() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	return p.live
 }
 
@@ -85,10 +85,9 @@ func (p *Pool) Client(i int) *core.Client { return p.clients[i] }
 // Kill marks the i-th virtual subscriber crashed inside the pool: its
 // periodic actions stop and inbound messages are ignored. The caller must
 // also Crash the virtual ID on the substrate so the failure detector
-// starts suspecting it — Kill alone models only the silent half.
+// starts suspecting it — Kill alone models only the silent half. Barrier
+// operation, like the Crash it goes with.
 func (p *Pool) Kill(i int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if !p.dead[i] {
 		p.dead[i] = true
 		p.live--
@@ -100,8 +99,6 @@ func (p *Pool) Kill(i int) {
 // interval" (the paper's weakly fair action model) — the K subscribers
 // just share one phase instead of K random ones.
 func (p *Pool) OnTimeout(ctx sim.Context) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	p.ctx.inner = ctx
 	p.ctx.tr = p.tr
 	for i, c := range p.clients {
@@ -116,8 +113,6 @@ func (p *Pool) OnTimeout(ctx sim.Context) {
 
 // OnMessage routes a message to the virtual subscriber it addresses.
 func (p *Pool) OnMessage(ctx sim.Context, m sim.Message) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	i := int(m.To - p.base)
 	if i < 0 || i >= len(p.clients) || p.dead[i] {
 		return // not ours (stale routing) or crashed: the message vanishes
