@@ -1,8 +1,8 @@
 // Package scale is the million-subscriber measurement harness: it drives
 // 10^5–10^6 real-protocol subscribers on one machine by multiplexing
-// thousands of unmodified core.Client state machines onto each physical
-// node (Pool), using the substrate's listener aliasing so every virtual
-// subscriber keeps its own node ID on the wire.
+// unmodified core.Client state machines onto physical pool nodes (Pool),
+// using the substrate's listener aliasing so every virtual subscriber
+// keeps its own node ID on the wire.
 //
 // The harness exists to measure, empirically, the growth orders the paper
 // proves: join latency and publish fan-out in O(log n) rounds, supervisor
@@ -16,6 +16,16 @@
 // supervisor-failover measurement on the same harness and the same
 // Config: join, settle, crash the topic's owner, count the rounds until
 // every subscriber reports to the successor and its database is exact.
+//
+// A pool is one sequential strand on one engine lane, so the pool size is
+// a harness choice that decides how much of a window the engine's workers
+// can share, not a protocol one. Config.PoolSize defaults to 32: at
+// n = 2,048 that is 64 pools, about four per lane of the engine's 16.
+// Pools of 1,024 had put every subscriber on two lanes, which capped what
+// any worker count could gain at 1.41× (lane work over each window's
+// largest lane, Workers: 1, five seeds); pools of 32 allow 4.29×. Fewer subscribers sharing
+// one Timeout phase is also closer to the paper's independent per-node
+// actions.
 //
 // Two findings from the first 10^5 run are baked into defaults here:
 //

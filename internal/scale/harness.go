@@ -35,6 +35,8 @@ const (
 	// (the round-robin sweep visits one entry per interval), which is a
 	// deployment parameter, not a protocol property.
 	cullDivisor = 64
+	// defaultPoolSize is Config.PoolSize's default.
+	defaultPoolSize = 32
 )
 
 // Config sizes one scale run.
@@ -42,7 +44,9 @@ type Config struct {
 	// N is the number of virtual subscribers (the sweep variable).
 	N int
 	// PoolSize is how many virtual subscribers share one pool node.
-	// Default 1024.
+	// Default 32: a pool runs on one engine lane, so small pools spread
+	// the subscribers over every lane the workers share (see the package
+	// documentation). Pools of 1,024 put n = 2,048 on two lanes.
 	PoolSize int
 	// Seed drives the deterministic engine.
 	Seed int64
@@ -94,7 +98,7 @@ type Harness struct {
 // N virtual subscribers (IDs contiguous from the first ID after the pools).
 func New(cfg Config) *Harness {
 	if cfg.PoolSize == 0 {
-		cfg.PoolSize = 1024
+		cfg.PoolSize = defaultPoolSize
 	}
 	sched := psim.New(psim.Options{Seed: cfg.Seed, Workers: cfg.Workers})
 	opts := core.Options{DeliveryMode: cfg.DeliveryMode}
