@@ -11,8 +11,9 @@ import (
 
 // runScale executes the scale sweep: for each n it drives n real-protocol
 // subscribers (multiplexed into pools, see internal/scale), measures join
-// latency, publish fan-out, post-crash stabilization and memory, then fits
-// power-law growth exponents across the sweep. The table's wall-second
+// latency, publish fan-out and post-crash stabilization, accounts memory
+// (element counts × sizes, see scale.Result), then fits power-law growth
+// exponents across the sweep. The table's wall-second
 // columns are the only time numbers here; the gated ones come from
 // bench/run.sh.
 //

@@ -21,8 +21,9 @@ const (
 )
 
 // fanoutRow is one fan-out configuration: 16 converged subscribers with
-// anti-entropy off, so every allocation belongs to publish → send →
-// (encode → socket → decode →) deliver → forward.
+// anti-entropy off (core.Options.DisableAntiEntropy, the ablation switch),
+// so every allocation belongs to publish → send → (encode → socket →
+// decode →) deliver → forward.
 type fanoutRow struct {
 	name string
 	opts SimOptions
@@ -53,7 +54,7 @@ var orderedRows = []fanoutRow{
 
 func hotPathOpts(kind RuntimeKind, supervisors int) SimOptions {
 	return SimOptions{Runtime: kind, Seed: 11, Interval: time.Millisecond,
-		DisableAntiEntropy: true, Protocol: Protocol{Supervisors: supervisors}}
+		Protocol: Protocol{Supervisors: supervisors}}
 }
 
 func orderedOpts(mode DeliveryMode) SimOptions {
@@ -75,7 +76,9 @@ func newFanoutRig(tb testing.TB, row fanoutRow) fanoutRig {
 	if row.byDelivery {
 		opts.OnDeliver = func(node NodeID, _ Topic, _ string) { delivered[node]++ }
 	}
-	s := NewSimulation(opts)
+	ho := opts.harness()
+	ho.ClientOpts.DisableAntiEntropy = true
+	s := newSimulation(opts, ho)
 	tb.Cleanup(s.Close)
 	s.AddSubscribers(fanoutN)
 	s.JoinAll(benchTopic)

@@ -48,6 +48,10 @@ const (
 	topic          sim.Topic = 1
 	setupRounds              = 8000
 	convergeRounds           = 8000
+	// deliveryWave is how many fresh publications are issued after the
+	// faults cease; the delivery-completeness probe requires each of them
+	// at every member, delivered to its application exactly once.
+	deliveryWave = 3
 )
 
 // Config parameterizes one scenario run.
@@ -77,24 +81,12 @@ type Config struct {
 	// Interval is the timeout interval on the live substrates
 	// (default 2ms). Ignored on SubstrateSim.
 	Interval time.Duration
-	// DeliveryWave is how many fresh publications are issued after the
-	// faults cease; the delivery-completeness probe requires all of them
-	// at every member (default 3; negative disables).
-	DeliveryWave int
 	// DeliveryMode selects the per-topic delivery mode every client runs
-	// with (best-effort, FIFO, causal). An ordered mode records delivery
-	// traces, arms the delivery-ordering probe, and issues the delivery
-	// wave from a single publisher so cross-node order agreement is
-	// checkable. A scenario's own DeliveryMode wins when set.
+	// with (best-effort, FIFO, causal). An ordered mode arms the
+	// delivery-ordering probe and issues the delivery wave from a single
+	// publisher so cross-node order agreement is checkable. A scenario's
+	// own DeliveryMode wins when set.
 	DeliveryMode ordering.Mode
-	// ForceOrderingProbe records traces and evaluates the
-	// delivery-ordering probe even in best-effort mode — the probe's
-	// negative control, expected to fail under reordering.
-	ForceOrderingProbe bool
-	// TraceSink, when non-nil, receives a snapshot of every node's
-	// delivery trace after the final probe evaluation (testing hook;
-	// needs an ordered mode or ForceOrderingProbe to have any traces).
-	TraceSink func(map[sim.NodeID][]TraceEntry)
 	// Trace, when non-nil, receives every delivered message and timeout
 	// in the order the deterministic engine executes them. SubstrateSim
 	// only: a live run has no deterministic event order to trace.
@@ -103,7 +95,8 @@ type Config struct {
 	Log func(format string, args ...any)
 }
 
-func (c *Config) fill() {
+// fill sets c's defaults, then lets sc's own settings win.
+func (c *Config) fill(sc Scenario) {
 	if c.Substrate == "" {
 		c.Substrate = SubstrateSim
 	}
@@ -113,8 +106,17 @@ func (c *Config) fill() {
 	if c.Interval == 0 {
 		c.Interval = 2 * time.Millisecond
 	}
-	if c.DeliveryWave == 0 {
-		c.DeliveryWave = 3
+	if sc.N > 0 {
+		c.N = sc.N
+	}
+	if sc.Supervisors > 0 {
+		c.Supervisors = sc.Supervisors
+	}
+	if sc.ReplicationFactor > 0 {
+		c.ReplicationFactor = sc.ReplicationFactor
+	}
+	if sc.DeliveryMode != ordering.BestEffort {
+		c.DeliveryMode = sc.DeliveryMode
 	}
 }
 
@@ -188,8 +190,7 @@ type env struct {
 	wave []wavePub // post-fault publications (delivery probes)
 	pubs int       // mid-scenario publication counter
 
-	// rec collects per-node delivery traces when the run is ordered (or
-	// the ordering probe is forced); nil otherwise.
+	// rec collects every node's delivery trace, in every delivery mode.
 	rec *traceRec
 
 	// askedToLeave records every member a LeaveBurst targeted. The leave
@@ -201,13 +202,9 @@ type env struct {
 }
 
 func newEnv(cfg Config) (*env, error) {
-	e := &env{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed)),
+	e := &env{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed)), rec: newTraceRec(),
 		askedToLeave: make(map[sim.NodeID]bool)}
-	co := core.Options{DeliveryMode: cfg.DeliveryMode}
-	if cfg.DeliveryMode != ordering.BestEffort || cfg.ForceOrderingProbe {
-		e.rec = newTraceRec()
-		co.OnDeliverTrace = e.rec.record
-	}
+	co := core.Options{DeliveryMode: cfg.DeliveryMode, OnDeliverTrace: e.rec.record}
 	if cfg.Trace != nil && cfg.Substrate != SubstrateSim {
 		return nil, fmt.Errorf("chaos: Trace requires the sim substrate, not %s (a live run has no deterministic event order)", cfg.Substrate)
 	}
@@ -412,9 +409,7 @@ func (e *env) apply(a Action) {
 		// best-effort mode — the engines hold no ordering state.
 		e.l.Freeze(func() {
 			e.l.CorruptOrderingState(topic, e.rng)
-			if e.rec != nil {
-				e.rec.bumpEpoch()
-			}
+			e.rec.bumpEpoch()
 		})
 	}
 }
@@ -422,20 +417,20 @@ func (e *env) apply(a Action) {
 // Run executes one scenario against one configuration and reports the
 // outcome.
 func Run(sc Scenario, cfg Config) Result {
-	cfg.fill()
-	if sc.N > 0 {
-		cfg.N = sc.N
+	cfg.fill(sc)
+	e, err := newEnv(cfg)
+	if err != nil {
+		res := newResult(sc, cfg)
+		res.Violation = err.Error()
+		return res
 	}
-	if sc.Supervisors > 0 {
-		cfg.Supervisors = sc.Supervisors
-	}
-	if sc.ReplicationFactor > 0 {
-		cfg.ReplicationFactor = sc.ReplicationFactor
-	}
-	if sc.DeliveryMode != ordering.BestEffort {
-		cfg.DeliveryMode = sc.DeliveryMode
-	}
-	res := Result{
+	defer e.close()
+	return e.run(sc)
+}
+
+// newResult is the report of sc before it runs: not set up, not converged.
+func newResult(sc Scenario, cfg Config) Result {
+	return Result{
 		Scenario:  sc.Name,
 		Substrate: cfg.Substrate,
 		Seed:      cfg.Seed,
@@ -444,12 +439,13 @@ func Run(sc Scenario, cfg Config) Result {
 		Rounds:    -1,
 		Actions:   sc.Actions,
 	}
-	e, err := newEnv(cfg)
-	if err != nil {
-		res.Violation = err.Error()
-		return res
-	}
-	defer e.close()
+}
+
+// run executes sc on the env's fresh system: converge, apply the actions,
+// heal, publish the delivery wave and wait for every probe to hold.
+func (e *env) run(sc Scenario) Result {
+	cfg := e.cfg
+	res := newResult(sc, cfg)
 
 	// Unmeasured prologue: a converged SR(n) is the scenario's starting
 	// point (Definition 2's legitimate state).
@@ -475,43 +471,7 @@ func Run(sc Scenario, cfg Config) Result {
 	// time is measured on the substrate's clock from this instant.
 	e.clearFaults()
 	start := e.l.Now()
-
-	// Post-fault delivery wave: fresh publications that must reach every
-	// member (publication completeness in a self-stabilized system). The
-	// publishers are settled members — one with an unsubscribe in flight
-	// could complete its departure before its own publish command arrives
-	// (channels are non-FIFO), silently losing the wave publication.
-	if cfg.DeliveryWave > 0 {
-		members := e.l.SettledMembers(topic)
-		staying := members[:0]
-		for _, id := range members {
-			if !e.askedToLeave[id] {
-				staying = append(staying, id)
-			}
-		}
-		if len(staying) > 0 && e.rec != nil {
-			// Ordered (or probe-forced) runs issue the whole wave from a
-			// single publisher: every pair of subscribers must then agree
-			// on the relative delivery order of the wave publications,
-			// which is exactly what the delivery-ordering probe asserts.
-			// The publish commands travel as delayed self-sends, so the
-			// payload indices need not match the actual publish order —
-			// only cross-node agreement is promised.
-			p := staying[e.rng.Intn(len(staying))]
-			for i := 0; i < cfg.DeliveryWave; i++ {
-				payload := fmt.Sprintf("wave-%d", i)
-				e.wave = append(e.wave, wavePub{Payload: payload, Origin: p})
-				e.l.Publish(p, topic, payload)
-			}
-		} else if len(staying) > 0 {
-			for i := 0; i < cfg.DeliveryWave; i++ {
-				payload := fmt.Sprintf("wave-%d", i)
-				pub := staying[e.rng.Intn(len(staying))]
-				e.wave = append(e.wave, wavePub{Payload: payload, Origin: pub})
-				e.l.Publish(pub, topic, payload)
-			}
-		}
-	}
+	e.publishWave()
 
 	// Poll until the violation clears or the budget expires, then take one
 	// final frozen snapshot for the report — a timed-out freeze is itself a
@@ -530,11 +490,43 @@ func Run(sc Scenario, cfg Config) Result {
 		res.Rounds = e.l.Now() - start
 	}
 	res.Delivered = e.l.Delivered()
-	if cfg.TraceSink != nil && e.rec != nil {
-		e.l.Freeze(func() { cfg.TraceSink(e.rec.clone()) })
-	}
 	cfg.logf("chaos: %s", res)
 	return res
+}
+
+// publishWave issues the post-fault delivery wave: fresh publications that
+// must reach every member (publication completeness in a self-stabilized
+// system). The publishers are settled members — one with an unsubscribe in
+// flight could complete its departure before its own publish command
+// arrives (channels are non-FIFO), silently losing the wave publication.
+func (e *env) publishWave() {
+	members := e.l.SettledMembers(topic)
+	staying := members[:0]
+	for _, id := range members {
+		if !e.askedToLeave[id] {
+			staying = append(staying, id)
+		}
+	}
+	if len(staying) == 0 {
+		return
+	}
+	// Ordered runs issue the whole wave from a single publisher: every pair
+	// of subscribers must then agree on the relative delivery order of the
+	// wave publications, which is exactly what the delivery-ordering probe
+	// asserts. The publish commands travel as delayed self-sends, so the
+	// payload indices need not match the actual publish order — only
+	// cross-node agreement is promised. Best-effort runs draw a publisher
+	// per publication.
+	ordered := e.cfg.DeliveryMode != ordering.BestEffort
+	pub := staying[e.rng.Intn(len(staying))]
+	for i := 0; i < deliveryWave; i++ {
+		if i > 0 && !ordered {
+			pub = staying[e.rng.Intn(len(staying))]
+		}
+		payload := fmt.Sprintf("wave-%d", i)
+		e.wave = append(e.wave, wavePub{Payload: payload, Origin: pub})
+		e.l.Publish(pub, topic, payload)
+	}
 }
 
 // explain renders the current first legitimacy violation under freeze.

@@ -323,7 +323,7 @@ func (s *scripted) Intn(n int) int {
 // (before the fix the replica dropped the owner's lower-era syncs forever).
 func TestReplicaProbeCatchesEraAboveOwner(t *testing.T) {
 	cfg := Config{Seed: 1, Supervisors: 4, ReplicationFactor: 1}
-	cfg.fill()
+	cfg.fill(Scenario{})
 	e, err := newEnv(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -366,7 +366,7 @@ func TestLegitimacyProbeCatchesDatabaseFaults(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := Config{Substrate: SubstrateSim, Seed: 1, N: 8}
-			cfg.fill()
+			cfg.fill(Scenario{})
 			e, err := newEnv(cfg)
 			if err != nil {
 				t.Fatal(err)

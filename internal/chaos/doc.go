@@ -40,8 +40,14 @@
 //     left, right and ring pointers form the one legal overlay, so it
 //     connects them all
 //   - trie structural invariants and cross-member root-hash agreement
-//   - delivery completeness of the post-fault publication wave
-//   - delivery ordering, when the run records delivery traces
+//   - delivery completeness of the post-fault publication wave: every
+//     member knows each wave publication, and its application received
+//     each exactly once
+//   - delivery ordering (per-publisher monotonicity, causal coverage,
+//     cross-node agreement on the wave's order) in the ordered modes
+//
+// Every run records each node's application deliveries, in every delivery
+// mode; the probes read those traces.
 //
 // The convergence time — faults ceasing to all-probes-green — is the
 // difference of two readings of the substrate's clock, reported per run.

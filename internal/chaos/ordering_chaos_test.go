@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"sspubsub/internal/ordering"
-	"sspubsub/internal/sim"
 )
 
 // orderedScenarioNames lists the named ordered-delivery scenarios (pinned
@@ -107,33 +106,45 @@ func TestRandomGeneratorDrawsOrderingFault(t *testing.T) {
 	t.Fatal("400 seeds never drew a corrupt-ordering action")
 }
 
-// TestBestEffortFailsOrderingProbe is the probe's negative control and the
-// PR's acceptance demonstration: with best-effort delivery the probe —
-// forced on — must catch a wave-order disagreement on some seed (the sim
-// substrate's per-message delays reorder same-instant floods), and the
-// very same (scenario, seed) must pass once the clients run in FIFO mode.
+// runEnv is Run that keeps the env, so a test can read what the run
+// recorded (e.rec, e.wave); the env closes when the test ends.
+func runEnv(t *testing.T, sc Scenario, cfg Config) (*env, Result) {
+	t.Helper()
+	cfg.fill(sc)
+	e, err := newEnv(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(e.close)
+	return e, e.run(sc)
+}
+
+// TestBestEffortFailsOrderingProbe is the probe's negative control: on a
+// real best-effort run — converged, every probe green, the ordering probe
+// not evaluated — the probe's wave-order clause (the only one with teeth
+// on best-effort traces) catches two nodes delivering one publisher's wave
+// publications in different orders (the sim substrate's per-message delays
+// reorder the tree copies), and the very same (scenario, seed) passes the
+// whole probe once the clients run in FIFO mode.
 func TestBestEffortFailsOrderingProbe(t *testing.T) {
 	sc := Scenario{
 		Name:    "besteffort-negative-control",
 		Actions: []Action{{Kind: Settle, Rounds: 2}},
 	}
 	for seed := int64(1); seed <= 40; seed++ {
-		res := Run(sc, Config{
-			Substrate: SubstrateSim, Seed: seed,
-			ForceOrderingProbe: true, DeliveryWave: 8,
-		})
-		if !res.Setup {
-			t.Fatalf("seed %d: setup failed: %s", seed, res.Violation)
+		e, res := runEnv(t, sc, Config{Substrate: SubstrateSim, Seed: seed})
+		if !res.Converged {
+			t.Fatalf("seed %d: best-effort run did not converge: %s", seed, res.Violation)
 		}
-		if res.Converged || !strings.Contains(res.Violation, "delivery-ordering") {
+		v := orderViolation(e.rec.byNode, e.wave)
+		if v == "" {
 			continue
 		}
-		// Found the demonstration seed: best-effort traces violate the
-		// ordering invariants. FIFO on the same run must absorb it.
-		fifo := Run(sc, Config{
-			Substrate: SubstrateSim, Seed: seed,
-			DeliveryMode: ordering.FIFO, DeliveryWave: 8,
-		})
+		if !strings.Contains(v, "disagree on the delivery order") {
+			t.Fatalf("seed %d: a best-effort trace broke another clause: %s", seed, v)
+		}
+		t.Logf("seed %d, best effort: %s", seed, v)
+		fifo := Run(sc, Config{Substrate: SubstrateSim, Seed: seed, DeliveryMode: ordering.FIFO})
 		if !fifo.Converged {
 			t.Fatalf("seed %d: FIFO did not absorb the reordering best-effort exposed: %s",
 				seed, fifo.Violation)
@@ -146,8 +157,9 @@ func TestBestEffortFailsOrderingProbe(t *testing.T) {
 // TestDupFaultExactDeliveryCounts is the regression pin for the
 // delivery-wave probe's duplicate-counting fix: under an active duplication
 // fault every member must observe each mid-scenario publication exactly
-// once — a duplicated flood copy may neither surface as a second delivery
-// nor stand in for the missing original from the true publisher.
+// once, in every delivery mode — a duplicated flood copy may neither
+// surface as a second delivery nor stand in for the missing original from
+// the true publisher.
 func TestDupFaultExactDeliveryCounts(t *testing.T) {
 	sc := Scenario{
 		Name: "dup-exact-counts",
@@ -158,31 +170,26 @@ func TestDupFaultExactDeliveryCounts(t *testing.T) {
 			{Kind: Heal},
 		},
 	}
-	for _, mode := range []ordering.Mode{ordering.FIFO, ordering.Causal} {
-		var trace map[sim.NodeID][]TraceEntry
-		res := Run(sc, Config{
-			Substrate: SubstrateSim, Seed: 11, DeliveryMode: mode,
-			TraceSink: func(tr map[sim.NodeID][]TraceEntry) { trace = tr },
-		})
+	for _, mode := range []ordering.Mode{ordering.BestEffort, ordering.FIFO, ordering.Causal} {
+		e, res := runEnv(t, sc, Config{Substrate: SubstrateSim, Seed: 11, DeliveryMode: mode})
 		if !res.Converged {
 			t.Fatalf("%v: not converged: %s", mode, res.Violation)
 		}
-		if trace == nil {
-			t.Fatalf("%v: no trace captured", mode)
+		members := e.l.Members(topic)
+		if len(members) == 0 {
+			t.Fatalf("%v: no members", mode)
 		}
-		for id, entries := range trace {
+		for _, id := range members {
 			counts := make(map[string]int)
-			for _, en := range entries {
-				if strings.HasPrefix(en.Payload, "mid-") || strings.HasPrefix(en.Payload, "wave-") {
-					counts[en.Payload]++
-				}
+			for _, en := range e.rec.byNode[id] {
+				counts[en.Payload]++
 			}
 			for i := 1; i <= 4; i++ {
 				if got := counts[fmt.Sprintf("mid-%d", i)]; got != 1 {
 					t.Errorf("%v: node %d observed mid-%d %d times, want exactly 1", mode, id, i, got)
 				}
 			}
-			for i := 0; i < 3; i++ {
+			for i := 0; i < deliveryWave; i++ {
 				if got := counts[fmt.Sprintf("wave-%d", i)]; got != 1 {
 					t.Errorf("%v: node %d observed wave-%d %d times, want exactly 1", mode, id, i, got)
 				}

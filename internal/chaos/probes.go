@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"sspubsub/internal/ordering"
 	"sspubsub/internal/sim"
 )
 
@@ -78,17 +79,16 @@ func (e *env) trieViolation() string {
 }
 
 // deliveryViolation requires every member to know every publication of the
-// post-fault delivery wave and, when traces are recorded, its application
-// to have received each exactly once — knowing a publication is the
-// paper's promise, receiving it once is the delivery modes'.
+// post-fault delivery wave and its application to have received each
+// exactly once — knowing a publication is the paper's promise, receiving
+// it once is the delivery layer's, in every mode (the trie is the one
+// duplicate filter; the ordering layer only orders).
 func (e *env) deliveryViolation() string {
 	if len(e.wave) == 0 {
 		return ""
 	}
-	if e.rec != nil {
-		e.rec.mu.Lock()
-		defer e.rec.mu.Unlock()
-	}
+	e.rec.mu.Lock()
+	defer e.rec.mu.Unlock()
 	for _, id := range e.l.Members(topic) {
 		known := make(map[wavePub]bool)
 		for _, p := range e.l.Clients[id].Publications(topic) {
@@ -99,27 +99,44 @@ func (e *env) deliveryViolation() string {
 				return fmt.Sprintf("node %d is missing wave publication %q from %d", id, w.Payload, w.Origin)
 			}
 		}
-		if e.rec == nil {
-			continue
+		if v := onceViolation(id, e.rec.byNode[id], e.wave); v != "" {
+			return v
 		}
-		times := make(map[wavePub]int, len(e.wave))
-		for _, en := range e.rec.byNode[id] {
-			times[wavePub{Payload: en.Payload, Origin: en.Origin}]++
-		}
-		for _, w := range e.wave {
-			if n := times[w]; n != 1 {
-				return fmt.Sprintf("node %d delivered wave publication %q from %d %d times", id, w.Payload, w.Origin, n)
-			}
+	}
+	return ""
+}
+
+// onceViolation reports the first wave publication node id's delivery
+// trace does not hold exactly once.
+func onceViolation(id sim.NodeID, trace []traceEntry, wave []wavePub) string {
+	times := make(map[wavePub]int, len(wave))
+	for _, en := range trace {
+		times[wavePub{Payload: en.Payload, Origin: en.Origin}]++
+	}
+	for _, w := range wave {
+		if n := times[w]; n != 1 {
+			return fmt.Sprintf("node %d delivered wave publication %q from %d %d times", id, w.Payload, w.Origin, n)
 		}
 	}
 	return ""
 }
 
 // orderingViolation evaluates the delivery-ordering probe over the
-// recorded per-node delivery traces ("" when the run records none). Three
-// invariants, each restricted to unflagged deliveries — entries the ordered
-// layer marked Recovered (anti-entropy repair) or Forced
-// (self-stabilization release) are exempt by contract:
+// recorded delivery traces of an ordered run ("" in best-effort mode,
+// which promises no order).
+func (e *env) orderingViolation() string {
+	if e.cfg.DeliveryMode == ordering.BestEffort {
+		return ""
+	}
+	e.rec.mu.Lock()
+	defer e.rec.mu.Unlock()
+	return orderViolation(e.rec.byNode, e.wave)
+}
+
+// orderViolation is the delivery-ordering probe over per-node delivery
+// traces. Three invariants, each restricted to unflagged deliveries —
+// entries the ordered layer marked Recovered (anti-entropy repair) or
+// Forced (self-stabilization release) are exempt by contract:
 //
 //  1. Per-publisher monotonicity: within one corruption epoch, a node's
 //     unflagged sequenced deliveries from any single publisher carry
@@ -134,31 +151,25 @@ func (e *env) deliveryViolation() string {
 //     publisher's own, at least), since the ordered layer moves the
 //     cursor past it once the sequenced copy arrives (ordering.Known).
 //  3. Wave order agreement: every pair of nodes agrees on the relative
-//     delivery order of the single-publisher wave publications, and no
-//     node delivers one twice. This is the only clause with teeth in
-//     best-effort mode (sequence numbers are all zero there), which is
-//     how the probe demonstrably fails when forced onto best-effort
-//     traces.
-func (e *env) orderingViolation() string {
-	if e.rec == nil {
-		return ""
-	}
-	e.rec.mu.Lock()
-	defer e.rec.mu.Unlock()
-	ids := make([]sim.NodeID, 0, len(e.rec.byNode))
-	for id := range e.rec.byNode {
+//     delivery order of each publisher's wave publications (an ordered
+//     run's wave has one publisher), and no node delivers one twice.
+//     This is the only clause with teeth on best-effort traces, whose
+//     sequence numbers are all zero.
+func orderViolation(traces map[sim.NodeID][]traceEntry, wave []wavePub) string {
+	ids := make([]sim.NodeID, 0, len(traces))
+	for id := range traces {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 
-	waveIdx := make(map[wavePub]int, len(e.wave))
-	for i, w := range e.wave {
+	waveIdx := make(map[wavePub]int, len(wave))
+	for i, w := range wave {
 		waveIdx[w] = i
 	}
 	waveOrders := make(map[sim.NodeID][]int, len(ids))
 	seqOf := make(map[wavePub]uint64)
 	for _, id := range ids {
-		for _, en := range e.rec.byNode[id] {
+		for _, en := range traces[id] {
 			if en.Seq > 0 {
 				seqOf[wavePub{Payload: en.Payload, Origin: en.Origin}] = en.Seq
 			}
@@ -172,7 +183,7 @@ func (e *env) orderingViolation() string {
 	for _, id := range ids {
 		last := make(map[stream]uint64)
 		maxSeen := make(map[sim.NodeID]uint64)
-		for _, en := range e.rec.byNode[id] {
+		for _, en := range traces[id] {
 			flagged := en.Recovered || en.Forced
 			if !flagged && len(en.Barrier) > 0 {
 				for _, b := range en.Barrier {
@@ -213,7 +224,8 @@ func (e *env) orderingViolation() string {
 		}
 	}
 
-	// Pairwise agreement on the common subsequence of wave deliveries.
+	// Pairwise agreement on the common subsequence of each publisher's
+	// wave deliveries.
 	for i := 0; i < len(ids); i++ {
 		for j := i + 1; j < len(ids); j++ {
 			a, b := waveOrders[ids[i]], waveOrders[ids[j]]
@@ -221,18 +233,19 @@ func (e *env) orderingViolation() string {
 			for p, idx := range b {
 				pos[idx] = p
 			}
-			lastPos := -1
+			lastPos := make(map[sim.NodeID]int)
 			for _, idx := range a {
 				p, ok := pos[idx]
 				if !ok {
 					continue
 				}
-				if p < lastPos {
+				origin := wave[idx].Origin
+				if prev, seen := lastPos[origin]; seen && p < prev {
 					return fmt.Sprintf(
 						"nodes %d and %d disagree on the delivery order of wave publication %q",
-						ids[i], ids[j], e.wave[idx].Payload)
+						ids[i], ids[j], wave[idx].Payload)
 				}
-				lastPos = p
+				lastPos[origin] = p
 			}
 		}
 	}

@@ -11,13 +11,13 @@ import (
 	"sspubsub/internal/sim"
 )
 
-// TraceEntry is one recorded delivery: what a member's application callback
+// traceEntry is one recorded delivery: what a member's application callback
 // observed, in observation order. The delivery-ordering probe evaluates its
 // invariants over these traces; deliveries the ordered layer flags as
 // Recovered (anti-entropy repair) or Forced (self-stabilization release)
 // are exempt from the ordering guarantees by contract and carry their flags
 // here so the probe can skip them.
-type TraceEntry struct {
+type traceEntry struct {
 	Origin    sim.NodeID
 	Seq       uint64
 	Payload   string
@@ -38,11 +38,11 @@ type TraceEntry struct {
 type traceRec struct {
 	mu     sync.Mutex
 	epoch  int
-	byNode map[sim.NodeID][]TraceEntry
+	byNode map[sim.NodeID][]traceEntry
 }
 
 func newTraceRec() *traceRec {
-	return &traceRec{byNode: make(map[sim.NodeID][]TraceEntry)}
+	return &traceRec{byNode: make(map[sim.NodeID][]traceEntry)}
 }
 
 func (r *traceRec) record(node sim.NodeID, t sim.Topic, p proto.Publication, m ordering.Meta) {
@@ -50,7 +50,7 @@ func (r *traceRec) record(node sim.NodeID, t sim.Topic, p proto.Publication, m o
 		return
 	}
 	r.mu.Lock()
-	r.byNode[node] = append(r.byNode[node], TraceEntry{
+	r.byNode[node] = append(r.byNode[node], traceEntry{
 		Origin:    p.Origin,
 		Seq:       m.Seq,
 		Payload:   p.Payload,
@@ -68,17 +68,6 @@ func (r *traceRec) bumpEpoch() {
 	r.mu.Lock()
 	r.epoch++
 	r.mu.Unlock()
-}
-
-// clone snapshots every trace (testing hook).
-func (r *traceRec) clone() map[sim.NodeID][]TraceEntry {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[sim.NodeID][]TraceEntry, len(r.byNode))
-	for id, es := range r.byNode {
-		out[id] = append([]TraceEntry(nil), es...)
-	}
-	return out
 }
 
 // traced decorates the deterministic engine for Config.Trace: every handler

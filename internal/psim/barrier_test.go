@@ -49,7 +49,7 @@ func TestCloseEndsHelpers(t *testing.T) {
 		base := runtime.NumGoroutine()
 		for _, workers := range []int{2, 4, 8} {
 			for _, idle := range []bool{false, true} {
-				e, _ := buildMesh(Options{Seed: 3, Lanes: 8, Workers: workers}, 64, 2)
+				e, _ := buildMesh(Options{Seed: 3, Workers: workers}, 64, 2)
 				e.RunRounds(2)
 				if len(e.helpers) != workers-1 {
 					t.Fatalf("workers=%d: %d helpers started, want %d", workers, len(e.helpers), workers-1)
@@ -72,7 +72,7 @@ func TestCloseEndsHelpers(t *testing.T) {
 // still runs the next window (the driver's raise wakes it).
 func TestIdleHelpersPark(t *testing.T) {
 	withProcs(2, func() {
-		e, cs := buildMesh(Options{Seed: 5, Lanes: 8, Workers: 2}, 64, 2)
+		e, cs := buildMesh(Options{Seed: 5, Workers: 2}, 64, 2)
 		defer e.Close()
 		e.RunRounds(3)
 		if !e.spin {
@@ -92,17 +92,19 @@ func TestIdleHelpersPark(t *testing.T) {
 
 // TestOversubscribedWorkersMatchSerial: with more workers than GOMAXPROCS
 // every waiter parks at once, and the schedule is still bit-identical to
-// the serial engine's.
+// the serial engine's. GOMAXPROCS is held at 2 for the run (the workers are
+// clamped to the 16 lanes, so a larger machine could not oversubscribe).
 func TestOversubscribedWorkersMatchSerial(t *testing.T) {
-	const n, fanout, rounds = 100, 3, 20
-	workers := runtime.GOMAXPROCS(0) + 2
-	lanes := max(16, workers)
-	e1, cs1 := buildMesh(Options{Seed: 9, Lanes: lanes, Workers: 1}, n, fanout)
+	const n, fanout, rounds, procs = 100, 3, 20, 2
+	prev := runtime.GOMAXPROCS(procs)
+	defer runtime.GOMAXPROCS(prev)
+	workers := procs + 2
+	e1, cs1 := buildMesh(Options{Seed: 9, Workers: 1}, n, fanout)
 	e1.RunRounds(rounds)
 	want := snapshot(e1, cs1)
 	e1.Close()
 
-	e, cs := buildMesh(Options{Seed: 9, Lanes: lanes, Workers: workers}, n, fanout)
+	e, cs := buildMesh(Options{Seed: 9, Workers: workers}, n, fanout)
 	defer e.Close()
 	e.RunRounds(rounds)
 	if e.Workers() != workers || e.spin {

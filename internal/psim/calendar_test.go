@@ -33,8 +33,9 @@ func TestCalendarRunsInKeyOrder(t *testing.T) {
 	grew := 0
 	for seed := int64(1); seed <= 50; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		e := New(Options{Seed: seed, Lanes: 1, Workers: 1})
+		e := New(Options{Seed: seed, Workers: 1})
 		l, W := e.lanes[0], minDelay
+		to := onLanes(e, 1, 4) // every destination on the lane under test
 		var ref []pevent
 		seqs := map[int32]int64{}
 		now := 0.0
@@ -58,7 +59,7 @@ func TestCalendarRunsInKeyOrder(t *testing.T) {
 				srcLane: lane,
 				srcSeq:  seqs[lane],
 				kind:    evDeliver,
-				msg:     sim.Message{To: sim.NodeID(1 + rng.Intn(4)), Body: &ping{Hop: rng.Intn(100)}},
+				msg:     sim.Message{To: to[rng.Intn(4)], Body: &ping{Hop: rng.Intn(100)}},
 			}
 			seqs[lane]++
 			return ev
@@ -133,7 +134,7 @@ func TestCalendarRunsInKeyOrder(t *testing.T) {
 // computes to cell k. At W = 0.05 the window of cell 5 starts at 0.25 and
 // ends at 0.25+0.05 = 0.3, yet 0.3/0.05 rounds below 6.
 func TestWindowFloor(t *testing.T) {
-	e := New(Options{Seed: 1, Lanes: 1, Workers: 1})
+	e := New(Options{Seed: 1, Workers: 1})
 	l, W := e.lanes[0], minDelay
 	wstart := float64(math.Floor(0.26/W) * W)
 	wend := wstart + W
@@ -184,7 +185,7 @@ func keyOf(e pevent) ekey { return ekey{t: e.t, srcSeq: e.srcSeq, srcLane: e.src
 // ID — and counts an unregistered sender's injections; ResetCounters
 // zeroes every count.
 func TestSentBySurvivesDeparture(t *testing.T) {
-	e := New(Options{Seed: 3, Lanes: 4, Workers: 1})
+	e := New(Options{Seed: 3, Workers: 1})
 	sent := 0
 	talker := handlerFunc(func(ctx sim.Context) {
 		ctx.Send(2, 1, ping{})
@@ -230,13 +231,13 @@ func TestSentBySurvivesDeparture(t *testing.T) {
 func BenchmarkLaneCalendar(b *testing.B) {
 	const population = 4096
 	rng := rand.New(rand.NewSource(1))
-	e := New(Options{Seed: 1, Lanes: 1, Workers: 1})
-	l := e.lanes[0]
+	e := New(Options{Seed: 1, Workers: 1})
+	l, to := e.lanes[0], onLanes(e, 1, 1)[0]
 	var seq int64
 	var body any = ping{}
 	event := func(now float64) pevent {
 		seq++
-		return pevent{t: now + 0.05 + 0.9*rng.Float64(), srcSeq: seq, kind: evDeliver, msg: sim.Message{To: 1, Body: body}}
+		return pevent{t: now + 0.05 + 0.9*rng.Float64(), srcSeq: seq, kind: evDeliver, msg: sim.Message{To: to, Body: body}}
 	}
 	for i := 0; i < population; i++ {
 		l.file(event(0))

@@ -6,7 +6,7 @@
 // # Model
 //
 // Nodes (and the scale harness' virtual pool listeners) are partitioned
-// across a fixed number of lanes by a deterministic hash of NodeID. Each
+// across 16 lanes by a deterministic hash of NodeID. Each
 // lane owns an event calendar, a random stream derived from (seed, lane),
 // and the exclusive right to execute its nodes' handlers. Virtual time
 // advances in lookahead windows of width minDelay (0.05 intervals; delays
@@ -46,15 +46,13 @@
 //
 // # Determinism contract
 //
-// The schedule identity is (Seed, Lanes); the delay bounds and the
-// detector grace are constants of the engine. Two runs
-// with the same identity produce bit-identical results — labels, round
+// The schedule identity is the Seed; the lane count (16), the delay
+// bounds and the detector grace are constants of the engine. Two runs
+// with the same seed produce bit-identical results — labels, round
 // counts, delivery traces, accounting — for ANY value of Workers,
 // including Workers=1, which executes the whole schedule inline on the
 // calling goroutine with no goroutines at all. Workers is physical
 // parallelism only; it can change wall-clock time and nothing else.
-// Changing Lanes changes the (still deterministic) schedule, the same way
-// changing Seed does.
 //
 // Randomness rules that uphold the contract: handlers draw from their
 // executing lane's stream; per-node timeout phases are pure functions of

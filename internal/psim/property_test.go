@@ -81,16 +81,18 @@ func (g *gnode) OnMessage(ctx sim.Context, m sim.Message) {
 func graphRun(t *testing.T, seed int64, workers int) [][]exec {
 	rng := rand.New(rand.NewSource(seed))
 	n := 2 + rng.Intn(40)
-	lanes := []int{1, 2, 4, 8, 16}[rng.Intn(5)]
-	e := New(Options{Seed: seed, Lanes: lanes, Workers: workers})
+	e := New(Options{Seed: seed, Workers: workers})
 	defer e.Close()
+	// The graph's nodes crowd onto the first 1, 2, 4, 8 or all 16 lanes;
+	// ids[n] is never registered.
+	ids := onLanes(e, []int32{1, 2, 4, 8, 16}[rng.Intn(5)], n+1)
 	nodes := make([]*gnode, n)
-	logs := make([][]exec, lanes)
+	logs := make([][]exec, len(e.lanes))
 	for i := range nodes {
-		g := &gnode{id: sim.NodeID(i + 1), maxDepth: rng.Intn(3)}
+		g := &gnode{id: ids[i], maxDepth: rng.Intn(3)}
 		g.log = &logs[e.laneOf(g.id)]
 		for d := rng.Intn(3); d >= 0; d-- {
-			g.out = append(g.out, sim.NodeID(rng.Intn(n+1)+1)) // n+1: an unknown node, dropped
+			g.out = append(g.out, ids[rng.Intn(n+1)]) // ids[n]: an unknown node, dropped
 		}
 		nodes[i] = g
 		e.AddNode(g.id, g)

@@ -19,15 +19,18 @@ import (
 // maxDelay-minDelay rounds as a float64 subtraction: untyped, it would
 // fold exactly and move every drawn delay by one ulp. A crashed node is
 // suspected from the first window boundary detectorGrace after its crash.
+// Nodes are partitioned into numLanes deterministic shards by hash of
+// NodeID; the lane count is part of the schedule, so it is a constant.
 const (
 	minDelay      float64 = 0.05
 	maxDelay      float64 = 0.95
 	detectorGrace float64 = 2
+	numLanes              = 16
 )
 
 // Options configure a parallel deterministic simulation.
 //
-// The schedule identity is (Seed, Lanes): two runs with equal values
+// The schedule identity is the Seed: two runs with equal seeds
 // execute bit-identical event sequences — same deliveries, same timeouts,
 // same random draws — regardless of Workers. Workers only chooses how many
 // OS threads execute the schedule; it may change wall-clock time and
@@ -37,16 +40,12 @@ type Options struct {
 	// (Seed, lane), so the sequence a handler observes depends only on the
 	// schedule identity, never on physical parallelism.
 	Seed int64
-	// Lanes is the number of deterministic shards nodes are partitioned
-	// into (by hash of NodeID). It is part of the schedule identity:
-	// changing it changes the (still deterministic) schedule. Default 16.
-	Lanes int
 	// Workers is the number of goroutines executing lanes inside each
 	// lookahead window. It is NOT part of the schedule identity: any value
 	// produces bit-identical results. Workers == 1 executes the whole
 	// schedule serially on the calling goroutine (no goroutines are
-	// spawned — the serial engine). Default min(GOMAXPROCS, Lanes);
-	// clamped to [1, Lanes].
+	// spawned — the serial engine). Default min(GOMAXPROCS, 16), 16 being
+	// the lane count; clamped to [1, 16].
 	Workers int
 }
 
@@ -349,15 +348,10 @@ func (l *lane) settle(k int64, evs []pevent, rest []ekey) {
 
 // New creates an empty parallel deterministic simulation.
 func New(opts Options) *Engine {
-	if opts.Lanes <= 0 {
-		opts.Lanes = 16
-	}
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
 	}
-	if opts.Workers > opts.Lanes {
-		opts.Workers = opts.Lanes
-	}
+	opts.Workers = min(opts.Workers, numLanes)
 	e := &Engine{
 		opts:    opts,
 		nodes:   make(map[sim.NodeID]*pnode),
@@ -366,14 +360,14 @@ func New(opts Options) *Engine {
 		extRNG:  rand.New(rand.NewSource(int64(sim.SplitMix64(uint64(opts.Seed) ^ 0xe7f3a9c1)))),
 		sentOff: make(map[sim.NodeID]int64),
 	}
-	e.lanes = make([]*lane, opts.Lanes)
+	e.lanes = make([]*lane, numLanes)
 	for i := range e.lanes {
 		l := &lane{
 			e:      e,
 			idx:    int32(i),
 			rng:    rand.New(rand.NewSource(int64(sim.SplitMix64(uint64(opts.Seed) + uint64(i)*0x9e3779b97f4a7c15)))),
 			cal:    make([]bucket, 1),
-			outbox: make([][]pevent, opts.Lanes),
+			outbox: make([][]pevent, numLanes),
 		}
 		l.ctx.l = l
 		e.lanes[i] = l
@@ -939,9 +933,6 @@ func (e *Engine) Handler(id sim.NodeID) sim.Handler {
 
 // Workers reports the configured physical parallelism (after clamping).
 func (e *Engine) Workers() int { return e.opts.Workers }
-
-// Lanes reports the configured shard count.
-func (e *Engine) Lanes() int { return len(e.lanes) }
 
 // laneCtx binds a lane to the currently executing node (a listener's own
 // pnode when the delivery is for a listener). One instance per

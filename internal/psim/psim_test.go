@@ -39,6 +39,19 @@ func (c *chatter) OnMessage(ctx sim.Context, m sim.Message) {
 	}
 }
 
+// onLanes returns the first k node IDs the engine places on lanes
+// [0, lanes): a test that needs its nodes on one lane, or on a few, picks
+// their IDs through laneOf.
+func onLanes(e *Engine, lanes int32, k int) []sim.NodeID {
+	ids := make([]sim.NodeID, 0, k)
+	for id := sim.NodeID(1); len(ids) < k; id++ {
+		if e.laneOf(id) < lanes {
+			ids = append(ids, id)
+		}
+	}
+	return ids
+}
+
 // buildMesh registers n chatters on a fresh engine and returns them.
 func buildMesh(opts Options, n, fanout int) (*Engine, []*chatter) {
 	e := New(opts)
@@ -74,7 +87,7 @@ func TestWorkerIndependence(t *testing.T) {
 	const n, fanout, rounds = 100, 3, 20
 	var want string
 	for _, workers := range []int{1, 2, 4, 8} {
-		e, cs := buildMesh(Options{Seed: 7, Lanes: 8, Workers: workers}, n, fanout)
+		e, cs := buildMesh(Options{Seed: 7, Workers: workers}, n, fanout)
 		e.RunRounds(rounds)
 		got := snapshot(e, cs)
 		e.Close()
@@ -91,18 +104,6 @@ func TestWorkerIndependence(t *testing.T) {
 	}
 }
 
-// TestLaneCountChangesSchedule documents that Lanes IS part of the
-// schedule identity (unlike Workers).
-func TestLaneCountChangesSchedule(t *testing.T) {
-	e8, cs8 := buildMesh(Options{Seed: 7, Lanes: 8, Workers: 1}, 64, 2)
-	e8.RunRounds(10)
-	e4, cs4 := buildMesh(Options{Seed: 7, Lanes: 4, Workers: 1}, 64, 2)
-	e4.RunRounds(10)
-	if snapshot(e8, cs8) == snapshot(e4, cs4) {
-		t.Fatal("different lane counts produced identical traces — suspicious (schedule should differ)")
-	}
-}
-
 type sink struct{ got []sim.Message }
 
 func (s *sink) OnTimeout(sim.Context)                  {}
@@ -112,7 +113,7 @@ func (s *sink) OnMessage(_ sim.Context, m sim.Message) { s.got = append(s.got, m
 // their owner's handler, owner crash silences them, and re-registration
 // elsewhere keeps stale in-flight traffic dropped.
 func TestListenerRouting(t *testing.T) {
-	e := New(Options{Seed: 1, Lanes: 4, Workers: 1})
+	e := New(Options{Seed: 1, Workers: 1})
 	owner := &sink{}
 	e.AddNode(10, owner)
 	e.AddListener(1000, 10)
@@ -138,7 +139,7 @@ func TestListenerRouting(t *testing.T) {
 
 // TestDetectorGrace pins the barrier-time suspicion semantics.
 func TestDetectorGrace(t *testing.T) {
-	e := New(Options{Seed: 1, Lanes: 2, Workers: 1})
+	e := New(Options{Seed: 1, Workers: 1})
 	e.AddNode(5, &sink{})
 	e.RunRounds(1)
 	e.Crash(5)
@@ -164,7 +165,7 @@ func TestDetectorGrace(t *testing.T) {
 // TestHighWater: the barrier high-water mark is positive, deterministic,
 // and at least the final queue length.
 func TestHighWater(t *testing.T) {
-	e, _ := buildMesh(Options{Seed: 5, Lanes: 4, Workers: 1}, 32, 4)
+	e, _ := buildMesh(Options{Seed: 5, Workers: 1}, 32, 4)
 	e.RunRounds(10)
 	hw := e.QueueHighWaterBytes()
 	if hw == 0 {
@@ -184,7 +185,7 @@ func TestHighWater(t *testing.T) {
 // past (executing in a too-late window, or not at all when every queued
 // event was past the target).
 func TestRunUntilExecutesEverythingDue(t *testing.T) {
-	e, _ := buildMesh(Options{Seed: 13, Lanes: 8, Workers: 1}, 64, 3)
+	e, _ := buildMesh(Options{Seed: 13, Workers: 1}, 64, 3)
 	for i := 0; i < 60; i++ {
 		// Fractional, window-misaligned increments land targets mid-window,
 		// the regime where the queue-only scan went wrong.
@@ -214,7 +215,7 @@ func TestRunUntilExecutesEverythingDue(t *testing.T) {
 // the min scan saw only lane queues (all of whose mins exceeded target),
 // so RunUntil returned with the due delivery still pending.
 func TestCrossLaneEventNotStranded(t *testing.T) {
-	e := New(Options{Seed: 21, Lanes: 4, Workers: 1})
+	e := New(Options{Seed: 21, Workers: 1})
 	// Pick sender a with a timeout phase early in its interval and
 	// receiver b on a different lane whose phase lies beyond a's send plus
 	// the whole delay range, so after a's window the only due event is the
@@ -256,7 +257,7 @@ func TestCrossLaneEventNotStranded(t *testing.T) {
 // with a clear error instead of blocking on (or sending to) a dead
 // worker pool.
 func TestClosedEngineRunPanics(t *testing.T) {
-	e, _ := buildMesh(Options{Seed: 1, Lanes: 4, Workers: 2}, 8, 1)
+	e, _ := buildMesh(Options{Seed: 1, Workers: 2}, 8, 1)
 	e.RunRounds(1)
 	e.Close()
 	defer func() {
@@ -282,7 +283,7 @@ func containsClosed(s string) bool {
 
 // TestRunRoundsUntil covers the poll loop incl. the already-true case.
 func TestRunRoundsUntil(t *testing.T) {
-	e, cs := buildMesh(Options{Seed: 2, Lanes: 2, Workers: 1}, 8, 1)
+	e, cs := buildMesh(Options{Seed: 2, Workers: 1}, 8, 1)
 	if r, ok := e.RunRoundsUntil(10, func() bool { return true }); r != 0 || !ok {
 		t.Fatalf("already-true pred: got (%d,%v), want (0,true)", r, ok)
 	}
@@ -300,7 +301,7 @@ func TestRunRoundsUntil(t *testing.T) {
 // for every worker count.
 func TestExternalSend(t *testing.T) {
 	run := func(workers int) []sim.Message {
-		e := New(Options{Seed: 9, Lanes: 4, Workers: workers})
+		e := New(Options{Seed: 9, Workers: workers})
 		s := &sink{}
 		e.AddNode(3, s)
 		e.RunRounds(1)
@@ -322,7 +323,7 @@ func TestExternalSend(t *testing.T) {
 // TestBarrierGuard: calling a barrier operation from inside a handler
 // panics rather than corrupting the run.
 func TestBarrierGuard(t *testing.T) {
-	e := New(Options{Seed: 1, Lanes: 2, Workers: 1})
+	e := New(Options{Seed: 1, Workers: 1})
 	tripped := make(chan any, 1)
 	e.AddNode(4, handlerFunc(func(ctx sim.Context) {
 		defer func() { tripped <- recover() }()
@@ -338,7 +339,7 @@ func TestBarrierGuard(t *testing.T) {
 // unregistered From must trip the barrier guard like every other
 // external-path misuse, not silently race on lane 0's counters.
 func TestBarrierGuardNoneSend(t *testing.T) {
-	e := New(Options{Seed: 1, Lanes: 2, Workers: 1})
+	e := New(Options{Seed: 1, Workers: 1})
 	tripped := make(chan any, 1)
 	e.AddNode(4, handlerFunc(func(ctx sim.Context) {
 		defer func() { tripped <- recover() }()

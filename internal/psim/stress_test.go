@@ -43,7 +43,7 @@ func (h *edgeHammer) OnMessage(ctx sim.Context, m sim.Message) {
 func TestBarrierMergeStress(t *testing.T) {
 	const n, rounds = 96, 30
 	run := func(workers int) (int64, int64, float64, []int) {
-		e := New(Options{Seed: 42, Lanes: 8, Workers: workers})
+		e := New(Options{Seed: 42, Workers: workers})
 		ids := make([]sim.NodeID, n)
 		for i := range ids {
 			ids[i] = sim.NodeID(i + 1)
@@ -95,7 +95,7 @@ func TestBarrierMergeStressRepeated(t *testing.T) {
 	}
 	var want string
 	for rep := 0; rep < 8; rep++ {
-		e, cs := buildMesh(Options{Seed: 1234, Lanes: 8, Workers: 8}, 64, 4)
+		e, cs := buildMesh(Options{Seed: 1234, Workers: 8}, 64, 4)
 		e.RunRounds(10)
 		got := snapshot(e, cs)
 		e.Close()

@@ -36,7 +36,7 @@ type peer struct {
 	down     time.Time // zero while the link is up
 	body     []byte    // send's scratch: one tagged body
 	pending  []byte    // members queued for the writer
-	pendingN int       // members in pending, at most QueueDepth
+	pendingN int       // members in pending, at most queueDepth
 
 	frame []byte // the frame being written; owned by the running writeLoop
 }
@@ -98,9 +98,7 @@ func (p *peer) run() {
 				return
 			case <-time.After(backoff):
 			}
-			if backoff *= 2; backoff > p.t.opts.MaxBackoff {
-				backoff = p.t.opts.MaxBackoff
-			}
+			backoff = min(2*backoff, maxBackoff)
 			continue
 		}
 		backoff = minBackoff
@@ -201,12 +199,12 @@ const keepBuf = 1 << 20
 // send queues m toward the link, on the caller's goroutine: the tagged
 // body is encoded into the peer's scratch and appended to the pending
 // batch as one member. It never blocks on the socket. A message the link
-// cannot take — the peer is shut down, QueueDepth members are already
+// cannot take — the peer is shut down, queueDepth members are already
 // pending, or the body does not encode — is counted loss.
 func (p *peer) send(m sim.Message) {
 	p.mu.Lock()
 	queued := false
-	if p.pendingN < int(p.t.opts.QueueDepth) && !p.stopped() {
+	if p.pendingN < queueDepth && !p.stopped() {
 		var err error
 		if p.body, err = wire.AppendBody(p.body[:0], m.Body); err == nil {
 			p.pending = wire.AppendBatchMember(p.pending, m.To, m.From, m.Topic, p.body)

@@ -45,21 +45,33 @@ func subscribe(to, from sim.NodeID, v int) sim.Message {
 	return sim.Message{To: to, From: from, Topic: 1, Body: proto.Subscribe{V: sim.NodeID(v)}}
 }
 
-// TestEgressConservationOverflow blasts a loopback transport whose links
-// take only 8 pending messages from several goroutines at once. Overflow
-// is allowed — loss-free delivery is not the contract — but every message
-// must end up delivered or counted, and the quiesce barrier must settle.
+// TestEgressConservationOverflow fills a link past its 4,096 pending
+// messages from several goroutines at once, while its writer is held inside
+// its first frame (the way TestWriteCoalescing holds it): the link takes
+// exactly queueDepth of them and sheds the rest. Released, every message
+// ends up delivered or counted, and the quiesce barrier settles.
 func TestEgressConservationOverflow(t *testing.T) {
-	tr, err := NewLoopback(Options{Interval: 5 * time.Millisecond, QueueDepth: 8})
+	tr, err := NewLoopback(Options{Interval: 5 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tr.Close()
 	h := &countHandler{}
 	tr.AddNode(1, h)
+	var frames atomic.Int64
+	held, release := make(chan struct{}), make(chan struct{})
+	tr.SetFrameFault(func() FrameFault {
+		if frames.Add(1) == 1 {
+			close(held)
+			<-release
+		}
+		return FrameDeliver
+	})
+	tr.Send(subscribe(1, 2, 0))
+	<-held
 	const (
 		senders = 4
-		each    = 1000
+		each    = 1500
 	)
 	var wg sync.WaitGroup
 	for g := 0; g < senders; g++ {
@@ -67,15 +79,16 @@ func TestEgressConservationOverflow(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
-				tr.Send(subscribe(1, 2, g*each+i))
+				tr.Send(subscribe(1, 2, 1+g*each+i))
 			}
 		}(g)
 	}
 	wg.Wait()
-	conserved(t, tr, h, senders*each)
-	if tr.LostFrames() == 0 {
-		t.Logf("note: no overflow occurred (delivered all %d); the link was never full", senders*each)
+	if lost := tr.LostFrames(); lost != senders*each-queueDepth {
+		t.Errorf("a held link shed %d of %d sends, want all but its %d pending", lost, senders*each, queueDepth)
 	}
+	close(release)
+	conserved(t, tr, h, 1+senders*each)
 }
 
 // TestEgressLossFreeModerateLoad: under load the default queue depth
@@ -197,7 +210,7 @@ func TestEgressConservationConnDeath(t *testing.T) {
 				tr.Send(subscribe(1, 2, i))
 				sent.Add(1)
 				if i%64 == 0 {
-					time.Sleep(50 * time.Microsecond) // stay below QueueDepth most of the time
+					time.Sleep(50 * time.Microsecond) // stay below queueDepth most of the time
 				}
 			}
 		}()
@@ -227,7 +240,7 @@ func TestEgressConservationAcrossReconnect(t *testing.T) {
 		t.Fatal(err)
 	}
 	addr := hub1.Addr()
-	j, err := NewJoiner(Options{Hub: addr, Interval: 5 * time.Millisecond, MaxBackoff: 50 * time.Millisecond})
+	j, err := NewJoiner(Options{Hub: addr, Interval: 5 * time.Millisecond})
 	if err != nil {
 		hub1.Close()
 		t.Fatal(err)

@@ -38,8 +38,9 @@
 // Egress is one hop (conn.go): a send encodes on the sending goroutine
 // into the target link's pending batch, and the link's writer puts each
 // batch on the socket with one write, parking only when nothing is
-// pending. At most QueueDepth messages are pending toward one link; a send
-// beyond that is shed and counted, never blocks a protocol handler.
+// pending. At most 4,096 messages (a constant, queueDepth) are pending
+// toward one link; a send beyond that is shed and counted, never blocks a
+// protocol handler.
 //
 // Failure semantics: a garbage frame (wire.ErrGarbage) is counted and
 // skipped — the stream stays aligned and nothing crashes, because a
@@ -72,12 +73,6 @@ type Options struct {
 	Interval time.Duration
 	// Seed seeds the embedded runtime's per-node randomness.
 	Seed int64
-	// QueueDepth bounds the messages pending toward one link. A send to a
-	// full link is dropped (message loss, which the protocol tolerates)
-	// rather than blocking a protocol handler. Default 4096.
-	QueueDepth uint32
-	// MaxBackoff caps the reconnect backoff. Default 2s.
-	MaxBackoff time.Duration
 	// Logf, when non-nil, receives connection lifecycle diagnostics.
 	Logf func(format string, args ...any)
 }
@@ -85,12 +80,6 @@ type Options struct {
 func (o *Options) fill() {
 	if o.Interval == 0 {
 		o.Interval = 10 * time.Millisecond
-	}
-	if o.QueueDepth == 0 {
-		o.QueueDepth = 4096
-	}
-	if o.MaxBackoff == 0 {
-		o.MaxBackoff = 2 * time.Second
 	}
 }
 
@@ -100,8 +89,13 @@ const (
 	blockSlots = 1024
 	// handshakeTimeout bounds a joiner's wait for its first Welcome.
 	handshakeTimeout = 5 * time.Second
-	// minBackoff is the first reconnect delay; it doubles up to MaxBackoff.
+	// minBackoff is the first reconnect delay; it doubles up to maxBackoff.
 	minBackoff = 50 * time.Millisecond
+	maxBackoff = 2 * time.Second
+	// queueDepth bounds the messages pending toward one link. A send to a
+	// full link is dropped (message loss, which the protocol tolerates)
+	// rather than blocking a protocol handler.
+	queueDepth = 4096
 	// graceIntervals is how many timeout intervals a peer's link may be
 	// down before the failure detector suspects its nodes.
 	graceIntervals = 20

@@ -81,7 +81,7 @@ func TestShardFIFO(t *testing.T) {
 		t.Fatal("quiesce wedged")
 	}
 	if lost := tr.LostFrames(); lost != 0 {
-		t.Fatalf("lost %d frames below QueueDepth", lost)
+		t.Fatalf("lost %d frames below queueDepth", lost)
 	}
 	for d, h := range hs {
 		if got, bad := h.got.Load(), h.bad.Load(); got != each || bad != 0 {

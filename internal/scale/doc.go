@@ -19,8 +19,8 @@
 //
 // A pool is one sequential strand on one engine lane, so the pool size is
 // a harness choice that decides how much of a window the engine's workers
-// can share, not a protocol one. Config.PoolSize defaults to 32: at
-// n = 2,048 that is 64 pools, about four per lane of the engine's 16.
+// can share, not a protocol one. Pools hold 32 subscribers, a constant:
+// at n = 2,048 that is 64 pools, about four per lane of the engine's 16.
 // Pools of 1,024 had put every subscriber on two lanes, which capped what
 // any worker count could gain at 1.41× (lane work over each window's
 // largest lane, Workers: 1, five seeds); pools of 32 allow 4.29×. Fewer subscribers sharing

@@ -8,7 +8,7 @@ import (
 // a positive replication factor the successor adopts its warm replica, so
 // failover converges without relabelling a single survivor.
 func TestFailoverWarm(t *testing.T) {
-	res := RunFailover(Config{N: 300, PoolSize: 64, Seed: 1, ReplicationFactor: 2})
+	res := RunFailover(Config{N: 300, Seed: 1, ReplicationFactor: 2})
 	if !res.Converged {
 		t.Fatalf("warm failover did not converge: %+v", res)
 	}
@@ -24,7 +24,7 @@ func TestFailoverWarm(t *testing.T) {
 // successor must rebuild from subscriber Reregisters. It still converges —
 // the point of the warm path is speed, not reachability.
 func TestFailoverCold(t *testing.T) {
-	res := RunFailover(Config{N: 300, PoolSize: 64, Seed: 1})
+	res := RunFailover(Config{N: 300, Seed: 1})
 	if !res.Converged {
 		t.Fatalf("cold failover did not converge: %+v", res)
 	}
@@ -36,8 +36,8 @@ func TestFailoverCold(t *testing.T) {
 // TestFailoverWarmFasterThanCold pins the headline claim: warm adoption
 // beats the cold rebuild at the same N and seed.
 func TestFailoverWarmFasterThanCold(t *testing.T) {
-	warm := RunFailover(Config{N: 400, PoolSize: 64, Seed: 7, ReplicationFactor: 1})
-	cold := RunFailover(Config{N: 400, PoolSize: 64, Seed: 7})
+	warm := RunFailover(Config{N: 400, Seed: 7, ReplicationFactor: 1})
+	cold := RunFailover(Config{N: 400, Seed: 7})
 	if !warm.Converged || !cold.Converged {
 		t.Fatalf("non-convergence: warm=%+v cold=%+v", warm, cold)
 	}
@@ -51,7 +51,7 @@ func TestFailoverWarmFasterThanCold(t *testing.T) {
 // requires bit-identical results — the scheduler is deterministic and the
 // harness must not introduce map-order or time dependence.
 func TestFailoverDeterministic(t *testing.T) {
-	cfg := Config{N: 200, PoolSize: 64, Seed: 3, ReplicationFactor: 2}
+	cfg := Config{N: 200, Seed: 3, ReplicationFactor: 2}
 	a := RunFailover(cfg)
 	b := RunFailover(cfg)
 	if a != b {

@@ -35,19 +35,17 @@ const (
 	// (the round-robin sweep visits one entry per interval), which is a
 	// deployment parameter, not a protocol property.
 	cullDivisor = 64
-	// defaultPoolSize is Config.PoolSize's default.
-	defaultPoolSize = 32
+	// poolSize is how many virtual subscribers share one pool node: a pool
+	// runs on one engine lane, so small pools spread the subscribers over
+	// every lane the workers share (see the package documentation). Pools
+	// of 1,024 put n = 2,048 on two lanes.
+	poolSize = 32
 )
 
 // Config sizes one scale run.
 type Config struct {
 	// N is the number of virtual subscribers (the sweep variable).
 	N int
-	// PoolSize is how many virtual subscribers share one pool node.
-	// Default 32: a pool runs on one engine lane, so small pools spread
-	// the subscribers over every lane the workers share (see the package
-	// documentation). Pools of 1,024 put n = 2,048 on two lanes.
-	PoolSize int
 	// Seed drives the deterministic engine.
 	Seed int64
 	// DeliveryMode runs every subscriber in the given delivery mode.
@@ -94,12 +92,9 @@ type Harness struct {
 	delivered []int
 }
 
-// New builds the system: the supervisor plane, ceil(N/PoolSize) pool nodes,
+// New builds the system: the supervisor plane, ceil(N/32) pool nodes,
 // N virtual subscribers (IDs contiguous from the first ID after the pools).
 func New(cfg Config) *Harness {
-	if cfg.PoolSize == 0 {
-		cfg.PoolSize = defaultPoolSize
-	}
 	sched := psim.New(psim.Options{Seed: cfg.Seed, Workers: cfg.Workers})
 	opts := core.Options{DeliveryMode: cfg.DeliveryMode}
 	plane := cluster.NewPlane(sched, cluster.Options{
@@ -110,7 +105,7 @@ func New(cfg Config) *Harness {
 	}
 	opts = plane.ClientOptions(opts)
 
-	numPools := (cfg.N + cfg.PoolSize - 1) / cfg.PoolSize
+	numPools := (cfg.N + poolSize - 1) / poolSize
 	poolBase := SupervisorID + sim.NodeID(len(plane.SupIDs))
 	subBase := poolBase + sim.NodeID(numPools)
 	h := &Harness{Cfg: cfg, Sched: sched, Plane: plane, subBase: subBase, maxRounds: maxRounds}
@@ -123,12 +118,8 @@ func New(cfg Config) *Harness {
 		}
 	}
 	for j := 0; j < numPools; j++ {
-		base := subBase + sim.NodeID(j*cfg.PoolSize)
-		k := cfg.PoolSize
-		if rest := cfg.N - j*cfg.PoolSize; rest < k {
-			k = rest
-		}
-		p := NewPool(sched, base, k, SupervisorID, opts)
+		base := subBase + sim.NodeID(j*poolSize)
+		p := NewPool(sched, base, min(poolSize, cfg.N-j*poolSize), SupervisorID, opts)
 		p.Register(sched, poolBase+sim.NodeID(j))
 		h.Pools = append(h.Pools, p)
 	}
@@ -140,7 +131,7 @@ func (h *Harness) ID(i int) sim.NodeID { return h.subBase + sim.NodeID(i) }
 
 // Client returns the i-th subscriber's state machine.
 func (h *Harness) Client(i int) *core.Client {
-	return h.Pools[i/h.Cfg.PoolSize].Client(i % h.Cfg.PoolSize)
+	return h.Pools[i/poolSize].Client(i % poolSize)
 }
 
 // JoinAll issues a join command to every subscriber at the current time.
@@ -222,7 +213,7 @@ func (h *Harness) CrashFraction() int {
 	crashed := 0
 	for i := 1; i < h.Cfg.N && crashed < k; i += stride {
 		h.Sched.Crash(h.ID(i))
-		h.Pools[i/h.Cfg.PoolSize].Kill(i % h.Cfg.PoolSize)
+		h.Pools[i/poolSize].Kill(i % poolSize)
 		crashed++
 	}
 	return crashed
@@ -261,7 +252,11 @@ type Result struct {
 	Crashed          int
 	StabilizeRounds  int
 	StabilizeWallSec float64
-	// Memory, measured not estimated.
+	// Memory, estimated by accounting, not measured on the heap: element
+	// counts × unsafe.Sizeof (Supervisor.MemoryBytes, Trie.MemoryBytes,
+	// Engine.QueueHighWaterBytes). Map overhead enters only as the
+	// supervisor's flat 2× per map entry; slack — a slab's or a bucket's
+	// unused capacity — is left out. Deterministic for a schedule.
 	SupDBBytes   uint64 // supervisor database for the topic
 	SubTrieBytes uint64 // one subscriber's publication trie
 	QueueBytes   uint64 // event-queue high-water footprint

@@ -8,7 +8,7 @@ import (
 // The full scenario at a modest N: every pooled subscriber joins, gets a
 // label, receives the probe publication; the crash burst is culled.
 func TestRunSmallN(t *testing.T) {
-	res := Run(Config{N: 96, PoolSize: 16, Seed: 7})
+	res := Run(Config{N: 96, Seed: 7})
 	if !res.Converged {
 		t.Fatal("scenario did not converge")
 	}
@@ -30,7 +30,7 @@ func TestRunSmallN(t *testing.T) {
 // deterministic scheduler, same seed, the supervisor cannot tell them
 // apart, and the whole population converges to one legitimate ring.
 func TestPooledSubscribersConvergeLikeDedicated(t *testing.T) {
-	h := New(Config{N: 40, PoolSize: 8, Seed: 3})
+	h := New(Config{N: 40, Seed: 3})
 	h.JoinAll()
 	if _, ok := h.AwaitLabelled(); !ok {
 		t.Fatal("pooled subscribers did not all get labels")
@@ -47,7 +47,7 @@ func TestPooledSubscribersConvergeLikeDedicated(t *testing.T) {
 // A crashed virtual subscriber must vanish like a crashed dedicated node:
 // messages to it drop, the detector suspects it, the supervisor culls it.
 func TestVirtualCrashSemantics(t *testing.T) {
-	h := New(Config{N: 24, PoolSize: 8, Seed: 11})
+	h := New(Config{N: 24, Seed: 11})
 	h.JoinAll()
 	if _, ok := h.AwaitLabelled(); !ok {
 		t.Fatal("join did not converge")
@@ -65,19 +65,22 @@ func TestVirtualCrashSemantics(t *testing.T) {
 
 // A pool crash fails all of its virtual subscribers at once (machine
 // failure): their traffic drops and the supervisor eventually culls the
-// whole block.
+// whole block. Two full pools: the second one crashes, the first one stays.
 func TestPoolCrashFailsItsListeners(t *testing.T) {
-	h := New(Config{N: 32, PoolSize: 8, Seed: 5})
+	h := New(Config{N: 2 * poolSize, Seed: 5})
+	if len(h.Pools) != 2 {
+		t.Fatalf("%d pools, want 2", len(h.Pools))
+	}
 	h.JoinAll()
 	if _, ok := h.AwaitLabelled(); !ok {
 		t.Fatal("join did not converge")
 	}
 	// Crash pool 1's node and each of its listeners on the detector.
 	h.Sched.Crash(SupervisorID + 2)
-	for i := 8; i < 16; i++ {
+	for i := poolSize; i < 2*poolSize; i++ {
 		h.Sched.Crash(h.ID(i))
 	}
-	if _, ok := h.AwaitDBSize(24); !ok {
+	if _, ok := h.AwaitDBSize(poolSize); !ok {
 		t.Fatal("supervisor did not cull the crashed pool's subscribers")
 	}
 }

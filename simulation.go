@@ -50,10 +50,6 @@ type SimOptions struct {
 	// HistoryCap, DeliveryMode, Supervisors and ReplicationFactor, with the
 	// same meaning on every substrate.
 	Protocol
-	// DisableAntiEntropy turns off the periodic CheckTrie exchange, so
-	// publications spread only down the forwarding tree — the flood path in
-	// isolation, which the allocation budgets measure.
-	DisableAntiEntropy bool
 	// OnDeliver, if non-nil, observes every publication delivery as
 	// (subscriber, topic, payload), after the DeliveryMode discipline has
 	// released it — with ModeFIFO each publisher's payloads arrive at every
@@ -85,9 +81,12 @@ type Simulation struct {
 // NewSimulation creates an empty system (supervisor only) on the substrate
 // selected by opts.Runtime. RuntimeNet panics if the loopback listener
 // cannot be opened (no 127.0.0.1 available).
-func NewSimulation(opts SimOptions) *Simulation {
-	ho := opts.harness()
-	ho.ClientOpts.DisableAntiEntropy = opts.DisableAntiEntropy
+func NewSimulation(opts SimOptions) *Simulation { return newSimulation(opts, opts.harness()) }
+
+// newSimulation builds the simulation opts describe on harness options ho,
+// which the allocation budgets derive from opts.Protocol with anti-entropy
+// switched off.
+func newSimulation(opts SimOptions, ho cluster.Options) *Simulation {
 	if f := opts.OnDeliver; f != nil {
 		ho.ClientOpts.OnDeliverTrace = func(node sim.NodeID, t sim.Topic, p proto.Publication, _ ordering.Meta) {
 			f(node, t, p.Payload)

@@ -369,6 +369,11 @@ func (s *System) Members(topic string) []string {
 // member's explicit state equals the unique legitimate skip ring and — with
 // several supervisors — exactly the topic's owner hosts it and every member
 // reports to that owner at its epoch.
+//
+// The check reads each node's state live, under that node's own lock, one
+// node after another while the system keeps running: the reads happen at
+// slightly different instants, so a true result is not a consistent
+// snapshot. Simulation.Converged, by contrast, freezes the system first.
 func (s *System) Stable(topic string) bool { return s.explain(topic) == "" }
 
 // explain returns the first legitimacy violation, or "".
@@ -397,7 +402,8 @@ func (s *System) poll(timeout time.Duration, pred func() bool) bool {
 
 // WaitStable polls until the topic overlay is legitimate with exactly n
 // members, or the timeout expires. On an attached system, whose supervisor
-// is remote, it returns false at once.
+// is remote, it returns false at once. Like Stable, each poll reads the
+// nodes live, at slightly different instants, not from a frozen snapshot.
 func (s *System) WaitStable(topic string, n int, timeout time.Duration) bool {
 	if s.opts.Attach {
 		return false
