@@ -79,8 +79,10 @@
 // their capacity and are sorted once per window, reused handler contexts,
 // send accounting in per-node counters and a per-lane list of body types
 // with names resolved only when read);
-// the wire codec encodes frames append-only into pooled or caller-held
-// buffers (wire.AppendFrame, wire.WriteFrame) and decodes through a
+// the wire codec encodes frames append-only into caller-held buffers,
+// wire.AppendFrame and the net transport sharing one set of frame
+// builders (wire.AppendBody, wire.AppendBatchMember, wire.BeginFrame,
+// wire.FinishFrame), and decodes through a
 // per-connection wire.DecodeState whose arena bump-allocates payload
 // strings and batch scaffolds; and a concurrent-runtime mailbox reuses its
 // batch arrays, swapping them between senders and the node goroutine. The

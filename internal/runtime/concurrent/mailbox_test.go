@@ -96,52 +96,64 @@ func TestMailboxLossFree(t *testing.T) {
 	}
 }
 
-// slowTicker sleeps in every delivery and counts its Timeout actions.
-type slowTicker struct {
-	delay time.Duration
-	ticks atomic.Int64
+// batchTicker holds its first delivery until released, sleeps in every
+// later one, and notes the time and its Timeout count at the first and the
+// last delivery of the batch queued behind it (bodies 1 and last).
+type batchTicker struct {
+	gate        chan struct{}
+	delay       time.Duration
+	last        int
+	ticks       atomic.Int64
+	first, done time.Time
+	firstTicks  int64
+	doneTicks   int64
+	finished    chan struct{}
 }
 
-func (h *slowTicker) OnMessage(sim.Context, sim.Message) { time.Sleep(h.delay) }
-func (h *slowTicker) OnTimeout(sim.Context)              { h.ticks.Add(1) }
+func (h *batchTicker) OnMessage(_ sim.Context, m sim.Message) {
+	i := m.Body.(int)
+	if i == 0 {
+		<-h.gate
+		return
+	}
+	if i == 1 {
+		h.first, h.firstTicks = time.Now(), h.ticks.Load()
+	}
+	time.Sleep(h.delay)
+	if i == h.last {
+		h.done, h.doneTicks = time.Now(), h.ticks.Load()
+		close(h.finished)
+	}
+}
+func (h *batchTicker) OnTimeout(sim.Context) { h.ticks.Add(1) }
 
-// TestMailboxNeverEmptyStillTicks: a node whose mailbox never empties —
-// four goroutines flood it faster than its handler runs — still runs its
-// Timeout action about once per interval. Each swapped batch is larger
-// than the last, so the tick has to be able to run between two deliveries.
+// TestMailboxNeverEmptyStillTicks: a node busy with one long batch — a
+// swap hands it every queued message at once, so the mailbox never
+// empties between its deliveries — still runs its Timeout action about
+// once per interval. The first delivery is held while the batch queues,
+// the batch takes at least 20 intervals to deliver, and only the ticks
+// between its first and last delivery count: a tick checked only between
+// batches would run none of them.
 func TestMailboxNeverEmptyStillTicks(t *testing.T) {
 	const interval = 2 * time.Millisecond
+	const batch = 100 // × delay = 20 intervals at the least
 	r := NewRuntime(Options{Interval: interval, Seed: 2})
 	defer r.Close()
-	h := &slowTicker{delay: 20 * time.Microsecond}
+	h := &batchTicker{gate: make(chan struct{}), delay: 400 * time.Microsecond, last: batch, finished: make(chan struct{})}
 	r.AddNode(1, h)
-
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	for s := 0; s < 4; s++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for !stop.Load() {
-				r.Send(sim.Message{To: 1, From: 2, Topic: 1, Body: 0})
-			}
-		}()
+	for i := 0; i <= batch; i++ {
+		r.Send(sim.Message{To: 1, From: 2, Topic: 1, Body: i})
 	}
-	// Let the backlog build before counting.
-	for r.pending.Load() < 1000 {
-		time.Sleep(50 * time.Microsecond)
+	close(h.gate)
+	select {
+	case <-h.finished:
+	case <-time.After(30 * time.Second):
+		t.Fatal("the batch was not delivered")
 	}
-	base := h.ticks.Load()
-	time.Sleep(20 * interval)
-	ticks := h.ticks.Load() - base
-	backlog := r.pending.Load()
-	stop.Store(true)
-	wg.Wait()
-	if backlog == 0 {
-		t.Fatal("mailbox emptied during the flood; the test needs a faster sender")
-	}
-	if ticks < 10 {
-		t.Errorf("%d timeouts in 20 intervals under a flood (backlog %d), want ≥ 10", ticks, backlog)
+	elapsed := int64(h.done.Sub(h.first) / interval)
+	ticks := h.doneTicks - h.firstTicks
+	if ticks < 10 || ticks < elapsed/2 {
+		t.Errorf("%d timeouts in %d intervals of one batch's delivery, want ≥ 10 and ≥ half", ticks, elapsed)
 	}
 }
 

@@ -112,8 +112,8 @@ func (p *peer) run() {
 		if p.t.role == roleJoiner {
 			// (Re-)introduce ourselves before any queued data flows: Base ⊥
 			// requests a fresh ID block, a previous base reclaims it.
-			hello := wire.Hello{Base: p.t.BaseID(), Slots: blockSlots}
-			if err := wire.WriteFrame(conn, sim.Message{Body: hello}); err != nil {
+			hello, _ := wire.Marshal(sim.Message{Body: wire.Hello{Base: p.t.BaseID(), Slots: blockSlots}})
+			if _, err := conn.Write(hello); err != nil {
 				conn.Close()
 				continue
 			}

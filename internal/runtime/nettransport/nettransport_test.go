@@ -350,7 +350,11 @@ func TestWriterFramesMatchAppendFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := wire.WriteFrame(conn, sim.Message{Body: wire.Hello{Slots: 4}}); err != nil {
+	hello, err := wire.Marshal(sim.Message{Body: wire.Hello{Slots: 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(hello); err != nil {
 		t.Fatal(err)
 	}
 	readRaw := func() []byte {

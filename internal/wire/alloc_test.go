@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"io"
 	"testing"
 
 	"sspubsub/internal/label"
@@ -50,26 +49,6 @@ func TestAppendFrameAllocFree(t *testing.T) {
 		if avg != 0 {
 			t.Errorf("AppendFrame(%T) allocates %.2f objects/op, want 0", m.Body, avg)
 		}
-	}
-}
-
-// TestWriteFrameAllocFree: the compatibility wrapper recycles its frame
-// buffer through the pool, so the steady state allocates nothing.
-func TestWriteFrameAllocFree(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops items under the race detector; alloc counts are meaningless")
-	}
-	m := allocCheckMsg()
-	if err := WriteFrame(io.Discard, m); err != nil { // warm the pool
-		t.Fatal(err)
-	}
-	avg := testing.AllocsPerRun(200, func() {
-		if err := WriteFrame(io.Discard, m); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if avg != 0 {
-		t.Errorf("WriteFrame allocates %.2f objects/op, want 0", avg)
 	}
 }
 

@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"reflect"
@@ -101,23 +100,31 @@ type Batch2 struct {
 // lookupBatchable resolves a body that may ride inside a Batch2: it must
 // be a registered type and must not itself be a batch.
 func lookupBatchable(body any) (uint64, entry, error) {
-	tag, ent, err := lookupBody(body)
-	if err == nil && tag == tagBatch2 {
-		err = fmt.Errorf("wire: batch inside batch")
+	if body == nil {
+		return 0, entry{}, fmt.Errorf("wire: nil message body")
 	}
-	return tag, ent, err
+	tag, ok := tagOf[reflect.TypeOf(body)]
+	if !ok {
+		return 0, entry{}, fmt.Errorf("wire: unregistered body type %T", body)
+	}
+	if tag == tagBatch2 {
+		return 0, entry{}, fmt.Errorf("wire: batch inside batch")
+	}
+	return tag, registry[tag], nil
 }
 
 // Encodable reports whether a message with this body can be encoded as a
-// frame of its own and inside a Batch2. The transport uses it to shed
-// unencodable messages (as counted loss) before building a batch.
+// frame of its own and inside a Batch2, i.e. whether AppendBody accepts
+// it. Benchmarks use it to pick encodable samples; the transport calls
+// AppendBody directly and counts a message it rejects as loss.
 func Encodable(body any) bool {
 	_, _, err := lookupBatchable(body)
 	return err == nil
 }
 
 // entry is one registered message type. dec returns the zero body on
-// failure; the latched dec.err carries the diagnosis.
+// failure; the latched dec.err carries the diagnosis. Batch2 has no enc:
+// AppendFrame frames its members itself.
 type entry struct {
 	zero any
 	enc  func(*enc, any)
@@ -372,19 +379,12 @@ var registry = map[uint64]entry{
 // registry is complete.
 var tagOf map[reflect.Type]uint64
 
-// init completes the registry with the Batch2 entry (whose encoding
-// recurses through lookupBody, so defining it inside the registry literal
-// would be an initialization cycle) and builds the type→tag table.
+// init completes the registry with the Batch2 decoder (which recurses
+// through the registry, so defining it inside the registry literal would
+// be an initialization cycle) and builds the type→tag table.
 func init() {
-	registry[tagBatch2] = entry{Batch2{},
-		func(e *enc, b any) {
-			m := b.(Batch2)
-			e.uvarint(uint64(len(m.Msgs)))
-			for _, im := range m.Msgs {
-				e.memberLP(im)
-			}
-		},
-		func(d *dec) any {
+	registry[tagBatch2] = entry{zero: Batch2{},
+		dec: func(d *dec) any {
 			// Cheapest member: 1-byte length prefix, three 1-byte svarints
 			// and a 1-byte tag.
 			n := d.sliceLen(5)
@@ -418,17 +418,6 @@ func init() {
 		}
 		tagOf[t] = tag
 	}
-}
-
-func lookupBody(body any) (uint64, entry, error) {
-	if body == nil {
-		return 0, entry{}, fmt.Errorf("wire: nil message body")
-	}
-	tag, ok := tagOf[reflect.TypeOf(body)]
-	if !ok {
-		return 0, entry{}, fmt.Errorf("wire: unregistered body type %T", body)
-	}
-	return tag, registry[tag], nil
 }
 
 // Registered returns "tag name" lines for every registered type, sorted by
@@ -520,43 +509,6 @@ func (d *dec) publication() proto.Publication {
 	p := proto.Publication{Key: d.key(), Origin: d.node()}
 	p.Payload = d.payload(p.Key.Bits)
 	return p
-}
-
-// message encodes one batch member: the sim.Message envelope followed by
-// its tagged body, exactly as in a standalone frame but without the
-// length prefix and header. AppendFrame pre-validates every member with
-// lookupBatchable, so the lookups here cannot fail.
-func (e *enc) message(m sim.Message) {
-	tag, ent, err := lookupBatchable(m.Body)
-	if err != nil {
-		// Unreachable by construction; panicking here would turn an
-		// internal invariant slip into a transport crash, so encode the
-		// member as a GetConfiguration to ⊥ instead — the receiver drops
-		// sends to ⊥, making it plain message loss.
-		m = sim.Message{Body: proto.GetConfiguration{}}
-		tag, ent, _ = lookupBody(m.Body)
-	}
-	e.svarint(int64(m.To))
-	e.svarint(int64(m.From))
-	e.svarint(int64(m.Topic))
-	e.uvarint(tag)
-	ent.enc(e, m.Body)
-}
-
-// memberLP encodes one Batch2 member: the uvarint byte length, then the
-// member itself. The length is unknown until the member
-// is encoded, so the member is written first and shifted right to make
-// room for the prefix (memmove on what was just written — still cheaper
-// than encoding twice).
-func (e *enc) memberLP(m sim.Message) {
-	start := len(e.b)
-	e.message(m)
-	n := len(e.b) - start
-	var tmp [binary.MaxVarintLen64]byte
-	ln := binary.PutUvarint(tmp[:], uint64(n))
-	e.b = append(e.b, tmp[:ln]...)
-	copy(e.b[start+ln:], e.b[start:start+n])
-	copy(e.b[start:], tmp[:ln])
 }
 
 // memberLP decodes one Batch2 member whose bytes end at offset end (the

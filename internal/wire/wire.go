@@ -30,7 +30,9 @@
 // message. Empty slices decode as nil (the canonical form).
 //
 // The codec is built for an allocation-free steady state: AppendFrame
-// encodes into a caller-held buffer (and WriteFrame into a pooled one),
+// encodes into a caller-held buffer through the same builders the net
+// transport frames every send with (AppendBody, AppendBatchMember,
+// BeginFrame, FinishFrame), so there is one encoder for the format;
 // ReadFrame reuses one frame buffer per connection, and the encoder/
 // decoder cursors are recycled through sync.Pools. The Batch2 envelope
 // (tag 35) lets a transport carry a whole coalescing window of messages
@@ -71,14 +73,14 @@ var ErrGarbage = errors.New("wire: garbage frame")
 var ErrFrameTooLarge = errors.New("wire: frame exceeds MaxFrame")
 
 // Marshal encodes m as one complete frame, length prefix included.
-// It fails only when the body type is not registered. It allocates a
-// fresh slice per call; hot paths should hold a buffer and use
-// AppendFrame, or let WriteFrame recycle one from the frame pool.
+// It fails only when the body (or a Batch2 member's body) is not
+// registered, or the frame exceeds MaxFrame. It allocates a fresh slice
+// per call; hot paths should hold a buffer and use AppendFrame.
 func Marshal(m sim.Message) ([]byte, error) { return AppendFrame(nil, m) }
 
-// encPool recycles the encoder cursors AppendFrame threads through the
+// encPool recycles the encoder cursors AppendBody threads through the
 // per-type encoding funcs. The cursor escapes into those (dynamically
-// dispatched) calls, so without the pool every frame encoded would heap-
+// dispatched) calls, so without the pool every body encoded would heap-
 // allocate one.
 var encPool = sync.Pool{New: func() any { return new(enc) }}
 
@@ -86,42 +88,31 @@ var encPool = sync.Pool{New: func() any { return new(enc) }}
 var decPool = sync.Pool{New: func() any { return new(dec) }}
 
 // AppendFrame appends the frame encoding of m to dst and returns the
-// extended slice. When dst has sufficient capacity, the call performs no
-// allocations.
+// extended slice; on error it returns dst at its original length. It
+// frames m with the transport's own builders: a plain body as BeginFrame,
+// envelope, AppendBody and FinishFrame; a Batch2 as its envelope, tag and
+// member count, then one AppendBatchMember per member. When dst has
+// sufficient capacity, framing a plain body performs no allocations.
 func AppendFrame(dst []byte, m sim.Message) ([]byte, error) {
-	tag, ent, err := lookupBody(m.Body)
-	if err != nil {
-		return dst, err
-	}
-	if b, ok := m.Body.(Batch2); ok {
-		// Validate every nested body up front: the per-type encoding funcs
-		// cannot fail mid-frame, so a batch with an unencodable or nested-
-		// batch member must be rejected before any byte is written.
-		for _, bm := range b.Msgs {
-			if _, _, err := lookupBatchable(bm.Body); err != nil {
-				return dst, err
-			}
+	out := appendEnvelope(BeginFrame(dst), m.To, m.From, m.Topic)
+	var err error
+	b, ok := m.Body.(Batch2)
+	if !ok {
+		if out, err = AppendBody(out, m.Body); err != nil {
+			return dst, err
 		}
+		return FinishFrame(out, len(dst))
 	}
-	start := len(dst)
-	dst = append(dst, 0, 0, 0, 0) // length prefix, patched below
-	e := encPool.Get().(*enc)
-	e.b = dst
-	e.raw(magic0, magic1, Version)
-	e.svarint(int64(m.To))
-	e.svarint(int64(m.From))
-	e.svarint(int64(m.Topic))
-	e.uvarint(tag)
-	ent.enc(e, m.Body)
-	out := e.b
-	e.b = nil
-	encPool.Put(e)
-	payload := len(out) - start - 4
-	if payload > MaxFrame {
-		return out[:start], fmt.Errorf("%w (%d bytes)", ErrFrameTooLarge, payload)
+	out = binary.AppendUvarint(out, tagBatch2)
+	out = binary.AppendUvarint(out, uint64(len(b.Msgs)))
+	var body []byte // one scratch for every member's tagged body
+	for _, bm := range b.Msgs {
+		if body, err = AppendBody(body[:0], bm.Body); err != nil {
+			return dst, err
+		}
+		out = AppendBatchMember(out, bm.To, bm.From, bm.Topic, body)
 	}
-	binary.BigEndian.PutUint32(out[start:], uint32(payload))
-	return out, nil
+	return FinishFrame(out, len(dst))
 }
 
 // Unmarshal decodes one complete frame (length prefix included). The
@@ -187,34 +178,6 @@ func decodePayload(p []byte, st *DecodeState) (sim.Message, error) {
 		return sim.Message{}, fmt.Errorf("%w: %d trailing bytes after %s", ErrGarbage, len(d.b)-d.off, sim.TypeName(ent.zero))
 	}
 	return m, nil
-}
-
-// framePool recycles whole-frame scratch buffers for the convenience
-// wrappers (WriteFrame). Buffers that ballooned past keepFrame bytes are
-// dropped rather than pooled, so one oversized frame does not pin a
-// megabyte per P forever.
-var framePool = sync.Pool{New: func() any { return new(frameBuf) }}
-
-type frameBuf struct{ b []byte }
-
-const keepFrame = 64 << 10
-
-// WriteFrame writes m to w as one frame. It encodes into a pooled scratch
-// buffer, so the steady-state call allocates nothing beyond what the body
-// encoding itself requires (which is nothing).
-func WriteFrame(w io.Writer, m sim.Message) error {
-	fb := framePool.Get().(*frameBuf)
-	b, err := AppendFrame(fb.b[:0], m)
-	if err == nil {
-		_, err = w.Write(b)
-	}
-	if cap(b) <= keepFrame {
-		fb.b = b
-	} else {
-		fb.b = nil
-	}
-	framePool.Put(fb)
-	return err
 }
 
 // ReadFrame reads one frame from r into the caller-supplied buffer,
@@ -434,16 +397,15 @@ func (d *dec) sliceLen(minBytes int) int {
 	return int(n)
 }
 
-// ---- raw frame assembly (transport egress path) ----
+// ---- frame assembly (AppendFrame and the transport egress path) ----
 //
 // The networked transport encodes a message once, on the sending
 // goroutine, as a length-prefixed Batch2 member (AppendBody +
 // AppendBatchMember) and frames whole runs of members later, on the
 // writer: several under one Batch2 envelope (BeginBatchFrame), a lone one
 // as a standalone frame (BeginFrame + the member after its length prefix),
-// both closed by FinishFrame. The bytes these produce are identical to
-// AppendFrame over the equivalent message, so readers cannot tell the
-// paths apart.
+// both closed by FinishFrame. AppendFrame is built from the same
+// builders, so readers cannot tell the paths apart.
 
 // AppendBody appends the tagged encoding of body (type tag + per-type
 // body; no envelope, no frame header) to dst — the unit the frame and
@@ -485,10 +447,14 @@ func BeginBatchFrame(dst []byte, count int) []byte {
 func AppendBatchMember(dst []byte, to, from sim.NodeID, topic sim.Topic, tagged []byte) []byte {
 	n := svarintSize(int64(to)) + svarintSize(int64(from)) + svarintSize(int64(topic)) + len(tagged)
 	dst = binary.AppendUvarint(dst, uint64(n))
+	return append(appendEnvelope(dst, to, from, topic), tagged...)
+}
+
+// appendEnvelope appends a message's (To, From, Topic) envelope.
+func appendEnvelope(dst []byte, to, from sim.NodeID, topic sim.Topic) []byte {
 	dst = binary.AppendVarint(dst, int64(to))
 	dst = binary.AppendVarint(dst, int64(from))
-	dst = binary.AppendVarint(dst, int64(topic))
-	return append(dst, tagged...)
+	return binary.AppendVarint(dst, int64(topic))
 }
 
 // FinishFrame patches the length prefix of the frame started at offset

@@ -320,7 +320,9 @@ func TestFrameTooLarge(t *testing.T) {
 
 // TestUnregisteredBody: Marshal refuses types outside the registry (the
 // deterministic scheduler's garbage-injection bodies, for example, have no
-// wire form on purpose).
+// wire form on purpose), and AppendFrame refuses a Batch2 carrying such a
+// member, a nil one or a nested batch, leaving a non-empty dst at its
+// original length and bytes.
 func TestUnregisteredBody(t *testing.T) {
 	type notAMessage struct{ X int }
 	if _, err := Marshal(sim.Message{To: 1, Body: notAMessage{}}); err == nil {
@@ -328,6 +330,28 @@ func TestUnregisteredBody(t *testing.T) {
 	}
 	if _, err := Marshal(sim.Message{To: 1, Body: nil}); err == nil {
 		t.Error("Marshal accepted a nil body")
+	}
+	ok := sim.Message{To: 2, From: 1, Topic: 1, Body: proto.Subscribe{V: 1}}
+	prefix, err := Marshal(ok)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, bad := range map[string]any{
+		"nil member":          nil,
+		"unregistered member": notAMessage{},
+		"nested batch":        Batch2{Msgs: []sim.Message{ok}},
+	} {
+		// The bad member follows a good one, so the frame is half written
+		// when it fails.
+		m := sim.Message{To: 3, From: 9, Topic: 1, Body: Batch2{Msgs: []sim.Message{ok, {To: 4, Body: bad}}}}
+		dst := append(make([]byte, 0, 256), prefix...)
+		got, err := AppendFrame(dst, m)
+		if err == nil {
+			t.Errorf("%s: AppendFrame accepted the batch", name)
+		}
+		if !bytes.Equal(got, prefix) {
+			t.Errorf("%s: dst after the error\n got %x\nwant %x", name, got, prefix)
+		}
 	}
 }
 
@@ -341,9 +365,11 @@ func TestStreamReadWrite(t *testing.T) {
 		{To: 2, From: 3, Topic: 2, Body: proto.PublishNew{Pub: proto.Publication{Key: proto.Key{Bits: 5, Len: 8}, Origin: 3, Payload: "p"}}},
 	}
 	for i, m := range msgs {
-		if err := WriteFrame(&buf, m); err != nil {
+		frame, err := Marshal(m)
+		if err != nil {
 			t.Fatal(err)
 		}
+		buf.Write(frame)
 		if i == 0 {
 			// A well-delimited frame with an unknown tag: recoverable garbage.
 			buf.Write(mustFrame(t, func(e *enc) { e.svarint(0); e.svarint(0); e.svarint(0); e.uvarint(500) }))
@@ -394,11 +420,11 @@ func TestStateDecodeMatchesPlain(t *testing.T) {
 	}
 }
 
-// TestRawAssemblyMatchesAppendFrame: the transport's raw builders must
-// produce byte-identical frames to Marshal over the equivalent message —
-// readers cannot tell the encode-once path apart. A standalone frame is
-// BeginFrame plus a member's bytes after its length prefix, as the net
-// writer cuts it.
+// TestRawAssemblyMatchesAppendFrame pins the two assemblies the net
+// writer makes that AppendFrame does not: a lone member cut after its
+// length prefix behind BeginFrame, and BeginBatchFrame's ⊥ envelope. Each
+// must match Marshal over the equivalent message byte for byte, so
+// readers cannot tell the encode-once path apart.
 func TestRawAssemblyMatchesAppendFrame(t *testing.T) {
 	body := proto.PublishNew{Pub: proto.Publication{Key: proto.Key{Bits: 3, Len: 4}, Origin: -7, Payload: "raw"}}
 	tagged, err := AppendBody(nil, body)
