@@ -5,6 +5,7 @@ import (
 	"maps"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"sspubsub/internal/label"
@@ -63,7 +64,7 @@ func (w *twin) agree(t *testing.T, where string) {
 	}
 	a, r := w.a, w.ref
 	if a.lab != r.lab || a.nb != r.nb || a.ring != r.ring || a.version != r.version ||
-		a.departed != r.departed || a.leaving != r.leaving || !maps.Equal(a.shortcuts, r.shortcuts) {
+		a.departed != r.departed || a.leaving != r.leaving || !slices.Equal(a.shortcuts, r.shortcuts) {
 		t.Fatalf("%s: state differs:\n cached    %s\n reference %s", where, dump(a), dump(r))
 	}
 }
@@ -71,18 +72,16 @@ func (w *twin) agree(t *testing.T, where string) {
 // slotLabels returns s's slot labels in slot order.
 func slotLabels(s *Subscriber) []label.Label {
 	var slots []label.Label
-	for l := range s.shortcuts {
-		slots = append(slots, l)
+	for _, t := range s.shortcuts {
+		slots = append(slots, t.L)
 	}
-	sortSlots(slots)
 	return slots
 }
 
 func dump(s *Subscriber) string {
-	slots := slotLabels(s)
 	sc := ""
-	for _, l := range slots {
-		sc += fmt.Sprintf(" %s→%d", l, s.shortcuts[l])
+	for _, t := range s.shortcuts {
+		sc += fmt.Sprintf(" %s→%d", t.L, t.Ref)
 	}
 	return fmt.Sprintf("label=%s nb=%v ring=%v v=%d departed=%v slots:%s", s.lab, s.nb, s.ring, s.version, s.departed, sc)
 }
@@ -98,8 +97,8 @@ func fromScratch(t *testing.T, s *Subscriber, where string) {
 		wantSet[l] = true
 	}
 	got := map[label.Label]bool{}
-	for l := range s.shortcuts {
-		got[l] = true
+	for _, t := range s.shortcuts {
+		got[t.L] = true
 	}
 	if !maps.Equal(got, wantSet) {
 		t.Fatalf("%s: slots %v, label.Shortcuts derives %v (%s)", where, got, wantSet, dump(s))

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"cmp"
-	"maps"
 	"slices"
 
 	"sspubsub/internal/label"
@@ -54,10 +52,13 @@ type Subscriber struct {
 	// edge an extreme holds to the opposite extreme.
 	nb   [2]proto.Tuple
 	ring proto.Tuple
-	// shortcuts maps a shortcut slot label to the node reference believed to
-	// carry it; sim.None marks a derived slot whose owner is still unknown
-	// (the paper's (label, ⊥) entries).
-	shortcuts map[label.Label]sim.NodeID
+	// shortcuts holds the shortcut slots, one tuple per slot: the slot label
+	// and the node reference believed to carry it, sim.None marking a
+	// derived slot whose owner is still unknown (the paper's (label, ⊥)
+	// entries). The slice is kept in slotLess order with no label twice, so
+	// a lookup is a binary search and a walk visits the slots in the order
+	// sends must go out in.
+	shortcuts []proto.Tuple
 
 	// leaving is set after the client requested Unsubscribe and cleared once
 	// the supervisor grants permission (all-⊥ SetData).
@@ -82,7 +83,6 @@ type Subscriber struct {
 	// order departure notices go out in); ftSorted is it sorted clockwise.
 	ftCache   []proto.Tuple
 	ftSorted  []proto.Tuple
-	ftSlots   []label.Label // scratch for deterministic shortcut ordering
 	ftVersion uint64
 	rnCache   []proto.Tuple
 	rnVersion uint64
@@ -91,10 +91,9 @@ type Subscriber struct {
 	// reconcile that left the slot set exactly what label.Shortcuts derives
 	// from the state, and scLevel the level pair it derived. While the
 	// version stays there the slots are still right, so the periodic
-	// action skips the reconcile. scDrop is the reconcile's scratch.
+	// action skips the reconcile.
 	scVersion uint64
 	scLevel   [2]label.Label
-	scDrop    []label.Label
 
 	// DisableActionIV switches off the locally-minimal probe (ablation).
 	DisableActionIV bool
@@ -109,7 +108,6 @@ func NewSubscriber(self, supervisor sim.NodeID, topic sim.Topic) *Subscriber {
 		self:       self,
 		supervisor: supervisor,
 		topic:      topic,
-		shortcuts:  make(map[label.Label]sim.NodeID),
 	}
 }
 
@@ -223,7 +221,13 @@ func (s *Subscriber) Leaving() bool { return s.leaving }
 func (s *Subscriber) Version() uint64 { return s.version }
 
 // Shortcuts returns a copy of the shortcut slots.
-func (s *Subscriber) Shortcuts() map[label.Label]sim.NodeID { return maps.Clone(s.shortcuts) }
+func (s *Subscriber) Shortcuts() map[label.Label]sim.NodeID {
+	m := make(map[label.Label]sim.NodeID, len(s.shortcuts))
+	for _, t := range s.shortcuts {
+		m[t.L] = t.Ref
+	}
+	return m
+}
 
 // RingNeighbors returns the non-⊥ direct ring neighbours (left, right,
 // ring), the peers the publication protocol gossips with. The returned
@@ -274,13 +278,8 @@ func (s *Subscriber) neighbours() {
 	for _, t := range s.slots() {
 		add(*t)
 	}
-	s.ftSlots = s.ftSlots[:0]
-	for l := range s.shortcuts {
-		s.ftSlots = append(s.ftSlots, l)
-	}
-	sortSlots(s.ftSlots)
-	for _, l := range s.ftSlots {
-		add(proto.Tuple{L: l, Ref: s.shortcuts[l]})
+	for _, t := range s.shortcuts {
+		add(t)
 	}
 	s.ftSorted = append(s.ftSorted[:0], out...)
 	slices.SortFunc(s.ftSorted, func(a, b proto.Tuple) int {
@@ -294,20 +293,44 @@ func (s *Subscriber) neighbours() {
 	s.ftCache, s.ftVersion = out, s.version+1
 }
 
-// sortSlots sorts shortcut slot labels into ring-position order, the raw
-// label breaking the Frac ties of corrupted states: map order must never
-// reach a send, whose order draws the delivery delays. The order is total,
-// so every sort algorithm yields the same sequence.
-func sortSlots(ls []label.Label) {
-	slices.SortFunc(ls, func(a, b label.Label) int {
-		if c := cmp.Compare(a.Frac(), b.Frac()); c != 0 {
-			return c
+// slotLess orders shortcut slot labels by ring position, the raw label
+// breaking the Frac ties of corrupted states. It is the order of the
+// shortcut slice, and so the order in which a walk over the slots sends:
+// the order of sends draws the delivery delays, so it must be a function
+// of the state alone. The order is total, so a slot set has exactly one
+// slice.
+func slotLess(a, b label.Label) bool {
+	if fa, fb := a.Frac(), b.Frac(); fa != fb {
+		return fa < fb
+	}
+	if a.Bits != b.Bits {
+		return a.Bits < b.Bits
+	}
+	return a.Len < b.Len
+}
+
+// findSlot returns the index of the shortcut slot labelled l and true, or
+// the index a slot labelled l would be inserted at and false.
+func (s *Subscriber) findSlot(l label.Label) (int, bool) {
+	lo, hi := 0, len(s.shortcuts)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); slotLess(s.shortcuts[m].L, l) {
+			lo = m + 1
+		} else {
+			hi = m
 		}
-		if c := cmp.Compare(a.Bits, b.Bits); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.Len, b.Len)
-	})
+	}
+	return lo, lo < len(s.shortcuts) && s.shortcuts[lo].L == l
+}
+
+// putSlot sets the reference of the shortcut slot labelled l, inserting
+// the slot at its place in slotLess order when there is none.
+func (s *Subscriber) putSlot(l label.Label, ref sim.NodeID) {
+	i, ok := s.findSlot(l)
+	if !ok {
+		s.shortcuts = slices.Insert(s.shortcuts, i, proto.Tuple{L: l})
+	}
+	s.shortcuts[i].Ref = ref
 }
 
 // Degree returns the number of distinct known neighbours.
@@ -526,28 +549,25 @@ func (s *Subscriber) maintainShortcuts(ctx sim.Context) {
 func (s *Subscriber) reconcileShortcuts(ctx sim.Context) [2]label.Label {
 	lab, labs := s.lab, s.circularLabels()
 	want, levelLeft, levelRight := label.Shortcuts(lab, labs[left], labs[right])
-	drop := s.scDrop[:0]
-	for l := range s.shortcuts {
-		if !slices.Contains(want, l) {
-			drop = append(drop, l)
-		}
-	}
-	sortSlots(drop)
-	for _, l := range drop {
+	for i := 0; i < len(s.shortcuts); {
 		// Read at the drop: an earlier delegation's label correction may
-		// have emptied this slot.
-		ref := s.shortcuts[l]
-		delete(s.shortcuts, l)
+		// have emptied this slot. A delegation never adds or removes a
+		// slot, so i stays the walk's position.
+		t := s.shortcuts[i]
+		if slices.Contains(want, t.L) {
+			i++
+			continue
+		}
+		s.shortcuts = slices.Delete(s.shortcuts, i, i+1)
 		s.version++
 		s.fired[RuleShortcutDrop]++
-		if ref != sim.None && ref != s.self {
-			s.linearize(ctx, proto.Tuple{L: l, Ref: ref})
+		if t.Ref != sim.None && t.Ref != s.self {
+			s.linearize(ctx, t)
 		}
 	}
-	s.scDrop = drop[:0]
 	for _, l := range want {
-		if _, ok := s.shortcuts[l]; !ok {
-			s.shortcuts[l] = sim.None
+		if _, ok := s.findSlot(l); !ok {
+			s.putSlot(l, sim.None)
 			s.version++
 		}
 	}
@@ -570,8 +590,8 @@ func (s *Subscriber) resolve(l label.Label) proto.Tuple {
 			return *t
 		}
 	}
-	if ref, ok := s.shortcuts[l]; ok && ref != sim.None {
-		return proto.Tuple{L: l, Ref: ref}
+	if i, ok := s.findSlot(l); ok && s.shortcuts[i].Ref != sim.None {
+		return s.shortcuts[i]
 	}
 	return proto.Tuple{}
 }
@@ -800,7 +820,7 @@ func (s *Subscriber) grantDeparture(ctx sim.Context) {
 		s.setSlot(slot, proto.Tuple{})
 	}
 	if len(s.shortcuts) > 0 {
-		s.shortcuts = make(map[label.Label]sim.NodeID)
+		s.shortcuts = s.shortcuts[:0]
 		s.version++
 	}
 	s.departed = true
@@ -900,9 +920,9 @@ func (s *Subscriber) correctStoredLabel(c proto.Tuple) {
 	// level-pair introductions refill it with a verified owner. Without
 	// this, stale (label, ref) pairs survive in shortcut slots and keep
 	// re-infecting neighbours through IntroduceShortcut.
-	for slot, ref := range s.shortcuts {
-		if ref == c.Ref && slot != c.L {
-			s.shortcuts[slot] = sim.None
+	for i, t := range s.shortcuts {
+		if t.Ref == c.Ref && t.L != c.L {
+			s.shortcuts[i].Ref = sim.None
 			s.version++
 		}
 	}
@@ -1005,9 +1025,9 @@ func (s *Subscriber) removeConnections(v sim.NodeID) {
 		return
 	}
 	s.dropRef(v)
-	for l, ref := range s.shortcuts {
-		if ref == v {
-			s.shortcuts[l] = sim.None
+	for i, t := range s.shortcuts {
+		if t.Ref == v {
+			s.shortcuts[i].Ref = sim.None
 			s.version++
 		}
 	}
@@ -1025,9 +1045,9 @@ func (s *Subscriber) onIntroduceShortcut(ctx sim.Context, t proto.Tuple) {
 	if t.Ref == s.self || t.Ref == sim.None || t.L.IsBottom() {
 		return
 	}
-	if old, ok := s.shortcuts[t.L]; ok {
-		if old != t.Ref {
-			s.shortcuts[t.L] = t.Ref
+	if i, ok := s.findSlot(t.L); ok {
+		if old := s.shortcuts[i].Ref; old != t.Ref {
+			s.shortcuts[i].Ref = t.Ref
 			s.version++
 			if old != sim.None && old != s.self {
 				s.linearize(ctx, proto.Tuple{L: t.L, Ref: old})
@@ -1050,9 +1070,9 @@ func (s *Subscriber) onIntroduceShortcut(ctx sim.Context, t proto.Tuple) {
 func (s *Subscriber) ForceState(lab label.Label, left, right, ring proto.Tuple, shortcuts map[label.Label]sim.NodeID) {
 	s.lab = lab
 	s.nb, s.ring = [2]proto.Tuple{left, right}, ring
-	s.shortcuts = make(map[label.Label]sim.NodeID)
+	s.shortcuts = s.shortcuts[:0]
 	for l, v := range shortcuts {
-		s.shortcuts[l] = v
+		s.putSlot(l, v)
 	}
 	s.version++
 }

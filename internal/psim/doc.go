@@ -35,6 +35,18 @@
 // (FaultDelay's extra one to four intervals); there is no horizon to tune. Buckets
 // keep their capacity, so the steady state allocates nothing.
 //
+// # Node table
+//
+// Registered nodes and listeners live in a table indexed by NodeID, so
+// resolving an ID on the send and delivery paths indexes a slice. The
+// table covers IDs 1 … 2^22−1 and grows to the largest ID registered;
+// AddNode and AddListener panic on an ID outside that range, so there is
+// no second lookup path. Every caller registers small sequential IDs (the
+// harnesses number nodes from 1; a scale run at 10^6 subscribers uses
+// about 1.03·10^6). A message may still name any ID: one that is not
+// registered, however large, resolves to no node and is dropped and
+// counted when it falls due.
+//
 // A delivery resolves its destination once, at send: the event carries
 // the node it resolved to, and a listener carries its owner's. Crash and
 // RemoveNode mark a node dead, and only a dead or unresolved destination

@@ -172,7 +172,7 @@ func checkGraph(t *testing.T, e *Engine, nodes []*gnode, logs [][]exec, target f
 	for _, g := range nodes {
 		for _, h := range g.sent {
 			delivered := ran[h.ID]
-			if _, known := e.nodes[h.To]; !known {
+			if e.node(h.To) == nil {
 				if delivered {
 					t.Fatalf("%s: message %v to unknown node %d was delivered", where, h.ID, h.To)
 				}

@@ -54,10 +54,16 @@ type Options struct {
 // sim.Transport and sim.Stepper (and the scale harness' listener seam); the
 // package documentation describes its model, its determinism contract and
 // which operations are barrier operations.
+//
+// Registered nodes live in a node table indexed by NodeID (the package
+// documentation's "Node table"). AddNode and AddListener panic on an ID
+// outside [1, maxNodeID), so every registered node is in the table; a
+// message to an unregistered ID, however large, is dropped and counted at
+// delivery.
 type Engine struct {
 	opts    Options
 	lanes   []*lane
-	nodes   map[sim.NodeID]*pnode
+	nodes   []*pnode // the node table: nodes[id] is registered under id, nil if none
 	crashed map[sim.NodeID]float64
 	now     float64       // barrier time: start of the executing window
 	target  float64       // the RunUntil target of the executing window
@@ -144,7 +150,7 @@ type pnode struct {
 	h    sim.Handler
 	own  *pnode  // listeners only: the owner pool node as registered
 	lane int32   // executing lane (a listener's is its owner's)
-	dead bool    // crashed or removed: no longer e.nodes[id]
+	dead bool    // crashed or removed: no longer in the node table
 	next float64 // next timeout (full nodes only)
 	sent int64   // sends while registered (SentBy)
 }
@@ -354,7 +360,6 @@ func New(opts Options) *Engine {
 	opts.Workers = min(opts.Workers, numLanes)
 	e := &Engine{
 		opts:    opts,
-		nodes:   make(map[sim.NodeID]*pnode),
 		crashed: make(map[sim.NodeID]float64),
 		floor:   math.MinInt64,
 		extRNG:  rand.New(rand.NewSource(int64(sim.SplitMix64(uint64(opts.Seed) ^ 0xe7f3a9c1)))),
@@ -387,6 +392,36 @@ func (e *Engine) phaseOf(id sim.NodeID) float64 {
 	return float64(float64(u>>11) / (1 << 53))
 }
 
+// maxNodeID bounds the node table (see Engine): 4,194,304 IDs, four times
+// what a 10^6-subscriber scale run registers, at 8 bytes an entry.
+const maxNodeID = 1 << 22
+
+// node returns the node registered under id, or nil. Any ID may be asked
+// for; one beyond the table is not registered.
+func (e *Engine) node(id sim.NodeID) *pnode {
+	if uint64(id) < uint64(len(e.nodes)) {
+		return e.nodes[id]
+	}
+	return nil
+}
+
+// register enters n in the node table under n.id, growing the table to
+// reach it. It refuses an ID outside the table's range and one that is
+// registered already.
+func (e *Engine) register(n *pnode) {
+	if n.id <= sim.None || n.id >= maxNodeID {
+		panic(fmt.Sprintf("psim: node ID %d outside the node table [1, %d)", n.id, maxNodeID))
+	}
+	if e.node(n.id) != nil {
+		panic(fmt.Sprintf("psim: duplicate node %d", n.id))
+	}
+	if grow := int(n.id) + 1 - len(e.nodes); grow > 0 {
+		e.nodes = append(e.nodes, make([]*pnode, grow)...)
+	}
+	e.nodes[n.id] = n
+	delete(e.crashed, n.id) // re-adding a crashed ID is a restart
+}
+
 func (e *Engine) assertBarrier(op string) {
 	if e.running.Load() {
 		panic("psim: " + op + " is a barrier operation; it must not be called from inside a handler")
@@ -395,19 +430,13 @@ func (e *Engine) assertBarrier(op string) {
 
 // AddNode registers a handler under the given ID on its hash lane and
 // schedules its periodic Timeout action at a (seed, id)-deterministic phase
-// within the current interval. Barrier operation.
+// within the current interval. The ID must lie in the node table's range
+// (see Engine). Barrier operation.
 func (e *Engine) AddNode(id sim.NodeID, h sim.Handler) {
 	e.assertBarrier("AddNode")
-	if id == sim.None {
-		panic("psim: cannot add node with ID 0")
-	}
-	if _, dup := e.nodes[id]; dup {
-		panic(fmt.Sprintf("psim: duplicate node %d", id))
-	}
 	l := e.lanes[e.laneOf(id)]
 	n := &pnode{id: id, h: h, lane: l.idx, next: e.now + e.phaseOf(id)}
-	e.nodes[id] = n
-	delete(e.crashed, id) // re-adding a crashed ID is a restart
+	e.register(n)
 	l.file(pevent{t: n.next, kind: evTimeout, dst: n, srcLane: l.idx, srcSeq: l.seq})
 	l.seq++
 }
@@ -417,29 +446,20 @@ func (e *Engine) AddNode(id sim.NodeID, h sim.Handler) {
 // Message.To still naming id), and id owns no periodic timeout chain. This
 // is the scale harness' multiplexing seam: one pool node drives the
 // timeouts of thousands of virtual subscribers, each a listener costing one
-// map entry instead of one self-renewing timeout event. The listener
+// node-table entry instead of one self-renewing timeout event. The listener
 // executes — and its sends draw randomness — on its owner's lane, so one
 // pool and its virtual subscribers form one sequential strand. The owner is
 // resolved at delivery time: messages to a listener whose owner has crashed
 // are dropped, like processes on a failed machine. Listeners can Crash, be
-// removed and be suspected like full nodes. Barrier operation.
+// removed and be suspected like full nodes. The ID must lie in the node
+// table's range (see Engine). Barrier operation.
 func (e *Engine) AddListener(id, owner sim.NodeID) {
 	e.assertBarrier("AddListener")
-	if id == sim.None {
-		panic("psim: cannot add listener with ID 0")
-	}
-	if owner == sim.None {
-		panic("psim: listener needs a non-⊥ owner")
-	}
-	if _, dup := e.nodes[id]; dup {
-		panic(fmt.Sprintf("psim: duplicate node %d", id))
-	}
-	o, ok := e.nodes[owner]
-	if !ok {
+	o := e.node(owner)
+	if o == nil {
 		panic(fmt.Sprintf("psim: listener %d names unknown owner %d", id, owner))
 	}
-	e.nodes[id] = &pnode{id: id, own: o, lane: o.lane}
-	delete(e.crashed, id)
+	e.register(&pnode{id: id, own: o, lane: o.lane})
 }
 
 // RemoveNode gracefully deregisters a node; in-flight messages to it are
@@ -452,12 +472,12 @@ func (e *Engine) RemoveNode(id sim.NodeID) {
 // deregister retires id's pnode, if any: events holding it fall back to a
 // lookup, and its send count moves to sentOff.
 func (e *Engine) deregister(id sim.NodeID) bool {
-	n, ok := e.nodes[id]
-	if ok {
+	n := e.node(id)
+	if n != nil {
 		n.dead, e.sentOff[id] = true, e.sentOff[id]+n.sent
-		delete(e.nodes, id)
+		e.nodes[id] = nil
 	}
-	return ok
+	return n != nil
 }
 
 // Crash fails a node without warning: its actions stop, messages to it
@@ -507,8 +527,9 @@ var _ sim.FaultInjectable = (*Engine)(nil)
 // driver at a barrier it runs on the From node's lane, or on the external
 // stream when From is not a registered node.
 func (e *Engine) Send(m sim.Message) {
+	n := e.node(m.From)
 	if m.To == sim.None {
-		if n, ok := e.nodes[m.From]; ok {
+		if n != nil {
 			e.lanes[n.lane].dropped++
 		} else {
 			// External path: like externalSend, only legal at a barrier —
@@ -518,7 +539,7 @@ func (e *Engine) Send(m sim.Message) {
 		}
 		return
 	}
-	if n, ok := e.nodes[m.From]; ok {
+	if n != nil {
 		e.lanes[n.lane].send(m, n)
 		return
 	}
@@ -561,7 +582,7 @@ func (l *lane) send(m sim.Message, from *pnode) {
 // yet looks up only after a barrier changed registration.
 func (e *Engine) current(n *pnode, id sim.NodeID) *pnode {
 	if n == nil || n.dead {
-		return e.nodes[id]
+		return e.node(id)
 	}
 	return n
 }
@@ -582,7 +603,7 @@ func (n *pnode) handler(e *Engine) sim.Handler {
 // deliver it: the executor lane for registered nodes (a listener delivers
 // on its owner's lane), the hash lane otherwise.
 func (e *Engine) resolve(id sim.NodeID) (*pnode, int32) {
-	if n, ok := e.nodes[id]; ok {
+	if n := e.node(id); n != nil {
 		return n, n.lane
 	}
 	return nil, e.laneOf(id)
@@ -870,7 +891,7 @@ func (e *Engine) QueueHighWaterBytes() uint64 {
 // including sends of its earlier incarnations.
 func (e *Engine) SentBy(id sim.NodeID) int64 {
 	n := e.sentOff[id]
-	if p, ok := e.nodes[id]; ok {
+	if p := e.node(id); p != nil {
 		n += p.sent
 	}
 	return n
@@ -907,25 +928,29 @@ func (e *Engine) ResetCounters() {
 		l.types.Reset()
 	}
 	for _, n := range e.nodes {
-		n.sent = 0
+		if n != nil {
+			n.sent = 0
+		}
 	}
 	clear(e.sentOff)
 }
 
-// NodeIDs returns the IDs of all live registered nodes, sorted.
+// NodeIDs returns the IDs of all live registered nodes, sorted: the node
+// table's order.
 func (e *Engine) NodeIDs() []sim.NodeID {
-	out := make([]sim.NodeID, 0, len(e.nodes))
-	for id := range e.nodes {
-		out = append(out, id)
+	var out []sim.NodeID
+	for _, n := range e.nodes {
+		if n != nil {
+			out = append(out, n.id)
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
 // Handler returns the handler registered under id (a listener resolves to
 // its owner's), or nil.
 func (e *Engine) Handler(id sim.NodeID) sim.Handler {
-	if n := e.nodes[id]; n != nil {
+	if n := e.node(id); n != nil {
 		return n.handler(e)
 	}
 	return nil

@@ -122,10 +122,13 @@ func TestListenerRouting(t *testing.T) {
 	if len(owner.got) != 1 || owner.got[0].To != 1000 {
 		t.Fatalf("owner saw %v, want one message addressed to listener 1000", owner.got)
 	}
-	if e.Handler(1000) == nil {
+	if e.Handler(1000) != sim.Handler(owner) {
 		t.Fatal("Handler(listener) should resolve to the owner's handler")
 	}
 	e.Crash(10)
+	if e.Handler(1000) != nil {
+		t.Fatal("Handler(listener) of a crashed owner should be nil")
+	}
 	e.Send(sim.Message{To: 1000, From: 99, Topic: 1, Body: ping{}})
 	before := e.Dropped()
 	e.RunRounds(2)
