@@ -66,15 +66,15 @@ type Options struct {
 // Client is the sim.Handler for one physical subscriber node: it routes
 // messages to per-topic Subscriber instances and their publication engines
 // (Section 4: "by assigning the topic number to each message that is sent
-// out, we can identify the appropriate protocol at the receiver").
+// out, we can identify the appropriate protocol at the receiver"). The
+// instances are one slice sorted by topic, found by binary search; the
+// order is also the one OnTimeout drives them in.
 type Client struct {
-	mu   sync.Mutex
-	id   sim.NodeID
-	sup  sim.NodeID
-	opts Options
-	inst map[sim.Topic]*Instance
-	// topics holds inst's keys, sorted: the order OnTimeout drives them in.
-	topics []sim.Topic
+	mu    sync.Mutex
+	id    sim.NodeID
+	sup   sim.NodeID
+	opts  Options
+	insts []topicInstance
 }
 
 // Instance pairs one topic's overlay protocol with its publication engine.
@@ -83,18 +83,53 @@ type Instance struct {
 	Eng *pubsub.Engine
 }
 
+// topicInstance is one entry of a client's instance slice.
+type topicInstance struct {
+	topic sim.Topic
+	in    Instance
+}
+
 // NewClient creates a client with no subscriptions.
 func NewClient(id, supervisor sim.NodeID, opts Options) *Client {
-	return &Client{id: id, sup: supervisor, opts: opts, inst: make(map[sim.Topic]*Instance)}
+	return &Client{id: id, sup: supervisor, opts: opts}
 }
 
 // ID returns the client's node ID.
 func (c *Client) ID() sim.NodeID { return c.id }
 
-func (c *Client) ensure(t sim.Topic) *Instance {
-	if in, ok := c.inst[t]; ok {
-		return in
+// search returns the index of topic t's instance, or where to insert it.
+func (c *Client) search(t sim.Topic) (int, bool) {
+	lo, hi := 0, len(c.insts)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); c.insts[m].topic < t {
+			lo = m + 1
+		} else {
+			hi = m
+		}
 	}
+	return lo, lo < len(c.insts) && c.insts[lo].topic == t
+}
+
+// find returns topic t's instance, or nil. The pointer is into the slice,
+// so a later join may move it.
+func (c *Client) find(t sim.Topic) *Instance {
+	if i, ok := c.search(t); ok {
+		return &c.insts[i].in
+	}
+	return nil
+}
+
+// ensure returns topic t's instance, starting one when there is none.
+func (c *Client) ensure(t sim.Topic) *Instance {
+	i, ok := c.search(t)
+	if !ok {
+		c.insts = slices.Insert(c.insts, i, topicInstance{topic: t, in: c.newInstance(t)})
+	}
+	return &c.insts[i].in
+}
+
+// newInstance builds a fresh instance for topic t.
+func (c *Client) newInstance(t sim.Topic) Instance {
 	sup := c.sup
 	if c.opts.SupervisorFor != nil {
 		if alt := c.opts.SupervisorFor(t); alt != sim.None {
@@ -122,20 +157,15 @@ func (c *Client) ensure(t sim.Topic) *Instance {
 			c.opts.OnDeliverTrace(c.id, topic, p, m)
 		}
 	}
-	in := &Instance{Sub: sub, Eng: pubsub.NewEngine(cfg)}
-	c.inst[t] = in
-	if i, found := slices.BinarySearch(c.topics, t); !found {
-		c.topics = slices.Insert(c.topics, i, t)
-	}
-	return in
+	return Instance{Sub: sub, Eng: pubsub.NewEngine(cfg)}
 }
 
 // OnTimeout drives every live instance's periodic actions.
 func (c *Client) OnTimeout(ctx sim.Context) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, t := range c.topics {
-		in := c.inst[t]
+	for i := range c.insts {
+		in := &c.insts[i].in
 		in.Sub.OnTimeout(ctx)
 		if !in.Sub.Departed() {
 			in.Eng.OnTimeout(ctx)
@@ -157,8 +187,7 @@ func (c *Client) OnMessage(ctx sim.Context, m sim.Message) {
 			// introductions with RemoveConnections). The rule counts carry
 			// over, so they only ever grow.
 			fired := in.Sub.fired
-			delete(c.inst, m.Topic)
-			in = c.ensure(m.Topic)
+			*in = c.newInstance(m.Topic)
 			in.Sub.fired = fired
 		}
 		if in.Sub.Label().IsBottom() {
@@ -166,18 +195,18 @@ func (c *Client) OnMessage(ctx sim.Context, m sim.Message) {
 		}
 		return
 	case LeaveTopic:
-		if in, ok := c.inst[m.Topic]; ok {
+		if in := c.find(m.Topic); in != nil {
 			in.Sub.Leave(ctx)
 		}
 		return
 	case PublishCmd:
-		if in, ok := c.inst[m.Topic]; ok && !in.Sub.Departed() {
+		if in := c.find(m.Topic); in != nil && !in.Sub.Departed() {
 			in.Eng.Publish(ctx, b.Payload)
 		}
 		return
 	}
-	in, ok := c.inst[m.Topic]
-	if !ok {
+	in := c.find(m.Topic)
+	if in == nil {
 		// Topology traffic for a topic we never joined (corrupted initial
 		// channels): behave like a ⊥-labelled node and ask the sender to
 		// drop its edges to us. RemoveConnections never triggers replies,
@@ -202,15 +231,19 @@ func (c *Client) OnMessage(ctx sim.Context, m sim.Message) {
 func (c *Client) Topics() []sim.Topic {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return slices.Clone(c.topics)
+	out := make([]sim.Topic, len(c.insts))
+	for i := range c.insts {
+		out[i] = c.insts[i].topic
+	}
+	return out
 }
 
 // Joined reports whether the client has a live (non-departed) instance.
 func (c *Client) Joined(t sim.Topic) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	in, ok := c.inst[t]
-	return ok && !in.Sub.Departed()
+	in := c.find(t)
+	return in != nil && !in.Sub.Departed()
 }
 
 // Labelled reports whether the client currently holds a non-⊥ label for
@@ -220,8 +253,8 @@ func (c *Client) Joined(t sim.Topic) bool {
 func (c *Client) Labelled(t sim.Topic) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	in, ok := c.inst[t]
-	return ok && !in.Sub.Departed() && !in.Sub.Label().IsBottom()
+	in := c.find(t)
+	return in != nil && !in.Sub.Departed() && !in.Sub.Label().IsBottom()
 }
 
 // ReportsTo returns the supervisor the client currently believes owns the
@@ -230,8 +263,8 @@ func (c *Client) Labelled(t sim.Topic) bool {
 func (c *Client) ReportsTo(t sim.Topic) sim.NodeID {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	in, ok := c.inst[t]
-	if !ok {
+	in := c.find(t)
+	if in == nil {
 		return sim.None
 	}
 	return in.Sub.Supervisor()
@@ -242,8 +275,8 @@ func (c *Client) ReportsTo(t sim.Topic) sim.NodeID {
 func (c *Client) CurrentLabel(t sim.Topic) label.Label {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	in, ok := c.inst[t]
-	if !ok {
+	in := c.find(t)
+	if in == nil {
 		return label.Bottom
 	}
 	return in.Sub.Label()
@@ -254,8 +287,8 @@ func (c *Client) CurrentLabel(t sim.Topic) label.Label {
 func (c *Client) PublicationCount(t sim.Topic) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	in, ok := c.inst[t]
-	if !ok {
+	in := c.find(t)
+	if in == nil {
 		return 0
 	}
 	return in.Eng.Trie().Len()
@@ -267,8 +300,8 @@ func (c *Client) PublicationCount(t sim.Topic) int {
 func (c *Client) RuleCounts(t sim.Topic) [NumRules]uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	in, ok := c.inst[t]
-	if !ok {
+	in := c.find(t)
+	if in == nil {
 		return [NumRules]uint64{}
 	}
 	return in.Sub.fired
@@ -278,8 +311,8 @@ func (c *Client) RuleCounts(t sim.Topic) [NumRules]uint64 {
 func (c *Client) Departed(t sim.Topic) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	in, ok := c.inst[t]
-	return ok && in.Sub.Departed()
+	in := c.find(t)
+	return in != nil && in.Sub.Departed()
 }
 
 // State is a read-only snapshot of one instance's explicit protocol state.
@@ -304,8 +337,8 @@ type State struct {
 func (c *Client) StateOf(t sim.Topic) (State, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	in, ok := c.inst[t]
-	if !ok {
+	in := c.find(t)
+	if in == nil {
 		return State{}, false
 	}
 	return State{
@@ -326,8 +359,8 @@ func (c *Client) StateOf(t sim.Topic) (State, bool) {
 func (c *Client) Publications(t sim.Topic) []proto.Publication {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	in, ok := c.inst[t]
-	if !ok {
+	in := c.find(t)
+	if in == nil {
 		return nil
 	}
 	return in.Eng.Publications()
@@ -337,8 +370,8 @@ func (c *Client) Publications(t sim.Topic) []proto.Publication {
 func (c *Client) TrieRootHash(t sim.Topic) [16]byte {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	in, ok := c.inst[t]
-	if !ok {
+	in := c.find(t)
+	if in == nil {
 		return [16]byte{}
 	}
 	if root, ok := in.Eng.Trie().RootSummary(); ok {
@@ -351,8 +384,8 @@ func (c *Client) TrieRootHash(t sim.Topic) [16]byte {
 func (c *Client) Degree(t sim.Topic) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	in, ok := c.inst[t]
-	if !ok {
+	in := c.find(t)
+	if in == nil {
 		return 0
 	}
 	return in.Sub.Degree()
@@ -364,18 +397,21 @@ func (c *Client) Degree(t sim.Topic) int {
 func (c *Client) CorruptOrdering(t sim.Topic, rng *rand.Rand) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if in, ok := c.inst[t]; ok {
+	if in := c.find(t); in != nil {
 		in.Eng.CorruptOrdering(rng)
 	}
 }
 
-// Instance exposes the raw per-topic instance for deterministic tests; it
-// must not be used concurrently with a live runtime.
+// Instance exposes a copy of the raw per-topic instance for deterministic
+// tests; it must not be used concurrently with a live runtime.
 func (c *Client) Instance(t sim.Topic) (*Instance, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	in, ok := c.inst[t]
-	return in, ok
+	if in := c.find(t); in != nil {
+		cp := *in
+		return &cp, true
+	}
+	return nil, false
 }
 
 var _ sim.Handler = (*Client)(nil)

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"sspubsub/internal/sim"
 )
@@ -37,7 +38,7 @@ func TestCalendarRunsInKeyOrder(t *testing.T) {
 		l, W := e.lanes[0], minDelay
 		to := onLanes(e, 1, 4) // every destination on the lane under test
 		var ref []pevent
-		seqs := map[int32]int64{}
+		seqs := map[int16]int64{}
 		now := 0.0
 		newEvent := func() pevent {
 			k := math.Floor(now/W) + float64(1+rng.Intn(20))
@@ -53,7 +54,7 @@ func TestCalendarRunsInKeyOrder(t *testing.T) {
 				at = math.Floor(now) + float64(rng.Intn(40))/8
 			}
 			at = math.Max(at, now)
-			lane := int32(rng.Intn(5)) - 1 // -1 is extLane
+			lane := int16(rng.Intn(5)) - 1 // -1 is extLane
 			ev := pevent{
 				t:       at,
 				srcLane: lane,
@@ -156,12 +157,21 @@ func TestWindowFloor(t *testing.T) {
 
 // TestSortKeys checks the window sort against the standard library's on
 // random keys of every length up to a few hundred, ties on t included.
+// TestEventIsOneCacheLine pins a queued event at 64 bytes on 64-bit
+// platforms: every bucket append and sort-order copy moves one cache line,
+// and QueueHighWaterBytes reports that size.
+func TestEventIsOneCacheLine(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) == 8 && unsafe.Sizeof(pevent{}) != 64 {
+		t.Fatalf("pevent is %d bytes, want 64", unsafe.Sizeof(pevent{}))
+	}
+}
+
 func TestSortKeys(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for n := 0; n < 300; n++ {
 		ks := make([]ekey, n)
 		for i := range ks {
-			ks[i] = ekey{t: float64(rng.Intn(n/4 + 1)), srcLane: int32(rng.Intn(3)) - 1, srcSeq: int64(i), slot: int32(i)}
+			ks[i] = ekey{t: float64(rng.Intn(n/4 + 1)), srcLane: int16(rng.Intn(3)) - 1, srcSeq: int64(i), slot: int32(i)}
 		}
 		want := slices.Clone(ks)
 		sort.Slice(want, func(i, j int) bool { return want[i].before(want[j]) })

@@ -13,12 +13,22 @@
 // are drawn from [0.05, 0.95)): the transport guarantees that a message
 // sent at time t is delivered no earlier than t+minDelay, so two events inside the same window can never causally
 // affect one another — which makes every lane's window slice independent
-// and safe to execute in parallel. Cross-lane sends are buffered per
-// (srcLane, dstLane) during the window and filed into the destination
-// lanes' calendars at the barrier, which is the only handoff per window;
-// every event carries a (deliverTime, srcLane, per-lane seq) key assigned
-// at creation, so lanes order identically no matter which worker produced
-// which event, and the merged schedule is canonical.
+// and safe to execute in parallel. Cross-lane sends wait in outboxes per
+// (srcLane, dstLane), double-buffered by window parity. The barrier copies
+// no event: the driver flips the parity and folds each source lane's
+// earliest outbound time, destination mask and count into a summary of
+// the inbound set, which window selection reads as it reads a queued
+// cell. Each destination lane files its own inbound, with the sending
+// window's floor, at the start of its next window slice, so every lane
+// with inbound is busy in that window even when the window's cell holds
+// none of its events; RunUntil files the last window's inbound before it
+// returns, so barrier operations see it queued. During a window lane d
+// touches only its own entries of the inbound parity, and sources append
+// only to the other parity, so the handoff needs no lock. A driver Send
+// on behalf of a registered node goes straight into its destination
+// calendar. Every event carries a (deliverTime, srcLane, per-lane seq) key
+// assigned at creation, so lanes order identically no matter which worker
+// produced which event, and the merged schedule is canonical.
 //
 // # Calendar
 //
@@ -47,11 +57,15 @@
 // registered, however large, resolves to no node and is dropped and
 // counted when it falls due.
 //
-// A delivery resolves its destination once, at send: the event carries
-// the node it resolved to, and a listener carries its owner's. Crash and
-// RemoveNode mark a node dead, and only a dead or unresolved destination
-// is looked up again by ID at delivery, so the outcome is the one a
-// per-delivery lookup would give. Accounting stays off the delivery path:
+// The table holds its entries by value, each with a registration
+// generation (0 while no node is registered under the ID). An event names
+// its node by ID only: a delivery looks its destination up when it falls
+// due, one slice index, and a listener's owner by the owner's ID; a
+// timeout carries the generation its chain was started under and drops
+// when the entry's differs, so a crashed or removed node's chain ends and
+// a node re-added under the ID runs only its new one. An entry's address
+// is good until the next barrier, where the table may grow. Accounting
+// stays off the delivery path:
 // sends are counted in a counter per node (a departed node's count moves
 // to a map at the barrier) and per body type in a small per-lane list
 // (names resolved only when read), deliveries only in a lane total.

@@ -85,7 +85,7 @@ func graphRun(t *testing.T, seed int64, workers int) [][]exec {
 	defer e.Close()
 	// The graph's nodes crowd onto the first 1, 2, 4, 8 or all 16 lanes;
 	// ids[n] is never registered.
-	ids := onLanes(e, []int32{1, 2, 4, 8, 16}[rng.Intn(5)], n+1)
+	ids := onLanes(e, []int16{1, 2, 4, 8, 16}[rng.Intn(5)], n+1)
 	nodes := make([]*gnode, n)
 	logs := make([][]exec, len(e.lanes))
 	for i := range nodes {
@@ -109,7 +109,7 @@ func graphRun(t *testing.T, seed int64, workers int) [][]exec {
 func checkGraph(t *testing.T, e *Engine, nodes []*gnode, logs [][]exec, target float64, where string) {
 	t.Helper()
 	// Nothing due is left behind: lane calendars hold only the future and
-	// outboxes are empty.
+	// the outboxes of both parities are empty.
 	pending := map[token]bool{}
 	for _, l := range e.lanes {
 		for _, ev := range queuedEvents(l) {
@@ -120,9 +120,11 @@ func checkGraph(t *testing.T, e *Engine, nodes []*gnode, logs [][]exec, target f
 				pending[ev.msg.Body.(hop).ID] = true
 			}
 		}
-		for i := range l.outbox {
-			if len(l.outbox[i]) != 0 {
-				t.Fatalf("%s: lane %d holds unmerged cross-lane events", where, l.idx)
+		for par := range l.outbox {
+			for _, buf := range l.outbox[par] {
+				if len(buf) != 0 {
+					t.Fatalf("%s: lane %d holds unmerged cross-lane events", where, l.idx)
+				}
 			}
 		}
 	}

@@ -63,12 +63,25 @@ type Options struct {
 type Engine struct {
 	opts    Options
 	lanes   []*lane
-	nodes   []*pnode // the node table: nodes[id] is registered under id, nil if none
+	nodes   []pnode // the node table: nodes[id] is registered under id if its gen is not 0
+	regs    uint32  // registrations so far: the generation the last one got
 	crashed map[sim.NodeID]float64
 	now     float64       // barrier time: start of the executing window
 	target  float64       // the RunUntil target of the executing window
 	floor   int64         // lowest cell to file into: the next window's inside a window
 	fault   sim.FaultFunc // SetFault's filter, shared by every lane
+
+	// The cross-lane handoff (see the package documentation's "Model"): a
+	// window's sends across lanes go to the outboxes of parity wpar; the
+	// barrier flips it, and the sends become the inbound set, which each
+	// destination lane files at the start of its next window slice. inMin,
+	// inMask (a bit per destination lane) and inN summarise the inbound
+	// set for window selection; inFloor is its sending window's floor.
+	wpar    int
+	inMin   float64
+	inMask  uint32
+	inN     int
+	inFloor int64
 
 	// extRNG is the driver's stream: harness injections whose From is not a
 	// registered node draw their delays from it, and Rand hands it to
@@ -99,11 +112,11 @@ type Engine struct {
 }
 
 // spinBudget is how long a waiter at the window barrier spins before it
-// parks. It covers the driver's serial work between two windows (filing
-// the outboxes, choosing the next cell, a solo lane's window) and a round
-// barrier's predicate: at n = 2,048 in pools of 32 more than 99 % of the
-// barrier's waits end inside it, so a helper parks mostly when the engine
-// goes idle between Run* calls.
+// parks. It covers the driver's serial work between two windows (folding
+// the lanes' outbound summaries, choosing the next cell, a solo lane's
+// window) and a round barrier's predicate: at n = 2,048 in pools of 32
+// more than 99 % of the barrier's waits end inside it, so a helper parks
+// mostly when the engine goes idle between Run* calls.
 const spinBudget = 200 * time.Microsecond
 
 // waiter is one side of the window barrier waiting for the other to raise
@@ -145,14 +158,17 @@ func (w *waiter) raise() {
 	}
 }
 
+// pnode is a node table entry. gen is its registration's generation, 0
+// while no node is registered under the entry's ID; a timeout carries the
+// generation its chain was started under, so the chain of an earlier
+// incarnation ends at its next timeout.
 type pnode struct {
-	id   sim.NodeID
 	h    sim.Handler
-	own  *pnode  // listeners only: the owner pool node as registered
-	lane int32   // executing lane (a listener's is its owner's)
-	dead bool    // crashed or removed: no longer in the node table
-	next float64 // next timeout (full nodes only)
-	sent int64   // sends while registered (SentBy)
+	own  sim.NodeID // listeners only: the owner pool node's ID
+	next float64    // next timeout (full nodes only)
+	sent int64      // sends while registered (SentBy)
+	gen  uint32
+	lane int16 // executing lane (a listener's is its owner's)
 }
 
 const (
@@ -163,16 +179,16 @@ const (
 // extLane is the srcLane stamp of events injected from outside any lane
 // (harness sends with an unregistered From). It orders such events
 // before every lane's at equal times; any fixed rule would do.
-const extLane int32 = -1
+const extLane int16 = -1
 
-// pevent is a queued event. dst is the node its target resolved to when
-// the event was created (nil if none); see Engine.current.
+// pevent is a queued event: a delivery of msg, or a timeout of the node
+// msg.To whose chain runs under generation gen. 64 bytes, one cache line.
 type pevent struct {
 	t       float64
 	srcSeq  int64
-	srcLane int32
+	srcLane int16
 	kind    uint8
-	dst     *pnode
+	gen     uint32
 	msg     sim.Message
 }
 
@@ -181,7 +197,7 @@ type pevent struct {
 type ekey struct {
 	t       float64
 	srcSeq  int64
-	srcLane int32
+	srcLane int16
 	slot    int32
 }
 
@@ -243,12 +259,14 @@ type bucket struct {
 // documentation), a random stream, per-destination outboxes and the
 // accounting for the nodes it executes. All lane state is touched only by
 // the single worker executing the lane's window slice (or by the driver at
-// a barrier), so none of it is locked. Cell c's bucket is
+// a barrier), so none of it is locked; the one exception is the inbound
+// parity of its outboxes, whose entry for lane d only lane d's window
+// touches (Engine.handoff). Cell c's bucket is
 // cal[c & (len(cal)-1)]; every queued cell lies in [lo, hi], and
 // hi-lo < len(cal), so no two queued cells share a bucket.
 type lane struct {
 	e   *Engine
-	idx int32
+	idx int16
 	rng *rand.Rand
 
 	cal    []bucket
@@ -257,9 +275,15 @@ type lane struct {
 	keys   []ekey   // the executing window's order (scratch)
 	spare  []pevent // settle's scratch
 	seq    int64
-	outbox [][]pevent // per dst lane, filled during a window
-	now    float64    // time of the executing event
+	now    float64 // time of the executing event
 	ctx    laneCtx
+
+	// outbox holds cross-lane sends by window parity and destination lane;
+	// outMin, outMask and outN summarise the executing window's.
+	outbox  [2][numLanes][]pevent
+	outMin  float64
+	outMask uint32
+	outN    int
 
 	inFlight  int
 	delivered int64
@@ -282,8 +306,11 @@ func (e *Engine) cellOf(t float64) int64 {
 // file queues ev in its cell's bucket. Inside a window the lookahead puts
 // every new event in a later cell; the floor keeps a time one rounding
 // step short of the boundary out of the bucket that is executing.
-func (l *lane) file(ev pevent) {
-	c := max(l.e.cellOf(ev.t), l.e.floor)
+func (l *lane) file(ev pevent) { l.fileAt(ev, l.e.floor) }
+
+// fileAt queues ev in its cell's bucket, no lower than cell floor.
+func (l *lane) fileAt(ev pevent, floor int64) {
+	c := max(l.e.cellOf(ev.t), floor)
 	lo, hi := c, c
 	if l.queued > 0 {
 		lo, hi = min(l.lo, c), max(l.hi, c)
@@ -362,6 +389,7 @@ func New(opts Options) *Engine {
 		opts:    opts,
 		crashed: make(map[sim.NodeID]float64),
 		floor:   math.MinInt64,
+		inMin:   math.Inf(1),
 		extRNG:  rand.New(rand.NewSource(int64(sim.SplitMix64(uint64(opts.Seed) ^ 0xe7f3a9c1)))),
 		sentOff: make(map[sim.NodeID]int64),
 	}
@@ -369,10 +397,10 @@ func New(opts Options) *Engine {
 	for i := range e.lanes {
 		l := &lane{
 			e:      e,
-			idx:    int32(i),
+			idx:    int16(i),
 			rng:    rand.New(rand.NewSource(int64(sim.SplitMix64(uint64(opts.Seed) + uint64(i)*0x9e3779b97f4a7c15)))),
 			cal:    make([]bucket, 1),
-			outbox: make([][]pevent, numLanes),
+			outMin: math.Inf(1),
 		}
 		l.ctx.l = l
 		e.lanes[i] = l
@@ -381,8 +409,8 @@ func New(opts Options) *Engine {
 }
 
 // laneOf is the deterministic NodeID → lane partition.
-func (e *Engine) laneOf(id sim.NodeID) int32 {
-	return int32(sim.SplitMix64(uint64(id)) % uint64(len(e.lanes)))
+func (e *Engine) laneOf(id sim.NodeID) int16 {
+	return int16(sim.SplitMix64(uint64(id)) % uint64(len(e.lanes)))
 }
 
 // phaseOf derives a node's timeout phase in [0, 1) from (Seed, NodeID) —
@@ -393,33 +421,37 @@ func (e *Engine) phaseOf(id sim.NodeID) float64 {
 }
 
 // maxNodeID bounds the node table (see Engine): 4,194,304 IDs, four times
-// what a 10^6-subscriber scale run registers, at 8 bytes an entry.
+// what a 10^6-subscriber scale run registers, at 48 bytes an entry.
 const maxNodeID = 1 << 22
 
 // node returns the node registered under id, or nil. Any ID may be asked
-// for; one beyond the table is not registered.
+// for; one beyond the table is not registered. The pointer is into the
+// table, which may grow at a barrier: it must not be held across one.
 func (e *Engine) node(id sim.NodeID) *pnode {
-	if uint64(id) < uint64(len(e.nodes)) {
-		return e.nodes[id]
+	if uint64(id) < uint64(len(e.nodes)) && e.nodes[id].gen != 0 {
+		return &e.nodes[id]
 	}
 	return nil
 }
 
-// register enters n in the node table under n.id, growing the table to
-// reach it. It refuses an ID outside the table's range and one that is
-// registered already.
-func (e *Engine) register(n *pnode) {
-	if n.id <= sim.None || n.id >= maxNodeID {
-		panic(fmt.Sprintf("psim: node ID %d outside the node table [1, %d)", n.id, maxNodeID))
+// register enters n in the node table under id with a new generation,
+// which it returns, growing the table to reach id. It refuses an ID
+// outside the table's range and one that is registered already.
+func (e *Engine) register(id sim.NodeID, n pnode) uint32 {
+	if id <= sim.None || id >= maxNodeID {
+		panic(fmt.Sprintf("psim: node ID %d outside the node table [1, %d)", id, maxNodeID))
 	}
-	if e.node(n.id) != nil {
-		panic(fmt.Sprintf("psim: duplicate node %d", n.id))
+	if e.node(id) != nil {
+		panic(fmt.Sprintf("psim: duplicate node %d", id))
 	}
-	if grow := int(n.id) + 1 - len(e.nodes); grow > 0 {
-		e.nodes = append(e.nodes, make([]*pnode, grow)...)
+	if grow := int(id) + 1 - len(e.nodes); grow > 0 {
+		e.nodes = append(e.nodes, make([]pnode, grow)...)
 	}
-	e.nodes[n.id] = n
-	delete(e.crashed, n.id) // re-adding a crashed ID is a restart
+	e.regs++
+	n.gen = e.regs
+	e.nodes[id] = n
+	delete(e.crashed, id) // re-adding a crashed ID is a restart
+	return n.gen
 }
 
 func (e *Engine) assertBarrier(op string) {
@@ -435,9 +467,9 @@ func (e *Engine) assertBarrier(op string) {
 func (e *Engine) AddNode(id sim.NodeID, h sim.Handler) {
 	e.assertBarrier("AddNode")
 	l := e.lanes[e.laneOf(id)]
-	n := &pnode{id: id, h: h, lane: l.idx, next: e.now + e.phaseOf(id)}
-	e.register(n)
-	l.file(pevent{t: n.next, kind: evTimeout, dst: n, srcLane: l.idx, srcSeq: l.seq})
+	next := e.now + e.phaseOf(id)
+	gen := e.register(id, pnode{h: h, lane: l.idx, next: next})
+	l.file(pevent{t: next, kind: evTimeout, gen: gen, msg: sim.Message{To: id}, srcLane: l.idx, srcSeq: l.seq})
 	l.seq++
 }
 
@@ -449,8 +481,9 @@ func (e *Engine) AddNode(id sim.NodeID, h sim.Handler) {
 // node-table entry instead of one self-renewing timeout event. The listener
 // executes — and its sends draw randomness — on its owner's lane, so one
 // pool and its virtual subscribers form one sequential strand. The owner is
-// resolved at delivery time: messages to a listener whose owner has crashed
-// are dropped, like processes on a failed machine. Listeners can Crash, be
+// resolved by ID at delivery time: messages to a listener whose owner has
+// crashed are dropped, like processes on a failed machine, and reach the
+// owner's next incarnation once one is registered. Listeners can Crash, be
 // removed and be suspected like full nodes. The ID must lie in the node
 // table's range (see Engine). Barrier operation.
 func (e *Engine) AddListener(id, owner sim.NodeID) {
@@ -459,7 +492,7 @@ func (e *Engine) AddListener(id, owner sim.NodeID) {
 	if o == nil {
 		panic(fmt.Sprintf("psim: listener %d names unknown owner %d", id, owner))
 	}
-	e.register(&pnode{id: id, own: o, lane: o.lane})
+	e.register(id, pnode{own: owner, lane: o.lane})
 }
 
 // RemoveNode gracefully deregisters a node; in-flight messages to it are
@@ -469,13 +502,13 @@ func (e *Engine) RemoveNode(id sim.NodeID) {
 	e.deregister(id)
 }
 
-// deregister retires id's pnode, if any: events holding it fall back to a
-// lookup, and its send count moves to sentOff.
+// deregister frees id's table entry, if it is registered: its timeout
+// chain ends, and its send count moves to sentOff.
 func (e *Engine) deregister(id sim.NodeID) bool {
 	n := e.node(id)
 	if n != nil {
-		n.dead, e.sentOff[id] = true, e.sentOff[id]+n.sent
-		e.nodes[id] = nil
+		e.sentOff[id] += n.sent
+		*n = pnode{}
 	}
 	return n != nil
 }
@@ -525,7 +558,8 @@ var _ sim.FaultInjectable = (*Engine)(nil)
 // handler (From == the executing node or one of its listeners) it runs on
 // the executing lane and draws that lane's randomness; called from the
 // driver at a barrier it runs on the From node's lane, or on the external
-// stream when From is not a registered node.
+// stream when From is not a registered node, and the delivery is queued
+// (InFlight counts it) when Send returns.
 func (e *Engine) Send(m sim.Message) {
 	n := e.node(m.From)
 	if m.To == sim.None {
@@ -547,7 +581,10 @@ func (e *Engine) Send(m sim.Message) {
 }
 
 // send performs accounting, fault filtering, delay drawing and routing for
-// one message on the lane that owns the sender.
+// one message on the lane that owns the sender. A cross-lane send waits in
+// an outbox for the barrier, unless it is the driver's at a barrier: that
+// one goes straight into its destination calendar, where the next window
+// selection and the barrier accessors see it.
 func (l *lane) send(m sim.Message, from *pnode) {
 	from.sent++
 	l.types.Add(m.Body)
@@ -563,50 +600,46 @@ func (l *lane) send(m sim.Message, from *pnode) {
 			extra = 1 + float64(3*l.rng.Float64())
 		}
 	}
-	dn, dst := l.e.resolve(m.To)
+	dst := l.e.destLane(m.To)
 	for i := 0; i < copies; i++ {
 		delay := minDelay + float64(l.rng.Float64()*(maxDelay-minDelay))
-		ev := pevent{t: l.now + delay + extra, kind: evDeliver, dst: dn, msg: m, srcLane: l.idx, srcSeq: l.seq}
+		ev := pevent{t: l.now + delay + extra, kind: evDeliver, msg: m, srcLane: l.idx, srcSeq: l.seq}
 		l.seq++
-		if dst == l.idx {
+		switch {
+		case dst == l.idx:
 			l.file(ev)
-		} else {
-			l.outbox[dst] = append(l.outbox[dst], ev)
+		case !l.e.running.Load():
+			l.e.lanes[dst].file(ev)
+		default:
+			box := &l.outbox[l.e.wpar][dst]
+			*box = append(*box, ev)
+			l.outMin = min(l.outMin, ev.t)
+			l.outMask |= 1 << dst
+			l.outN++
 		}
 	}
 }
 
-// current is the node registered under id, given the one an event resolved
-// earlier: n itself while it is registered, else a fresh lookup (nil when
-// none is). So a delivery resolves exactly as a lookup at delivery would,
-// yet looks up only after a barrier changed registration.
-func (e *Engine) current(n *pnode, id sim.NodeID) *pnode {
-	if n == nil || n.dead {
-		return e.node(id)
-	}
-	return n
-}
-
 // handler is the handler that runs n's events: its own, or a listener's
-// registered owner's (nil when the owner is gone).
-func (n *pnode) handler(e *Engine) sim.Handler {
-	if n.own == nil {
+// registered owner's (nil while none is).
+func (e *Engine) handler(n *pnode) sim.Handler {
+	if n.own == sim.None {
 		return n.h
 	}
-	if o := e.current(n.own, n.own.id); o != nil {
+	if o := e.node(n.own); o != nil {
 		return o.h
 	}
 	return nil
 }
 
-// resolve finds the node a message to id is for and the lane that will
-// deliver it: the executor lane for registered nodes (a listener delivers
-// on its owner's lane), the hash lane otherwise.
-func (e *Engine) resolve(id sim.NodeID) (*pnode, int32) {
+// destLane is the lane that will deliver a message to id: the executor
+// lane for a registered node (a listener delivers on its owner's lane),
+// the hash lane otherwise.
+func (e *Engine) destLane(id sim.NodeID) int16 {
 	if n := e.node(id); n != nil {
-		return n, n.lane
+		return n.lane
 	}
-	return nil, e.laneOf(id)
+	return e.laneOf(id)
 }
 
 // externalSend queues a driver injection whose From is not a registered
@@ -615,11 +648,11 @@ func (e *Engine) resolve(id sim.NodeID) (*pnode, int32) {
 // perturb any lane.
 func (e *Engine) externalSend(m sim.Message) {
 	e.assertBarrier("Send with unregistered From")
-	dn, d := e.resolve(m.To)
+	d := e.destLane(m.To)
 	e.sentOff[m.From]++
 	e.lanes[d].types.Add(m.Body)
 	delay := minDelay + float64(e.extRNG.Float64()*(maxDelay-minDelay))
-	e.lanes[d].file(pevent{t: e.now + delay, kind: evDeliver, dst: dn, msg: m, srcLane: extLane, srcSeq: e.extSeq})
+	e.lanes[d].file(pevent{t: e.now + delay, kind: evDeliver, msg: m, srcLane: extLane, srcSeq: e.extSeq})
 	e.extSeq++
 }
 
@@ -721,12 +754,17 @@ func (e *Engine) drain() {
 	}
 }
 
-// runWindow executes this lane's slice of the window: its bucket for the
-// window's cell, sorted once, up to the target. New same-lane events land
-// in later buckets directly; cross-lane events wait in the outboxes.
+// runWindow executes this lane's slice of the window: it files its
+// inbound, then runs its bucket for the window's cell, if it has one,
+// sorted once, up to the target. New same-lane events land in later
+// buckets directly; cross-lane events wait in the outboxes.
 func (l *lane) runWindow() {
 	e := l.e
-	k, target := l.lo, e.target
+	l.fileInbound()
+	k, target := e.floor-1, e.target // the window's cell
+	if c, ok := l.first(); !ok || c != k {
+		return
+	}
 	evs := l.cal[k&int64(len(l.cal)-1)].ev
 	keys := l.order(evs)
 	ran := 0
@@ -739,47 +777,68 @@ func (l *lane) runWindow() {
 		if ev.t > l.now {
 			l.now = ev.t
 		}
-		n := ev.dst
+		id := ev.msg.To
 		switch ev.kind {
 		case evDeliver:
 			l.inFlight--
 			var h sim.Handler
-			if n = e.current(n, ev.msg.To); n != nil && n.lane == l.idx {
-				h = n.handler(e)
+			n := e.node(id)
+			if n != nil && n.lane == l.idx {
+				h = e.handler(n)
 			}
 			if h == nil { // crashed, removed, re-registered elsewhere, or a
 				l.dropped++ // listener whose owner pool crashed
 				continue
 			}
 			l.delivered++
-			l.ctx.n = n
+			l.ctx.n, l.ctx.id = n, id
 			h.OnMessage(&l.ctx, ev.msg)
 		case evTimeout:
-			if n.dead {
+			n := &e.nodes[id]
+			if n.gen != ev.gen {
 				continue // crashed/removed; a restart runs a new chain
 			}
-			l.ctx.n = n
+			l.ctx.n, l.ctx.id = n, id
 			n.h.OnTimeout(&l.ctx)
 			n.next += 1
-			l.file(pevent{t: n.next, kind: evTimeout, dst: n, srcLane: l.idx, srcSeq: l.seq})
+			l.file(pevent{t: n.next, kind: evTimeout, gen: ev.gen, msg: sim.Message{To: id}, srcLane: l.idx, srcSeq: l.seq})
 			l.seq++
 		}
 	}
+	l.ctx.n = nil // the table may grow at the barrier
 	l.settle(k, evs, keys[ran:])
 }
 
-// fileOutboxes files every event the window sent across lanes into its
-// destination calendar. Arrival order is irrelevant: a window sorts by the
+// handoff makes the executing window's cross-lane sends the inbound set:
+// it folds each lane's summary of them and flips the outbox parity. It
+// copies no event. Arrival order is irrelevant: a window sorts by the
 // (t, srcLane, srcSeq) stamp assigned at creation.
-func (e *Engine) fileOutboxes() {
-	for _, src := range e.lanes {
-		for d, buf := range src.outbox {
-			for i := range buf {
-				e.lanes[d].file(buf[i])
-			}
-			clear(buf)
-			src.outbox[d] = buf[:0]
+func (e *Engine) handoff() {
+	e.inMin, e.inMask, e.inN, e.inFloor = math.Inf(1), 0, 0, e.floor
+	for _, l := range e.lanes {
+		e.inMin = min(e.inMin, l.outMin)
+		e.inMask |= l.outMask
+		e.inN += l.outN
+		l.outMin, l.outMask, l.outN = math.Inf(1), 0, 0
+	}
+	e.wpar ^= 1
+}
+
+// fileInbound files the events the last window sent this lane from the
+// other lanes, if any, with that window's floor, and empties their
+// outboxes.
+func (l *lane) fileInbound() {
+	if l.e.inMask&(1<<l.idx) == 0 {
+		return
+	}
+	par, floor := l.e.wpar^1, l.e.inFloor
+	for _, src := range l.e.lanes {
+		buf := src.outbox[par][l.idx]
+		for i := range buf {
+			l.fileAt(buf[i], floor)
 		}
+		clear(buf)
+		src.outbox[par][l.idx] = buf[:0]
 	}
 }
 
@@ -792,20 +851,29 @@ func (e *Engine) RunUntil(target float64) {
 	}
 	const W = minDelay
 	for {
-		// The earliest cell queued on any lane, the lanes queuing it, and
-		// its earliest event (outboxes were filed at the last barrier).
-		k, min, total := int64(math.MaxInt64), math.Inf(1), 0
+		// The earliest cell queued on any lane or in the inbound set, its
+		// earliest event, and the busy lanes: those queuing the cell and
+		// those with inbound to file.
+		k, min, total := int64(math.MaxInt64), math.Inf(1), e.inN
 		for _, l := range e.lanes {
 			total += l.queued
 			if c, ok := l.first(); ok && c < k {
 				k = c
 			}
 		}
+		if e.inN > 0 {
+			if c := max(e.cellOf(e.inMin), e.inFloor); c <= k {
+				k, min = c, e.inMin
+			}
+		}
 		e.busy = e.busy[:0]
-		for _, l := range e.lanes {
-			if l.queued > 0 && l.lo == k {
-				e.busy = append(e.busy, l)
+		for i, l := range e.lanes {
+			due := l.queued > 0 && l.lo == k
+			if due {
 				min = math.Min(min, l.cal[k&int64(len(l.cal)-1)].minT)
+			}
+			if due || e.inMask&(1<<i) != 0 {
+				e.busy = append(e.busy, l)
 			}
 		}
 		if min > target {
@@ -827,9 +895,15 @@ func (e *Engine) RunUntil(target float64) {
 		e.running.Store(true)
 		e.runBusy()
 		e.running.Store(false)
-		e.fileOutboxes()
+		e.handoff()
 		e.floor = math.MinInt64
 	}
+	// The last window's inbound is filed here, so every barrier operation
+	// sees it queued.
+	for _, l := range e.lanes {
+		l.fileInbound()
+	}
+	e.inMask, e.inN = 0, 0
 	if e.now < target {
 		e.now = target
 	}
@@ -881,7 +955,7 @@ func (e *Engine) QueueLen() int { return sum(e, func(l *lane) int { return l.que
 
 // QueueHighWaterBytes returns the queue's high-water footprint: the
 // maximum total queued-event count observed at any window barrier, at the
-// static size of a queued event (72 bytes on 64-bit platforms: one bucket
+// static size of a queued event (64 bytes on 64-bit platforms: one bucket
 // entry). Deterministic for a given schedule identity.
 func (e *Engine) QueueHighWaterBytes() uint64 {
 	return uint64(e.highWater) * uint64(unsafe.Sizeof(pevent{}))
@@ -927,10 +1001,8 @@ func (e *Engine) ResetCounters() {
 		l.delivered, l.dropped = 0, 0
 		l.types.Reset()
 	}
-	for _, n := range e.nodes {
-		if n != nil {
-			n.sent = 0
-		}
+	for i := range e.nodes {
+		e.nodes[i].sent = 0
 	}
 	clear(e.sentOff)
 }
@@ -939,9 +1011,9 @@ func (e *Engine) ResetCounters() {
 // table's order.
 func (e *Engine) NodeIDs() []sim.NodeID {
 	var out []sim.NodeID
-	for _, n := range e.nodes {
-		if n != nil {
-			out = append(out, n.id)
+	for id := range e.nodes {
+		if e.nodes[id].gen != 0 {
+			out = append(out, sim.NodeID(id))
 		}
 	}
 	return out
@@ -951,7 +1023,7 @@ func (e *Engine) NodeIDs() []sim.NodeID {
 // its owner's), or nil.
 func (e *Engine) Handler(id sim.NodeID) sim.Handler {
 	if n := e.node(id); n != nil {
-		return n.handler(e)
+		return e.handler(n)
 	}
 	return nil
 }
@@ -959,18 +1031,20 @@ func (e *Engine) Handler(id sim.NodeID) sim.Handler {
 // Workers reports the configured physical parallelism (after clamping).
 func (e *Engine) Workers() int { return e.opts.Workers }
 
-// laneCtx binds a lane to the currently executing node (a listener's own
-// pnode when the delivery is for a listener). One instance per
-// lane is reused across all its events (handlers must not retain a
-// Context), keeping the delivery path free of per-event allocations.
+// laneCtx binds a lane to the currently executing node and its table
+// entry (a listener's own when the delivery is for a listener). One
+// instance per lane is reused across all its events (handlers must not
+// retain a Context), keeping the delivery path free of per-event
+// allocations.
 type laneCtx struct {
-	l *lane
-	n *pnode
+	l  *lane
+	n  *pnode
+	id sim.NodeID
 }
 
-func (c *laneCtx) Self() sim.NodeID { return c.n.id }
+func (c *laneCtx) Self() sim.NodeID { return c.id }
 func (c *laneCtx) Send(to sim.NodeID, topic sim.Topic, body any) {
-	c.l.send(sim.Message{To: to, From: c.n.id, Topic: topic, Body: body}, c.n)
+	c.l.send(sim.Message{To: to, From: c.id, Topic: topic, Body: body}, c.n)
 }
 func (c *laneCtx) Rand() *rand.Rand { return c.l.rng }
 func (c *laneCtx) Now() float64     { return c.l.now }

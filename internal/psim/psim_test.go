@@ -3,6 +3,7 @@ package psim
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"sspubsub/internal/sim"
@@ -42,7 +43,7 @@ func (c *chatter) OnMessage(ctx sim.Context, m sim.Message) {
 // onLanes returns the first k node IDs the engine places on lanes
 // [0, lanes): a test that needs its nodes on one lane, or on a few, picks
 // their IDs through laneOf.
-func onLanes(e *Engine, lanes int32, k int) []sim.NodeID {
+func onLanes(e *Engine, lanes int16, k int) []sim.NodeID {
 	ids := make([]sim.NodeID, 0, k)
 	for id := sim.NodeID(1); len(ids) < k; id++ {
 		if e.laneOf(id) < lanes {
@@ -180,8 +181,8 @@ func TestHighWater(t *testing.T) {
 }
 
 // TestRunUntilExecutesEverythingDue pins RunUntil's contract: after
-// RunUntil(target), no queued event anywhere — lane calendars or
-// cross-lane outboxes — may still carry t <= target. The regression this
+// RunUntil(target), no queued event anywhere may still carry t <= target,
+// and the cross-lane outboxes of both parities are empty. The regression this
 // guards: window selection used to scan only lane queues while the
 // previous window's cross-lane events were still waiting to be merged, so
 // a pending cross-lane event older than every queued one could be skipped
@@ -201,10 +202,12 @@ func TestRunUntilExecutesEverythingDue(t *testing.T) {
 						i, l.idx, ev.t, target)
 				}
 			}
-			for dst, buf := range l.outbox {
-				if len(buf) != 0 {
-					t.Fatalf("step %d: lane %d outbox[%d] not filed at barrier (%d events)",
-						i, l.idx, dst, len(buf))
+			for par := range l.outbox {
+				for dst, buf := range l.outbox[par] {
+					if len(buf) != 0 {
+						t.Fatalf("step %d: lane %d outbox[%d][%d] not filed at barrier (%d events)",
+							i, l.idx, par, dst, len(buf))
+					}
 				}
 			}
 		}
@@ -253,6 +256,57 @@ func TestCrossLaneEventNotStranded(t *testing.T) {
 	if len(rcv.got) != 1 {
 		t.Fatalf("delivery due at t < %.4f not executed by RunUntil(%.4f): got %d deliveries",
 			e.phaseOf(a)+maxDelay, target, len(rcv.got))
+	}
+}
+
+// timeline records what one node ran and when.
+type timeline struct{ got []string }
+
+func (g *timeline) OnTimeout(ctx sim.Context) {
+	g.got = append(g.got, fmt.Sprintf("tick@%.4f", ctx.Now()))
+}
+func (g *timeline) OnMessage(ctx sim.Context, m sim.Message) {
+	g.got = append(g.got, fmt.Sprintf("%v@%.4f", m.Body, ctx.Now()))
+}
+
+// TestDriverSendAcrossLanes sends at a barrier on behalf of a registered
+// node to a node on another lane, both with timeout phases beyond the
+// longest delay. The delivery must count as in flight from the Send on,
+// run by a RunUntil whose target it is due by, and run before the
+// receiver's first timeout, which falls later. Workers 1, 2 and 4 must
+// agree.
+func TestDriverSendAcrossLanes(t *testing.T) {
+	got := map[int]string{}
+	for _, workers := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			e := New(Options{Seed: 1, Workers: workers})
+			defer e.Close()
+			const from, to = 3, 30
+			if e.laneOf(from) == e.laneOf(to) || e.phaseOf(from) < maxDelay || e.phaseOf(to) < maxDelay {
+				t.Fatalf("nodes %d and %d no longer sit on two lanes with late phases (%.4f, %.4f)",
+					from, to, e.phaseOf(from), e.phaseOf(to))
+			}
+			rcv := &timeline{}
+			e.AddNode(from, &sink{})
+			e.AddNode(to, rcv)
+			e.Send(sim.Message{To: to, From: from, Topic: 1, Body: "m"})
+			if n := e.InFlight(); n != 1 {
+				t.Errorf("InFlight right after the Send = %d, want 1", n)
+			}
+			e.RunUntil(0.96)
+			if len(rcv.got) != 1 || e.InFlight() != 0 {
+				t.Fatalf("after RunUntil(0.96) node %d ran %q with %d in flight; the delivery was due",
+					to, rcv.got, e.InFlight())
+			}
+			e.RunUntil(3)
+			if len(rcv.got) != 4 || !strings.HasPrefix(rcv.got[0], "m@") {
+				t.Fatalf("node %d ran %q, want the delivery and then three ticks", to, rcv.got)
+			}
+			got[workers] = strings.Join(rcv.got, " ")
+		})
+	}
+	if got[1] != got[2] || got[1] != got[4] {
+		t.Fatalf("workers 1, 2 and 4 differ:\n%s\n%s\n%s", got[1], got[2], got[4])
 	}
 }
 

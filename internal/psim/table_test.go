@@ -2,6 +2,7 @@ package psim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -39,9 +40,9 @@ func TestNodeTableBound(t *testing.T) {
 
 // TestNodeTableCrashReAdd crashes a receiver with messages in flight to it
 // and registers a new handler under the same ID. The old incarnation's
-// timeout events drop, and the in-flight messages, which hold the old
-// node, reach the new one through a fresh lookup: nothing is dropped.
-// Workers 1 and 4 must agree.
+// timeout events drop, and the in-flight messages, which name only the ID,
+// reach the new one, looked up at delivery: nothing is dropped. Workers 1
+// and 4 must agree.
 func TestNodeTableCrashReAdd(t *testing.T) {
 	run := func(workers int) string {
 		e := New(Options{Seed: 3, Workers: workers})
@@ -166,5 +167,108 @@ func TestNodeTableNodeIDsSorted(t *testing.T) {
 	slices.Sort(want)
 	if got := e.NodeIDs(); !slices.Equal(got, want) {
 		t.Fatalf("NodeIDs = %v\nwant %v", got, want)
+	}
+}
+
+// ticker records the virtual time of each of its timeouts.
+type ticker struct{ at []float64 }
+
+func (k *ticker) OnTimeout(ctx sim.Context)          { k.at = append(k.at, ctx.Now()) }
+func (k *ticker) OnMessage(sim.Context, sim.Message) {}
+
+// TestNodeTableReAddTwiceAtOneBarrier crashes a node and registers it
+// twice more at one barrier, the second registration crashed at once, so
+// three timeout chains for one ID are queued. Only the last
+// registration's generation runs: the node ticks exactly once per
+// interval, and the earlier incarnations never again. Workers 1 and 4
+// must agree.
+func TestNodeTableReAddTwiceAtOneBarrier(t *testing.T) {
+	run := func(workers int) string {
+		e := New(Options{Seed: 7, Workers: workers})
+		defer e.Close()
+		const id = 5
+		for other := sim.NodeID(6); other < 40; other++ { // busy windows on many lanes
+			e.AddNode(other, &sink{})
+		}
+		first, second, third := &ticker{}, &ticker{}, &ticker{}
+		e.AddNode(id, first)
+		e.RunUntil(1.5)
+		ticked := len(first.at)
+		e.Crash(id)
+		e.AddNode(id, second)
+		e.Crash(id)
+		e.AddNode(id, third)
+		e.RunRounds(5)
+		if len(first.at) != ticked || len(second.at) != 0 {
+			t.Fatalf("workers %d: earlier incarnations ticked after the re-add: %d→%d and %d",
+				workers, ticked, len(first.at), len(second.at))
+		}
+		if len(third.at) != 5 {
+			t.Fatalf("workers %d: the last incarnation ticked %d times in 5 rounds, want 5: %v", workers, len(third.at), third.at)
+		}
+		for i := 1; i < len(third.at); i++ {
+			if d := third.at[i] - third.at[i-1]; math.Abs(d-1) > 1e-9 {
+				t.Fatalf("workers %d: ticks %v are not one interval apart", workers, third.at)
+			}
+		}
+		return fmt.Sprint(first.at, third.at, e.NodeIDs())
+	}
+	if a, b := run(1), run(4); a != b {
+		t.Fatalf("workers 1 and 4 differ: %s vs %s", a, b)
+	}
+}
+
+// TestNodeTableListenerFollowsOwner holds a listener to its owner's ID:
+// while no owner is registered its messages drop, and once the owner is
+// registered again they reach the new incarnation's handler, a message
+// sent while the owner was down included. Workers 1 and 4 must agree.
+func TestNodeTableListenerFollowsOwner(t *testing.T) {
+	run := func(workers int) string {
+		e := New(Options{Seed: 9, Workers: workers})
+		defer e.Close()
+		const owner, listener = 10, 1000
+		for other := sim.NodeID(20); other < 60; other++ { // busy windows on many lanes
+			e.AddNode(other, &sink{})
+		}
+		send := func(body string) {
+			e.Send(sim.Message{To: listener, From: 1 << 30, Topic: 1, Body: body})
+		}
+		was, now := &sink{}, &sink{}
+		e.AddNode(owner, was)
+		e.AddListener(listener, owner)
+		send("before")
+		e.RunRounds(1)
+		send("at the crash")
+		e.Crash(owner)
+		if e.Handler(listener) != nil {
+			t.Fatal("a listener without an owner resolves to a handler")
+		}
+		e.RunRounds(1)
+		if d := e.Dropped(); d != 1 {
+			t.Fatalf("workers %d: %d messages dropped while the owner was down, want 1", workers, d)
+		}
+		send("while down")
+		e.AddNode(owner, now)
+		if e.Handler(listener) != sim.Handler(now) {
+			t.Fatal("the listener does not resolve to the owner's new incarnation")
+		}
+		send("after")
+		e.RunRounds(1)
+		got := func(s *sink) (out []string) {
+			for _, m := range s.got {
+				if m.To != listener {
+					t.Fatalf("workers %d: the owner handled a message for %d", workers, m.To)
+				}
+				out = append(out, m.Body.(string))
+			}
+			return out
+		}
+		if w, n := got(was), got(now); !slices.Equal(w, []string{"before"}) || len(n) != 2 || !slices.Contains(n, "while down") || !slices.Contains(n, "after") {
+			t.Fatalf("workers %d: the old owner got %q, the new one %q", workers, w, n)
+		}
+		return fmt.Sprint(got(was), got(now), e.Delivered(), e.Dropped())
+	}
+	if a, b := run(1), run(4); a != b {
+		t.Fatalf("workers 1 and 4 differ: %s vs %s", a, b)
 	}
 }
