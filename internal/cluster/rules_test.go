@@ -16,9 +16,10 @@ import (
 // rules that send it.
 var sendingRules = map[string][]core.Rule{
 	sim.TypeName(proto.Linearize{}):         {core.RuleDelegateDisplaced, core.RuleDelegateCandidate},
-	sim.TypeName(proto.Check{}):             {core.RuleIntroduceSelf, core.RuleClosureCheck, core.RuleShortcutAdopt},
+	sim.TypeName(proto.Check{}):             {core.RuleIntroduceSelf, core.RuleClosureCheck},
 	sim.TypeName(proto.Introduce{}):         {core.RuleClosureAnnounce, core.RuleClosurePass, core.RuleLabelCorrection},
 	sim.TypeName(proto.IntroduceShortcut{}): {core.RuleShortcutIntro},
+	sim.TypeName(proto.GetConfiguration{}):  {core.RuleProbe, core.RuleLocalMin, core.RuleRequestCloser, core.RuleReferDuplicate},
 }
 
 // stormRate bounds a crash cycle's rule firings per node per round, about
@@ -30,10 +31,10 @@ const stormRate = 20
 // TestRuleCountsMatchTraffic: every subscriber send is counted by exactly
 // one rule, on every substrate. Join 32, then cycles of crashing 4 random
 // members, re-converging and regrowing 4; without garbage only subscribers
-// send Linearize, Check, Introduce and IntroduceShortcut, so once quiescent
-// the sums of their sending rules must equal the transport's per-type send
-// counts — an uncounted send site fails it. No crash cycle may storm
-// (stormRate).
+// send Linearize, Check, Introduce, IntroduceShortcut and GetConfiguration,
+// so once quiescent the sums of their sending rules must equal the
+// transport's per-type send counts — an uncounted send site fails it. No
+// crash cycle may storm (stormRate).
 func TestRuleCountsMatchTraffic(t *testing.T) {
 	const n, k, cycles, seed = 32, 4, 3, 101
 	for _, kind := range []string{"sim", "concurrent", "net"} {

@@ -51,13 +51,14 @@
 //	RuleDelegateCandidate  Algorithm 1 Linearize: delegate the candidate toward its position
 //	RuleReferDuplicate     Algorithm 1 Linearize: refer a candidate with a duplicate label to the supervisor
 //	RuleShortcutIntro      Algorithm 4 lines 12–14: introduce the level-k pair to each other
-//	RuleShortcutAdopt      Algorithm 4 IntroduceShortcut: occupy a slot, Check the new occupant
+//	RuleShortcutAdopt      Algorithm 4 IntroduceShortcut: a new occupant takes a slot
 //	RuleShortcutDrop       Section 3.2.2: an underived shortcut slot is dropped
 //	RuleRefuse             Lemma 6: a ⊥-labelled node refuses an introduction with RemoveConnections
 //
-// The Linearize, Check, Introduce and IntroduceShortcut messages a
-// subscriber sends are exactly the sums of the sending rules named in
-// their lines above.
+// The Linearize, Check, Introduce, IntroduceShortcut and GetConfiguration
+// messages a subscriber sends are exactly the sums of the sending rules
+// named in their lines above. README's "Every rule earns its place" names,
+// for every rule and refinement, the test that fails without it.
 package core
 
 // Rule names one stabilization action of the subscriber protocol.

@@ -438,10 +438,9 @@ func (s *Subscriber) maybeProbeOwner(ctx sim.Context) {
 func (s *Subscriber) buildRingTimeout(ctx sim.Context) {
 	me := s.selfPos()
 
-	// Self-references are stale garbage from corrupted states.
-	s.dropRef(s.self)
-
-	// Algorithm 1: a neighbour stored on the wrong side is re-linearized.
+	// Algorithm 1: a neighbour stored on the wrong side is re-linearized. A
+	// stored self-reference (corrupted state) sits on neither side, so it is
+	// cleared here too, and linearize drops it.
 	for _, d := range sides {
 		if c := s.nb[d]; !c.IsBottom() && !d.nearer(me, tuplePos(c)) {
 			s.fired[RuleReside]++
@@ -471,8 +470,7 @@ func (s *Subscriber) buildRingTimeout(ctx sim.Context) {
 	}
 	// The closure edge leads to the far extreme. With no list neighbour on
 	// the other side we are the near extreme and check the edge; otherwise
-	// we pass the closure candidate on toward the near extreme. (The edge
-	// cannot sit at our own position: self-references were dropped above.)
+	// we pass the closure candidate on toward the near extreme.
 	inner := s.nb[me.sideOf(tuplePos(s.ring)).other()]
 	if inner.IsBottom() {
 		s.send(ctx, RuleClosureCheck, s.ring.Ref, proto.Check{Sender: s.selfTuple(), YourLabel: s.ring.L, Flag: proto.CYC})
@@ -1036,7 +1034,8 @@ func (s *Subscriber) removeConnections(v sim.NodeID) {
 // onIntroduceShortcut adopts a shortcut introduction (Algorithm 4
 // IntroduceShortcut): if we maintain a slot for T's label, occupy it and
 // re-linearize any displaced occupant; otherwise treat T as a list
-// candidate.
+// candidate. A wrong label in T is corrected like any stored label: by
+// correctStoredLabel, the next time T's true label reaches us.
 func (s *Subscriber) onIntroduceShortcut(ctx sim.Context, t proto.Tuple) {
 	if s.lab.IsBottom() {
 		s.refuse(ctx, t.Ref)
@@ -1047,16 +1046,12 @@ func (s *Subscriber) onIntroduceShortcut(ctx sim.Context, t proto.Tuple) {
 	}
 	if i, ok := s.findSlot(t.L); ok {
 		if old := s.shortcuts[i].Ref; old != t.Ref {
+			s.fired[RuleShortcutAdopt]++
 			s.shortcuts[i].Ref = t.Ref
 			s.version++
 			if old != sim.None && old != s.self {
 				s.linearize(ctx, proto.Tuple{L: t.L, Ref: old})
 			}
-			// Verify the adoption: if T's real label differs, it replies
-			// with an Introduce carrying the truth, and correctStoredLabel
-			// clears this slot again. Adoptions only happen when the slot
-			// changes, so a legitimate state stays silent.
-			s.send(ctx, RuleShortcutAdopt, t.Ref, proto.Check{Sender: s.selfTuple(), YourLabel: t.L, Flag: proto.LIN})
 		}
 		return
 	}

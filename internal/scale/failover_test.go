@@ -66,10 +66,11 @@ func TestFailoverDeterministic(t *testing.T) {
 // cold row moved twice since: 57/417 → 59/438, when a Linearize began to
 // die at a receiver outside its sender–candidate interval, and 59/438 →
 // 54/408, when the default pool shrank from 1,024 subscribers to 32 (pool
-// phases are part of the harness schedule).
+// phases are part of the harness schedule), and 54/408 → 60/411, when the
+// self-reference drop and the shortcut-adopt Check were deleted.
 func TestFailoverReproducesRecordedSeries(t *testing.T) {
 	for _, want := range []FailoverResult{
-		{N: 1000, RepFactor: 0, SetupRounds: 2, FailoverRounds: 54, Relabelled: 408, Converged: true},
+		{N: 1000, RepFactor: 0, SetupRounds: 2, FailoverRounds: 60, Relabelled: 411, Converged: true},
 		{N: 1000, RepFactor: 2, SetupRounds: 2, ReplicaWarm: true, FailoverRounds: 4, Converged: true},
 	} {
 		got := RunFailover(Config{N: want.N, Seed: 1, ReplicationFactor: want.RepFactor, Workers: 1})
