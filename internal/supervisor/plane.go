@@ -211,9 +211,8 @@ func (s *Supervisor) reconcileTopic(ctx sim.Context, t sim.Topic) {
 func (s *Supervisor) adopt(ctx sim.Context, t sim.Topic) {
 	p := s.plane
 	epoch := p.known[t] + 1
-	db := newTopicDB()
+	db := newTopicDB(s.repFactor > 0)
 	db.epoch = epoch
-	db.track = s.repFactor > 0
 	db.grace = rebuildGrace
 	db.graceCeil = graceCeiling
 	if rep := s.replicas[t]; s.warmUsable(rep, t) {
@@ -225,7 +224,7 @@ func (s *Supervisor) adopt(ctx sim.Context, t sim.Topic) {
 		db.graceCeil = rebuildGrace
 		db.dirty = true
 		delete(s.replicas, t)
-		db.idx.walk(func(_ label.Label, id sim.NodeID) {
+		db.tuples.walk(func(_ label.Label, id sim.NodeID) {
 			if id != sim.None && id != s.self {
 				ctx.Send(id, t, proto.OwnerAnnounce{Owner: s.self, Epoch: epoch})
 			}
@@ -242,7 +241,7 @@ func (s *Supervisor) adopt(ctx sim.Context, t sim.Topic) {
 func (s *Supervisor) handover(ctx sim.Context, t sim.Topic, db *topicDB, owner sim.NodeID) {
 	next := db.epoch + 1
 	if owner != sim.None {
-		db.idx.walk(func(_ label.Label, id sim.NodeID) {
+		db.tuples.walk(func(_ label.Label, id sim.NodeID) {
 			if id != sim.None && id != s.self {
 				ctx.Send(id, t, proto.OwnerAnnounce{Owner: owner, Epoch: next})
 			}
@@ -330,7 +329,7 @@ func (s *Supervisor) reregister(ctx sim.Context, t sim.Topic, b proto.Reregister
 		return
 	}
 	if b.Label.Valid() && !b.Label.IsBottom() {
-		if _, taken := db.db[b.Label]; !taken {
+		if db.tuples.get(b.Label) == nil {
 			db.put(b.Label, v)
 			// The re-reported label is whatever the survivor held before the
 			// failover — almost never the compact l(0 … n−1), so the
@@ -402,9 +401,8 @@ func (s *Supervisor) CorruptPlane(t sim.Topic, rng interface{ Intn(int) int }) {
 		// False hosting claim: host a topic we may not own (empty database
 		// at a bogus era).
 		if _, ok := s.topics[t]; !ok {
-			db := newTopicDB()
+			db := newTopicDB(s.repFactor > 0)
 			db.epoch = uint64(rng.Intn(3))
-			db.track = s.repFactor > 0
 			s.topics[t] = db
 		}
 	}

@@ -14,10 +14,13 @@
 // The replication protocol is itself self-stabilizing, in the same spirit
 // as the replicated-state-machine construction of self-stabilizing Paxos:
 //
-//   - Delta stream. Mutations (put/del) buffer in a bounded per-topic
-//     queue and flush to the successors each Timeout as fire-and-forget
-//     ReplicaDelta batches. There is no log and no acknowledgement: a
-//     buffer overflow simply drops the buffer and schedules a full sync.
+//   - Delta stream. The labels that put/del touch buffer in a bounded
+//     per-topic list, and each Timeout flushes their current state to the
+//     successors as a fire-and-forget ReplicaDelta: a Put for a label the
+//     database holds, a Del for one it does not. A delta is state, not a
+//     history — each label appears once, so applying it is idempotent and
+//     order-free. There is no acknowledgement: a buffer overflow simply
+//     drops the buffer and schedules a full sync.
 //   - Anti-entropy. Every gossip period the owner pushes a ReplicaDigest
 //     probe carrying its database root digest — an order-independent XOR
 //     fold of per-entry 16-byte truncated-SHA-256 hashes, the same fold the
@@ -31,6 +34,11 @@
 //     stages a round's chunks and atomically replaces its state when the
 //     round completes. An arbitrarily corrupted replica therefore
 //     converges like any other corrupted state.
+//
+// The replica is the owner's store type (store.go), so both sides share
+// one mutation path, one digest and one r-order. Entries whose label is ⊥
+// or malformed are dropped at receipt, as Reregister drops them: no owner
+// stores one, and an adoption must never seed one.
 //
 // Everything here runs under the supervisor mutex, off the plane Timeout
 // and OnMessage paths; a deployment with ReplicationFactor 0 (the
@@ -50,10 +58,10 @@ import (
 )
 
 const (
-	// maxPendingOps bounds the per-topic delta buffer. Overflow drops the
-	// buffer and falls back to a full sync — replication never holds an
-	// unbounded log.
-	maxPendingOps = 512
+	// maxTouched bounds the per-topic delta buffer, in touches. Overflow
+	// drops the buffer and falls back to a full sync — replication never
+	// holds an unbounded buffer.
+	maxTouched = 512
 	// maxSyncChunk bounds the entries per ReplicaSync message.
 	maxSyncChunk = 256
 	// replicaStaleAfter is the freshness window, in plane ticks, within
@@ -79,13 +87,6 @@ const (
 	warmGrace = 8
 )
 
-// repOp is one buffered directory mutation awaiting delta flush.
-type repOp struct {
-	del bool
-	l   label.Label
-	v   sim.NodeID
-}
-
 // entryHash is the per-tuple hash of the replication digest: SHA-256 over
 // the label's canonical bytes and the subscriber ID, truncated to 16 bytes.
 // (The trie's leaf digests are two 64-bit mixers instead; the digest lines
@@ -110,44 +111,21 @@ func xor16(a, b [16]byte) [16]byte {
 	return a
 }
 
-// digestOf recomputes the XOR-fold digest of a database from content.
-func digestOf(db map[label.Label]sim.NodeID) [16]byte {
-	var h [16]byte
-	for l, v := range db {
-		h = xor16(h, entryHash(l, v))
-	}
-	return h
-}
-
 // ---- owner side: mutation capture ----
 
-// repNotePut records that put established l → v (replacing old when
-// hadOld). Called from topicDB.put with track set.
-func (db *topicDB) repNotePut(l label.Label, v sim.NodeID, old sim.NodeID, hadOld bool) {
-	if hadOld {
-		db.repHash = xor16(db.repHash, entryHash(l, old))
-	}
-	db.repHash = xor16(db.repHash, entryHash(l, v))
-	db.pend(repOp{l: l, v: v})
-}
-
-// repNoteDel records that del removed l → v.
-func (db *topicDB) repNoteDel(l label.Label, v sim.NodeID) {
-	db.repHash = xor16(db.repHash, entryHash(l, v))
-	db.pend(repOp{del: true, l: l})
-}
-
-func (db *topicDB) pend(op repOp) {
-	if db.repOverflow {
+// touch buffers l for the next delta flush. Called from topicDB.put/del;
+// a label touched twice is buffered twice and shipped once.
+func (db *topicDB) touch(l label.Label) {
+	if !db.tuples.track || db.repOverflow {
 		return
 	}
-	if len(db.pending) >= maxPendingOps {
-		// No unbounded logs: drop the buffer, a full sync repairs instead.
-		db.pending = db.pending[:0]
+	if len(db.touched) >= maxTouched {
+		// No unbounded buffers: drop it, a full sync repairs instead.
+		db.touched = db.touched[:0]
 		db.repOverflow = true
 		return
 	}
-	db.pending = append(db.pending, op)
+	db.touched = append(db.touched, l)
 }
 
 // ---- replica side: state ----
@@ -156,10 +134,9 @@ func (db *topicDB) pend(op repOp) {
 // successor of the topic's owner.
 type replicaDB struct {
 	epoch uint64
-	db    map[label.Label]sim.NodeID
-	// hash is the incrementally maintained digest of db; verified is the
-	// plane tick of the last recompute-from-content self-check.
-	hash     [16]byte
+	// tuples tracks its digest always; verified is the plane tick of the
+	// last recompute-from-content self-check.
+	tuples   store
 	verified uint64
 	// fresh is the plane tick of the last owner contact that confirmed
 	// the replica current (delta applied, probe matched, sync completed).
@@ -175,31 +152,11 @@ type syncStage struct {
 	chunks map[uint64][]proto.ReplicaEntry
 }
 
-func (r *replicaDB) apply(l label.Label, v sim.NodeID) {
-	if old, ok := r.db[l]; ok {
-		if old == v {
-			return
-		}
-		r.hash = xor16(r.hash, entryHash(l, old))
-	}
-	r.db[l] = v
-	r.hash = xor16(r.hash, entryHash(l, v))
-}
-
-func (r *replicaDB) remove(l label.Label) {
-	v, ok := r.db[l]
-	if !ok {
-		return
-	}
-	delete(r.db, l)
-	r.hash = xor16(r.hash, entryHash(l, v))
-}
-
 // replica returns (creating if needed) the replica record for t. Lock held.
 func (s *Supervisor) replica(t sim.Topic) *replicaDB {
 	r, ok := s.replicas[t]
 	if !ok {
-		r = &replicaDB{db: make(map[label.Label]sim.NodeID)}
+		r = &replicaDB{tuples: store{track: true}}
 		if s.replicas == nil {
 			s.replicas = make(map[sim.Topic]*replicaDB)
 		}
@@ -220,7 +177,7 @@ func (s *Supervisor) SetReplicationFactor(k int) {
 	}
 	s.repFactor = k
 	for _, db := range s.topics {
-		db.track = k > 0
+		db.tuples.track = k > 0
 	}
 }
 
@@ -250,7 +207,7 @@ func (s *Supervisor) replicaTimeout(ctx sim.Context) {
 	sort.Slice(hosted, func(i, j int) bool { return hosted[i] < hosted[j] })
 	for _, t := range hosted {
 		db := s.topics[t]
-		if !db.track || s.viewOwner(t) != s.self {
+		if !db.tuples.track || s.viewOwner(t) != s.self {
 			continue
 		}
 		succs := p.ring.Successors(t, s.repFactor)
@@ -263,16 +220,8 @@ func (s *Supervisor) replicaTimeout(ctx sim.Context) {
 			for _, to := range succs {
 				s.sendFullSync(ctx, t, db, to)
 			}
-		case len(db.pending) > 0:
-			d := proto.ReplicaDelta{Epoch: db.epoch}
-			for _, op := range db.pending {
-				if op.del {
-					d.Del = append(d.Del, op.l)
-				} else {
-					d.Put = append(d.Put, proto.ReplicaEntry{L: op.l, V: op.v})
-				}
-			}
-			db.pending = db.pending[:0]
+		case len(db.touched) > 0:
+			d := db.delta()
 			for _, to := range succs {
 				ctx.Send(to, t, d)
 			}
@@ -282,11 +231,11 @@ func (s *Supervisor) replicaTimeout(ctx sim.Context) {
 				// Self-check, as the replicas do: a corrupted owner digest
 				// would otherwise mismatch every replica forever and ship
 				// a full sync each gossip period.
-				db.repHash = digestOf(db.db)
+				db.tuples.hash = db.tuples.digest()
 			}
 			dig := proto.ReplicaDigest{
 				Probe: true, Epoch: db.epoch,
-				Count: uint64(len(db.db)), Hash: db.repHash,
+				Count: uint64(db.tuples.len()), Hash: db.tuples.hash,
 			}
 			for _, to := range succs {
 				ctx.Send(to, t, dig)
@@ -321,13 +270,32 @@ func (s *Supervisor) replicaTimeout(ctx sim.Context) {
 	}
 }
 
+// delta drains the touched buffer into one ReplicaDelta carrying each
+// touched label's current state, in first-touch order.
+func (db *topicDB) delta() proto.ReplicaDelta {
+	d := proto.ReplicaDelta{Epoch: db.epoch}
+	seen := make(map[label.Label]bool, len(db.touched))
+	for _, l := range db.touched {
+		if seen[l] {
+			continue
+		}
+		seen[l] = true
+		if n := db.tuples.get(l); n != nil {
+			d.Put = append(d.Put, proto.ReplicaEntry{L: l, V: n.id})
+		} else {
+			d.Del = append(d.Del, l)
+		}
+	}
+	db.touched = db.touched[:0]
+	return d
+}
+
 // sendFullSync ships the hosted database to one replica holder in bounded
-// chunks, walking the ordered index for a deterministic chunking. Lock
-// held.
+// chunks, walking the store for a deterministic chunking. Lock held.
 func (s *Supervisor) sendFullSync(ctx sim.Context, t sim.Topic, db *topicDB, to sim.NodeID) {
 	db.syncRound++
-	entries := make([]proto.ReplicaEntry, 0, len(db.db))
-	db.idx.walk(func(l label.Label, v sim.NodeID) {
+	entries := make([]proto.ReplicaEntry, 0, db.tuples.len())
+	db.tuples.walk(func(l label.Label, v sim.NodeID) {
 		entries = append(entries, proto.ReplicaEntry{L: l, V: v})
 	})
 	total := uint64(len(entries)+maxSyncChunk-1) / maxSyncChunk
@@ -360,7 +328,7 @@ func (s *Supervisor) fromOwner(t sim.Topic, from sim.NodeID) bool {
 	return from == s.viewOwner(t)
 }
 
-// onReplicaDelta applies a streamed mutation batch to the local replica.
+// onReplicaDelta applies a streamed state batch to the local replica.
 // Stale-era deltas are dropped; anti-entropy repairs any divergence a lost
 // or reordered delta leaves behind.
 func (s *Supervisor) onReplicaDelta(t sim.Topic, from sim.NodeID, b proto.ReplicaDelta) {
@@ -370,10 +338,10 @@ func (s *Supervisor) onReplicaDelta(t sim.Topic, from sim.NodeID, b proto.Replic
 	}
 	rep.epoch = b.Epoch
 	for _, e := range b.Put {
-		rep.apply(e.L, e.V)
+		putValid(&rep.tuples, e)
 	}
 	for _, l := range b.Del {
-		rep.remove(l)
+		rep.tuples.del(l)
 	}
 	rep.fresh = s.plane.tick
 }
@@ -388,25 +356,25 @@ func (s *Supervisor) onReplicaDigest(ctx sim.Context, t sim.Topic, from sim.Node
 			// Self-check: recompute from content so corruption that kept
 			// the stored digest coherent is still caught within a bounded
 			// number of probes.
-			rep.hash = digestOf(rep.db)
+			rep.tuples.hash = rep.tuples.digest()
 			rep.verified = s.plane.tick
 		}
-		if b.Epoch == rep.epoch && b.Count == uint64(len(rep.db)) && b.Hash == rep.hash {
+		if b.Epoch == rep.epoch && b.Count == uint64(rep.tuples.len()) && b.Hash == rep.tuples.hash {
 			rep.fresh = s.plane.tick
 			return
 		}
 		ctx.Send(from, t, proto.ReplicaDigest{
-			Epoch: rep.epoch, Count: uint64(len(rep.db)), Hash: rep.hash,
+			Epoch: rep.epoch, Count: uint64(rep.tuples.len()), Hash: rep.tuples.hash,
 		})
 		return
 	}
 	// Answer: we are (or believe we are) the owner. Ship a full sync if the
 	// replica's digest disagrees with the live database.
 	db, hosting := s.topics[t]
-	if !hosting || !db.track || s.viewOwner(t) != s.self || from == s.self {
+	if !hosting || !db.tuples.track || s.viewOwner(t) != s.self || from == s.self {
 		return
 	}
-	if b.Epoch != db.epoch || b.Count != uint64(len(db.db)) || b.Hash != db.repHash {
+	if b.Epoch != db.epoch || b.Count != uint64(db.tuples.len()) || b.Hash != db.tuples.hash {
 		s.sendFullSync(ctx, t, db, from)
 	}
 }
@@ -439,23 +407,25 @@ func (s *Supervisor) onReplicaSync(t sim.Topic, from sim.NodeID, b proto.Replica
 		return
 	}
 	// Round complete: rebuild the replica wholesale.
-	fresh := make(map[label.Label]sim.NodeID)
-	var h [16]byte
+	fresh := store{track: true}
 	for seq := uint64(0); seq < st.total; seq++ {
 		for _, e := range st.chunks[seq] {
-			if old, ok := fresh[e.L]; ok {
-				h = xor16(h, entryHash(e.L, old))
-			}
-			fresh[e.L] = e.V
-			h = xor16(h, entryHash(e.L, e.V))
+			putValid(&fresh, e)
 		}
 	}
-	rep.db = fresh
-	rep.hash = h
+	rep.tuples = fresh
 	rep.epoch = st.epoch
 	rep.stage = nil
 	rep.fresh = s.plane.tick
 	rep.verified = s.plane.tick
+}
+
+// putValid stores a received replica entry unless its label is ⊥ or
+// malformed.
+func putValid(x *store, e proto.ReplicaEntry) {
+	if e.L.Valid() && !e.L.IsBottom() {
+		x.put(e.L, e.V)
+	}
 }
 
 // ---- adoption: the warm path ----
@@ -465,7 +435,7 @@ func (s *Supervisor) onReplicaSync(t sim.Topic, from sim.NodeID, b proto.Replica
 // observed, and refreshed by owner contact within the staleness window.
 // Lock held.
 func (s *Supervisor) warmUsable(rep *replicaDB, t sim.Topic) bool {
-	if rep == nil || len(rep.db) == 0 {
+	if rep == nil || rep.tuples.len() == 0 {
 		return false
 	}
 	p := s.plane
@@ -473,18 +443,11 @@ func (s *Supervisor) warmUsable(rep *replicaDB, t sim.Topic) bool {
 }
 
 // seedFromReplica populates a freshly adopted database from the warm
-// replica, in deterministic label order (the puts also charge the new
-// owner's own delta buffer, so the warm state propagates onward to its
-// successors). Lock held.
+// replica, in r-order (the puts also charge the new owner's own delta
+// buffer, so the warm state propagates onward to its successors). Lock
+// held.
 func (db *topicDB) seedFromReplica(rep *replicaDB) {
-	labels := make([]label.Label, 0, len(rep.db))
-	for l := range rep.db {
-		labels = append(labels, l)
-	}
-	sort.Slice(labels, func(i, j int) bool { return labelLess(labels[i], labels[j]) })
-	for _, l := range labels {
-		db.put(l, rep.db[l])
-	}
+	rep.tuples.walk(db.put)
 }
 
 // ---- introspection (tests, chaos probes, cluster predicates) ----
@@ -499,7 +462,7 @@ func (s *Supervisor) DirectoryDigest(t sim.Topic) (epoch uint64, hash [16]byte, 
 	if !hosting {
 		return 0, hash, 0, false
 	}
-	return db.epoch, digestOf(db.db), len(db.db), true
+	return db.epoch, db.tuples.digest(), db.tuples.len(), true
 }
 
 // HeldReplicaDigest returns the held replica's era and digest, recomputed
@@ -511,7 +474,7 @@ func (s *Supervisor) HeldReplicaDigest(t sim.Topic) (epoch uint64, hash [16]byte
 	if !held {
 		return 0, hash, 0, false
 	}
-	return rep.epoch, digestOf(rep.db), len(rep.db), true
+	return rep.epoch, rep.tuples.digest(), rep.tuples.len(), true
 }
 
 // CorruptReplica scrambles the held replica for a topic — the chaos
@@ -527,6 +490,7 @@ func (s *Supervisor) CorruptReplica(t sim.Topic, rng interface{ Intn(int) int })
 	if !ok {
 		return
 	}
+	h := rep.tuples.hash // the scramble and the amnesia leave it stale
 	switch rng.Intn(3) {
 	case 0:
 		// Entry scramble: bogus tuples land in the replica, digest left
@@ -536,37 +500,31 @@ func (s *Supervisor) CorruptReplica(t sim.Topic, rng interface{ Intn(int) int })
 		// labels — each of which the repair machinery can evict (a node ID
 		// that never existed would sit beyond the failure detector forever).
 		pool := []sim.NodeID{sim.None, s.self}
-		vals := make([]sim.NodeID, 0, len(rep.db))
-		for _, v := range rep.db {
-			vals = append(vals, v)
-		}
+		vals := make([]sim.NodeID, 0, rep.tuples.len())
+		rep.tuples.walk(func(_ label.Label, v sim.NodeID) { vals = append(vals, v) })
 		sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
 		pool = append(pool, vals...)
 		for i := 0; i < 1+rng.Intn(3); i++ {
-			rep.db[label.FromIndex(uint64(rng.Intn(8)))] = pool[rng.Intn(len(pool))]
+			rep.tuples.put(label.FromIndex(uint64(rng.Intn(8))), pool[rng.Intn(len(pool))])
 		}
 	case 1:
-		// Amnesia: a deterministic prefix of the label-ordered entries
-		// vanishes; the stored digest still claims they exist.
-		if len(rep.db) > 0 {
-			labels := make([]label.Label, 0, len(rep.db))
-			for l := range rep.db {
-				labels = append(labels, l)
-			}
-			sort.Slice(labels, func(i, j int) bool { return labelLess(labels[i], labels[j]) })
-			for _, l := range labels[:1+rng.Intn(len(labels))] {
-				delete(rep.db, l)
+		// Amnesia: a deterministic prefix of the r-ordered entries vanishes;
+		// the stored digest still claims they exist.
+		if n := rep.tuples.len(); n > 0 {
+			for k := 1 + rng.Intn(n); k > 0; k-- {
+				rep.tuples.del(rep.tuples.kth(0).l)
 			}
 		}
 	default:
 		// Digest/era poison: the stored digest flips, and the era either
 		// regresses, making the replica look like an ancient restart, or
 		// leaps above the owner's.
-		rep.hash[rng.Intn(16)] ^= byte(1 + rng.Intn(255))
+		h[rng.Intn(16)] ^= byte(1 + rng.Intn(255))
 		if rng.Intn(2) == 0 {
 			rep.epoch = 0
 		} else {
 			rep.epoch++
 		}
 	}
+	rep.tuples.hash = h
 }

@@ -1,6 +1,7 @@
 package supervisor
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -51,8 +52,8 @@ func TestReplicaDeltaIdempotent(t *testing.T) {
 	// The incrementally maintained digest must agree with the recompute.
 	s.mu.Lock()
 	rep := s.replicas[tp]
-	if rep.hash != digestOf(rep.db) {
-		t.Errorf("incremental digest %x diverged from content digest %x", rep.hash, digestOf(rep.db))
+	if rep.tuples.hash != rep.tuples.digest() {
+		t.Errorf("incremental digest %x diverged from content digest %x", rep.tuples.hash, rep.tuples.digest())
 	}
 	s.mu.Unlock()
 }
@@ -318,14 +319,14 @@ func TestOwnerDigestSelfHeals(t *testing.T) {
 	for i := 0; i < 2*replicaVerifyEvery; i++ {
 		tick()
 	}
-	if _, h, _, ok := sups[replica].HeldReplicaDigest(tp); !ok || h != digestOf(sups[owner].topics[tp].db) {
+	if _, h, _, ok := sups[replica].HeldReplicaDigest(tp); !ok || h != sups[owner].topics[tp].tuples.digest() {
 		t.Fatal("replica did not converge before the fault")
 	}
 	// Corrupt just after a verification tick, so the loop has time to show.
 	for sups[owner].plane.tick%replicaVerifyEvery != 1 {
 		tick()
 	}
-	sups[owner].topics[tp].repHash[0] ^= 1
+	sups[owner].topics[tp].tuples.hash[0] ^= 1
 	before := 0
 	for i := 0; i < 2*replicaVerifyEvery; i++ {
 		before += tick()
@@ -338,4 +339,187 @@ func TestOwnerDigestSelfHeals(t *testing.T) {
 			t.Fatalf("%d ReplicaSync sent %d ticks after the healing window", n, i+1)
 		}
 	}
+}
+
+// TestReplicaDropsBottomLabels: the replica accepts no entry whose label is
+// ⊥ or malformed, from a delta or a sync. A ⊥ label used to reach warm
+// adoption, whose label sort panicked on it ("label: Index of ⊥").
+func TestReplicaDropsBottomLabels(t *testing.T) {
+	det := fakeDetector{}
+	s := New(2, det)
+	s.JoinPlane([]sim.NodeID{1, 2})
+	s.SetReplicationFactor(1)
+	c := simtest.NewCtx(2)
+	s.OnMessage(c, sim.Message{To: 2, From: 1, Topic: tp, Body: proto.ReplicaDelta{
+		Put: []proto.ReplicaEntry{
+			{L: label.Bottom, V: 10}, {L: label.FromIndex(0), V: 11}, {L: label.FromIndex(1), V: 12},
+		},
+	}})
+	s.OnMessage(c, sim.Message{To: 2, From: 1, Body: proto.PlaneGossip{
+		Entries: []proto.TopicEpoch{{Topic: tp, Epoch: 0}},
+	}})
+	det[1] = true
+	for i := 0; i < 4 && !s.Hosts(tp); i++ {
+		s.OnTimeout(c)
+	}
+	if !s.Hosts(tp) {
+		t.Fatal("successor never adopted the topic")
+	}
+	if got := s.N(tp); got != 2 {
+		t.Fatalf("adopted database has %d entries, want 2", got)
+	}
+
+	s = replicaSide(t)
+	s.OnMessage(c, sim.Message{To: 2, From: 1, Topic: tp, Body: proto.ReplicaSync{
+		Round: 1, Chunks: 1, Entries: []proto.ReplicaEntry{
+			{L: label.Bottom, V: 10}, {L: label.New(2, 2), V: 11}, {L: label.FromIndex(0), V: 12},
+		},
+	}})
+	if _, _, n, _ := s.HeldReplicaDigest(tp); n != 1 {
+		t.Fatalf("sync: replica holds %d entries, want 1", n)
+	}
+}
+
+// stream drives a topic owner and its one replica holder, a plane of
+// {1, 2} at replication factor 1. Owner steps run directly; only the
+// replication traffic they cause reaches the replica.
+type stream struct {
+	det            fakeDetector
+	owner, replica *Supervisor
+}
+
+func newStream() *stream {
+	det := fakeDetector{}
+	sups := planeSups(det, 2)
+	for _, s := range sups {
+		s.SetReplicationFactor(1)
+	}
+	o := ownerOf(sups, tp)
+	return &stream{det: det, owner: sups[o], replica: sups[3-o]}
+}
+
+// deliver hands the replica the ReplicaDelta and ReplicaSync messages among
+// msgs; configurations, probes and gossip are dropped, so anti-entropy
+// cannot repair what the stream got wrong.
+func (st *stream) deliver(msgs []sim.Message) {
+	c := simtest.NewCtx(st.replica.ID())
+	for _, m := range msgs {
+		switch m.Body.(type) {
+		case proto.ReplicaDelta, proto.ReplicaSync:
+			st.replica.OnMessage(c, m)
+		}
+	}
+}
+
+// request sends the owner a subscriber request from v and delivers what it
+// ships.
+func (st *stream) request(v sim.NodeID, body any) {
+	c := simtest.NewCtx(st.owner.ID())
+	st.owner.OnMessage(c, sim.Message{To: st.owner.ID(), From: v, Topic: tp, Body: body})
+	st.deliver(c.Take())
+}
+
+// timeout runs the owner's whole Timeout — flush, then cull and refresh —
+// and delivers what it ships.
+func (st *stream) timeout() {
+	c := simtest.NewCtx(st.owner.ID())
+	st.owner.OnTimeout(c)
+	st.deliver(c.Take())
+}
+
+// flush runs only the owner's replication tick, so nothing mutates the
+// database after it, and delivers what it ships.
+func (st *stream) flush() {
+	c := simtest.NewCtx(st.owner.ID())
+	st.owner.mu.Lock()
+	st.owner.replicaTimeout(c)
+	st.owner.mu.Unlock()
+	st.deliver(c.Take())
+}
+
+// agree reports the owner's and the replica's directories, recomputed from
+// content, when they differ.
+func (st *stream) agree() string {
+	oe, oh, on, _ := st.owner.DirectoryDigest(tp)
+	re, rh, rn, _ := st.replica.HeldReplicaDigest(tp)
+	if oe != re || oh != rh || on != rn {
+		return fmt.Sprintf("owner %d entries (era %d, %x), replica %d (era %d, %x)", on, oe, oh, rn, re, rh)
+	}
+	return ""
+}
+
+// TestReplicaDeltaCarriesRePutLabel: a label deleted and put again within
+// one flush interval must reach the replica as its final state. The delta
+// used to be an op log applied Puts-then-Dels, which dropped l(1) → 12
+// until the next digest probe.
+func TestReplicaDeltaCarriesRePutLabel(t *testing.T) {
+	st := newStream()
+	st.request(10, proto.Subscribe{V: 10})
+	st.request(11, proto.Subscribe{V: 11})
+	st.timeout()
+	st.request(11, proto.Unsubscribe{V: 11}) // the holder of l(n−1)
+	st.request(12, proto.Subscribe{V: 12})   // takes l(1) again
+	st.timeout()
+	if msg := st.agree(); msg != "" {
+		t.Fatal(msg)
+	}
+}
+
+// FuzzReplicaStream runs random owner steps — subscribe, unsubscribe, a
+// cull through the detector, the corruption injectors and the repair —
+// interleaved with delivered flushes. After every flush the replica must
+// equal the owner (era, digest and count), and both incremental digests
+// must equal a recompute after every step. Each step is two bytes: an op
+// and its argument.
+func FuzzReplicaStream(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 1, 6, 0, 1, 1, 0, 2, 6, 0}) // the re-put label
+	f.Add([]byte{0, 0, 0, 1, 0, 2, 0, 3, 6, 0, 2, 1, 6, 0, 3, 40, 4, 0, 6, 0, 5, 0, 6, 0})
+	f.Add([]byte{0, 0, 0, 1, 0, 2, 3, 0, 3, 97, 4, 1, 6, 0, 5, 0, 6, 0, 2, 2, 6, 0})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) > 512 {
+			ops = ops[:512]
+		}
+		st := newStream()
+		st.owner.CullPerTimeout = 64 // each cull screens the whole database
+		for i := 0; i+1 < len(ops); i += 2 {
+			arg := ops[i+1]
+			v := sim.NodeID(10 + arg%16)
+			switch ops[i] % 7 {
+			case 0:
+				st.request(v, proto.Subscribe{V: v})
+			case 1:
+				st.request(v, proto.Unsubscribe{V: v})
+			case 2:
+				st.det[v] = true
+				st.timeout()
+			case 3:
+				// Cases (i), (ii) and (iv): a ⊥ subscriber, a duplicate, an
+				// out-of-range label.
+				id := sim.NodeID(arg >> 5)
+				if id != sim.None {
+					id += 9
+				}
+				st.owner.InjectRaw(tp, label.FromIndex(uint64(arg%32)), id)
+			case 4:
+				st.owner.DeleteLabel(tp, label.FromIndex(uint64(arg%32)))
+			case 5:
+				st.owner.RepairNow(tp)
+			default:
+				st.flush()
+				if msg := st.agree(); msg != "" {
+					t.Fatalf("step %d: after a flush, %s", i/2, msg)
+				}
+			}
+			st.owner.mu.Lock()
+			if db := st.owner.topics[tp]; db != nil && db.tuples.hash != db.tuples.digest() {
+				t.Fatalf("step %d: owner's incremental digest diverged from its content", i/2)
+			}
+			st.owner.mu.Unlock()
+			st.replica.mu.Lock()
+			if rep := st.replica.replicas[tp]; rep != nil && rep.tuples.hash != rep.tuples.digest() {
+				t.Fatalf("step %d: replica's incremental digest diverged from its content", i/2)
+			}
+			st.replica.mu.Unlock()
+		}
+	})
 }

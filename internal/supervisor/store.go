@@ -1,18 +1,22 @@
-// Ordered index over the topic database: a treap keyed by the r-ordering
-// of labels. It replaces the sorted-slice cache that was rebuilt with a full
-// O(n log n) sort whenever the database changed — at 10^5+ subscribers that
-// rebuild (triggered by every subscribe via the configuration send) turned
-// the paper's O(log n) join into O(n log n) and the whole join wave into
-// O(n^2 log n). The treap gives O(log n) insert/delete/neighbor/k-th.
+// The tuple store: one topic's (label, subscriber) set, ordered by ring
+// position and digested. The owner's database and its warm replica hold the
+// same type, so both share one mutation path, one digest and one order.
+//
+// It is a treap keyed by the r-ordering of labels. It replaced a sorted
+// slice that was rebuilt with a full O(n log n) sort whenever the database
+// changed — at 10^5+ subscribers that rebuild (triggered by every subscribe
+// via the configuration send) turned the paper's O(log n) join into
+// O(n log n) and the whole join wave into O(n^2 log n). The treap gives
+// O(log n) get/put/del/neighbor/k-th and an O(n) walk in r-order.
 //
 // Determinism matters here: the deterministic simulator replays runs
-// bit-exactly, so the index must not depend on map iteration order or a
+// bit-exactly, so the store must not depend on map iteration order or a
 // random source. A treap whose priorities are a pure hash of the key has a
 // shape that is a function of the key *set* alone — the heap order and BST
 // order together determine the tree uniquely, regardless of insertion
 // order. Ties in the r-ordering (malformed labels sharing a Frac, possible
 // only in corrupted states) are broken by (Len, Bits) so the order is total
-// and stable, which the old sort.Slice by Frac alone did not guarantee.
+// and stable.
 
 package supervisor
 
@@ -32,9 +36,15 @@ type onode struct {
 	left, right *onode
 }
 
-// ordIndex is the treap root. The zero value is an empty index.
-type ordIndex struct {
+// store is the treap root plus the replication digest. The zero value is
+// an empty store that hashes nothing.
+type store struct {
 	root *onode
+	// track gates the digest: while set, put and del keep hash equal to the
+	// XOR fold of entryHash over the tuples (replica.go). A topic at
+	// replication factor 0 hashes nothing.
+	track bool
+	hash  [16]byte
 }
 
 // cmpLabel orders labels by ring position (Frac), breaking the corrupted-
@@ -145,10 +155,10 @@ func oremove(n *onode, l label.Label) *onode {
 	return n
 }
 
-func (x *ordIndex) len() int { return osize(x.root) }
+func (x *store) len() int { return osize(x.root) }
 
 // get returns the node holding exactly l, or nil.
-func (x *ordIndex) get(l label.Label) *onode {
+func (x *store) get(l label.Label) *onode {
 	n := x.root
 	for n != nil {
 		switch c := cmpLabel(l, n.l); {
@@ -163,44 +173,58 @@ func (x *ordIndex) get(l label.Label) *onode {
 	return nil
 }
 
-// insert records l → id, replacing the subscriber in place if l is already
-// present (no structural change, so the shape invariant is preserved).
-func (x *ordIndex) insert(l label.Label, id sim.NodeID) {
+// at returns the subscriber stored at l, or ⊥ when l is absent.
+func (x *store) at(l label.Label) sim.NodeID {
 	if n := x.get(l); n != nil {
-		n.id = id
+		return n.id
+	}
+	return sim.None
+}
+
+// put records l → id, replacing the subscriber in place if l is already
+// present (no structural change, so the shape invariant is preserved).
+func (x *store) put(l label.Label, id sim.NodeID) {
+	if n := x.get(l); n != nil {
+		if n.id != id {
+			x.fold(l, n.id)
+			n.id = id
+			x.fold(l, id)
+		}
 		return
 	}
 	x.root = oinsert(x.root, &onode{l: l, id: id, prio: labelPrio(l)})
+	x.fold(l, id)
 }
 
-// remove deletes l if present.
-func (x *ordIndex) remove(l label.Label) { x.root = oremove(x.root, l) }
-
-// min and max return the first and last nodes in r-order, or nil when empty.
-func (x *ordIndex) min() *onode {
-	n := x.root
+// del removes l and returns the subscriber it held; ok is false when l was
+// absent.
+func (x *store) del(l label.Label) (id sim.NodeID, ok bool) {
+	n := x.get(l)
 	if n == nil {
-		return nil
+		return sim.None, false
 	}
-	for n.left != nil {
-		n = n.left
-	}
-	return n
+	x.root = oremove(x.root, l)
+	x.fold(l, n.id)
+	return n.id, true
 }
 
-func (x *ordIndex) max() *onode {
-	n := x.root
-	if n == nil {
-		return nil
+// fold toggles the tuple l → id in the tracked digest.
+func (x *store) fold(l label.Label, id sim.NodeID) {
+	if x.track {
+		x.hash = xor16(x.hash, entryHash(l, id))
 	}
-	for n.right != nil {
-		n = n.right
-	}
-	return n
+}
+
+// digest recomputes the digest from content, whatever track says: the
+// self-checks compare it against hash, and introspection reports it.
+func (x *store) digest() [16]byte {
+	var h [16]byte
+	x.walk(func(l label.Label, id sim.NodeID) { h = xor16(h, entryHash(l, id)) })
+	return h
 }
 
 // pred returns the greatest node strictly before l, or nil.
-func (x *ordIndex) pred(l label.Label) *onode {
+func (x *store) pred(l label.Label) *onode {
 	var best *onode
 	for n := x.root; n != nil; {
 		if cmpLabel(n.l, l) < 0 {
@@ -214,7 +238,7 @@ func (x *ordIndex) pred(l label.Label) *onode {
 }
 
 // succ returns the least node strictly after l, or nil.
-func (x *ordIndex) succ(l label.Label) *onode {
+func (x *store) succ(l label.Label) *onode {
 	var best *onode
 	for n := x.root; n != nil; {
 		if cmpLabel(n.l, l) > 0 {
@@ -227,22 +251,8 @@ func (x *ordIndex) succ(l label.Label) *onode {
 	return best
 }
 
-// ceil returns the least node at or after l, or nil.
-func (x *ordIndex) ceil(l label.Label) *onode {
-	var best *onode
-	for n := x.root; n != nil; {
-		if cmpLabel(n.l, l) >= 0 {
-			best = n
-			n = n.left
-		} else {
-			n = n.right
-		}
-	}
-	return best
-}
-
 // kth returns the k-th node in r-order (0-based), or nil if out of range.
-func (x *ordIndex) kth(k int) *onode {
+func (x *store) kth(k int) *onode {
 	n := x.root
 	for n != nil {
 		ls := osize(n.left)
@@ -260,7 +270,7 @@ func (x *ordIndex) kth(k int) *onode {
 }
 
 // walk visits every tuple in r-order.
-func (x *ordIndex) walk(f func(l label.Label, id sim.NodeID)) {
+func (x *store) walk(f func(l label.Label, id sim.NodeID)) {
 	var rec func(n *onode)
 	rec = func(n *onode) {
 		if n == nil {

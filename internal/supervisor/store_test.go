@@ -46,11 +46,12 @@ func (r *refIndex) find(l label.Label) int {
 	})
 }
 
-// TestOrdIndexMatchesSortedSlice drives random insert/delete traffic and
-// cross-checks every query against the sorted-slice oracle.
+// TestOrdIndexMatchesSortedSlice drives random put/del traffic through the
+// store and cross-checks its count, walk order, digest and every query
+// against the sorted-slice oracle.
 func TestOrdIndexMatchesSortedSlice(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	var idx ordIndex
+	idx := store{track: true}
 	ref := &refIndex{}
 
 	labels := make([]label.Label, 200)
@@ -70,10 +71,15 @@ func TestOrdIndexMatchesSortedSlice(t *testing.T) {
 		}
 		var walked []entry
 		idx.walk(func(l label.Label, id sim.NodeID) { walked = append(walked, entry{l, id}) })
+		var want [16]byte
 		for i, e := range walked {
 			if e != ref.entries[i] {
 				t.Fatalf("step %d: walk[%d] = %v, want %v", step, i, e, ref.entries[i])
 			}
+			want = xor16(want, entryHash(e.l, e.id))
+		}
+		if idx.hash != want || idx.digest() != want {
+			t.Fatalf("step %d: digest %x (recomputed %x), want %x", step, idx.hash, idx.digest(), want)
 		}
 		for k := 0; k < len(ref.entries); k++ {
 			n := idx.kth(k)
@@ -84,13 +90,16 @@ func TestOrdIndexMatchesSortedSlice(t *testing.T) {
 		if idx.kth(len(ref.entries)) != nil || idx.kth(-1) != nil {
 			t.Fatalf("step %d: kth out of range not nil", step)
 		}
-		// Probe pred/succ/ceil/get at both present and absent labels.
+		// Probe pred/succ/get/at at both present and absent labels.
 		for trial := 0; trial < 30; trial++ {
 			probe := labels[rng.Intn(len(labels))]
 			i := ref.find(probe)
 			present := i < len(ref.entries) && ref.entries[i].l == probe
 			if g := idx.get(probe); (g != nil) != present {
 				t.Fatalf("step %d: get(%v) present=%v, want %v", step, probe, g != nil, present)
+			}
+			if want := sim.None; present && idx.at(probe) != ref.entries[i].id || !present && idx.at(probe) != want {
+				t.Fatalf("step %d: at(%v) = %d", step, probe, idx.at(probe))
 			}
 			p := idx.pred(probe)
 			if i == 0 {
@@ -112,21 +121,6 @@ func TestOrdIndexMatchesSortedSlice(t *testing.T) {
 			} else if sn == nil || sn.l != ref.entries[si].l {
 				t.Fatalf("step %d: succ(%v) mismatch", step, probe)
 			}
-			c := idx.ceil(probe)
-			if i >= len(ref.entries) {
-				if c != nil {
-					t.Fatalf("step %d: ceil(%v) = %v, want nil", step, probe, c.l)
-				}
-			} else if c == nil || c.l != ref.entries[i].l {
-				t.Fatalf("step %d: ceil(%v) mismatch", step, probe)
-			}
-		}
-		if len(ref.entries) > 0 {
-			if idx.min().l != ref.entries[0].l || idx.max().l != ref.entries[len(ref.entries)-1].l {
-				t.Fatalf("step %d: min/max mismatch", step)
-			}
-		} else if idx.min() != nil || idx.max() != nil {
-			t.Fatalf("step %d: min/max of empty not nil", step)
 		}
 	}
 
@@ -135,10 +129,14 @@ func TestOrdIndexMatchesSortedSlice(t *testing.T) {
 		switch rng.Intn(3) {
 		case 0, 1:
 			id := sim.NodeID(1 + rng.Intn(50))
-			idx.insert(l, id)
+			idx.put(l, id)
 			ref.insert(l, id)
 		default:
-			idx.remove(l)
+			i := ref.find(l)
+			present := i < len(ref.entries) && ref.entries[i].l == l
+			if id, ok := idx.del(l); ok != present || present && id != ref.entries[i].id {
+				t.Fatalf("step %d: del(%v) = %d, %v", step, l, id, ok)
+			}
 			ref.remove(l)
 		}
 		if step%50 == 0 || step > 1950 {
@@ -156,9 +154,9 @@ func TestOrdIndexShapeIsInsertionOrderIndependent(t *testing.T) {
 		keys[i] = label.FromIndex(uint64(i))
 	}
 	build := func(perm []int) *onode {
-		var idx ordIndex
+		var idx store
 		for _, i := range perm {
-			idx.insert(keys[i], sim.NodeID(i+1))
+			idx.put(keys[i], sim.NodeID(i+1))
 		}
 		return idx.root
 	}

@@ -59,31 +59,28 @@ type Supervisor struct {
 
 // topicDB is the database for one topic plus the round-robin cursor.
 //
-// Three structures mirror the same tuple set so every per-request operation
-// is O(log n) instead of the O(n) scans (labelOf, checkMultipleCopies) and
-// O(n log n) re-sorts (neighbors) the first version paid — the structure
-// that fell over first when the scale harness pushed past 10^4 subscribers:
+// The tuples live in one store (store.go), ordered by ring position, so
+// every per-request operation is O(log n) instead of the O(n) scans
+// (labelOf, checkMultipleCopies) and O(n log n) re-sorts (neighbors) the
+// first version paid — the structure that fell over first when the scale
+// harness pushed past 10^4 subscribers. The ⊥ subscriber (sim.None) and
+// labels outside {l(0) … l(n−1)} are representable on purpose: they are the
+// corrupted states of Section 3.1 that CheckLabels repairs.
 //
-//   - db is the source of truth, label → subscriber.
-//   - byID inverts it for the common clean case (labelOf in O(1)); ids
-//     holding several labels — corruption case (ii) — are tracked in dup
-//     and fall back to the scan until CheckMultipleCopies repairs them.
-//   - idx orders the tuples by ring position for predecessor/successor and
-//     k-th queries (see ordindex.go).
+// One reverse index sits beside the store: byID inverts it for the common
+// clean case (labelOf in O(1)); ids holding several labels — corruption
+// case (ii) — are tracked in dup and fall back to a walk until
+// CheckMultipleCopies repairs them.
 //
 // dirty gates the CheckLabels repair scan: the normal subscribe/unsubscribe
 // path preserves database validity, so the O(n) repair only runs after an
 // operation that can actually corrupt it (detector culls, reregistration
 // under rebuild grace, injected corruption).
 type topicDB struct {
-	// db maps label → subscriber. The ⊥ subscriber (sim.None) and labels
-	// outside {l(0) … l(n−1)} are representable on purpose: they are the
-	// corrupted states of Section 3.1 that CheckLabels repairs.
-	db   map[label.Label]sim.NodeID
-	byID map[sim.NodeID]label.Label
-	dup  map[sim.NodeID]bool
-	idx  ordIndex
-	next uint64
+	tuples store
+	byID   map[sim.NodeID]label.Label
+	dup    map[sim.NodeID]bool
+	next   uint64
 	// cullNext is the failure-detector screen's own cursor. It advances by
 	// CullPerTimeout per Timeout — the width of the window it screened —
 	// unlike next, which advances by one (the refresh sends one
@@ -116,14 +113,11 @@ type topicDB struct {
 	// and CheckLabels has repair work to do.
 	dirty bool
 
-	// track gates replication capture: put/del maintain repHash (the
-	// XOR-fold digest the anti-entropy probes ship) and buffer the
-	// mutation in pending for the next delta flush. repOverflow marks a
-	// dropped buffer (a full sync repairs instead); syncRound numbers
-	// full-sync rounds. See replica.go.
-	track       bool
-	repHash     [16]byte
-	pending     []repOp
+	// Replication capture, while tuples.track is set: touched lists the
+	// labels put/del changed since the last delta flush, which ships each
+	// one's current state. repOverflow marks a dropped buffer (a full sync
+	// repairs instead); syncRound numbers full-sync rounds. See replica.go.
+	touched     []label.Label
 	repOverflow bool
 	syncRound   uint64
 }
@@ -133,44 +127,35 @@ type entry struct {
 	id sim.NodeID
 }
 
-func newTopicDB() *topicDB {
-	return &topicDB{
-		db:   make(map[label.Label]sim.NodeID),
-		byID: make(map[sim.NodeID]label.Label),
-	}
+// newTopicDB returns an empty database; track turns on replication capture.
+func newTopicDB(track bool) *topicDB {
+	db := &topicDB{byID: make(map[sim.NodeID]label.Label)}
+	db.tuples.track = track
+	return db
 }
 
-// put records l → v across all three mirrors. The ⊥ subscriber is kept in
-// db and idx (it is a representable corrupted state) but never indexed by
-// id.
+// put records l → v in the store and the reverse index. The ⊥ subscriber is
+// stored (it is a representable corrupted state) but never indexed by id.
 func (db *topicDB) put(l label.Label, v sim.NodeID) {
-	old, hadOld := db.db[l]
-	if hadOld {
-		if old == v {
+	if n := db.tuples.get(l); n != nil {
+		if n.id == v {
 			return
 		}
-		db.unmapID(old, l)
+		db.unmapID(n.id, l)
 	}
-	db.db[l] = v
-	db.idx.insert(l, v)
+	db.tuples.put(l, v)
 	db.mapID(v, l)
-	if db.track {
-		db.repNotePut(l, v, old, hadOld)
-	}
+	db.touch(l)
 }
 
-// del removes l across all three mirrors.
+// del removes l from the store and the reverse index.
 func (db *topicDB) del(l label.Label) {
-	v, ok := db.db[l]
+	v, ok := db.tuples.del(l)
 	if !ok {
 		return
 	}
-	delete(db.db, l)
-	db.idx.remove(l)
 	db.unmapID(v, l)
-	if db.track {
-		db.repNoteDel(l, v)
-	}
+	db.touch(l)
 }
 
 // labelLess is the "lowest label" order labelOf has always used.
@@ -211,21 +196,21 @@ func (db *topicDB) unmapID(v sim.NodeID, l label.Label) {
 	}
 }
 
-// reindex rebuilds v's reverse-index entries from db. O(n); only
+// reindex rebuilds v's reverse-index entries from the store. O(n); only
 // corrupted databases reach it.
 func (db *topicDB) reindex(v sim.NodeID) {
 	delete(db.byID, v)
 	delete(db.dup, v)
-	for l, w := range db.db {
+	db.tuples.walk(func(l label.Label, w sim.NodeID) {
 		if w == v {
 			db.mapID(v, l)
 		}
-	}
+	})
 }
 
 // screen checks the entry at label l for the cull screen, so neither dirty
-// nor byID is trusted forever: a gap below n, a ⊥ subscriber or a hint db
-// contradicts marks the database dirty, and the hint is rebuilt. A
+// nor byID is trusted forever: a gap below n, a ⊥ subscriber or a hint the
+// store contradicts marks the database dirty, and the hint is rebuilt. A
 // duplicated subscriber is repaired on the spot (CheckMultipleCopies). It
 // returns the subscriber for the detector to screen, or ⊥ — also when the
 // repair removed the copy at l.
@@ -236,18 +221,18 @@ func (db *topicDB) reindex(v sim.NodeID) {
 // number of rounds (thousands at n = 64). The screen visits every entry
 // once per n/CullPerTimeout timeouts, which bounds the wait to one lap.
 func (db *topicDB) screen(l label.Label) sim.NodeID {
-	v, ok := db.db[l]
-	if !ok || v == sim.None {
+	v := db.tuples.at(l)
+	if v == sim.None {
 		db.dirty = true
 		return sim.None
 	}
 	if db.dup[v] {
 		db.checkMultipleCopies(v)
-		if db.db[l] != v {
+		if db.tuples.at(l) != v {
 			return sim.None
 		}
 	}
-	if h, ok := db.byID[v]; !ok || db.db[h] != v || (h != l && !db.dup[v]) {
+	if h, ok := db.byID[v]; !ok || db.tuples.at(h) != v || (h != l && !db.dup[v]) {
 		db.reindex(v)
 		db.dirty = true
 	}
@@ -276,8 +261,7 @@ func (s *Supervisor) ID() sim.NodeID { return s.self }
 func (s *Supervisor) topic(t sim.Topic) *topicDB {
 	db, ok := s.topics[t]
 	if !ok {
-		db = newTopicDB()
-		db.track = s.repFactor > 0
+		db = newTopicDB(s.repFactor > 0)
 		s.topics[t] = db
 	}
 	return db
@@ -310,7 +294,7 @@ func (s *Supervisor) timeoutTopic(ctx sim.Context, t sim.Topic) {
 		}
 	}
 	db.checkLabels()
-	n := uint64(len(db.db))
+	n := uint64(db.tuples.len())
 	if n == 0 {
 		return
 	}
@@ -324,7 +308,7 @@ func (s *Supervisor) timeoutTopic(ctx sim.Context, t sim.Topic) {
 			db.del(label.FromIndex(cursor))
 			db.dirty = true // the cull leaves a gap at the cursor's label
 			db.checkLabels()
-			n = uint64(len(db.db))
+			n = uint64(db.tuples.len())
 			if n == 0 {
 				return
 			}
@@ -332,17 +316,15 @@ func (s *Supervisor) timeoutTopic(ctx sim.Context, t sim.Topic) {
 	}
 	db.cullNext = (db.cullNext + uint64(s.CullPerTimeout)) % n
 	db.next = (db.next + 1) % n
-	v, ok := db.db[label.FromIndex(db.next)]
-	if !ok && db.grace > 0 {
+	nd := db.tuples.get(label.FromIndex(db.next))
+	if nd == nil && db.grace > 0 {
 		// During a rebuild grace the labels are whatever the survivors
-		// re-reported, not the compact l(0 … n−1): walk the r-ordered index
-		// so the round-robin refresh still reaches everyone.
-		if nn := db.idx.kth(int(db.next) % db.idx.len()); nn != nil {
-			v, ok = nn.id, true
-		}
+		// re-reported, not the compact l(0 … n−1): take the next-th tuple in
+		// r-order so the round-robin refresh still reaches everyone.
+		nd = db.tuples.kth(int(db.next))
 	}
-	if ok && v != sim.None {
-		s.sendConfiguration(ctx, t, db, v)
+	if nd != nil && nd.id != sim.None {
+		s.sendConfiguration(ctx, t, db, nd.id)
 	}
 }
 
@@ -435,8 +417,8 @@ func (s *Supervisor) subscribe(ctx sim.Context, t sim.Topic, v sim.NodeID) {
 // rebuild grace the database may hold gaps and out-of-range survivors, so
 // probe upward until a free slot appears (at most n+1 probes).
 func (db *topicDB) nextFreeLabel() label.Label {
-	for i := uint64(len(db.db)); ; i++ {
-		if _, taken := db.db[label.FromIndex(i)]; !taken {
+	for i := uint64(db.tuples.len()); ; i++ {
+		if db.tuples.get(label.FromIndex(i)) == nil {
 			return label.FromIndex(i)
 		}
 	}
@@ -452,10 +434,10 @@ func (s *Supervisor) unsubscribe(ctx sim.Context, t sim.Topic, v sim.NodeID) {
 	db.checkMultipleCopies(v)
 	lu := db.labelOf(v)
 	if lu != label.Bottom {
-		n := uint64(len(db.db))
+		n := uint64(db.tuples.len())
 		last := label.FromIndex(n - 1)
 		if n > 1 && lu != last {
-			w := db.db[last]
+			w := db.tuples.at(last)
 			db.del(last)
 			db.put(lu, w) // w takes over v's label
 			s.sendConfiguration(ctx, t, db, w)
@@ -491,16 +473,16 @@ func (s *Supervisor) sendConfiguration(ctx sim.Context, t sim.Topic, db *topicDB
 	ctx.Send(v, t, proto.SetData{Pred: pred, Label: lab, Succ: succ, Epoch: db.epoch})
 }
 
-// labelOf returns the (lowest) label stored for v, or ⊥. O(1) through the
-// reverse index in the clean case; ids with duplicate labels, queries for
-// the ⊥ subscriber and a hint db does not confirm fall back to the scan
-// until repaired.
+// labelOf returns the (lowest) label stored for v, or ⊥. O(log n) through
+// the reverse index in the clean case; ids with duplicate labels, queries
+// for the ⊥ subscriber and a hint the store does not confirm fall back to
+// the walk until repaired.
 func (db *topicDB) labelOf(v sim.NodeID) label.Label {
 	if v == sim.None || db.dup[v] {
 		return db.scanLabelOf(v)
 	}
 	l, ok := db.byID[v]
-	if ok && db.db[l] != v {
+	if ok && db.tuples.at(l) != v {
 		return db.scanLabelOf(v)
 	}
 	return l // ⊥, the zero Label, when v is not recorded
@@ -508,11 +490,11 @@ func (db *topicDB) labelOf(v sim.NodeID) label.Label {
 
 func (db *topicDB) scanLabelOf(v sim.NodeID) label.Label {
 	best := label.Bottom
-	for l, w := range db.db {
+	db.tuples.walk(func(l label.Label, w sim.NodeID) {
 		if w == v && (best == label.Bottom || labelLess(l, best)) {
 			best = l
 		}
-	}
+	})
 	return best
 }
 
@@ -524,13 +506,17 @@ func (db *topicDB) checkMultipleCopies(v sim.NodeID) {
 		return
 	}
 	keep := db.scanLabelOf(v)
-	for l, w := range db.db {
+	var copies []label.Label
+	db.tuples.walk(func(l label.Label, w sim.NodeID) {
 		if w == v && l != keep {
-			db.del(l)
-			// Removing the duplicate can leave a gap below l(n−1) —
-			// corruption case (iii) — so CheckLabels has work again.
-			db.dirty = true
+			copies = append(copies, l)
 		}
+	})
+	for _, l := range copies {
+		db.del(l)
+		// Removing the duplicate can leave a gap below l(n−1) — corruption
+		// case (iii) — so CheckLabels has work again.
+		db.dirty = true
 	}
 }
 
@@ -549,10 +535,23 @@ func (db *topicDB) checkLabels() {
 	if !db.dirty {
 		return
 	}
-	for l, v := range db.db {
-		if v == sim.None {
-			db.del(l)
+	// One walk sorts every tuple into the ⊥ subscribers to purge (case (i)),
+	// the generated labels below the count (held) and the rest, the extras.
+	n := uint64(db.tuples.len())
+	held := make([]bool, n)
+	var bottoms []label.Label
+	var extra []entry // entries with labels outside l(0 … n−1)
+	db.tuples.walk(func(l label.Label, v sim.NodeID) {
+		if i, ok := slot(l); v == sim.None {
+			bottoms = append(bottoms, l)
+		} else if ok && i < n {
+			held[i] = true
+		} else {
+			extra = append(extra, entry{l, v})
 		}
+	})
+	for _, l := range bottoms {
+		db.del(l)
 	}
 	if db.grace > 0 {
 		// Rebuild grace: survivors are still re-reporting their pre-failover
@@ -562,20 +561,11 @@ func (db *topicDB) checkLabels() {
 		return
 	}
 	defer func() { db.dirty = false }()
-	n := uint64(len(db.db))
-	var missing []label.Label // wanted labels not present, ascending
-	var extra []entry         // entries with labels outside l(0 … n−1)
-	for i := uint64(0); i < n; i++ {
-		if _, ok := db.db[label.FromIndex(i)]; !ok {
-			missing = append(missing, label.FromIndex(i))
-		}
-	}
-	if len(missing) == 0 {
-		return
-	}
-	for l, v := range db.db {
-		if !l.Valid() || l.IsBottom() || l.Index() >= n || l != label.FromIndex(l.Index()) {
-			extra = append(extra, entry{l, v})
+	// The purge lowered the count: held slots at or above it are extras too.
+	for i := n - uint64(len(bottoms)); i < n; i++ {
+		if held[i] {
+			l := label.FromIndex(i)
+			extra = append(extra, entry{l, db.tuples.at(l)})
 		}
 	}
 	// Paper: take the tuple with maximum index j > i; sort extras by
@@ -583,14 +573,27 @@ func (db *topicDB) checkLabels() {
 	sort.Slice(extra, func(i, j int) bool {
 		return extraRank(extra[i].l) > extraRank(extra[j].l)
 	})
-	for i, gap := range missing {
-		if i >= len(extra) {
-			break // cannot happen with a consistent map, defensive only
+	// The labels are distinct, so each extra leaves one slot below the count
+	// empty: the gaps, ascending (cases (iii) and (iv)).
+	gap := uint64(0)
+	for _, e := range extra {
+		for held[gap] {
+			gap++
 		}
-		id := extra[i].id
-		db.del(extra[i].l)
-		db.put(gap, id)
+		db.del(e.l)
+		db.put(label.FromIndex(gap), e.id)
+		gap++
 	}
+}
+
+// slot returns i when l is the generated label l(i); ok is false for ⊥ and
+// malformed labels.
+func slot(l label.Label) (i uint64, ok bool) {
+	if !l.Valid() || l.IsBottom() {
+		return 0, false
+	}
+	i = l.Index()
+	return i, l == label.FromIndex(i)
 }
 
 // extraRank orders out-of-range labels: generated labels by their index,
@@ -604,25 +607,22 @@ func extraRank(l label.Label) uint64 {
 
 // neighbors returns the predecessor and successor tuples of lab in the
 // r-ordering of the database, wrapping around the ring. With a single
-// entry both are ⊥. O(log n) through the ordered index — this runs on
-// every configuration send, so it must not touch all n entries.
+// entry both are ⊥. O(log n) through the store — this runs on every
+// configuration send, so it must not touch all n entries.
 func (db *topicDB) neighbors(lab label.Label) (pred, succ proto.Tuple) {
-	if db.idx.len() <= 1 {
+	n := db.tuples.len()
+	if n <= 1 {
 		return proto.Tuple{}, proto.Tuple{}
 	}
-	p := db.idx.pred(lab)
+	p := db.tuples.pred(lab)
 	if p == nil {
-		p = db.idx.max()
+		p = db.tuples.kth(n - 1)
 	}
-	var sn *onode
-	if db.idx.get(lab) != nil {
-		sn = db.idx.succ(lab)
-	} else {
-		// lab not present (transient corruption): neighbors of its position.
-		sn = db.idx.ceil(lab)
-	}
+	// Strictly after lab — also when lab is absent (transient corruption),
+	// where that is the successor of its position.
+	sn := db.tuples.succ(lab)
 	if sn == nil {
-		sn = db.idx.min()
+		sn = db.tuples.kth(0)
 	}
 	return proto.Tuple{L: p.l, Ref: p.id}, proto.Tuple{L: sn.l, Ref: sn.id}
 }
@@ -634,7 +634,7 @@ func (s *Supervisor) N(t sim.Topic) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if db, ok := s.topics[t]; ok {
-		return len(db.db)
+		return db.tuples.len()
 	}
 	return 0
 }
@@ -681,19 +681,16 @@ func (s *Supervisor) Snapshot(t sim.Topic) map[label.Label]sim.NodeID {
 	if !ok {
 		return map[label.Label]sim.NodeID{}
 	}
-	out := make(map[label.Label]sim.NodeID, len(db.db))
-	for l, v := range db.db {
-		out[l] = v
-	}
+	out := make(map[label.Label]sim.NodeID, db.tuples.len())
+	db.tuples.walk(func(l label.Label, v sim.NodeID) { out[l] = v })
 	return out
 }
 
-// MemoryBytes estimates the resident size of the topic database: the
-// label→subscriber map, the reverse index and the ordered index. It is an
-// accounting figure for the scale harness (deterministic, not a heap
-// measurement): per tuple, one treap node plus one entry in each of the two
-// maps (Go map entries cost roughly 2× their key+value payload once bucket
-// overhead and load factor are amortized).
+// MemoryBytes estimates the resident size of the topic database: the store
+// and the reverse index. It is an accounting figure for the scale harness
+// (deterministic, not a heap measurement): per tuple, one treap node plus
+// one reverse-index entry (Go map entries cost roughly 2× their key+value
+// payload once bucket overhead and load factor are amortized).
 func (s *Supervisor) MemoryBytes(t sim.Topic) uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -703,11 +700,10 @@ func (s *Supervisor) MemoryBytes(t sim.Topic) uint64 {
 	}
 	const (
 		nodeBytes  = uint64(unsafe.Sizeof(onode{}))
-		dbEntry    = 2 * uint64(unsafe.Sizeof(label.Label{})+unsafe.Sizeof(sim.NodeID(0)))
 		byIDEntry  = 2 * uint64(unsafe.Sizeof(sim.NodeID(0))+unsafe.Sizeof(label.Label{}))
-		perTupleSz = nodeBytes + dbEntry + byIDEntry
+		perTupleSz = nodeBytes + byIDEntry
 	)
-	return uint64(unsafe.Sizeof(*db)) + uint64(len(db.db))*perTupleSz
+	return uint64(unsafe.Sizeof(*db)) + uint64(db.tuples.len())*perTupleSz
 }
 
 // LabelOf returns the label recorded for v, or ⊥.
@@ -729,26 +725,17 @@ func (s *Supervisor) Corrupted(t sim.Topic) bool {
 	if !ok {
 		return false
 	}
-	n := uint64(len(db.db))
+	n := uint64(db.tuples.len())
 	seen := make(map[sim.NodeID]bool, n)
-	for l, v := range db.db {
-		if v == sim.None { // (i)
-			return true
-		}
-		if seen[v] { // (ii)
-			return true
-		}
+	bad := false
+	db.tuples.walk(func(l label.Label, v sim.NodeID) {
+		i, ok := slot(l)
+		bad = bad || v == sim.None || seen[v] || !ok || i >= n // (i), (ii), (iv)
 		seen[v] = true
-		if !l.Valid() || l.IsBottom() || l.Index() >= n || l != label.FromIndex(l.Index()) { // (iv)
-			return true
-		}
-	}
-	for i := uint64(0); i < n; i++ { // (iii)
-		if _, ok := db.db[label.FromIndex(i)]; !ok {
-			return true
-		}
-	}
-	return false
+	})
+	// Without (iv), n distinct labels below l(n) are all of l(0 … n−1), so
+	// (iii) holds too.
+	return bad
 }
 
 // InjectRaw force-writes a raw tuple into the database (tests: corruption
